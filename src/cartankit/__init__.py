@@ -5,8 +5,7 @@ representation forms over word simplices by series and quadrature, and
 checks every lemma-level identity as an executable residual."""
 
 from .graded import (CochainComplex, GradedOperator, GradedVectorSpace,
-                     compose, graded_commutator, nat_apply, tensor_complex,
-                     tensor_operator)
+                     compose, graded_commutator, tensor_complex, tensor_operator)
 from .lie import CartanDgla, LieAlgebra, abelian, cartan_dgla, heisenberg3, sl2, su2
 from .linalg import EXACT, FLOAT, ModeError
 from .reps import (CartanRep, LieRep, adjoint_rep, adjunction_check,

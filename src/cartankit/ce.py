@@ -89,20 +89,21 @@ def _coefficient_columns(block, i):
     return [(j, col[j]) for j in range(len(col)) if col[j] != 0]
 
 
-def _assemble(basis, image_of, mode):
-    """Build the degree +1 differential from a basis-element image map."""
+def assemble(basis, degree, image_of, mode):
+    """Build the operator of the given degree on the span of ``basis`` from
+    a map sending each basis element to a dict {target element: coeff}."""
     blocks = {}
     for deg, elements in basis.elements.items():
-        tgt = basis.elements.get(deg + 1, [])
+        tgt = basis.elements.get(deg + degree, [])
         if not elements or not tgt:
             continue
         block = linalg.zeros((len(tgt), len(elements)), mode)
-        tgt_index = basis.index[deg + 1]
+        tgt_index = basis.index[deg + degree]
         for col, element in enumerate(elements):
             for target, coeff in image_of(element).items():
                 block[tgt_index[target], col] += coeff
         blocks[deg] = block
-    return GradedOperator(basis.space, basis.space, 1, blocks, mode=mode)
+    return GradedOperator(basis.space, basis.space, degree, blocks, mode=mode)
 
 
 def ce_chain(algebra, rep) -> CEComplex:
@@ -141,7 +142,7 @@ def ce_chain(algebra, rep) -> CEComplex:
             add((subset, q + 1, j), (-1) ** m * coeff)
         return out
 
-    diff = _assemble(basis, image_of, mode)
+    diff = assemble(basis, 1, image_of, mode)
     return CEComplex("chain", algebra, rep, CochainComplex(basis.space, diff), basis)
 
 
@@ -182,7 +183,7 @@ def ce_cochain(algebra, rep) -> CEComplex:
             add((subset, q + 1, j), (-1) ** m * coeff)
         return out
 
-    diff = _assemble(basis, image_of, mode)
+    diff = assemble(basis, 1, image_of, mode)
     return CEComplex("cochain", algebra, rep, CochainComplex(basis.space, diff), basis)
 
 

@@ -31,10 +31,6 @@ def cube_to_simplex(point):
     return np.maximum.accumulate(t[::-1])[::-1]
 
 
-def perm_reparam(ev: Evaluator, perm) -> Evaluator:
-    return PermReparam(ev, perm)
-
-
 def subdivision_maps(k: int, i: int, s: float):
     """The two affine self-maps of the cube splitting axis i at s:
     the lower piece scales t_i by s, the upper piece maps t_i to
@@ -107,10 +103,6 @@ class AlternationCochain:
         for perm in permutations(range(self.k)):
             terms.append(perm_sign(perm) * self.base(PermReparam(ev, perm)))
         return fsum(terms)
-
-
-def tau_map(c) -> AlternationCochain:
-    return AlternationCochain(c)
 
 
 def subdivision_invariance_residual(c, ev: Evaluator, i: int, s: float) -> float:

@@ -3,9 +3,9 @@
 An evaluator represents a smooth map from the standard simplex
 {1 >= t_1 >= ... >= t_k >= 0} (or the unit cube) into the group, seen
 through a representation: at each parameter point it produces the
-operator value of the group element, the adjoint matrix of that element,
-and the left-translated partial derivatives.  Word evaluators realize
-t -> exp(t_1 x_1) ... exp(t_k x_k); everything else (faces, shuffles,
+operator value of the group element, the inverse adjoint matrix of that
+element, and the left-translated partial derivatives.  Word evaluators
+realize t -> exp(t_1 x_1) ... exp(t_k x_k); everything else (faces, shuffles,
 coordinate permutations, axis splits, the cube-to-simplex collapse) is
 built compositionally from them.
 
@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .graded import GradedOperator
+from .graded import flatten_operator
 from .linalg import FLOAT
 
 
@@ -34,11 +34,11 @@ def as_points(points, k: int) -> np.ndarray:
 
 @dataclass
 class PointData:
-    """Batched evaluator output."""
+    """Batched evaluator output.  Only the inverse adjoint is carried: it
+    conjugates tangents in pointwise products and p-fold multiplication."""
 
     rho: np.ndarray       # (P, N, N) operator values
-    ad: np.ndarray        # (P, n, n) adjoint matrices
-    ad_inv: np.ndarray    # (P, n, n)
+    ad_inv: np.ndarray    # (P, n, n) inverse adjoint matrices
     xi: np.ndarray        # (P, k, n) left-translated tangents
 
 
@@ -51,41 +51,11 @@ class FlatRep:
             raise linalg.ModeError("flat representations are float-mode only")
         self.rep = rep
         self.algebra = rep.algebra
-        space = rep.complex.space
-        self.space = space
-        self.degrees = space.degrees
-        self.offsets = {}
-        pos = 0
-        for k in self.degrees:
-            self.offsets[k] = pos
-            pos += space.dim(k)
-        self.total_dim = pos
-        self.delta = self._flatten(rep.complex.differential)
-        self.L = [self._flatten(op) for op in rep.L]
-        self.B = np.stack([self._flatten(op) for op in rep.B]) if rep.B else None
+        self.space = rep.complex.space
+        self.total_dim = self.space.total_dim
+        self.L = [flatten_operator(op) for op in rep.L]
+        self.B = np.stack([flatten_operator(op) for op in rep.B]) if rep.B else None
         self._exp_cache = {}
-
-    def _flatten(self, op: GradedOperator) -> np.ndarray:
-        out = np.zeros((self.total_dim, self.total_dim))
-        for k, b in op.blocks.items():
-            if not b.size:
-                continue
-            r = self.offsets.get(k + op.degree)
-            c = self.offsets.get(k)
-            if r is None or c is None:
-                continue
-            out[r:r + b.shape[0], c:c + b.shape[1]] = b
-        return out
-
-    def unflatten(self, mat: np.ndarray, degree: int) -> GradedOperator:
-        blocks = {}
-        for k in self.degrees:
-            kk = k + degree
-            if kk not in self.offsets:
-                continue
-            r, c = self.offsets[kk], self.offsets[k]
-            blocks[k] = np.array(mat[r:r + self.space.dim(kk), c:c + self.space.dim(k)])
-        return GradedOperator(self.space, self.space, degree, blocks, mode=FLOAT)
 
     def operator_of(self, x) -> np.ndarray:
         """Total matrix of the degree-0 action of the algebra element x."""
@@ -161,39 +131,31 @@ class WordEvaluator(Evaluator):
         self._exp = [flat.exp_factors(x) for x in self.letters]
         self._ad = [_ad_exp_factors(flat.algebra, x) for x in self.letters]
         rho0 = np.eye(flat.total_dim)
-        n = flat.algebra.n
-        ad0, ad0i = np.eye(n), np.eye(n)
+        ad0i = np.eye(flat.algebra.n)
         for x in self.prefix:
             rho0 = rho0.dot(flat.exp_factors(x).at(np.ones(1))[0])
-            ad_fac = _ad_exp_factors(flat.algebra, x)
-            ad0 = ad0.dot(ad_fac.at(np.ones(1))[0])
-            ad0i = ad_fac.at(-np.ones(1))[0].dot(ad0i)
-        self._rho0, self._ad0, self._ad0i = rho0, ad0, ad0i
+            ad0i = _ad_exp_factors(flat.algebra, x).at(-np.ones(1))[0].dot(ad0i)
+        self._rho0, self._ad0i = rho0, ad0i
 
     def eval(self, points: np.ndarray) -> PointData:
         points = as_points(points, self.k)
         p = points.shape[0]
         n = self.flat.algebra.n
         rho = np.broadcast_to(self._rho0, (p,) + self._rho0.shape).copy()
-        ad = np.broadcast_to(self._ad0, (p, n, n)).copy()
-        ad_inv = np.broadcast_to(self._ad0i, (p, n, n)).copy()
         neg_ads = []
         for j in range(self.k):
             t = points[:, j]
             rho = np.matmul(rho, self._exp[j].at(t))
-            ad = np.matmul(ad, self._ad[j].at(t))
             neg_ads.append(self._ad[j].at(-t))
-        # adjoint inverse: negative factors in reverse order, then the prefix
-        ad_inv = np.broadcast_to(np.eye(n), (p, n, n)).copy()
-        for j in range(self.k - 1, -1, -1):
-            ad_inv = np.matmul(ad_inv, neg_ads[j])
-        ad_inv = np.matmul(ad_inv, np.broadcast_to(self._ad0i, (p, n, n)))
+        # tail: product of the negative factors after slot j, in reverse order;
+        # the full product followed by the prefix is the inverse adjoint
         xi = np.zeros((p, self.k, n))
         tail = np.broadcast_to(np.eye(n), (p, n, n)).copy()
         for j in range(self.k - 1, -1, -1):
             xi[:, j, :] = np.einsum("pab,b->pa", tail, self.letters[j])
             tail = np.matmul(tail, neg_ads[j])
-        return PointData(rho, ad, ad_inv, xi)
+        ad_inv = np.matmul(tail, np.broadcast_to(self._ad0i, (p, n, n)))
+        return PointData(rho, ad_inv, xi)
 
 
 class PointEvaluator(Evaluator):
@@ -229,7 +191,7 @@ class AffineReparam(Evaluator):
         up = points.dot(self.matrix.T) + self.offset
         data = self.base.eval(up)
         xi = np.einsum("jm,pjd->pmd", self.matrix, data.xi)
-        return PointData(data.rho, data.ad, data.ad_inv, xi)
+        return PointData(data.rho, data.ad_inv, xi)
 
 
 class PermReparam(Evaluator):
@@ -248,7 +210,7 @@ class PermReparam(Evaluator):
         xi = np.zeros_like(data.xi)
         for j, pj in enumerate(self.perm):
             xi[:, pj, :] += data.xi[:, j, :]
-        return PointData(data.rho, data.ad, data.ad_inv, xi)
+        return PointData(data.rho, data.ad_inv, xi)
 
 
 class MaxCollapseReparam(Evaluator):
@@ -278,7 +240,7 @@ class MaxCollapseReparam(Evaluator):
         argmax = (k - 1) - argmax_rev[:, ::-1]     # (P, k): argmax of t_i..t_k
         rows = np.arange(points.shape[0])[:, None]
         np.add.at(xi, (rows, argmax), data.xi)
-        return PointData(data.rho, data.ad, data.ad_inv, xi)
+        return PointData(data.rho, data.ad_inv, xi)
 
 
 class ProductEvaluator(Evaluator):
@@ -304,7 +266,6 @@ class ProductEvaluator(Evaluator):
         lp = self.left.eval(points[:, list(self.left_slots)] if self.left.k else np.zeros((points.shape[0], 0)))
         rp = self.right.eval(points[:, list(self.right_slots)] if self.right.k else np.zeros((points.shape[0], 0)))
         rho = np.matmul(lp.rho, rp.rho)
-        ad = np.matmul(lp.ad, rp.ad)
         ad_inv = np.matmul(rp.ad_inv, lp.ad_inv)
         xi = np.zeros((points.shape[0], self.k, lp.xi.shape[2] if lp.xi.size else rp.xi.shape[2]))
         if self.left.k:
@@ -313,27 +274,7 @@ class ProductEvaluator(Evaluator):
                 xi[:, m, :] = conj[:, a, :]
         for b, m in enumerate(self.right_slots):
             xi[:, m, :] = rp.xi[:, b, :]
-        return PointData(rho, ad, ad_inv, xi)
-
-
-class TranslatedEvaluator(Evaluator):
-    """Left translation by a fixed group word."""
-
-    def __init__(self, base: Evaluator, flat: FlatRep, prefix):
-        self.base = base
-        self.k = base.k
-        self.domain = base.domain
-        point = WordEvaluator(flat, [], prefix=prefix).eval(np.zeros((1, 0)))
-        self._rho = point.rho[0]
-        self._ad = point.ad[0]
-        self._ad_inv = point.ad_inv[0]
-
-    def eval(self, points: np.ndarray) -> PointData:
-        data = self.base.eval(points)
-        return PointData(np.matmul(self._rho, data.rho),
-                         np.matmul(self._ad, data.ad),
-                         np.matmul(data.ad_inv, self._ad_inv),
-                         data.xi)
+        return PointData(rho, ad_inv, xi)
 
 
 @dataclass
@@ -417,10 +358,6 @@ def ez_product(a, b) -> ChainCombination:
                 left_slots = perm[:eva.k]
                 terms.append((ca * cb * sign, ProductEvaluator(eva, evb, left_slots)))
     return ChainCombination(terms)
-
-
-def word_evaluator(flat: FlatRep, letters, prefix=(), domain="simplex") -> WordEvaluator:
-    return WordEvaluator(flat, letters, prefix=prefix, domain=domain)
 
 
 def aw_coproduct_word(letters):

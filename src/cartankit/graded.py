@@ -153,8 +153,7 @@ def graded_commutator(f: GradedOperator, g: GradedOperator) -> GradedOperator:
 class CochainComplex:
     """Graded space with a degree +1 differential squaring to zero."""
 
-    def __init__(self, space: GradedVectorSpace, differential: GradedOperator,
-                 tol: float = linalg.DEFAULT_TOL, check: bool = True):
+    def __init__(self, space: GradedVectorSpace, differential: GradedOperator):
         if differential.degree != 1:
             raise ValueError("differential must have degree +1")
         if differential.source != space or differential.target != space:
@@ -162,11 +161,10 @@ class CochainComplex:
         self.space = space
         self.differential = differential
         self.mode = differential.mode
-        if check:
-            sq = compose(differential, differential)
-            bound = 0.0 if self.mode == EXACT else tol
-            if not sq.is_zero(bound):
-                raise ValueError(f"differential does not square to zero (norm {sq.norm()})")
+        sq = compose(differential, differential)
+        bound = 0.0 if self.mode == EXACT else linalg.DEFAULT_TOL
+        if not sq.is_zero(bound):
+            raise ValueError(f"differential does not square to zero (norm {sq.norm()})")
 
     @classmethod
     def concentrated(cls, dim: int, degree: int, mode: str):
@@ -234,11 +232,6 @@ def tensor_operator(f: GradedOperator, g: GradedOperator) -> GradedOperator:
         if linalg.max_abs(out) != 0.0:
             blocks[n] = out
     return GradedOperator(src, tgt, deg, blocks, mode=mode)
-
-
-def nat_apply(f: GradedOperator, g: GradedOperator, vec):
-    """Apply nat(f ox g) to a tensor vector given as dict degree -> coeffs."""
-    return tensor_operator(f, g).apply(vec)
 
 
 def tensor_basis_index(v: GradedVectorSpace, w: GradedVectorSpace, p: int, i: int, q: int, j: int):

@@ -20,8 +20,7 @@ from . import linalg
 from .evaluators import (ChainCombination, Evaluator, FlatRep,
                          PointEvaluator, WordEvaluator, boundary, ez_product)
 from .graded import (GradedOperator, compose, exp_operator, flatten_operator,
-                     graded_commutator, space_offsets, tensor_operator,
-                     unflatten_matrix)
+                     graded_commutator, tensor_operator, unflatten_matrix)
 from .linalg import EXACT, FLOAT
 
 DEFAULT_ORDER = 16
@@ -73,7 +72,7 @@ def density_batch(flat: FlatRep, data) -> np.ndarray:
 def eval_form(flat: FlatRep, ev: Evaluator, point) -> GradedOperator:
     """Pullback density of the representation form at one parameter point."""
     data = ev.at(point)
-    return flat.unflatten(density_batch(flat, data)[0], -ev.k)
+    return unflatten_matrix(flat.space, density_batch(flat, data)[0], -ev.k, FLOAT)
 
 
 def pullback_word_closed(rep, letters, point) -> GradedOperator:
@@ -97,12 +96,12 @@ def integrate_quadrature(flat: FlatRep, ev: Evaluator, order: int = DEFAULT_ORDE
     if order < 1:
         raise ValueError("order must be >= 1")
     if ev.k == 0:
-        return flat.unflatten(ev.eval(np.zeros((1, 0))).rho[0], 0)
+        return unflatten_matrix(flat.space, ev.eval(np.zeros((1, 0))).rho[0], 0, FLOAT)
     domain = domain or ev.domain
     nodes, weights = (simplex_nodes if domain == "simplex" else cube_nodes)(ev.k, order)
     data = ev.eval(nodes)
     dens = density_batch(flat, data)
-    return flat.unflatten(np.einsum("p,pab->ab", weights, dens), -ev.k)
+    return unflatten_matrix(flat.space, np.einsum("p,pab->ab", weights, dens), -ev.k, FLOAT)
 
 
 def integrate_chain(flat: FlatRep, chain: ChainCombination, order: int = DEFAULT_ORDER) -> GradedOperator:
@@ -146,7 +145,7 @@ def integrate_series(rep, letters, tol: float = DEFAULT_SERIES_TOL,
     mode = rep.mode
     if k == 0:
         return GradedOperator.identity(space, mode)
-    offsets, total = space_offsets(space)
+    total = space.total_dim
     A = [flatten_operator(rep.L_of(x)) for x in letters]
     B = [flatten_operator(rep.B_of(x)) for x in letters]
     if mode == EXACT:
@@ -239,16 +238,7 @@ class MatPoly:
 
 def exp_poly(a, scale=Fraction(1)) -> MatPoly:
     """exp(scale * s * a) as a terminating matrix polynomial in s."""
-    a = np.asarray(a)
-    n = a.shape[0]
-    coeffs = [linalg.eye(n, EXACT)]
-    term = linalg.eye(n, EXACT)
-    for m in range(1, 2 * n + 2):
-        term = term.dot(a) * Fraction(scale, m)
-        if linalg.is_zero(term):
-            return MatPoly(coeffs)
-        coeffs.append(term)
-    raise linalg.ModeError("polynomial exponential does not terminate")
+    return MatPoly(linalg.exp_terms(a, scale))
 
 
 def merged_pair_integral_exact(rep, x, y) -> GradedOperator:
@@ -256,27 +246,19 @@ def merged_pair_integral_exact(rep, x, y) -> GradedOperator:
     mode = rep.mode
     if mode != EXACT:
         raise linalg.ModeError("exact route requires exact mode")
-    space = rep.complex.space
     ax = flatten_operator(rep.L_of(x))
     ay = flatten_operator(rep.L_of(y))
-    n = rep.algebra.n
-    offsets, total = space_offsets(space)
     rho = exp_poly(ax).dot(exp_poly(ay))
     ad_neg_y = exp_poly(rep.algebra.ad(rep.algebra.vector(list(y))), Fraction(-1))
     # xi(s) = Ad_{exp(-s y)} x + y, coefficientwise through the B action
-    b_flat = [flatten_operator(op) for op in rep.B]
     bxi_coeffs = []
     for m, c in enumerate(ad_neg_y.coeffs):
         vec = c.dot(np.asarray(x))
         if m == 0:
             vec = vec + np.asarray(y)
-        mat = linalg.zeros((total, total), EXACT)
-        for i in range(n):
-            if vec[i] != 0:
-                mat = mat + vec[i] * b_flat[i]
-        bxi_coeffs.append(mat)
+        bxi_coeffs.append(flatten_operator(rep.B_of(vec)))
     density = rho.dot(MatPoly(bxi_coeffs))
-    return unflatten_matrix(space, density.integrate_01(), -1, EXACT)
+    return unflatten_matrix(rep.complex.space, density.integrate_01(), -1, EXACT)
 
 
 def point_value(rep, prefix) -> GradedOperator:
@@ -300,7 +282,7 @@ def word_integral_polynomial_exact(rep, letters) -> GradedOperator:
     k = len(letters)
     if k == 0:
         return GradedOperator.identity(space, EXACT)
-    _, total = space_offsets(space)
+    total = space.total_dim
     inner = None
     for x in reversed(letters):
         factor = exp_poly(flatten_operator(rep.L_of(x))).dot(
@@ -354,10 +336,6 @@ def multiplicativity_residual(flat: FlatRep, left_letters, right_letters,
     rhs = compose(integrate_quadrature(flat, lev, order),
                          integrate_quadrature(flat, rev, order))
     return (lhs - rhs).norm()
-
-
-def vanishing_norm(flat: FlatRep, ev: Evaluator, order: int = DEFAULT_ORDER) -> float:
-    return integrate_quadrature(flat, ev, order).norm()
 
 
 def equivariance_residual(flat: FlatRep, letters, prefix, samples=None) -> float:
@@ -421,14 +399,15 @@ def mu_p_residual(flat: FlatRep, factors, tangents, base_points=None) -> float:
 # ---------------------------------------------------------------------------
 
 class ChainModule:
-    """Module over group chains induced by integrating a representation."""
+    """Module over group chains induced by integrating a representation.
 
-    def __init__(self, rep, order: int = DEFAULT_ORDER,
-                 series_tol: float = DEFAULT_SERIES_TOL, use_series: bool = True):
+    Words act by the coefficient series (``integrate_series``) in either
+    mode; points act by the group element's operator value, through the
+    flattened representation in float mode."""
+
+    def __init__(self, rep, series_tol: float = DEFAULT_SERIES_TOL):
         self.rep = rep
-        self.order = order
         self.series_tol = series_tol
-        self.use_series = use_series
         self.flat = FlatRep(rep) if rep.mode == FLOAT else None
 
     @property
@@ -440,19 +419,13 @@ class ChainModule:
         return self.rep.algebra
 
     def act_word(self, letters) -> GradedOperator:
-        if self.use_series or self.flat is None:
-            return integrate_series(self.rep, letters, self.series_tol)
-        return integrate_quadrature(self.flat, WordEvaluator(self.flat, letters), self.order)
+        return integrate_series(self.rep, letters, self.series_tol)
 
     def act_point(self, prefix) -> GradedOperator:
         if self.flat is None:
             return point_value(self.rep, prefix)
-        return self.flat.unflatten(PointEvaluator(self.flat, prefix=prefix).value(), 0)
-
-    def act(self, target) -> GradedOperator:
-        if isinstance(target, ChainCombination):
-            return integrate_chain(self.flat, target, self.order)
-        return integrate_quadrature(self.flat, target, self.order)
+        return unflatten_matrix(self.flat.space, PointEvaluator(self.flat, prefix=prefix).value(),
+                                0, FLOAT)
 
 
 def differentiate_module(module, h: float, richardson: bool = False):

@@ -99,9 +99,6 @@ class LieAlgebra:
                         worst = max(worst, abs(s))
         return worst
 
-    def is_valid(self):
-        return self.check_jacobi() == 0
-
     def __repr__(self):
         return f"LieAlgebra({self.name or self.n})"
 

@@ -6,7 +6,6 @@ Matrices are plain numpy arrays: float64 in float mode, object arrays of
 """
 
 from fractions import Fraction
-from math import factorial
 
 import numpy as np
 import scipy.linalg
@@ -48,14 +47,6 @@ def eye(n: int, mode: str):
     out = zeros((n, n), mode)
     for i in range(n):
         out[i, i] = Fraction(1) if mode == EXACT else 1.0
-    return out
-
-
-def as_exact(a):
-    out = np.empty(np.shape(a), dtype=object)
-    flat = out.reshape(-1)
-    for i, v in enumerate(np.asarray(a).reshape(-1)):
-        flat[i] = v if isinstance(v, Fraction) else Fraction(v)
     return out
 
 
@@ -206,25 +197,30 @@ def unit_vector(n: int, i: int, mode: str):
 # matrix exponentials
 # ---------------------------------------------------------------------------
 
+def exp_terms(a, t=1):
+    """Terms t^m a^m / m! of the exact exponential series, up to the last
+    nonzero one; ``ModeError`` unless the series terminates (nilpotent a)."""
+    a = np.asarray(a)
+    terms = [eye(a.shape[0], EXACT)]
+    for m in range(1, 2 * a.shape[0] + 2):
+        term = terms[-1].dot(a) * Fraction(Fraction(t), m)
+        if is_zero(term):
+            return terms
+        terms.append(term)
+    raise ModeError("exponential series does not terminate in exact mode")
+
+
 def expm(a, t=1):
     """exp(t*a) for a square matrix.
 
     Float mode delegates to scipy's scaling-and-squaring Pade-13 routine.
-    Exact mode sums the series, which must terminate (nilpotent input);
-    otherwise ``ModeError`` is raised.
+    Exact mode sums ``exp_terms``.
     """
     a = np.asarray(a)
     if mode_of(a) == FLOAT:
         return scipy.linalg.expm(float(t) * a)
-    n = a.shape[0]
-    acc = eye(n, EXACT)
-    term = eye(n, EXACT)
-    for m in range(1, 2 * n + 2):
-        term = term.dot(a) * Fraction(Fraction(t), m)
-        if is_zero(term):
-            return acc
-        acc = acc + term
-    raise ModeError("matrix exponential does not terminate in exact mode")
+    terms = exp_terms(a, t)
+    return sum(terms[1:], terms[0])
 
 
 def nilpotency_index(a, cap=None):
@@ -265,9 +261,3 @@ def phi1(a):
         m += 1
         if m > 200:
             return acc
-
-
-def binomial(n: int, k: int) -> int:
-    if k < 0 or k > n:
-        return 0
-    return factorial(n) // (factorial(k) * factorial(n - k))

@@ -40,25 +40,12 @@ class LieRep:
     def action(self, i: int) -> GradedOperator:
         return self.operators[i]
 
-    def action_of(self, x) -> GradedOperator:
-        out = GradedOperator.zero(self.complex.space, self.complex.space, 0, self.mode)
-        for i, op in enumerate(self.operators):
-            if x[i] != 0:
-                out = out + x[i] * op
-        return out
-
     def residuals(self):
         """Homomorphism + chain-map defects: max norms, keyed by family."""
         c = self.algebra.constants(self.mode)
-        n = self.algebra.n
-        worst_hom = 0.0
-        for i in range(n):
-            for j in range(n):
-                lhs = graded_commutator(self.operators[i], self.operators[j])
-                for k in range(n):
-                    if c[i, j, k] != 0:
-                        lhs = lhs - c[i, j, k] * self.operators[k]
-                worst_hom = max(worst_hom, lhs.norm())
+        ops = self.operators
+        worst_hom = max((_bracket_defect(ops[i], ops[j], c[i, j], ops)
+                         for i in range(len(ops)) for j in range(len(ops))), default=0.0)
         worst_chain = max((graded_commutator(self.complex.differential, op).norm()
                            for op in self.operators), default=0.0)
         return {"bracket": worst_hom, "chain_map": worst_chain}
@@ -90,15 +77,15 @@ class CartanRep:
         return self.complex.differential
 
     def L_of(self, x) -> GradedOperator:
-        out = GradedOperator.zero(self.complex.space, self.complex.space, 0, self.mode)
-        for i, op in enumerate(self.L):
-            if x[i] != 0:
-                out = out + x[i] * op
-        return out
+        return self._combination(self.L, 0, x)
 
     def B_of(self, x) -> GradedOperator:
-        out = GradedOperator.zero(self.complex.space, self.complex.space, -1, self.mode)
-        for i, op in enumerate(self.B):
+        return self._combination(self.B, -1, x)
+
+    def _combination(self, ops, degree, x) -> GradedOperator:
+        """sum_i x[i] ops[i], skipping zero coefficients."""
+        out = GradedOperator.zero(self.complex.space, self.complex.space, degree, self.mode)
+        for i, op in enumerate(ops):
             if x[i] != 0:
                 out = out + x[i] * op
         return out
@@ -121,6 +108,15 @@ class CartanReport:
         return self.worst <= tol
 
 
+def _bracket_defect(x, y, coeffs, ops) -> float:
+    """Max norm of [x, y] - sum_k coeffs[k] ops[k]."""
+    out = graded_commutator(x, y)
+    for k, ck in enumerate(coeffs):
+        if ck != 0:
+            out = out - ck * ops[k]
+    return out.norm()
+
+
 def cartan_residuals(rep: CartanRep) -> CartanReport:
     """Residuals of [L,L]=L, [L,B]=B, [B,B]=0 and [d,B]=L, as max norms."""
     c = rep.algebra.constants(rep.mode)
@@ -128,14 +124,8 @@ def cartan_residuals(rep: CartanRep) -> CartanReport:
     r_ll = r_lb = r_bb = r_db = 0.0
     for i in range(n):
         for j in range(n):
-            ll = graded_commutator(rep.L[i], rep.L[j])
-            lb = graded_commutator(rep.L[i], rep.B[j])
-            for k in range(n):
-                if c[i, j, k] != 0:
-                    ll = ll - c[i, j, k] * rep.L[k]
-                    lb = lb - c[i, j, k] * rep.B[k]
-            r_ll = max(r_ll, ll.norm())
-            r_lb = max(r_lb, lb.norm())
+            r_ll = max(r_ll, _bracket_defect(rep.L[i], rep.L[j], c[i, j], rep.L))
+            r_lb = max(r_lb, _bracket_defect(rep.L[i], rep.B[j], c[i, j], rep.B))
             r_bb = max(r_bb, graded_commutator(rep.B[i], rep.B[j]).norm())
         db = graded_commutator(rep.differential, rep.B[i]) - rep.L[i]
         r_db = max(r_db, db.norm())
@@ -178,26 +168,11 @@ def restrict(rep: CartanRep) -> LieRep:
 # the chain and cochain representations
 # ---------------------------------------------------------------------------
 
-def _wedge_operator(basis, n_target_shift, image_of, space, mode):
-    blocks = {}
-    for deg, elements in basis.elements.items():
-        tgt = basis.elements.get(deg + n_target_shift, [])
-        if not elements or not tgt:
-            continue
-        block = linalg.zeros((len(tgt), len(elements)), mode)
-        tgt_index = basis.index[deg + n_target_shift]
-        for col, element in enumerate(elements):
-            for target, coeff in image_of(element).items():
-                block[tgt_index[target], col] += coeff
-        blocks[deg] = block
-    return GradedOperator(space, space, n_target_shift, blocks, mode=mode)
-
-
 def chain_rep(algebra, coefficients: LieRep) -> CartanRep:
     """Action on the CE chain complex: B wedges a generator at the front,
     L acts by the bracket on each slot plus the coefficient action."""
     cec = ce.ce_chain(algebra, coefficients)
-    basis, space, mode = cec.basis, cec.complex.space, coefficients.mode
+    basis, mode = cec.basis, coefficients.mode
     n = algebra.n
     c = algebra.constants(mode)
 
@@ -237,8 +212,8 @@ def chain_rep(algebra, coefficients: LieRep) -> CartanRep:
             return out
         return image_of
 
-    B = [_wedge_operator(basis, -1, b_image(i), space, mode) for i in range(n)]
-    L = [_wedge_operator(basis, 0, l_image(i), space, mode) for i in range(n)]
+    B = [ce.assemble(basis, -1, b_image(i), mode) for i in range(n)]
+    L = [ce.assemble(basis, 0, l_image(i), mode) for i in range(n)]
     return CartanRep(algebra, cec.complex, L, B)
 
 
@@ -246,7 +221,7 @@ def cochain_rep(algebra, coefficients: LieRep) -> CartanRep:
     """Action on the CE cochain complex: B contracts the form part only,
     L is the coadjoint action on forms plus the coefficient action."""
     cec = ce.ce_cochain(algebra, coefficients)
-    basis, space, mode = cec.basis, cec.complex.space, coefficients.mode
+    basis, mode = cec.basis, coefficients.mode
     n = algebra.n
     c = algebra.constants(mode)
 
@@ -286,8 +261,8 @@ def cochain_rep(algebra, coefficients: LieRep) -> CartanRep:
             return out
         return image_of
 
-    B = [_wedge_operator(basis, -1, b_image(i), space, mode) for i in range(n)]
-    L = [_wedge_operator(basis, 0, l_image(i), space, mode) for i in range(n)]
+    B = [ce.assemble(basis, -1, b_image(i), mode) for i in range(n)]
+    L = [ce.assemble(basis, 0, l_image(i), mode) for i in range(n)]
     return CartanRep(algebra, cec.complex, L, B)
 
 

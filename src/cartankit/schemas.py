@@ -157,9 +157,19 @@ class Problem:
 
 
 def load_problem(path, defaults: Settings = None, **overrides) -> Problem:
-    """File settings override the defaults; keyword overrides win over both."""
+    """File settings override the defaults; keyword overrides win over both.
+
+    A file that is not valid JSON or lacks or misshapes a required field
+    raises ``ProblemError`` with a one-line message."""
     with open(path) as handle:
-        payload = json.load(handle)
-    base = defaults or Settings()
-    merged = base.override(**payload.get("settings", {})).override(**overrides)
-    return Problem(payload, merged)
+        text = handle.read()
+    try:
+        payload = json.loads(text)
+        base = defaults or Settings()
+        merged = base.override(**payload.get("settings", {})).override(**overrides)
+        return Problem(payload, merged)
+    except ProblemError:
+        raise
+    except (LookupError, TypeError, ValueError, AttributeError) as err:
+        detail = f"missing key {err}" if isinstance(err, KeyError) else str(err)
+        raise ProblemError(f"malformed problem file {path}: {detail}") from err

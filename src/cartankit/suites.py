@@ -94,7 +94,7 @@ def verify_module(problem, rep_name, word_names) -> Report:
         ev = WordEvaluator(flat, letters)
         if thinness_check(ev):
             report.timed("module.thin_vanishing", s.tol,
-                         lambda ev=ev: integrate.vanishing_norm(flat, ev, s.order),
+                         lambda ev=ev: integrate.integrate_quadrature(flat, ev, s.order).norm(),
                          {"rep": rep_name, "word": name})
         if letters:
             report.timed("module.equivariance", s.tol,
@@ -181,7 +181,7 @@ def cubical_suite(problem, rep_name, word_name) -> Report:
     theta = WordEvaluator(flat, letters, domain="cube")
     entry = cubical_entry(flat, theta)
     base = cubical.IntegrationCochain(flat, k, "simplicial", entry, s.order)
-    alt = cubical.tau_map(base)
+    alt = cubical.AlternationCochain(base)
     report.timed("cubical.alternating", 0.0,
                  lambda: cubical.alternating_residual(alt, theta),
                  {"rep": rep_name, "word": word_name})

@@ -12,13 +12,14 @@ asserted in ``test_criterion_12_companion_differentiated_monoidality``.
 """
 
 import itertools
+from math import comb
 
 import numpy as np
 
 from cartankit.ce import ce_chain, ce_cochain, cohomology_dims
-from cartankit.cubical import (IntegrationCochain, alternating_residual,
-                               cube_vs_simplex_residual,
-                               subdivision_invariance_residual, tau_map)
+from cartankit.cubical import (AlternationCochain, IntegrationCochain,
+                               alternating_residual, cube_vs_simplex_residual,
+                               subdivision_invariance_residual)
 from cartankit.evaluators import (AffineReparam, FlatRep, MaxCollapseReparam,
                                   PermReparam, WordEvaluator, ez_product)
 from cartankit.graded import compose, flatten_operator, tensor_operator
@@ -31,7 +32,7 @@ from cartankit.integrate import (AWTensorModule, aw_monoidality_residual,
                                  word_integral_polynomial_exact)
 from cartankit.graded import GradedOperator, graded_commutator
 from cartankit.lie import abelian, heisenberg3, sl2, su2
-from cartankit.linalg import EXACT, FLOAT, binomial, phi1
+from cartankit.linalg import EXACT, FLOAT, phi1
 from cartankit.reps import (adjoint_rep, adjunction_check, cartan_residuals,
                             chain_rep, cochain_rep, trivial_lie_rep)
 from cartankit.suites import cubical_entry
@@ -206,7 +207,7 @@ def test_criterion_09_ce_cohomology_ranks():
     for n in (2, 3, 4):
         g = abelian(n)
         got = cohomology_dims(ce_cochain(g, trivial_lie_rep(g)).complex)
-        want = {k: binomial(n, k) for k in range(n + 1)}
+        want = {k: comb(n, k) for k in range(n + 1)}
         gaps.append(0.0 if got == want else 1.0)
     _report(9, "betti numbers: sl2 (1,0,0,1), abelian binomials, exact rank",
             max(gaps), 0.0)
@@ -250,7 +251,7 @@ def test_criterion_11_cubical_hypothesis_bundle():
         k = len(letters)
         theta = WordEvaluator(flat, letters, domain="cube")
         cochain = IntegrationCochain(flat, k, "simplicial", cubical_entry(flat, theta), 16)
-        alt = tau_map(cochain)
+        alt = AlternationCochain(cochain)
         alt_worst = max(alt_worst, alternating_residual(alt, theta))
         for axis in range(k):
             for s in (0.15, 0.3, 0.5, 0.7, 0.85):

@@ -1,5 +1,7 @@
 """Chevalley-Eilenberg complexes: differentials, ranks, duality, Leibniz."""
 
+from math import comb
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from cartankit.ce import (ce_chain, ce_cochain, cohomology_dims, insert_element,
                           leibniz_check, merge_sign, remove_element)
 from cartankit.graded import CochainComplex, GradedOperator, GradedVectorSpace, compose
 from cartankit.lie import abelian, heisenberg3, sl2, su2
-from cartankit.linalg import EXACT, FLOAT, binomial
+from cartankit.linalg import EXACT, FLOAT
 from cartankit.reps import adjoint_rep, trivial_lie_rep, chain_rep
 
 
@@ -30,8 +32,8 @@ def test_abelian_trivial_differential_vanishes():
 
 @pytest.mark.parametrize("g,expected", [
     (sl2(), {0: 1, 1: 0, 2: 0, 3: 1}),
-    (abelian(3), {k: binomial(3, k) for k in range(4)}),
-    (abelian(2), {k: binomial(2, k) for k in range(3)}),
+    (abelian(3), {k: comb(3, k) for k in range(4)}),
+    (abelian(2), {k: comb(2, k) for k in range(3)}),
     (heisenberg3(), {0: 1, 1: 2, 2: 2, 3: 1}),
 ])
 def test_cochain_betti_numbers_exact(g, expected):

@@ -4,12 +4,12 @@ cube-to-simplex collapse and the shuffle triangulation identity."""
 import numpy as np
 import pytest
 
-from cartankit.cubical import (ConstantCochain,
+from cartankit.cubical import (AlternationCochain, ConstantCochain,
                                IntegrationCochain, alternating_residual,
                                collapse_reduction_residuals, cube_to_simplex,
                                cube_vs_simplex_residual, perm_sign,
                                split_lower, split_upper, subdivision_invariance_residual,
-                               subdivision_maps, tau_map)
+                               subdivision_maps)
 from cartankit.evaluators import FlatRep, PermReparam, WordEvaluator, thinness_check
 from cartankit.suites import cubical_entry
 
@@ -62,7 +62,7 @@ def test_split_extreme_pieces_are_identity_or_thin(flat, theta):
 
 
 def test_tau_is_alternating_exactly(base_cochain, theta):
-    alt = tau_map(base_cochain)
+    alt = AlternationCochain(base_cochain)
     assert alternating_residual(alt, theta) == 0.0
 
 
@@ -70,20 +70,20 @@ def test_tau_single_term_for_one_dimensional_words(flat, sl2_basis_float):
     e = sl2_basis_float
     line = WordEvaluator(flat, [e[0]], domain="cube")
     c = IntegrationCochain(flat, 1, "simplicial", cubical_entry(flat, line), 16)
-    alt = tau_map(c)
+    alt = AlternationCochain(c)
     assert alt(line) == c(line)
     assert alternating_residual(alt, line) == 0.0
 
 
 def test_subdivision_invariance_of_integration_cochain(base_cochain, theta):
-    alt = tau_map(base_cochain)
+    alt = AlternationCochain(base_cochain)
     for axis in (0, 1):
         for s in (0.2, 0.35, 0.5, 0.65, 0.8):
             assert subdivision_invariance_residual(alt, theta, axis, s) < 1e-9
 
 
 def test_subdivision_trivial_endpoints(base_cochain, theta):
-    alt = tau_map(base_cochain)
+    alt = AlternationCochain(base_cochain)
     assert subdivision_invariance_residual(alt, theta, 0, 1.0) < 1e-9
     assert subdivision_invariance_residual(alt, theta, 0, 0.0) < 1e-9
 
@@ -131,4 +131,4 @@ def test_tau_of_cube_cochain_matches_direct_cube_integral(flat, theta):
     entry = cubical_entry(flat, theta)
     simplicial = IntegrationCochain(flat, 2, "simplicial", entry, 16)
     cube = IntegrationCochain(flat, 2, "cubical", entry, 16)
-    assert abs(tau_map(simplicial)(theta) - cube(theta)) < 1e-12
+    assert abs(AlternationCochain(simplicial)(theta) - cube(theta)) < 1e-12

@@ -1,6 +1,8 @@
 """Evaluator geometry: tangent frames against finite differences, faces,
 shuffles, permutation and collapse reparameterizations."""
 
+from math import comb
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from cartankit.evaluators import (AffineReparam, ChainCombination, FlatRep,
                                   shuffles, thinness_check)
 from cartankit.integrate import density_batch
 from cartankit.lie import abelian
-from cartankit.linalg import FLOAT, binomial
+from cartankit.linalg import FLOAT
 from cartankit.reps import chain_rep, trivial_lie_rep
 
 
@@ -73,9 +75,15 @@ def test_prefixed_word_frame_and_value(flat, sl2_basis_float):
 def test_ad_and_inverse_are_inverse(flat, sl2_basis_float):
     e = sl2_basis_float
     ev = WordEvaluator(flat, [e[0], e[2], e[1]])
-    data = ev.eval(np.array([[0.9, 0.5, 0.1], [0.4, 0.3, 0.2]]))
-    prod = np.matmul(data.ad, data.ad_inv)
-    assert np.max(np.abs(prod - np.eye(3))) < 1e-12
+    pts = np.array([[0.9, 0.5, 0.1], [0.4, 0.3, 0.2]])
+    data = ev.eval(pts)
+    import scipy.linalg
+    g = flat.algebra
+    for t, ad_inv in zip(pts, data.ad_inv):
+        ad = np.eye(3)
+        for tj, x in zip(t, ev.letters):
+            ad = ad.dot(scipy.linalg.expm(tj * g.ad(x)))
+        assert np.max(np.abs(ad.dot(ad_inv) - np.eye(3))) < 1e-12
 
 
 def test_affine_reparam_chain_rule(flat, sl2_basis_float):
@@ -183,7 +191,7 @@ def test_boundary_of_boundary_cancels_pointwise(flat, sl2_basis_float):
 def test_shuffle_count_and_signs():
     for r, s in ((1, 1), (1, 2), (2, 1), (2, 2)):
         pairs = shuffles(r, s)
-        assert len(pairs) == binomial(r + s, r)
+        assert len(pairs) == comb(r + s, r)
         assert sum(sign for _, sign in shuffles(1, 1)) == 0
 
 
@@ -192,7 +200,7 @@ def test_ez_product_term_count(flat, sl2_basis_float):
     a = WordEvaluator(flat, [e[0]])
     b = WordEvaluator(flat, [e[2], e[1]])
     chain = ez_product(a, b)
-    assert len(chain.terms) == binomial(3, 1)
+    assert len(chain.terms) == comb(3, 1)
     assert chain.k == 3
 
 

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from cartankit.graded import (CochainComplex, GradedOperator, GradedVectorSpace,
                               compose, dual_complex, graded_commutator,
-                              nat_apply, tensor_basis_index, tensor_complex,
-                              tensor_operator, tensor_space)
+                              tensor_basis_index, tensor_complex, tensor_operator,
+                              tensor_space)
 from cartankit.linalg import EXACT, FLOAT, ModeError
 
 
@@ -199,11 +199,11 @@ def test_nat_apply_signs():
     # odd-degree second factor picks up (-1)^{|v|} on the first slot
     ts = tensor_space(space, space)
     deg, col_even = tensor_basis_index(space, space, 0, 0, 0, 0)
-    out_even = nat_apply(ident, b, {deg: _unit(ts.dim(deg), col_even)})
+    out_even = tensor_operator(ident, b).apply({deg: _unit(ts.dim(deg), col_even)})
     _, tgt = tensor_basis_index(space, space, 0, 0, -1, 0)
     assert abs(out_even[deg - 1][tgt] - 1.0) < 1e-15          # (+1) for |v| = 0
     deg_o, col_odd = tensor_basis_index(space, space, -1, 0, 0, 0)
-    out_odd = nat_apply(ident, b, {deg_o: _unit(ts.dim(deg_o), col_odd)})
+    out_odd = tensor_operator(ident, b).apply({deg_o: _unit(ts.dim(deg_o), col_odd)})
     _, tgt_o = tensor_basis_index(space, space, -1, 0, -1, 0)
     assert abs(out_odd[deg_o - 1][tgt_o] - (-1.0)) < 1e-15    # (-1) for |v| = -1
 

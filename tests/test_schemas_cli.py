@@ -135,6 +135,36 @@ def test_cli_exit_two_on_bad_input(problem_file, capsys):
     assert "error" in err
 
 
+def _malformed_exit(tmp_path, capsys, text):
+    path = tmp_path / "malformed.json"
+    path.write_text(text)
+    code = cli.main(["check-lie", str(path)])
+    err = capsys.readouterr().err
+    return code, err.strip().splitlines()
+
+
+def test_cli_exit_two_on_missing_key(tmp_path, capsys):
+    payload = json.loads(json.dumps(SL2_PAYLOAD))
+    del payload["lie_algebra"]
+    code, lines = _malformed_exit(tmp_path, capsys, json.dumps(payload))
+    assert code == 2
+    assert len(lines) == 1 and "missing key 'lie_algebra'" in lines[0]
+
+
+def test_cli_exit_two_on_bracket_order(tmp_path, capsys):
+    payload = json.loads(json.dumps(SL2_PAYLOAD))
+    payload["lie_algebra"]["brackets"][0].update({"i": 1, "j": 0})
+    code, lines = _malformed_exit(tmp_path, capsys, json.dumps(payload))
+    assert code == 2
+    assert len(lines) == 1 and "0 <= i < j < n" in lines[0]
+
+
+def test_cli_exit_two_on_invalid_json(tmp_path, capsys):
+    code, lines = _malformed_exit(tmp_path, capsys, json.dumps(SL2_PAYLOAD)[:-1])
+    assert code == 2
+    assert len(lines) == 1 and lines[0].startswith("error: malformed problem file")
+
+
 def test_cli_integrate_cross_check(problem_file, capsys):
     code = cli.main(["integrate", problem_file, "--rep", "chain_trivial",
                      "--word", "we", "--method", "both"])
