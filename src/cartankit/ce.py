@@ -82,8 +82,9 @@ class CEComplex:
 
 
 def _coefficient_columns(block, i):
-    """Expand column i of a degree-0 or degree +1 block into [(row, coeff)]."""
-    if block is None or block.size == 0:
+    """Expand column i of a degree-0 or degree +1 block into [(row, coeff)];
+    a missing (zero) block gives []."""
+    if block is None:
         return []
     col = block[:, i]
     return [(j, col[j]) for j in range(len(col)) if col[j] != 0]
@@ -190,7 +191,7 @@ def ce_cochain(algebra, rep) -> CEComplex:
 def cohomology_dims(complex_: CochainComplex, tol=linalg.DEFAULT_TOL):
     """dim ker - dim im per degree, by exact or SVD rank."""
     diff = complex_.differential
-    ranks = {k: linalg.rank(b, tol) for k, b in diff.blocks.items() if b.size}
+    ranks = {k: linalg.rank(b, tol) for k, b in diff.blocks.items()}
     out = {}
     for k in complex_.space.degrees:
         out[k] = complex_.space.dim(k) - ranks.get(k, 0) - ranks.get(k - 1, 0)
@@ -218,7 +219,7 @@ def _apply_diff(ce, vec):
         deg = ce.basis.degree_of(element)
         col = ce.basis.index[deg][element]
         block = ce.differential.blocks.get(deg)
-        if block is None or block.size == 0:
+        if block is None:
             continue
         for row, target in enumerate(ce.basis.elements[deg + 1]):
             v = block[row, col]

@@ -1,9 +1,11 @@
 """Graded vector spaces, graded operators and cochain complexes.
 
 Degrees are stored sparsely (dict degree -> dimension), operators as one
-dense block per populated source degree.  All differentials raise the
-degree by one and every constructed complex verifies that its
-differential squares to zero.
+dense block per source degree, and a block is stored if and only if it
+has a nonzero entry: a missing block is the zero map, and no operation
+builds or multiplies a zero block.  All differentials raise the degree
+by one and every constructed complex verifies that its differential
+squares to zero.
 """
 
 from fractions import Fraction
@@ -44,7 +46,11 @@ class GradedOperator:
     """Graded linear map V -> W of fixed degree, stored blockwise.
 
     ``blocks[k]`` maps V^k into W^(k+degree) and has shape
-    (dim W^(k+degree), dim V^k).  Missing blocks are zero.
+    (dim W^(k+degree), dim V^k).  Only blocks with a nonzero entry are
+    stored; the constructor drops the others after taking the mode from
+    every block it is given, so an operator built from zero exact blocks
+    is exact with ``blocks == {}``.  ``block(k)`` is the zero-filled
+    dense view.
     """
 
     def __init__(self, source, target, degree, blocks, mode=None):
@@ -58,16 +64,15 @@ class GradedOperator:
             want = (target.dim(k + degree), source.dim(k))
             if b.shape != want:
                 raise ValueError(f"block {k}: shape {b.shape}, expected {want}")
-            if b.size == 0:
-                continue
             bm = linalg.mode_of(b)
             if self.mode is None:
                 self.mode = bm
             elif self.mode != bm:
                 raise ModeError("mixed-mode blocks in one operator")
-            self.blocks[int(k)] = b
+            if b.any():
+                self.blocks[int(k)] = b
         if self.mode is None:
-            self.mode = mode or FLOAT
+            self.mode = FLOAT
 
     @classmethod
     def zero(cls, source, target, degree, mode):
@@ -85,9 +90,10 @@ class GradedOperator:
 
     def __add__(self, other):
         self._check_parallel(other)
-        keys = set(self.blocks) | set(other.blocks)
-        return GradedOperator(self.source, self.target, self.degree,
-                              {k: self.block(k) + other.block(k) for k in keys}, mode=self.mode)
+        blocks = dict(self.blocks)
+        for k, b in other.blocks.items():
+            blocks[k] = blocks[k] + b if k in blocks else b
+        return GradedOperator(self.source, self.target, self.degree, blocks, mode=self.mode)
 
     def __sub__(self, other):
         return self + (-1) * other
@@ -107,13 +113,12 @@ class GradedOperator:
             raise ModeError("mixed-mode operator arithmetic")
 
     def apply(self, vec):
-        """Apply to a dict degree -> coefficient vector."""
+        """Apply to a dict degree -> coefficient vector; a degree that only
+        zero blocks reach is absent from the result."""
         out = {}
         for k, v in vec.items():
-            if self.source.dim(k) == 0:
-                continue
-            b = self.block(k)
-            if b.size:
+            b = self.blocks.get(k)
+            if b is not None:
                 w = b.dot(np.asarray(v))
                 kk = k + self.degree
                 out[kk] = w if kk not in out else out[kk] + w
@@ -136,10 +141,9 @@ def compose(f: GradedOperator, g: GradedOperator) -> GradedOperator:
     if f.mode != g.mode:
         raise ModeError("compose: mixed modes")
     blocks = {}
-    for k in g.source.degrees:
-        bg = g.block(k)
-        bf = f.block(k + g.degree)
-        if bg.size and bf.size:
+    for k, bg in g.blocks.items():
+        bf = f.blocks.get(k + g.degree)
+        if bf is not None:
             blocks[k] = bf.dot(bg)
     return GradedOperator(g.source, f.target, f.degree + g.degree, blocks, mode=f.mode)
 
@@ -214,23 +218,17 @@ def tensor_operator(f: GradedOperator, g: GradedOperator) -> GradedOperator:
     tgt_off = _tensor_offsets(f.target, g.target)
     deg = f.degree + g.degree
     blocks = {}
-    for n, table in src_off.items():
-        if not table:
-            continue
-        out = linalg.zeros((tgt.dim(n + deg), src.dim(n)), mode)
-        for (p, q), col in table.items():
-            bf = f.block(p)
-            bg = g.block(q)
-            if not (bf.size and bg.size):
-                continue
-            row = tgt_off.get(n + deg, {}).get((p + f.degree, q + g.degree))
-            if row is None:
-                continue
+    for p, bf in f.blocks.items():
+        for q, bg in g.blocks.items():
+            n = p + q
+            out = blocks.get(n)
+            if out is None:
+                out = blocks[n] = linalg.zeros((tgt.dim(n + deg), src.dim(n)), mode)
+            row = tgt_off[n + deg][(p + f.degree, q + g.degree)]
+            col = src_off[n][(p, q)]
             sign = -1 if (p % 2) and (g.degree % 2) else 1
             piece = sign * np.kron(bf, bg)
             out[row:row + piece.shape[0], col:col + piece.shape[1]] = piece
-        if linalg.max_abs(out) != 0.0:
-            blocks[n] = out
     return GradedOperator(src, tgt, deg, blocks, mode=mode)
 
 
@@ -266,12 +264,7 @@ def flatten_operator(op: GradedOperator):
     t_off, t_total = space_offsets(op.target)
     out = linalg.zeros((t_total, total), op.mode)
     for k, b in op.blocks.items():
-        if not b.size:
-            continue
-        r = t_off.get(k + op.degree)
-        c = offsets.get(k)
-        if r is None or c is None:
-            continue
+        r, c = t_off[k + op.degree], offsets[k]
         out[r:r + b.shape[0], c:c + b.shape[1]] = b
     return out
 
@@ -292,11 +285,7 @@ def exp_operator(op: GradedOperator, t=1) -> GradedOperator:
     """Blockwise exponential of a degree-0 operator."""
     if op.degree != 0:
         raise ValueError("exp_operator needs a degree-0 operator")
-    blocks = {}
-    for k in op.source.degrees:
-        d = op.source.dim(k)
-        if d:
-            blocks[k] = linalg.expm(op.block(k), t)
+    blocks = {k: linalg.expm(op.block(k), t) for k in op.source.degrees}
     return GradedOperator(op.source, op.source, 0, blocks, mode=op.mode)
 
 
@@ -304,14 +293,18 @@ def dual_space(v: GradedVectorSpace) -> GradedVectorSpace:
     return GradedVectorSpace({-k: d for k, d in v.dims.items()})
 
 
+def dual_operator(op: GradedOperator, space: GradedVectorSpace, sign) -> GradedOperator:
+    """Transpose of an endomorphism onto the dual ``space``, (V*)^q = (V^-q)*:
+    the block at q is ``sign(q)`` times the transpose of op's block at -q - degree."""
+    blocks = {}
+    for k, b in op.blocks.items():
+        q = -k - op.degree
+        blocks[q] = sign(q) * b.T
+    return GradedOperator(space, space, op.degree, blocks, mode=op.mode)
+
+
 def dual_complex(vc: CochainComplex) -> CochainComplex:
     """Dual complex; sign fixed so the evaluation pairing is a chain map."""
     vs = dual_space(vc.space)
-    blocks = {}
-    for q in vs.degrees:
-        b = vc.differential.block(-q - 1)
-        if b.size:
-            sign = 1 if q % 2 == 0 else -1
-            blocks[q] = sign * b.T
-    diff = GradedOperator(vs, vs, 1, blocks, mode=vc.mode)
+    diff = dual_operator(vc.differential, vs, lambda q: -1 if q % 2 else 1)
     return CochainComplex(vs, diff)

@@ -149,12 +149,7 @@ def integrate_series(rep, letters, tol: float = DEFAULT_SERIES_TOL,
     A = [flatten_operator(rep.L_of(x)) for x in letters]
     B = [flatten_operator(rep.B_of(x)) for x in letters]
     if mode == EXACT:
-        caps = []
-        for a in A:
-            nil = linalg.nilpotency_index(a)
-            if nil is None:
-                raise linalg.ModeError("series does not terminate: action not nilpotent")
-            caps.append(nil - 1)
+        caps = [len(linalg.exp_terms(a)) - 1 for a in A]     # highest nonzero power
         top = sum(caps)
     else:
         caps = [max_degree] * k

@@ -33,6 +33,8 @@ class LieAlgebra:
             if not 0 <= i < j < n:
                 raise ValueError("bracket entries must have 0 <= i < j < n")
             for k, val in coeffs.items():
+                if not 0 <= k < n:
+                    raise ValueError(f"coefficient index {k} outside 0 <= k < n")
                 val = val if isinstance(val, Fraction) else Fraction(val)
                 c[i, j, k] = val
                 c[j, i, k] = -val

@@ -223,19 +223,6 @@ def expm(a, t=1):
     return sum(terms[1:], terms[0])
 
 
-def nilpotency_index(a, cap=None):
-    """Least m with a^m = 0, or None if a is not nilpotent up to the cap."""
-    a = np.asarray(a)
-    n = a.shape[0]
-    cap = cap if cap is not None else n + 1
-    p = a
-    for m in range(1, cap + 1):
-        if is_zero(p, 0.0 if mode_of(a) == EXACT else 1e-300):
-            return m
-        p = p.dot(a)
-    return None
-
-
 def phi1(a):
     """Sum a^m/(m+1)!  (the entire function (e^a - 1)/a)."""
     a = np.asarray(a)

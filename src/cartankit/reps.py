@@ -15,8 +15,8 @@ from fractions import Fraction
 
 from . import ce, linalg
 from .graded import (CochainComplex, GradedOperator, GradedVectorSpace,
-                     compose, dual_complex, graded_commutator, tensor_complex,
-                     tensor_operator)
+                     compose, dual_complex, dual_operator, graded_commutator,
+                     tensor_complex, tensor_operator)
 from .linalg import EXACT
 
 
@@ -203,12 +203,8 @@ def chain_rep(algebra, coefficients: LieRep) -> CartanRep:
                     base = (-1) ** pos
                     key = (tgt, q, i)
                     out[key] = out.get(key, 0) + base * sgn * c[idx, s, r]
-            block = coefficients.action(idx).blocks.get(q)
-            if block is not None and block.size:
-                for j in range(block.shape[0]):
-                    if block[j, i] != 0:
-                        key = (subset, q, j)
-                        out[key] = out.get(key, 0) + block[j, i]
+            for j, coeff in ce._coefficient_columns(coefficients.action(idx).blocks.get(q), i):
+                out[(subset, q, j)] = out.get((subset, q, j), 0) + coeff
             return out
         return image_of
 
@@ -252,12 +248,8 @@ def cochain_rep(algebra, coefficients: LieRep) -> CartanRep:
                     ins_sign, tgt = ce.insert_element(rest, r)
                     key = (tgt, q, i)
                     out[key] = out.get(key, 0) - pos_sign * ins_sign * coeff
-            block = coefficients.action(idx).blocks.get(q)
-            if block is not None and block.size:
-                for j in range(block.shape[0]):
-                    if block[j, i] != 0:
-                        key = (subset, q, j)
-                        out[key] = out.get(key, 0) + block[j, i]
+            for j, coeff in ce._coefficient_columns(coefficients.action(idx).blocks.get(q), i):
+                out[(subset, q, j)] = out.get((subset, q, j), 0) + coeff
             return out
         return image_of
 
@@ -290,22 +282,9 @@ def dual_rep(rep: CartanRep) -> CartanRep:
     """Dual action, signs fixed by requiring the evaluation pairing
     V ox V* -> R (trivial module) to be a map of representations:
     L* = -L^T blockwise, B* and the dual differential pick up (-1)^q."""
-    vc = rep.complex
-    dc = dual_complex(vc)
-    space = dc.space
-    mode = rep.mode
-    L, B = [], []
-    for i in range(rep.algebra.n):
-        lb, bb = {}, {}
-        for q in space.degrees:
-            bl = rep.L[i].blocks.get(-q)
-            if bl is not None and bl.size:
-                lb[q] = -1 * bl.T
-            bbk = rep.B[i].blocks.get(-q + 1)
-            if bbk is not None and bbk.size:
-                bb[q] = ((-1) ** q) * bbk.T
-        L.append(GradedOperator(space, space, 0, lb, mode=mode))
-        B.append(GradedOperator(space, space, -1, bb, mode=mode))
+    dc = dual_complex(rep.complex)
+    L = [dual_operator(op, dc.space, lambda q: -1) for op in rep.L]
+    B = [dual_operator(op, dc.space, lambda q: -1 if q % 2 else 1) for op in rep.B]
     return CartanRep(rep.algebra, dc, L, B)
 
 
@@ -353,17 +332,14 @@ def _intertwiner_system(source, target, pairs, mode):
     for op_s, op_t in pairs:
         d = op_s.degree
         for k in source.degrees:
-            rt = target.dim(k + d)
             cs = source.dim(k)
-            if rt == 0 and not (target.dim(k) and source.dim(k + d)):
-                continue
-            n_rows = target.dim(k + d) * source.dim(k)
+            n_rows = target.dim(k + d) * cs
             if n_rows == 0:
                 continue
             block = [dict() for _ in range(n_rows)]
             # phi_{k+d} o T_k  (unknown phi at degree k+d)
             ts = op_s.blocks.get(k)
-            if ts is not None and ts.size and (k + d) in offsets:
+            if ts is not None and (k + d) in offsets:
                 base = offsets[k + d]
                 for r in range(target.dim(k + d)):
                     for c in range(cs):
@@ -375,7 +351,7 @@ def _intertwiner_system(source, target, pairs, mode):
                                 block[row][col] = block[row].get(col, 0) + v
             # minus T'_k o phi_k  (unknown phi at degree k)
             tt = op_t.blocks.get(k)
-            if tt is not None and tt.size and k in offsets:
+            if tt is not None and k in offsets:
                 base = offsets[k]
                 for r in range(target.dim(k + d)):
                     for c in range(cs):
@@ -436,25 +412,18 @@ def induced_map(v_rep: LieRep, w_rep: CartanRep, phi0: GradedOperator) -> Graded
     mode = w_rep.mode
     blocks = {}
     for deg, elements in basis.elements.items():
-        cols = []
-        for subset, q, i in elements:
-            vec = {q: linalg.unit_vector(v_rep.complex.space.dim(q), i, mode)}
-            img = phi0.apply(vec)
+        if not target.dim(deg):
+            continue
+        block = blocks[deg] = linalg.zeros((target.dim(deg), len(elements)), mode)
+        for c, (subset, q, i) in enumerate(elements):
+            img = phi0.apply({q: linalg.unit_vector(v_rep.complex.space.dim(q), i, mode)})
             op = None
             for idx in reversed(subset):
                 op = w_rep.B[idx] if op is None else compose(w_rep.B[idx], op)
             if op is not None:
                 img = op.apply(img)
-            col = linalg.zeros(target.dim(deg), mode)
-            for kk, vv in img.items():
-                if kk == deg and len(vv):
-                    col = col + vv
-            cols.append(col)
-        if cols and target.dim(deg):
-            block = linalg.zeros((target.dim(deg), len(cols)), mode)
-            for c, col in enumerate(cols):
-                block[:, c] = col
-            blocks[deg] = block
+            if deg in img:
+                block[:, c] = img[deg]
     return GradedOperator(source, target, 0, blocks, mode=mode)
 
 
@@ -484,18 +453,15 @@ def adjunction_check(v_rep: LieRep, w_rep: CartanRep, tol=linalg.DEFAULT_TOL) ->
         return AdjunctionReport(-1, -1, float("inf"), float(pre), False)
     uv = chain_rep(v_rep.algebra, v_rep)
     d1 = len(hom_space(uv, w_rep, tol))
-    d2 = len(hom_space(v_rep, restrict(w_rep), tol))
+    lie_maps = hom_space(v_rep, restrict(w_rep), tol)
+    d2 = len(lie_maps)
     worst = 0.0
-    for phi0 in hom_space(v_rep, restrict(w_rep), tol):
+    for phi0 in lie_maps:
         phi = induced_map(v_rep, w_rep, phi0)
         worst = max(worst, intertwiner_residual(phi, uv, w_rep))
         # restriction back to the degree-0 subsets must return phi0
-        for k, b in phi0.blocks.items():
-            diff = phi.blocks.get(k)
-            sub = diff[:, :b.shape[1]] if diff is not None else None
-            if sub is None and linalg.max_abs(b) != 0:
-                worst = max(worst, linalg.max_abs(b))
-            elif sub is not None:
-                worst = max(worst, linalg.max_abs(sub - b))
+        for k in phi0.source.degrees:
+            b = phi0.block(k)
+            worst = max(worst, linalg.max_abs(phi.block(k)[:, :b.shape[1]] - b))
     ok = (d1 == d2) and worst <= bound
     return AdjunctionReport(d1, d2, float(worst), float(pre), ok)

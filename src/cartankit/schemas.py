@@ -34,6 +34,13 @@ class ProblemError(ValueError):
     pass
 
 
+_INPUT_ERRORS = (LookupError, TypeError, ValueError, AttributeError)
+
+
+def _detail(err) -> str:
+    return f"missing key {err}" if isinstance(err, KeyError) else str(err)
+
+
 def load_algebra(payload) -> LieAlgebra:
     n = payload["dim"]
     brackets = {}
@@ -76,9 +83,9 @@ def load_operator(payload, space, degree, mode) -> GradedOperator:
 
 
 def dump_operator(op: GradedOperator):
-    blocks = {}
-    for k, b in op.blocks.items():
-        blocks[str(k)] = [[linalg.format_scalar(v) for v in row] for row in b]
+    """Every block whose source and target are nonempty, zero blocks included."""
+    blocks = {str(k): [[linalg.format_scalar(v) for v in row] for row in op.block(k)]
+              for k in op.source.degrees if op.target.dim(k + op.degree)}
     return {"degree": op.degree, "blocks": blocks}
 
 
@@ -141,14 +148,21 @@ class Problem:
             ]
 
     def representation(self, name) -> reps.CartanRep:
-        if name not in self._rep_specs:
-            raise ProblemError(f"unknown representation {name!r}")
-        return build_cartan_rep(self._rep_specs[name], self.algebra, self.settings.mode)
+        return self._build(build_cartan_rep, self._rep_specs, "representation", name)
 
     def lie_representation(self, name) -> reps.LieRep:
-        if name not in self._grep_specs:
-            raise ProblemError(f"unknown Lie representation {name!r}")
-        return build_lie_rep(self._grep_specs[name], self.algebra, self.settings.mode)
+        return self._build(build_lie_rep, self._grep_specs, "Lie representation", name)
+
+    def _build(self, build, specs, kind, name):
+        """Build a named spec; a malformed one raises a one-line ``ProblemError``."""
+        if name not in specs:
+            raise ProblemError(f"unknown {kind} {name!r}")
+        try:
+            return build(specs[name], self.algebra, self.settings.mode)
+        except (ProblemError, linalg.ModeError):
+            raise
+        except _INPUT_ERRORS as err:
+            raise ProblemError(f"malformed {kind} {name!r}: {_detail(err)}") from err
 
     def word(self, name):
         if name not in self.words:
@@ -170,6 +184,5 @@ def load_problem(path, defaults: Settings = None, **overrides) -> Problem:
         return Problem(payload, merged)
     except ProblemError:
         raise
-    except (LookupError, TypeError, ValueError, AttributeError) as err:
-        detail = f"missing key {err}" if isinstance(err, KeyError) else str(err)
-        raise ProblemError(f"malformed problem file {path}: {detail}") from err
+    except _INPUT_ERRORS as err:
+        raise ProblemError(f"malformed problem file {path}: {_detail(err)}") from err

@@ -7,11 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cartankit import linalg
+from cartankit.ce import ce_chain, ce_cochain
 from cartankit.graded import (CochainComplex, GradedOperator, GradedVectorSpace,
-                              compose, dual_complex, graded_commutator,
-                              tensor_basis_index, tensor_complex, tensor_operator,
-                              tensor_space)
+                              compose, dual_complex, dual_operator, dual_space,
+                              graded_commutator, tensor_basis_index, tensor_complex,
+                              tensor_operator, tensor_space)
+from cartankit.lie import sl2
 from cartankit.linalg import EXACT, FLOAT, ModeError
+from cartankit.reps import adjoint_rep, chain_rep, cochain_rep, trivial_lie_rep
 
 
 def _space(dims):
@@ -233,3 +237,45 @@ def test_dual_complex_squares_and_dims(two_degree_space):
     d = dual_complex(v)
     assert d.space.dims == {1: 2, 0: 2}
     assert compose(d.differential, d.differential).norm() == 0.0
+
+
+# ---------------------------------------------------------------------------
+# storage invariant: a block is stored if and only if it has a nonzero entry
+# ---------------------------------------------------------------------------
+
+def test_zero_exact_blocks_give_an_empty_exact_operator(two_degree_space):
+    zero = linalg.zeros((2, 2), EXACT)
+    op = GradedOperator(two_degree_space, two_degree_space, 0, {-1: zero, 0: zero.copy()})
+    assert op.mode == EXACT
+    assert op.blocks == {}
+    assert op.norm() == 0
+
+
+@pytest.mark.parametrize("build", [ce_chain, ce_cochain])
+def test_ce_differential_squares_to_no_stored_block(build):
+    g = sl2()
+    d = build(g, adjoint_rep(g, mode=EXACT)).differential
+    assert d.mode == EXACT
+    assert compose(d, d).blocks == {}
+
+
+def _assert_stored_blocks_nonzero(op):
+    assert all(b.any() for b in op.blocks.values())
+
+
+@pytest.mark.parametrize("functor", [chain_rep, cochain_rep])
+def test_results_store_only_nonzero_blocks(functor):
+    g = sl2()
+    rep = functor(g, trivial_lie_rep(g, mode=EXACT))
+    assert rep.complex.space.total_dim == 8
+    ops = rep.L + rep.B + [rep.differential]
+    dual = dual_space(rep.complex.space)
+    for x in ops:
+        _assert_stored_blocks_nonzero(x)
+        _assert_stored_blocks_nonzero(dual_operator(x, dual, lambda q: -1 if q % 2 else 1))
+        for y in ops:
+            _assert_stored_blocks_nonzero(compose(x, y))
+            _assert_stored_blocks_nonzero(tensor_operator(x, y))
+            if x.degree == y.degree:
+                _assert_stored_blocks_nonzero(x + y)
+                _assert_stored_blocks_nonzero(x - y)

@@ -1,6 +1,7 @@
 """Problem-file parsing, operator serialization, command-line behavior."""
 
 import json
+import pathlib
 
 import numpy as np
 import pytest
@@ -165,6 +166,27 @@ def test_cli_exit_two_on_invalid_json(tmp_path, capsys):
     assert len(lines) == 1 and lines[0].startswith("error: malformed problem file")
 
 
+def test_cli_exit_two_on_malformed_representation(tmp_path, capsys):
+    payload = json.loads(json.dumps(SL2_PAYLOAD))
+    payload["representations"]["bad"] = {"degrees": {"0": 1}, "L": [{}, {}, {}]}
+    path = tmp_path / "bad_rep.json"
+    path.write_text(json.dumps(payload))
+    code = cli.main(["verify-cartan", str(path), "--rep", "bad"])
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert code == 2
+    assert len(lines) == 1 and "malformed representation 'bad'" in lines[0]
+    assert "missing key 'B'" in lines[0]
+
+
+@pytest.mark.parametrize("index", ["-1", "3"])
+def test_cli_exit_two_on_coefficient_index(tmp_path, capsys, index):
+    payload = json.loads(json.dumps(SL2_PAYLOAD))
+    payload["lie_algebra"]["brackets"][0]["coeffs"] = {index: "1"}
+    code, lines = _malformed_exit(tmp_path, capsys, json.dumps(payload))
+    assert code == 2
+    assert len(lines) == 1 and f"coefficient index {index} outside 0 <= k < n" in lines[0]
+
+
 def test_cli_integrate_cross_check(problem_file, capsys):
     code = cli.main(["integrate", problem_file, "--rep", "chain_trivial",
                      "--word", "we", "--method", "both"])
@@ -219,7 +241,6 @@ def test_cli_env_mode_default(problem_file, capsys, monkeypatch):
     assert json.loads(out.strip().splitlines()[-1])["settings"]["mode"] == "float"
     stripped = json.loads(json.dumps(SL2_PAYLOAD))
     del stripped["settings"]["mode"]
-    import pathlib
     alt = pathlib.Path(problem_file).with_name("env.json")
     alt.write_text(json.dumps(stripped))
     code = cli.main(["verify-cartan", str(alt), "--rep", "chain_trivial",
@@ -237,3 +258,18 @@ def test_cli_json_reports_are_reproducible(problem_file, capsys):
               "--json", "--test-mode"])
     second = capsys.readouterr().out
     assert first == second
+
+
+def test_cli_exact_output_matches_pinned_file(capsys, monkeypatch):
+    """Exact-mode --json --test-mode output, serialised operators included,
+    matches tests/data/cli_exact.jsonl byte for byte (one call per line)."""
+    root = pathlib.Path(__file__).resolve().parents[1]
+    pinned = (root / "tests" / "data" / "cli_exact.jsonl").read_text()
+    monkeypatch.chdir(root)
+    lines = []
+    for line in pinned.splitlines():
+        argv = json.loads(line)["argv"]
+        code = cli.main(argv)
+        out = capsys.readouterr().out
+        lines.append(json.dumps({"argv": argv, "exit": code, "stdout": out}, sort_keys=True))
+    assert "\n".join(lines) + "\n" == pinned
