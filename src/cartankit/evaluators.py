@@ -161,11 +161,10 @@ class WordEvaluator(Evaluator):
 class PointEvaluator(Evaluator):
     """A zero-dimensional chain: the group element of a fixed word."""
 
-    def __init__(self, flat: FlatRep, prefix=(), domain="simplex"):
-        self._word = WordEvaluator(flat, [], prefix=prefix, domain=domain)
+    def __init__(self, flat: FlatRep, prefix=()):
+        self._word = WordEvaluator(flat, [], prefix=prefix)
         self.flat = flat
         self.k = 0
-        self.domain = domain
 
     def eval(self, points: np.ndarray) -> PointData:
         arr = np.asarray(points, dtype=float)
@@ -366,7 +365,7 @@ def aw_coproduct_word(letters):
     return [(list(letters[:i]), list(letters[i:]), list(letters[:i])) for i in range(k + 1)]
 
 
-def thinness_check(ev: Evaluator, samples=None, tol=1e-8) -> bool:
+def thinness_check(ev: Evaluator, samples=None) -> bool:
     """True when the tangent frame is rank deficient at every sample."""
     if ev.k == 0:
         return False
@@ -375,7 +374,7 @@ def thinness_check(ev: Evaluator, samples=None, tol=1e-8) -> bool:
     for xi in data.xi:
         s = np.linalg.svd(xi, compute_uv=False)
         smax = s[0] if s.size else 0.0
-        rank = int(np.sum(s > tol * max(smax, 1.0)))
+        rank = int(np.sum(s > 1e-8 * max(smax, 1.0)))
         if rank >= ev.k:
             return False
     return True

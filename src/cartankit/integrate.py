@@ -136,8 +136,7 @@ def series_coefficient(js, exact: bool):
     return Fraction(1, denom) if exact else 1.0 / denom
 
 
-def integrate_series(rep, letters, tol: float = DEFAULT_SERIES_TOL,
-                     max_degree: int = DEFAULT_SERIES_CAP) -> GradedOperator:
+def integrate_series(rep, letters, max_degree: int = DEFAULT_SERIES_CAP) -> GradedOperator:
     """Sum of B_1 A_1^{j_1} ... B_k A_k^{j_k} with the simplex moment
     coefficients; terminates exactly on nilpotent exact inputs."""
     k = len(letters)
@@ -174,7 +173,8 @@ def integrate_series(rep, letters, tol: float = DEFAULT_SERIES_TOL,
             layer_sum = layer_sum + series_coefficient(js, mode == EXACT) * term
         acc = acc + layer_sum
         if mode == FLOAT:
-            if linalg.max_abs(layer_sum) < tol * (1.0 + linalg.max_abs(acc)) and layer >= 1:
+            tol = DEFAULT_SERIES_TOL * (1.0 + linalg.max_abs(acc))
+            if linalg.max_abs(layer_sum) < tol and layer >= 1:
                 return unflatten_matrix(space, acc, -k, mode)
             if not hit:
                 break
@@ -333,19 +333,19 @@ def multiplicativity_residual(flat: FlatRep, left_letters, right_letters,
     return (lhs - rhs).norm()
 
 
-def equivariance_residual(flat: FlatRep, letters, prefix, samples=None) -> float:
+def equivariance_residual(flat: FlatRep, letters, prefix) -> float:
     """Density after left translation minus the translated density."""
     from .evaluators import interior_points
     base = WordEvaluator(flat, letters)
     moved = WordEvaluator(flat, letters, prefix=prefix)
-    pts = samples if samples is not None else interior_points(len(letters))
+    pts = interior_points(len(letters))
     d0 = density_batch(flat, base.eval(pts))
     d1 = density_batch(flat, moved.eval(pts))
     rho_g = PointEvaluator(flat, prefix=prefix).value()
     return float(np.max(np.abs(d1 - np.matmul(rho_g, d0))))
 
 
-def mu_p_residual(flat: FlatRep, factors, tangents, base_points=None) -> float:
+def mu_p_residual(flat: FlatRep, factors, tangents) -> float:
     """Pullback along p-fold multiplication versus the signed sum of
     blockwise products, evaluated on generic tangents of the product.
 
@@ -354,8 +354,7 @@ def mu_p_residual(flat: FlatRep, factors, tangents, base_points=None) -> float:
     """
     tangents = np.asarray(tangents, dtype=float)
     k, p, n = tangents.shape
-    if base_points is None:
-        base_points = [np.full(len(w), 0.4 + 0.11 * l)[: len(w)] for l, w in enumerate(factors)]
+    base_points = [np.full(len(w), 0.4 + 0.11 * l) for l, w in enumerate(factors)]
     evs = [WordEvaluator(flat, w) for w in factors]
     datas = [ev.eval(np.asarray(pt, dtype=float).reshape(1, -1)) for ev, pt in zip(evs, base_points)]
     rhos = [d.rho[0] for d in datas]
@@ -400,9 +399,8 @@ class ChainModule:
     mode; points act by the group element's operator value, through the
     flattened representation in float mode."""
 
-    def __init__(self, rep, series_tol: float = DEFAULT_SERIES_TOL):
+    def __init__(self, rep):
         self.rep = rep
-        self.series_tol = series_tol
         self.flat = FlatRep(rep) if rep.mode == FLOAT else None
 
     @property
@@ -414,7 +412,7 @@ class ChainModule:
         return self.rep.algebra
 
     def act_word(self, letters) -> GradedOperator:
-        return integrate_series(self.rep, letters, self.series_tol)
+        return integrate_series(self.rep, letters)
 
     def act_point(self, prefix) -> GradedOperator:
         if self.flat is None:
@@ -448,10 +446,10 @@ def differentiate_module(module, h: float, richardson: bool = False):
 
 
 
-def roundtrip_errors(rep, h: float, series_tol: float = DEFAULT_SERIES_TOL):
+def roundtrip_errors(rep, h: float):
     """Max entrywise recovery error of differentiation after integration,
     at steps h and h/2."""
-    module = ChainModule(rep, series_tol=series_tol)
+    module = ChainModule(rep)
 
     def err(step):
         rec = differentiate_module(module, step)
@@ -481,11 +479,10 @@ class AWTensorModule:
     N-fold edgewise subdivision of the word simplex approaches the
     integrated tensor form with an error linear in 1/N."""
 
-    def __init__(self, rep_a, rep_b, series_tol: float = DEFAULT_SERIES_TOL):
+    def __init__(self, rep_a, rep_b):
         from .reps import tensor_rep
         self.rep_a = rep_a
         self.rep_b = rep_b
-        self.series_tol = series_tol
         self.tensor = tensor_rep(rep_a, rep_b)
         self.algebra = rep_a.algebra
 
@@ -497,8 +494,8 @@ class AWTensorModule:
         from .evaluators import aw_coproduct_word
         out = None
         for front, back, prefix in aw_coproduct_word(letters):
-            op_a = integrate_series(self.rep_a, front, self.series_tol)
-            op_b = integrate_series(self.rep_b, back, self.series_tol)
+            op_a = integrate_series(self.rep_a, front)
+            op_b = integrate_series(self.rep_b, back)
             if prefix:
                 op_b = compose(point_value(self.rep_b, prefix), op_b)
             piece = tensor_operator(op_a, op_b)
@@ -523,7 +520,7 @@ def aw_monoidality_residual(rep_a, rep_b, h: float = 1e-3) -> float:
     return worst
 
 
-def aw_tensor_residual(rep_a, rep_b, letters, series_tol: float = DEFAULT_SERIES_TOL) -> float:
+def aw_tensor_residual(rep_a, rep_b, letters) -> float:
     """Action of a word on a tensor product through front/back splits
     versus the direct action of the tensor representation.
 
@@ -536,7 +533,7 @@ def aw_tensor_residual(rep_a, rep_b, letters, series_tol: float = DEFAULT_SERIES
     it persists even then.  The integrated tensor form is the first-order
     limit of the coproduct action under edgewise subdivision of the word
     simplex."""
-    module = AWTensorModule(rep_a, rep_b, series_tol)
-    direct = integrate_series(module.tensor, letters, series_tol)
+    module = AWTensorModule(rep_a, rep_b)
+    direct = integrate_series(module.tensor, letters)
     return (module.act_word(letters) - direct).norm()
 

@@ -86,20 +86,11 @@ class LieAlgebra:
     def check_jacobi(self):
         """Max violation of antisymmetry and the Jacobi identity."""
         c = self.c
-        n = self.n
-        worst = Fraction(0)
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    worst = max(worst, abs(c[i, j, k] + c[j, i, k]))
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    for l in range(n):
-                        s = sum(c[i, j, m] * c[m, k, l] + c[j, k, m] * c[m, i, l]
-                                + c[k, i, m] * c[m, j, l] for m in range(n))
-                        worst = max(worst, abs(s))
-        return worst
+        cc = np.tensordot(c, c, axes=([2], [0]))     # sum_m c[i, j, m] c[m, k, l]
+        jacobi = cc + cc.transpose(1, 2, 0, 3) + cc.transpose(2, 0, 1, 3)
+        antisym = c + c.transpose(1, 0, 2)
+        return max(map(abs, np.concatenate([antisym.ravel(), jacobi.ravel()])),
+                   default=Fraction(0))
 
     def __repr__(self):
         return f"LieAlgebra({self.name or self.n})"

@@ -5,6 +5,7 @@ Matrices are plain numpy arrays: float64 in float mode, object arrays of
 ``common_mode`` raises when operands disagree.
 """
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -101,90 +102,78 @@ def _clear_denominators(a):
     """Scale each row of a Fraction matrix to integers."""
     rows = []
     for row in a:
-        lcm = 1
-        for v in row:
-            lcm = lcm * v.denominator // np.gcd(lcm, v.denominator)
-        rows.append([int(v * lcm) for v in row])
+        lcm = math.lcm(*(v.denominator for v in row))
+        rows.append([v.numerator * (lcm // v.denominator) for v in row])
     return rows
 
 
-def rank(a, tol: float = DEFAULT_TOL) -> int:
-    """Matrix rank: fraction-free Bareiss in exact mode, SVD in float mode."""
-    a = np.asarray(a)
-    if a.size == 0:
-        return 0
-    if mode_of(a) == FLOAT:
-        s = np.linalg.svd(a, compute_uv=False)
-        if s.size == 0 or s[0] == 0.0:
-            return 0
-        return int(np.sum(s > tol * s[0]))
-    return _bareiss_rank(_clear_denominators(a))
+def _echelon(a):
+    """Fraction-free forward elimination of an exact matrix.
 
-
-def _bareiss_rank(m) -> int:
-    m = [list(row) for row in m]
-    n_rows, n_cols = len(m), len(m[0])
-    prev = 1
-    r = 0
-    for c in range(n_cols):
-        piv = next((i for i in range(r, n_rows) if m[i][c] != 0), None)
+    Works on the integer rows of ``_clear_denominators``: each pivot
+    updates only the rows with a nonzero entry in its column
+    (row * p - f * pivot_row), and each updated row is divided by the gcd
+    of its entries.  Returns the nonzero echelon rows and their pivot
+    columns.
+    """
+    rows = _clear_denominators(a)
+    pivots = []
+    for c in range(a.shape[1]):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
         if piv is None:
             continue
-        m[r], m[piv] = m[piv], m[r]
-        for i in range(r + 1, n_rows):
-            for j in range(c + 1, n_cols):
-                m[i][j] = (m[i][j] * m[r][c] - m[i][c] * m[r][j]) // prev
-            m[i][c] = 0
-        prev = m[r][c]
-        r += 1
-        if r == n_rows:
+        rows[r], rows[piv] = rows[piv], rows[r]
+        top, p = rows[r], rows[r][c]
+        for i in range(r + 1, len(rows)):
+            f = rows[i][c]
+            if f:
+                new = [x * p - f * y for x, y in zip(rows[i], top)]
+                g = math.gcd(*new)
+                rows[i] = [x // g for x in new] if g > 1 else new
+        pivots.append(c)
+        if len(pivots) == len(rows):
             break
-    return r
+    return rows[:len(pivots)], pivots
+
+
+def rank(a, tol: float = DEFAULT_TOL) -> int:
+    """Matrix rank: the pivot count of ``_echelon`` in exact mode, singular
+    values above ``tol`` times the largest in float mode."""
+    a = np.asarray(a)
+    if mode_of(a) == EXACT:
+        return len(_echelon(a)[1])
+    if a.size == 0:
+        return 0
+    s = np.linalg.svd(a, compute_uv=False)
+    return int(np.sum(s > tol * s[0]))
 
 
 def nullspace(a, tol: float = DEFAULT_TOL):
-    """Basis (list of vectors) of the right nullspace."""
+    """Basis (list of vectors) of the right nullspace.
+
+    Exact mode back-substitutes from the rows of ``_echelon``: one vector
+    per free (non-pivot) column, with 1 there, 0 at the other free
+    columns and ``Fraction`` entries throughout (the basis of the reduced
+    row echelon form, as in sympy's ``Matrix.nullspace``).  Float mode
+    takes the right singular vectors past the numerical rank.
+    """
     a = np.asarray(a)
     n_cols = a.shape[1]
+    if mode_of(a) == EXACT:
+        rows, pivots = _echelon(a)
+        basis = []
+        for free in sorted(set(range(n_cols)) - set(pivots)):
+            vec = unit_vector(n_cols, free, EXACT)
+            for row, pc in zip(reversed(rows), reversed(pivots)):
+                acc = sum(row[j] * vec[j] for j in range(pc + 1, n_cols) if row[j])
+                vec[pc] = Fraction(-acc, row[pc])
+            basis.append(vec)
+        return basis
     if a.shape[0] == 0 or n_cols == 0:
-        return [unit_vector(n_cols, i, mode_of(a) if a.size else FLOAT) for i in range(n_cols)]
-    if mode_of(a) == FLOAT:
-        u, s, vt = np.linalg.svd(a)
-        smax = s[0] if s.size else 0.0
-        r = int(np.sum(s > tol * smax)) if smax > 0 else 0
-        return [vt[i] for i in range(r, n_cols)]
-    return _exact_nullspace(a)
-
-
-def _exact_nullspace(a):
-    m = [[Fraction(v) for v in row] for row in a]
-    n_rows, n_cols = len(m), len(m[0])
-    pivots = []
-    r = 0
-    for c in range(n_cols):
-        piv = next((i for i in range(r, n_rows) if m[i][c] != 0), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [v * inv for v in m[r]]
-        for i in range(n_rows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [vi - f * vr for vi, vr in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == n_rows:
-            break
-    free = [c for c in range(n_cols) if c not in pivots]
-    basis = []
-    for c in free:
-        vec = zeros(n_cols, EXACT)
-        vec[c] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            vec[pc] = -m[i][c]
-        basis.append(vec)
-    return basis
+        return [unit_vector(n_cols, i, FLOAT) for i in range(n_cols)]
+    u, s, vt = np.linalg.svd(a)
+    return [vt[i] for i in range(int(np.sum(s > tol * s[0])), n_cols)]
 
 
 def unit_vector(n: int, i: int, mode: str):

@@ -13,6 +13,8 @@ monoidal structure.
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from . import ce, linalg
 from .graded import (CochainComplex, GradedOperator, GradedVectorSpace,
                      compose, dual_complex, dual_operator, graded_commutator,
@@ -321,63 +323,43 @@ def _pairing_functional(rep: CartanRep) -> GradedOperator:
 # ---------------------------------------------------------------------------
 
 def _intertwiner_system(source, target, pairs, mode):
-    """Rows of the linear system phi T = T' phi over blocks of phi."""
-    degrees = [k for k in source.degrees if target.dim(k)]
-    offsets = {}
-    pos = 0
-    for k in degrees:
-        offsets[k] = pos
-        pos += target.dim(k) * source.dim(k)
-    rows = []
+    """Matrix of the linear system phi T = T' phi in the blocks of phi.
+
+    The unknowns are the blocks phi_k, each row-major at ``offsets[k]``;
+    each pair and source degree k gives an (rt, cs, unknowns) block of
+    equations phi_{k+d} T_k - T'_k phi_k = 0, indexed by the entry (r, c).
+    """
+    offsets, pos = {}, 0
+    for k in source.degrees:
+        if target.dim(k):
+            offsets[k] = pos
+            pos += target.dim(k) * source.dim(k)
+    eqs = [linalg.zeros((0, pos), mode)]
     for op_s, op_t in pairs:
         d = op_s.degree
         for k in source.degrees:
-            cs = source.dim(k)
-            n_rows = target.dim(k + d) * cs
-            if n_rows == 0:
-                continue
-            block = [dict() for _ in range(n_rows)]
-            # phi_{k+d} o T_k  (unknown phi at degree k+d)
-            ts = op_s.blocks.get(k)
-            if ts is not None and (k + d) in offsets:
-                base = offsets[k + d]
-                for r in range(target.dim(k + d)):
-                    for c in range(cs):
-                        for m in range(source.dim(k + d)):
-                            v = ts[m, c]
-                            if v != 0:
-                                col = base + r * source.dim(k + d) + m
-                                row = r * cs + c
-                                block[row][col] = block[row].get(col, 0) + v
-            # minus T'_k o phi_k  (unknown phi at degree k)
-            tt = op_t.blocks.get(k)
+            rt, cs = target.dim(k + d), source.dim(k)
+            eq = linalg.zeros((rt, cs, pos), mode)
+            ts, tt = op_s.blocks.get(k), op_t.blocks.get(k)
+            if ts is not None and k + d in offsets:
+                # phi_{k+d} T_k: T_k^T on the (r, r) sub-blocks
+                base, ms = offsets[k + d], source.dim(k + d)
+                view = eq[:, :, base:base + rt * ms].reshape(rt, cs, rt, ms)
+                view[np.arange(rt), :, np.arange(rt), :] = ts.T
             if tt is not None and k in offsets:
-                base = offsets[k]
-                for r in range(target.dim(k + d)):
-                    for c in range(cs):
-                        for m in range(target.dim(k)):
-                            v = tt[r, m]
-                            if v != 0:
-                                col = base + m * cs + c
-                                row = r * cs + c
-                                block[row][col] = block[row].get(col, 0) - v
-            rows.extend(block)
-    mat = linalg.zeros((len(rows), pos), mode)
-    for r, entries in enumerate(rows):
-        for c, v in entries.items():
-            mat[r, c] = v
-    return mat, offsets, pos
+                # T'_k phi_k: -T'_k on the (c, c) sub-blocks
+                base, mt = offsets[k], target.dim(k)
+                view = eq[:, :, base:base + mt * cs].reshape(rt, cs, mt, cs)
+                view[:, np.arange(cs), :, np.arange(cs)] -= tt
+            eqs.append(eq.reshape(rt * cs, pos))
+    return np.concatenate(eqs), offsets, pos
 
 
 def _vec_to_operator(vec, offsets, source, target, mode):
     blocks = {}
     for k, base in offsets.items():
         rt, cs = target.dim(k), source.dim(k)
-        block = linalg.zeros((rt, cs), mode)
-        for r in range(rt):
-            for c in range(cs):
-                block[r, c] = vec[base + r * cs + c]
-        blocks[k] = block
+        blocks[k] = vec[base:base + rt * cs].reshape(rt, cs)
     return GradedOperator(source, target, 0, blocks, mode=mode)
 
 
@@ -405,9 +387,8 @@ def hom_space(a, b, tol=linalg.DEFAULT_TOL):
 def induced_map(v_rep: LieRep, w_rep: CartanRep, phi0: GradedOperator) -> GradedOperator:
     """Extend a degree-0 map V -> W to the chain complex of V by letting
     each subset act through the degree-(-1) operators of W."""
-    cec = ce.ce_chain(v_rep.algebra, v_rep)
-    basis = cec.basis
-    source = cec.complex.space
+    basis = ce.CEBasis(v_rep.algebra.n, v_rep.complex.space, "chain")
+    source = basis.space
     target = w_rep.complex.space
     mode = w_rep.mode
     blocks = {}

@@ -154,9 +154,12 @@ class Problem:
         return self._build(build_lie_rep, self._grep_specs, "Lie representation", name)
 
     def _build(self, build, specs, kind, name):
-        """Build a named spec; a malformed one raises a one-line ``ProblemError``."""
+        """Build a named spec; a malformed one, or structure constants that
+        fail antisymmetry/Jacobi, raise a one-line ``ProblemError``."""
         if name not in specs:
             raise ProblemError(f"unknown {kind} {name!r}")
+        if self.algebra.check_jacobi() != 0:
+            raise ProblemError("structure constants fail antisymmetry/Jacobi; see check-lie")
         try:
             return build(specs[name], self.algebra, self.settings.mode)
         except (ProblemError, linalg.ModeError):

@@ -338,3 +338,19 @@ def test_chain_rep_faithful_on_degree_zero_maps():
     for a in range(len(images)):
         # degree-0 block of the induced map restricts to the original
         assert np.array_equal(images[a].block(0)[:, :2], maps[a].block(0))
+
+
+def test_adjunction_builds_the_chain_complex_once(monkeypatch):
+    from cartankit import ce
+    g = heisenberg3()
+    v_rep, w_rep = adjoint_rep(g), chain_rep(g, trivial_lie_rep(g))
+    calls = []
+
+    def counting_ce_chain(*args):
+        calls.append(args)
+        return ce_chain(*args)
+
+    monkeypatch.setattr(ce, "ce_chain", counting_ce_chain)
+    res = adjunction_check(v_rep, w_rep)
+    assert res.ok and res.dim_lie_side == 2
+    assert len(calls) == 1

@@ -187,6 +187,33 @@ def test_cli_exit_two_on_coefficient_index(tmp_path, capsys, index):
     assert len(lines) == 1 and f"coefficient index {index} outside 0 <= k < n" in lines[0]
 
 
+def _non_jacobi_file(tmp_path):
+    payload = json.loads(json.dumps(SL2_PAYLOAD))
+    payload["lie_algebra"]["brackets"][1]["coeffs"] = {"0": "1"}     # [e, h] = e
+    path = tmp_path / "non_jacobi.json"
+    path.write_text(json.dumps(payload))
+    return str(path)
+
+
+@pytest.mark.parametrize("argv", [
+    ["ce", "--rep", "trivial"],
+    ["ce", "--rep", "trivial", "--mode", "exact"],
+    ["adjunction", "--lie-rep", "trivial", "--rep", "trivial", "--mode", "exact"],
+], ids=["ce_float", "ce_exact", "adjunction_exact"])
+def test_cli_exit_two_on_non_jacobi_constants(tmp_path, capsys, argv):
+    code = cli.main(argv[:1] + [_non_jacobi_file(tmp_path)] + argv[1:])
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert code == 2
+    assert len(lines) == 1 and "fail antisymmetry/Jacobi" in lines[0]
+
+
+def test_check_lie_reports_non_jacobi_residual(tmp_path, capsys):
+    code = cli.main(["check-lie", _non_jacobi_file(tmp_path), "--json", "--test-mode"])
+    record = json.loads(capsys.readouterr().out.splitlines()[0])
+    assert code == 1
+    assert record["check"] == "jacobi" and record["residual"] > 0 and not record["pass"]
+
+
 def test_cli_integrate_cross_check(problem_file, capsys):
     code = cli.main(["integrate", problem_file, "--rep", "chain_trivial",
                      "--word", "we", "--method", "both"])
