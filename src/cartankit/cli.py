@@ -8,7 +8,7 @@ import argparse
 import os
 import sys
 
-from . import linalg, schemas, suites
+from . import integrate, linalg, schemas, suites
 from .schemas import Settings
 
 
@@ -104,7 +104,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return run(args)
-    except (schemas.ProblemError, linalg.ModeError, FileNotFoundError) as err:
+    except (schemas.ProblemError, linalg.ModeError, integrate.ConvergenceError,
+            FileNotFoundError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

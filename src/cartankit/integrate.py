@@ -28,6 +28,10 @@ DEFAULT_SERIES_TOL = 1e-14
 DEFAULT_SERIES_CAP = 60
 
 
+class ConvergenceError(RuntimeError):
+    """A float series still above tolerance at its degree cap."""
+
+
 # ---------------------------------------------------------------------------
 # quadrature rules
 # ---------------------------------------------------------------------------
@@ -181,7 +185,7 @@ def integrate_series(rep, letters, max_degree: int = DEFAULT_SERIES_CAP) -> Grad
         elif not hit:
             break
     if mode == FLOAT and top >= max_degree:
-        raise RuntimeError(f"series did not converge within total degree {max_degree}")
+        raise ConvergenceError(f"series did not converge within total degree {max_degree}")
     return unflatten_matrix(space, acc, -k, mode)
 
 

@@ -29,6 +29,19 @@ class Settings:
         live = {k: v for k, v in kwargs.items() if v is not None}
         return replace(self, **live)
 
+    def check(self):
+        """Raise ``ProblemError`` for a value no route can run with."""
+        for name, ok, rule in (
+                ("mode", self.mode in (EXACT, FLOAT), f"{EXACT!r} or {FLOAT!r}"),
+                ("order", isinstance(self.order, int) and self.order >= 1, "an integer >= 1"),
+                ("series_cap", isinstance(self.series_cap, int) and self.series_cap >= 1,
+                 "an integer >= 1"),
+                ("fd_step", self.fd_step > 0, "> 0"),
+                ("tol", self.tol >= 0, ">= 0")):
+            if not ok:
+                raise ProblemError(f"setting {name} must be {rule}, got {getattr(self, name)!r}")
+        return self
+
 
 class ProblemError(ValueError):
     pass
@@ -176,15 +189,16 @@ class Problem:
 def load_problem(path, defaults: Settings = None, **overrides) -> Problem:
     """File settings override the defaults; keyword overrides win over both.
 
-    A file that is not valid JSON or lacks or misshapes a required field
-    raises ``ProblemError`` with a one-line message."""
+    A file that is not valid JSON, lacks or misshapes a required field, or
+    whose merged settings fail ``Settings.check`` raises ``ProblemError``
+    with a one-line message."""
     with open(path) as handle:
         text = handle.read()
     try:
         payload = json.loads(text)
         base = defaults or Settings()
         merged = base.override(**payload.get("settings", {})).override(**overrides)
-        return Problem(payload, merged)
+        return Problem(payload, merged.check())
     except ProblemError:
         raise
     except _INPUT_ERRORS as err:

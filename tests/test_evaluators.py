@@ -6,12 +6,13 @@ from math import comb
 import numpy as np
 import pytest
 
+from cartankit import evaluators
 from cartankit.evaluators import (AffineReparam, ChainCombination, FlatRep,
                                   MaxCollapseReparam, PermReparam, PointEvaluator,
                                   ProductEvaluator, WordEvaluator, aw_coproduct_word,
                                   boundary, ez_product, face_map, interior_points,
                                   shuffles, thinness_check)
-from cartankit.integrate import density_batch
+from cartankit.integrate import cube_nodes, density_batch, simplex_nodes
 from cartankit.lie import abelian
 from cartankit.linalg import FLOAT
 from cartankit.reps import chain_rep, trivial_lie_rep
@@ -70,6 +71,52 @@ def test_prefixed_word_frame_and_value(flat, sl2_basis_float):
     assert np.allclose(moved.eval(pts).rho[0], g.dot(plain.eval(pts).rho[0]))
     assert np.allclose(moved.eval(pts).xi, plain.eval(pts).xi)
     assert _fd_tangent_residual(flat, moved, [0.6, 0.2]) < 1e-7
+
+
+GENERIC_LETTERS = [np.array([0.3, 0.7, -0.5]), np.array([0.8, -0.2, 0.4]),
+                   np.array([-0.6, 0.5, 0.45])]
+
+
+def _repeated_rows():
+    """Nodes with duplicated rows, in a shuffled order."""
+    nodes = np.concatenate([simplex_nodes(2, 3)[0]] * 2)
+    return nodes[np.random.default_rng(7).permutation(len(nodes))]
+
+
+@pytest.mark.parametrize("prefix", [(), (2, 0)], ids=["bare", "prefixed"])
+@pytest.mark.parametrize("k, points", [
+    (3, simplex_nodes(3, 5)[0]),
+    (2, cube_nodes(2, 4)[0]),
+    (2, _repeated_rows()),
+    (0, np.zeros((3, 0))),
+], ids=["simplex", "cube", "repeated", "empty_word"])
+def test_word_eval_batch_equals_rowwise(flat, prefix, k, points):
+    """The prefix tree of a batch changes no bit of any output row."""
+    ev = WordEvaluator(flat, GENERIC_LETTERS[:k], prefix=[GENERIC_LETTERS[i] for i in prefix])
+    data = ev.eval(points)
+    for q, row in enumerate(points):
+        one = ev.at(row)
+        assert np.array_equal(data.rho[q], one.rho[0])
+        assert np.array_equal(data.ad_inv[q], one.ad_inv[0])
+        assert np.array_equal(data.xi[q], one.xi[0])
+
+
+def test_word_eval_exponentiates_each_distinct_coordinate_once(flat, monkeypatch):
+    """On simplex_nodes(3, 16) slot j holds the distinct values of
+    t_j = u_1 ... u_j: 16, then 136 (u_1 u_2 = u_2 u_1), then 1,189,
+    where a per-point evaluation takes 4,096 at every slot."""
+    ev = WordEvaluator(flat, GENERIC_LETTERS)
+    sizes = []
+    taylor_at = evaluators._TaylorExp.at
+
+    def counted(self, t):
+        sizes.append((self.coeffs.shape[1], len(t)))
+        return taylor_at(self, t)
+
+    monkeypatch.setattr(evaluators._TaylorExp, "at", counted)
+    ev.eval(simplex_nodes(3, 16)[0])
+    assert [s for d, s in sizes if d == flat.total_dim] == [16, 136, 1189]
+    assert [s for d, s in sizes if d == flat.algebra.n] == [16, 136, 1189]
 
 
 def test_ad_and_inverse_are_inverse(flat, sl2_basis_float):

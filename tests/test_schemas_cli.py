@@ -136,6 +136,43 @@ def test_cli_exit_two_on_bad_input(problem_file, capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("argv, field", [
+    (["integrate", "--rep", "chain_trivial", "--word", "weh", "--order", "0"], "order"),
+    (["integrate", "--rep", "chain_trivial", "--word", "weh", "--cap", "0"], "series_cap"),
+    (["roundtrip", "--rep", "chain_trivial", "--h", "0"], "fd_step"),
+    (["verify-cartan", "--rep", "chain_trivial", "--tol", "-0.1"], "tol"),
+], ids=["order", "series_cap", "fd_step", "tol"])
+def test_cli_exit_two_on_invalid_setting(problem_file, capsys, argv, field):
+    code = cli.main(argv[:1] + [problem_file] + argv[1:])
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert code == 2
+    assert len(lines) == 1 and lines[0].startswith(f"error: setting {field} must be")
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("order", -2, "setting order must be an integer >= 1, got -2"),
+    ("order", 2.5, "setting order must be an integer >= 1, got 2.5"),
+    ("mode", "fast", "setting mode must be 'exact' or 'float', got 'fast'"),
+], ids=["negative_order", "fractional_order", "unknown_mode"])
+def test_problem_file_settings_are_checked(tmp_path, field, value, message):
+    payload = json.loads(json.dumps(SL2_PAYLOAD))
+    payload["settings"][field] = value
+    path = tmp_path / "bad_settings.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(schemas.ProblemError, match=message):
+        schemas.load_problem(str(path))
+    good = {"order": 4, "mode": "exact"}[field]
+    assert getattr(schemas.load_problem(str(path), **{field: good}).settings, field) == good
+
+
+def test_cli_exit_two_on_series_nonconvergence(problem_file, capsys):
+    code = cli.main(["integrate", problem_file, "--rep", "chain_trivial",
+                     "--word", "weh", "--cap", "2"])
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert code == 2
+    assert lines == ["error: series did not converge within total degree 2"]
+
+
 def _malformed_exit(tmp_path, capsys, text):
     path = tmp_path / "malformed.json"
     path.write_text(text)
