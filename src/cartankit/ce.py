@@ -1,14 +1,18 @@
 """Chevalley-Eilenberg cochain and chain complexes with coefficients.
 
 Basis elements are pairs (index subset, coefficient basis vector); the
-subsets are ordered lexicographically.  One shared insertion-sign
-routine drives the hat-omission bookkeeping of both flavors.  Chain
-degrees are re-indexed so that every differential raises degree by one:
-exterior degree m sits in cochain degree -m (plus coefficient degree).
+subsets are ordered lexicographically.  Chain degrees are re-indexed so
+that every differential raises degree by one: exterior degree m sits in
+cochain degree -m (plus coefficient degree).  Only the chain side is
+assembled; the cochain side is its signed transpose with dual
+coefficients (``CEBasis.transpose``).
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+
+import numpy as np
 
 from . import linalg
 from .graded import CochainComplex, GradedOperator, GradedVectorSpace
@@ -45,36 +49,46 @@ class CEBasis:
     def __init__(self, n, coeff_space, flavor):
         if flavor not in ("cochain", "chain"):
             raise ValueError("flavor must be 'cochain' or 'chain'")
-        self.n = n
-        self.flavor = flavor
-        sign = 1 if flavor == "cochain" else -1
-        table = {}
+        self.sign = 1 if flavor == "cochain" else -1
+        self.elements = {}      # built in (size, subset, q, i) order
         for m in range(n + 1):
             for subset in combinations(range(n), m):
                 for q in sorted(coeff_space.dims):
                     for i in range(coeff_space.dim(q)):
-                        table.setdefault(sign * m + q, []).append((subset, q, i))
-        self.elements = {deg: sorted(items, key=lambda e: (len(e[0]), e[0], e[1], e[2]))
-                         for deg, items in table.items()}
+                        self.elements.setdefault(self.sign * m + q, []).append((subset, q, i))
         self.index = {deg: {e: pos for pos, e in enumerate(items)}
                       for deg, items in self.elements.items()}
         self.space = GradedVectorSpace({deg: len(items) for deg, items in self.elements.items()})
 
     def degree_of(self, element):
         subset, q, _ = element
-        m = len(subset)
-        return (m if self.flavor == "cochain" else -m) + q
+        return self.sign * len(subset) + q
+
+    def transpose(self, op, sign):
+        """Signed transpose of an operator on the chains with dual
+        coefficients onto this cochain basis.  The chain basis at degree -k
+        lists the elements (subset, -q, i) of degree k here, in the same
+        order.  Each entry is scaled by S(m, q) = (-1)^(m(m+1)/2 + mq + q)
+        of its row and of its column element (m = |subset|) and by
+        ``sign`` of its source degree here."""
+        signs = {deg: np.array([(-1) ** (len(s) * (len(s) + 1) // 2 + len(s) * q + q)
+                                for s, q, _ in items]) for deg, items in self.elements.items()}
+        blocks = {}
+        for k, b in op.blocks.items():
+            q = -k - op.degree
+            flip = sign(q) * np.outer(signs[q + op.degree], signs[q])
+            blocks[q] = t = b.T.copy()
+            neg = (flip < 0) & (t != 0)     # only nonzeros: no float -0.0
+            t[neg] = -t[neg]
+        return GradedOperator(self.space, self.space, op.degree, blocks, mode=op.mode)
 
 
+@dataclass
 class CEComplex:
     """Assembled complex plus its basis labeling."""
 
-    def __init__(self, flavor, algebra, coefficients, complex_, basis):
-        self.flavor = flavor
-        self.algebra = algebra
-        self.coefficients = coefficients
-        self.complex = complex_
-        self.basis = basis
+    complex: CochainComplex
+    basis: CEBasis
 
     @property
     def differential(self):
@@ -107,12 +121,13 @@ def assemble(basis, degree, image_of, mode):
     return GradedOperator(basis.space, basis.space, degree, blocks, mode=mode)
 
 
-def ce_chain(algebra, rep) -> CEComplex:
-    """Homological complex on the exterior algebra tensor the coefficients."""
+def chain_differential(algebra, rep, basis) -> GradedOperator:
+    """The CE chain differential on ``basis``, pushed forward element by
+    element: the bracket of two slots, the action of one slot on the
+    coefficients, and the coefficient differential."""
     n = algebra.n
     mode = rep.mode
     c = algebra.constants(mode)
-    basis = CEBasis(n, rep.complex.space, "chain")
 
     def image_of(element):
         subset, q, i = element
@@ -123,18 +138,13 @@ def ce_chain(algebra, rep) -> CEComplex:
             if coeff != 0:
                 out[key] = out.get(key, 0) + coeff
 
-        for a in range(m):          # positions are 1-based in the sign rules
-            for b in range(a + 1, m):
-                sa, sb = subset[a], subset[b]
-                rest = tuple(s for s in subset if s not in (sa, sb))
-                for r in range(n):
-                    if c[sa, sb, r] == 0:
-                        continue
-                    ins = insert_element(rest, r)
-                    if ins is None:
-                        continue
-                    sgn, tgt = ins
-                    add((tgt, q, i), (-1) ** (a + b + 1) * sgn * c[sa, sb, r])
+        for a, b in combinations(range(m), 2):     # 1-based positions in the sign rules
+            sa, sb = subset[a], subset[b]
+            rest = tuple(s for s in subset if s not in (sa, sb))
+            for r in range(n):
+                ins = insert_element(rest, r) if c[sa, sb, r] != 0 else None
+                if ins is not None:
+                    add((ins[1], q, i), (-1) ** (a + b + 1) * ins[0] * c[sa, sb, r])
         for a in range(m):
             rest = tuple(s for s in subset if s != subset[a])
             for j, coeff in _coefficient_columns(rep.action(subset[a]).blocks.get(q), i):
@@ -143,49 +153,31 @@ def ce_chain(algebra, rep) -> CEComplex:
             add((subset, q + 1, j), (-1) ** m * coeff)
         return out
 
-    diff = assemble(basis, 1, image_of, mode)
-    return CEComplex("chain", algebra, rep, CochainComplex(basis.space, diff), basis)
+    return assemble(basis, 1, image_of, mode)
+
+
+def ce_chain(algebra, rep) -> CEComplex:
+    """Homological complex on the exterior algebra tensor the coefficients."""
+    basis = CEBasis(algebra.n, rep.complex.space, "chain")
+    diff = chain_differential(algebra, rep, basis)
+    return CEComplex(CochainComplex(basis.space, diff), basis)
 
 
 def ce_cochain(algebra, rep) -> CEComplex:
-    """Cochain complex of alternating forms with values in the coefficients."""
-    n = algebra.n
-    mode = rep.mode
-    c = algebra.constants(mode)
-    basis = CEBasis(n, rep.complex.space, "cochain")
+    """Cochain complex of alternating forms with values in the coefficients.
 
-    def image_of(element):
-        subset, q, i = element
-        m = len(subset)
-        out = {}
-
-        def add(key, coeff):
-            if coeff != 0:
-                out[key] = out.get(key, 0) + coeff
-
-        for tgt_subset in combinations(range(n), m + 1):
-            for a in range(m + 1):
-                for b in range(a + 1, m + 1):
-                    ta, tb = tgt_subset[a], tgt_subset[b]
-                    rest = tuple(s for s in tgt_subset if s not in (ta, tb))
-                    for r in range(n):
-                        if c[ta, tb, r] == 0:
-                            continue
-                        ins = insert_element(rest, r)
-                        if ins is None or ins[1] != subset:
-                            continue
-                        add((tgt_subset, q, i), (-1) ** (a + b) * ins[0] * c[ta, tb, r])
-            for a in range(m + 1):
-                if tuple(s for s in tgt_subset if s != tgt_subset[a]) != subset:
-                    continue
-                for j, coeff in _coefficient_columns(rep.action(tgt_subset[a]).blocks.get(q), i):
-                    add((tgt_subset, q, j), (-1) ** a * coeff)
-        for j, coeff in _coefficient_columns(rep.complex.differential.blocks.get(q), i):
-            add((subset, q + 1, j), (-1) ** m * coeff)
-        return out
-
-    diff = assemble(basis, 1, image_of, mode)
-    return CEComplex("cochain", algebra, rep, CochainComplex(basis.space, diff), basis)
+    Built as the dual of the chains with dual coefficients,
+    C(g; V) = (C(g; V*))* (Weibel, An Introduction to Homological Algebra,
+    7.7): the chain differential of ``dual_lie_rep(rep)``, transposed by
+    ``CEBasis.transpose`` with -1 at odd source degree, as ``dual_complex``.
+    """
+    from .reps import dual_lie_rep
+    dual = dual_lie_rep(rep)
+    basis = CEBasis(algebra.n, rep.complex.space, "cochain")
+    chains = CEBasis(algebra.n, dual.complex.space, "chain")
+    diff = basis.transpose(chain_differential(algebra, dual, chains),
+                           lambda q: -1 if q % 2 else 1)
+    return CEComplex(CochainComplex(basis.space, diff), basis)
 
 
 def cohomology_dims(complex_: CochainComplex, tol=linalg.DEFAULT_TOL):

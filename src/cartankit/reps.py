@@ -6,12 +6,14 @@ operator per basis vector; ``cartan_residuals`` measures how far the
 family is from satisfying the Cartan relations.  ``chain_rep`` and
 ``cochain_rep`` realize the two standard constructions on the
 Chevalley-Eilenberg chain and cochain complexes (the first is left
-adjoint to ``restrict``), and ``dual_rep``/``tensor_rep`` give the
-monoidal structure.
+adjoint to ``restrict``; the second is its signed transpose with the dual
+coefficients of ``dual_lie_rep``), and ``dual_rep``/``tensor_rep`` give
+the monoidal structure.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 
@@ -170,93 +172,59 @@ def restrict(rep: CartanRep) -> LieRep:
 # the chain and cochain representations
 # ---------------------------------------------------------------------------
 
+def _chain_operators(algebra, coefficients: LieRep, basis):
+    """L and B on the CE chains of ``coefficients`` over ``basis``."""
+    mode = coefficients.mode
+    c = algebra.constants(mode)
+
+    def b_image(idx, element):
+        subset, q, i = element
+        ins = ce.insert_element(subset, idx)
+        return {} if ins is None else {(ins[1], q, i): ins[0] * _one(mode)}
+
+    def l_image(idx, element):
+        subset, q, i = element
+        out = {}
+        for pos, s in enumerate(subset):
+            rest = subset[:pos] + subset[pos + 1:]
+            for r in range(algebra.n):
+                ins = ce.insert_element(rest, r) if c[idx, s, r] != 0 else None
+                if ins is not None:
+                    # replace slot ``pos`` by [e_idx, e_s], resorted
+                    key = (ins[1], q, i)
+                    out[key] = out.get(key, 0) + (-1) ** pos * ins[0] * c[idx, s, r]
+        for j, coeff in ce._coefficient_columns(coefficients.action(idx).blocks.get(q), i):
+            out[(subset, q, j)] = out.get((subset, q, j), 0) + coeff
+        return out
+
+    B = [ce.assemble(basis, -1, partial(b_image, i), mode) for i in range(algebra.n)]
+    L = [ce.assemble(basis, 0, partial(l_image, i), mode) for i in range(algebra.n)]
+    return L, B
+
+
 def chain_rep(algebra, coefficients: LieRep) -> CartanRep:
     """Action on the CE chain complex: B wedges a generator at the front,
     L acts by the bracket on each slot plus the coefficient action."""
     cec = ce.ce_chain(algebra, coefficients)
-    basis, mode = cec.basis, coefficients.mode
-    n = algebra.n
-    c = algebra.constants(mode)
-
-    def b_image(idx):
-        def image_of(element):
-            subset, q, i = element
-            ins = ce.insert_element(subset, idx)
-            if ins is None:
-                return {}
-            sgn, tgt = ins
-            return {(tgt, q, i): sgn * _one(mode)}
-        return image_of
-
-    def l_image(idx):
-        def image_of(element):
-            subset, q, i = element
-            out = {}
-            for pos, s in enumerate(subset):
-                rest = tuple(x for x in subset if x != s)
-                for r in range(n):
-                    if c[idx, s, r] == 0:
-                        continue
-                    ins = ce.insert_element(rest, r)
-                    if ins is None:
-                        continue
-                    sgn, tgt = ins
-                    # replace slot ``pos`` by [e_idx, e_s], resorted
-                    base = (-1) ** pos
-                    key = (tgt, q, i)
-                    out[key] = out.get(key, 0) + base * sgn * c[idx, s, r]
-            for j, coeff in ce._coefficient_columns(coefficients.action(idx).blocks.get(q), i):
-                out[(subset, q, j)] = out.get((subset, q, j), 0) + coeff
-            return out
-        return image_of
-
-    B = [ce.assemble(basis, -1, b_image(i), mode) for i in range(n)]
-    L = [ce.assemble(basis, 0, l_image(i), mode) for i in range(n)]
+    L, B = _chain_operators(algebra, coefficients, cec.basis)
     return CartanRep(algebra, cec.complex, L, B)
 
 
 def cochain_rep(algebra, coefficients: LieRep) -> CartanRep:
     """Action on the CE cochain complex: B contracts the form part only,
-    L is the coadjoint action on forms plus the coefficient action."""
+    L is the coadjoint action on forms plus the coefficient action.
+
+    The dual of ``chain_rep`` with dual coefficients (Weibel, An
+    Introduction to Homological Algebra, 7.7), as ``ce_cochain`` is of
+    ``ce_chain``: each chain operator of ``dual_lie_rep(coefficients)`` is
+    transposed by ``CEBasis.transpose`` with the signs of ``dual_rep``,
+    -1 on odd degrees for B and -1 always for L.
+    """
     cec = ce.ce_cochain(algebra, coefficients)
-    basis, mode = cec.basis, coefficients.mode
-    n = algebra.n
-    c = algebra.constants(mode)
-
-    def b_image(idx):
-        def image_of(element):
-            subset, q, i = element
-            rem = ce.remove_element(subset, idx)
-            if rem is None:
-                return {}
-            sgn, tgt = rem
-            return {(tgt, q, i): sgn * _one(mode)}
-        return image_of
-
-    def l_image(idx):
-        def image_of(element):
-            subset, q, i = element
-            out = {}
-            # coadjoint: (L_x xi)(v_1..v_m) = -sum_j xi(v_1,..,[x,v_j],..,v_m)
-            for s in subset:
-                rest = tuple(x for x in subset if x != s)
-                pos_sign, _ = ce.remove_element(subset, s)
-                for r in range(n):
-                    if r in rest:
-                        continue
-                    coeff = c[idx, r, s]
-                    if coeff == 0:
-                        continue
-                    ins_sign, tgt = ce.insert_element(rest, r)
-                    key = (tgt, q, i)
-                    out[key] = out.get(key, 0) - pos_sign * ins_sign * coeff
-            for j, coeff in ce._coefficient_columns(coefficients.action(idx).blocks.get(q), i):
-                out[(subset, q, j)] = out.get((subset, q, j), 0) + coeff
-            return out
-        return image_of
-
-    B = [ce.assemble(basis, -1, b_image(i), mode) for i in range(n)]
-    L = [ce.assemble(basis, 0, l_image(i), mode) for i in range(n)]
+    dual = dual_lie_rep(coefficients)
+    L, B = _chain_operators(algebra, dual, ce.CEBasis(algebra.n, dual.complex.space, "chain"))
+    L = [cec.basis.transpose(op, lambda q: -1) for op in L]
+    B = [cec.basis.transpose(op, lambda q: -1 if q % 2 else 1) for op in B]
     return CartanRep(algebra, cec.complex, L, B)
 
 
@@ -280,14 +248,21 @@ def tensor_rep(a: CartanRep, b: CartanRep) -> CartanRep:
     return CartanRep(a.algebra, complex_, L, B)
 
 
+def dual_lie_rep(rep: LieRep) -> LieRep:
+    """Dual coefficients: the dual complex, each action -R^T."""
+    dc = dual_complex(rep.complex)
+    return LieRep(rep.algebra, dc, [dual_operator(op, dc.space, lambda q: -1)
+                                    for op in rep.operators])
+
+
 def dual_rep(rep: CartanRep) -> CartanRep:
     """Dual action, signs fixed by requiring the evaluation pairing
     V ox V* -> R (trivial module) to be a map of representations:
-    L* = -L^T blockwise, B* and the dual differential pick up (-1)^q."""
-    dc = dual_complex(rep.complex)
-    L = [dual_operator(op, dc.space, lambda q: -1) for op in rep.L]
-    B = [dual_operator(op, dc.space, lambda q: -1 if q % 2 else 1) for op in rep.B]
-    return CartanRep(rep.algebra, dc, L, B)
+    L* = -L^T blockwise (``dual_lie_rep``), B* and the dual differential
+    pick up (-1)^q."""
+    dual = dual_lie_rep(restrict(rep))
+    B = [dual_operator(op, dual.complex.space, lambda q: -1 if q % 2 else 1) for op in rep.B]
+    return CartanRep(rep.algebra, dual.complex, dual.operators, B)
 
 
 def evaluation_pairing_residual(rep: CartanRep) -> float:

@@ -115,8 +115,13 @@ def load_explicit_lie_rep(payload, algebra, mode) -> reps.LieRep:
     space = GradedVectorSpace({int(k): int(d) for k, d in payload["degrees"].items()})
     delta = load_operator(payload.get("delta"), space, 1, mode)
     complex_ = CochainComplex(space, delta)
-    ops = [load_operator(p, space, 0, mode) for p in payload["R"]]
-    return reps.LieRep(algebra, complex_, ops)
+    rep = reps.LieRep(algebra, complex_, [load_operator(p, space, 0, mode) for p in payload["R"]])
+    bound = 0 if mode == EXACT else linalg.DEFAULT_TOL
+    failed = [f"{family} residual {float(r):.6g}" for family, r in rep.residuals().items()
+              if r > bound]
+    if failed:
+        raise ValueError("not a representation: " + ", ".join(failed))
+    return rep
 
 
 def build_lie_rep(spec, algebra, mode) -> reps.LieRep:
@@ -167,8 +172,10 @@ class Problem:
         return self._build(build_lie_rep, self._grep_specs, "Lie representation", name)
 
     def _build(self, build, specs, kind, name):
-        """Build a named spec; a malformed one, or structure constants that
-        fail antisymmetry/Jacobi, raise a one-line ``ProblemError``."""
+        """Build a named spec; a malformed one, explicit operators that are
+        not a representation (bracket or chain-map residual above the d^2
+        check's bound), or structure constants that fail
+        antisymmetry/Jacobi raise a one-line ``ProblemError``."""
         if name not in specs:
             raise ProblemError(f"unknown {kind} {name!r}")
         if self.algebra.check_jacobi() != 0:

@@ -1,16 +1,21 @@
 """Chevalley-Eilenberg complexes: differentials, ranks, duality, Leibniz."""
 
+import json
+import pathlib
+from fractions import Fraction
 from math import comb
 
 import numpy as np
 import pytest
 
+from cartankit import graded
 from cartankit.ce import (ce_chain, ce_cochain, cohomology_dims, insert_element,
                           leibniz_check, merge_sign, remove_element)
 from cartankit.graded import CochainComplex, GradedOperator, GradedVectorSpace, compose
 from cartankit.lie import abelian, heisenberg3, sl2, su2
-from cartankit.linalg import EXACT, FLOAT
-from cartankit.reps import adjoint_rep, trivial_lie_rep, chain_rep
+from cartankit.linalg import EXACT, FLOAT, format_scalar
+from cartankit.reps import (adjoint_rep, chain_rep, cochain_rep, dual_lie_rep, restrict,
+                            trivial_lie_rep)
 
 
 def test_insertion_and_removal_signs():
@@ -76,24 +81,13 @@ def test_chain_transpose_is_negated_cochain_on_dual_coefficients():
     # pairing of chains with cochains valued in the dual: D_m = -E^T
     for g in (heisenberg3(), sl2()):
         coeff = adjoint_rep(g)
-        dual_coeff = _dual_lie_rep(coeff)
         chain = ce_chain(g, coeff)
-        cochain = ce_cochain(g, dual_coeff)
+        cochain = ce_cochain(g, dual_lie_rep(coeff))
         for m in range(1, g.n + 1):
             d_chain = chain.complex.differential.block(-m)       # C_m -> C_{m-1}
             e_cochain = cochain.complex.differential.block(m - 1)
             if d_chain.size and e_cochain.size:
                 assert np.array_equal(d_chain, -e_cochain.T)
-
-
-def _dual_lie_rep(rep):
-    from cartankit.reps import LieRep
-    space = rep.complex.space
-    ops = []
-    for op in rep.operators:
-        blocks = {k: -b.T for k, b in op.blocks.items()}
-        ops.append(GradedOperator(space, space, 0, blocks, mode=rep.mode))
-    return LieRep(rep.algebra, rep.complex, ops)
 
 
 def test_leibniz_rule():
@@ -111,3 +105,54 @@ def test_chain_complex_matches_chain_rep_construction():
     for k in cec.complex.space.degrees:
         assert np.array_equal(cec.complex.differential.block(k),
                               rep.complex.differential.block(k))
+
+
+# tests/data/cochain_exact.json holds the cochain differential and the
+# cochain_rep d, L and B as they were assembled directly on forms, before
+# the cochain side was built by duality, as sparse [row, col, "p/q"]
+# entries per source degree.  Its coefficients sit in nonzero degrees, so
+# the (-1)^(mq + q) part of the sign rule is pinned.
+PINNED_COCHAINS = pathlib.Path(__file__).parent / "data" / "cochain_exact.json"
+
+
+def _sparse(op):
+    for b in op.blocks.values():
+        assert all(type(v) is Fraction for v in b.reshape(-1))
+    return {str(k): [[int(r), int(c), format_scalar(b[r, c])] for r, c in zip(*b.nonzero())]
+            for k, b in sorted(op.blocks.items())}
+
+
+@pytest.mark.parametrize("g", [sl2(), heisenberg3()], ids=lambda g: g.name)
+@pytest.mark.parametrize("coeff", ["U_trivial", "trivial2_deg1"])
+def test_cochain_side_matches_pinned_entries(g, coeff):
+    pinned = json.loads(PINNED_COCHAINS.read_text())[f"{g.name}/{coeff}"]
+    v = (restrict(chain_rep(g, trivial_lie_rep(g))) if coeff == "U_trivial"
+         else trivial_lie_rep(g, dim=2, degree=1))
+    rep = cochain_rep(g, v)
+    assert {str(k): d for k, d in sorted(rep.complex.space.dims.items())} == pinned["dims"]
+    assert _sparse(ce_cochain(g, v).differential) == pinned["ce_cochain"]
+    assert _sparse(rep.differential) == pinned["d"]
+    assert [_sparse(op) for op in rep.L] == pinned["L"]
+    assert [_sparse(op) for op in rep.B] == pinned["B"]
+
+
+@pytest.mark.parametrize("build", [ce_cochain, cochain_rep])
+def test_cochain_side_checks_d_squared_once(monkeypatch, build):
+    """The cochain side transposes chain operators; it never builds (and
+    so never checks) the chain complex with dual coefficients."""
+    from cartankit import ce
+    g = heisenberg3()
+    coeff = adjoint_rep(g)
+    spaces, chain_calls = [], []
+    init = graded.CochainComplex.__init__
+
+    def counting_init(self, space, differential):
+        spaces.append(space)
+        init(self, space, differential)
+
+    monkeypatch.setattr(graded.CochainComplex, "__init__", counting_init)
+    monkeypatch.setattr(ce, "ce_chain", lambda *args: chain_calls.append(args))
+    built = build(g, coeff)
+    assert chain_calls == []
+    assert spaces.count(built.complex.space) == 1
+    assert sum(space.total_dim > coeff.complex.space.total_dim for space in spaces) == 1

@@ -12,7 +12,7 @@ from cartankit.graded import (CochainComplex, GradedOperator, GradedVectorSpace,
 from cartankit.lie import abelian, heisenberg3, sl2
 from cartankit.linalg import EXACT
 from cartankit.reps import (CartanRep, LieRep, adjoint_rep, adjunction_check,
-                            cartan_residuals, chain_rep, cochain_rep, dual_rep,
+                            cartan_residuals, chain_rep, cochain_rep, dual_lie_rep, dual_rep,
                             evaluation_pairing_residual, hom_space, restrict,
                             tensor_rep, trivial_cartan_rep, trivial_lie_rep)
 
@@ -224,6 +224,30 @@ def test_double_dual_equals_original_up_to_degree_sign():
             b_dd = dd.B[i].block(k)
             if b_orig.size:
                 assert np.array_equal(b_dd, -b_orig)
+
+
+@pytest.mark.parametrize("graded", [False, True], ids=["adjoint", "chain_coefficients"])
+def test_dual_lie_rep_is_an_involution_up_to_degree_sign(graded):
+    g = sl2()
+    rep = restrict(chain_rep(g, trivial_lie_rep(g))) if graded else adjoint_rep(g)
+    dual = dual_lie_rep(rep)
+    assert dual.residuals() == {"bracket": 0, "chain_map": 0}
+    dd = dual_lie_rep(dual)
+    assert dd.complex.space == rep.complex.space
+    # the double dual differential is -d, which (-1)^degree conjugates to d;
+    # the degree-0 actions come back exactly
+    assert (dd.complex.differential + rep.complex.differential).norm() == 0
+    assert (rep.complex.differential.norm() > 0) == graded
+    for a, b in zip(dd.operators, rep.operators):
+        assert a.blocks.keys() == b.blocks.keys()
+        for k, block in a.blocks.items():
+            assert block.dtype == object and np.array_equal(block, b.blocks[k])
+
+
+def test_cochain_rep_on_graded_coefficients_satisfies_cartan():
+    g = heisenberg3()
+    coeff = restrict(chain_rep(g, trivial_lie_rep(g)))
+    assert cartan_residuals(cochain_rep(g, coeff)).worst == 0
 
 
 def test_restrict_drops_contractions():

@@ -244,6 +244,37 @@ def test_cli_exit_two_on_non_jacobi_constants(tmp_path, capsys, argv):
     assert len(lines) == 1 and "fail antisymmetry/Jacobi" in lines[0]
 
 
+_NON_REPRESENTATIONS = {
+    # three copies of diag(1, 0): [R_e, R_f] = 0 but [e, f] = h
+    "bracket": {"degrees": {"0": 2}, "R": [{"0": [[1, 0], [0, 0]]}] * 3},
+    # adjoint in degree 0, trivial in degree 1, and a delta that does not
+    # intertwine them
+    "chain_map": {"degrees": {"0": 3, "1": 1}, "delta": {"0": [[1, 0, 0]]},
+                  "R": [{"0": [[0, 0, -2], [0, 0, 0], [0, 1, 0]]},
+                        {"0": [[0, 0, 0], [0, 0, 2], [-1, 0, 0]]},
+                        {"0": [[2, 0, 0], [0, -2, 0], [0, 0, 0]]}]},
+}
+
+
+@pytest.mark.parametrize("fault,residual", [("bracket", 2), ("chain_map", 2)])
+@pytest.mark.parametrize("argv", [
+    ["ce", "--rep", "bad", "--flavor", "cochain"],
+    ["ce", "--rep", "bad", "--flavor", "chain"],
+    ["adjunction", "--lie-rep", "bad", "--rep", "trivial"],
+], ids=["ce_cochain", "ce_chain", "adjunction"])
+def test_cli_exit_two_on_non_representation(tmp_path, capsys, argv, fault, residual):
+    payload = json.loads(json.dumps(SL2_PAYLOAD))
+    payload["lie_representations"]["bad"] = _NON_REPRESENTATIONS[fault]
+    path = tmp_path / "non_rep.json"
+    path.write_text(json.dumps(payload))
+    for mode in ("exact", "float"):
+        code = cli.main(argv[:1] + [str(path)] + argv[1:] + ["--mode", mode])
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert code == 2
+        assert len(lines) == 1 and "malformed Lie representation 'bad'" in lines[0]
+        assert lines[0].endswith(f"not a representation: {fault} residual {residual}")
+
+
 def test_check_lie_reports_non_jacobi_residual(tmp_path, capsys):
     code = cli.main(["check-lie", _non_jacobi_file(tmp_path), "--json", "--test-mode"])
     record = json.loads(capsys.readouterr().out.splitlines()[0])
