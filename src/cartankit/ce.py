@@ -12,10 +12,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-import numpy as np
-
 from . import linalg
-from .graded import CochainComplex, GradedOperator, GradedVectorSpace
+from .graded import CochainComplex, GradedOperator, GradedVectorSpace, compose, dual_operator
 from .linalg import EXACT
 
 
@@ -60,27 +58,16 @@ class CEBasis:
                       for deg, items in self.elements.items()}
         self.space = GradedVectorSpace({deg: len(items) for deg, items in self.elements.items()})
 
-    def degree_of(self, element):
-        subset, q, _ = element
-        return self.sign * len(subset) + q
-
     def transpose(self, op, sign):
-        """Signed transpose of an operator on the chains with dual
-        coefficients onto this cochain basis.  The chain basis at degree -k
-        lists the elements (subset, -q, i) of degree k here, in the same
-        order.  Each entry is scaled by S(m, q) = (-1)^(m(m+1)/2 + mq + q)
-        of its row and of its column element (m = |subset|) and by
-        ``sign`` of its source degree here."""
-        signs = {deg: np.array([(-1) ** (len(s) * (len(s) + 1) // 2 + len(s) * q + q)
-                                for s, q, _ in items]) for deg, items in self.elements.items()}
-        blocks = {}
-        for k, b in op.blocks.items():
-            q = -k - op.degree
-            flip = sign(q) * np.outer(signs[q + op.degree], signs[q])
-            blocks[q] = t = b.T.copy()
-            neg = (flip < 0) & (t != 0)     # only nonzeros: no float -0.0
-            t[neg] = -t[neg]
-        return GradedOperator(self.space, self.space, op.degree, blocks, mode=op.mode)
+        """Signed transpose of an operator on the chains with dual coefficients
+        onto this cochain basis (the chain basis at degree -k lists the
+        elements (subset, -q, i) of degree k here, in the same order):
+        ``dual_operator``, with ``sign`` by source degree here, conjugated by
+        S(m, q) = (-1)^(m(m+1)/2 + mq + q), m = |subset|."""
+        flip = GradedOperator.from_entries(self.space, self.space, 0, [
+            (deg, j, j, (-1) ** (len(s) * (len(s) + 1) // 2 + len(s) * q + q))
+            for deg, items in self.elements.items() for j, (s, q, _) in enumerate(items)], op.mode)
+        return compose(flip, compose(dual_operator(op, self.space, sign), flip))
 
 
 @dataclass
@@ -95,30 +82,14 @@ class CEComplex:
         return self.complex.differential
 
 
-def _coefficient_columns(block, i):
-    """Expand column i of a degree-0 or degree +1 block into [(row, coeff)];
-    a missing (zero) block gives []."""
-    if block is None:
-        return []
-    col = block[:, i]
-    return [(j, col[j]) for j in range(len(col)) if col[j] != 0]
-
-
 def assemble(basis, degree, image_of, mode):
     """Build the operator of the given degree on the span of ``basis`` from
     a map sending each basis element to a dict {target element: coeff}."""
-    blocks = {}
-    for deg, elements in basis.elements.items():
-        tgt = basis.elements.get(deg + degree, [])
-        if not elements or not tgt:
-            continue
-        block = linalg.zeros((len(tgt), len(elements)), mode)
-        tgt_index = basis.index[deg + degree]
-        for col, element in enumerate(elements):
-            for target, coeff in image_of(element).items():
-                block[tgt_index[target], col] += coeff
-        blocks[deg] = block
-    return GradedOperator(basis.space, basis.space, degree, blocks, mode=mode)
+    entries = [(deg, basis.index[deg + degree][target], col, coeff)
+               for deg, elements in basis.elements.items() if deg + degree in basis.index
+               for col, element in enumerate(elements)
+               for target, coeff in image_of(element).items()]
+    return GradedOperator.from_entries(basis.space, basis.space, degree, entries, mode)
 
 
 def chain_differential(algebra, rep, basis) -> GradedOperator:
@@ -147,9 +118,9 @@ def chain_differential(algebra, rep, basis) -> GradedOperator:
                     add((ins[1], q, i), (-1) ** (a + b + 1) * ins[0] * c[sa, sb, r])
         for a in range(m):
             rest = tuple(s for s in subset if s != subset[a])
-            for j, coeff in _coefficient_columns(rep.action(subset[a]).blocks.get(q), i):
+            for j, coeff in rep.action(subset[a]).column(q, i):
                 add((rest, q, j), (-1) ** a * coeff)
-        for j, coeff in _coefficient_columns(rep.complex.differential.blocks.get(q), i):
+        for j, coeff in rep.complex.differential.column(q, i):
             add((subset, q + 1, j), (-1) ** m * coeff)
         return out
 
@@ -205,18 +176,13 @@ def wedge(left_vec, right_vec):
 
 
 def _apply_diff(ce, vec):
-    """Differential of a basis-dict, via the assembled matrix."""
+    """Differential of a basis-dict, via the columns of the assembled matrix."""
     out = {}
     for element, coeff in vec.items():
-        deg = ce.basis.degree_of(element)
-        col = ce.basis.index[deg][element]
-        block = ce.differential.blocks.get(deg)
-        if block is None:
-            continue
-        for row, target in enumerate(ce.basis.elements[deg + 1]):
-            v = block[row, col]
-            if v != 0:
-                out[target] = out.get(target, 0) + coeff * v
+        deg = ce.basis.sign * len(element[0]) + element[1]
+        targets = ce.basis.elements.get(deg + 1)
+        for row, v in ce.differential.column(deg, ce.basis.index[deg][element]):
+            out[targets[row]] = out.get(targets[row], 0) + coeff * v
     return {k: v for k, v in out.items() if v != 0}
 
 

@@ -57,17 +57,12 @@ class FlatRep:
         self.algebra = rep.algebra
         self.space = rep.complex.space
         self.total_dim = self.space.total_dim
-        self.L = [flatten_operator(op) for op in rep.L]
         self.B = np.stack([flatten_operator(op) for op in rep.B]) if rep.B else None
         self._exp_cache = {}
 
     def operator_of(self, x) -> np.ndarray:
         """Total matrix of the degree-0 action of the algebra element x."""
-        out = np.zeros((self.total_dim, self.total_dim))
-        for i, xi in enumerate(np.asarray(x, dtype=float)):
-            if xi:
-                out = out + xi * self.L[i]
-        return out
+        return flatten_operator(self.rep.L_of(np.asarray(x, dtype=float)))
 
     def contraction_of(self, xs) -> np.ndarray:
         """Batched degree-(-1) action: xs has shape (..., n)."""

@@ -1,19 +1,33 @@
 """Graded vector spaces, graded operators and cochain complexes.
 
-Degrees are stored sparsely (dict degree -> dimension), operators as one
-dense block per source degree, and a block is stored if and only if it
-has a nonzero entry: a missing block is the zero map, and no operation
-builds or multiplies a zero block.  All differentials raise the degree
-by one and every constructed complex verifies that its differential
-squares to zero.
+A graded space (dict degree -> dimension) is laid out as the direct sum of
+its degrees in increasing order, and a graded operator is one sparse matrix
+over the layouts of its source and target: row-major sorted arrays of its
+nonzero entries, float64 in float mode and int64 numerators over one common
+denominator in exact mode, reduced by their gcd after every operation.  An
+exact operation whose numerators could leave int64 (bound: max|A| * max|B|
+* terms per entry, likewise for sums and scalar multiples) raises
+``ModeError``; nothing wraps around or falls back to float.  Only this
+module knows the layout.  Every constructed complex verifies that its
+differential (of degree +1) squares to zero.
 """
 
+import math
 from fractions import Fraction
+from functools import cached_property
+from types import MappingProxyType
 
 import numpy as np
 
 from . import linalg
 from .linalg import EXACT, FLOAT, ModeError
+
+_NONE = np.zeros(0, dtype=int)
+
+
+def _check_int64(bound, what):
+    if bound > 2 ** 63 - 1:
+        raise ModeError(f"exact {what} could overflow int64 numerators (bound {bound:.3e})")
 
 
 class GradedVectorSpace:
@@ -35,6 +49,16 @@ class GradedVectorSpace:
     def total_dim(self) -> int:
         return sum(self.dims.values())
 
+    @cached_property
+    def _starts(self):
+        """Offset of each degree in the layout."""
+        return {k: int(np.searchsorted(self._index_degrees, k)) for k in self.degrees}
+
+    @cached_property
+    def _index_degrees(self):
+        """Degree of each basis vector of the layout."""
+        return np.repeat(self.degrees, [self.dims[k] for k in self.degrees]).astype(int)
+
     def __eq__(self, other):
         return isinstance(other, GradedVectorSpace) and self.dims == other.dims
 
@@ -42,37 +66,98 @@ class GradedVectorSpace:
         return f"GradedVectorSpace({self.dims})"
 
 
-class GradedOperator:
-    """Graded linear map V -> W of fixed degree, stored blockwise.
+def _block_entries(source, target, degree):
+    """Flat indices of the block entries of a degree-``degree`` map, in the
+    total matrix row-major: blocks by source degree, each row-major."""
+    parts = [_NONE]
+    for k in source.degrees:
+        if target.dim(k + degree):
+            r = target._starts[k + degree] + np.arange(target.dim(k + degree))
+            c = source._starts[k] + np.arange(source.dim(k))
+            parts.append((r[:, None] * source.total_dim + c).ravel())
+    return np.concatenate(parts)
 
-    ``blocks[k]`` maps V^k into W^(k+degree) and has shape
-    (dim W^(k+degree), dim V^k).  Only blocks with a nonzero entry are
-    stored; the constructor drops the others after taking the mode from
-    every block it is given, so an operator built from zero exact blocks
-    is exact with ``blocks == {}``.  ``block(k)`` is the zero-filled
-    dense view.
-    """
+
+def _entry_arrays(source, target, degree, entries, mode):
+    """Arguments of ``_fill`` for (k, row, col, value) entries of the blocks k."""
+    rows = np.array([target._starts[k + degree] + r for k, r, _, _ in entries], dtype=int)
+    cols = np.array([source._starts[k] + c for k, _, c, _ in entries], dtype=int)
+    return (source, target, degree, mode, rows, cols,
+            *_numerators([e[3] for e in entries], mode))
+
+
+def _numerators(values, mode):
+    """Value array and denominator of a list of scalars."""
+    if mode == FLOAT:
+        return np.asarray(values, dtype=float), 1
+    fracs = [Fraction(v) for v in values]
+    den = math.lcm(*(f.denominator for f in fracs))
+    nums = [f.numerator * (den // f.denominator) for f in fracs]
+    _check_int64(max(map(abs, nums), default=0), "entry")
+    return np.array(nums, dtype=np.int64), den
+
+
+class GradedOperator:
+    """Graded linear map V -> W of fixed degree, built from dense blocks.
+
+    ``block(k)`` is a dense copy of V^k -> W^(k+degree) (``Fraction`` entries
+    in exact mode) and ``blocks`` the read-only dict of the nonzero blocks.
+    The mode comes from every block given, so zero exact blocks stay exact."""
 
     def __init__(self, source, target, degree, blocks, mode=None):
-        self.source = source
-        self.target = target
-        self.degree = int(degree)
-        self.blocks = {}
-        self.mode = mode
+        entries = []
         for k, b in blocks.items():
             b = np.asarray(b)
-            want = (target.dim(k + degree), source.dim(k))
-            if b.shape != want:
-                raise ValueError(f"block {k}: shape {b.shape}, expected {want}")
-            bm = linalg.mode_of(b)
-            if self.mode is None:
-                self.mode = bm
-            elif self.mode != bm:
+            if b.shape != (target.dim(k + degree), source.dim(k)):
+                raise ValueError(f"block {k}: shape {b.shape}, expected "
+                                 f"{(target.dim(k + degree), source.dim(k))}")
+            if mode is None:
+                mode = linalg.mode_of(b)
+            elif mode != linalg.mode_of(b):
                 raise ModeError("mixed-mode blocks in one operator")
-            if b.any():
-                self.blocks[int(k)] = b
-        if self.mode is None:
-            self.mode = FLOAT
+            entries += [(k, r, c, b[r, c]) for r, c in zip(*np.nonzero(b))]
+        self._fill(*_entry_arrays(source, target, degree, entries, mode or FLOAT))
+
+    def _fill(self, source, target, degree, mode, rows, cols, data, den=1):
+        """Store entries row-major, duplicates summed in input order, no zeros."""
+        self.source, self.target, self.degree, self.mode = source, target, int(degree), mode
+        keys = rows * source.total_dim + cols
+        if not (keys[1:] > keys[:-1]).all():
+            order = np.argsort(keys, kind="stable")
+            keys, data = keys[order], data[order]
+            first = np.concatenate([[True], keys[1:] != keys[:-1]])
+            summed = np.zeros(np.count_nonzero(first), dtype=data.dtype)
+            np.add.at(summed, np.cumsum(first) - 1, data)
+            keys, data = keys[first], summed
+            rows, cols = keys // source.total_dim, keys % source.total_dim
+        if not data.all():
+            rows, cols, data = rows[data != 0], cols[data != 0], data[data != 0]
+        if mode == EXACT and len(data):
+            g = math.gcd(den, int(np.gcd.reduce(data)))
+            data, den = data // g, den // g
+        self._rows, self._cols, self._data, self._den = rows, cols, data, (den if len(data) else 1)
+        return self
+
+    @classmethod
+    def from_entries(cls, source, target, degree, entries, mode):
+        """Operator from (k, row, col, value) entries of the blocks k."""
+        return _new(*_entry_arrays(source, target, degree, entries, mode))
+
+    @classmethod
+    def from_block_entries(cls, source, target, degree, vec, mode):
+        """Operator with blocks (by source degree, row-major) read off ``vec``."""
+        nz = np.flatnonzero(vec)
+        pos = _block_entries(source, target, degree)[nz]
+        return _new(source, target, degree, mode, pos // source.total_dim,
+                    pos % source.total_dim, *_numerators(np.asarray(vec)[nz], mode))
+
+    @classmethod
+    def from_matrix(cls, space, degree, mat, mode):
+        """Endomorphism with total matrix ``mat``, read inside its blocks only."""
+        rows, cols = np.nonzero(mat)
+        keep = space._index_degrees[rows] == space._index_degrees[cols] + degree
+        return _new(space, space, degree, mode, rows[keep], cols[keep],
+                    *_numerators(np.asarray(mat)[rows[keep], cols[keep]], mode))
 
     @classmethod
     def zero(cls, source, target, degree, mode):
@@ -80,44 +165,85 @@ class GradedOperator:
 
     @classmethod
     def identity(cls, space, mode):
-        blocks = {k: linalg.eye(d, mode) for k, d in space.dims.items()}
-        return cls(space, space, 0, blocks, mode=mode)
+        return cls.from_entries(space, space, 0, [(k, i, i, 1) for k in space.degrees
+                                                  for i in range(space.dim(k))], mode)
+
+    def _values(self, data):
+        return data if self.mode == FLOAT else [Fraction(int(v), self._den) for v in data]
+
+    def _dense(self, rows, cols, data, shape):
+        out = linalg.zeros(shape, self.mode)
+        out[rows, cols] = self._values(data)
+        return out
+
+    def _stored(self, k):
+        """Dense block k, or None when it has no nonzero entry."""
+        c0 = self.source._starts.get(k, 0)
+        m = (self._cols >= c0) & (self._cols < c0 + self.source.dim(k))
+        if not m.any():
+            return None
+        return self._dense(self._rows[m] - self.target._starts[k + self.degree], self._cols[m] - c0,
+                           self._data[m], (self.target.dim(k + self.degree), self.source.dim(k)))
 
     def block(self, k: int):
-        if k in self.blocks:
-            return self.blocks[k]
-        return linalg.zeros((self.target.dim(k + self.degree), self.source.dim(k)), self.mode)
+        b = self._stored(k)
+        return linalg.zeros((self.target.dim(k + self.degree), self.source.dim(k)),
+                            self.mode) if b is None else b
+
+    @property
+    def blocks(self):
+        stored = {k: self._stored(k) for k in self.source.degrees}
+        return MappingProxyType({k: b for k, b in stored.items() if b is not None})
+
+    def column(self, k: int, i: int):
+        """Nonzero entries [(row, value)] of column i of block k, by row."""
+        if k not in self.source.dims:
+            return []
+        m = self._cols == self.source._starts[k] + i
+        rows = self._rows[m] - self.target._starts.get(k + self.degree, 0)
+        return list(zip(rows.tolist(), self._values(self._data[m].tolist())))
+
+    def _max(self) -> int:
+        return int(np.abs(self._data).max(initial=0))
+
+    def _like(self, rows, cols, data, den=1):
+        return _new(self.source, self.target, self.degree, self.mode, rows, cols, data, den)
 
     def __add__(self, other):
-        self._check_parallel(other)
-        blocks = dict(self.blocks)
-        for k, b in other.blocks.items():
-            blocks[k] = blocks[k] + b if k in blocks else b
-        return GradedOperator(self.source, self.target, self.degree, blocks, mode=self.mode)
-
-    def __sub__(self, other):
-        return self + (-1) * other
-
-    def __rmul__(self, c):
-        if self.mode == EXACT and not isinstance(c, (int, Fraction)):
-            raise ModeError("float coefficient on exact operator")
-        c = Fraction(c) if self.mode == EXACT else float(c)
-        return GradedOperator(self.source, self.target, self.degree,
-                              {k: c * b for k, b in self.blocks.items()}, mode=self.mode)
-
-    def _check_parallel(self, other):
         if (self.source != other.source or self.target != other.target
                 or self.degree != other.degree):
             raise ValueError("operators not parallel")
         if self.mode != other.mode:
             raise ModeError("mixed-mode operator arithmetic")
+        if not len(self._data) or not len(other._data):
+            return self if len(self._data) else other
+        den = math.lcm(self._den, other._den)
+        a, b = den // self._den, den // other._den
+        if self.mode == EXACT:
+            _check_int64(self._max() * a + other._max() * b, "sum")
+        return self._like(np.concatenate([self._rows, other._rows]),
+                          np.concatenate([self._cols, other._cols]),
+                          np.concatenate([self._data * a, other._data * b]), den)
+
+    def __sub__(self, other):
+        return self + (-1) * other
+
+    def __rmul__(self, c):
+        if self.mode == FLOAT:
+            return self._like(self._rows, self._cols, float(c) * self._data)
+        if not isinstance(c, (int, Fraction)):
+            raise ModeError("float coefficient on exact operator")
+        c = Fraction(c)
+        _check_int64(self._max() * abs(c.numerator), "scalar multiple")
+        return self._like(self._rows, self._cols, self._data * c.numerator,
+                          self._den * c.denominator)
 
     def apply(self, vec):
         """Apply to a dict degree -> coefficient vector; a degree that only
         zero blocks reach is absent from the result."""
         out = {}
         for k, v in vec.items():
-            b = self.blocks.get(k)
+            b = self._stored(k)
             if b is not None:
                 w = b.dot(np.asarray(v))
                 kk = k + self.degree
@@ -125,27 +251,34 @@ class GradedOperator:
         return out
 
     def norm(self) -> float:
-        return max((linalg.max_abs(b) for b in self.blocks.values()), default=0.0)
-
-    def is_zero(self, tol: float = 0.0) -> bool:
-        return self.norm() <= tol
+        """Entrywise max-norm, as a float in either mode."""
+        return float(self._values([np.abs(self._data).max(initial=0)])[0])
 
     def __repr__(self):
         return f"GradedOperator(degree={self.degree}, blocks={sorted(self.blocks)})"
 
 
+def _new(source, target, degree, mode, rows, cols, data, den=1) -> GradedOperator:
+    return GradedOperator.__new__(GradedOperator)._fill(source, target, degree, mode,
+                                                        rows, cols, data, den)
+
+
 def compose(f: GradedOperator, g: GradedOperator) -> GradedOperator:
-    """f after g; degree adds, blocks multiply."""
+    """f after g; degree adds.  One sparse product: each entry of f meets the
+    row of g its column selects, and each output entry sums its terms by
+    increasing inner index."""
     if g.target != f.source:
         raise ValueError("compose: target of g differs from source of f")
     if f.mode != g.mode:
         raise ModeError("compose: mixed modes")
-    blocks = {}
-    for k, bg in g.blocks.items():
-        bf = f.blocks.get(k + g.degree)
-        if bf is not None:
-            blocks[k] = bf.dot(bg)
-    return GradedOperator(g.source, f.target, f.degree + g.degree, blocks, mode=f.mode)
+    if f.mode == EXACT and len(f._data):
+        _check_int64(f._max() * g._max() * int(np.bincount(f._rows).max()), "compose")
+    starts = np.searchsorted(g._rows, np.arange(g.target.total_dim + 1))
+    counts = starts[f._cols + 1] - starts[f._cols]
+    mine = np.repeat(np.arange(len(f._cols)), counts)
+    theirs = np.arange(len(mine)) + np.repeat(starts[f._cols] - np.cumsum(counts) + counts, counts)
+    return _new(g.source, f.target, f.degree + g.degree, f.mode, f._rows[mine], g._cols[theirs],
+                f._data[mine] * g._data[theirs], f._den * g._den)
 
 
 def graded_commutator(f: GradedOperator, g: GradedOperator) -> GradedOperator:
@@ -167,7 +300,7 @@ class CochainComplex:
         self.mode = differential.mode
         sq = compose(differential, differential)
         bound = 0.0 if self.mode == EXACT else linalg.DEFAULT_TOL
-        if not sq.is_zero(bound):
+        if sq.norm() > bound:
             raise ValueError(f"differential does not square to zero (norm {sq.norm()})")
 
     @classmethod
@@ -191,51 +324,40 @@ def tensor_space(v: GradedVectorSpace, w: GradedVectorSpace) -> GradedVectorSpac
     return GradedVectorSpace(dims)
 
 
-def _tensor_offsets(v, w):
-    """Basis layout of (V ox W)^n: (p,q) pairs by increasing p, kron inside."""
-    offsets = {}
-    for n in tensor_space(v, w).degrees:
-        pos = 0
-        table = {}
-        for p in v.degrees:
-            q = n - p
-            if w.dim(q) == 0 or v.dim(p) == 0:
-                continue
-            table[(p, q)] = pos
-            pos += v.dim(p) * w.dim(q)
-        offsets[n] = table
-    return offsets
+def _tensor_position(v, w):
+    """Layout position in V ox W of each Kronecker index a * dim W + b: the
+    layout of (V ox W)^n lists the (p, q) pairs by increasing p, in
+    Kronecker order v_i ox w_j inside each pair (a stable sort)."""
+    p = np.repeat(v._index_degrees, w.total_dim)
+    order = np.lexsort((p, p + np.tile(w._index_degrees, v.total_dim)))
+    pos = np.empty_like(order)
+    pos[order] = np.arange(len(order))
+    return pos
 
 
 def tensor_operator(f: GradedOperator, g: GradedOperator) -> GradedOperator:
-    """nat(f ox g): acts on V ox W with the Koszul sign (-1)^(|v||g|)."""
+    """nat(f ox g): acts on V ox W with the Koszul sign (-1)^(|v||g|).  One
+    Kronecker product, signed by the source degree of f when g is odd and
+    moved into the tensor layout by ``_tensor_position``."""
     if f.mode != g.mode:
         raise ModeError("tensor_operator: mixed modes")
-    mode = f.mode
-    src = tensor_space(f.source, g.source)
-    tgt = tensor_space(f.target, g.target)
-    src_off = _tensor_offsets(f.source, g.source)
-    tgt_off = _tensor_offsets(f.target, g.target)
-    deg = f.degree + g.degree
-    blocks = {}
-    for p, bf in f.blocks.items():
-        for q, bg in g.blocks.items():
-            n = p + q
-            out = blocks.get(n)
-            if out is None:
-                out = blocks[n] = linalg.zeros((tgt.dim(n + deg), src.dim(n)), mode)
-            row = tgt_off[n + deg][(p + f.degree, q + g.degree)]
-            col = src_off[n][(p, q)]
-            sign = -1 if (p % 2) and (g.degree % 2) else 1
-            piece = sign * np.kron(bf, bg)
-            out[row:row + piece.shape[0], col:col + piece.shape[1]] = piece
-    return GradedOperator(src, tgt, deg, blocks, mode=mode)
+    if f.mode == EXACT:
+        _check_int64(f._max() * g._max(), "tensor product")
+    fd = f._data
+    if g.degree % 2:
+        fd = fd * (1 - 2 * (f.source._index_degrees[f._cols] % 2))
+    nt, ns = g.target.total_dim, g.source.total_dim
+    rows = _tensor_position(f.target, g.target)[(f._rows[:, None] * nt + g._rows).ravel()]
+    cols = _tensor_position(f.source, g.source)[(f._cols[:, None] * ns + g._cols).ravel()]
+    return _new(tensor_space(f.source, g.source), tensor_space(f.target, g.target),
+                f.degree + g.degree, f.mode, rows, cols, (fd[:, None] * g._data).ravel(),
+                f._den * g._den)
 
 
 def tensor_basis_index(v: GradedVectorSpace, w: GradedVectorSpace, p: int, i: int, q: int, j: int):
     """(degree, offset) of basis vector v_i^p ox w_j^q in the tensor layout."""
-    table = _tensor_offsets(v, w)[p + q]
-    return p + q, table[(p, q)] + i * w.dim(q) + j
+    pos = _tensor_position(v, w)[(v._starts[p] + i) * w.total_dim + w._starts[q] + j]
+    return p + q, int(pos) - tensor_space(v, w)._starts[p + q]
 
 
 def tensor_complex(vc: CochainComplex, wc: CochainComplex) -> CochainComplex:
@@ -248,37 +370,9 @@ def tensor_complex(vc: CochainComplex, wc: CochainComplex) -> CochainComplex:
     return CochainComplex(tensor_space(vc.space, wc.space), diff)
 
 
-def space_offsets(space: GradedVectorSpace):
-    """Contiguous layout of the direct sum of all degrees."""
-    offsets = {}
-    pos = 0
-    for k in space.degrees:
-        offsets[k] = pos
-        pos += space.dim(k)
-    return offsets, pos
-
-
 def flatten_operator(op: GradedOperator):
-    """Total matrix of a graded operator over the direct-sum layout."""
-    offsets, total = space_offsets(op.source)
-    t_off, t_total = space_offsets(op.target)
-    out = linalg.zeros((t_total, total), op.mode)
-    for k, b in op.blocks.items():
-        r, c = t_off[k + op.degree], offsets[k]
-        out[r:r + b.shape[0], c:c + b.shape[1]] = b
-    return out
-
-
-def unflatten_matrix(space: GradedVectorSpace, mat, degree: int, mode) -> GradedOperator:
-    offsets, _ = space_offsets(space)
-    blocks = {}
-    for k in space.degrees:
-        kk = k + degree
-        if kk not in offsets:
-            continue
-        r, c = offsets[kk], offsets[k]
-        blocks[k] = np.array(mat[r:r + space.dim(kk), c:c + space.dim(k)])
-    return GradedOperator(space, space, degree, blocks, mode=mode)
+    """Dense total matrix of a graded operator over the direct-sum layout."""
+    return op._dense(op._rows, op._cols, op._data, (op.target.total_dim, op.source.total_dim))
 
 
 def exp_operator(op: GradedOperator, t=1) -> GradedOperator:
@@ -295,12 +389,14 @@ def dual_space(v: GradedVectorSpace) -> GradedVectorSpace:
 
 def dual_operator(op: GradedOperator, space: GradedVectorSpace, sign) -> GradedOperator:
     """Transpose of an endomorphism onto the dual ``space``, (V*)^q = (V^-q)*:
-    the block at q is ``sign(q)`` times the transpose of op's block at -q - degree."""
-    blocks = {}
-    for k, b in op.blocks.items():
-        q = -k - op.degree
-        blocks[q] = sign(q) * b.T
-    return GradedOperator(space, space, op.degree, blocks, mode=op.mode)
+    the block at q is ``sign(q)`` times the transpose of op's block at
+    -q - degree.  One signed transpose: the block-reversing permutation of
+    ``dual_space`` and a sign per source degree."""
+    rev = np.concatenate([_NONE] + [space._starts[-k] + np.arange(d)
+                                    for k, d in sorted(op.source.dims.items())])
+    signs = np.array([sign(q) for q in space._index_degrees], dtype=int)
+    rows, cols = rev[op._cols], rev[op._rows]
+    return _new(space, space, op.degree, op.mode, rows, cols, op._data * signs[cols], op._den)
 
 
 def dual_complex(vc: CochainComplex) -> CochainComplex:

@@ -20,7 +20,7 @@ from . import linalg
 from .evaluators import (ChainCombination, Evaluator, FlatRep,
                          PointEvaluator, WordEvaluator, boundary, ez_product)
 from .graded import (GradedOperator, compose, exp_operator, flatten_operator,
-                     graded_commutator, tensor_operator, unflatten_matrix)
+                     graded_commutator, tensor_operator)
 from .linalg import EXACT, FLOAT
 
 DEFAULT_ORDER = 16
@@ -76,7 +76,7 @@ def density_batch(flat: FlatRep, data) -> np.ndarray:
 def eval_form(flat: FlatRep, ev: Evaluator, point) -> GradedOperator:
     """Pullback density of the representation form at one parameter point."""
     data = ev.at(point)
-    return unflatten_matrix(flat.space, density_batch(flat, data)[0], -ev.k, FLOAT)
+    return GradedOperator.from_matrix(flat.space, -ev.k, density_batch(flat, data)[0], FLOAT)
 
 
 def pullback_word_closed(rep, letters, point) -> GradedOperator:
@@ -100,12 +100,13 @@ def integrate_quadrature(flat: FlatRep, ev: Evaluator, order: int = DEFAULT_ORDE
     if order < 1:
         raise ValueError("order must be >= 1")
     if ev.k == 0:
-        return unflatten_matrix(flat.space, ev.eval(np.zeros((1, 0))).rho[0], 0, FLOAT)
+        return GradedOperator.from_matrix(flat.space, 0, ev.eval(np.zeros((1, 0))).rho[0], FLOAT)
     domain = domain or ev.domain
     nodes, weights = (simplex_nodes if domain == "simplex" else cube_nodes)(ev.k, order)
     data = ev.eval(nodes)
     dens = density_batch(flat, data)
-    return unflatten_matrix(flat.space, np.einsum("p,pab->ab", weights, dens), -ev.k, FLOAT)
+    return GradedOperator.from_matrix(flat.space, -ev.k,
+                                      np.einsum("p,pab->ab", weights, dens), FLOAT)
 
 
 def integrate_chain(flat: FlatRep, chain: ChainCombination, order: int = DEFAULT_ORDER) -> GradedOperator:
@@ -179,14 +180,14 @@ def integrate_series(rep, letters, max_degree: int = DEFAULT_SERIES_CAP) -> Grad
         if mode == FLOAT:
             tol = DEFAULT_SERIES_TOL * (1.0 + linalg.max_abs(acc))
             if linalg.max_abs(layer_sum) < tol and layer >= 1:
-                return unflatten_matrix(space, acc, -k, mode)
+                return GradedOperator.from_matrix(space, -k, acc, mode)
             if not hit:
                 break
         elif not hit:
             break
     if mode == FLOAT and top >= max_degree:
         raise ConvergenceError(f"series did not converge within total degree {max_degree}")
-    return unflatten_matrix(space, acc, -k, mode)
+    return GradedOperator.from_matrix(space, -k, acc, mode)
 
 
 # ---------------------------------------------------------------------------
@@ -198,19 +199,6 @@ class MatPoly:
 
     def __init__(self, coeffs):
         self.coeffs = [np.asarray(c) for c in coeffs]
-
-    @classmethod
-    def constant(cls, mat):
-        return cls([mat])
-
-    def __add__(self, other):
-        n = max(len(self.coeffs), len(other.coeffs))
-        out = []
-        for m in range(n):
-            a = self.coeffs[m] if m < len(self.coeffs) else None
-            b = other.coeffs[m] if m < len(other.coeffs) else None
-            out.append(b if a is None else a if b is None else a + b)
-        return MatPoly(out)
 
     def dot(self, other):
         shape = (self.coeffs[0].shape[0], other.coeffs[0].shape[1])
@@ -242,8 +230,7 @@ def exp_poly(a, scale=Fraction(1)) -> MatPoly:
 
 def merged_pair_integral_exact(rep, x, y) -> GradedOperator:
     """Exact integral over [0,1] of the pullback along s -> exp(sx) exp(sy)."""
-    mode = rep.mode
-    if mode != EXACT:
+    if rep.mode != EXACT:
         raise linalg.ModeError("exact route requires exact mode")
     ax = flatten_operator(rep.L_of(x))
     ay = flatten_operator(rep.L_of(y))
@@ -257,7 +244,7 @@ def merged_pair_integral_exact(rep, x, y) -> GradedOperator:
             vec = vec + np.asarray(y)
         bxi_coeffs.append(flatten_operator(rep.B_of(vec)))
     density = rho.dot(MatPoly(bxi_coeffs))
-    return unflatten_matrix(rep.complex.space, density.integrate_01(), -1, EXACT)
+    return GradedOperator.from_matrix(rep.complex.space, -1, density.integrate_01(), EXACT)
 
 
 def point_value(rep, prefix) -> GradedOperator:
@@ -281,17 +268,13 @@ def word_integral_polynomial_exact(rep, letters) -> GradedOperator:
     k = len(letters)
     if k == 0:
         return GradedOperator.identity(space, EXACT)
-    total = space.total_dim
     inner = None
     for x in reversed(letters):
         factor = exp_poly(flatten_operator(rep.L_of(x))).dot(
-            MatPoly.constant(flatten_operator(rep.B_of(x))))
+            MatPoly([flatten_operator(rep.B_of(x))]))
         inner = factor if inner is None else factor.dot(inner)
         inner = inner.antiderivative()
-    total_mat = linalg.zeros((total, total), EXACT)
-    for c in inner.coeffs:
-        total_mat = total_mat + c
-    return unflatten_matrix(space, total_mat, -k, EXACT)
+    return GradedOperator.from_matrix(space, -k, sum(inner.coeffs[1:], inner.coeffs[0]), EXACT)
 
 
 def dg_module_exact(rep, letters):
@@ -421,8 +404,8 @@ class ChainModule:
     def act_point(self, prefix) -> GradedOperator:
         if self.flat is None:
             return point_value(self.rep, prefix)
-        return unflatten_matrix(self.flat.space, PointEvaluator(self.flat, prefix=prefix).value(),
-                                0, FLOAT)
+        value = PointEvaluator(self.flat, prefix=prefix).value()
+        return GradedOperator.from_matrix(self.flat.space, 0, value, FLOAT)
 
 
 def differentiate_module(module, h: float, richardson: bool = False):

@@ -44,10 +44,9 @@ def zeros(shape, mode: str):
     return np.zeros(shape)
 
 
-def eye(n: int, mode: str):
-    out = zeros((n, n), mode)
-    for i in range(n):
-        out[i, i] = Fraction(1) if mode == EXACT else 1.0
+def eye(n: int):
+    out = zeros((n, n), EXACT)
+    out[np.arange(n), np.arange(n)] = Fraction(1)
     return out
 
 
@@ -60,17 +59,24 @@ def as_float(a):
 
 
 def parse_scalar(s, mode: str):
-    """Parse a JSON scalar: number, or "p/q" string."""
+    """Parse a JSON scalar: number, or "p/q" string.  ``ValueError`` for a
+    zero denominator, a non-finite number, or an exact-mode float that its
+    nearest fraction with denominator at most 10^12 does not reproduce."""
     if isinstance(s, str):
         num, _, den = s.partition("/")
-        frac = Fraction(int(num), int(den)) if den else Fraction(int(num))
+        if not int(den or 1):
+            raise ValueError(f"zero denominator in {s!r}")
+        frac = Fraction(int(num), int(den or 1))
     elif isinstance(s, int):
         frac = Fraction(s)
+    elif not math.isfinite(s):
+        raise ValueError(f"non-finite number {s!r}")
+    elif mode != EXACT:
+        return float(s)
     else:
-        if mode == EXACT:
-            frac = Fraction(s).limit_denominator(10**12)
-        else:
-            return float(s)
+        frac = Fraction(s).limit_denominator(10**12)
+        if float(frac) != s:
+            raise ValueError(f"{s!r} is not exactly {frac}; write it as a \"p/q\" string")
     return frac if mode == EXACT else float(frac)
 
 
@@ -190,7 +196,7 @@ def exp_terms(a, t=1):
     """Terms t^m a^m / m! of the exact exponential series, up to the last
     nonzero one; ``ModeError`` unless the series terminates (nilpotent a)."""
     a = np.asarray(a)
-    terms = [eye(a.shape[0], EXACT)]
+    terms = [eye(a.shape[0])]
     for m in range(1, 2 * a.shape[0] + 2):
         term = terms[-1].dot(a) * Fraction(Fraction(t), m)
         if is_zero(term):
@@ -217,8 +223,8 @@ def phi1(a):
     a = np.asarray(a)
     n = a.shape[0]
     if mode_of(a) == EXACT:
-        acc = eye(n, EXACT)
-        term = eye(n, EXACT)
+        acc = eye(n)
+        term = eye(n)
         for m in range(1, 2 * n + 2):
             term = term.dot(a) * Fraction(1, m + 1)
             if is_zero(term):

@@ -12,15 +12,14 @@ the monoidal structure.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import partial
 
 import numpy as np
 
 from . import ce, linalg
 from .graded import (CochainComplex, GradedOperator, GradedVectorSpace,
-                     compose, dual_complex, dual_operator, graded_commutator,
-                     tensor_complex, tensor_operator)
+                     compose, dual_complex, dual_operator, dual_space, graded_commutator,
+                     tensor_basis_index, tensor_complex, tensor_operator, tensor_space)
 from .linalg import EXACT
 
 
@@ -180,7 +179,7 @@ def _chain_operators(algebra, coefficients: LieRep, basis):
     def b_image(idx, element):
         subset, q, i = element
         ins = ce.insert_element(subset, idx)
-        return {} if ins is None else {(ins[1], q, i): ins[0] * _one(mode)}
+        return {} if ins is None else {(ins[1], q, i): ins[0]}
 
     def l_image(idx, element):
         subset, q, i = element
@@ -193,7 +192,7 @@ def _chain_operators(algebra, coefficients: LieRep, basis):
                     # replace slot ``pos`` by [e_idx, e_s], resorted
                     key = (ins[1], q, i)
                     out[key] = out.get(key, 0) + (-1) ** pos * ins[0] * c[idx, s, r]
-        for j, coeff in ce._coefficient_columns(coefficients.action(idx).blocks.get(q), i):
+        for j, coeff in coefficients.action(idx).column(q, i):
             out[(subset, q, j)] = out.get((subset, q, j), 0) + coeff
         return out
 
@@ -226,10 +225,6 @@ def cochain_rep(algebra, coefficients: LieRep) -> CartanRep:
     L = [cec.basis.transpose(op, lambda q: -1) for op in L]
     B = [cec.basis.transpose(op, lambda q: -1 if q % 2 else 1) for op in B]
     return CartanRep(algebra, cec.complex, L, B)
-
-
-def _one(mode):
-    return Fraction(1) if mode == EXACT else 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -279,64 +274,17 @@ def evaluation_pairing_residual(rep: CartanRep) -> float:
 
 def _pairing_functional(rep: CartanRep) -> GradedOperator:
     """ev: (V ox V*)^0 -> R, v ox phi -> phi(v)."""
-    from .graded import tensor_basis_index, tensor_space, dual_space
     vs = rep.complex.space
     ds = dual_space(vs)
-    ts = tensor_space(vs, ds)
-    target = GradedVectorSpace({0: 1})
-    mode = rep.mode
-    block = linalg.zeros((1, ts.dim(0)), mode)
-    for p in vs.degrees:
-        for i in range(vs.dim(p)):
-            _, col = tensor_basis_index(vs, ds, p, i, -p, i)
-            block[0, col] = _one(mode)
-    return GradedOperator(ts, target, 0, {0: block}, mode=mode)
+    entries = [(0, 0, tensor_basis_index(vs, ds, p, i, -p, i)[1], 1)
+               for p in vs.degrees for i in range(vs.dim(p))]
+    return GradedOperator.from_entries(tensor_space(vs, ds), GradedVectorSpace({0: 1}), 0,
+                                       entries, rep.mode)
 
 
 # ---------------------------------------------------------------------------
 # morphism spaces and the adjunction
 # ---------------------------------------------------------------------------
-
-def _intertwiner_system(source, target, pairs, mode):
-    """Matrix of the linear system phi T = T' phi in the blocks of phi.
-
-    The unknowns are the blocks phi_k, each row-major at ``offsets[k]``;
-    each pair and source degree k gives an (rt, cs, unknowns) block of
-    equations phi_{k+d} T_k - T'_k phi_k = 0, indexed by the entry (r, c).
-    """
-    offsets, pos = {}, 0
-    for k in source.degrees:
-        if target.dim(k):
-            offsets[k] = pos
-            pos += target.dim(k) * source.dim(k)
-    eqs = [linalg.zeros((0, pos), mode)]
-    for op_s, op_t in pairs:
-        d = op_s.degree
-        for k in source.degrees:
-            rt, cs = target.dim(k + d), source.dim(k)
-            eq = linalg.zeros((rt, cs, pos), mode)
-            ts, tt = op_s.blocks.get(k), op_t.blocks.get(k)
-            if ts is not None and k + d in offsets:
-                # phi_{k+d} T_k: T_k^T on the (r, r) sub-blocks
-                base, ms = offsets[k + d], source.dim(k + d)
-                view = eq[:, :, base:base + rt * ms].reshape(rt, cs, rt, ms)
-                view[np.arange(rt), :, np.arange(rt), :] = ts.T
-            if tt is not None and k in offsets:
-                # T'_k phi_k: -T'_k on the (c, c) sub-blocks
-                base, mt = offsets[k], target.dim(k)
-                view = eq[:, :, base:base + mt * cs].reshape(rt, cs, mt, cs)
-                view[:, np.arange(cs), :, np.arange(cs)] -= tt
-            eqs.append(eq.reshape(rt * cs, pos))
-    return np.concatenate(eqs), offsets, pos
-
-
-def _vec_to_operator(vec, offsets, source, target, mode):
-    blocks = {}
-    for k, base in offsets.items():
-        rt, cs = target.dim(k), source.dim(k)
-        blocks[k] = vec[base:base + rt * cs].reshape(rt, cs)
-    return GradedOperator(source, target, 0, blocks, mode=mode)
-
 
 def hom_space(a, b, tol=linalg.DEFAULT_TOL):
     """Basis of degree-0 chain maps commuting with every generator.
@@ -352,35 +300,43 @@ def hom_space(a, b, tol=linalg.DEFAULT_TOL):
         pairs += list(zip(a.L, b.L)) + list(zip(a.B, b.B))
     else:
         pairs += list(zip(a.operators, b.operators))
-    mat, offsets, n_unknowns = _intertwiner_system(a.complex.space, b.complex.space, pairs, mode)
-    if n_unknowns == 0:
+    source, target = a.complex.space, b.complex.space
+    mat = _intertwiner_system(source, target, pairs, mode)
+    if mat.shape[1] == 0:
         return []
-    basis = linalg.nullspace(mat, tol)
-    return [_vec_to_operator(v, offsets, a.complex.space, b.complex.space, mode) for v in basis]
+    return [GradedOperator.from_block_entries(source, target, 0, v, mode)
+            for v in linalg.nullspace(mat, tol)]
+
+
+def _intertwiner_system(source, target, pairs, mode):
+    """Matrix of phi A = A' phi, one pair (A, A') after another, in the
+    entries of phi.  A degree-0 phi: V -> W is a degree-0 element of W ox V*,
+    where phi A - A' phi is (1 ox A* - A' ox 1) phi, A* the transpose of A
+    with its Koszul sign undone; each pair gives the degree-0 block of that
+    operator.  The unknowns are the blocks of phi by degree, each row-major
+    (the layout of ``GradedOperator.from_block_entries``)."""
+    dual = dual_space(source)
+    id_s, id_t = GradedOperator.identity(dual, mode), GradedOperator.identity(target, mode)
+    eqs = []
+    for op_s, op_t in pairs:
+        odd = op_s.degree % 2
+        transpose = dual_operator(op_s, dual, lambda q: -1 if odd and q % 2 else 1)
+        eqs.append((tensor_operator(id_t, transpose) - tensor_operator(op_t, id_s)).block(0))
+    return np.concatenate(eqs)
 
 
 def induced_map(v_rep: LieRep, w_rep: CartanRep, phi0: GradedOperator) -> GradedOperator:
     """Extend a degree-0 map V -> W to the chain complex of V by letting
     each subset act through the degree-(-1) operators of W."""
     basis = ce.CEBasis(v_rep.algebra.n, v_rep.complex.space, "chain")
-    source = basis.space
-    target = w_rep.complex.space
-    mode = w_rep.mode
-    blocks = {}
+    entries = []
     for deg, elements in basis.elements.items():
-        if not target.dim(deg):
-            continue
-        block = blocks[deg] = linalg.zeros((target.dim(deg), len(elements)), mode)
         for c, (subset, q, i) in enumerate(elements):
-            img = phi0.apply({q: linalg.unit_vector(v_rep.complex.space.dim(q), i, mode)})
-            op = None
+            img = phi0.apply({q: linalg.unit_vector(v_rep.complex.space.dim(q), i, w_rep.mode)})
             for idx in reversed(subset):
-                op = w_rep.B[idx] if op is None else compose(w_rep.B[idx], op)
-            if op is not None:
-                img = op.apply(img)
-            if deg in img:
-                block[:, c] = img[deg]
-    return GradedOperator(source, target, 0, blocks, mode=mode)
+                img = w_rep.B[idx].apply(img)
+            entries += [(deg, r, c, v) for r, v in enumerate(img.get(deg, [])) if v != 0]
+    return GradedOperator.from_entries(basis.space, w_rep.complex.space, 0, entries, w_rep.mode)
 
 
 def intertwiner_residual(op: GradedOperator, a: CartanRep, b: CartanRep) -> float:

@@ -9,6 +9,8 @@ are listed for i < j only.
 import json
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from . import linalg, reps
 from .graded import CochainComplex, GradedOperator, GradedVectorSpace
 from .lie import LieAlgebra
@@ -78,21 +80,17 @@ def dump_algebra(algebra: LieAlgebra):
             "name": algebra.name}
 
 
-def _parse_blocks(payload, space, degree, mode):
+def load_operator(payload, space, degree, mode) -> GradedOperator:
+    """Each block must be exactly (dim target) rows x (dim source) columns."""
     blocks = {}
     for key, rows in (payload or {}).items():
         k = int(key)
-        mat = linalg.zeros((space.dim(k + degree), space.dim(k)), mode)
-        for r, row in enumerate(rows):
-            for c, v in enumerate(row):
-                mat[r, c] = linalg.parse_scalar(v, mode)
-        blocks[k] = mat
-    return blocks
-
-
-def load_operator(payload, space, degree, mode) -> GradedOperator:
-    return GradedOperator(space, space, degree,
-                          _parse_blocks(payload, space, degree, mode), mode=mode)
+        shape = (space.dim(k + degree), space.dim(k))
+        if len(rows) != shape[0] or any(len(row) != shape[1] for row in rows):
+            raise ValueError(f"block {k} must be {shape[0]} x {shape[1]}")
+        blocks[k] = np.array([[linalg.parse_scalar(v, mode) for v in row] for row in rows],
+                             dtype=object if mode == EXACT else float).reshape(shape)
+    return GradedOperator(space, space, degree, blocks, mode=mode)
 
 
 def dump_operator(op: GradedOperator):

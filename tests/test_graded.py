@@ -1,5 +1,6 @@
 """Graded operators, Koszul signs, tensor complexes."""
 
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cartankit import linalg
+from cartankit import cli, linalg
 from cartankit.ce import ce_chain, ce_cochain
 from cartankit.graded import (CochainComplex, GradedOperator, GradedVectorSpace,
                               compose, dual_complex, dual_operator, dual_space,
@@ -279,3 +280,142 @@ def test_results_store_only_nonzero_blocks(functor):
             if x.degree == y.degree:
                 _assert_stored_blocks_nonzero(x + y)
                 _assert_stored_blocks_nonzero(x - y)
+
+
+# ---------------------------------------------------------------------------
+# sparse storage against dense references built from block(k)
+# ---------------------------------------------------------------------------
+
+_DEGREES = (-1, 0, 1)
+
+
+def _random_entry(rng, mode):
+    value = Fraction(int(rng.integers(-6, 7)), int(rng.choice([1, 2, 3, 4, 6, 7])))
+    return value if mode == EXACT else float(value)
+
+
+def _sparse_random_op(space, degree, rng, mode):
+    """Mostly zero operator with rational entries of mixed denominators."""
+    blocks = {}
+    for k in space.degrees:
+        block = linalg.zeros((space.dim(k + degree), space.dim(k)), mode)
+        for idx in np.ndindex(block.shape):
+            if rng.random() < 0.3:
+                block[idx] = _random_entry(rng, mode)
+        blocks[k] = block
+    return GradedOperator(space, space, degree, blocks, mode=mode)
+
+
+def _dense(op):
+    return {k: op.block(k) for k in op.source.degrees}
+
+
+def _tensor_index(v, w, p, i, q, j):
+    """Offset of v_i^p ox w_j^q in (V ox W)^(p+q): the (p', q') pairs by
+    increasing p', Kronecker order inside each pair."""
+    start = sum(v.dim(pp) * w.dim(p + q - pp) for pp in v.degrees if pp < p)
+    return start + i * w.dim(q) + j
+
+
+def _assert_blocks(op, want, mode):
+    """op.block(k) equals want[k] (zero where absent): exactly in exact
+    mode, to rounding in float mode."""
+    for k in op.source.degrees:
+        got = op.block(k)
+        ref = want.get(k, linalg.zeros(got.shape, mode))
+        if mode == EXACT:
+            assert got.dtype == object and all(isinstance(v, Fraction) for v in got.flat)
+            assert np.array_equal(got, ref)
+        else:
+            assert got.dtype == float and np.allclose(got, np.asarray(ref, dtype=float),
+                                                      rtol=0, atol=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 31 - 1), st.sampled_from([EXACT, FLOAT]),
+       st.sampled_from(_DEGREES), st.sampled_from(_DEGREES))
+def test_sparse_storage_matches_dense_reference(seed, mode, df, dg):
+    rng = np.random.default_rng(seed)
+    space = _space({k: int(rng.integers(0, 5)) for k in _DEGREES})
+    f = _sparse_random_op(space, df, rng, mode)
+    g = _sparse_random_op(space, dg, rng, mode)
+    h = _sparse_random_op(space, df, rng, mode)
+    bf, bg, bh = _dense(f), _dense(g), _dense(h)
+    assert f.blocks.keys() == {k for k, b in bf.items() if b.any()}
+    _assert_blocks(compose(f, g), {k: bf[k + dg].dot(b) for k, b in bg.items()
+                                   if k + dg in bf}, mode)
+    _assert_blocks(f + h, {k: bf[k] + bh[k] for k in bf}, mode)
+    _assert_blocks(f - h, {k: bf[k] - bh[k] for k in bf}, mode)
+    c = Fraction(-3, 4) if mode == EXACT else -0.75
+    _assert_blocks(c * f, {k: c * b for k, b in bf.items()}, mode)
+    want_norm = max((linalg.max_abs(b) for b in bf.values()), default=0.0)
+    assert f.norm() == want_norm
+    vec = {k: np.array([_random_entry(rng, mode) for _ in range(space.dim(k))], dtype=object
+                       if mode == EXACT else float) for k in space.degrees}
+    out = f.apply(vec)
+    assert out.keys() == {k + df for k, b in bf.items() if b.any()}
+    for k in f.blocks:
+        want = bf[k].dot(vec[k])
+        same = np.array_equal if mode == EXACT else np.allclose
+        assert same(out[k + df], want)
+    dual = dual_space(space)
+    sign = lambda q: -1 if q % 2 else 1      # noqa: E731
+    _assert_blocks(dual_operator(f, dual, sign),
+                   {q: sign(q) * bf[-q - df].T for q in dual.degrees if -q - df in bf}, mode)
+    tensor = tensor_operator(f, g)
+    ts = tensor.source
+    want = {n: linalg.zeros((ts.dim(n + df + dg), ts.dim(n)), mode) for n in ts.degrees}
+    for p in space.degrees:
+        for q in space.degrees:
+            koszul = -1 if (p % 2) and (dg % 2) else 1
+            for i in range(space.dim(p)):
+                for j in range(space.dim(q)):
+                    col = _tensor_index(space, space, p, i, q, j)
+                    assert tensor_basis_index(space, space, p, i, q, j) == (p + q, col)
+                    for r in range(space.dim(p + df)):
+                        for s in range(space.dim(q + dg)):
+                            row = _tensor_index(space, space, p + df, r, q + dg, s)
+                            want[p + q][row, col] += koszul * bf[p][r, i] * bg[q][s, j]
+    _assert_blocks(tensor, want, mode)
+
+
+def test_exact_blocks_are_fractions_and_only_nonzero_blocks_are_stored():
+    g = sl2()
+    rep = chain_rep(g, adjoint_rep(g, mode=EXACT))
+    for op in rep.L + rep.B + [rep.differential]:
+        assert op.blocks.keys() == {k for k in op.source.degrees if op.block(k).any()}
+        for k in op.source.degrees:
+            block = op.block(k)
+            assert block.dtype == object and all(isinstance(v, Fraction) for v in block.flat)
+        with pytest.raises(TypeError):
+            op.blocks[99] = None
+
+
+def test_exact_overflow_raises_mode_error():
+    space = _space({0: 1})
+    big = GradedOperator(space, space, 0, {0: np.array([[Fraction(2 ** 40)]], dtype=object)})
+    with pytest.raises(ModeError, match="int64"):
+        compose(big, big)
+    near = GradedOperator(space, space, 0, {0: np.array([[Fraction(2 ** 62)]], dtype=object)})
+    with pytest.raises(ModeError, match="int64"):
+        near + near
+    with pytest.raises(ModeError, match="int64"):
+        GradedOperator(space, space, 0, {0: np.array([[Fraction(2 ** 63)]], dtype=object)})
+    assert (Fraction(1, 2 ** 40) * big).norm() == 1.0
+
+
+def test_cli_exit_two_on_exact_overflow(tmp_path, capsys):
+    payload = {
+        "schema": "cartankit/1",
+        "lie_algebra": {"dim": 3, "brackets": [
+            {"i": 0, "j": 1, "coeffs": {"2": "1"}}, {"i": 0, "j": 2, "coeffs": {"0": "-2"}},
+            {"i": 1, "j": 2, "coeffs": {"1": "2"}}]},
+        "lie_representations": {"big": {
+            "degrees": {"0": 1}, "R": [{"0": [["4000000000"]]}, {"0": [[0]]}, {"0": [[0]]}]}},
+    }
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(payload))
+    code = cli.main(["ce", str(path), "--rep", "big", "--mode", "exact"])
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert code == 2
+    assert len(lines) == 1 and "int64" in lines[0]

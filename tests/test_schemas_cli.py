@@ -2,6 +2,7 @@
 
 import json
 import pathlib
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -368,3 +369,52 @@ def test_cli_exact_output_matches_pinned_file(capsys, monkeypatch):
         out = capsys.readouterr().out
         lines.append(json.dumps({"argv": argv, "exit": code, "stdout": out}, sort_keys=True))
     assert "\n".join(lines) + "\n" == pinned
+
+
+def _variant_file(tmp_path, edit):
+    payload = json.loads(json.dumps(SL2_PAYLOAD))
+    edit(payload)
+    path = tmp_path / "variant.json"
+    path.write_text(json.dumps(payload))
+    return str(path)
+
+
+def _set_bracket(value):
+    def edit(payload):
+        payload["lie_algebra"]["brackets"][0]["coeffs"]["2"] = value
+    return edit
+
+
+@pytest.mark.parametrize("value", ["1/0", float("inf")], ids=["zero_denominator", "infinity"])
+@pytest.mark.parametrize("argv", [
+    ["check-lie"],
+    ["verify-cartan", "--rep", "chain_trivial"],
+    ["ce", "--rep", "trivial", "--mode", "exact"],
+], ids=["check_lie", "verify_cartan", "ce_exact"])
+def test_cli_exit_two_on_arithmetic_errors(tmp_path, capsys, argv, value):
+    code = cli.main(argv[:1] + [_variant_file(tmp_path, _set_bracket(value))] + argv[1:])
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert code == 2
+    assert len(lines) == 1 and "malformed problem file" in lines[0]
+
+
+def test_exact_parsing_rejects_floats_it_would_round(tmp_path):
+    # 1e-13 has no fraction with denominator <= 10^12 that rounds back to it
+    for mode in ("exact", "float"):
+        with pytest.raises(schemas.ProblemError, match='"p/q"'):
+            schemas.load_problem(_variant_file(tmp_path, _set_bracket(1e-13)), mode=mode)
+    for value, frac in ((0.1, Fraction(1, 10)), (2.5e-12, Fraction(1, 400000000000))):
+        prob = schemas.load_problem(_variant_file(tmp_path, _set_bracket(value)))
+        assert prob.algebra.c[0, 1, 2] == frac
+
+
+def test_cli_exit_two_on_misshapen_blocks(tmp_path, capsys):
+    def edit(payload):
+        payload["lie_representations"]["short"] = {
+            "degrees": {"0": 2}, "R": [{"0": []}, {"0": []}, {"0": []}]}
+    path = _variant_file(tmp_path, edit)
+    code = cli.main(["ce", path, "--rep", "short", "--mode", "exact", "--flavor", "chain"])
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert code == 2
+    assert len(lines) == 1 and "malformed Lie representation 'short'" in lines[0]
+    assert lines[0].endswith("block 0 must be 2 x 2")
