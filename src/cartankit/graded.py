@@ -5,11 +5,12 @@ its degrees in increasing order, and a graded operator is one sparse matrix
 over the layouts of its source and target: row-major sorted arrays of its
 nonzero entries, float64 in float mode and int64 numerators over one common
 denominator in exact mode, reduced by their gcd after every operation.  An
-exact operation whose numerators could leave int64 (bound: max|A| * max|B|
-* terms per entry, likewise for sums and scalar multiples) raises
-``ModeError``; nothing wraps around or falls back to float.  Only this
-module knows the layout.  Every constructed complex verifies that its
-differential (of degree +1) squares to zero.
+exact operation whose numerators could leave int64 raises ``ModeError``:
+a product entry that does not fit once summed exactly, or a tensor product,
+sum or scalar multiple over its bound (max|A| * max|B| and the like).
+Nothing wraps around or falls back to float.  Only this module knows the
+layout.  Every constructed complex verifies that its differential (of
+degree +1) squares to zero.
 """
 
 import math
@@ -23,10 +24,11 @@ from . import linalg
 from .linalg import EXACT, FLOAT, ModeError
 
 _NONE = np.zeros(0, dtype=int)
+_MAX = 2 ** 63 - 1
 
 
 def _check_int64(bound, what):
-    if bound > 2 ** 63 - 1:
+    if bound > _MAX:
         raise ModeError(f"exact {what} could overflow int64 numerators (bound {bound:.3e})")
 
 
@@ -266,19 +268,26 @@ def _new(source, target, degree, mode, rows, cols, data, den=1) -> GradedOperato
 def compose(f: GradedOperator, g: GradedOperator) -> GradedOperator:
     """f after g; degree adds.  One sparse product: each entry of f meets the
     row of g its column selects, and each output entry sums its terms by
-    increasing inner index."""
+    increasing inner index.  When max|f| * max|g| * terms per entry could
+    leave int64, the exact entries are summed as Python ints and ``ModeError``
+    is raised only if a reduced one does not fit."""
     if g.target != f.source:
         raise ValueError("compose: target of g differs from source of f")
     if f.mode != g.mode:
         raise ModeError("compose: mixed modes")
-    if f.mode == EXACT and len(f._data):
-        _check_int64(f._max() * g._max() * int(np.bincount(f._rows).max()), "compose")
     starts = np.searchsorted(g._rows, np.arange(g.target.total_dim + 1))
     counts = starts[f._cols + 1] - starts[f._cols]
     mine = np.repeat(np.arange(len(f._cols)), counts)
     theirs = np.arange(len(mine)) + np.repeat(starts[f._cols] - np.cumsum(counts) + counts, counts)
-    return _new(g.source, f.target, f.degree + g.degree, f.mode, f._rows[mine], g._cols[theirs],
-                f._data[mine] * g._data[theirs], f._den * g._den)
+    a, b = f._data[mine], g._data[theirs]
+    wide = f.mode == EXACT and len(mine) and \
+        f._max() * g._max() * int(np.bincount(f._rows).max()) > _MAX
+    out = _new(g.source, f.target, f.degree + g.degree, f.mode, f._rows[mine], g._cols[theirs],
+               a.astype(object) * b.astype(object) if wide else a * b, f._den * g._den)
+    if wide:
+        _check_int64(out._max(), "compose")
+        out._data = out._data.astype(np.int64)
+    return out
 
 
 def graded_commutator(f: GradedOperator, g: GradedOperator) -> GradedOperator:
@@ -375,10 +384,27 @@ def flatten_operator(op: GradedOperator):
     return op._dense(op._rows, op._cols, op._data, (op.target.total_dim, op.source.total_dim))
 
 
+def exp_terms(op: GradedOperator, t=1):
+    """Terms t^m op^m / m! of the exact exponential series of a degree-0
+    operator, up to the last one with a stored entry; ``ModeError`` unless
+    the series terminates (nilpotent op)."""
+    terms = [GradedOperator.identity(op.source, EXACT)]
+    for m in range(1, op.source.total_dim + 2):
+        term = Fraction(Fraction(t), m) * compose(terms[-1], op)
+        if not len(term._data):
+            return terms
+        terms.append(term)
+    raise ModeError("exponential series does not terminate in exact mode")
+
+
 def exp_operator(op: GradedOperator, t=1) -> GradedOperator:
-    """Blockwise exponential of a degree-0 operator."""
+    """Exponential of a degree-0 operator: the sum of ``exp_terms`` in exact
+    mode, blockwise ``linalg.expm`` in float mode."""
     if op.degree != 0:
         raise ValueError("exp_operator needs a degree-0 operator")
+    if op.mode == EXACT:
+        terms = exp_terms(op, t)
+        return sum(terms[1:], terms[0])
     blocks = {k: linalg.expm(op.block(k), t) for k in op.source.degrees}
     return GradedOperator(op.source, op.source, 0, blocks, mode=op.mode)
 

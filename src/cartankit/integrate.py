@@ -19,7 +19,7 @@ import numpy as np
 from . import linalg
 from .evaluators import (ChainCombination, Evaluator, FlatRep,
                          PointEvaluator, WordEvaluator, boundary, ez_product)
-from .graded import (GradedOperator, compose, exp_operator, flatten_operator,
+from .graded import (GradedOperator, compose, exp_operator, exp_terms, flatten_operator,
                      graded_commutator, tensor_operator)
 from .linalg import EXACT, FLOAT
 
@@ -143,51 +143,48 @@ def series_coefficient(js, exact: bool):
 
 def integrate_series(rep, letters, max_degree: int = DEFAULT_SERIES_CAP) -> GradedOperator:
     """Sum of B_1 A_1^{j_1} ... B_k A_k^{j_k} with the simplex moment
-    coefficients; terminates exactly on nilpotent exact inputs."""
+    coefficients.  Float mode sums dense matrices layer by layer to a
+    tolerance; exact mode composes operators up to each letter's nilpotency
+    cap, so it terminates exactly on nilpotent inputs."""
     k = len(letters)
     space = rep.complex.space
     mode = rep.mode
     if k == 0:
         return GradedOperator.identity(space, mode)
-    total = space.total_dim
-    A = [flatten_operator(rep.L_of(x)) for x in letters]
-    B = [flatten_operator(rep.B_of(x)) for x in letters]
     if mode == EXACT:
-        caps = [len(linalg.exp_terms(a)) - 1 for a in A]     # highest nonzero power
+        A = [rep.L_of(x) for x in letters]
+        B = [rep.B_of(x) for x in letters]
+        caps = [len(exp_terms(a)) - 1 for a in A]     # highest nonzero power
         top = sum(caps)
+        dot, zero = compose, GradedOperator.zero(space, space, -k, mode)
     else:
+        A = [flatten_operator(rep.L_of(x)) for x in letters]
+        B = [flatten_operator(rep.B_of(x)) for x in letters]
         caps = [max_degree] * k
         top = max_degree
+        dot, zero = np.dot, linalg.zeros((space.total_dim, space.total_dim), mode)
     powers = []
     for i in range(k):
         ps = [B[i]]
         for m in range(1, caps[i] + 1):
-            ps.append(ps[-1].dot(A[i]))
+            ps.append(dot(ps[-1], A[i]))
         powers.append(ps)        # powers[i][j] = B_i A_i^j
-    acc = linalg.zeros((total, total), mode)
+    acc = zero
     for layer in range(0, top + 1):
-        layer_sum = linalg.zeros((total, total), mode)
-        hit = False
+        layer_sum = zero
         for js in compositions(layer, k):
-            if any(j > caps[i] for i, j in enumerate(js)):
-                continue
-            hit = True
-            term = powers[0][js[0]]
-            for i in range(1, k):
-                term = term.dot(powers[i][js[i]])
-            layer_sum = layer_sum + series_coefficient(js, mode == EXACT) * term
+            if all(j <= cap for j, cap in zip(js, caps)):
+                term = powers[0][js[0]]
+                for i in range(1, k):
+                    term = dot(term, powers[i][js[i]])
+                layer_sum = layer_sum + series_coefficient(js, mode == EXACT) * term
         acc = acc + layer_sum
-        if mode == FLOAT:
-            tol = DEFAULT_SERIES_TOL * (1.0 + linalg.max_abs(acc))
-            if linalg.max_abs(layer_sum) < tol and layer >= 1:
-                return GradedOperator.from_matrix(space, -k, acc, mode)
-            if not hit:
-                break
-        elif not hit:
-            break
-    if mode == FLOAT and top >= max_degree:
-        raise ConvergenceError(f"series did not converge within total degree {max_degree}")
-    return GradedOperator.from_matrix(space, -k, acc, mode)
+        if mode == FLOAT and layer >= 1 and \
+                linalg.max_abs(layer_sum) < DEFAULT_SERIES_TOL * (1.0 + linalg.max_abs(acc)):
+            return GradedOperator.from_matrix(space, -k, acc, mode)
+    if mode == EXACT:
+        return acc
+    raise ConvergenceError(f"series did not converge within total degree {max_degree}")
 
 
 # ---------------------------------------------------------------------------
@@ -195,56 +192,49 @@ def integrate_series(rep, letters, max_degree: int = DEFAULT_SERIES_CAP) -> Grad
 # ---------------------------------------------------------------------------
 
 class MatPoly:
-    """Polynomial in one variable with matrix coefficients."""
+    """Polynomial in one variable whose coefficients are exact operators."""
 
     def __init__(self, coeffs):
-        self.coeffs = [np.asarray(c) for c in coeffs]
+        self.coeffs = list(coeffs)
 
     def dot(self, other):
-        shape = (self.coeffs[0].shape[0], other.coeffs[0].shape[1])
-        out = [linalg.zeros(shape, EXACT)
-               for _ in range(len(self.coeffs) + len(other.coeffs) - 1)]
+        out = [None] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a.dot(b)
+                ab = compose(a, b)
+                out[i + j] = ab if out[i + j] is None else out[i + j] + ab
         return MatPoly(out)
 
     def integrate_01(self):
-        total = linalg.zeros(self.coeffs[0].shape, EXACT)
-        for m, c in enumerate(self.coeffs):
-            total = total + Fraction(1, m + 1) * c
-        return total
+        return sum((Fraction(1, m + 1) * c for m, c in enumerate(self.coeffs[1:], 1)),
+                   self.coeffs[0])
 
     def antiderivative(self):
         """s -> integral from 0 to s, as a polynomial."""
-        out = [linalg.zeros(self.coeffs[0].shape, EXACT)]
-        for m, c in enumerate(self.coeffs):
-            out.append(Fraction(1, m + 1) * c)
-        return MatPoly(out)
+        return MatPoly([0 * self.coeffs[0]] + [Fraction(1, m + 1) * c
+                                               for m, c in enumerate(self.coeffs)])
 
 
 def exp_poly(a, scale=Fraction(1)) -> MatPoly:
-    """exp(scale * s * a) as a terminating matrix polynomial in s."""
-    return MatPoly(linalg.exp_terms(a, scale))
+    """exp(scale * s * a) as a terminating operator polynomial in s."""
+    return MatPoly(exp_terms(a, scale))
 
 
 def merged_pair_integral_exact(rep, x, y) -> GradedOperator:
     """Exact integral over [0,1] of the pullback along s -> exp(sx) exp(sy)."""
     if rep.mode != EXACT:
         raise linalg.ModeError("exact route requires exact mode")
-    ax = flatten_operator(rep.L_of(x))
-    ay = flatten_operator(rep.L_of(y))
-    rho = exp_poly(ax).dot(exp_poly(ay))
-    ad_neg_y = exp_poly(rep.algebra.ad(rep.algebra.vector(list(y))), Fraction(-1))
+    rho = exp_poly(rep.L_of(x)).dot(exp_poly(rep.L_of(y)))
+    algebra = rep.algebra
+    ad_neg_y = exp_terms(algebra.ad_operator(algebra.vector(list(y))), Fraction(-1))
     # xi(s) = Ad_{exp(-s y)} x + y, coefficientwise through the B action
     bxi_coeffs = []
-    for m, c in enumerate(ad_neg_y.coeffs):
-        vec = c.dot(np.asarray(x))
+    for m, c in enumerate(ad_neg_y):
+        vec = c.apply({0: np.asarray(x)})[0]
         if m == 0:
             vec = vec + np.asarray(y)
-        bxi_coeffs.append(flatten_operator(rep.B_of(vec)))
-    density = rho.dot(MatPoly(bxi_coeffs))
-    return GradedOperator.from_matrix(rep.complex.space, -1, density.integrate_01(), EXACT)
+        bxi_coeffs.append(rep.B_of(vec))
+    return rho.dot(MatPoly(bxi_coeffs)).integrate_01()
 
 
 def point_value(rep, prefix) -> GradedOperator:
@@ -264,17 +254,14 @@ def word_integral_polynomial_exact(rep, letters) -> GradedOperator:
     """
     if rep.mode != EXACT:
         raise linalg.ModeError("polynomial route requires exact mode")
-    space = rep.complex.space
-    k = len(letters)
-    if k == 0:
-        return GradedOperator.identity(space, EXACT)
+    if not letters:
+        return GradedOperator.identity(rep.complex.space, EXACT)
     inner = None
     for x in reversed(letters):
-        factor = exp_poly(flatten_operator(rep.L_of(x))).dot(
-            MatPoly([flatten_operator(rep.B_of(x))]))
+        factor = exp_poly(rep.L_of(x)).dot(MatPoly([rep.B_of(x)]))
         inner = factor if inner is None else factor.dot(inner)
         inner = inner.antiderivative()
-    return GradedOperator.from_matrix(space, -k, sum(inner.coeffs[1:], inner.coeffs[0]), EXACT)
+    return sum(inner.coeffs[1:], inner.coeffs[0])
 
 
 def dg_module_exact(rep, letters):

@@ -12,6 +12,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import linalg
+from .graded import GradedOperator, GradedVectorSpace, exp_operator, flatten_operator
 from .linalg import EXACT, FLOAT
 
 
@@ -79,9 +80,16 @@ class LieAlgebra:
                 out[k, j] = sum(c[i, j, k] * x[i] for i in range(self.n))
         return out
 
+    def ad_operator(self, x) -> GradedOperator:
+        """ad_x as a degree-0 operator on the algebra, placed in degree 0."""
+        return GradedOperator.from_matrix(GradedVectorSpace({0: self.n}), 0, self.ad(x),
+                                          linalg.mode_of(x))
+
     def ad_exp(self, x, t=1):
         """exp(t ad_x); exact mode requires nilpotent ad_x."""
-        return linalg.expm(self.ad(x), t)
+        if linalg.mode_of(x) == FLOAT:
+            return linalg.expm(self.ad(x), t)
+        return flatten_operator(exp_operator(self.ad_operator(x), t))
 
     def check_jacobi(self):
         """Max violation of antisymmetry and the Jacobi identity."""

@@ -1,8 +1,10 @@
-"""Dense matrix helpers shared by both scalar modes.
+"""Dense matrix helpers: scalar parsing, exact rank and nullspace, and the
+float matrix exponentials.
 
 Matrices are plain numpy arrays: float64 in float mode, object arrays of
 ``fractions.Fraction`` in exact mode.  The two modes never mix silently;
-``common_mode`` raises when operands disagree.
+``common_mode`` raises when operands disagree.  Exact products, sums and
+exponentials of operators live in ``graded`` on the sparse int64 kernel.
 """
 
 import math
@@ -44,12 +46,6 @@ def zeros(shape, mode: str):
     return np.zeros(shape)
 
 
-def eye(n: int):
-    out = zeros((n, n), EXACT)
-    out[np.arange(n), np.arange(n)] = Fraction(1)
-    return out
-
-
 def as_float(a):
     arr = np.asarray(a)
     if arr.dtype != object:
@@ -60,8 +56,11 @@ def as_float(a):
 
 def parse_scalar(s, mode: str):
     """Parse a JSON scalar: number, or "p/q" string.  ``ValueError`` for a
-    zero denominator, a non-finite number, or an exact-mode float that its
-    nearest fraction with denominator at most 10^12 does not reproduce."""
+    boolean, a zero denominator, a non-finite number, or an exact-mode float
+    that its nearest fraction with denominator at most 10^12 does not
+    reproduce."""
+    if isinstance(s, bool):
+        raise ValueError(f"boolean {str(s).lower()} is not a number")
     if isinstance(s, str):
         num, _, den = s.partition("/")
         if not int(den or 1):
@@ -94,10 +93,6 @@ def max_abs(a) -> float:
     if arr.dtype == object:
         return float(max(abs(v) for v in arr.reshape(-1)))
     return float(np.max(np.abs(arr)))
-
-
-def is_zero(a, tol: float = 0.0) -> bool:
-    return max_abs(a) <= tol
 
 
 # ---------------------------------------------------------------------------
@@ -189,48 +184,26 @@ def unit_vector(n: int, i: int, mode: str):
 
 
 # ---------------------------------------------------------------------------
-# matrix exponentials
+# float matrix exponentials (exact ones are ``graded.exp_terms``)
 # ---------------------------------------------------------------------------
 
-def exp_terms(a, t=1):
-    """Terms t^m a^m / m! of the exact exponential series, up to the last
-    nonzero one; ``ModeError`` unless the series terminates (nilpotent a)."""
+def _float_only(a, what):
     a = np.asarray(a)
-    terms = [eye(a.shape[0])]
-    for m in range(1, 2 * a.shape[0] + 2):
-        term = terms[-1].dot(a) * Fraction(Fraction(t), m)
-        if is_zero(term):
-            return terms
-        terms.append(term)
-    raise ModeError("exponential series does not terminate in exact mode")
+    if mode_of(a) == EXACT:
+        raise ModeError(f"{what} is float-only; exact exponentials sum graded.exp_terms")
+    return a
 
 
 def expm(a, t=1):
-    """exp(t*a) for a square matrix.
-
-    Float mode delegates to scipy's scaling-and-squaring Pade-13 routine.
-    Exact mode sums ``exp_terms``.
-    """
-    a = np.asarray(a)
-    if mode_of(a) == FLOAT:
-        return scipy.linalg.expm(float(t) * a)
-    terms = exp_terms(a, t)
-    return sum(terms[1:], terms[0])
+    """exp(t*a) for a float matrix: scipy's scaling-and-squaring Pade-13
+    routine."""
+    return scipy.linalg.expm(float(t) * _float_only(a, "expm"))
 
 
 def phi1(a):
-    """Sum a^m/(m+1)!  (the entire function (e^a - 1)/a)."""
-    a = np.asarray(a)
+    """Sum a^m/(m+1)!  (the entire function (e^a - 1)/a) of a float matrix."""
+    a = _float_only(a, "phi1")
     n = a.shape[0]
-    if mode_of(a) == EXACT:
-        acc = eye(n)
-        term = eye(n)
-        for m in range(1, 2 * n + 2):
-            term = term.dot(a) * Fraction(1, m + 1)
-            if is_zero(term):
-                return acc
-            acc = acc + term
-        raise ModeError("phi1 series does not terminate in exact mode")
     acc = np.eye(n)
     term = np.eye(n)
     norm = max_abs(a)

@@ -328,6 +328,8 @@ def _intertwiner_system(source, target, pairs, mode):
 def induced_map(v_rep: LieRep, w_rep: CartanRep, phi0: GradedOperator) -> GradedOperator:
     """Extend a degree-0 map V -> W to the chain complex of V by letting
     each subset act through the degree-(-1) operators of W."""
+    if phi0.source != v_rep.complex.space or phi0.target != w_rep.complex.space:
+        raise ValueError("induced_map: phi0 must map the space of V to the space of W")
     basis = ce.CEBasis(v_rep.algebra.n, v_rep.complex.space, "chain")
     entries = []
     for deg, elements in basis.elements.items():

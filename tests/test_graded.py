@@ -404,6 +404,21 @@ def test_exact_overflow_raises_mode_error():
     assert (Fraction(1, 2 ** 40) * big).norm() == 1.0
 
 
+def test_exact_compose_sums_wide_products_exactly():
+    # each numerator product (5 * 2^80) leaves int64, but the entries of the
+    # composite cancel down to numbers that fit, over a reduced denominator
+    space = _space({0: 2})
+    big = Fraction(2 ** 40, 3)
+    f = GradedOperator(space, space, 0, {0: np.array([[big, big], [1, 0]], dtype=object)})
+    g = GradedOperator(space, space, 0, {0: np.array(
+        [[big, Fraction(1, 5)], [-big, Fraction(-1, 5)]], dtype=object)})
+    out = compose(f, g)
+    assert out._data.dtype == np.int64
+    assert np.array_equal(out.block(0), np.array([[0, 0], [big, Fraction(1, 5)]], dtype=object))
+    with pytest.raises(ModeError, match="int64"):
+        compose(g, g)
+
+
 def test_cli_exit_two_on_exact_overflow(tmp_path, capsys):
     payload = {
         "schema": "cartankit/1",

@@ -1,11 +1,15 @@
 """Integration of representation forms: series, quadrature, closed forms,
 Stokes, multiplicativity, product pullbacks, differentiation round trip."""
 
+import json
+import pathlib
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
 
+from cartankit import cli
 from cartankit.evaluators import (FlatRep, MaxCollapseReparam, PermReparam,
                                   WordEvaluator, ez_product)
 from cartankit.graded import (CochainComplex, GradedOperator, GradedVectorSpace,
@@ -20,9 +24,9 @@ from cartankit.integrate import (ChainModule, aw_monoidality_residual,
                                  point_value, pullback_word_closed,
                                  roundtrip_errors, series_coefficient,
                                  simplex_nodes, word_integral_polynomial_exact)
-from cartankit.lie import abelian, sl2
-from cartankit.linalg import EXACT, FLOAT, ModeError, phi1
-from cartankit.reps import (CartanRep, cartan_residuals, chain_rep,
+from cartankit.lie import abelian, heisenberg3, sl2
+from cartankit.linalg import EXACT, FLOAT, ModeError, format_scalar, phi1
+from cartankit.reps import (CartanRep, adjoint_rep, cartan_residuals, chain_rep,
                             trivial_cartan_rep, trivial_lie_rep)
 
 
@@ -331,3 +335,96 @@ def test_aw_route_strict_gap_is_real(sl2_chain_float, sl2_cochain_float, sl2_bas
     # scale; the gap is an order-one fact, not a numerical artifact
     gap = aw_tensor_residual(sl2_chain_float, sl2_cochain_float, [sl2_basis_float[0]])
     assert gap > 0.1
+
+
+# tests/data/integrate_exact.json holds the exact integrals as the dense
+# Fraction routes computed them, before they moved to the sparse int64
+# kernel, as sparse [row, col, "p/q"] entries per source degree: the series,
+# the polynomial route and the point value of every word of length 1-3 over
+# three letters, and the merged pair integral of every pair, on the
+# heisenberg3 chain representations with trivial and adjoint coefficients.
+PINNED_INTEGRALS = json.loads(
+    (pathlib.Path(__file__).parent / "data" / "integrate_exact.json").read_text())
+PINNED_WORDS = [w for k in (1, 2, 3) for w in product(range(3), repeat=k)]
+
+
+def _sparse(op):
+    return {str(k): [[int(r), int(c), format_scalar(b[r, c])] for r, c in zip(*b.nonzero())]
+            for k, b in sorted(op.blocks.items())}
+
+
+@pytest.fixture(scope="module")
+def h3_chain_reps():
+    g = heisenberg3()
+    return {coeff: chain_rep(g, v)
+            for coeff, v in (("trivial", trivial_lie_rep(g)), ("adjoint", adjoint_rep(g)))}
+
+
+@pytest.mark.parametrize("coeff", ["trivial", "adjoint"])
+@pytest.mark.parametrize("route", ["series", "polynomial", "merged", "point"])
+def test_exact_integrals_match_pinned_entries(h3_chain_reps, coeff, route):
+    rep = h3_chain_reps[coeff]
+    letters = [rep.algebra.vector(x) for x in PINNED_INTEGRALS["letters"]]
+    compute = {
+        "series": lambda w: integrate_series(rep, w),
+        "polynomial": lambda w: word_integral_polynomial_exact(rep, w),
+        "merged": lambda w: merged_pair_integral_exact(rep, *w),
+        "point": lambda w: point_value(rep, w),
+    }[route]
+    words = [w for w in PINNED_WORDS if route != "merged" or len(w) == 2]
+    got = {",".join(map(str, w)): _sparse(compute([letters[i] for i in w])) for w in words}
+    assert got == PINNED_INTEGRALS[f"heisenberg3/chain_{coeff}"][route]
+
+
+def test_exact_integration_never_goes_dense(h3_chain_reps, monkeypatch):
+    from cartankit import graded, integrate, lie
+
+    def dense(*args, **kwargs):
+        raise AssertionError("exact integration built a dense operator matrix")
+
+    for module in (graded, integrate, lie):
+        monkeypatch.setattr(module, "flatten_operator", dense, raising=False)
+    monkeypatch.setattr(GradedOperator, "block", dense)
+    for rep in h3_chain_reps.values():
+        x, y, z = [rep.algebra.vector(v) for v in PINNED_INTEGRALS["letters"]]
+        for word in ([x], [x, y], [x, y, z]):
+            integrate_series(rep, word)
+            word_integral_polynomial_exact(rep, word)
+            point_value(rep, word)
+        assert dg_module_exact(rep, [x]) == 0.0
+        assert dg_module_exact(rep, [x, y]) == 0.0
+
+
+def _big_letters(shape, n):
+    if shape == "diagonal":
+        return [[n, 1, 1], [1, n, 3], [2, 1, n]]
+    return [[n, n, n], [n, -n, n], [-n, n, n]]
+
+
+@pytest.mark.parametrize("rep, shape, n, code, block", [
+    ("chain_trivial", "full", 10 ** 4, 0, [["-2000000000000/3"]]),
+    ("chain_trivial", "full", 10 ** 6, 0, [["-2000000000000000000/3"]]),
+    ("chain_trivial", "full", 2 * 10 ** 6, 2, None),
+    ("chain_adjoint", "diagonal", 10 ** 3, 0, None),
+    ("chain_adjoint", "full", 10 ** 4, 0, None),
+    ("chain_adjoint", "full", 10 ** 5, 2, None),
+])
+def test_cli_exact_series_reach_on_large_letters(tmp_path, capsys, rep, shape, n, code, block):
+    """The exact series keeps the reach of exact rationals: a word passes
+    whenever its integral fits int64 numerators, even where intermediate
+    products only fit after their terms cancel (the full letters at 10^6),
+    and exits 2 with one line when the integral itself does not fit."""
+    root = pathlib.Path(__file__).resolve().parents[1]
+    payload = json.loads((root / "problems" / "heisenberg_exact.json").read_text())
+    payload["words"]["big"] = _big_letters(shape, n)
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(payload))
+    got = cli.main(["integrate", str(path), "--rep", rep, "--word", "big",
+                    "--method", "series", "--json", "--test-mode"])
+    out, err = capsys.readouterr()
+    assert got == code
+    if code == 2:
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and "int64" in lines[0] and "Traceback" not in err
+    elif block is not None:
+        assert json.loads(out.splitlines()[0])["inputs"]["operator"]["blocks"] == {"0": block}

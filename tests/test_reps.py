@@ -351,17 +351,27 @@ def test_adjunction_detects_broken_input():
 
 
 def test_chain_rep_faithful_on_degree_zero_maps():
-    # distinct coefficient maps induce distinct maps of the chain complexes
+    # distinct coefficient maps V -> W induce distinct maps of the chain complexes
     g = abelian(2)
     coeff = trivial_lie_rep(g, dim=2)
-    maps = hom_space(coeff, coeff)
-    assert len(maps) == 4
     from cartankit.reps import induced_map
     rep = chain_rep(g, coeff)
+    maps = hom_space(coeff, restrict(rep))
+    assert len(maps) == 4
     images = [induced_map(coeff, rep, phi) for phi in maps]
     for a in range(len(images)):
         # degree-0 block of the induced map restricts to the original
         assert np.array_equal(images[a].block(0)[:, :2], maps[a].block(0))
+    assert all((images[a] - images[b]).norm() > 0 for a in range(4) for b in range(a))
+
+
+def test_induced_map_rejects_a_mistyped_degree_zero_map():
+    g = abelian(2)
+    coeff = trivial_lie_rep(g, dim=2)
+    from cartankit.reps import induced_map
+    phi = hom_space(coeff, coeff)[0]
+    with pytest.raises(ValueError, match="phi0 must map"):
+        induced_map(coeff, chain_rep(g, coeff), phi)
 
 
 def test_adjunction_builds_the_chain_complex_once(monkeypatch):

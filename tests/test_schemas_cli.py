@@ -398,6 +398,20 @@ def test_cli_exit_two_on_arithmetic_errors(tmp_path, capsys, argv, value):
     assert len(lines) == 1 and "malformed problem file" in lines[0]
 
 
+@pytest.mark.parametrize("argv", [
+    ["check-lie"],
+    ["ce", "--rep", "trivial", "--mode", "exact"],
+], ids=["check_lie", "ce_exact"])
+def test_cli_exit_two_on_boolean_coefficients(tmp_path, capsys, argv):
+    def edit(payload):
+        for bracket in payload["lie_algebra"]["brackets"]:
+            bracket["coeffs"] = {k: True for k in bracket["coeffs"]}
+    code = cli.main(argv[:1] + [_variant_file(tmp_path, edit)] + argv[1:])
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert code == 2
+    assert len(lines) == 1 and "boolean true is not a number" in lines[0]
+
+
 def test_exact_parsing_rejects_floats_it_would_round(tmp_path):
     # 1e-13 has no fraction with denominator <= 10^12 that rounds back to it
     for mode in ("exact", "float"):
