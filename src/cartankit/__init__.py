@@ -6,10 +6,10 @@ checks every lemma-level identity as an executable residual."""
 
 from .graded import (CochainComplex, GradedOperator, GradedVectorSpace,
                      compose, graded_commutator, tensor_complex, tensor_operator)
-from .lie import CartanDgla, LieAlgebra, abelian, cartan_dgla, heisenberg3, sl2, su2
+from .lie import LieAlgebra, abelian, heisenberg3, sl2, su2
 from .linalg import EXACT, FLOAT, ModeError
 from .reps import (CartanRep, LieRep, adjoint_rep, adjunction_check,
-                   cartan_residuals, chain_rep, cochain_rep, dual_rep,
+                   cartan_dgla, cartan_residuals, chain_rep, cochain_rep, dual_rep,
                    hom_space, restrict, tensor_rep, trivial_cartan_rep,
                    trivial_lie_rep)
 from .ce import ce_chain, ce_cochain, cohomology_dims, leibniz_check

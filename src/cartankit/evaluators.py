@@ -101,7 +101,7 @@ class _TaylorExp:
         return out
 
 
-def _ad_exp_factors(algebra, x):
+def _exp_ad_factors(algebra, x):
     return _TaylorExp(linalg.as_float(algebra.ad(algebra.vector(list(x), FLOAT))))
 
 
@@ -134,12 +134,12 @@ class WordEvaluator(Evaluator):
         self.k = len(self.letters)
         self.domain = domain
         self._exp = [flat.exp_factors(x) for x in self.letters]
-        self._ad = [_ad_exp_factors(flat.algebra, x) for x in self.letters]
+        self._ad = [_exp_ad_factors(flat.algebra, x) for x in self.letters]
         rho0 = np.eye(flat.total_dim)
         ad0i = np.eye(flat.algebra.n)
         for x in self.prefix:
             rho0 = rho0.dot(flat.exp_factors(x).at(np.ones(1))[0])
-            ad0i = _ad_exp_factors(flat.algebra, x).at(-np.ones(1))[0].dot(ad0i)
+            ad0i = _exp_ad_factors(flat.algebra, x).at(-np.ones(1))[0].dot(ad0i)
         self._rho0, self._ad0i = rho0, ad0i
 
     def eval(self, points: np.ndarray) -> PointData:

@@ -308,8 +308,7 @@ class CochainComplex:
         self.differential = differential
         self.mode = differential.mode
         sq = compose(differential, differential)
-        bound = 0.0 if self.mode == EXACT else linalg.DEFAULT_TOL
-        if sq.norm() > bound:
+        if sq.norm() > linalg.tolerance(self.mode):
             raise ValueError(f"differential does not square to zero (norm {sq.norm()})")
 
     @classmethod

@@ -19,6 +19,11 @@ FLOAT = "float"
 DEFAULT_TOL = 1e-9
 
 
+def tolerance(mode: str, tol: float = DEFAULT_TOL) -> float:
+    """Tolerance of a residual check: exact checks allow none at all."""
+    return 0.0 if mode == EXACT else tol
+
+
 class ModeError(TypeError):
     """Raised when exact and float values meet in one operation."""
 

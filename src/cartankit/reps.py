@@ -3,9 +3,11 @@
 A ``LieRep`` is a cochain complex with commuting degree-0 operators, one
 per basis vector of the algebra.  A ``CartanRep`` adds one degree-(-1)
 operator per basis vector; ``cartan_residuals`` measures how far the
-family is from satisfying the Cartan relations.  ``chain_rep`` and
-``cochain_rep`` realize the two standard constructions on the
-Chevalley-Eilenberg chain and cochain complexes (the first is left
+family is from satisfying the Cartan relations.  The Cartan DG Lie
+algebra itself is one of them: ``cartan_dgla`` is its adjoint
+representation, verified by the d^2 check and ``cartan_residuals``.
+``chain_rep`` and ``cochain_rep`` realize the two standard constructions
+on the Chevalley-Eilenberg chain and cochain complexes (the first is left
 adjoint to ``restrict``; the second is its signed transpose with the dual
 coefficients of ``dual_lie_rep``), and ``dual_rep``/``tensor_rep`` give
 the monoidal structure.
@@ -153,13 +155,28 @@ def trivial_cartan_rep(algebra, dim=1, degree=0, mode=EXACT) -> CartanRep:
 
 
 def adjoint_rep(algebra, mode=EXACT) -> LieRep:
-    complex_ = CochainComplex.concentrated(algebra.n, 0, mode)
-    space = complex_.space
-    ops = []
-    for i in range(algebra.n):
-        ad = algebra.ad(algebra.basis_vector(i, mode))
-        ops.append(GradedOperator(space, space, 0, {0: ad}, mode=mode))
-    return LieRep(algebra, complex_, ops)
+    return LieRep(algebra, CochainComplex.concentrated(algebra.n, 0, mode),
+                  [algebra.ad_operator(algebra.basis_vector(i, mode)) for i in range(algebra.n)])
+
+
+def cartan_dgla(algebra) -> CartanRep:
+    """The Cartan DG Lie algebra TTg as its own adjoint representation, in
+    exact mode, on I_1 .. I_n (degree -1) then L_1 .. L_n (degree 0).
+
+    d I_i = L_i; L_i is ad(e_i) on both degrees and B_i is ad(e_i) from
+    degree 0 to degree -1, so [L_i, L_j] = L_[i,j], [L_i, I_j] = [I_i, L_j]
+    = I_[i,j] and [I_i, I_j] = 0.  Graded Jacobi on generators is the
+    LL, LB and BB families of ``cartan_residuals``, d a derivation is dB.
+    """
+    if algebra.check_jacobi() != 0:
+        raise ValueError("structure constants fail antisymmetry/Jacobi")
+    n = algebra.n
+    space = GradedVectorSpace({-1: n, 0: n})
+    d = GradedOperator.from_entries(space, space, 1, [(-1, i, i, 1) for i in range(n)], EXACT)
+    ads = [algebra.ad(algebra.basis_vector(i)) for i in range(n)]
+    L = [GradedOperator(space, space, 0, {-1: ad, 0: ad}, mode=EXACT) for ad in ads]
+    B = [GradedOperator(space, space, -1, {0: ad}, mode=EXACT) for ad in ads]
+    return CartanRep(algebra, CochainComplex(space, d), L, B)
 
 
 def restrict(rep: CartanRep) -> LieRep:
@@ -362,7 +379,7 @@ def adjunction_check(v_rep: LieRep, w_rep: CartanRep, tol=linalg.DEFAULT_TOL) ->
     """Restriction to the degree-0 piece is a bijection between maps out of
     the chain representation of V and equivariant maps V -> W."""
     pre = cartan_residuals(w_rep).worst
-    bound = 0.0 if w_rep.mode == EXACT else tol
+    bound = linalg.tolerance(w_rep.mode, tol)
     if pre > bound:
         return AdjunctionReport(-1, -1, float("inf"), float(pre), False)
     uv = chain_rep(v_rep.algebra, v_rep)

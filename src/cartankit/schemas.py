@@ -33,11 +33,13 @@ class Settings:
 
     def check(self):
         """Raise ``ProblemError`` for a value no route can run with."""
+        def count(v):
+            return isinstance(v, int) and not isinstance(v, bool) and v >= 1
+
         for name, ok, rule in (
                 ("mode", self.mode in (EXACT, FLOAT), f"{EXACT!r} or {FLOAT!r}"),
-                ("order", isinstance(self.order, int) and self.order >= 1, "an integer >= 1"),
-                ("series_cap", isinstance(self.series_cap, int) and self.series_cap >= 1,
-                 "an integer >= 1"),
+                ("order", count(self.order), "an integer >= 1"),
+                ("series_cap", count(self.series_cap), "an integer >= 1"),
                 ("fd_step", self.fd_step > 0, "> 0"),
                 ("tol", self.tol >= 0, ">= 0")):
             if not ok:
@@ -56,14 +58,25 @@ def _detail(err) -> str:
     return f"missing key {err}" if isinstance(err, KeyError) else str(err)
 
 
+def _integer(value, field) -> int:
+    """``value`` as an int; ``ValueError`` naming ``field`` for a boolean, a
+    string or a number that is not integral."""
+    if isinstance(value, bool) or not (isinstance(value, int)
+                                       or isinstance(value, float) and value.is_integer()):
+        raise ValueError(f"{field} must be an integer, got {value!r}")
+    return int(value)
+
+
 def load_algebra(payload) -> LieAlgebra:
-    n = payload["dim"]
+    """A pair (i, j) listed twice is an error, not an override."""
+    n = _integer(payload["dim"], "dim")
     brackets = {}
     for item in payload.get("brackets", []):
-        i, j = int(item["i"]), int(item["j"])
-        coeffs = {int(k): linalg.parse_scalar(v, EXACT)
-                  for k, v in item["coeffs"].items()}
-        brackets[(i, j)] = coeffs
+        pair = (_integer(item["i"], "bracket i"), _integer(item["j"], "bracket j"))
+        if pair in brackets:
+            raise ValueError(f"bracket pair {pair} listed twice")
+        brackets[pair] = {int(k): linalg.parse_scalar(v, EXACT)
+                          for k, v in item["coeffs"].items()}
     return LieAlgebra(n, brackets, labels=payload.get("labels"),
                       name=payload.get("name", ""))
 
@@ -100,23 +113,26 @@ def dump_operator(op: GradedOperator):
     return {"degree": op.degree, "blocks": blocks}
 
 
-def load_explicit_cartan_rep(payload, algebra, mode) -> reps.CartanRep:
-    space = GradedVectorSpace({int(k): int(d) for k, d in payload["degrees"].items()})
-    delta = load_operator(payload.get("delta"), space, 1, mode)
-    complex_ = CochainComplex(space, delta)
+def _load_complex(payload, mode) -> CochainComplex:
+    space = GradedVectorSpace({int(k): _integer(d, f"degree {k} dimension")
+                               for k, d in payload["degrees"].items()})
+    return CochainComplex(space, load_operator(payload.get("delta"), space, 1, mode))
+
+
+def load_cartan_rep(payload, algebra, mode) -> reps.CartanRep:
+    complex_ = _load_complex(payload, mode)
+    space = complex_.space
     L = [load_operator(p, space, 0, mode) for p in payload["L"]]
     B = [load_operator(p, space, -1, mode) for p in payload["B"]]
     return reps.CartanRep(algebra, complex_, L, B)
 
 
-def load_explicit_lie_rep(payload, algebra, mode) -> reps.LieRep:
-    space = GradedVectorSpace({int(k): int(d) for k, d in payload["degrees"].items()})
-    delta = load_operator(payload.get("delta"), space, 1, mode)
-    complex_ = CochainComplex(space, delta)
-    rep = reps.LieRep(algebra, complex_, [load_operator(p, space, 0, mode) for p in payload["R"]])
-    bound = 0 if mode == EXACT else linalg.DEFAULT_TOL
+def load_lie_rep(payload, algebra, mode) -> reps.LieRep:
+    complex_ = _load_complex(payload, mode)
+    rep = reps.LieRep(algebra, complex_,
+                      [load_operator(p, complex_.space, 0, mode) for p in payload["R"]])
     failed = [f"{family} residual {float(r):.6g}" for family, r in rep.residuals().items()
-              if r > bound]
+              if r > linalg.tolerance(mode)]
     if failed:
         raise ValueError("not a representation: " + ", ".join(failed))
     return rep
@@ -128,7 +144,7 @@ def build_lie_rep(spec, algebra, mode) -> reps.LieRep:
     if spec == "adjoint":
         return reps.adjoint_rep(algebra, mode=mode)
     if isinstance(spec, dict):
-        return load_explicit_lie_rep(spec, algebra, mode)
+        return load_lie_rep(spec, algebra, mode)
     raise ProblemError(f"unknown coefficient spec {spec!r}")
 
 
@@ -143,7 +159,7 @@ def build_cartan_rep(spec, algebra, mode) -> reps.CartanRep:
             return reps.cochain_rep(algebra, coeff)
         raise ProblemError(f"unknown functor {spec['functor']!r}")
     if isinstance(spec, dict):
-        return load_explicit_cartan_rep(spec, algebra, mode)
+        return load_cartan_rep(spec, algebra, mode)
     raise ProblemError(f"unknown representation spec {spec!r}")
 
 

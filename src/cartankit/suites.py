@@ -6,7 +6,7 @@ Report; residual-vs-tolerance bookkeeping lives in the report records.
 
 from . import ce, cubical, integrate, linalg, reps
 from .evaluators import FlatRep, WordEvaluator, ez_product, thinness_check
-from .linalg import EXACT, FLOAT
+from .linalg import FLOAT
 from .report import Report
 
 
@@ -29,7 +29,7 @@ def check_lie(problem) -> Report:
 def verify_cartan(problem, rep_name) -> Report:
     report = _new_report(problem)
     rep = problem.representation(rep_name)
-    tol = 0.0 if rep.mode == EXACT else problem.settings.tol
+    tol = linalg.tolerance(rep.mode, problem.settings.tol)
     res = reps.cartan_residuals(rep)
     for family, value in (("bracket_LL", res.LL), ("bracket_LB", res.LB),
                           ("bracket_BB", res.BB), ("differential_B", res.dB)):
@@ -43,7 +43,7 @@ def ce_suite(problem, rep_name, flavor) -> Report:
     built = (ce.ce_cochain if flavor == "cochain" else ce.ce_chain)(problem.algebra, coeff)
     square = built.complex.differential
     from .graded import compose
-    tol = 0.0 if coeff.mode == EXACT else problem.settings.tol
+    tol = linalg.tolerance(coeff.mode, problem.settings.tol)
     report.timed(f"ce.{flavor}.d_squared", tol,
                  lambda: compose(square, square).norm(), {"rep": rep_name})
     betti = ce.cohomology_dims(built.complex, problem.settings.tol)
@@ -155,7 +155,7 @@ def adjunction(problem, grep_name, rep_name) -> Report:
     v_rep = problem.lie_representation(grep_name)
     w_rep = problem.representation(rep_name)
     res = reps.adjunction_check(v_rep, w_rep, problem.settings.tol)
-    tol = 0.0 if v_rep.mode == EXACT else problem.settings.tol
+    tol = linalg.tolerance(v_rep.mode, problem.settings.tol)
     if res.precondition_residual > tol:
         report.add("adjunction.precondition", res.precondition_residual, tol,
                    {"rep": rep_name})

@@ -86,7 +86,7 @@ def test_explicit_representation_payload():
         "B": [{"0": [["1"]]}],
     }
     import cartankit.lie as lie
-    rep = schemas.load_explicit_cartan_rep(payload, lie.abelian(1), EXACT)
+    rep = schemas.load_cartan_rep(payload, lie.abelian(1), EXACT)
     assert cartan_residuals(rep).worst == 0.0
     dumped = dump_operator(rep.B[0])
     assert dumped == {"degree": -1, "blocks": {"0": [["1"]]}}
@@ -432,3 +432,52 @@ def test_cli_exit_two_on_misshapen_blocks(tmp_path, capsys):
     assert code == 2
     assert len(lines) == 1 and "malformed Lie representation 'short'" in lines[0]
     assert lines[0].endswith("block 0 must be 2 x 2")
+
+
+def _heisenberg_edit(path, value):
+    def edit(payload):
+        *keys, last = path
+        for key in keys:
+            payload = payload[key]
+        payload[last] = value
+    return edit
+
+
+def _one_dim_lie_rep(dim):
+    return _heisenberg_edit(("lie_representations", "one"),
+                            {"degrees": {"0": dim}, "R": [{"0": [[0]]}] * 3})
+
+
+_WXY = ["integrate", "--rep", "chain_trivial", "--word", "wxy", "--mode", "float"]
+
+
+@pytest.mark.parametrize("edit, argv, field", [
+    (_heisenberg_edit(("lie_algebra", "brackets", 0, "i"), 0.7), ["check-lie"], "bracket i"),
+    (lambda p: p["lie_algebra"]["brackets"][0].update(i=False, j=True), ["check-lie"],
+     "bracket i"),
+    (_one_dim_lie_rep(1.5), ["ce", "--rep", "one"], "degree 0 dimension"),
+    (_one_dim_lie_rep(True), ["ce", "--rep", "one"], "degree 0 dimension"),
+    (_heisenberg_edit(("settings", "order"), True), _WXY, "setting order"),
+    (_heisenberg_edit(("settings", "series_cap"), True), _WXY + ["--method", "series"],
+     "setting series_cap"),
+    (lambda p: p["lie_algebra"]["brackets"].append({"i": 0, "j": 1, "coeffs": {"2": "5"}}),
+     ["check-lie"], "bracket pair (0, 1) listed twice"),
+    (_heisenberg_edit(("lie_algebra", "labels"), ["x"]), ["check-lie"],
+     "1 labels for a 3-dimensional algebra"),
+    (_heisenberg_edit(("lie_algebra", "labels"), []), ["check-lie"],
+     "0 labels for a 3-dimensional algebra"),
+], ids=["fractional_index", "boolean_indices", "fractional_degree_dim", "boolean_degree_dim",
+        "boolean_order", "boolean_series_cap", "repeated_bracket_pair", "label_count",
+        "empty_labels"])
+def test_cli_exit_two_on_malformed_integers_and_structure(tmp_path, capsys, edit, argv, field):
+    """Each edit of a copy of problems/heisenberg_exact.json is an input
+    error: exit 2 and one line naming the field."""
+    root = pathlib.Path(__file__).resolve().parents[1]
+    payload = json.loads((root / "problems" / "heisenberg_exact.json").read_text())
+    edit(payload)
+    path = tmp_path / "heisenberg_variant.json"
+    path.write_text(json.dumps(payload))
+    code = cli.main(argv[:1] + [str(path)] + argv[1:])
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert code == 2
+    assert len(lines) == 1 and field in lines[0]
