@@ -1,36 +1,35 @@
-"""Chevalley-Eilenberg cochain and chain complexes with coefficients.
+"""Chevalley-Eilenberg chain and cochain complexes with coefficients.
 
-Basis elements are pairs (index subset, coefficient basis vector); the
-subsets are ordered lexicographically.  Chain degrees are re-indexed so
-that every differential raises degree by one: exterior degree m sits in
-cochain degree -m (plus coefficient degree).  Only the chain side is
-assembled; the cochain side is its signed transpose with dual
-coefficients (``CEBasis.transpose``).
+The chains with coefficients in V are Lambda(g) ox V, exterior degree m in
+degree -m so that every differential raises degree by one (Koszul,
+"Homologie et cohomologie des algebres de Lie", 1950).  The chain side is
+made from the wedge eps_i and contraction iota_i of ``exterior``, whose
+signs are its only subset-sign code, with ``compose``, sums and tensor
+products:
+
+    d   = del ox 1 + 1 ox d_V + sum_s iota_s ox rho_s,
+    L_i = [del, eps_i] ox 1 + 1 ox rho_i   (Cartan's formula),
+    B_i = eps_i ox 1,
+    del = sum_{s<t, r} c[s,t,r] eps_r iota_t iota_s   (``boundary``).
+
+The cochain side is their signed transpose with dual coefficients.  Basis
+elements are (index subset, coefficient basis vector), subsets in
+lexicographic order (``CEBasis``).
 """
 
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
+from math import comb
+
+import numpy as np
 
 from . import linalg
-from .graded import CochainComplex, GradedOperator, GradedVectorSpace, compose, dual_operator
+from .graded import (CochainComplex, GradedOperator, GradedVectorSpace, combination, compose,
+                     dual_operator, dual_space, graded_commutator, reversed_tensor)
 from .linalg import EXACT
-
-
-def insert_element(subset, r):
-    """Wedge e_r into sorted ``subset``: (sign, new subset) or None."""
-    if r in subset:
-        return None
-    pos = sum(1 for s in subset if s < r)
-    return (-1) ** pos, tuple(sorted(subset + (r,)))
-
-
-def remove_element(subset, r):
-    """Contract e_r out of sorted ``subset``: (sign, new subset) or None."""
-    if r not in subset:
-        return None
-    pos = subset.index(r)
-    return (-1) ** pos, tuple(s for s in subset if s != r)
 
 
 def merge_sign(left, right):
@@ -39,6 +38,50 @@ def merge_sign(left, right):
         return None
     inv = sum(1 for s in left for t in right if s > t)
     return (-1) ** inv, tuple(sorted(left + right))
+
+
+Exterior = namedtuple("Exterior", "space eps iota")
+
+
+@lru_cache(maxsize=None)
+def exterior(n, mode) -> Exterior:
+    """Lambda on {-m: C(n, m)}, subsets in lexicographic order, with the
+    wedge eps_i = e_i ^ (degree -1) and its transpose iota_i, the
+    contraction by e^i (degree +1), signed (-1)^(number of elements below i)."""
+    index = {s: j for m in range(n + 1) for j, s in enumerate(combinations(range(n), m))}
+    space = GradedVectorSpace({-m: comb(n, m) for m in range(n + 1)})
+    wedges = [[(-len(s), index[tuple(sorted(s + (i,)))], j, (-1) ** sum(t < i for t in s))
+               for s, j in index.items() if i not in s] for i in range(n)]
+    eps = tuple(GradedOperator.from_entries(space, space, -1, w, mode) for w in wedges)
+    iota = tuple(GradedOperator.from_entries(space, space, 1, [(k - 1, c, r, v)
+                                                               for k, r, c, v in w], mode)
+                 for w in wedges)
+    return Exterior(space, eps, iota)
+
+
+def boundary(algebra, mode) -> GradedOperator:
+    """del = sum_{s<t, r} c[s,t,r] eps_r iota_t iota_s on Lambda(g), the chain
+    differential with trivial coefficients: one ``combination`` of cached
+    monomials."""
+    c, space = algebra.constants(mode), exterior(algebra.n, mode).space
+    terms = [(c[s, t, r], _monomial(algebra.n, mode, r, s, t))
+             for s, t in combinations(range(algebra.n), 2) for r in np.flatnonzero(c[s, t])]
+    return combination(*zip(*terms)) if terms else GradedOperator.zero(space, space, 1, mode)
+
+
+@lru_cache(maxsize=256)
+def _monomial(n, mode, r, s, t):
+    ext = exterior(n, mode)
+    return compose(ext.eps[r], compose(ext.iota[t], ext.iota[s]))
+
+
+def _sign_of_transpose(p, q):
+    """S = (-1)^(m(m+1)/2 + mq + q) on Lambda^m ox V^q, m = -p."""
+    return 1 - 2 * ((p * (p - 1) // 2 + (1 - p) * q) % 2)
+
+
+def _odd(q):
+    return -1 if q % 2 else 1
 
 
 class CEBasis:
@@ -54,84 +97,63 @@ class CEBasis:
                 for q in sorted(coeff_space.dims):
                     for i in range(coeff_space.dim(q)):
                         self.elements.setdefault(self.sign * m + q, []).append((subset, q, i))
-        self.index = {deg: {e: pos for pos, e in enumerate(items)}
-                      for deg, items in self.elements.items()}
         self.space = GradedVectorSpace({deg: len(items) for deg, items in self.elements.items()})
+        ext = GradedVectorSpace({-m: comb(n, m) for m in range(n + 1)})
+        self._tensor = (reversed_tensor(ext, coeff_space, lambda p, q: 1) if flavor == "chain"
+                        else reversed_tensor(ext, dual_space(coeff_space), _sign_of_transpose))
 
-    def transpose(self, op, sign):
-        """Signed transpose of an operator on the chains with dual coefficients
-        onto this cochain basis (the chain basis at degree -k lists the
-        elements (subset, -q, i) of degree k here, in the same order):
-        ``dual_operator``, with ``sign`` by source degree here, conjugated by
-        S(m, q) = (-1)^(m(m+1)/2 + mq + q), m = |subset|."""
-        flip = GradedOperator.from_entries(self.space, self.space, 0, [
-            (deg, j, j, (-1) ** (len(s) * (len(s) + 1) // 2 + len(s) * q + q))
-            for deg, items in self.elements.items() for j, (s, q, _) in enumerate(items)], op.mode)
-        return compose(flip, compose(dual_operator(op, self.space, sign), flip))
+    def place(self, sign, *pairs):
+        """The sum of f ox g over ``pairs`` (f on Lambda(g), g on V for chains,
+        on V* for cochains) on this basis.  Cochains take its transpose, the
+        chain element j of degree -k being (subset, -q, i) for the element j
+        of degree k here: ``dual_operator`` with ``sign`` by source degree
+        here, conjugated by ``_sign_of_transpose``."""
+        op = self._tensor(*pairs)
+        return op if self.sign == -1 else dual_operator(op, self.space, sign)
 
 
 @dataclass
 class CEComplex:
-    """Assembled complex plus its basis labeling."""
+    """Assembled complex plus its basis labeling, the Lie representation
+    its chain side was made from (the coefficients, or their dual for
+    cochains) and the boundary of Lambda(g)."""
 
     complex: CochainComplex
     basis: CEBasis
+    chain_coefficients: object
+    boundary: GradedOperator
 
     @property
     def differential(self):
         return self.complex.differential
 
+    def cartan_operators(self):
+        """L and B of the chain or cochain representation; the cochain
+        transposes take the signs of ``dual_rep``: -1 for L, (-1)^q for B."""
+        rep = self.chain_coefficients
+        ext = exterior(rep.algebra.n, rep.mode)
+        one, one_ext = (GradedOperator.identity(space, rep.mode)
+                        for space in (rep.complex.space, ext.space))
+        L = [self.basis.place(lambda q: -1, (graded_commutator(self.boundary, eps), one),
+                              (one_ext, rho)) for eps, rho in zip(ext.eps, rep.operators)]
+        B = [self.basis.place(_odd, (eps, one)) for eps in ext.eps]
+        return L, B
 
-def assemble(basis, degree, image_of, mode):
-    """Build the operator of the given degree on the span of ``basis`` from
-    a map sending each basis element to a dict {target element: coeff}."""
-    entries = [(deg, basis.index[deg + degree][target], col, coeff)
-               for deg, elements in basis.elements.items() if deg + degree in basis.index
-               for col, element in enumerate(elements)
-               for target, coeff in image_of(element).items()]
-    return GradedOperator.from_entries(basis.space, basis.space, degree, entries, mode)
 
-
-def chain_differential(algebra, rep, basis) -> GradedOperator:
-    """The CE chain differential on ``basis``, pushed forward element by
-    element: the bracket of two slots, the action of one slot on the
-    coefficients, and the coefficient differential."""
-    n = algebra.n
-    mode = rep.mode
-    c = algebra.constants(mode)
-
-    def image_of(element):
-        subset, q, i = element
-        m = len(subset)
-        out = {}
-
-        def add(key, coeff):
-            if coeff != 0:
-                out[key] = out.get(key, 0) + coeff
-
-        for a, b in combinations(range(m), 2):     # 1-based positions in the sign rules
-            sa, sb = subset[a], subset[b]
-            rest = tuple(s for s in subset if s not in (sa, sb))
-            for r in range(n):
-                ins = insert_element(rest, r) if c[sa, sb, r] != 0 else None
-                if ins is not None:
-                    add((ins[1], q, i), (-1) ** (a + b + 1) * ins[0] * c[sa, sb, r])
-        for a in range(m):
-            rest = tuple(s for s in subset if s != subset[a])
-            for j, coeff in rep.action(subset[a]).column(q, i):
-                add((rest, q, j), (-1) ** a * coeff)
-        for j, coeff in rep.complex.differential.column(q, i):
-            add((subset, q + 1, j), (-1) ** m * coeff)
-        return out
-
-    return assemble(basis, 1, image_of, mode)
+def _build(algebra, basis, rep):
+    """The complex on ``basis`` whose chain side is Lambda(g) ox ``rep``."""
+    ext = exterior(algebra.n, rep.mode)
+    bd = boundary(algebra, rep.mode)
+    one, one_ext = (GradedOperator.identity(space, rep.mode)
+                    for space in (rep.complex.space, ext.space))
+    d = basis.place(_odd, (bd, one), (one_ext, rep.complex.differential),
+                    *zip(ext.iota, rep.operators))
+    return CEComplex(CochainComplex(basis.space, d), basis, rep, bd)
 
 
 def ce_chain(algebra, rep) -> CEComplex:
     """Homological complex on the exterior algebra tensor the coefficients."""
-    basis = CEBasis(algebra.n, rep.complex.space, "chain")
-    diff = chain_differential(algebra, rep, basis)
-    return CEComplex(CochainComplex(basis.space, diff), basis)
+    return _build(algebra, CEBasis(algebra.n, rep.complex.space, "chain"), rep)
 
 
 def ce_cochain(algebra, rep) -> CEComplex:
@@ -140,15 +162,10 @@ def ce_cochain(algebra, rep) -> CEComplex:
     Built as the dual of the chains with dual coefficients,
     C(g; V) = (C(g; V*))* (Weibel, An Introduction to Homological Algebra,
     7.7): the chain differential of ``dual_lie_rep(rep)``, transposed by
-    ``CEBasis.transpose`` with -1 at odd source degree, as ``dual_complex``.
+    ``CEBasis.place`` with -1 at odd source degree, as ``dual_complex``.
     """
     from .reps import dual_lie_rep
-    dual = dual_lie_rep(rep)
-    basis = CEBasis(algebra.n, rep.complex.space, "cochain")
-    chains = CEBasis(algebra.n, dual.complex.space, "chain")
-    diff = basis.transpose(chain_differential(algebra, dual, chains),
-                           lambda q: -1 if q % 2 else 1)
-    return CEComplex(CochainComplex(basis.space, diff), basis)
+    return _build(algebra, CEBasis(algebra.n, rep.complex.space, "cochain"), dual_lie_rep(rep))
 
 
 def cohomology_dims(complex_: CochainComplex, tol=linalg.DEFAULT_TOL):
@@ -180,9 +197,10 @@ def _apply_diff(ce, vec):
     out = {}
     for element, coeff in vec.items():
         deg = ce.basis.sign * len(element[0]) + element[1]
-        targets = ce.basis.elements.get(deg + 1)
-        for row, v in ce.differential.column(deg, ce.basis.index[deg][element]):
-            out[targets[row]] = out.get(targets[row], 0) + coeff * v
+        column = ce.differential.block(deg)[:, ce.basis.elements[deg].index(element)]
+        for row in np.flatnonzero(column):
+            target = ce.basis.elements[deg + 1][row]
+            out[target] = out.get(target, 0) + coeff * column[row]
     return {k: v for k, v in out.items() if v != 0}
 
 

@@ -15,7 +15,7 @@ degree +1) squares to zero.
 
 import math
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from types import MappingProxyType
 
 import numpy as np
@@ -63,6 +63,9 @@ class GradedVectorSpace:
 
     def __eq__(self, other):
         return isinstance(other, GradedVectorSpace) and self.dims == other.dims
+
+    def __hash__(self):
+        return hash(tuple(sorted(self.dims.items())))
 
     def __repr__(self):
         return f"GradedVectorSpace({self.dims})"
@@ -197,48 +200,17 @@ class GradedOperator:
         stored = {k: self._stored(k) for k in self.source.degrees}
         return MappingProxyType({k: b for k, b in stored.items() if b is not None})
 
-    def column(self, k: int, i: int):
-        """Nonzero entries [(row, value)] of column i of block k, by row."""
-        if k not in self.source.dims:
-            return []
-        m = self._cols == self.source._starts[k] + i
-        rows = self._rows[m] - self.target._starts.get(k + self.degree, 0)
-        return list(zip(rows.tolist(), self._values(self._data[m].tolist())))
-
     def _max(self) -> int:
         return int(np.abs(self._data).max(initial=0))
 
-    def _like(self, rows, cols, data, den=1):
-        return _new(self.source, self.target, self.degree, self.mode, rows, cols, data, den)
-
     def __add__(self, other):
-        if (self.source != other.source or self.target != other.target
-                or self.degree != other.degree):
-            raise ValueError("operators not parallel")
-        if self.mode != other.mode:
-            raise ModeError("mixed-mode operator arithmetic")
-        if not len(self._data) or not len(other._data):
-            return self if len(self._data) else other
-        den = math.lcm(self._den, other._den)
-        a, b = den // self._den, den // other._den
-        if self.mode == EXACT:
-            _check_int64(self._max() * a + other._max() * b, "sum")
-        return self._like(np.concatenate([self._rows, other._rows]),
-                          np.concatenate([self._cols, other._cols]),
-                          np.concatenate([self._data * a, other._data * b]), den)
+        return combination((1, 1), (self, other))
 
     def __sub__(self, other):
-        return self + (-1) * other
+        return combination((1, -1), (self, other))
 
     def __rmul__(self, c):
-        if self.mode == FLOAT:
-            return self._like(self._rows, self._cols, float(c) * self._data)
-        if not isinstance(c, (int, Fraction)):
-            raise ModeError("float coefficient on exact operator")
-        c = Fraction(c)
-        _check_int64(self._max() * abs(c.numerator), "scalar multiple")
-        return self._like(self._rows, self._cols, self._data * c.numerator,
-                          self._den * c.denominator)
+        return combination((c,), (self,))
 
     def apply(self, vec):
         """Apply to a dict degree -> coefficient vector; a degree that only
@@ -290,10 +262,38 @@ def compose(f: GradedOperator, g: GradedOperator) -> GradedOperator:
     return out
 
 
+def combination(coeffs, ops) -> GradedOperator:
+    """sum_k coeffs[k] ops[k] over parallel operators (at least one), one
+    pass over their entries; ``+``, ``-`` and scalar ``*`` are its cases.
+    An exact coefficient must be an int or a ``Fraction``."""
+    first = ops[0]
+    for op in ops[1:]:
+        if op.source != first.source or op.target != first.target or op.degree != first.degree:
+            raise ValueError("operators not parallel")
+        if op.mode != first.mode:
+            raise ModeError("mixed-mode operator arithmetic")
+    if first.mode == EXACT and not all(isinstance(c, (int, Fraction)) for c in coeffs):
+        raise ModeError("float coefficient on exact operator")
+    terms = [(c, op) for c, op in zip(coeffs, ops) if c != 0 and len(op._data)]
+    if len(terms) == 1 and terms[0][0] == 1:
+        return terms[0][1]
+    if first.mode == FLOAT:
+        den, factors = 1, [float(c) for c, _ in terms]
+    else:
+        den = math.lcm(*(op._den * c.denominator for c, op in terms))
+        factors = [c.numerator * (den // (op._den * c.denominator)) for c, op in terms]
+        _check_int64(sum(op._max() * abs(k) for k, (_, op) in zip(factors, terms)),
+                     "sum" if len(terms) > 1 else "scalar multiple")
+    parts = [(op._rows, op._cols, op._data * k) for k, (_, op) in zip(factors, terms)]
+    if len(parts) != 1:
+        parts = [[np.concatenate(a) for a in zip((_NONE, _NONE, first._data[:0]), *parts)]]
+    return _new(first.source, first.target, first.degree, first.mode, *parts[0], den)
+
+
 def graded_commutator(f: GradedOperator, g: GradedOperator) -> GradedOperator:
     """f g - (-1)^(|f||g|) g f."""
     sign = -1 if (f.degree % 2) and (g.degree % 2) else 1
-    return compose(f, g) - sign * compose(g, f)
+    return combination((1, -sign), (compose(f, g), compose(g, f)))
 
 
 class CochainComplex:
@@ -332,14 +332,17 @@ def tensor_space(v: GradedVectorSpace, w: GradedVectorSpace) -> GradedVectorSpac
     return GradedVectorSpace(dims)
 
 
-def _tensor_position(v, w):
+@lru_cache(maxsize=64)
+def _tensor_position(v, w, descending=False):
     """Layout position in V ox W of each Kronecker index a * dim W + b: the
-    layout of (V ox W)^n lists the (p, q) pairs by increasing p, in
-    Kronecker order v_i ox w_j inside each pair (a stable sort)."""
+    layout of (V ox W)^n lists the (p, q) pairs by increasing p (decreasing
+    p when ``descending``), in Kronecker order v_i ox w_j inside each pair
+    (a stable sort).  Cached by the dimensions of V and W."""
     p = np.repeat(v._index_degrees, w.total_dim)
-    order = np.lexsort((p, p + np.tile(w._index_degrees, v.total_dim)))
+    order = np.lexsort((-p if descending else p, p + np.tile(w._index_degrees, v.total_dim)))
     pos = np.empty_like(order)
     pos[order] = np.arange(len(order))
+    pos.flags.writeable = False
     return pos
 
 
@@ -347,19 +350,47 @@ def tensor_operator(f: GradedOperator, g: GradedOperator) -> GradedOperator:
     """nat(f ox g): acts on V ox W with the Koszul sign (-1)^(|v||g|).  One
     Kronecker product, signed by the source degree of f when g is odd and
     moved into the tensor layout by ``_tensor_position``."""
-    if f.mode != g.mode:
+    return _tensor_sum([(f, g)])
+
+
+def _tensor_sum(pairs, descending=False, signs=None):
+    """sum of nat(f ox g) over pairs with equal spaces and total degree, in
+    one pass; each entry times signs[row] * signs[col] when given."""
+    f0, g0 = pairs[0]
+    if any(mode != f0.mode for f, g in pairs for mode in (f.mode, g.mode)):
         raise ModeError("tensor_operator: mixed modes")
-    if f.mode == EXACT:
-        _check_int64(f._max() * g._max(), "tensor product")
-    fd = f._data
-    if g.degree % 2:
-        fd = fd * (1 - 2 * (f.source._index_degrees[f._cols] % 2))
-    nt, ns = g.target.total_dim, g.source.total_dim
-    rows = _tensor_position(f.target, g.target)[(f._rows[:, None] * nt + g._rows).ravel()]
-    cols = _tensor_position(f.source, g.source)[(f._cols[:, None] * ns + g._cols).ravel()]
-    return _new(tensor_space(f.source, g.source), tensor_space(f.target, g.target),
-                f.degree + g.degree, f.mode, rows, cols, (fd[:, None] * g._data).ravel(),
-                f._den * g._den)
+    den = math.lcm(*(f._den * g._den for f, g in pairs))
+    if f0.mode == EXACT:
+        _check_int64(sum(f._max() * g._max() * (den // (f._den * g._den)) for f, g in pairs),
+                     "tensor product")
+    rpos = _tensor_position(f0.target, g0.target, descending)
+    cpos = _tensor_position(f0.source, g0.source, descending)
+    rows, cols, data = [], [], []
+    for f, g in pairs:
+        fd = f._data * (den // (f._den * g._den))
+        if g.degree % 2:
+            fd = fd * (1 - 2 * (f.source._index_degrees[f._cols] % 2))
+        rows.append(rpos[(f._rows[:, None] * g.target.total_dim + g._rows).ravel()])
+        cols.append(cpos[(f._cols[:, None] * g.source.total_dim + g._cols).ravel()])
+        data.append((fd[:, None] * g._data).ravel())
+    rows, cols, data = map(np.concatenate, (rows, cols, data))
+    if signs is not None:
+        data = data * (signs[rows] * signs[cols])
+    return _new(tensor_space(f0.source, g0.source), tensor_space(f0.target, g0.target),
+                f0.degree + g0.degree, f0.mode, rows, cols, data, den)
+
+
+def reversed_tensor(v, w, sign):
+    """Sums of tensor products f ox g of endomorphisms of V and W, Koszul
+    signs as in ``tensor_operator``, in the order of V ox W that lists the
+    (p, q) pairs of each total degree by decreasing p (Kronecker order
+    inside each pair) and conjugated by the diagonal sign(p, q) (+-1,
+    vectorised): returns the map (f, g), (f', g'), ... -> the sum."""
+    pos = _tensor_position(v, w, True)
+    signs = np.empty_like(pos)
+    signs[pos] = sign(np.repeat(v._index_degrees, w.total_dim),
+                      np.tile(w._index_degrees, v.total_dim))
+    return lambda *pairs: _tensor_sum(pairs, True, signs)
 
 
 def tensor_basis_index(v: GradedVectorSpace, w: GradedVectorSpace, p: int, i: int, q: int, j: int):

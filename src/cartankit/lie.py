@@ -26,6 +26,8 @@ class LieAlgebra:
 
     def __init__(self, n, brackets=None, labels=None, name=""):
         self.n = int(n)
+        if self.n < 1:
+            raise ValueError(f"dim must be at least 1, got {self.n}")
         self.name = name
         self.labels = [f"e{i + 1}" for i in range(self.n)] if labels is None else list(labels)
         if len(self.labels) != self.n:

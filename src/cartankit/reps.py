@@ -7,19 +7,19 @@ family is from satisfying the Cartan relations.  The Cartan DG Lie
 algebra itself is one of them: ``cartan_dgla`` is its adjoint
 representation, verified by the d^2 check and ``cartan_residuals``.
 ``chain_rep`` and ``cochain_rep`` realize the two standard constructions
-on the Chevalley-Eilenberg chain and cochain complexes (the first is left
-adjoint to ``restrict``; the second is its signed transpose with the dual
-coefficients of ``dual_lie_rep``), and ``dual_rep``/``tensor_rep`` give
-the monoidal structure.
+on the Chevalley-Eilenberg chain and cochain complexes.  The first, left
+adjoint to ``restrict``, lives on Lambda(g) ox V with B_i = eps_i ox 1 and
+L_i = [del, eps_i] ox 1 + 1 ox rho_i (``ce``); the second is its signed
+transpose with the dual coefficients of ``dual_lie_rep``.
+``dual_rep``/``tensor_rep`` give the monoidal structure.
 """
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
 from . import ce, linalg
-from .graded import (CochainComplex, GradedOperator, GradedVectorSpace,
+from .graded import (CochainComplex, GradedOperator, GradedVectorSpace, combination,
                      compose, dual_complex, dual_operator, dual_space, graded_commutator,
                      tensor_basis_index, tensor_complex, tensor_operator, tensor_space)
 from .linalg import EXACT
@@ -82,18 +82,10 @@ class CartanRep:
         return self.complex.differential
 
     def L_of(self, x) -> GradedOperator:
-        return self._combination(self.L, 0, x)
+        return combination(x, self.L)
 
     def B_of(self, x) -> GradedOperator:
-        return self._combination(self.B, -1, x)
-
-    def _combination(self, ops, degree, x) -> GradedOperator:
-        """sum_i x[i] ops[i], skipping zero coefficients."""
-        out = GradedOperator.zero(self.complex.space, self.complex.space, degree, self.mode)
-        for i, op in enumerate(ops):
-            if x[i] != 0:
-                out = out + x[i] * op
-        return out
+        return combination(x, self.B)
 
 
 @dataclass
@@ -115,11 +107,7 @@ class CartanReport:
 
 def _bracket_defect(x, y, coeffs, ops) -> float:
     """Max norm of [x, y] - sum_k coeffs[k] ops[k]."""
-    out = graded_commutator(x, y)
-    for k, ck in enumerate(coeffs):
-        if ck != 0:
-            out = out - ck * ops[k]
-    return out.norm()
+    return (graded_commutator(x, y) - combination(coeffs, ops)).norm()
 
 
 def cartan_residuals(rep: CartanRep) -> CartanReport:
@@ -188,60 +176,20 @@ def restrict(rep: CartanRep) -> LieRep:
 # the chain and cochain representations
 # ---------------------------------------------------------------------------
 
-def _chain_operators(algebra, coefficients: LieRep, basis):
-    """L and B on the CE chains of ``coefficients`` over ``basis``."""
-    mode = coefficients.mode
-    c = algebra.constants(mode)
-
-    def b_image(idx, element):
-        subset, q, i = element
-        ins = ce.insert_element(subset, idx)
-        return {} if ins is None else {(ins[1], q, i): ins[0]}
-
-    def l_image(idx, element):
-        subset, q, i = element
-        out = {}
-        for pos, s in enumerate(subset):
-            rest = subset[:pos] + subset[pos + 1:]
-            for r in range(algebra.n):
-                ins = ce.insert_element(rest, r) if c[idx, s, r] != 0 else None
-                if ins is not None:
-                    # replace slot ``pos`` by [e_idx, e_s], resorted
-                    key = (ins[1], q, i)
-                    out[key] = out.get(key, 0) + (-1) ** pos * ins[0] * c[idx, s, r]
-        for j, coeff in coefficients.action(idx).column(q, i):
-            out[(subset, q, j)] = out.get((subset, q, j), 0) + coeff
-        return out
-
-    B = [ce.assemble(basis, -1, partial(b_image, i), mode) for i in range(algebra.n)]
-    L = [ce.assemble(basis, 0, partial(l_image, i), mode) for i in range(algebra.n)]
-    return L, B
-
-
 def chain_rep(algebra, coefficients: LieRep) -> CartanRep:
-    """Action on the CE chain complex: B wedges a generator at the front,
-    L acts by the bracket on each slot plus the coefficient action."""
+    """Action on the CE chain complex Lambda(g) ox V: B_i wedges e_i at the
+    front, L_i is the bracket on each slot plus the coefficient action."""
     cec = ce.ce_chain(algebra, coefficients)
-    L, B = _chain_operators(algebra, coefficients, cec.basis)
-    return CartanRep(algebra, cec.complex, L, B)
+    return CartanRep(algebra, cec.complex, *cec.cartan_operators())
 
 
 def cochain_rep(algebra, coefficients: LieRep) -> CartanRep:
     """Action on the CE cochain complex: B contracts the form part only,
-    L is the coadjoint action on forms plus the coefficient action.
-
-    The dual of ``chain_rep`` with dual coefficients (Weibel, An
-    Introduction to Homological Algebra, 7.7), as ``ce_cochain`` is of
-    ``ce_chain``: each chain operator of ``dual_lie_rep(coefficients)`` is
-    transposed by ``CEBasis.transpose`` with the signs of ``dual_rep``,
-    -1 on odd degrees for B and -1 always for L.
-    """
+    L is the coadjoint action on forms plus the coefficient action.  The
+    dual of ``chain_rep`` with dual coefficients (Weibel, An Introduction
+    to Homological Algebra, 7.7), as ``ce_cochain`` is of ``ce_chain``."""
     cec = ce.ce_cochain(algebra, coefficients)
-    dual = dual_lie_rep(coefficients)
-    L, B = _chain_operators(algebra, dual, ce.CEBasis(algebra.n, dual.complex.space, "chain"))
-    L = [cec.basis.transpose(op, lambda q: -1) for op in L]
-    B = [cec.basis.transpose(op, lambda q: -1 if q % 2 else 1) for op in B]
-    return CartanRep(algebra, cec.complex, L, B)
+    return CartanRep(algebra, cec.complex, *cec.cartan_operators())
 
 
 # ---------------------------------------------------------------------------

@@ -9,21 +9,29 @@ import numpy as np
 import pytest
 
 from cartankit import graded
-from cartankit.ce import (ce_chain, ce_cochain, cohomology_dims, insert_element,
-                          leibniz_check, merge_sign, remove_element)
+from cartankit.ce import ce_chain, ce_cochain, cohomology_dims, exterior, leibniz_check, merge_sign
 from cartankit.graded import CochainComplex, GradedOperator, GradedVectorSpace, compose
-from cartankit.lie import abelian, heisenberg3, sl2, su2
+from cartankit.lie import LieAlgebra, abelian, heisenberg3, sl2, su2
 from cartankit.linalg import EXACT, FLOAT, format_scalar
 from cartankit.reps import (adjoint_rep, chain_rep, cochain_rep, dual_lie_rep, restrict,
                             trivial_lie_rep)
 
 
-def test_insertion_and_removal_signs():
-    assert insert_element((1, 3), 2) == (-1, (1, 2, 3))
-    assert insert_element((1, 3), 0) == (1, (0, 1, 3))
-    assert insert_element((1, 3), 3) is None
-    assert remove_element((0, 2, 5), 2) == (-1, (0, 5))
-    assert remove_element((0, 2, 5), 4) is None
+@pytest.mark.parametrize("mode", [EXACT, FLOAT])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_exterior_wedge_and_contraction_relations(n, mode):
+    ext = exterior(n, mode)
+    eps, iota, one = ext.eps, ext.iota, GradedOperator.identity(ext.space, mode)
+    assert ext.space.dims == {-m: comb(n, m) for m in range(n + 1)}
+    for i in range(n):
+        for j in range(n):
+            assert (compose(eps[i], eps[j]) + compose(eps[j], eps[i])).norm() == 0
+            assert (compose(iota[i], iota[j]) + compose(iota[j], iota[i])).norm() == 0
+            anti = compose(eps[i], iota[j]) + compose(iota[j], eps[i])
+            assert (anti - one).norm() == 0 if i == j else anti.norm() == 0
+
+
+def test_merge_signs():
     assert merge_sign((0, 3), (1, 2)) == ((-1) ** 2, (0, 1, 2, 3))
     assert merge_sign((0, 1), (1, 2)) is None
 
@@ -111,8 +119,11 @@ def test_chain_complex_matches_chain_rep_construction():
 # cochain_rep d, L and B as they were assembled directly on forms, before
 # the cochain side was built by duality, as sparse [row, col, "p/q"]
 # entries per source degree.  Its coefficients sit in nonzero degrees, so
-# the (-1)^(mq + q) part of the sign rule is pinned.
-PINNED_COCHAINS = pathlib.Path(__file__).parent / "data" / "cochain_exact.json"
+# the (-1)^(mq + q) part of the sign rule is pinned.  chain_exact.json
+# holds the ce_chain differential and the chain_rep d, L and B in the same
+# format, as they were assembled element by element before the chain side
+# was built from wedge and contraction operators.
+DATA = pathlib.Path(__file__).parent / "data"
 
 
 def _sparse(op):
@@ -122,18 +133,67 @@ def _sparse(op):
             for k, b in sorted(op.blocks.items())}
 
 
-@pytest.mark.parametrize("g", [sl2(), heisenberg3()], ids=lambda g: g.name)
-@pytest.mark.parametrize("coeff", ["U_trivial", "trivial2_deg1"])
-def test_cochain_side_matches_pinned_entries(g, coeff):
-    pinned = json.loads(PINNED_COCHAINS.read_text())[f"{g.name}/{coeff}"]
-    v = (restrict(chain_rep(g, trivial_lie_rep(g))) if coeff == "U_trivial"
-         else trivial_lie_rep(g, dim=2, degree=1))
-    rep = cochain_rep(g, v)
+def _coefficients(g, name):
+    if name == "U_trivial":
+        return restrict(chain_rep(g, trivial_lie_rep(g)))
+    if name == "trivial2_deg1":
+        return trivial_lie_rep(g, dim=2, degree=1)
+    return adjoint_rep(g) if name == "adjoint" else trivial_lie_rep(g)
+
+
+def _assert_pinned(pinned, rep, differential, key):
     assert {str(k): d for k, d in sorted(rep.complex.space.dims.items())} == pinned["dims"]
-    assert _sparse(ce_cochain(g, v).differential) == pinned["ce_cochain"]
+    assert _sparse(differential) == pinned[key]
     assert _sparse(rep.differential) == pinned["d"]
     assert [_sparse(op) for op in rep.L] == pinned["L"]
     assert [_sparse(op) for op in rep.B] == pinned["B"]
+
+
+@pytest.mark.parametrize("g", [sl2(), heisenberg3()], ids=lambda g: g.name)
+@pytest.mark.parametrize("coeff", ["U_trivial", "trivial2_deg1"])
+def test_cochain_side_matches_pinned_entries(g, coeff):
+    pinned = json.loads((DATA / "cochain_exact.json").read_text())[f"{g.name}/{coeff}"]
+    v = _coefficients(g, coeff)
+    _assert_pinned(pinned, cochain_rep(g, v), ce_cochain(g, v).differential, "ce_cochain")
+
+
+@pytest.mark.parametrize("g", [sl2(), heisenberg3()], ids=lambda g: g.name)
+@pytest.mark.parametrize("coeff", ["trivial", "adjoint", "trivial2_deg1", "U_trivial"])
+def test_chain_side_matches_pinned_entries(g, coeff):
+    pinned = json.loads((DATA / "chain_exact.json").read_text())[f"{g.name}/{coeff}"]
+    v = _coefficients(g, coeff)
+    _assert_pinned(pinned, chain_rep(g, v), ce_chain(g, v).differential, "ce_chain")
+
+
+def _nilpotent(k):
+    """Strictly upper triangular k x k matrices on the matrix units E_ab,
+    a < b, with [E_ab, E_cd] = delta_bc E_ad - delta_da E_cb."""
+    basis = [(a, b) for a in range(k) for b in range(a + 1, k)]
+    index = {e: i for i, e in enumerate(basis)}
+    brackets = {}
+    for i, (a, b) in enumerate(basis):
+        for j, (c, d) in enumerate(basis[i + 1:], start=i + 1):
+            coeffs = {index[(a, d)]: 1} if b == c else {}
+            if d == a:
+                coeffs[index[(c, b)]] = -1
+            if coeffs:
+                brackets[(i, j)] = coeffs
+    return LieAlgebra(len(basis), brackets, name=f"n{k}")
+
+
+@pytest.mark.parametrize("k,coeff,expected", [
+    (4, "trivial", (1, 3, 5, 6, 5, 3, 1)),
+    (5, "trivial", (1, 4, 9, 15, 20, 22, 20, 15, 9, 4, 1)),
+    (4, "adjoint", (1, 6, 16, 21, 18, 11, 3)),
+])
+def test_nilpotent_betti_numbers_match_kostant(k, coeff, expected):
+    """Kostant (1961): dim H^m(n_k) is the number of permutations of k
+    letters with m inversions.  The adjoint row starts with the centre
+    (spanned by E_14) and has Euler characteristic 0, as every row of a
+    nilpotent algebra does."""
+    g = _nilpotent(k)
+    dims = cohomology_dims(ce_cochain(g, _coefficients(g, coeff)).complex)
+    assert tuple(dims[m] for m in range(g.n + 1)) == expected
 
 
 @pytest.mark.parametrize("build", [ce_cochain, cochain_rep])

@@ -1,6 +1,8 @@
 """Graded operators, Koszul signs, tensor complexes."""
 
 import json
+import pathlib
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -10,10 +12,10 @@ from hypothesis import strategies as st
 
 from cartankit import cli, linalg
 from cartankit.ce import ce_chain, ce_cochain
-from cartankit.graded import (CochainComplex, GradedOperator, GradedVectorSpace,
+from cartankit.graded import (CochainComplex, GradedOperator, GradedVectorSpace, combination,
                               compose, dual_complex, dual_operator, dual_space,
-                              graded_commutator, tensor_basis_index, tensor_complex,
-                              tensor_operator, tensor_space)
+                              graded_commutator, reversed_tensor, tensor_basis_index,
+                              tensor_complex, tensor_operator, tensor_space)
 from cartankit.lie import sl2
 from cartankit.linalg import EXACT, FLOAT, ModeError
 from cartankit.reps import adjoint_rep, chain_rep, cochain_rep, trivial_lie_rep
@@ -348,6 +350,9 @@ def test_sparse_storage_matches_dense_reference(seed, mode, df, dg):
     _assert_blocks(f - h, {k: bf[k] - bh[k] for k in bf}, mode)
     c = Fraction(-3, 4) if mode == EXACT else -0.75
     _assert_blocks(c * f, {k: c * b for k, b in bf.items()}, mode)
+    cs = (Fraction(2, 3), -1, Fraction(5, 7)) if mode == EXACT else (2 / 3, -1.0, 5 / 7)
+    _assert_blocks(combination(cs, (f, h, f)),
+                   {k: cs[0] * bf[k] + cs[1] * bh[k] + cs[2] * bf[k] for k in bf}, mode)
     want_norm = max((linalg.max_abs(b) for b in bf.values()), default=0.0)
     assert f.norm() == want_norm
     vec = {k: np.array([_random_entry(rng, mode) for _ in range(space.dim(k))], dtype=object
@@ -377,6 +382,19 @@ def test_sparse_storage_matches_dense_reference(seed, mode, df, dg):
                             row = _tensor_index(space, space, p + df, r, q + dg, s)
                             want[p + q][row, col] += koszul * bf[p][r, i] * bg[q][s, j]
     _assert_blocks(tensor, want, mode)
+
+
+def test_reversed_tensor_lists_pairs_by_decreasing_degree_and_signs_them():
+    # V = W = {0: 1, 1: 1}; f sends v1 to 3 v0.  On (V ox W)^1 the tensor
+    # layout lists v0 ox w1 before v1 ox w0, the reversed order after it, and
+    # the sign -1 on p = 1 flips the entry from v1 ox w1.
+    space = _space({0: 1, 1: 1})
+    f = _op(space, -1, {1: [[3.0]]})
+    one = GradedOperator.identity(space, FLOAT)
+    assert np.array_equal(tensor_operator(f, one).block(2), [[3.0], [0.0]])
+    signed = reversed_tensor(space, space, lambda p, q: 1 - 2 * (p % 2))
+    assert np.array_equal(signed((f, one)).block(2), [[0.0], [-3.0]])
+    assert np.array_equal(signed((f, one), (f, one)).block(1), [[-6.0, 0.0]])
 
 
 def test_exact_blocks_are_fractions_and_only_nonzero_blocks_are_stored():
@@ -434,3 +452,17 @@ def test_cli_exit_two_on_exact_overflow(tmp_path, capsys):
     lines = capsys.readouterr().err.strip().splitlines()
     assert code == 2
     assert len(lines) == 1 and "int64" in lines[0]
+
+
+LAYOUT_NAMES = re.compile(r"\b(_starts|_index_degrees|_rows|_cols|_data|_den|_tensor_position"
+                          r"|_new|_fill)\b")
+
+
+def test_only_graded_reads_the_layout():
+    """The direct-sum layout and the stored entry arrays are private to
+    graded.py: no other module of the package names them."""
+    package = pathlib.Path(__file__).resolve().parents[1] / "src" / "cartankit"
+    readers = {path.name: sorted(set(LAYOUT_NAMES.findall(path.read_text())))
+               for path in sorted(package.glob("*.py")) if path.name != "graded.py"}
+    assert "ce.py" in readers and "reps.py" in readers
+    assert {name: found for name, found in readers.items() if found} == {}

@@ -190,6 +190,14 @@ def test_cartan_dgla_rejects_invalid_constants():
     assert "\n" not in str(err.value)
 
 
+@pytest.mark.parametrize("n", [0, -1])
+def test_algebra_needs_a_positive_dimension(n):
+    for build in (lambda: abelian(n), lambda: LieAlgebra(n, {}, labels=[])):
+        with pytest.raises(ValueError) as err:
+            build()
+        assert str(err.value) == f"dim must be at least 1, got {n}"
+
+
 def test_vector_mode_and_length_checks():
     g = sl2()
     with pytest.raises(ValueError):

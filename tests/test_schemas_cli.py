@@ -448,6 +448,13 @@ def _one_dim_lie_rep(dim):
                             {"degrees": {"0": dim}, "R": [{"0": [[0]]}] * 3})
 
 
+def _empty_algebra(dim):
+    def edit(payload):
+        payload["lie_algebra"].update(dim=dim, brackets=[])
+        del payload["lie_algebra"]["labels"]
+    return edit
+
+
 _WXY = ["integrate", "--rep", "chain_trivial", "--word", "wxy", "--mode", "float"]
 
 
@@ -466,9 +473,11 @@ _WXY = ["integrate", "--rep", "chain_trivial", "--word", "wxy", "--mode", "float
      "1 labels for a 3-dimensional algebra"),
     (_heisenberg_edit(("lie_algebra", "labels"), []), ["check-lie"],
      "0 labels for a 3-dimensional algebra"),
+    (_empty_algebra(0), ["check-lie"], "dim must be at least 1, got 0"),
+    (_empty_algebra(-1), ["check-lie"], "dim must be at least 1, got -1"),
 ], ids=["fractional_index", "boolean_indices", "fractional_degree_dim", "boolean_degree_dim",
         "boolean_order", "boolean_series_cap", "repeated_bracket_pair", "label_count",
-        "empty_labels"])
+        "empty_labels", "zero_dim", "negative_dim"])
 def test_cli_exit_two_on_malformed_integers_and_structure(tmp_path, capsys, edit, argv, field):
     """Each edit of a copy of problems/heisenberg_exact.json is an input
     error: exit 2 and one line naming the field."""
