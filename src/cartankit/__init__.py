@@ -12,7 +12,7 @@ from .reps import (CartanRep, LieRep, adjoint_rep, adjunction_check,
                    cartan_dgla, cartan_residuals, chain_rep, cochain_rep, dual_rep,
                    hom_space, restrict, tensor_rep, trivial_cartan_rep,
                    trivial_lie_rep)
-from .ce import ce_chain, ce_cochain, cohomology_dims, leibniz_check
+from .ce import ce_chain, ce_cochain, cohomology_dims
 from .evaluators import (ChainCombination, FlatRep, PointEvaluator,
                          WordEvaluator, aw_coproduct_word, boundary,
                          ez_product, thinness_check)

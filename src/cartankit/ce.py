@@ -12,14 +12,13 @@ products:
     B_i = eps_i ox 1,
     del = sum_{s<t, r} c[s,t,r] eps_r iota_t iota_s   (``boundary``).
 
-The cochain side is their signed transpose with dual coefficients.  Basis
-elements are (index subset, coefficient basis vector), subsets in
-lexicographic order (``CEBasis``).
+The cochain side is their signed transpose with dual coefficients.  Within
+each total degree the layout (``CEBasis``) lists the pieces Lambda^m ox V^q
+by increasing m, subsets in lexicographic order inside Lambda^m.
 """
 
 from collections import namedtuple
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import comb
@@ -28,16 +27,8 @@ import numpy as np
 
 from . import linalg
 from .graded import (CochainComplex, GradedOperator, GradedVectorSpace, combination, compose,
-                     dual_operator, dual_space, graded_commutator, reversed_tensor)
-from .linalg import EXACT
-
-
-def merge_sign(left, right):
-    """Sign of sorting the concatenation of two disjoint sorted subsets."""
-    if set(left) & set(right):
-        return None
-    inv = sum(1 for s in left for t in right if s > t)
-    return (-1) ** inv, tuple(sorted(left + right))
+                     dual_operator, dual_space, graded_commutator, reversed_tensor,
+                     tensor_space)
 
 
 Exterior = namedtuple("Exterior", "space eps iota")
@@ -85,36 +76,52 @@ def _odd(q):
 
 
 class CEBasis:
-    """Enumerates (subset, coeff degree, coeff index) by total degree."""
+    """The layout of Lambda(g) ox V (chains) or of its dual with V* in place
+    of V (cochains), and the placing of tensor products on it."""
 
     def __init__(self, n, coeff_space, flavor):
         if flavor not in ("cochain", "chain"):
             raise ValueError("flavor must be 'cochain' or 'chain'")
-        self.sign = 1 if flavor == "cochain" else -1
-        self.elements = {}      # built in (size, subset, q, i) order
-        for m in range(n + 1):
-            for subset in combinations(range(n), m):
-                for q in sorted(coeff_space.dims):
-                    for i in range(coeff_space.dim(q)):
-                        self.elements.setdefault(self.sign * m + q, []).append((subset, q, i))
-        self.space = GradedVectorSpace({deg: len(items) for deg, items in self.elements.items()})
+        self.cochain = flavor == "cochain"
         ext = GradedVectorSpace({-m: comb(n, m) for m in range(n + 1)})
-        self._tensor = (reversed_tensor(ext, coeff_space, lambda p, q: 1) if flavor == "chain"
-                        else reversed_tensor(ext, dual_space(coeff_space), _sign_of_transpose))
+        if self.cochain:
+            dual = dual_space(coeff_space)
+            self.space = dual_space(tensor_space(ext, dual))
+            self._tensor = reversed_tensor(ext, dual, _sign_of_transpose)
+        else:
+            self.space = tensor_space(ext, coeff_space)
+            self._tensor = reversed_tensor(ext, coeff_space)
 
     def place(self, sign, *pairs):
         """The sum of f ox g over ``pairs`` (f on Lambda(g), g on V for chains,
-        on V* for cochains) on this basis.  Cochains take its transpose, the
-        chain element j of degree -k being (subset, -q, i) for the element j
-        of degree k here: ``dual_operator`` with ``sign`` by source degree
-        here, conjugated by ``_sign_of_transpose``."""
+        on V* for cochains) on this basis.  On chains f and g may be maps to
+        other spaces and ``sign`` is unused.  Cochains take its transpose,
+        the chain basis in degree -k being dual to the one here in degree k:
+        ``dual_operator`` with ``sign`` by source degree here, conjugated by
+        ``_sign_of_transpose``."""
         op = self._tensor(*pairs)
-        return op if self.sign == -1 else dual_operator(op, self.space, sign)
+        return dual_operator(op, self.space, sign) if self.cochain else op
+
+
+@lru_cache(maxsize=16)
+def first_contractions(n, mode, coeff_space):
+    """R_i ox 1 on the chain layout of Lambda(g) ox V, where
+    R_i = iota_i prod_{j<i} iota_j eps_j sends e_s to e_(s - i) when i = min s
+    and to 0 otherwise (each iota_j eps_j keeps the subsets without j), so
+    that sum_i eps_i R_i is 1 on Lambda^m for m > 0."""
+    ext = exterior(n, mode)
+    place = CEBasis(n, coeff_space, "chain").place
+    one = GradedOperator.identity(coeff_space, mode)
+    out, without = [], GradedOperator.identity(ext.space, mode)
+    for eps, iota in zip(ext.eps, ext.iota):
+        out.append(place(None, (compose(iota, without), one)))
+        without = compose(compose(iota, eps), without)
+    return tuple(out)
 
 
 @dataclass
 class CEComplex:
-    """Assembled complex plus its basis labeling, the Lie representation
+    """Assembled complex plus its layout, the Lie representation
     its chain side was made from (the coefficients, or their dual for
     cochains) and the boundary of Lambda(g)."""
 
@@ -177,52 +184,3 @@ def cohomology_dims(complex_: CochainComplex, tol=linalg.DEFAULT_TOL):
         out[k] = complex_.space.dim(k) - ranks.get(k, 0) - ranks.get(k - 1, 0)
     return out
 
-
-def wedge(left_vec, right_vec):
-    """Wedge of basis-dicts {(subset,q,i): coeff}; left factor is scalar-valued."""
-    out = {}
-    for (s, _, _), cl in left_vec.items():
-        for (t, q, i), cr in right_vec.items():
-            merged = merge_sign(s, t)
-            if merged is None:
-                continue
-            sgn, u = merged
-            key = (u, q, i)
-            out[key] = out.get(key, 0) + sgn * cl * cr
-    return {k: v for k, v in out.items() if v != 0}
-
-
-def _apply_diff(ce, vec):
-    """Differential of a basis-dict, via the columns of the assembled matrix."""
-    out = {}
-    for element, coeff in vec.items():
-        deg = ce.basis.sign * len(element[0]) + element[1]
-        column = ce.differential.block(deg)[:, ce.basis.elements[deg].index(element)]
-        for row in np.flatnonzero(column):
-            target = ce.basis.elements[deg + 1][row]
-            out[target] = out.get(target, 0) + coeff * column[row]
-    return {k: v for k, v in out.items() if v != 0}
-
-
-def leibniz_check(algebra, rep, max_total_degree=3):
-    """Max residual of d(a b) = (da) b + (-1)^|a| a (db) over basis pairs."""
-    from .reps import trivial_lie_rep
-    scalar = ce_cochain(algebra, trivial_lie_rep(algebra, mode=rep.mode))
-    full = ce_cochain(algebra, rep)
-    worst = Fraction(0) if rep.mode == EXACT else 0.0
-    for p in range(algebra.n + 1):
-        for eta in scalar.basis.elements.get(p, []):
-            d_eta = _apply_diff(scalar, {eta: 1})
-            for q_deg, omegas in full.basis.elements.items():
-                if p + q_deg > max_total_degree:
-                    continue
-                for omega in omegas:
-                    d_omega = _apply_diff(full, {omega: 1})
-                    lhs = _apply_diff(full, wedge({eta: 1}, {omega: 1}))
-                    rhs = wedge(d_eta, {omega: 1})
-                    for key, val in wedge({eta: 1}, d_omega).items():
-                        rhs[key] = rhs.get(key, 0) + (-1) ** p * val
-                    keys = set(lhs) | set(rhs)
-                    for key in keys:
-                        worst = max(worst, abs(lhs.get(key, 0) - rhs.get(key, 0)))
-    return worst

@@ -380,12 +380,15 @@ def _tensor_sum(pairs, descending=False, signs=None):
                 f0.degree + g0.degree, f0.mode, rows, cols, data, den)
 
 
-def reversed_tensor(v, w, sign):
-    """Sums of tensor products f ox g of endomorphisms of V and W, Koszul
-    signs as in ``tensor_operator``, in the order of V ox W that lists the
-    (p, q) pairs of each total degree by decreasing p (Kronecker order
-    inside each pair) and conjugated by the diagonal sign(p, q) (+-1,
-    vectorised): returns the map (f, g), (f', g'), ... -> the sum."""
+def reversed_tensor(v, w, sign=None):
+    """Sums of tensor products f ox g, Koszul signs as in ``tensor_operator``,
+    in the order of V ox W that lists the (p, q) pairs of each total degree
+    by decreasing p (Kronecker order inside each pair): returns the map
+    (f, g), (f', g'), ... -> the sum.  Without ``sign`` the f and g may be
+    maps between any spaces; with it they are endomorphisms of V and W and
+    the sum is conjugated by the diagonal sign(p, q) (+-1, vectorised)."""
+    if sign is None:
+        return lambda *pairs: _tensor_sum(pairs, True)
     pos = _tensor_position(v, w, True)
     signs = np.empty_like(pos)
     signs[pos] = sign(np.repeat(v._index_degrees, w.total_dim),

@@ -291,19 +291,24 @@ def _intertwiner_system(source, target, pairs, mode):
 
 
 def induced_map(v_rep: LieRep, w_rep: CartanRep, phi0: GradedOperator) -> GradedOperator:
-    """Extend a degree-0 map V -> W to the chain complex of V by letting
-    each subset act through the degree-(-1) operators of W."""
+    """The map of the chain representation Lambda(g) ox V to W that extends
+    the degree-0 map phi0: V -> W, phi(e_s ox v) = B_{s_1} ... B_{s_m} phi0(v)
+    for s_1 < ... < s_m.  Built one generator at a time from the last: on
+    the subsets of {i, ..., n-1} it is phi_i = phi_{i+1} + B_i phi_{i+1} (R_i ox 1),
+    R_i of ``ce.first_contractions``, from phi_n = phi0 (augmentation ox 1)."""
     if phi0.source != v_rep.complex.space or phi0.target != w_rep.complex.space:
         raise ValueError("induced_map: phi0 must map the space of V to the space of W")
-    basis = ce.CEBasis(v_rep.algebra.n, v_rep.complex.space, "chain")
-    entries = []
-    for deg, elements in basis.elements.items():
-        for c, (subset, q, i) in enumerate(elements):
-            img = phi0.apply({q: linalg.unit_vector(v_rep.complex.space.dim(q), i, w_rep.mode)})
-            for idx in reversed(subset):
-                img = w_rep.B[idx].apply(img)
-            entries += [(deg, r, c, v) for r, v in enumerate(img.get(deg, [])) if v != 0]
-    return GradedOperator.from_entries(basis.space, w_rep.complex.space, 0, entries, w_rep.mode)
+    if phi0.degree != 0:
+        raise ValueError(f"induced_map: phi0 must have degree 0, got {phi0.degree}")
+    n, mode, space = v_rep.algebra.n, w_rep.mode, v_rep.complex.space
+    if phi0.mode != mode:
+        raise linalg.ModeError(f"induced_map: phi0 is {phi0.mode}, W is {mode}")
+    augmentation = GradedOperator.from_entries(ce.exterior(n, mode).space,
+                                               GradedVectorSpace({0: 1}), 0, [(0, 0, 0, 1)], mode)
+    phi = ce.CEBasis(n, space, "chain").place(None, (augmentation, phi0))
+    for b, lower in reversed(list(zip(w_rep.B, ce.first_contractions(n, mode, space)))):
+        phi = phi + compose(b, compose(phi, lower))
+    return phi
 
 
 def intertwiner_residual(op: GradedOperator, a: CartanRep, b: CartanRep) -> float:

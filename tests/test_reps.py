@@ -2,19 +2,23 @@
 dual, morphism spaces and the adjunction."""
 
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
 
+from cartankit import linalg
 from cartankit.ce import ce_chain, ce_cochain
 from cartankit.graded import (CochainComplex, GradedOperator, GradedVectorSpace,
                               compose, tensor_basis_index, tensor_space)
-from cartankit.lie import abelian, heisenberg3, sl2
-from cartankit.linalg import EXACT
-from cartankit.reps import (CartanRep, LieRep, adjoint_rep, adjunction_check,
+from cartankit.lie import abelian, heisenberg3, sl2, su2
+from cartankit.linalg import EXACT, FLOAT, ModeError
+from cartankit.reps import (CartanRep, LieRep, adjoint_rep, adjunction_check, cartan_dgla,
                             cartan_residuals, chain_rep, cochain_rep, dual_lie_rep, dual_rep,
-                            evaluation_pairing_residual, hom_space, restrict,
-                            tensor_rep, trivial_cartan_rep, trivial_lie_rep)
+                            evaluation_pairing_residual, hom_space, induced_map,
+                            intertwiner_residual, restrict, tensor_rep, trivial_cartan_rep,
+                            trivial_lie_rep)
+from test_ce import _nilpotent
 
 
 def test_trivial_rep_residuals_zero():
@@ -372,6 +376,85 @@ def test_induced_map_rejects_a_mistyped_degree_zero_map():
     phi = hom_space(coeff, coeff)[0]
     with pytest.raises(ValueError, match="phi0 must map"):
         induced_map(coeff, chain_rep(g, coeff), phi)
+
+
+def test_induced_map_rejects_a_map_of_nonzero_degree():
+    g = heisenberg3()
+    coeff, rep = trivial_lie_rep(g), cochain_rep(g, trivial_lie_rep(g))
+    phi = GradedOperator.from_entries(coeff.complex.space, rep.complex.space, 1,
+                                      [(0, 0, 0, 1)], EXACT)
+    with pytest.raises(ValueError, match="degree 0, got 1"):
+        induced_map(coeff, rep, phi)
+
+
+def test_induced_map_rejects_a_map_in_another_mode():
+    g = heisenberg3()
+    coeff = trivial_lie_rep(g, mode=FLOAT)
+    phi = hom_space(coeff, restrict(chain_rep(g, coeff)))[0]
+    with pytest.raises(ModeError, match="phi0 is float, W is exact"):
+        induced_map(coeff, chain_rep(g, trivial_lie_rep(g)), phi)
+
+
+def _chain_labels(n, space):
+    """(subset, q, i) labels of the chain layout of Lambda(g) ox V by total
+    degree: exterior degree m increasing, subsets lexicographic, then the
+    coefficient basis by degree."""
+    labels = {}
+    for m in range(n + 1):
+        for subset in combinations(range(n), m):
+            for q in sorted(space.dims):
+                for i in range(space.dim(q)):
+                    labels.setdefault(q - m, []).append((subset, q, i))
+    return labels
+
+
+def _reference_induced_map(v_rep, w_rep, phi0):
+    """phi(e_s ox v) = B_{s_1} ... B_{s_m} phi0(v), one label at a time."""
+    labels = _chain_labels(v_rep.algebra.n, v_rep.complex.space)
+    entries = []
+    for deg, elements in labels.items():
+        for c, (subset, q, i) in enumerate(elements):
+            img = phi0.apply({q: linalg.unit_vector(v_rep.complex.space.dim(q), i, w_rep.mode)})
+            for idx in reversed(subset):
+                img = w_rep.B[idx].apply(img)
+            entries += [(deg, r, c, v) for r, v in enumerate(img.get(deg, [])) if v != 0]
+    space = GradedVectorSpace({deg: len(elements) for deg, elements in labels.items()})
+    return GradedOperator.from_entries(space, w_rep.complex.space, 0, entries, w_rep.mode)
+
+
+@pytest.mark.parametrize("mode", [EXACT, FLOAT])
+@pytest.mark.parametrize("g", [sl2(), heisenberg3(), abelian(2), abelian(3), su2()],
+                         ids=lambda g: f"{g.name}{g.n}" if g.name == "abelian" else g.name)
+def test_induced_map_matches_the_per_subset_products(g, mode):
+    coefficients = [trivial_lie_rep(g, mode=mode), adjoint_rep(g, mode),
+                    trivial_lie_rep(g, dim=2, mode=mode)]
+    targets = [build(g, v) for build in (chain_rep, cochain_rep) for v in coefficients]
+    compared = 0
+    for v in coefficients:
+        for w in targets + ([cartan_dgla(g)] if mode == EXACT else []):
+            for phi0 in hom_space(v, restrict(w)):
+                phi, ref = induced_map(v, w, phi0), _reference_induced_map(v, w, phi0)
+                assert (phi.source, phi.target, phi.degree) == (ref.source, ref.target, 0)
+                for k in ref.source.degrees:
+                    assert np.array_equal(phi.block(k), ref.block(k))
+                compared += 1
+    assert compared > 0
+
+
+@pytest.mark.parametrize("k", [4, 5])
+def test_induced_map_on_nilpotent_chains_is_a_cartan_map(k):
+    """V the adjoint of n_k, W its chain representation with trivial
+    coefficients (dim 2^(k(k-1)/2)): maps V -> W^0 kill [g, g], so there
+    are k - 1 of them."""
+    g = _nilpotent(k)
+    v, w = adjoint_rep(g), chain_rep(g, trivial_lie_rep(g))
+    maps = hom_space(v, restrict(w))
+    assert len(maps) == k - 1
+    uv = chain_rep(g, v)
+    for phi0 in maps:
+        phi = induced_map(v, w, phi0)
+        assert intertwiner_residual(phi, uv, w) == 0
+        assert np.array_equal(phi.block(0)[:, :g.n], phi0.block(0))
 
 
 def test_adjunction_builds_the_chain_complex_once(monkeypatch):
