@@ -176,11 +176,9 @@ def ce_cochain(algebra, rep) -> CEComplex:
 
 
 def cohomology_dims(complex_: CochainComplex, tol=linalg.DEFAULT_TOL):
-    """dim ker - dim im per degree, by exact or SVD rank."""
-    diff = complex_.differential
-    ranks = {k: linalg.rank(b, tol) for k, b in diff.blocks.items()}
-    out = {}
-    for k in complex_.space.degrees:
-        out[k] = complex_.space.dim(k) - ranks.get(k, 0) - ranks.get(k - 1, 0)
-    return out
+    """dim ker - dim im per degree, by exact (sparse rows) or SVD rank."""
+    diff, space = complex_.differential, complex_.space
+    ranks = {k: linalg.rank(diff.rows(k), tol, space.dim(k)) if diff.mode == linalg.EXACT
+             else linalg.rank(diff.block(k), tol) for k in space.degrees}
+    return {k: space.dim(k) - ranks[k] - ranks.get(k - 1, 0) for k in space.degrees}
 

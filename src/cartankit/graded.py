@@ -181,14 +181,24 @@ class GradedOperator:
         out[rows, cols] = self._values(data)
         return out
 
+    def _entries_of(self, k):
+        """Rows, columns (both within the block) and values of block k."""
+        c0, r0 = self.source._starts.get(k, 0), self.target._starts.get(k + self.degree, 0)
+        m = (self._cols >= c0) & (self._cols < c0 + self.source.dim(k))
+        return self._rows[m] - r0, self._cols[m] - c0, self._data[m]
+
     def _stored(self, k):
         """Dense block k, or None when it has no nonzero entry."""
-        c0 = self.source._starts.get(k, 0)
-        m = (self._cols >= c0) & (self._cols < c0 + self.source.dim(k))
-        if not m.any():
-            return None
-        return self._dense(self._rows[m] - self.target._starts[k + self.degree], self._cols[m] - c0,
-                           self._data[m], (self.target.dim(k + self.degree), self.source.dim(k)))
+        rows, cols, data = self._entries_of(k)
+        shape = (self.target.dim(k + self.degree), self.source.dim(k))
+        return self._dense(rows, cols, data, shape) if len(data) else None
+
+    def rows(self, k: int):
+        """Exact block k as integer rows {column: numerator}, denominator dropped."""
+        out = [{} for _ in range(self.target.dim(k + self.degree))]
+        for r, c, v in zip(*(a.tolist() for a in self._entries_of(k))):
+            out[r][c] = v
+        return out
 
     def block(self, k: int):
         b = self._stored(k)

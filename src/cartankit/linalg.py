@@ -1,10 +1,10 @@
-"""Dense matrix helpers: scalar parsing, exact rank and nullspace, and the
-float matrix exponentials.
+"""Matrix helpers: scalar parsing, exact rank and nullspace, and the float
+matrix exponentials.
 
-Matrices are plain numpy arrays: float64 in float mode, object arrays of
-``fractions.Fraction`` in exact mode.  The two modes never mix silently;
-``common_mode`` raises when operands disagree.  Exact products, sums and
-exponentials of operators live in ``graded`` on the sparse int64 kernel.
+Dense matrices are numpy arrays: float64 in float mode, object arrays of
+``fractions.Fraction`` in exact mode; exact rank and nullspace eliminate on
+sparse integer rows, read off a dense array or straight off an operator
+(``GradedOperator.rows``).  ``common_mode`` raises when modes mix.
 """
 
 import math
@@ -104,59 +104,60 @@ def max_abs(a) -> float:
 # ranks and nullspaces
 # ---------------------------------------------------------------------------
 
-def _clear_denominators(a):
-    """Scale each row of a Fraction matrix to integers."""
-    rows = []
-    for row in a:
-        lcm = math.lcm(*(v.denominator for v in row))
-        rows.append([v.numerator * (lcm // v.denominator) for v in row])
-    return rows
-
-
-def _echelon(a):
-    """Fraction-free forward elimination of an exact matrix.
-
-    Works on the integer rows of ``_clear_denominators``: each pivot
-    updates only the rows with a nonzero entry in its column
-    (row * p - f * pivot_row), and each updated row is divided by the gcd
-    of its entries.  Returns the nonzero echelon rows and their pivot
-    columns.
-    """
-    rows = _clear_denominators(a)
-    pivots = []
-    for c in range(a.shape[1]):
-        r = len(pivots)
-        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        top, p = rows[r], rows[r][c]
-        for i in range(r + 1, len(rows)):
-            f = rows[i][c]
-            if f:
-                new = [x * p - f * y for x, y in zip(rows[i], top)]
-                g = math.gcd(*new)
-                rows[i] = [x // g for x in new] if g > 1 else new
-        pivots.append(c)
-        if len(pivots) == len(rows):
-            break
-    return rows[:len(pivots)], pivots
-
-
-def rank(a, tol: float = DEFAULT_TOL) -> int:
-    """Matrix rank: the pivot count of ``_echelon`` in exact mode, singular
-    values above ``tol`` times the largest in float mode."""
+def _exact_rows(a, n_cols):
+    """(rows, n_cols) of an exact matrix, None for a float one; a dense
+    ``Fraction`` array gives each row times the lcm of its denominators."""
+    if n_cols is not None:
+        return a, n_cols
     a = np.asarray(a)
-    if mode_of(a) == EXACT:
-        return len(_echelon(a)[1])
+    if mode_of(a) != EXACT:
+        return None
+    lcms = [math.lcm(*(v.denominator for v in row)) for row in a]
+    return [{j: int(v * m) for j, v in enumerate(row) if v} for row, m in zip(a, lcms)], a.shape[1]
+
+
+def _echelon(rows, n_cols):
+    """Fraction-free forward elimination (Bareiss, 1968) of sparse integer
+    rows, one column at a time in increasing order.  Rows wait under their
+    first column, so the rows filed under c are those with a nonzero at c:
+    the sparsest is the pivot, and every other one becomes
+    row * pivot[c] - row[c] * pivot over the gcd of its entries and is filed
+    under its new first column.  Returns the echelon rows by pivot column,
+    the pivot columns of the reduced row echelon form."""
+    waiting, echelon = {}, {}
+    for row in filter(None, rows):
+        waiting.setdefault(min(row), []).append(row)
+    for c in range(n_cols):
+        if c in waiting:
+            top, *rest = sorted(waiting.pop(c), key=len)
+            for row in rest:
+                new = {j: v * top[c] for j, v in row.items()}
+                for j, v in top.items():
+                    new[j] = new.get(j, 0) - row[c] * v
+                g = math.gcd(*new.values())
+                new = {j: v // g for j, v in new.items() if v}
+                if new:
+                    waiting.setdefault(min(new), []).append(new)
+            echelon[c] = top
+    return echelon
+
+
+def rank(a, tol: float = DEFAULT_TOL, n_cols=None) -> int:
+    """Rank of a dense matrix, or of sparse integer rows {column: int} with
+    ``n_cols``: the pivot count of ``_echelon`` in exact mode, singular
+    values above ``tol`` times the largest in float mode."""
+    exact = _exact_rows(a, n_cols)
+    if exact:
+        return len(_echelon(*exact))
+    a = np.asarray(a)
     if a.size == 0:
         return 0
     s = np.linalg.svd(a, compute_uv=False)
     return int(np.sum(s > tol * s[0]))
 
 
-def nullspace(a, tol: float = DEFAULT_TOL):
-    """Basis (list of vectors) of the right nullspace.
+def nullspace(a, tol: float = DEFAULT_TOL, n_cols=None):
+    """Basis (list of vectors) of the right nullspace; ``a`` as in ``rank``.
 
     Exact mode back-substitutes from the rows of ``_echelon``: one vector
     per free (non-pivot) column, with 1 there, 0 at the other free
@@ -164,18 +165,18 @@ def nullspace(a, tol: float = DEFAULT_TOL):
     row echelon form, as in sympy's ``Matrix.nullspace``).  Float mode
     takes the right singular vectors past the numerical rank.
     """
-    a = np.asarray(a)
-    n_cols = a.shape[1]
-    if mode_of(a) == EXACT:
-        rows, pivots = _echelon(a)
+    exact = _exact_rows(a, n_cols)
+    if exact:
+        echelon, n_cols = _echelon(*exact), exact[1]
         basis = []
-        for free in sorted(set(range(n_cols)) - set(pivots)):
+        for free in sorted(set(range(n_cols)) - echelon.keys()):
             vec = unit_vector(n_cols, free, EXACT)
-            for row, pc in zip(reversed(rows), reversed(pivots)):
-                acc = sum(row[j] * vec[j] for j in range(pc + 1, n_cols) if row[j])
-                vec[pc] = Fraction(-acc, row[pc])
+            for pc, row in reversed(echelon.items()):
+                vec[pc] = Fraction(-sum(v * vec[j] for j, v in row.items() if vec[j]), row[pc])
             basis.append(vec)
         return basis
+    a = np.asarray(a)
+    n_cols = a.shape[1]
     if a.shape[0] == 0 or n_cols == 0:
         return [unit_vector(n_cols, i, FLOAT) for i in range(n_cols)]
     u, s, vt = np.linalg.svd(a)

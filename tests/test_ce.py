@@ -206,13 +206,48 @@ def _nilpotent(k):
     (4, "trivial", (1, 3, 5, 6, 5, 3, 1)),
     (5, "trivial", (1, 4, 9, 15, 20, 22, 20, 15, 9, 4, 1)),
     (4, "adjoint", (1, 6, 16, 21, 18, 11, 3)),
+    (5, "adjoint", (1, 8, 28, 59, 92, 108, 101, 76, 44, 19, 4)),
 ])
 def test_nilpotent_betti_numbers_match_kostant(k, coeff, expected):
     """Kostant (1961): dim H^m(n_k) is the number of permutations of k
-    letters with m inversions.  The adjoint row starts with the centre
-    (spanned by E_14) and has Euler characteristic 0, as every row of a
-    nilpotent algebra does."""
+    letters with m inversions.  The adjoint rows start with the centre
+    (spanned by E_1k) and have Euler characteristic 0, as every row of a
+    nilpotent algebra does.  n_5 with adjoint coefficients is a
+    10,240-dimensional complex."""
     g = _nilpotent(k)
+    dims = cohomology_dims(ce_cochain(g, _coefficients(g, coeff)).complex)
+    assert tuple(dims[m] for m in range(g.n + 1)) == expected
+    assert sum((-1) ** m * d for m, d in enumerate(expected)) == 0
+
+
+def _sl3():
+    """sl_3 on the matrix units E_ab, a != b, then H_1 = E_11 - E_22 and
+    H_2 = E_22 - E_33; a traceless diagonal diag(x, y - x, -y) is
+    x H_1 + y H_2."""
+    units = [(a, b) for a in range(3) for b in range(3) if a != b]
+    unit = np.eye(3, dtype=int)
+    mats = [np.outer(unit[a], unit[b]) for a, b in units]
+    mats += [np.diag([1, -1, 0]), np.diag([0, 1, -1])]
+    brackets = {}
+    for i, j in combinations(range(8), 2):
+        m = mats[i] @ mats[j] - mats[j] @ mats[i]
+        coeffs = {k: int(m[a, b]) for k, (a, b) in enumerate(units) if m[a, b]}
+        coeffs.update({k: int(v) for k, v in ((6, m[0, 0]), (7, -m[2, 2])) if v})
+        if coeffs:
+            brackets[(i, j)] = coeffs
+    return LieAlgebra(8, brackets, name="sl3")
+
+
+@pytest.mark.parametrize("coeff,expected", [
+    ("trivial", (1, 0, 0, 1, 0, 1, 0, 0, 1)),
+    ("adjoint", (0,) * 9),
+])
+def test_sl3_betti_numbers_match_theory(coeff, expected):
+    """H*(sl_3) is an exterior algebra on generators of degrees 3 and 5;
+    with adjoint coefficients (a nontrivial irreducible, 2,048-dimensional
+    complex) every degree vanishes (Whitehead)."""
+    g = _sl3()
+    assert g.check_jacobi() == 0
     dims = cohomology_dims(ce_cochain(g, _coefficients(g, coeff)).complex)
     assert tuple(dims[m] for m in range(g.n + 1)) == expected
 

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import numpy as np
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -49,3 +50,38 @@ def test_exact_nullspace_of_a_matrix_without_rows_is_exact():
     assert [list(v) for v in basis] == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
     assert all(type(x) is Fraction for v in basis for x in v)
 
+
+@st.composite
+def sparse_integer_matrices(draw):
+    """Up to 40 x 40 integer matrices with at most four nonzeros per drawn
+    row, some rows combinations of earlier ones, and a positive scale per
+    row."""
+    n_rows, n_cols = draw(st.integers(0, 40)), draw(st.integers(1, 40))
+    a = np.zeros((n_rows, n_cols), dtype=object)
+    for i in range(n_rows):
+        if i >= 2 and draw(st.booleans()):
+            s, t = draw(st.lists(st.integers(-3, 3), min_size=2, max_size=2))
+            a[i] = s * a[draw(st.integers(0, i - 1))] + t * a[draw(st.integers(0, i - 1))]
+        else:
+            for _ in range(draw(st.integers(0, 4))):
+                a[i, draw(st.integers(0, n_cols - 1))] = draw(st.integers(-9, 9))
+    return a, draw(st.lists(st.integers(1, 50), min_size=n_rows, max_size=n_rows))
+
+
+@settings(max_examples=40, deadline=None)
+@given(sparse_integer_matrices())
+def test_sparse_rows_match_the_dense_matrix_and_sympy(case):
+    """The rows times their scales, as sparse integer rows, and the rows over
+    their scales, as a dense ``Fraction`` array, have the rank and the
+    nullspace basis that sympy gives the matrix."""
+    a, scales = case
+    n_rows, n_cols = a.shape
+    rows = [{j: int(v) * s for j, v in enumerate(row) if v} for row, s in zip(a, scales)]
+    dense = linalg.zeros(a.shape, EXACT)
+    for i, s in enumerate(scales):
+        dense[i] = [Fraction(int(v), s) for v in a[i]]
+    m = sympy.Matrix(n_rows, n_cols, [int(v) for v in a.reshape(-1)])
+    assert linalg.rank(rows, n_cols=n_cols) == linalg.rank(dense) == m.rank()
+    expected = [[Fraction(int(x.p), int(x.q)) for x in v] for v in m.nullspace()]
+    assert [list(v) for v in linalg.nullspace(rows, n_cols=n_cols)] == expected
+    assert [list(v) for v in linalg.nullspace(dense)] == expected

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from cartankit import linalg
-from cartankit.ce import ce_chain, ce_cochain
+from cartankit.ce import ce_chain, ce_cochain, cohomology_dims
 from cartankit.graded import (CochainComplex, GradedOperator, GradedVectorSpace,
                               compose, tensor_basis_index, tensor_space)
 from cartankit.lie import abelian, heisenberg3, sl2, su2
@@ -455,6 +455,33 @@ def test_induced_map_on_nilpotent_chains_is_a_cartan_map(k):
         phi = induced_map(v, w, phi0)
         assert intertwiner_residual(phi, uv, w) == 0
         assert np.array_equal(phi.block(0)[:, :g.n], phi0.block(0))
+
+
+def test_adjunction_on_nilpotent_chains():
+    """The 384-dimensional chain representation of the adjoint of n_4: its
+    maps to W = chain_rep(n_4, trivial) restrict to the k - 1 = 3 maps of
+    representations V -> W, and each extends back exactly."""
+    g = _nilpotent(4)
+    res = adjunction_check(adjoint_rep(g), chain_rep(g, trivial_lie_rep(g)))
+    assert (res.dim_cartan_side, res.dim_lie_side) == (3, 3)
+    assert res.reconstruction_residual == 0 and res.ok
+
+
+def test_exact_checks_build_no_dense_block(monkeypatch):
+    """Exact ranks, hom spaces and the adjunction read the sparse entries of
+    the operators: none of them asks for a dense block."""
+    def refuse(self, k):
+        raise AssertionError(f"dense block {k} built")
+
+    monkeypatch.setattr(GradedOperator, "_stored", refuse)
+    g = _nilpotent(4)
+    dims = cohomology_dims(ce_cochain(g, adjoint_rep(g)).complex)
+    assert tuple(dims[m] for m in range(g.n + 1)) == (1, 6, 16, 21, 18, 11, 3)
+    h = heisenberg3()
+    v, w = adjoint_rep(h), chain_rep(h, trivial_lie_rep(h))
+    assert len(hom_space(v, restrict(w))) == len(hom_space(chain_rep(h, v), w)) == 2
+    res = adjunction_check(v, w)
+    assert res.ok and res.dim_cartan_side == res.dim_lie_side == 2
 
 
 def test_adjunction_builds_the_chain_complex_once(monkeypatch):
