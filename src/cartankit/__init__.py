@@ -17,8 +17,7 @@ from .evaluators import (ChainCombination, FlatRep, PointEvaluator,
                          WordEvaluator, aw_coproduct_word, boundary,
                          ez_product, thinness_check)
 from .integrate import (ChainModule, differentiate_module, dg_module_exact,
-                        dg_module_residual, eval_form, integrate_quadrature,
-                        integrate_series, mu_p_residual, point_value,
-                        pullback_word_closed, roundtrip_errors)
+                        dg_module_residual, integrate_quadrature, integrate_series,
+                        mu_p_residual, point_value, roundtrip_errors)
 
 __version__ = "0.1.0"

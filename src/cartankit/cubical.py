@@ -16,7 +16,7 @@ import numpy as np
 
 from .evaluators import (AffineReparam, Evaluator, FlatRep,
                          MaxCollapseReparam, PermReparam)
-from .integrate import DEFAULT_ORDER, cube_nodes, density_batch, simplex_nodes
+from .integrate import DEFAULT_ORDER, cube_nodes, density_at, integral_entries, simplex_nodes
 
 
 def perm_sign(perm) -> int:
@@ -55,10 +55,11 @@ def split_upper(ev: Evaluator, i: int, s: float) -> Evaluator:
 
 
 class IntegrationCochain:
-    """Scalar cochain: one entry of the integrated pullback density."""
+    """Scalar cochain: one entry of the integrated pullback density, given by
+    its index among the block entries (``evaluators.Blocks``)."""
 
     def __init__(self, flat: FlatRep, k: int, kind: str = "simplicial",
-                 entry=(0, 0), order: int = DEFAULT_ORDER):
+                 entry: int = 0, order: int = DEFAULT_ORDER):
         if kind not in ("simplicial", "cubical"):
             raise ValueError("kind must be 'simplicial' or 'cubical'")
         self.flat = flat
@@ -72,9 +73,8 @@ class IntegrationCochain:
             raise ValueError("dimension mismatch")
         nodes, weights = (simplex_nodes if self.kind == "simplicial" else cube_nodes)(
             self.k, self.order)
-        dens = density_batch(self.flat, ev.eval(nodes))
-        r, c = self.entry
-        return fsum(float(w) * float(v) for w, v in zip(weights, dens[:, r, c]))
+        dens = density_at(self.flat, ev, nodes).entries
+        return fsum(float(w) * float(v) for w, v in zip(weights, dens[:, self.entry]))
 
 
 class ConstantCochain:
@@ -123,15 +123,12 @@ def cube_vs_simplex_residual(flat: FlatRep, ev: Evaluator,
                              order: int = DEFAULT_ORDER) -> float:
     """Cube integral versus the signed sum of simplex integrals of the
     coordinate-permuted restrictions (the shuffle triangulation)."""
-    k = ev.k
-    nodes, weights = cube_nodes(k, order)
-    cube_val = np.einsum("p,pab->ab", weights, density_batch(flat, ev.eval(nodes)))
-    snodes, sweights = simplex_nodes(k, order)
+    cube_val = integral_entries(flat, ev, order, "cube")
     total = np.zeros_like(cube_val)
-    for perm in permutations(range(k)):
-        dens = density_batch(flat, PermReparam(ev, perm).eval(snodes))
-        total = total + perm_sign(perm) * np.einsum("p,pab->ab", sweights, dens)
-    return float(np.max(np.abs(cube_val - total)))
+    for perm in permutations(range(ev.k)):
+        total = total + perm_sign(perm) * integral_entries(flat, PermReparam(ev, perm), order,
+                                                           "simplex")
+    return float(np.max(np.abs(cube_val - total), initial=0.0))
 
 
 def collapse_terms(c, ev: Evaluator):

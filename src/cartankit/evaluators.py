@@ -9,13 +9,17 @@ realize t -> exp(t_1 x_1) ... exp(t_k x_k); everything else (faces, shuffles,
 coordinate permutations, axis splits, the cube-to-simplex collapse) is
 built compositionally from them.
 
-Evaluation is batched: ``eval(T)`` takes an array of points of shape
-(P, k) and returns stacked arrays.  A word evaluator walks the prefix tree
-of its batch: one exponential per distinct coordinate of each slot and one
-product per distinct prefix (t_1, ..., t_j), so nested quadrature nodes,
-faces, shuffles and cube grids pay for their shared coordinates once.
-Float mode only; exact-mode integration goes through the series and
-polynomial routes instead.
+The operator value is degree 0, so it is held as its diagonal blocks, one
+stack per degree, and ``eval(T, degrees)`` evaluates it only at the
+degrees asked for: a degree -k density rho(t) B(xi_1) ... B(xi_k) needs
+rho(t) only at the targets q - k of the source degrees q
+(``FlatRep.targets``).  Evaluation is batched: ``eval`` takes an array of
+points of shape (P, k) and returns stacked arrays.  A word evaluator walks
+the prefix tree of its batch: one exponential per distinct coordinate of
+each slot and one product per distinct prefix (t_1, ..., t_j), so nested
+quadrature nodes, faces, shuffles and cube grids pay for their shared
+coordinates once.  Float mode only; exact-mode integration goes through
+the series and polynomial routes instead.
 """
 
 from dataclasses import dataclass, field
@@ -23,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .graded import flatten_operator
+from .graded import GradedOperator
 from .linalg import FLOAT
 
 
@@ -36,19 +40,42 @@ def as_points(points, k: int) -> np.ndarray:
     return arr.reshape(-1, k)
 
 
+class Blocks:
+    """A batch of P graded operators of one degree, by blocks: ``blocks[q]``
+    is the (P, rows, cols) stack of the blocks with source degree q, in
+    increasing q.  Row p, ``self[p]``, lists the block entries of operator p
+    (blocks by source degree, each row-major), the vector that
+    ``GradedOperator.from_block_entries`` reads; ``entries`` stacks them."""
+
+    def __init__(self, blocks, n_points: int):
+        self.blocks = blocks
+        self.n_points = n_points
+
+    @property
+    def entries(self) -> np.ndarray:
+        p = self.n_points
+        return np.concatenate([np.zeros((p, 0))] + [b.reshape(p, -1) for b in self.blocks.values()],
+                              axis=1)
+
+    def __getitem__(self, p) -> np.ndarray:
+        return self.entries[p]
+
+
 @dataclass
 class PointData:
     """Batched evaluator output.  Only the inverse adjoint is carried: it
     conjugates tangents in pointwise products and p-fold multiplication."""
 
-    rho: np.ndarray       # (P, N, N) operator values
+    rho: Blocks           # operator values at the evaluated degrees, (P, d, d) each
     ad_inv: np.ndarray    # (P, n, n) inverse adjoint matrices
     xi: np.ndarray        # (P, k, n) left-translated tangents
 
 
 class FlatRep:
-    """A representation of the Cartan DG Lie algebra flattened to total
-    matrices over the direct sum of all degrees, for fast batch work."""
+    """A float representation of the Cartan DG Lie algebra held as dense
+    degree blocks for batch work: the L operators stacked per degree, the
+    B operators stacked per source degree, and per letter x and degree one
+    Taylor exponential of the block of L(x), built on first use."""
 
     def __init__(self, rep):
         if rep.mode != FLOAT:
@@ -57,22 +84,24 @@ class FlatRep:
         self.algebra = rep.algebra
         self.space = rep.complex.space
         self.total_dim = self.space.total_dim
-        self.B = np.stack([flatten_operator(op) for op in rep.B]) if rep.B else None
+        degrees = self.space.degrees
+        # L[d]: (n, dim d, dim d); B[s]: (n, dim(s - 1), dim s), leaving degree s
+        self.L = {d: np.stack([op.block(d) for op in rep.L]) for d in degrees}
+        self.B = {s: np.stack([op.block(s) for op in rep.B])
+                  for s in range(degrees[0] + 1, degrees[-1] + 1)}
         self._exp_cache = {}
 
-    def operator_of(self, x) -> np.ndarray:
-        """Total matrix of the degree-0 action of the algebra element x."""
-        return flatten_operator(self.rep.L_of(np.asarray(x, dtype=float)))
+    def targets(self, k: int):
+        """Target degrees q - k of the source degrees q of a degree -k map."""
+        return [q - k for q in self.space.degrees if self.space.dim(q - k)]
 
-    def contraction_of(self, xs) -> np.ndarray:
-        """Batched degree-(-1) action: xs has shape (..., n)."""
-        return np.einsum("...i,ijk->...jk", np.asarray(xs, dtype=float), self.B)
-
-    def exp_factors(self, x):
-        """Taylor data for t -> exp(t * action(x)), cached per letter."""
-        key = tuple(np.asarray(x, dtype=float))
+    def exp_factors(self, x, d: int):
+        """Taylor data for t -> exp(t * action(x)) on degree d, cached per
+        letter and degree."""
+        x = np.asarray(x, dtype=float)
+        key = (tuple(x), d)
         if key not in self._exp_cache:
-            self._exp_cache[key] = _TaylorExp(self.operator_of(x))
+            self._exp_cache[key] = _TaylorExp(np.einsum("i,iab->ab", x, self.L[d]))
         return self._exp_cache[key]
 
 
@@ -90,7 +119,7 @@ class _TaylorExp:
             if linalg.max_abs(terms[-1]) < 1e-20 or m > 60:
                 break
             m += 1
-        self.coeffs = np.stack(terms)          # (M, N, N)
+        self.coeffs = np.stack(terms)          # (M, d, d)
 
     def at(self, t: np.ndarray) -> np.ndarray:
         t = np.asarray(t, dtype=float)
@@ -106,12 +135,14 @@ def _exp_ad_factors(algebra, x):
 
 
 class Evaluator:
-    """Base class; subclasses fill in ``eval``."""
+    """Base class; subclasses fill in ``eval``.  ``eval(points, degrees)``
+    evaluates the operator value at the listed degrees, all of them when
+    ``degrees`` is None."""
 
     k = 0
     domain = "simplex"
 
-    def eval(self, points: np.ndarray) -> PointData:
+    def eval(self, points: np.ndarray, degrees=None) -> PointData:
         raise NotImplementedError
 
     def at(self, point) -> PointData:
@@ -122,9 +153,10 @@ class WordEvaluator(Evaluator):
     """t -> prefix * exp(t_1 x_1) ... exp(t_k x_k).
 
     ``eval`` exponentiates each distinct value of a slot once and forms the
-    running product once per distinct prefix (t_1, ..., t_j), then gathers
-    per point; the inverse-adjoint tail and the tangents stay per point.
-    Every output row is bit-identical to evaluating its point alone.
+    running product once per distinct prefix (t_1, ..., t_j), at each
+    degree asked for, then gathers per point; the inverse-adjoint tail and
+    the tangents stay per point.  Every output row is bit-identical to
+    evaluating its point alone.
     """
 
     def __init__(self, flat: FlatRep, letters, prefix=(), domain="simplex"):
@@ -133,31 +165,33 @@ class WordEvaluator(Evaluator):
         self.prefix = [np.asarray(x, dtype=float) for x in prefix]
         self.k = len(self.letters)
         self.domain = domain
-        self._exp = [flat.exp_factors(x) for x in self.letters]
         self._ad = [_exp_ad_factors(flat.algebra, x) for x in self.letters]
-        rho0 = np.eye(flat.total_dim)
+        rho0 = {d: np.eye(flat.space.dim(d)) for d in flat.space.degrees}
         ad0i = np.eye(flat.algebra.n)
         for x in self.prefix:
-            rho0 = rho0.dot(flat.exp_factors(x).at(np.ones(1))[0])
+            rho0 = {d: r.dot(flat.exp_factors(x, d).at(np.ones(1))[0]) for d, r in rho0.items()}
             ad0i = _exp_ad_factors(flat.algebra, x).at(-np.ones(1))[0].dot(ad0i)
         self._rho0, self._ad0i = rho0, ad0i
 
-    def eval(self, points: np.ndarray) -> PointData:
+    def eval(self, points: np.ndarray, degrees=None) -> PointData:
         points = as_points(points, self.k)
         p = points.shape[0]
         n = self.flat.algebra.n
-        # prefix tree of the batch: node[q] is the id of the prefix
-        # (t_1, ..., t_j) of point q, and rho[i] the product at node i
+        degrees = self.flat.space.degrees if degrees is None else degrees
+        # prefix tree of the batch: node[r] is the id of the prefix
+        # (t_1, ..., t_j) of point r, and rho[d][i] the product at node i
         node = np.zeros(p, dtype=int)
-        rho = self._rho0[None]
+        rho = {d: self._rho0[d][None] for d in degrees}
         neg_ads = []
-        for j in range(self.k):
+        for j, x in enumerate(self.letters):
             values, which = np.unique(points[:, j], return_inverse=True)
             m = len(values)
             ids, node = np.unique(node * m + which, return_inverse=True)
-            rho = np.matmul(rho[ids // m], self._exp[j].at(values)[ids % m])
+            for d in degrees:
+                factors = self.flat.exp_factors(x, d).at(values)
+                rho[d] = np.matmul(rho[d][ids // m], factors[ids % m])
             neg_ads.append(self._ad[j].at(-values)[which])
-        rho = rho[node]
+        rho = Blocks({d: r[node] for d, r in rho.items()}, p)
         # tail: product of the negative factors after slot j, in reverse order;
         # the full product followed by the prefix is the inverse adjoint
         xi = np.zeros((p, self.k, n))
@@ -177,13 +211,15 @@ class PointEvaluator(Evaluator):
         self.flat = flat
         self.k = 0
 
-    def eval(self, points: np.ndarray) -> PointData:
+    def eval(self, points: np.ndarray, degrees=None) -> PointData:
         arr = np.asarray(points, dtype=float)
         p = arr.shape[0] if arr.ndim == 2 else 1
-        return self._word.eval(np.zeros((p, 0)))
+        return self._word.eval(np.zeros((p, 0)), degrees)
 
-    def value(self) -> np.ndarray:
-        return self._word.eval(np.zeros((1, 0))).rho[0]
+    def value(self) -> GradedOperator:
+        space = self.flat.space
+        return GradedOperator.from_block_entries(space, space, 0, self.eval(np.zeros((1, 0))).rho[0],
+                                                 FLOAT)
 
 
 class AffineReparam(Evaluator):
@@ -196,10 +232,10 @@ class AffineReparam(Evaluator):
         self.k = self.matrix.shape[1]
         self.domain = domain or base.domain
 
-    def eval(self, points: np.ndarray) -> PointData:
+    def eval(self, points: np.ndarray, degrees=None) -> PointData:
         points = as_points(points, self.k)
         up = points.dot(self.matrix.T) + self.offset
-        data = self.base.eval(up)
+        data = self.base.eval(up, degrees)
         xi = np.einsum("jm,pjd->pmd", self.matrix, data.xi)
         return PointData(data.rho, data.ad_inv, xi)
 
@@ -213,10 +249,10 @@ class PermReparam(Evaluator):
         self.k = base.k
         self.domain = base.domain
 
-    def eval(self, points: np.ndarray) -> PointData:
+    def eval(self, points: np.ndarray, degrees=None) -> PointData:
         points = as_points(points, self.k)
         up = points[:, list(self.perm)]
-        data = self.base.eval(up)
+        data = self.base.eval(up, degrees)
         xi = np.zeros_like(data.xi)
         for j, pj in enumerate(self.perm):
             xi[:, pj, :] += data.xi[:, j, :]
@@ -231,11 +267,11 @@ class MaxCollapseReparam(Evaluator):
         self.k = base.k
         self.domain = "cube"
 
-    def eval(self, points: np.ndarray) -> PointData:
+    def eval(self, points: np.ndarray, degrees=None) -> PointData:
         points = as_points(points, self.k)
         k = self.k
         up = np.maximum.accumulate(points[:, ::-1], axis=1)[:, ::-1]
-        data = self.base.eval(up)
+        data = self.base.eval(up, degrees)
         # d y_i / d t_m = 1 exactly when m is the argmax of t_i..t_k
         xi = np.zeros_like(data.xi)
         rev = points[:, ::-1]
@@ -271,11 +307,12 @@ class ProductEvaluator(Evaluator):
             raise ValueError("slot count mismatch")
         self.domain = left.domain
 
-    def eval(self, points: np.ndarray) -> PointData:
+    def eval(self, points: np.ndarray, degrees=None) -> PointData:
         points = as_points(points, self.k)
-        lp = self.left.eval(points[:, list(self.left_slots)] if self.left.k else np.zeros((points.shape[0], 0)))
-        rp = self.right.eval(points[:, list(self.right_slots)] if self.right.k else np.zeros((points.shape[0], 0)))
-        rho = np.matmul(lp.rho, rp.rho)
+        lp = self.left.eval(points[:, list(self.left_slots)], degrees)
+        rp = self.right.eval(points[:, list(self.right_slots)], degrees)
+        rho = Blocks({d: np.matmul(b, rp.rho.blocks[d]) for d, b in lp.rho.blocks.items()},
+                     points.shape[0])
         ad_inv = np.matmul(rp.ad_inv, lp.ad_inv)
         xi = np.zeros((points.shape[0], self.k, lp.xi.shape[2] if lp.xi.size else rp.xi.shape[2]))
         if self.left.k:
@@ -381,7 +418,7 @@ def thinness_check(ev: Evaluator, samples=None) -> bool:
     if ev.k == 0:
         return False
     pts = samples if samples is not None else interior_points(ev.k, ev.domain)
-    data = ev.eval(np.asarray(pts, dtype=float))
+    data = ev.eval(np.asarray(pts, dtype=float), ())
     for xi in data.xi:
         s = np.linalg.svd(xi, compute_uv=False)
         smax = s[0] if s.size else 0.0

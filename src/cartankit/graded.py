@@ -71,16 +71,20 @@ class GradedVectorSpace:
         return f"GradedVectorSpace({self.dims})"
 
 
+@lru_cache(maxsize=64)
 def _block_entries(source, target, degree):
     """Flat indices of the block entries of a degree-``degree`` map, in the
-    total matrix row-major: blocks by source degree, each row-major."""
+    total matrix row-major: blocks by source degree, each row-major.  Cached
+    by the dimensions of the spaces."""
     parts = [_NONE]
     for k in source.degrees:
         if target.dim(k + degree):
             r = target._starts[k + degree] + np.arange(target.dim(k + degree))
             c = source._starts[k] + np.arange(source.dim(k))
             parts.append((r[:, None] * source.total_dim + c).ravel())
-    return np.concatenate(parts)
+    out = np.concatenate(parts)
+    out.flags.writeable = False
+    return out
 
 
 def _entry_arrays(source, target, degree, entries, mode):
@@ -239,7 +243,8 @@ class GradedOperator:
         return float(self._values([np.abs(self._data).max(initial=0)])[0])
 
     def __repr__(self):
-        return f"GradedOperator(degree={self.degree}, blocks={sorted(self.blocks)})"
+        degrees = np.unique(self.source._index_degrees[self._cols]).tolist()
+        return f"GradedOperator(degree={self.degree}, blocks={degrees})"
 
 
 def _new(source, target, degree, mode, rows, cols, data, den=1) -> GradedOperator:
@@ -420,11 +425,6 @@ def tensor_complex(vc: CochainComplex, wc: CochainComplex) -> CochainComplex:
     idw = GradedOperator.identity(wc.space, wc.mode)
     diff = tensor_operator(vc.differential, idw) + tensor_operator(idv, wc.differential)
     return CochainComplex(tensor_space(vc.space, wc.space), diff)
-
-
-def flatten_operator(op: GradedOperator):
-    """Dense total matrix of a graded operator over the direct-sum layout."""
-    return op._dense(op._rows, op._cols, op._data, (op.target.total_dim, op.source.total_dim))
 
 
 def exp_terms(op: GradedOperator, t=1):

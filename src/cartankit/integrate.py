@@ -11,15 +11,16 @@ integration in exact mode) together with the law checks built on them.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product as iter_product
 from math import factorial
 
 import numpy as np
 
 from . import linalg
-from .evaluators import (ChainCombination, Evaluator, FlatRep,
+from .evaluators import (Blocks, ChainCombination, Evaluator, FlatRep,
                          PointEvaluator, WordEvaluator, boundary, ez_product)
-from .graded import (GradedOperator, compose, exp_operator, exp_terms, flatten_operator,
+from .graded import (GradedOperator, combination, compose, exp_operator, exp_terms,
                      graded_commutator, tensor_operator)
 from .linalg import EXACT, FLOAT
 
@@ -41,82 +42,89 @@ def gauss_01(order: int):
     return (x + 1.0) / 2.0, w / 2.0
 
 
-def simplex_nodes(k: int, order: int):
-    """Nested rule on 1 >= t_1 >= ... >= t_k >= 0: t_j = u_j t_{j-1}."""
+@lru_cache(maxsize=32)
+def _rule(k: int, order: int, simplex: bool):
+    """Tensor Gauss-Legendre rule on the cube, or nested on the simplex;
+    cached, so its arrays are read-only."""
     x, w = gauss_01(order)
     idx = np.stack(np.meshgrid(*([np.arange(order)] * k), indexing="ij"),
                    axis=-1).reshape(-1, k)
-    u = x[idx]
-    t = np.cumprod(u, axis=1)
-    weights = np.prod(w[idx], axis=1)
-    if k > 1:
-        weights = weights * np.prod(t[:, :-1], axis=1)
+    t, weights = x[idx], np.prod(w[idx], axis=1)
+    if simplex:
+        t = np.cumprod(t, axis=1)
+        if k > 1:
+            weights = weights * np.prod(t[:, :-1], axis=1)
+    t.flags.writeable = weights.flags.writeable = False
     return t, weights
 
 
+def simplex_nodes(k: int, order: int):
+    """Nested rule on 1 >= t_1 >= ... >= t_k >= 0: t_j = u_j t_{j-1}."""
+    return _rule(k, order, True)
+
+
 def cube_nodes(k: int, order: int):
-    x, w = gauss_01(order)
-    idx = np.stack(np.meshgrid(*([np.arange(order)] * k), indexing="ij"),
-                   axis=-1).reshape(-1, k)
-    return x[idx], np.prod(w[idx], axis=1)
+    return _rule(k, order, False)
 
 
 # ---------------------------------------------------------------------------
 # densities
 # ---------------------------------------------------------------------------
 
-def density_batch(flat: FlatRep, data) -> np.ndarray:
-    """rho(t) o B(xi_1) o ... o B(xi_k) at every point of a batch."""
-    out = data.rho
-    for j in range(data.xi.shape[1]):
-        out = np.matmul(out, flat.contraction_of(data.xi[:, j, :]))
-    return out
+def density_batch(flat: FlatRep, data) -> Blocks:
+    """rho(t) o B(xi_1) o ... o B(xi_k) at every point of a batch, one block
+    per source degree q: rho at q - k, then the B blocks (q-j <- q-j+1) from
+    j = k down to 1.  ``data`` holds rho at every target q - k
+    (``FlatRep.targets``)."""
+    k = data.xi.shape[1]
+    out = {}
+    for q in flat.space.degrees:
+        if flat.space.dim(q - k):
+            block = data.rho.blocks[q - k]
+            for j in range(k):
+                b = np.einsum("pi,iab->pab", data.xi[:, j, :], flat.B[q - k + j + 1])
+                block = np.matmul(block, b)
+            out[q] = block
+    return Blocks(out, data.xi.shape[0])
 
 
-def eval_form(flat: FlatRep, ev: Evaluator, point) -> GradedOperator:
-    """Pullback density of the representation form at one parameter point."""
-    data = ev.at(point)
-    return GradedOperator.from_matrix(flat.space, -ev.k, density_batch(flat, data)[0], FLOAT)
-
-
-def pullback_word_closed(rep, letters, point) -> GradedOperator:
-    """Closed form of the word pullback: B_1 e^{t_1 A_1} ... B_k e^{t_k A_k}."""
-    out = None
-    for x, t in zip(letters, point):
-        factor = compose(rep.B_of(x), exp_operator(rep.L_of(x), t))
-        out = factor if out is None else compose(out, factor)
-    if out is None:
-        return GradedOperator.identity(rep.complex.space, rep.mode)
-    return out
+def density_at(flat: FlatRep, ev: Evaluator, points) -> Blocks:
+    """Pullback density of an evaluator at a batch of points."""
+    return density_batch(flat, ev.eval(points, flat.targets(ev.k)))
 
 
 # ---------------------------------------------------------------------------
 # the integrals
 # ---------------------------------------------------------------------------
 
-def integrate_quadrature(flat: FlatRep, ev: Evaluator, order: int = DEFAULT_ORDER,
-                         domain: str = None) -> GradedOperator:
-    """Iterated Gauss-Legendre integral of the pullback density."""
+def integral_entries(flat: FlatRep, ev: Evaluator, order: int = DEFAULT_ORDER,
+                     domain: str = None) -> np.ndarray:
+    """Block entries of the iterated Gauss-Legendre integral of the
+    pullback density, as ``GradedOperator.from_block_entries`` reads them."""
     if order < 1:
         raise ValueError("order must be >= 1")
     if ev.k == 0:
-        return GradedOperator.from_matrix(flat.space, 0, ev.eval(np.zeros((1, 0))).rho[0], FLOAT)
-    domain = domain or ev.domain
-    nodes, weights = (simplex_nodes if domain == "simplex" else cube_nodes)(ev.k, order)
-    data = ev.eval(nodes)
-    dens = density_batch(flat, data)
-    return GradedOperator.from_matrix(flat.space, -ev.k,
-                                      np.einsum("p,pab->ab", weights, dens), FLOAT)
+        return ev.eval(np.zeros((1, 0))).rho[0]
+    nodes, weights = (simplex_nodes if (domain or ev.domain) == "simplex" else cube_nodes)(
+        ev.k, order)
+    return weights @ density_at(flat, ev, nodes).entries
+
+
+def integrate_quadrature(flat: FlatRep, ev: Evaluator, order: int = DEFAULT_ORDER,
+                         domain: str = None) -> GradedOperator:
+    """Iterated Gauss-Legendre integral of the pullback density."""
+    return GradedOperator.from_block_entries(flat.space, flat.space, -ev.k,
+                                             integral_entries(flat, ev, order, domain), FLOAT)
 
 
 def integrate_chain(flat: FlatRep, chain: ChainCombination, order: int = DEFAULT_ORDER) -> GradedOperator:
     out = None
     for coef, ev in chain.terms:
-        piece = float(coef) * integrate_quadrature(flat, ev, order)
+        piece = float(coef) * integral_entries(flat, ev, order)
         out = piece if out is None else out + piece
     if out is None:
         raise ValueError("cannot integrate an empty chain")
-    return out
+    return GradedOperator.from_block_entries(flat.space, flat.space, -chain.k, out, FLOAT)
 
 
 def compositions(total: int, parts: int):
@@ -127,6 +135,16 @@ def compositions(total: int, parts: int):
     for first in range(total + 1):
         for rest in compositions(total - first, parts - 1):
             yield (first,) + rest
+
+
+@lru_cache(maxsize=256)
+def _layer_terms(layer: int, k: int):
+    """The (j_1, ..., j_k) with sum ``layer`` as the rows of an int array,
+    and their float series coefficients; cached, so read-only."""
+    js = np.array(list(compositions(layer, k)), dtype=int).reshape(-1, k)
+    coefs = np.array([series_coefficient(j, False) for j in js.tolist()])
+    js.flags.writeable = coefs.flags.writeable = False
+    return js, coefs
 
 
 def series_coefficient(js, exact: bool):
@@ -143,47 +161,63 @@ def series_coefficient(js, exact: bool):
 
 def integrate_series(rep, letters, max_degree: int = DEFAULT_SERIES_CAP) -> GradedOperator:
     """Sum of B_1 A_1^{j_1} ... B_k A_k^{j_k} with the simplex moment
-    coefficients.  Float mode sums dense matrices layer by layer to a
-    tolerance; exact mode composes operators up to each letter's nilpotency
-    cap, so it terminates exactly on nilpotent inputs."""
+    coefficients.  Float mode sums layer by layer to a tolerance; exact
+    mode composes operators up to each letter's nilpotency cap, so it
+    terminates exactly on nilpotent inputs."""
     k = len(letters)
     space = rep.complex.space
-    mode = rep.mode
     if k == 0:
-        return GradedOperator.identity(space, mode)
-    if mode == EXACT:
-        A = [rep.L_of(x) for x in letters]
-        B = [rep.B_of(x) for x in letters]
-        caps = [len(exp_terms(a)) - 1 for a in A]     # highest nonzero power
-        top = sum(caps)
-        dot, zero = compose, GradedOperator.zero(space, space, -k, mode)
-    else:
-        A = [flatten_operator(rep.L_of(x)) for x in letters]
-        B = [flatten_operator(rep.B_of(x)) for x in letters]
-        caps = [max_degree] * k
-        top = max_degree
-        dot, zero = np.dot, linalg.zeros((space.total_dim, space.total_dim), mode)
+        return GradedOperator.identity(space, rep.mode)
+    A = [rep.L_of(x) for x in letters]
+    B = [rep.B_of(x) for x in letters]
+    if rep.mode == FLOAT:
+        return _float_series(space, A, B, max_degree)
+    caps = [len(exp_terms(a)) - 1 for a in A]     # highest nonzero power
     powers = []
-    for i in range(k):
-        ps = [B[i]]
-        for m in range(1, caps[i] + 1):
-            ps.append(dot(ps[-1], A[i]))
+    for a, b, cap in zip(A, B, caps):
+        ps = [b]
+        for m in range(1, cap + 1):
+            ps.append(compose(ps[-1], a))
         powers.append(ps)        # powers[i][j] = B_i A_i^j
-    acc = zero
-    for layer in range(0, top + 1):
+    acc = zero = GradedOperator.zero(space, space, -k, EXACT)
+    for layer in range(0, sum(caps) + 1):
         layer_sum = zero
         for js in compositions(layer, k):
             if all(j <= cap for j, cap in zip(js, caps)):
                 term = powers[0][js[0]]
                 for i in range(1, k):
-                    term = dot(term, powers[i][js[i]])
-                layer_sum = layer_sum + series_coefficient(js, mode == EXACT) * term
+                    term = compose(term, powers[i][js[i]])
+                layer_sum = layer_sum + series_coefficient(js, True) * term
         acc = acc + layer_sum
-        if mode == FLOAT and layer >= 1 and \
+    return acc
+
+
+def _float_series(space, A, B, max_degree):
+    """The float series on degree blocks.  The block from source degree q
+    walks the chain q -> q - 1 -> ... -> q - k, letter i acting from degree
+    q - k + 1 + i, and each layer sums all its terms in one batched product."""
+    k = len(A)
+    chains = {q: [(A[i].block(s), B[i].block(s)) for i, s in enumerate(range(q - k + 1, q + 1))]
+              for q in space.degrees if space.dim(q - k)}
+    # powers[q][i][j] = B_i A_i^j on the chain of q, filled one power per layer
+    powers = {q: [np.zeros((max_degree + 1,) + b.shape) for _, b in chain]
+              for q, chain in chains.items()}
+    acc = 0.0                   # block entries, blocks by source degree
+    for layer in range(0, max_degree + 1):
+        js, coefs = _layer_terms(layer, k)
+        parts = [np.zeros(0)]
+        for q, chain in chains.items():
+            for (a, b), ps in zip(chain, powers[q]):
+                ps[layer] = ps[layer - 1].dot(a) if layer else b
+            term = powers[q][0][js[:, 0]]
+            for i in range(1, k):
+                term = np.matmul(term, powers[q][i][js[:, i]])
+            parts.append(np.einsum("c,cab->ab", coefs, term).ravel())
+        layer_sum = np.concatenate(parts)
+        acc = acc + layer_sum
+        if layer >= 1 and \
                 linalg.max_abs(layer_sum) < DEFAULT_SERIES_TOL * (1.0 + linalg.max_abs(acc)):
-            return GradedOperator.from_matrix(space, -k, acc, mode)
-    if mode == EXACT:
-        return acc
+            return GradedOperator.from_block_entries(space, space, -k, acc, FLOAT)
     raise ConvergenceError(f"series did not converge within total degree {max_degree}")
 
 
@@ -310,13 +344,13 @@ def multiplicativity_residual(flat: FlatRep, left_letters, right_letters,
 def equivariance_residual(flat: FlatRep, letters, prefix) -> float:
     """Density after left translation minus the translated density."""
     from .evaluators import interior_points
-    base = WordEvaluator(flat, letters)
-    moved = WordEvaluator(flat, letters, prefix=prefix)
-    pts = interior_points(len(letters))
-    d0 = density_batch(flat, base.eval(pts))
-    d1 = density_batch(flat, moved.eval(pts))
-    rho_g = PointEvaluator(flat, prefix=prefix).value()
-    return float(np.max(np.abs(d1 - np.matmul(rho_g, d0))))
+    k = len(letters)
+    pts = interior_points(k)
+    d0 = density_at(flat, WordEvaluator(flat, letters), pts).blocks
+    d1 = density_at(flat, WordEvaluator(flat, letters, prefix=prefix), pts).blocks
+    rho_g = PointEvaluator(flat, prefix=prefix).eval(np.zeros((1, 0)), flat.targets(k)).rho.blocks
+    return max((float(np.max(np.abs(d1[q] - np.matmul(rho_g[q - k], d0[q])))) for q in d0),
+               default=0.0)
 
 
 def mu_p_residual(flat: FlatRep, factors, tangents) -> float:
@@ -331,8 +365,10 @@ def mu_p_residual(flat: FlatRep, factors, tangents) -> float:
     base_points = [np.full(len(w), 0.4 + 0.11 * l) for l, w in enumerate(factors)]
     evs = [WordEvaluator(flat, w) for w in factors]
     datas = [ev.eval(np.asarray(pt, dtype=float).reshape(1, -1)) for ev, pt in zip(evs, base_points)]
-    rhos = [d.rho[0] for d in datas]
+    rhos = [GradedOperator.from_block_entries(flat.space, flat.space, 0, d.rho[0], FLOAT)
+            for d in datas]
     ad_invs = [d.ad_inv[0] for d in datas]
+    contraction = flat.rep.B_of           # degree -1 action, as an operator
     # suffix conjugators: Ad of the inverse of the product of later factors
     conj = [None] * p
     suffix = np.eye(n)
@@ -343,11 +379,11 @@ def mu_p_residual(flat: FlatRep, factors, tangents) -> float:
     eta = np.einsum("lab,klb->ka", np.stack(conj), tangents)
     lhs = rhos[0]
     for l in range(1, p):
-        lhs = lhs.dot(rhos[l])
+        lhs = compose(lhs, rhos[l])
     for m in range(k):
-        lhs = lhs.dot(flat.contraction_of(eta[m]))
+        lhs = compose(lhs, contraction(eta[m]))
     # right side: sum over assignments of tangent slots to factors
-    rhs = np.zeros_like(lhs)
+    coeffs, terms = [1], [lhs]
     for labels in iter_product(range(p), repeat=k):
         blocks = [[m for m in range(k) if labels[m] == l] for l in range(p)]
         seq = [m for block in blocks for m in block]
@@ -356,10 +392,11 @@ def mu_p_residual(flat: FlatRep, factors, tangents) -> float:
         for l in range(p):
             piece = rhos[l]
             for m in blocks[l]:
-                piece = piece.dot(flat.contraction_of(tangents[m, l]))
-            term = piece if term is None else term.dot(piece)
-        rhs = rhs + ((-1) ** inv) * term
-    return float(np.max(np.abs(lhs - rhs)))
+                piece = compose(piece, contraction(tangents[m, l]))
+            term = piece if term is None else compose(term, piece)
+        coeffs.append(-(-1) ** inv)
+        terms.append(term)
+    return combination(coeffs, terms).norm()
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +408,7 @@ class ChainModule:
 
     Words act by the coefficient series (``integrate_series``) in either
     mode; points act by the group element's operator value, through the
-    flattened representation in float mode."""
+    degree blocks of ``FlatRep`` in float mode."""
 
     def __init__(self, rep):
         self.rep = rep
@@ -391,8 +428,7 @@ class ChainModule:
     def act_point(self, prefix) -> GradedOperator:
         if self.flat is None:
             return point_value(self.rep, prefix)
-        value = PointEvaluator(self.flat, prefix=prefix).value()
-        return GradedOperator.from_matrix(self.flat.space, 0, value, FLOAT)
+        return PointEvaluator(self.flat, prefix=prefix).value()
 
 
 def differentiate_module(module, h: float, richardson: bool = False):

@@ -97,7 +97,7 @@ def max_abs(a) -> float:
         return 0.0
     if arr.dtype == object:
         return float(max(abs(v) for v in arr.reshape(-1)))
-    return float(np.max(np.abs(arr)))
+    return float(np.abs(arr).max())
 
 
 # ---------------------------------------------------------------------------
@@ -205,20 +205,3 @@ def expm(a, t=1):
     routine."""
     return scipy.linalg.expm(float(t) * _float_only(a, "expm"))
 
-
-def phi1(a):
-    """Sum a^m/(m+1)!  (the entire function (e^a - 1)/a) of a float matrix."""
-    a = _float_only(a, "phi1")
-    n = a.shape[0]
-    acc = np.eye(n)
-    term = np.eye(n)
-    norm = max_abs(a)
-    m = 1
-    while True:
-        term = term.dot(a) / (m + 1)
-        acc = acc + term
-        if max_abs(term) < 1e-18 * (1.0 + max_abs(acc)) and m > norm:
-            return acc
-        m += 1
-        if m > 200:
-            return acc

@@ -204,10 +204,10 @@ def cubical_suite(problem, rep_name, word_name) -> Report:
 
 
 def cubical_entry(flat, ev):
-    """Deterministic matrix entry where the pullback density is largest."""
+    """Deterministic entry where the pullback density is largest: its index
+    among the block entries, which list the entries of the total matrix
+    inside its blocks in row-major order."""
     import numpy as np
     from .evaluators import interior_points
     pts = interior_points(ev.k, "cube")
-    dens = integrate.density_batch(flat, ev.eval(pts))
-    flatidx = int(np.argmax(np.abs(dens[0])))
-    return np.unravel_index(flatidx, dens[0].shape)
+    return int(np.argmax(np.abs(integrate.density_at(flat, ev, pts)[0])))

@@ -1,0 +1,130 @@
+"""Dense total-matrix references for the float block paths.
+
+A graded space is laid out as the direct sum of its degrees in increasing
+order; these helpers build total matrices over that layout from the public
+``GradedOperator.block`` and recompute operator values with
+``scipy.linalg.expm``, independently of the evaluators' Taylor blocks.
+"""
+
+import numpy as np
+import scipy.linalg
+
+from cartankit import linalg
+from cartankit.evaluators import (AffineReparam, MaxCollapseReparam, PermReparam,
+                                  PointEvaluator, ProductEvaluator, WordEvaluator)
+from cartankit.graded import GradedOperator
+from cartankit.integrate import compositions, series_coefficient
+from cartankit.linalg import FLOAT
+
+
+def _starts(space):
+    out, pos = {}, 0
+    for q in space.degrees:
+        out[q] = pos
+        pos += space.dim(q)
+    return out
+
+
+def flatten_operator(op):
+    """Dense total matrix of a graded operator (``Fraction`` entries in exact mode)."""
+    out = linalg.zeros((op.target.total_dim, op.source.total_dim), op.mode)
+    rows, cols = _starts(op.target), _starts(op.source)
+    for q, b in op.blocks.items():
+        r, c = rows[q + op.degree], cols[q]
+        out[r:r + b.shape[0], c:c + b.shape[1]] = b
+    return out
+
+
+def phi1(a):
+    """Sum a^m/(m+1)!  (the entire function (e^a - 1)/a) of a float matrix."""
+    n = a.shape[0]
+    acc = np.eye(n)
+    term = np.eye(n)
+    norm = linalg.max_abs(a)
+    m = 1
+    while True:
+        term = term.dot(a) / (m + 1)
+        acc = acc + term
+        if linalg.max_abs(term) < 1e-18 * (1.0 + linalg.max_abs(acc)) and m > norm:
+            return acc
+        m += 1
+        if m > 200:
+            return acc
+
+
+def operator_of(flat, x):
+    """Total matrix of the degree-0 action of x."""
+    return flatten_operator(flat.rep.L_of(np.asarray(x, dtype=float)))
+
+
+def contraction_of(flat, x):
+    """Total matrix of the degree-(-1) action of x."""
+    return flatten_operator(flat.rep.B_of(np.asarray(x, dtype=float)))
+
+
+def total_of(flat, row, degree):
+    """Total matrix of one row of ``evaluators.Blocks`` (block entries)."""
+    return flatten_operator(GradedOperator.from_block_entries(flat.space, flat.space, degree,
+                                                              row, FLOAT))
+
+
+def dense_rho(flat, ev, t):
+    """Total matrix of the operator value of ``ev`` at one point t."""
+    t = np.asarray(t, dtype=float)
+    if isinstance(ev, PointEvaluator):
+        return dense_rho(flat, ev._word, t)
+    if isinstance(ev, WordEvaluator):
+        out = np.eye(flat.total_dim)
+        for x in ev.prefix:
+            out = out.dot(scipy.linalg.expm(operator_of(flat, x)))
+        for x, tj in zip(ev.letters, t):
+            out = out.dot(scipy.linalg.expm(tj * operator_of(flat, x)))
+        return out
+    if isinstance(ev, AffineReparam):
+        return dense_rho(flat, ev.base, ev.matrix.dot(t) + ev.offset)
+    if isinstance(ev, PermReparam):
+        return dense_rho(flat, ev.base, t[list(ev.perm)])
+    if isinstance(ev, MaxCollapseReparam):
+        return dense_rho(flat, ev.base, np.maximum.accumulate(t[::-1])[::-1])
+    if isinstance(ev, ProductEvaluator):
+        return dense_rho(flat, ev.left, t[list(ev.left_slots)]).dot(
+            dense_rho(flat, ev.right, t[list(ev.right_slots)]))
+    raise TypeError(f"no dense reference for {type(ev).__name__}")
+
+
+def dense_density(flat, ev, points):
+    """rho(t) B(xi_1) ... B(xi_k) as (P, N, N) total matrices; the tangents
+    come from ``ev.eval``."""
+    xi = ev.eval(points).xi
+    out = []
+    for t, frame in zip(points, xi):
+        d = dense_rho(flat, ev, t)
+        for x in frame:
+            d = d.dot(contraction_of(flat, x))
+        out.append(d)
+    return np.stack(out)
+
+
+def dense_series(rep, letters, max_degree=60, tol=1e-14):
+    """The float coefficient series summed on total matrices, layer by layer."""
+    k = len(letters)
+    a = [flatten_operator(rep.L_of(x)) for x in letters]
+    b = [flatten_operator(rep.B_of(x)) for x in letters]
+    powers = []
+    for i in range(k):
+        ps = [b[i]]
+        for _ in range(max_degree):
+            ps.append(ps[-1].dot(a[i]))
+        powers.append(ps)
+    acc = np.zeros_like(b[0])
+    for layer in range(max_degree + 1):
+        layer_sum = np.zeros_like(acc)
+        for js in compositions(layer, k):
+            term = powers[0][js[0]]
+            for i in range(1, k):
+                term = term.dot(powers[i][js[i]])
+            layer_sum = layer_sum + series_coefficient(js, False) * term
+        acc = acc + layer_sum
+        if layer >= 1 and linalg.max_abs(layer_sum) < tol * (1.0 + linalg.max_abs(acc)):
+            return acc
+    raise RuntimeError("dense series did not converge")

@@ -52,11 +52,11 @@ def test_subdivision_maps_extremes():
 def test_split_extreme_pieces_are_identity_or_thin(flat, theta):
     ident = split_lower(theta, 0, 1.0)           # scaling by one changes nothing
     pts = np.array([[0.3, 0.9]])
-    assert np.allclose(ident.eval(pts).rho, theta.eval(pts).rho)
+    assert np.allclose(ident.eval(pts).rho.entries, theta.eval(pts).rho.entries)
     collapsed = split_lower(theta, 0, 0.0)       # axis crushed to zero: thin
     assert thinness_check(collapsed)
     upper_ident = split_upper(theta, 0, 1.0)     # full-size upper piece
-    assert np.allclose(upper_ident.eval(pts).rho, theta.eval(pts).rho)
+    assert np.allclose(upper_ident.eval(pts).rho.entries, theta.eval(pts).rho.entries)
     upper_thin = split_upper(theta, 0, 0.0)      # axis pinned at one: thin
     assert thinness_check(upper_thin)
 

@@ -12,10 +12,11 @@ from cartankit.evaluators import (AffineReparam, ChainCombination, FlatRep,
                                   ProductEvaluator, WordEvaluator, aw_coproduct_word,
                                   boundary, ez_product, face_map, interior_points,
                                   shuffles, thinness_check)
-from cartankit.integrate import cube_nodes, density_batch, simplex_nodes
+from cartankit.integrate import cube_nodes, density_at, simplex_nodes
 from cartankit.lie import abelian
 from cartankit.linalg import FLOAT
 from cartankit.reps import chain_rep, trivial_lie_rep
+from dense_reference import flatten_operator, operator_of, total_of
 
 
 @pytest.fixture(scope="module")
@@ -33,10 +34,10 @@ def _fd_tangent_residual(flat, ev, point, h=1e-6):
         minus = plus.copy()
         plus[j] += h
         minus[j] -= h
-        rp = ev.eval(np.asarray([plus])).rho[0]
-        rm = ev.eval(np.asarray([minus])).rho[0]
+        rp = total_of(flat, ev.eval(np.asarray([plus])).rho[0], 0)
+        rm = total_of(flat, ev.eval(np.asarray([minus])).rho[0], 0)
         derivative = (rp - rm) / (2 * h)
-        expected = data.rho[0].dot(flat.operator_of(data.xi[0, j]))
+        expected = total_of(flat, data.rho[0], 0).dot(operator_of(flat, data.xi[0, j]))
         worst = max(worst, np.max(np.abs(derivative - expected)))
     return worst
 
@@ -45,8 +46,8 @@ def test_word_point_values(flat, sl2_basis_float):
     e = sl2_basis_float
     ev = WordEvaluator(flat, [e[0]])
     import scipy.linalg
-    got = ev.eval(np.array([[0.63]])).rho[0]
-    want = scipy.linalg.expm(0.63 * flat.operator_of(e[0]))
+    got = total_of(flat, ev.eval(np.array([[0.63]])).rho[0], 0)
+    want = scipy.linalg.expm(0.63 * operator_of(flat, e[0]))
     assert np.max(np.abs(got - want)) < 1e-12
 
 
@@ -67,8 +68,9 @@ def test_prefixed_word_frame_and_value(flat, sl2_basis_float):
     moved = WordEvaluator(flat, [e[0], e[1]], prefix=[e[2]])
     pts = np.array([[0.6, 0.2]])
     import scipy.linalg
-    g = scipy.linalg.expm(flat.operator_of(e[2]))
-    assert np.allclose(moved.eval(pts).rho[0], g.dot(plain.eval(pts).rho[0]))
+    g = scipy.linalg.expm(operator_of(flat, e[2]))
+    assert np.allclose(total_of(flat, moved.eval(pts).rho[0], 0),
+                       g.dot(total_of(flat, plain.eval(pts).rho[0], 0)))
     assert np.allclose(moved.eval(pts).xi, plain.eval(pts).xi)
     assert _fd_tangent_residual(flat, moved, [0.6, 0.2]) < 1e-7
 
@@ -104,19 +106,23 @@ def test_word_eval_batch_equals_rowwise(flat, prefix, k, points):
 def test_word_eval_exponentiates_each_distinct_coordinate_once(flat, monkeypatch):
     """On simplex_nodes(3, 16) slot j holds the distinct values of
     t_j = u_1 ... u_j: 16, then 136 (u_1 u_2 = u_2 u_1), then 1,189,
-    where a per-point evaluation takes 4,096 at every slot."""
+    where a per-point evaluation takes 4,096 at every slot.  That holds at
+    every degree asked for, and for the inverse adjoint."""
     ev = WordEvaluator(flat, GENERIC_LETTERS)
-    sizes = []
+    sizes = {}
     taylor_at = evaluators._TaylorExp.at
 
     def counted(self, t):
-        sizes.append((self.coeffs.shape[1], len(t)))
+        sizes.setdefault(id(self), []).append(len(t))
         return taylor_at(self, t)
 
     monkeypatch.setattr(evaluators._TaylorExp, "at", counted)
-    ev.eval(simplex_nodes(3, 16)[0])
-    assert [s for d, s in sizes if d == flat.total_dim] == [16, 136, 1189]
-    assert [s for d, s in sizes if d == flat.algebra.n] == [16, 136, 1189]
+    ev.eval(simplex_nodes(3, 16)[0], [-3, -1])
+    blocks = {q: [id(flat.exp_factors(x, q)) for x in GENERIC_LETTERS] for q in (-3, -1)}
+    for q, ids in blocks.items():
+        assert [sizes[i] for i in ids] == [[16], [136], [1189]]
+    assert [sizes[id(a)] for a in ev._ad] == [[16], [136], [1189]]
+    assert len(sizes) == 9
 
 
 def test_ad_and_inverse_are_inverse(flat, sl2_basis_float):
@@ -147,10 +153,10 @@ def test_perm_reparam_involution_and_identity(flat, sl2_basis_float):
     base = WordEvaluator(flat, [e[0], e[2]], domain="cube")
     ident = PermReparam(base, (0, 1))
     pts = np.array([[0.3, 0.8]])
-    assert np.array_equal(ident.eval(pts).rho, base.eval(pts).rho)
+    assert np.array_equal(ident.eval(pts).rho.entries, base.eval(pts).rho.entries)
     assert np.array_equal(ident.eval(pts).xi, base.eval(pts).xi)
     twice = PermReparam(PermReparam(base, (1, 0)), (1, 0))
-    assert np.array_equal(twice.eval(pts).rho, base.eval(pts).rho)
+    assert np.array_equal(twice.eval(pts).rho.entries, base.eval(pts).rho.entries)
     assert np.array_equal(twice.eval(pts).xi, base.eval(pts).xi)
     assert _fd_tangent_residual(flat, PermReparam(base, (1, 0)), [0.3, 0.8]) < 1e-7
 
@@ -161,9 +167,9 @@ def test_product_evaluator_value_and_frame(flat, sl2_basis_float):
     right = WordEvaluator(flat, [e[2], e[1]])
     ev = ProductEvaluator(left, right, (1,))       # left factor reads slot 1
     pts = np.array([[0.7, 0.5, 0.3]])
-    lp = left.eval(np.array([[0.5]])).rho[0]
-    rp = right.eval(np.array([[0.7, 0.3]])).rho[0]
-    assert np.allclose(ev.eval(pts).rho[0], lp.dot(rp))
+    lp = total_of(flat, left.eval(np.array([[0.5]])).rho[0], 0)
+    rp = total_of(flat, right.eval(np.array([[0.7, 0.3]])).rho[0], 0)
+    assert np.allclose(total_of(flat, ev.eval(pts).rho[0], 0), lp.dot(rp))
     assert _fd_tangent_residual(flat, ev, [0.7, 0.5, 0.3]) < 1e-7
 
 
@@ -172,11 +178,11 @@ def test_max_collapse_identity_on_ordered_points(flat, sl2_basis_float):
     base = WordEvaluator(flat, [e[0], e[2]])
     collapsed = MaxCollapseReparam(base)
     pts = np.array([[0.8, 0.3]])                   # already decreasing
-    assert np.array_equal(collapsed.eval(pts).rho, base.eval(pts).rho)
+    assert np.array_equal(collapsed.eval(pts).rho.entries, base.eval(pts).rho.entries)
     assert np.array_equal(collapsed.eval(pts).xi, base.eval(pts).xi)
     off = np.array([[0.2, 0.7]])                   # unordered: lands on the diagonal
     y = collapsed.eval(off)
-    assert np.allclose(y.rho, base.eval(np.array([[0.7, 0.7]])).rho)
+    assert np.allclose(y.rho.entries, base.eval(np.array([[0.7, 0.7]])).rho.entries)
 
 
 def test_collapse_composites_are_thin(flat, sl2_basis_float):
@@ -209,16 +215,16 @@ def test_face_maps_recover_word_faces(flat, sl2_basis_float):
     mat0, off0 = face_map(2, 0)
     top = AffineReparam(word, mat0, off0)
     translated = WordEvaluator(flat, [e[2]], prefix=[e[0]])
-    assert np.allclose(top.eval(s).rho, translated.eval(s).rho)
+    assert np.allclose(top.eval(s).rho.entries, translated.eval(s).rho.entries)
     mat2, off2 = face_map(2, 2)
     bottom = AffineReparam(word, mat2, off2)
     sub = WordEvaluator(flat, [e[0]])
-    assert np.allclose(bottom.eval(s).rho, sub.eval(s).rho)
+    assert np.allclose(bottom.eval(s).rho.entries, sub.eval(s).rho.entries)
     mat1, off1 = face_map(2, 1)
     merged = AffineReparam(word, mat1, off1)
-    both = WordEvaluator(flat, [e[0]]).eval(s).rho[0].dot(
-        WordEvaluator(flat, [e[2]]).eval(s).rho[0])
-    assert np.allclose(merged.eval(s).rho[0], both)
+    both = total_of(flat, WordEvaluator(flat, [e[0]]).eval(s).rho[0], 0).dot(
+        total_of(flat, WordEvaluator(flat, [e[2]]).eval(s).rho[0], 0))
+    assert np.allclose(total_of(flat, merged.eval(s).rho[0], 0), both)
 
 
 def test_boundary_of_boundary_cancels_pointwise(flat, sl2_basis_float):
@@ -229,7 +235,7 @@ def test_boundary_of_boundary_cancels_pointwise(flat, sl2_basis_float):
     total = None
     for c1, face in first.terms:
         for c2, edge in boundary(face).terms:
-            dens = density_batch(flat, edge.eval(pts))
+            dens = density_at(flat, edge, pts).entries
             piece = c1 * c2 * dens
             total = piece if total is None else total + piece
     assert np.max(np.abs(total)) < 1e-12
@@ -271,7 +277,7 @@ def test_chain_combination_dimension_guard(flat, sl2_basis_float):
 def test_point_evaluator_value(flat, sl2_basis_float):
     e = sl2_basis_float
     import scipy.linalg
-    val = PointEvaluator(flat, prefix=[e[0], e[2]]).value()
-    want = scipy.linalg.expm(flat.operator_of(e[0])).dot(
-        scipy.linalg.expm(flat.operator_of(e[2])))
+    val = flatten_operator(PointEvaluator(flat, prefix=[e[0], e[2]]).value())
+    want = scipy.linalg.expm(operator_of(flat, e[0])).dot(
+        scipy.linalg.expm(operator_of(flat, e[2])))
     assert np.max(np.abs(val - want)) < 1e-12

@@ -466,3 +466,17 @@ def test_only_graded_reads_the_layout():
                for path in sorted(package.glob("*.py")) if path.name != "graded.py"}
     assert "ce.py" in readers and "reps.py" in readers
     assert {name: found for name, found in readers.items() if found} == {}
+
+
+def test_repr_lists_stored_degrees_without_dense_blocks(monkeypatch):
+    """repr reads the stored entries: printing an operator builds no dense block."""
+    def refuse(self, k):
+        raise AssertionError(f"dense block {k} built")
+
+    monkeypatch.setattr(GradedOperator, "_stored", refuse)
+    space = _space({-2: 1, -1: 2, 0: 3})
+    lower = GradedOperator.from_entries(space, space, -1, [(0, 1, 2, 5), (-1, 0, 1, -1)], EXACT)
+    assert repr(lower) == "GradedOperator(degree=-1, blocks=[-1, 0])"
+    top = GradedOperator.from_entries(space, space, 0, [(0, 2, 0, 1.5)], FLOAT)
+    assert repr(top) == "GradedOperator(degree=0, blocks=[0])"
+    assert repr(GradedOperator.zero(space, space, 1, EXACT)) == "GradedOperator(degree=1, blocks=[])"

@@ -13,21 +13,38 @@ from cartankit import cli
 from cartankit.evaluators import (FlatRep, MaxCollapseReparam, PermReparam,
                                   WordEvaluator, ez_product)
 from cartankit.graded import (CochainComplex, GradedOperator, GradedVectorSpace,
-                              compose, flatten_operator, graded_commutator)
+                              compose, exp_operator, graded_commutator)
 from cartankit.integrate import (ChainModule, aw_monoidality_residual,
-                                 aw_tensor_residual,
+                                 aw_tensor_residual, density_at,
                                  dg_module_exact, dg_module_residual,
                                  differentiate_module, equivariance_residual,
-                                 eval_form, integrate_chain, integrate_quadrature,
+                                 integrate_chain, integrate_quadrature,
                                  integrate_series, merged_pair_integral_exact,
                                  multiplicativity_residual, mu_p_residual,
-                                 point_value, pullback_word_closed,
-                                 roundtrip_errors, series_coefficient,
+                                 point_value, roundtrip_errors, series_coefficient,
                                  simplex_nodes, word_integral_polynomial_exact)
 from cartankit.lie import abelian, heisenberg3, sl2
-from cartankit.linalg import EXACT, FLOAT, ModeError, format_scalar, phi1
+from cartankit.linalg import EXACT, FLOAT, ModeError, format_scalar
 from cartankit.reps import (CartanRep, adjoint_rep, cartan_residuals, chain_rep,
                             trivial_cartan_rep, trivial_lie_rep)
+from dense_reference import contraction_of, flatten_operator, phi1
+
+
+def eval_form(flat, ev, point) -> GradedOperator:
+    """Pullback density of the representation form at one parameter point."""
+    dens = density_at(flat, ev, np.asarray([point], dtype=float).reshape(1, ev.k))
+    return GradedOperator.from_block_entries(flat.space, flat.space, -ev.k, dens[0], FLOAT)
+
+
+def pullback_word_closed(rep, letters, point) -> GradedOperator:
+    """Closed form of the word pullback: B_1 e^{t_1 A_1} ... B_k e^{t_k A_k}."""
+    out = None
+    for x, t in zip(letters, point):
+        factor = compose(rep.B_of(x), exp_operator(rep.L_of(x), t))
+        out = factor if out is None else compose(out, factor)
+    if out is None:
+        return GradedOperator.identity(rep.complex.space, rep.mode)
+    return out
 
 
 @pytest.fixture(scope="module")
@@ -183,8 +200,8 @@ def test_density_antisymmetric_in_tangents(flat, sl2_basis_float):
     e = sl2_basis_float
     ev = WordEvaluator(flat, [e[0], e[2]])
     data = ev.eval(np.array([[0.5, 0.2]]))
-    b1 = flat.contraction_of(data.xi[0, 0])
-    b2 = flat.contraction_of(data.xi[0, 1])
+    b1 = contraction_of(flat, data.xi[0, 0])
+    b2 = contraction_of(flat, data.xi[0, 1])
     assert np.max(np.abs(b1.dot(b2) + b2.dot(b1))) < 1e-12
 
 
@@ -377,13 +394,22 @@ def test_exact_integrals_match_pinned_entries(h3_chain_reps, coeff, route):
 
 
 def test_exact_integration_never_goes_dense(h3_chain_reps, monkeypatch):
-    from cartankit import graded, integrate, lie
+    """No dense block or total matrix of an operator on a representation
+    space: every dense copy of an operator goes through ``_dense``, which
+    the algebra's own small operators (the adjoint series of the merged
+    pair) may still use."""
+    spaces = {rep.complex.space for rep in h3_chain_reps.values()}
+    to_dense = GradedOperator._dense
+
+    def guarded(op, *args):
+        if op.source in spaces or op.target in spaces:
+            raise AssertionError("exact integration built a dense operator block")
+        return to_dense(op, *args)
 
     def dense(*args, **kwargs):
-        raise AssertionError("exact integration built a dense operator matrix")
+        raise AssertionError("exact integration built a dense operator block")
 
-    for module in (graded, integrate, lie):
-        monkeypatch.setattr(module, "flatten_operator", dense, raising=False)
+    monkeypatch.setattr(GradedOperator, "_dense", guarded)
     monkeypatch.setattr(GradedOperator, "block", dense)
     for rep in h3_chain_reps.values():
         x, y, z = [rep.algebra.vector(v) for v in PINNED_INTEGRALS["letters"]]
