@@ -25,12 +25,6 @@ def perm_sign(perm) -> int:
     return -1 if inv % 2 else 1
 
 
-def cube_to_simplex(point):
-    """y_i = max(t_i, ..., t_k): identity on ordered points, boundary else."""
-    t = np.asarray(point, dtype=float)
-    return np.maximum.accumulate(t[::-1])[::-1]
-
-
 def subdivision_maps(k: int, i: int, s: float):
     """The two affine self-maps of the cube splitting axis i at s:
     the lower piece scales t_i by s, the upper piece maps t_i to
@@ -75,18 +69,6 @@ class IntegrationCochain:
             self.k, self.order)
         dens = density_at(self.flat, ev, nodes).entries
         return fsum(float(w) * float(v) for w, v in zip(weights, dens[:, self.entry]))
-
-
-class ConstantCochain:
-    """c(anything) = value; not subdivision invariant, not alternating."""
-
-    def __init__(self, k: int, value: float = 1.0, kind: str = "cubical"):
-        self.k = k
-        self.kind = kind
-        self.value = value
-
-    def __call__(self, ev: Evaluator) -> float:
-        return self.value
 
 
 class AlternationCochain:

@@ -339,7 +339,9 @@ class CochainComplex:
         return f"CochainComplex(dims={self.space.dims}, mode={self.mode})"
 
 
+@lru_cache(maxsize=256)
 def tensor_space(v: GradedVectorSpace, w: GradedVectorSpace) -> GradedVectorSpace:
+    """V ox W, cached by the dimensions of V and W."""
     dims = {}
     for p, dp in v.dims.items():
         for q, dq in w.dims.items():
@@ -393,6 +395,31 @@ def _tensor_sum(pairs, descending=False, signs=None):
         data = data * (signs[rows] * signs[cols])
     return _new(tensor_space(f0.source, g0.source), tensor_space(f0.target, g0.target),
                 f0.degree + g0.degree, f0.mode, rows, cols, data, den)
+
+
+def stack(ops) -> GradedOperator:
+    """The parallel operators f_1 .. f_n: V -> W as one operator V -> K ox W,
+    K = GradedVectorSpace({0: n}) a degree-0 space of labels, whose block i
+    is f_i (the sum of unit_i ox f_i).  K sits in degree 0, so no Koszul sign
+    enters: (1_K ox g) stack(fs) stacks the g f_i, and (h ox 1_W) stack(fs)
+    for h: K -> K' takes combinations of the labels.  The blocks do not
+    overlap, so the exact bound is the largest entry, not a sum."""
+    f0 = ops[0]
+    for op in ops[1:]:
+        if op.source != f0.source or op.target != f0.target or op.degree != f0.degree:
+            raise ValueError("stack: operators not parallel")
+        if op.mode != f0.mode:
+            raise ModeError("stack: mixed modes")
+    den = math.lcm(*(op._den for op in ops))
+    if f0.mode == EXACT:
+        _check_int64(max(op._max() * (den // op._den) for op in ops), "stack")
+    labels = GradedVectorSpace({0: len(ops)})
+    pos = _tensor_position(labels, f0.target)
+    rows = [pos[i * f0.target.total_dim + op._rows] for i, op in enumerate(ops)]
+    data = [op._data * (den // op._den) for op in ops]
+    return _new(f0.source, tensor_space(labels, f0.target), f0.degree, f0.mode,
+                np.concatenate(rows), np.concatenate([op._cols for op in ops]),
+                np.concatenate(data), den)
 
 
 def reversed_tensor(v, w, sign=None):

@@ -21,7 +21,7 @@ from . import linalg
 from .evaluators import (Blocks, ChainCombination, Evaluator, FlatRep,
                          PointEvaluator, WordEvaluator, boundary, ez_product)
 from .graded import (GradedOperator, combination, compose, exp_operator, exp_terms,
-                     graded_commutator, tensor_operator)
+                     graded_commutator)
 from .linalg import EXACT, FLOAT
 
 DEFAULT_ORDER = 16
@@ -473,77 +473,3 @@ def roundtrip_errors(rep, h: float):
     e1 = err(h)
     e2 = err(h / 2.0)
     return e1, e2, (e1 / e2 if e2 > 0 else float("inf"))
-
-
-# ---------------------------------------------------------------------------
-# front/back coproduct compatibility on tensor products
-# ---------------------------------------------------------------------------
-
-class AWTensorModule:
-    """Chain module on a tensor product assembled through front/back word
-    splits of the coproduct (one integrated factor per side).
-
-    It is a chain module but not subdivision invariant, so it is not the
-    integral of the tensor representation form.  That integral is its
-    first-order subdivision limit: summing the front/back action over the
-    N-fold edgewise subdivision of the word simplex approaches the
-    integrated tensor form with an error linear in 1/N."""
-
-    def __init__(self, rep_a, rep_b):
-        from .reps import tensor_rep
-        self.rep_a = rep_a
-        self.rep_b = rep_b
-        self.tensor = tensor_rep(rep_a, rep_b)
-        self.algebra = rep_a.algebra
-
-    @property
-    def complex(self):
-        return self.tensor.complex
-
-    def act_word(self, letters) -> GradedOperator:
-        from .evaluators import aw_coproduct_word
-        out = None
-        for front, back, prefix in aw_coproduct_word(letters):
-            op_a = integrate_series(self.rep_a, front)
-            op_b = integrate_series(self.rep_b, back)
-            if prefix:
-                op_b = compose(point_value(self.rep_b, prefix), op_b)
-            piece = tensor_operator(op_a, op_b)
-            out = piece if out is None else out + piece
-        return out
-
-    def act_point(self, prefix) -> GradedOperator:
-        return tensor_operator(point_value(self.rep_a, prefix),
-                               point_value(self.rep_b, prefix))
-
-
-def aw_monoidality_residual(rep_a, rep_b, h: float = 1e-3) -> float:
-    """Differentiating the front/back coproduct action recovers the tensor
-    representation; max recovery error over all generators."""
-    module = AWTensorModule(rep_a, rep_b)
-    recovered = differentiate_module(module, h, richardson=True)
-    worst = 0.0
-    for a, b in zip(recovered.L, module.tensor.L):
-        worst = max(worst, (a - b).norm())
-    for a, b in zip(recovered.B, module.tensor.B):
-        worst = max(worst, (a - b).norm())
-    return worst
-
-
-def aw_tensor_residual(rep_a, rep_b, letters) -> float:
-    """Action of a word on a tensor product through front/back splits
-    versus the direct action of the tensor representation.
-
-    The two sides agree to first order (differentiation recovers the same
-    tensor representation; see ``aw_monoidality_residual``) but differ at
-    higher order: the coproduct route is a chain-level module that is not
-    subdivision invariant, so it is not the integral of the tensor
-    representation form.  For one-letter words the gap comes from the
-    degree-0 actions and vanishes when they are zero; from two letters on
-    it persists even then.  The integrated tensor form is the first-order
-    limit of the coproduct action under edgewise subdivision of the word
-    simplex."""
-    module = AWTensorModule(rep_a, rep_b)
-    direct = integrate_series(module.tensor, letters)
-    return (module.act_word(letters) - direct).norm()
-

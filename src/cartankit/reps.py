@@ -3,8 +3,13 @@
 A ``LieRep`` is a cochain complex with commuting degree-0 operators, one
 per basis vector of the algebra.  A ``CartanRep`` adds one degree-(-1)
 operator per basis vector; ``cartan_residuals`` measures how far the
-family is from satisfying the Cartan relations.  The Cartan DG Lie
-algebra itself is one of them: ``cartan_dgla`` is its adjoint
+family is from satisfying the Cartan relations.  It checks each relation
+family as one operator: the n operators of a family are stacked into
+V -> K ox V over degree-0 labels K (``graded.stack``), (1_K ox L) stack(B)
+holds every L_i B_j, a swap of the two labels the reversed products, and
+the structure constants act as c: K -> K ox K; ``LieRep.residuals`` and
+``intertwiner_residual`` use the same stacks.  The Cartan DG Lie
+algebra itself is a ``CartanRep``: ``cartan_dgla`` is its adjoint
 representation, verified by the d^2 check and ``cartan_residuals``.
 ``chain_rep`` and ``cochain_rep`` realize the two standard constructions
 on the Chevalley-Eilenberg chain and cochain complexes.  The first, left
@@ -20,7 +25,7 @@ import numpy as np
 
 from . import ce, linalg
 from .graded import (CochainComplex, GradedOperator, GradedVectorSpace, combination,
-                     compose, dual_complex, dual_operator, dual_space, graded_commutator,
+                     compose, dual_complex, dual_operator, dual_space, stack,
                      tensor_basis_index, tensor_complex, tensor_operator, tensor_space)
 from .linalg import EXACT
 
@@ -47,13 +52,13 @@ class LieRep:
 
     def residuals(self):
         """Homomorphism + chain-map defects: max norms, keyed by family."""
-        c = self.algebra.constants(self.mode)
-        ops = self.operators
-        worst_hom = max((_bracket_defect(ops[i], ops[j], c[i, j], ops)
-                         for i in range(len(ops)) for j in range(len(ops))), default=0.0)
-        worst_chain = max((graded_commutator(self.complex.differential, op).norm()
-                           for op in self.operators), default=0.0)
-        return {"bracket": worst_hom, "chain_map": worst_chain}
+        d, rho = self.complex.differential, stack(self.operators)
+        swap, consts = _label_maps(self.algebra, self.complex.space, self.mode)
+        products = compose(_on_labels(self.algebra.n, rho), rho)
+        bracket = combination((1, -1, -1), (products, compose(swap, products),
+                                            compose(consts, rho)))
+        chain_map = compose(_on_labels(self.algebra.n, d), rho) - compose(rho, d)
+        return {"bracket": bracket.norm(), "chain_map": chain_map.norm()}
 
 
 class CartanRep:
@@ -105,24 +110,46 @@ class CartanReport:
         return self.worst <= tol
 
 
-def _bracket_defect(x, y, coeffs, ops) -> float:
-    """Max norm of [x, y] - sum_k coeffs[k] ops[k]."""
-    return (graded_commutator(x, y) - combination(coeffs, ops)).norm()
+def _on_labels(n, op) -> GradedOperator:
+    """1_K ox op, K = GradedVectorSpace({0: n}) the labels of ``stack``."""
+    return tensor_operator(GradedOperator.identity(GradedVectorSpace({0: n}), op.mode), op)
+
+
+def _label_maps(algebra, space, mode):
+    """Maps of the labels K = GradedVectorSpace({0: n}) of ``stack``, tensored
+    with 1 on V = ``space``: the swap (j, i) -> (i, j) of K ox K ox V, and
+    c ox 1: K ox V -> K ox K ox V with c(e_k) = sum_{i,j} c[i, j, k] e_j ox e_i,
+    so the block (j, i) of (c ox 1) stack(h) is sum_k c[i, j, k] h_k.  The
+    block (j, i) of (1_K ox stack(f)) stack(g) is f_i g_j."""
+    n, c = algebra.n, algebra.constants(mode)
+    labels = GradedVectorSpace({0: n})
+    pairs = tensor_space(labels, labels)
+    slot = [[tensor_basis_index(labels, labels, 0, j, 0, i)[1] for i in range(n)]
+            for j in range(n)]
+    swap = GradedOperator.from_entries(pairs, pairs, 0, [(0, slot[i][j], slot[j][i], 1)
+                                                         for i in range(n) for j in range(n)],
+                                       mode)
+    consts = GradedOperator.from_entries(labels, pairs, 0, [(0, slot[j][i], k, c[i, j, k])
+                                                            for i, j, k in zip(*np.nonzero(c))],
+                                         mode)
+    one = GradedOperator.identity(space, mode)
+    return tensor_operator(swap, one), tensor_operator(consts, one)
 
 
 def cartan_residuals(rep: CartanRep) -> CartanReport:
-    """Residuals of [L,L]=L, [L,B]=B, [B,B]=0 and [d,B]=L, as max norms."""
-    c = rep.algebra.constants(rep.mode)
-    n = rep.algebra.n
-    r_ll = r_lb = r_bb = r_db = 0.0
-    for i in range(n):
-        for j in range(n):
-            r_ll = max(r_ll, _bracket_defect(rep.L[i], rep.L[j], c[i, j], rep.L))
-            r_lb = max(r_lb, _bracket_defect(rep.L[i], rep.B[j], c[i, j], rep.B))
-            r_bb = max(r_bb, graded_commutator(rep.B[i], rep.B[j]).norm())
-        db = graded_commutator(rep.differential, rep.B[i]) - rep.L[i]
-        r_db = max(r_db, db.norm())
-    return CartanReport(r_ll, r_lb, r_bb, r_db)
+    """Residuals of [L,L]=L, [L,B]=B, [B,B]=0 and [d,B]=L, as max norms over
+    all generators: each family is one operator on the stacked L and B
+    (``graded.stack``), the block of label pair (j, i) holding the relation
+    for (i, j)."""
+    n, L, B, d = rep.algebra.n, stack(rep.L), stack(rep.B), rep.differential
+    swap, consts = _label_maps(rep.algebra, rep.complex.space, rep.mode)
+    one_l, one_b = _on_labels(n, L), _on_labels(n, B)
+    ll, lb, bl, bb = compose(one_l, L), compose(one_l, B), compose(one_b, L), compose(one_b, B)
+    r_ll = combination((1, -1, -1), (ll, compose(swap, ll), compose(consts, L)))
+    r_lb = combination((1, -1, -1), (lb, compose(swap, bl), compose(consts, B)))
+    r_bb = combination((1, 1), (bb, compose(swap, bb)))
+    r_db = combination((1, 1, -1), (compose(_on_labels(n, d), B), compose(B, d), L))
+    return CartanReport(r_ll.norm(), r_lb.norm(), r_bb.norm(), r_db.norm())
 
 
 # ---------------------------------------------------------------------------
@@ -312,10 +339,13 @@ def induced_map(v_rep: LieRep, w_rep: CartanRep, phi0: GradedOperator) -> Graded
 
 
 def intertwiner_residual(op: GradedOperator, a: CartanRep, b: CartanRep) -> float:
+    """Max norm of op x - x' op over the differentials and the L and B
+    families, each family stacked (``graded.stack``): (1_K ox op) stack(a)
+    - stack(b) op."""
+    on_labels = _on_labels(a.algebra.n, op)
     worst = (compose(op, a.complex.differential) - compose(b.complex.differential, op)).norm()
-    for i in range(a.algebra.n):
-        worst = max(worst, (compose(op, a.L[i]) - compose(b.L[i], op)).norm())
-        worst = max(worst, (compose(op, a.B[i]) - compose(b.B[i], op)).norm())
+    for fa, fb in ((a.L, b.L), (a.B, b.B)):
+        worst = max(worst, (compose(on_labels, stack(fa)) - compose(stack(fb), op)).norm())
     return worst
 
 

@@ -81,18 +81,6 @@ def load_algebra(payload) -> LieAlgebra:
                       name=payload.get("name", ""))
 
 
-def dump_algebra(algebra: LieAlgebra):
-    items = []
-    for i in range(algebra.n):
-        for j in range(i + 1, algebra.n):
-            coeffs = {str(k): linalg.format_scalar(algebra.c[i, j, k])
-                      for k in range(algebra.n) if algebra.c[i, j, k] != 0}
-            if coeffs:
-                items.append({"i": i, "j": j, "coeffs": coeffs})
-    return {"dim": algebra.n, "brackets": items, "labels": algebra.labels,
-            "name": algebra.name}
-
-
 def load_operator(payload, space, degree, mode) -> GradedOperator:
     """Each block must be exactly (dim target) rows x (dim source) columns."""
     blocks = {}

@@ -1,9 +1,12 @@
-"""Dense total-matrix references for the float block paths.
+"""Dense total-matrix references for the float block paths, and per-pair
+references for the stacked relation families of ``reps``.
 
 A graded space is laid out as the direct sum of its degrees in increasing
 order; these helpers build total matrices over that layout from the public
 ``GradedOperator.block`` and recompute operator values with
 ``scipy.linalg.expm``, independently of the evaluators' Taylor blocks.
+``pairwise_cartan_residuals`` and ``pairwise_lie_residuals`` check the
+relations one pair of generators at a time with ``graded_commutator``.
 """
 
 import numpy as np
@@ -12,9 +15,10 @@ import scipy.linalg
 from cartankit import linalg
 from cartankit.evaluators import (AffineReparam, MaxCollapseReparam, PermReparam,
                                   PointEvaluator, ProductEvaluator, WordEvaluator)
-from cartankit.graded import GradedOperator
+from cartankit.graded import GradedOperator, combination, graded_commutator
 from cartankit.integrate import compositions, series_coefficient
 from cartankit.linalg import FLOAT
+from cartankit.reps import CartanReport
 
 
 def _starts(space):
@@ -128,3 +132,33 @@ def dense_series(rep, letters, max_degree=60, tol=1e-14):
         if layer >= 1 and linalg.max_abs(layer_sum) < tol * (1.0 + linalg.max_abs(acc)):
             return acc
     raise RuntimeError("dense series did not converge")
+
+
+def _bracket_defect(x, y, coeffs, ops):
+    """Max norm of [x, y] - sum_k coeffs[k] ops[k]."""
+    return (graded_commutator(x, y) - combination(coeffs, ops)).norm()
+
+
+def pairwise_cartan_residuals(rep):
+    """``cartan_residuals`` one pair of generators at a time."""
+    c = rep.algebra.constants(rep.mode)
+    n = rep.algebra.n
+    r_ll = r_lb = r_bb = r_db = 0.0
+    for i in range(n):
+        for j in range(n):
+            r_ll = max(r_ll, _bracket_defect(rep.L[i], rep.L[j], c[i, j], rep.L))
+            r_lb = max(r_lb, _bracket_defect(rep.L[i], rep.B[j], c[i, j], rep.B))
+            r_bb = max(r_bb, graded_commutator(rep.B[i], rep.B[j]).norm())
+        db = graded_commutator(rep.differential, rep.B[i]) - rep.L[i]
+        r_db = max(r_db, db.norm())
+    return CartanReport(r_ll, r_lb, r_bb, r_db)
+
+
+def pairwise_lie_residuals(rep):
+    """``LieRep.residuals`` one pair of generators at a time."""
+    c = rep.algebra.constants(rep.mode)
+    ops = rep.operators
+    worst_hom = max(_bracket_defect(ops[i], ops[j], c[i, j], ops)
+                    for i in range(len(ops)) for j in range(len(ops)))
+    worst_chain = max(graded_commutator(rep.complex.differential, op).norm() for op in ops)
+    return {"bracket": worst_hom, "chain_map": worst_chain}

@@ -23,9 +23,7 @@ from cartankit.cubical import (AlternationCochain, IntegrationCochain,
 from cartankit.evaluators import (AffineReparam, FlatRep, MaxCollapseReparam,
                                   PermReparam, WordEvaluator, ez_product)
 from cartankit.graded import compose, tensor_operator
-from cartankit.integrate import (AWTensorModule, aw_monoidality_residual,
-                                 aw_tensor_residual, dg_module_exact,
-                                 dg_module_residual, integrate_chain,
+from cartankit.integrate import (dg_module_exact, dg_module_residual, integrate_chain,
                                  integrate_quadrature, integrate_series,
                                  mu_p_residual, multiplicativity_residual,
                                  point_value, roundtrip_errors,
@@ -36,6 +34,7 @@ from cartankit.linalg import EXACT, FLOAT
 from cartankit.reps import (adjoint_rep, adjunction_check, cartan_residuals,
                             chain_rep, cochain_rep, trivial_lie_rep)
 from cartankit.suites import cubical_entry
+from aw_coproduct import AWTensorModule, aw_monoidality_residual, aw_tensor_residual
 from dense_reference import flatten_operator, phi1
 
 

@@ -4,14 +4,31 @@ cube-to-simplex collapse and the shuffle triangulation identity."""
 import numpy as np
 import pytest
 
-from cartankit.cubical import (AlternationCochain, ConstantCochain,
-                               IntegrationCochain, alternating_residual,
-                               collapse_reduction_residuals, cube_to_simplex,
+from cartankit.cubical import (AlternationCochain, IntegrationCochain,
+                               alternating_residual, collapse_reduction_residuals,
                                cube_vs_simplex_residual, perm_sign,
                                split_lower, split_upper, subdivision_invariance_residual,
                                subdivision_maps)
 from cartankit.evaluators import FlatRep, PermReparam, WordEvaluator, thinness_check
 from cartankit.suites import cubical_entry
+
+
+def cube_to_simplex(point):
+    """y_i = max(t_i, ..., t_k): identity on ordered points, boundary else."""
+    t = np.asarray(point, dtype=float)
+    return np.maximum.accumulate(t[::-1])[::-1]
+
+
+class ConstantCochain:
+    """c(anything) = value; not subdivision invariant, not alternating."""
+
+    def __init__(self, k, value=1.0, kind="cubical"):
+        self.k = k
+        self.kind = kind
+        self.value = value
+
+    def __call__(self, ev):
+        return self.value
 
 
 @pytest.fixture(scope="module")

@@ -14,8 +14,7 @@ from cartankit.evaluators import (FlatRep, MaxCollapseReparam, PermReparam,
                                   WordEvaluator, ez_product)
 from cartankit.graded import (CochainComplex, GradedOperator, GradedVectorSpace,
                               compose, exp_operator, graded_commutator)
-from cartankit.integrate import (ChainModule, aw_monoidality_residual,
-                                 aw_tensor_residual, density_at,
+from cartankit.integrate import (ChainModule, density_at,
                                  dg_module_exact, dg_module_residual,
                                  differentiate_module, equivariance_residual,
                                  integrate_chain, integrate_quadrature,
@@ -27,6 +26,7 @@ from cartankit.lie import abelian, heisenberg3, sl2
 from cartankit.linalg import EXACT, FLOAT, ModeError, format_scalar
 from cartankit.reps import (CartanRep, adjoint_rep, cartan_residuals, chain_rep,
                             trivial_cartan_rep, trivial_lie_rep)
+from aw_coproduct import aw_monoidality_residual, aw_tensor_residual
 from dense_reference import contraction_of, flatten_operator, phi1
 
 

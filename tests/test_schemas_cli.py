@@ -7,10 +7,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from cartankit import cli, schemas
+from cartankit import cli, linalg, schemas
 from cartankit.linalg import EXACT
 from cartankit.reps import cartan_residuals
-from cartankit.schemas import dump_algebra, dump_operator, load_algebra
+from cartankit.schemas import dump_operator, load_algebra
 
 
 SL2_PAYLOAD = {
@@ -40,6 +40,19 @@ def problem_file(tmp_path):
     path = tmp_path / "sl2.json"
     path.write_text(json.dumps(SL2_PAYLOAD))
     return str(path)
+
+
+def dump_algebra(algebra):
+    """The ``lie_algebra`` payload that ``load_algebra`` reads back."""
+    items = []
+    for i in range(algebra.n):
+        for j in range(i + 1, algebra.n):
+            coeffs = {str(k): linalg.format_scalar(algebra.c[i, j, k])
+                      for k in range(algebra.n) if algebra.c[i, j, k] != 0}
+            if coeffs:
+                items.append({"i": i, "j": j, "coeffs": coeffs})
+    return {"dim": algebra.n, "brackets": items, "labels": algebra.labels,
+            "name": algebra.name}
 
 
 def test_algebra_roundtrip():
