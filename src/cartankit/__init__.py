@@ -14,8 +14,7 @@ from .reps import (CartanRep, LieRep, adjoint_rep, adjunction_check,
                    trivial_lie_rep)
 from .ce import ce_chain, ce_cochain, cohomology_dims
 from .evaluators import (ChainCombination, FlatRep, PointEvaluator,
-                         WordEvaluator, aw_coproduct_word, boundary,
-                         ez_product, thinness_check)
+                         WordEvaluator, boundary, ez_product, thinness_check)
 from .integrate import (ChainModule, differentiate_module, dg_module_exact,
                         dg_module_residual, integrate_quadrature, integrate_series,
                         mu_p_residual, point_value, roundtrip_errors)

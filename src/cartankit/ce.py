@@ -12,6 +12,11 @@ products:
     B_i = eps_i ox 1,
     del = sum_{s<t, r} c[s,t,r] eps_r iota_t iota_s   (``boundary``).
 
+The generators are stored stacked (``graded.stack``): the wedges and the
+coefficient actions as one operator each over the labels K, so the sum
+over s in d is one tensor product summed over the common label, and L
+and B come out as the stacks V -> K ox V of ``reps.CartanRep``.
+
 The cochain side is their signed transpose with dual coefficients.  Within
 each total degree the layout (``CEBasis``) lists the pieces Lambda^m ox V^q
 by increasing m, subsets in lexicographic order inside Lambda^m.
@@ -27,27 +32,39 @@ import numpy as np
 
 from . import linalg
 from .graded import (CochainComplex, GradedOperator, GradedVectorSpace, combination, compose,
-                     dual_operator, dual_space, graded_commutator, reversed_tensor,
-                     tensor_space)
+                     dual_operator, dual_space, on_labels, reversed_tensor, stack_entries,
+                     tensor_space, unstack)
 
 
-Exterior = namedtuple("Exterior", "space eps iota")
+Exterior = namedtuple("Exterior", "space wedge contraction eps iota")
 
 
 @lru_cache(maxsize=None)
 def exterior(n, mode) -> Exterior:
     """Lambda on {-m: C(n, m)}, subsets in lexicographic order, with the
     wedge eps_i = e_i ^ (degree -1) and its transpose iota_i, the
-    contraction by e^i (degree +1), signed (-1)^(number of elements below i)."""
-    index = {s: j for m in range(n + 1) for j, s in enumerate(combinations(range(n), m))}
+    contraction by e^i (degree +1), signed (-1)^(number of elements below i);
+    ``wedge`` and ``contraction`` are the families stacked over the n
+    generators (``graded.stack``), ``eps`` and ``iota`` their blocks.  Built
+    from subset bitmasks: a subset's rank is its place among those of its
+    size in lexicographic order, which is decreasing order of the mask read
+    with element 0 as the highest bit."""
+    masks = np.arange(2 ** n)
+    bits = (masks[:, None] >> np.arange(n)) & 1
+    size = bits.sum(axis=1)
+    order = np.lexsort((-bits.dot(1 << np.arange(n)[::-1]), size))
+    rank = np.empty_like(order)
+    rank[order] = np.arange(2 ** n) - np.repeat(np.cumsum([0] + [comb(n, m) for m in range(n)]),
+                                                 [comb(n, m) for m in range(n + 1)])
+    subset, i = np.nonzero(bits == 0)
+    sign = 1 - 2 * ((np.cumsum(bits, axis=1) - bits)[subset, i] % 2)
     space = GradedVectorSpace({-m: comb(n, m) for m in range(n + 1)})
-    wedges = [[(-len(s), index[tuple(sorted(s + (i,)))], j, (-1) ** sum(t < i for t in s))
-               for s, j in index.items() if i not in s] for i in range(n)]
-    eps = tuple(GradedOperator.from_entries(space, space, -1, w, mode) for w in wedges)
-    iota = tuple(GradedOperator.from_entries(space, space, 1, [(k - 1, c, r, v)
-                                                               for k, r, c, v in w], mode)
-                 for w in wedges)
-    return Exterior(space, eps, iota)
+    low, high = rank[subset], rank[subset | (1 << i)]
+    wedge = stack_entries(n, space, space, -1, (i, -size[subset], high, low, sign), mode)
+    contraction = stack_entries(n, space, space, 1, (i, -size[subset] - 1, low, high, sign),
+                                mode)
+    return Exterior(space, wedge, contraction, tuple(unstack(wedge, n)),
+                    tuple(unstack(contraction, n)))
 
 
 def boundary(algebra, mode) -> GradedOperator:
@@ -92,15 +109,16 @@ class CEBasis:
             self.space = tensor_space(ext, coeff_space)
             self._tensor = reversed_tensor(ext, coeff_space)
 
-    def place(self, sign, *pairs):
+    def place(self, sign, *pairs, labels=None):
         """The sum of f ox g over ``pairs`` (f on Lambda(g), g on V for chains,
         on V* for cochains) on this basis.  On chains f and g may be maps to
         other spaces and ``sign`` is unused.  Cochains take its transpose,
         the chain basis in degree -k being dual to the one here in degree k:
         ``dual_operator`` with ``sign`` by source degree here, conjugated by
-        ``_sign_of_transpose``."""
-        op = self._tensor(*pairs)
-        return dual_operator(op, self.space, sign) if self.cochain else op
+        ``_sign_of_transpose``.  With ``labels`` = n, f or g may be stacked
+        over the n generators, as in ``graded.tensor_operator``."""
+        op = self._tensor(*pairs, labels=labels)
+        return dual_operator(op, self.space, sign, labels) if self.cochain else op
 
 
 @lru_cache(maxsize=16)
@@ -135,15 +153,20 @@ class CEComplex:
         return self.complex.differential
 
     def cartan_operators(self):
-        """L and B of the chain or cochain representation; the cochain
-        transposes take the signs of ``dual_rep``: -1 for L, (-1)^q for B."""
+        """L and B of the chain or cochain representation, each stacked over
+        the generators (``graded.stack``): with E the stacked wedge,
+        [del, E] = (1_K ox del) E + E del, L = [del, E] ox 1 + 1 ox rho and
+        B = E ox 1; the cochain transposes take the signs of ``dual_rep``:
+        -1 for L, (-1)^q for B."""
         rep = self.chain_coefficients
-        ext = exterior(rep.algebra.n, rep.mode)
+        n = rep.algebra.n
+        ext = exterior(n, rep.mode)
         one, one_ext = (GradedOperator.identity(space, rep.mode)
                         for space in (rep.complex.space, ext.space))
-        L = [self.basis.place(lambda q: -1, (graded_commutator(self.boundary, eps), one),
-                              (one_ext, rho)) for eps, rho in zip(ext.eps, rep.operators)]
-        B = [self.basis.place(_odd, (eps, one)) for eps in ext.eps]
+        commutator = compose(on_labels(n, self.boundary), ext.wedge) + \
+            compose(ext.wedge, self.boundary)
+        L = self.basis.place(lambda q: -1, (commutator, one), (one_ext, rep.stacked), labels=n)
+        B = self.basis.place(_odd, (ext.wedge, one), labels=n)
         return L, B
 
 
@@ -154,7 +177,7 @@ def _build(algebra, basis, rep):
     one, one_ext = (GradedOperator.identity(space, rep.mode)
                     for space in (rep.complex.space, ext.space))
     d = basis.place(_odd, (bd, one), (one_ext, rep.complex.differential),
-                    *zip(ext.iota, rep.operators))
+                    (ext.contraction, rep.stacked), labels=algebra.n)
     return CEComplex(CochainComplex(basis.space, d), basis, rep, bd)
 
 

@@ -84,10 +84,11 @@ class FlatRep:
         self.algebra = rep.algebra
         self.space = rep.complex.space
         self.total_dim = self.space.total_dim
-        degrees = self.space.degrees
-        # L[d]: (n, dim d, dim d); B[s]: (n, dim(s - 1), dim s), leaving degree s
-        self.L = {d: np.stack([op.block(d) for op in rep.L]) for d in degrees}
-        self.B = {s: np.stack([op.block(s) for op in rep.B])
+        degrees, n, dim = self.space.degrees, rep.algebra.n, self.space.dim
+        # L[d]: (n, dim d, dim d); B[s]: (n, dim(s - 1), dim s), leaving degree s:
+        # the degree blocks of the stacks, label by label
+        self.L = {d: rep.L_stack.block(d).reshape(n, dim(d), dim(d)) for d in degrees}
+        self.B = {s: rep.B_stack.block(s).reshape(n, dim(s - 1), dim(s))
                   for s in range(degrees[0] + 1, degrees[-1] + 1)}
         self._exp_cache = {}
 
@@ -405,12 +406,6 @@ def ez_product(a, b) -> ChainCombination:
                 left_slots = perm[:eva.k]
                 terms.append((ca * cb * sign, ProductEvaluator(eva, evb, left_slots)))
     return ChainCombination(terms)
-
-
-def aw_coproduct_word(letters):
-    """Front/back splits of a word: [(front letters, back letters, prefix)]."""
-    k = len(letters)
-    return [(list(letters[:i]), list(letters[i:]), list(letters[:i])) for i in range(k + 1)]
 
 
 def thinness_check(ev: Evaluator, samples=None) -> bool:

@@ -10,7 +10,9 @@ a product entry that does not fit once summed exactly, or a tensor product,
 sum or scalar multiple over its bound (max|A| * max|B| and the like).
 Nothing wraps around or falls back to float.  Only this module knows the
 layout.  Every constructed complex verifies that its differential (of
-degree +1) squares to zero.
+degree +1) squares to zero.  A family of n parallel operators is stored as
+one operator V -> K ox W over a degree-0 space K of n labels (``stack``);
+tensor products and duals act on such stacks label by label.
 """
 
 import math
@@ -47,7 +49,7 @@ class GradedVectorSpace:
     def degrees(self):
         return sorted(self.dims)
 
-    @property
+    @cached_property
     def total_dim(self) -> int:
         return sum(self.dims.values())
 
@@ -64,8 +66,12 @@ class GradedVectorSpace:
     def __eq__(self, other):
         return isinstance(other, GradedVectorSpace) and self.dims == other.dims
 
-    def __hash__(self):
+    @cached_property
+    def _hash(self):
         return hash(tuple(sorted(self.dims.items())))
+
+    def __hash__(self):
+        return self._hash
 
     def __repr__(self):
         return f"GradedVectorSpace({self.dims})"
@@ -99,6 +105,8 @@ def _numerators(values, mode):
     """Value array and denominator of a list of scalars."""
     if mode == FLOAT:
         return np.asarray(values, dtype=float), 1
+    if isinstance(values, np.ndarray) and values.dtype.kind in "iu":
+        return values.astype(np.int64), 1
     fracs = [Fraction(v) for v in values]
     den = math.lcm(*(f.denominator for f in fracs))
     nums = [f.numerator * (den // f.denominator) for f in fracs]
@@ -174,8 +182,10 @@ class GradedOperator:
 
     @classmethod
     def identity(cls, space, mode):
-        return cls.from_entries(space, space, 0, [(k, i, i, 1) for k in space.degrees
-                                                  for i in range(space.dim(k))], mode)
+        """The identity of ``space``, built once per (space, mode) and shared:
+        its entry arrays are read-only, and no operation writes into an
+        operand."""
+        return _identity(space, mode)
 
     def _values(self, data):
         return data if self.mode == FLOAT else [Fraction(int(v), self._den) for v in data]
@@ -250,6 +260,16 @@ class GradedOperator:
 def _new(source, target, degree, mode, rows, cols, data, den=1) -> GradedOperator:
     return GradedOperator.__new__(GradedOperator)._fill(source, target, degree, mode,
                                                         rows, cols, data, den)
+
+
+@lru_cache(maxsize=256)
+def _identity(space, mode):
+    diagonal = np.arange(space.total_dim)
+    op = _new(space, space, 0, mode, diagonal, diagonal,
+              np.ones(space.total_dim, dtype=float if mode == FLOAT else np.int64))
+    for a in (op._rows, op._cols, op._data):
+        a.flags.writeable = False
+    return op
 
 
 def compose(f: GradedOperator, g: GradedOperator) -> GradedOperator:
@@ -363,38 +383,144 @@ def _tensor_position(v, w, descending=False):
     return pos
 
 
-def tensor_operator(f: GradedOperator, g: GradedOperator) -> GradedOperator:
+def tensor_operator(f: GradedOperator, g: GradedOperator, labels=None) -> GradedOperator:
     """nat(f ox g): acts on V ox W with the Koszul sign (-1)^(|v||g|).  One
     Kronecker product, signed by the source degree of f when g is odd and
-    moved into the tensor layout by ``_tensor_position``."""
-    return _tensor_sum([(f, g)])
+    moved into the tensor layout by ``_tensor_position``; ``labels`` as in
+    ``_tensor_sum``."""
+    return _tensor_sum([(f, g)], labels=labels)
 
 
-def _tensor_sum(pairs, descending=False, signs=None):
+def _tensor_sum(pairs, descending=False, signs=None, labels=None):
     """sum of nat(f ox g) over pairs with equal spaces and total degree, in
-    one pass; each entry times signs[row] * signs[col] when given."""
+    one pass; each entry times signs[row] * signs[col] when given.
+
+    With ``labels`` = n, a factor may be a family V -> K ox V stacked over n
+    labels (``stack``) and the other factor is then an endomorphism: a
+    factor whose target is not its source is the stacked one.  One stacked
+    factor per pair puts its label in front, on K ox (V ox W) (K sits in
+    degree 0, so moving it carries no sign); two are summed over their
+    common label, sum_i f_i ox g_i.  ``signs`` are read on V ox W."""
     f0, g0 = pairs[0]
     if any(mode != f0.mode for f, g in pairs for mode in (f.mode, g.mode)):
         raise ModeError("tensor_operator: mixed modes")
     den = math.lcm(*(f._den * g._den for f, g in pairs))
+    split = [[_split_labels(op, labels) for op in pair] for pair in pairs]
     if f0.mode == EXACT:
-        _check_int64(sum(f._max() * g._max() * (den // (f._den * g._den)) for f, g in pairs),
+        _check_int64(sum(_product_bound(f, g, fl, gl, labels) * (den // (f._den * g._den))
+                         for (f, g), ((_, fl, _), (_, gl, _)) in zip(pairs, split)),
                      "tensor product")
-    rpos = _tensor_position(f0.target, g0.target, descending)
+    (_, _, v), (_, _, w) = split[0]
+    rpos = _tensor_position(v, w, descending)
     cpos = _tensor_position(f0.source, g0.source, descending)
-    rows, cols, data = [], [], []
-    for f, g in pairs:
+    rows, cols, data, tags = [], [], [], []
+    for (f, g), ((fr, fl, _), (gr, gl, _)) in zip(pairs, split):
         fd = f._data * (den // (f._den * g._den))
         if g.degree % 2:
             fd = fd * (1 - 2 * (f.source._index_degrees[f._cols] % 2))
-        rows.append(rpos[(f._rows[:, None] * g.target.total_dim + g._rows).ravel()])
+        if fl is not None and gl is not None:
+            mine, theirs = _label_join(fl, gl, labels)
+            tags.append(None)
+            rows.append(rpos[fr[mine] * w.total_dim + gr[theirs]])
+            cols.append(cpos[f._cols[mine] * g.source.total_dim + g._cols[theirs]])
+            data.append(fd[mine] * g._data[theirs])
+            continue
+        tags.append(np.repeat(fl, len(gr)) if fl is not None else
+                    None if gl is None else np.tile(gl, len(fr)))
+        rows.append(rpos[(fr[:, None] * w.total_dim + gr).ravel()])
         cols.append(cpos[(f._cols[:, None] * g.source.total_dim + g._cols).ravel()])
         data.append((fd[:, None] * g._data).ravel())
     rows, cols, data = map(np.concatenate, (rows, cols, data))
     if signs is not None:
         data = data * (signs[rows] * signs[cols])
-    return _new(tensor_space(f0.source, g0.source), tensor_space(f0.target, g0.target),
-                f0.degree + g0.degree, f0.mode, rows, cols, data, den)
+    target = tensor_space(v, w)
+    if any(t is not None for t in tags):
+        rows = _stacked_rows(labels, target, np.concatenate(tags), rows)
+        target = tensor_space(GradedVectorSpace({0: labels}), target)
+    return _new(tensor_space(f0.source, g0.source), target, f0.degree + g0.degree, f0.mode,
+                rows, cols, data, den)
+
+
+def _split_labels(op, labels):
+    """Rows, labels and target of the factor ``op`` of ``_tensor_sum``: its
+    own for a plain factor (labels None), read off K ox V for a stacked
+    endomorphism family of V."""
+    if labels is None or op.target == op.source:
+        return op._rows, None, op.target
+    w, label, row = _labelled(op, labels)
+    if w != op.source:
+        raise ValueError("tensor_operator: a stacked factor must be a family of endomorphisms")
+    return row, label, w
+
+
+def _product_bound(f, g, fl, gl, labels):
+    """Largest entry of the product of f and g: the labelwise sum of
+    max|f_i| * max|g_i| when both are stacked, max|f| * max|g| otherwise."""
+    if fl is None or gl is None:
+        return f._max() * g._max()
+    return sum(a * b for a, b in zip(_label_max(f, fl, labels), _label_max(g, gl, labels)))
+
+
+def _label_max(op, label, n):
+    """max|f_i| for each label i of a stacked operator, as Python ints."""
+    top = np.zeros(n, dtype=np.int64)
+    np.maximum.at(top, label, np.abs(op._data))
+    return top.tolist()
+
+
+def _label_join(fl, gl, n):
+    """Index pairs (a, b) with fl[a] == gl[b], by a then b."""
+    order = np.argsort(gl, kind="stable")
+    starts = np.searchsorted(gl[order], np.arange(n + 1))
+    counts = starts[fl + 1] - starts[fl]
+    mine = np.repeat(np.arange(len(fl)), counts)
+    theirs = order[np.arange(len(mine)) + np.repeat(starts[fl] - np.cumsum(counts) + counts,
+                                                    counts)]
+    return mine, theirs
+
+
+def _stacked_rows(n, w, label, rows):
+    """Layout position in K ox W (K the n labels of ``stack``) of each label
+    and row of W."""
+    return _tensor_position(GradedVectorSpace({0: n}), w)[label * w.total_dim + rows]
+
+
+@lru_cache(maxsize=64)
+def _unlabel(n, target):
+    """W with target = K ox W, K = GradedVectorSpace({0: n}) the labels of
+    ``stack``, and the label and position in W of each basis vector of
+    target."""
+    w = GradedVectorSpace({k: d // n for k, d in target.dims.items()})
+    if target != tensor_space(GradedVectorSpace({0: n}), w):
+        raise ValueError(f"target is not stacked over {n} labels")
+    pos = _tensor_position(GradedVectorSpace({0: n}), w)
+    index = np.empty_like(pos)
+    index[pos] = np.arange(len(pos))
+    label, row = index // max(w.total_dim, 1), index % max(w.total_dim, 1)
+    for a in (label, row):
+        a.flags.writeable = False
+    return w, label, row
+
+
+def label_combination(x, op) -> GradedOperator:
+    """sum_i x_i f_i for f_1 .. f_n stacked over n = len(x) labels
+    (``stack``), (x^T ox 1_W) stack, in one pass over the entries; an exact
+    coefficient must be an int or a ``Fraction``."""
+    if op.mode == EXACT and not all(isinstance(c, (int, Fraction)) for c in x):
+        raise ModeError("float coefficient on exact operator")
+    w, label, row = _labelled(op, len(x))
+    nums, den = _numerators(list(x), op.mode)
+    if op.mode == EXACT:
+        _check_int64(sum(a * abs(b) for a, b in zip(_label_max(op, label, len(x)),
+                                                    nums.tolist())), "sum")
+    keep = nums[label] != 0                    # the labels x leaves out, before the sort
+    return _new(op.source, w, op.degree, op.mode, row[keep], op._cols[keep],
+                op._data[keep] * nums[label[keep]], op._den * den)
+
+
+def on_labels(n, op) -> GradedOperator:
+    """1_K ox op, K = GradedVectorSpace({0: n}) the labels of ``stack``."""
+    return tensor_operator(GradedOperator.identity(GradedVectorSpace({0: n}), op.mode), op)
 
 
 def stack(ops) -> GradedOperator:
@@ -413,13 +539,43 @@ def stack(ops) -> GradedOperator:
     den = math.lcm(*(op._den for op in ops))
     if f0.mode == EXACT:
         _check_int64(max(op._max() * (den // op._den) for op in ops), "stack")
-    labels = GradedVectorSpace({0: len(ops)})
-    pos = _tensor_position(labels, f0.target)
-    rows = [pos[i * f0.target.total_dim + op._rows] for i, op in enumerate(ops)]
+    n = len(ops)
+    label = np.repeat(np.arange(n), [len(op._rows) for op in ops])
+    rows = _stacked_rows(n, f0.target, label, np.concatenate([op._rows for op in ops]))
     data = [op._data * (den // op._den) for op in ops]
-    return _new(f0.source, tensor_space(labels, f0.target), f0.degree, f0.mode,
-                np.concatenate(rows), np.concatenate([op._cols for op in ops]),
-                np.concatenate(data), den)
+    return _new(f0.source, tensor_space(GradedVectorSpace({0: n}), f0.target), f0.degree,
+                f0.mode, rows, np.concatenate([op._cols for op in ops]), np.concatenate(data),
+                den)
+
+
+def unstack(op, n):
+    """The n blocks f_1 .. f_n of an operator V -> K ox W stacked over n
+    labels (``stack``), as operators V -> W: one read per label."""
+    w, label, row = _labelled(op, n)
+    order = np.argsort(label, kind="stable")
+    bounds = np.searchsorted(label[order], np.arange(n + 1))
+    rows, cols, data = row[order], op._cols[order], op._data[order]
+    return [_new(op.source, w, op.degree, op.mode, rows[a:b], cols[a:b], data[a:b], op._den)
+            for a, b in zip(bounds[:-1], bounds[1:])]
+
+
+def _labelled(op, n):
+    """W, and the label and the row in W of each entry, of an operator
+    V -> K ox W stacked over n labels (``stack``)."""
+    w, label, row = _unlabel(n, op.target)
+    return w, label[op._rows], row[op._rows]
+
+
+def stack_entries(n, source, target, degree, entries, mode) -> GradedOperator:
+    """The operator source -> K ox target stacked over n labels (``stack``)
+    from arrays (label, k, row, col, value): ``value`` at (row, col) of the
+    block k of the label's operator, row and col counted within the block."""
+    label, k, row, col = (np.asarray(a, dtype=int) for a in entries[:4])
+    rows = _stacked_rows(n, target, label,
+                         np.searchsorted(target._index_degrees, k + degree) + row)
+    cols = np.searchsorted(source._index_degrees, k) + col
+    return _new(source, tensor_space(GradedVectorSpace({0: n}), target), degree, mode, rows,
+                cols, *_numerators(entries[4], mode))
 
 
 def reversed_tensor(v, w, sign=None):
@@ -430,12 +586,12 @@ def reversed_tensor(v, w, sign=None):
     maps between any spaces; with it they are endomorphisms of V and W and
     the sum is conjugated by the diagonal sign(p, q) (+-1, vectorised)."""
     if sign is None:
-        return lambda *pairs: _tensor_sum(pairs, True)
+        return lambda *pairs, labels=None: _tensor_sum(pairs, True, labels=labels)
     pos = _tensor_position(v, w, True)
     signs = np.empty_like(pos)
     signs[pos] = sign(np.repeat(v._index_degrees, w.total_dim),
                       np.tile(w._index_degrees, v.total_dim))
-    return lambda *pairs: _tensor_sum(pairs, True, signs)
+    return lambda *pairs, labels=None: _tensor_sum(pairs, True, signs, labels)
 
 
 def tensor_basis_index(v: GradedVectorSpace, w: GradedVectorSpace, p: int, i: int, q: int, j: int):
@@ -483,16 +639,25 @@ def dual_space(v: GradedVectorSpace) -> GradedVectorSpace:
     return GradedVectorSpace({-k: d for k, d in v.dims.items()})
 
 
-def dual_operator(op: GradedOperator, space: GradedVectorSpace, sign) -> GradedOperator:
+def dual_operator(op: GradedOperator, space: GradedVectorSpace, sign,
+                  labels=None) -> GradedOperator:
     """Transpose of an endomorphism onto the dual ``space``, (V*)^q = (V^-q)*:
     the block at q is ``sign(q)`` times the transpose of op's block at
     -q - degree.  One signed transpose: the block-reversing permutation of
-    ``dual_space`` and a sign per source degree."""
+    ``dual_space`` and a sign per source degree.  With ``labels`` = n, an op
+    whose target is not its source is a family V -> K ox V stacked over n
+    labels (``stack``), as in ``_tensor_sum``, transposed label by label
+    into space -> K ox space."""
     rev = np.concatenate([_NONE] + [space._starts[-k] + np.arange(d)
                                     for k, d in sorted(op.source.dims.items())])
     signs = np.array([sign(q) for q in space._index_degrees], dtype=int)
-    rows, cols = rev[op._cols], rev[op._rows]
-    return _new(space, space, op.degree, op.mode, rows, cols, op._data * signs[cols], op._den)
+    target, rows, cols = space, rev[op._cols], op._rows
+    if labels is not None and op.target != op.source:
+        _, label, cols = _labelled(op, labels)
+        target = tensor_space(GradedVectorSpace({0: labels}), space)
+        rows = _stacked_rows(labels, space, label, rows)
+    cols = rev[cols]
+    return _new(space, target, op.degree, op.mode, rows, cols, op._data * signs[cols], op._den)
 
 
 def dual_complex(vc: CochainComplex) -> CochainComplex:

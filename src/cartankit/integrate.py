@@ -463,12 +463,7 @@ def roundtrip_errors(rep, h: float):
 
     def err(step):
         rec = differentiate_module(module, step)
-        worst = 0.0
-        for a, b in zip(rec.L, rep.L):
-            worst = max(worst, (a - b).norm())
-        for a, b in zip(rec.B, rep.B):
-            worst = max(worst, (a - b).norm())
-        return worst
+        return max((rec.L_stack - rep.L_stack).norm(), (rec.B_stack - rep.B_stack).norm())
 
     e1 = err(h)
     e2 = err(h / 2.0)

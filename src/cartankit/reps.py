@@ -2,13 +2,16 @@
 
 A ``LieRep`` is a cochain complex with commuting degree-0 operators, one
 per basis vector of the algebra.  A ``CartanRep`` adds one degree-(-1)
-operator per basis vector; ``cartan_residuals`` measures how far the
-family is from satisfying the Cartan relations.  It checks each relation
-family as one operator: the n operators of a family are stacked into
-V -> K ox V over degree-0 labels K (``graded.stack``), (1_K ox L) stack(B)
-holds every L_i B_j, a swap of the two labels the reversed products, and
-the structure constants act as c: K -> K ox K; ``LieRep.residuals`` and
-``intertwiner_residual`` use the same stacks.  The Cartan DG Lie
+operator per basis vector.  Each family is stored as one operator: the n
+operators are stacked into V -> K ox V over degree-0 labels K
+(``graded.stack``), the only storage; ``rep.L``, ``rep.B`` and
+``rep.operators`` are lists of block reads, and L(x) is (x^T ox 1) L.  The
+constructions build the stacks directly, in a fixed number of operator
+calls whatever n is.  ``cartan_residuals`` measures how far the family is
+from satisfying the Cartan relations, each relation family as one
+operator: (1_K ox L) B holds every L_i B_j, a swap of the two labels the
+reversed products, and the structure constants act as c: K -> K ox K;
+``LieRep.residuals`` and ``intertwiner_residual`` read the same stacks.  The Cartan DG Lie
 algebra itself is a ``CartanRep``: ``cartan_dgla`` is its adjoint
 representation, verified by the d^2 check and ``cartan_residuals``.
 ``chain_rep`` and ``cochain_rep`` realize the two standard constructions
@@ -25,58 +28,67 @@ import numpy as np
 
 from . import ce, linalg
 from .graded import (CochainComplex, GradedOperator, GradedVectorSpace, combination,
-                     compose, dual_complex, dual_operator, dual_space, stack,
-                     tensor_basis_index, tensor_complex, tensor_operator, tensor_space)
+                     compose, dual_complex, dual_operator, dual_space, label_combination,
+                     on_labels, stack, stack_entries, tensor_basis_index, tensor_complex,
+                     tensor_operator, tensor_space, unstack)
 from .linalg import EXACT
 
 
+def _family(ops, algebra, space, degree, what, count):
+    """The generators as one operator V -> K ox V (``stack``): a list of n
+    operators is stacked once, a stacked operator checked."""
+    listed = not isinstance(ops, GradedOperator)
+    ops = list(ops) if listed else ops
+    if listed and len(ops) != algebra.n:
+        raise ValueError(count)
+    if any(op.degree != degree for op in (ops if listed else [ops])):
+        raise ValueError(f"{what} must have degree {degree}")
+    ops = stack(ops) if listed else ops
+    if ops.source != space or ops.target != tensor_space(GradedVectorSpace({0: algebra.n}),
+                                                        space):
+        raise ValueError(count)
+    return ops
+
+
 class LieRep:
-    """Representation of a Lie algebra on a cochain complex."""
+    """Representation of a Lie algebra on a cochain complex; the actions are
+    stored stacked, ``stack`` of rho_1 .. rho_n: V -> K ox V."""
 
     def __init__(self, algebra, complex_: CochainComplex, operators):
         self.algebra = algebra
         self.complex = complex_
-        self.operators = list(operators)
-        if len(self.operators) != algebra.n:
-            raise ValueError("need one operator per basis vector")
-        for op in self.operators:
-            if op.degree != 0:
-                raise ValueError("Lie algebra actions must have degree 0")
+        self.stacked = _family(operators, algebra, complex_.space, 0, "Lie algebra actions",
+                               "need one operator per basis vector")
 
     @property
     def mode(self):
         return self.complex.mode
 
-    def action(self, i: int) -> GradedOperator:
-        return self.operators[i]
+    @property
+    def operators(self):
+        return unstack(self.stacked, self.algebra.n)
 
     def residuals(self):
         """Homomorphism + chain-map defects: max norms, keyed by family."""
-        d, rho = self.complex.differential, stack(self.operators)
+        d, rho = self.complex.differential, self.stacked
         swap, consts = _label_maps(self.algebra, self.complex.space, self.mode)
-        products = compose(_on_labels(self.algebra.n, rho), rho)
+        products = compose(on_labels(self.algebra.n, rho), rho)
         bracket = combination((1, -1, -1), (products, compose(swap, products),
                                             compose(consts, rho)))
-        chain_map = compose(_on_labels(self.algebra.n, d), rho) - compose(rho, d)
+        chain_map = compose(on_labels(self.algebra.n, d), rho) - compose(rho, d)
         return {"bracket": bracket.norm(), "chain_map": chain_map.norm()}
 
 
 class CartanRep:
-    """Representation of the Cartan DG Lie algebra: L_i degree 0, B_i degree -1."""
+    """Representation of the Cartan DG Lie algebra: L_i degree 0, B_i degree
+    -1, each family stored stacked (``L_stack``, ``B_stack``: V -> K ox V)."""
 
     def __init__(self, algebra, complex_: CochainComplex, L, B):
         self.algebra = algebra
         self.complex = complex_
-        self.L = list(L)
-        self.B = list(B)
-        if len(self.L) != algebra.n or len(self.B) != algebra.n:
-            raise ValueError("need one L and one B per basis vector")
-        for op in self.L:
-            if op.degree != 0:
-                raise ValueError("L operators must have degree 0")
-        for op in self.B:
-            if op.degree != -1:
-                raise ValueError("B operators must have degree -1")
+        count = "need one L and one B per basis vector"
+        self.L_stack = _family(L, algebra, complex_.space, 0, "L operators", count)
+        self.B_stack = _family(B, algebra, complex_.space, -1, "B operators", count)
 
     @property
     def mode(self):
@@ -86,11 +98,19 @@ class CartanRep:
     def differential(self):
         return self.complex.differential
 
+    @property
+    def L(self):
+        return unstack(self.L_stack, self.algebra.n)
+
+    @property
+    def B(self):
+        return unstack(self.B_stack, self.algebra.n)
+
     def L_of(self, x) -> GradedOperator:
-        return combination(x, self.L)
+        return label_combination(x, self.L_stack)
 
     def B_of(self, x) -> GradedOperator:
-        return combination(x, self.B)
+        return label_combination(x, self.B_stack)
 
 
 @dataclass
@@ -108,11 +128,6 @@ class CartanReport:
 
     def passes(self, tol: float) -> bool:
         return self.worst <= tol
-
-
-def _on_labels(n, op) -> GradedOperator:
-    """1_K ox op, K = GradedVectorSpace({0: n}) the labels of ``stack``."""
-    return tensor_operator(GradedOperator.identity(GradedVectorSpace({0: n}), op.mode), op)
 
 
 def _label_maps(algebra, space, mode):
@@ -141,14 +156,14 @@ def cartan_residuals(rep: CartanRep) -> CartanReport:
     all generators: each family is one operator on the stacked L and B
     (``graded.stack``), the block of label pair (j, i) holding the relation
     for (i, j)."""
-    n, L, B, d = rep.algebra.n, stack(rep.L), stack(rep.B), rep.differential
+    n, L, B, d = rep.algebra.n, rep.L_stack, rep.B_stack, rep.differential
     swap, consts = _label_maps(rep.algebra, rep.complex.space, rep.mode)
-    one_l, one_b = _on_labels(n, L), _on_labels(n, B)
+    one_l, one_b = on_labels(n, L), on_labels(n, B)
     ll, lb, bl, bb = compose(one_l, L), compose(one_l, B), compose(one_b, L), compose(one_b, B)
     r_ll = combination((1, -1, -1), (ll, compose(swap, ll), compose(consts, L)))
     r_lb = combination((1, -1, -1), (lb, compose(swap, bl), compose(consts, B)))
     r_bb = combination((1, 1), (bb, compose(swap, bb)))
-    r_db = combination((1, 1, -1), (compose(_on_labels(n, d), B), compose(B, d), L))
+    r_db = combination((1, 1, -1), (compose(on_labels(n, d), B), compose(B, d), L))
     return CartanReport(r_ll.norm(), r_lb.norm(), r_bb.norm(), r_db.norm())
 
 
@@ -156,22 +171,31 @@ def cartan_residuals(rep: CartanRep) -> CartanReport:
 # basic constructions
 # ---------------------------------------------------------------------------
 
+def _zero_family(algebra, complex_, degree, mode):
+    space = complex_.space
+    return GradedOperator.zero(space, tensor_space(GradedVectorSpace({0: algebra.n}), space),
+                               degree, mode)
+
+
 def trivial_lie_rep(algebra, dim=1, degree=0, mode=EXACT) -> LieRep:
     complex_ = CochainComplex.concentrated(dim, degree, mode)
-    zero = GradedOperator.zero(complex_.space, complex_.space, 0, mode)
-    return LieRep(algebra, complex_, [zero] * algebra.n)
+    return LieRep(algebra, complex_, _zero_family(algebra, complex_, 0, mode))
 
 
 def trivial_cartan_rep(algebra, dim=1, degree=0, mode=EXACT) -> CartanRep:
     complex_ = CochainComplex.concentrated(dim, degree, mode)
-    z0 = GradedOperator.zero(complex_.space, complex_.space, 0, mode)
-    z1 = GradedOperator.zero(complex_.space, complex_.space, -1, mode)
-    return CartanRep(algebra, complex_, [z0] * algebra.n, [z1] * algebra.n)
+    return CartanRep(algebra, complex_, *(_zero_family(algebra, complex_, k, mode)
+                                          for k in (0, -1)))
 
 
 def adjoint_rep(algebra, mode=EXACT) -> LieRep:
-    return LieRep(algebra, CochainComplex.concentrated(algebra.n, 0, mode),
-                  [algebra.ad_operator(algebra.basis_vector(i, mode)) for i in range(algebra.n)])
+    """ad(e_i) e_j = sum_k c[i, j, k] e_k, stacked straight from the constants."""
+    complex_ = CochainComplex.concentrated(algebra.n, 0, mode)
+    c = algebra.constants(mode)
+    i, j, k = np.nonzero(c)
+    space = complex_.space
+    return LieRep(algebra, complex_, stack_entries(algebra.n, space, space, 0,
+                                                   (i, 0 * i, k, j, c[i, j, k]), mode))
 
 
 def cartan_dgla(algebra) -> CartanRep:
@@ -188,15 +212,18 @@ def cartan_dgla(algebra) -> CartanRep:
     n = algebra.n
     space = GradedVectorSpace({-1: n, 0: n})
     d = GradedOperator.from_entries(space, space, 1, [(-1, i, i, 1) for i in range(n)], EXACT)
-    ads = [algebra.ad(algebra.basis_vector(i)) for i in range(n)]
-    L = [GradedOperator(space, space, 0, {-1: ad, 0: ad}, mode=EXACT) for ad in ads]
-    B = [GradedOperator(space, space, -1, {0: ad}, mode=EXACT) for ad in ads]
+    i, j, k = np.nonzero(algebra.c)
+    c = algebra.c[i, j, k]
+    both = [np.concatenate([a, a]) for a in (i, k, j, c)]
+    degrees = np.repeat([-1, 0], len(c))
+    L = stack_entries(n, space, space, 0, (both[0], degrees, *both[1:]), EXACT)
+    B = stack_entries(n, space, space, -1, (i, 0 * i, k, j, c), EXACT)
     return CartanRep(algebra, CochainComplex(space, d), L, B)
 
 
 def restrict(rep: CartanRep) -> LieRep:
     """Forget the degree-(-1) operators."""
-    return LieRep(rep.algebra, rep.complex, rep.L)
+    return LieRep(rep.algebra, rep.complex, rep.L_stack)
 
 
 # ---------------------------------------------------------------------------
@@ -228,18 +255,17 @@ def tensor_rep(a: CartanRep, b: CartanRep) -> CartanRep:
     ida = GradedOperator.identity(a.complex.space, a.mode)
     idb = GradedOperator.identity(b.complex.space, b.mode)
     complex_ = tensor_complex(a.complex, b.complex)
-    L = [tensor_operator(a.L[i], idb) + tensor_operator(ida, b.L[i])
-         for i in range(a.algebra.n)]
-    B = [tensor_operator(a.B[i], idb) + tensor_operator(ida, b.B[i])
-         for i in range(a.algebra.n)]
+    n = a.algebra.n
+    L, B = (tensor_operator(fa, idb, labels=n) + tensor_operator(ida, fb, labels=n)
+            for fa, fb in ((a.L_stack, b.L_stack), (a.B_stack, b.B_stack)))
     return CartanRep(a.algebra, complex_, L, B)
 
 
 def dual_lie_rep(rep: LieRep) -> LieRep:
     """Dual coefficients: the dual complex, each action -R^T."""
     dc = dual_complex(rep.complex)
-    return LieRep(rep.algebra, dc, [dual_operator(op, dc.space, lambda q: -1)
-                                    for op in rep.operators])
+    return LieRep(rep.algebra, dc, dual_operator(rep.stacked, dc.space, lambda q: -1,
+                                                 rep.algebra.n))
 
 
 def dual_rep(rep: CartanRep) -> CartanRep:
@@ -248,8 +274,9 @@ def dual_rep(rep: CartanRep) -> CartanRep:
     L* = -L^T blockwise (``dual_lie_rep``), B* and the dual differential
     pick up (-1)^q."""
     dual = dual_lie_rep(restrict(rep))
-    B = [dual_operator(op, dual.complex.space, lambda q: -1 if q % 2 else 1) for op in rep.B]
-    return CartanRep(rep.algebra, dual.complex, dual.operators, B)
+    B = dual_operator(rep.B_stack, dual.complex.space, lambda q: -1 if q % 2 else 1,
+                      rep.algebra.n)
+    return CartanRep(rep.algebra, dual.complex, dual.stacked, B)
 
 
 def evaluation_pairing_residual(rep: CartanRep) -> float:
@@ -257,11 +284,9 @@ def evaluation_pairing_residual(rep: CartanRep) -> float:
     dual = dual_rep(rep)
     tensor = tensor_rep(rep, dual)
     pair = _pairing_functional(rep)
-    worst = compose(pair, tensor.complex.differential).norm()
-    for i in range(rep.algebra.n):
-        worst = max(worst, compose(pair, tensor.L[i]).norm())
-        worst = max(worst, compose(pair, tensor.B[i]).norm())
-    return worst
+    pairs = on_labels(rep.algebra.n, pair)
+    return max(compose(pair, tensor.complex.differential).norm(),
+               compose(pairs, tensor.L_stack).norm(), compose(pairs, tensor.B_stack).norm())
 
 
 def _pairing_functional(rep: CartanRep) -> GradedOperator:
@@ -289,29 +314,31 @@ def hom_space(a, b, tol=linalg.DEFAULT_TOL):
         raise linalg.ModeError("hom_space: mixed modes")
     pairs = [(a.complex.differential, b.complex.differential)]
     if isinstance(a, CartanRep):
-        pairs += list(zip(a.L, b.L)) + list(zip(a.B, b.B))
+        pairs += [(a.L_stack, b.L_stack), (a.B_stack, b.B_stack)]
     else:
-        pairs += list(zip(a.operators, b.operators))
+        pairs += [(a.stacked, b.stacked)]
     source, target = a.complex.space, b.complex.space
-    system, n_cols = _intertwiner_system(source, target, pairs, mode)
+    system, n_cols = _intertwiner_system(source, target, pairs, mode, a.algebra.n)
     return [GradedOperator.from_block_entries(source, target, 0, v, mode)
             for v in linalg.nullspace(system, tol, n_cols)]
 
 
-def _intertwiner_system(source, target, pairs, mode):
+def _intertwiner_system(source, target, pairs, mode, n):
     """Matrix of phi A = A' phi, one pair (A, A') after another, in the entries
     of phi: sparse rows and their count of unknowns (exact), or a dense array
     and None (float).  A degree-0 phi: V -> W is a degree-0 element of W ox V*,
     where phi A - A' phi is (1 ox A* - A' ox 1) phi, A* the transpose of A with
     its Koszul sign undone; each pair gives the degree-0 block of that operator.
-    The unknowns are the blocks of phi by degree, each row-major."""
+    A family stacked over the n labels (``stack``) is one equation, its rows
+    label by label.  The unknowns are the blocks of phi by degree, each
+    row-major."""
     dual = dual_space(source)
     id_s, id_t = GradedOperator.identity(dual, mode), GradedOperator.identity(target, mode)
     eqs = []
     for op_s, op_t in pairs:
         odd = op_s.degree % 2
-        transpose = dual_operator(op_s, dual, lambda q: -1 if odd and q % 2 else 1)
-        eqs.append(tensor_operator(id_t, transpose) - tensor_operator(op_t, id_s))
+        transpose = dual_operator(op_s, dual, lambda q: -1 if odd and q % 2 else 1, n)
+        eqs.append(tensor_operator(id_t, transpose, n) - tensor_operator(op_t, id_s, n))
     if mode == EXACT:
         return [row for eq in eqs for row in eq.rows(0)], eqs[0].source.dim(0)
     return np.concatenate([eq.block(0) for eq in eqs]), None
@@ -342,10 +369,10 @@ def intertwiner_residual(op: GradedOperator, a: CartanRep, b: CartanRep) -> floa
     """Max norm of op x - x' op over the differentials and the L and B
     families, each family stacked (``graded.stack``): (1_K ox op) stack(a)
     - stack(b) op."""
-    on_labels = _on_labels(a.algebra.n, op)
+    labelled = on_labels(a.algebra.n, op)
     worst = (compose(op, a.complex.differential) - compose(b.complex.differential, op)).norm()
-    for fa, fb in ((a.L, b.L), (a.B, b.B)):
-        worst = max(worst, (compose(on_labels, stack(fa)) - compose(stack(fb), op)).norm())
+    for fa, fb in ((a.L_stack, b.L_stack), (a.B_stack, b.B_stack)):
+        worst = max(worst, (compose(labelled, fa) - compose(fb, op)).norm())
     return worst
 
 

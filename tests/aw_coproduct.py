@@ -8,10 +8,15 @@ action over the N-fold edgewise subdivision of the word simplex approaches
 the integrated tensor form with an error linear in 1/N.
 """
 
-from cartankit.evaluators import aw_coproduct_word
 from cartankit.graded import compose, tensor_operator
 from cartankit.integrate import differentiate_module, integrate_series, point_value
 from cartankit.reps import tensor_rep
+
+
+def aw_coproduct_word(letters):
+    """Front/back splits of a word: [(front letters, back letters, prefix)]."""
+    k = len(letters)
+    return [(list(letters[:i]), list(letters[i:]), list(letters[:i])) for i in range(k + 1)]
 
 
 class AWTensorModule:

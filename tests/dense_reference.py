@@ -7,15 +7,23 @@ order; these helpers build total matrices over that layout from the public
 ``scipy.linalg.expm``, independently of the evaluators' Taylor blocks.
 ``pairwise_cartan_residuals`` and ``pairwise_lie_residuals`` check the
 relations one pair of generators at a time with ``graded_commutator``.
+The ``per_generator_*`` helpers build the stacked constructions of ``ce``
+and ``reps`` one generator at a time, and ``loop_exterior`` builds the
+wedge and contraction of ``ce.exterior`` one subset at a time.
 """
+
+from itertools import combinations
+from math import comb
 
 import numpy as np
 import scipy.linalg
 
 from cartankit import linalg
+from cartankit.ce import exterior
 from cartankit.evaluators import (AffineReparam, MaxCollapseReparam, PermReparam,
                                   PointEvaluator, ProductEvaluator, WordEvaluator)
-from cartankit.graded import GradedOperator, combination, graded_commutator
+from cartankit.graded import (GradedOperator, GradedVectorSpace, combination, dual_operator,
+                              graded_commutator, tensor_operator)
 from cartankit.integrate import compositions, series_coefficient
 from cartankit.linalg import FLOAT
 from cartankit.reps import CartanReport
@@ -162,3 +170,50 @@ def pairwise_lie_residuals(rep):
                     for i in range(len(ops)) for j in range(len(ops)))
     worst_chain = max(graded_commutator(rep.complex.differential, op).norm() for op in ops)
     return {"bracket": worst_hom, "chain_map": worst_chain}
+
+
+def loop_exterior(n, mode):
+    """eps_i and iota_i of ``ce.exterior`` from a loop over the subsets."""
+    index = {s: j for m in range(n + 1) for j, s in enumerate(combinations(range(n), m))}
+    space = GradedVectorSpace({-m: comb(n, m) for m in range(n + 1)})
+    wedges = [[(-len(s), index[tuple(sorted(s + (i,)))], j, (-1) ** sum(t < i for t in s))
+               for s, j in index.items() if i not in s] for i in range(n)]
+    eps = [GradedOperator.from_entries(space, space, -1, w, mode) for w in wedges]
+    iota = [GradedOperator.from_entries(space, space, 1, [(k - 1, c, r, v) for k, r, c, v in w],
+                                        mode) for w in wedges]
+    return eps, iota
+
+
+def _odd(q):
+    return -1 if q % 2 else 1
+
+
+def per_generator_cartan_operators(cec):
+    """L and B of a ``ce.CEComplex`` as lists, one placement per generator."""
+    rep = cec.chain_coefficients
+    ext = exterior(rep.algebra.n, rep.mode)
+    one, one_ext = (GradedOperator.identity(space, rep.mode)
+                    for space in (rep.complex.space, ext.space))
+    L = [cec.basis.place(lambda q: -1, (graded_commutator(cec.boundary, eps), one),
+                         (one_ext, rho)) for eps, rho in zip(ext.eps, rep.operators)]
+    B = [cec.basis.place(_odd, (eps, one)) for eps in ext.eps]
+    return L, B
+
+
+def per_generator_adjoint(algebra, mode):
+    """ad(e_i) for each generator, as ``lie.LieAlgebra.ad_operator``."""
+    return [algebra.ad_operator(algebra.basis_vector(i, mode)) for i in range(algebra.n)]
+
+
+def per_generator_tensor(a, b):
+    """L and B of ``reps.tensor_rep`` as lists, four tensor products per generator."""
+    ida = GradedOperator.identity(a.complex.space, a.mode)
+    idb = GradedOperator.identity(b.complex.space, b.mode)
+    return ([tensor_operator(x, idb) + tensor_operator(ida, y) for x, y in zip(a.L, b.L)],
+            [tensor_operator(x, idb) + tensor_operator(ida, y) for x, y in zip(a.B, b.B)])
+
+
+def per_generator_dual(rep, space):
+    """L and B of ``reps.dual_rep`` on the dual ``space``, one transpose per generator."""
+    return ([dual_operator(op, space, lambda q: -1) for op in rep.L],
+            [dual_operator(op, space, _odd) for op in rep.B])

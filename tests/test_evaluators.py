@@ -9,13 +9,13 @@ import pytest
 from cartankit import evaluators
 from cartankit.evaluators import (AffineReparam, ChainCombination, FlatRep,
                                   MaxCollapseReparam, PermReparam, PointEvaluator,
-                                  ProductEvaluator, WordEvaluator, aw_coproduct_word,
-                                  boundary, ez_product, face_map, interior_points,
-                                  shuffles, thinness_check)
+                                  ProductEvaluator, WordEvaluator, boundary, ez_product,
+                                  face_map, interior_points, shuffles, thinness_check)
 from cartankit.integrate import cube_nodes, density_at, simplex_nodes
 from cartankit.lie import abelian
 from cartankit.linalg import FLOAT
 from cartankit.reps import chain_rep, trivial_lie_rep
+from aw_coproduct import aw_coproduct_word
 from dense_reference import flatten_operator, operator_of, total_of
 
 
