@@ -68,7 +68,7 @@ class IntegrationCochain:
         nodes, weights = (simplex_nodes if self.kind == "simplicial" else cube_nodes)(
             self.k, self.order)
         dens = density_at(self.flat, ev, nodes).entries
-        return fsum(float(w) * float(v) for w, v in zip(weights, dens[:, self.entry]))
+        return fsum(weights * dens[:, self.entry])
 
 
 class AlternationCochain:

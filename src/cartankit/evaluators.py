@@ -74,8 +74,9 @@ class PointData:
 class FlatRep:
     """A float representation of the Cartan DG Lie algebra held as dense
     degree blocks for batch work: the L operators stacked per degree, the
-    B operators stacked per source degree, and per letter x and degree one
-    Taylor exponential of the block of L(x), built on first use."""
+    B operators stacked per source degree, and per letter x one Taylor
+    exponential of each degree block of L(x) and one of ad(x), built on
+    first use."""
 
     def __init__(self, rep):
         if rep.mode != FLOAT:
@@ -91,19 +92,34 @@ class FlatRep:
         self.B = {s: rep.B_stack.block(s).reshape(n, dim(s - 1), dim(s))
                   for s in range(degrees[0] + 1, degrees[-1] + 1)}
         self._exp_cache = {}
+        self._ad_cache = {}
 
     def targets(self, k: int):
         """Target degrees q - k of the source degrees q of a degree -k map."""
         return [q - k for q in self.space.degrees if self.space.dim(q - k)]
 
+    def action(self, x, d: int) -> np.ndarray:
+        """The degree-d block of L(x)."""
+        return np.einsum("i,iab->ab", np.asarray(x, dtype=float), self.L[d])
+
+    def ad(self, x) -> np.ndarray:
+        """ad(x) as a float matrix."""
+        return linalg.as_float(self.algebra.ad(self.algebra.vector(list(x), FLOAT)))
+
     def exp_factors(self, x, d: int):
         """Taylor data for t -> exp(t * action(x)) on degree d, cached per
         letter and degree."""
-        x = np.asarray(x, dtype=float)
-        key = (tuple(x), d)
+        key = (tuple(np.asarray(x, dtype=float)), d)
         if key not in self._exp_cache:
-            self._exp_cache[key] = _TaylorExp(np.einsum("i,iab->ab", x, self.L[d]))
+            self._exp_cache[key] = _TaylorExp(self.action(x, d))
         return self._exp_cache[key]
+
+    def exp_ad_factors(self, x):
+        """Taylor data for t -> exp(t * ad(x)), cached per letter."""
+        key = tuple(np.asarray(x, dtype=float))
+        if key not in self._ad_cache:
+            self._ad_cache[key] = _TaylorExp(self.ad(x))
+        return self._ad_cache[key]
 
 
 class _TaylorExp:
@@ -124,15 +140,16 @@ class _TaylorExp:
 
     def at(self, t: np.ndarray) -> np.ndarray:
         t = np.asarray(t, dtype=float)
-        powers = np.power.outer(t, np.arange(self.coeffs.shape[0]))
-        out = np.einsum("pm,mij->pij", powers, self.coeffs)
+        m, d = self.coeffs.shape[:2]
+        powers = np.ones((len(t), m))
+        powers[:, 1:] = t[:, None]
+        np.cumprod(powers, axis=1, out=powers)
+        # one (1, M) @ (M, d*d) product per point, not one GEMM, whose BLAS
+        # path for a one-point batch differs: rows must not depend on the batch
+        out = np.matmul(powers[:, None, :], self.coeffs.reshape(m, d * d)).reshape(-1, d, d)
         for _ in range(self.squarings):
             out = np.matmul(out, out)
         return out
-
-
-def _exp_ad_factors(algebra, x):
-    return _TaylorExp(linalg.as_float(algebra.ad(algebra.vector(list(x), FLOAT))))
 
 
 class Evaluator:
@@ -166,12 +183,13 @@ class WordEvaluator(Evaluator):
         self.prefix = [np.asarray(x, dtype=float) for x in prefix]
         self.k = len(self.letters)
         self.domain = domain
-        self._ad = [_exp_ad_factors(flat.algebra, x) for x in self.letters]
+        self._ad = [flat.exp_ad_factors(x) for x in self.letters]
+        # the prefix is one point, t = 1: single exponentials, no Taylor tables
         rho0 = {d: np.eye(flat.space.dim(d)) for d in flat.space.degrees}
         ad0i = np.eye(flat.algebra.n)
         for x in self.prefix:
-            rho0 = {d: r.dot(flat.exp_factors(x, d).at(np.ones(1))[0]) for d, r in rho0.items()}
-            ad0i = _exp_ad_factors(flat.algebra, x).at(-np.ones(1))[0].dot(ad0i)
+            rho0 = {d: r.dot(linalg.expm(flat.action(x, d))) for d, r in rho0.items()}
+            ad0i = linalg.expm(flat.ad(x), -1).dot(ad0i)
         self._rho0, self._ad0i = rho0, ad0i
 
     def eval(self, points: np.ndarray, degrees=None) -> PointData:
@@ -342,9 +360,6 @@ class ChainCombination:
 
     def __add__(self, other):
         return ChainCombination(self.terms + other.terms)
-
-    def scaled(self, c):
-        return ChainCombination([(c * coef, ev) for coef, ev in self.terms])
 
 
 # ---------------------------------------------------------------------------

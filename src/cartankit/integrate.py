@@ -82,7 +82,8 @@ def density_batch(flat: FlatRep, data) -> Blocks:
         if flat.space.dim(q - k):
             block = data.rho.blocks[q - k]
             for j in range(k):
-                b = np.einsum("pi,iab->pab", data.xi[:, j, :], flat.B[q - k + j + 1])
+                bs = flat.B[q - k + j + 1]
+                b = (data.xi[:, j, :] @ bs.reshape(len(bs), -1)).reshape(-1, *bs.shape[1:])
                 block = np.matmul(block, b)
             out[q] = block
     return Blocks(out, data.xi.shape[0])
@@ -162,8 +163,8 @@ def series_coefficient(js, exact: bool):
 def integrate_series(rep, letters, max_degree: int = DEFAULT_SERIES_CAP) -> GradedOperator:
     """Sum of B_1 A_1^{j_1} ... B_k A_k^{j_k} with the simplex moment
     coefficients.  Float mode sums layer by layer to a tolerance; exact
-    mode composes operators up to each letter's nilpotency cap, so it
-    terminates exactly on nilpotent inputs."""
+    mode composes each B_i A_i^j until it vanishes, so it terminates
+    exactly on nilpotent inputs."""
     k = len(letters)
     space = rep.complex.space
     if k == 0:
@@ -172,13 +173,15 @@ def integrate_series(rep, letters, max_degree: int = DEFAULT_SERIES_CAP) -> Grad
     B = [rep.B_of(x) for x in letters]
     if rep.mode == FLOAT:
         return _float_series(space, A, B, max_degree)
-    caps = [len(exp_terms(a)) - 1 for a in A]     # highest nonzero power
-    powers = []
-    for a, b, cap in zip(A, B, caps):
+    powers = []                  # powers[i][j] = B_i A_i^j, up to the last nonzero one
+    for a, b in zip(A, B):
         ps = [b]
-        for m in range(1, cap + 1):
-            ps.append(compose(ps[-1], a))
-        powers.append(ps)        # powers[i][j] = B_i A_i^j
+        while (nxt := compose(ps[-1], a)).norm():
+            if len(ps) > space.total_dim:
+                raise linalg.ModeError("exponential series does not terminate in exact mode")
+            ps.append(nxt)
+        powers.append(ps)
+    caps = [len(ps) - 1 for ps in powers]
     acc = zero = GradedOperator.zero(space, space, -k, EXACT)
     for layer in range(0, sum(caps) + 1):
         layer_sum = zero

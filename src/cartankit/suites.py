@@ -8,6 +8,18 @@ from . import ce, cubical, integrate, linalg, reps
 from .evaluators import FlatRep, WordEvaluator, ez_product, thinness_check
 from .linalg import FLOAT
 from .report import Report
+from .schemas import ProblemError, dump_operator
+
+# the most Gauss-Legendre nodes one quadrature may take (order ** letters);
+# the committed problems and tests need at most 20 ** 3
+MAX_QUADRATURE_NODES = 100_000
+
+
+def _check_nodes(order, k):
+    """``ProblemError`` before any node is built when order ** k is over budget."""
+    if order ** k > MAX_QUADRATURE_NODES:
+        raise ProblemError(f"quadrature of order {order} on {k} letters needs {order ** k} "
+                           f"nodes, over the budget of {MAX_QUADRATURE_NODES}")
 
 
 def _settings_dict(settings):
@@ -57,6 +69,8 @@ def integrate_word(problem, rep_name, word_name, method="both") -> Report:
     rep = problem.representation(rep_name)
     letters = problem.word(word_name)
     s = problem.settings
+    if method in ("quadrature", "both"):
+        _check_nodes(s.order, len(letters))
     results = {}
     if method in ("series", "both"):
         results["series"] = integrate.integrate_series(rep, letters, max_degree=s.series_cap)
@@ -66,7 +80,6 @@ def integrate_word(problem, rep_name, word_name, method="both") -> Report:
         flat = FlatRep(rep)
         results["quadrature"] = integrate.integrate_quadrature(
             flat, WordEvaluator(flat, letters), s.order)
-    from .schemas import dump_operator
     payload = dump_operator(next(iter(results.values())))
     if len(results) == 2:
         cross = (results["series"] - results["quadrature"]).norm()
@@ -87,6 +100,9 @@ def verify_module(problem, rep_name, word_names) -> Report:
     s = problem.settings
     flat = FlatRep(rep)
     words = {name: problem.word(name) for name in word_names}
+    lengths = [len(w) for w in words.values()]   # Stokes per word, shuffles to 3 letters
+    _check_nodes(s.order, max((a + b if a + b <= 3 else max(a, b) for a in lengths for b in lengths),
+                              default=0))
     for name, letters in sorted(words.items()):
         report.timed("module.dg_stokes", s.tol,
                      lambda letters=letters: integrate.dg_module_residual(flat, letters, s.order),
@@ -178,6 +194,7 @@ def cubical_suite(problem, rep_name, word_name) -> Report:
     flat = FlatRep(rep)
     letters = problem.word(word_name)
     k = len(letters)
+    _check_nodes(s.order, k)
     theta = WordEvaluator(flat, letters, domain="cube")
     entry = cubical_entry(flat, theta)
     base = cubical.IntegrationCochain(flat, k, "simplicial", entry, s.order)

@@ -1,6 +1,8 @@
 """Cubical cochains: antisymmetrization, subdivision splits, the
 cube-to-simplex collapse and the shuffle triangulation identity."""
 
+from math import fsum
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from cartankit.cubical import (AlternationCochain, IntegrationCochain,
                                split_lower, split_upper, subdivision_invariance_residual,
                                subdivision_maps)
 from cartankit.evaluators import FlatRep, PermReparam, WordEvaluator, thinness_check
+from cartankit.integrate import cube_nodes, density_at, simplex_nodes
 from cartankit.suites import cubical_entry
 
 
@@ -119,6 +122,17 @@ def test_symmetric_cochain_fails_alternation(flat, theta):
             return 1.0
 
     assert alternating_residual(Symmetric(), theta) == 2.0
+
+
+def test_cochain_sum_equals_generator_sum(flat, theta, base_cochain):
+    """Summing the weighted column as one array changes no bit of the
+    correctly rounded sum of the same float products."""
+    for kind in ("simplicial", "cubical"):
+        c = IntegrationCochain(flat, 2, kind, base_cochain.entry, 16)
+        for ev in (theta, PermReparam(theta, (1, 0)), split_upper(theta, 1, 0.35)):
+            nodes, weights = (simplex_nodes if kind == "simplicial" else cube_nodes)(2, 16)
+            column = density_at(flat, ev, nodes).entries[:, c.entry]
+            assert c(ev) == fsum(float(w) * float(v) for w, v in zip(weights, column))
 
 
 def test_top_form_integral_flips_sign_under_transposition(flat, theta):

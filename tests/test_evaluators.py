@@ -6,15 +6,15 @@ from math import comb
 import numpy as np
 import pytest
 
-from cartankit import evaluators
+from cartankit import evaluators, linalg
 from cartankit.evaluators import (AffineReparam, ChainCombination, FlatRep,
                                   MaxCollapseReparam, PermReparam, PointEvaluator,
                                   ProductEvaluator, WordEvaluator, boundary, ez_product,
                                   face_map, interior_points, shuffles, thinness_check)
-from cartankit.integrate import cube_nodes, density_at, simplex_nodes
+from cartankit.integrate import cube_nodes, density_at, gauss_01, simplex_nodes
 from cartankit.lie import abelian
 from cartankit.linalg import FLOAT
-from cartankit.reps import chain_rep, trivial_lie_rep
+from cartankit.reps import adjoint_rep, chain_rep, trivial_lie_rep
 from aw_coproduct import aw_coproduct_word
 from dense_reference import flatten_operator, operator_of, total_of
 
@@ -123,6 +123,57 @@ def test_word_eval_exponentiates_each_distinct_coordinate_once(flat, monkeypatch
         assert [sizes[i] for i in ids] == [[16], [136], [1189]]
     assert [sizes[id(a)] for a in ev._ad] == [[16], [136], [1189]]
     assert len(sizes) == 9
+
+
+@pytest.fixture(scope="module")
+def sl2_flats(sl2_chain_float):
+    """The 8- and 24-dim sl2 chain representations (trivial and adjoint
+    coefficients)."""
+    g = sl2_chain_float.algebra
+    return [FlatRep(sl2_chain_float), FlatRep(chain_rep(g, adjoint_rep(g, mode=FLOAT)))]
+
+
+def test_taylor_exponential_agrees_with_expm(sl2_flats, sl2_basis_float):
+    """Every degree block and ad(x), at the Gauss-Legendre values of a slot
+    and at their negatives, to 1e-13 relative to max(1, |entry|): on the
+    24-dim rep exp(t L(h)) reaches e^4, where the squarings leave up to
+    8e-13 absolute."""
+    values, _ = gauss_01(16)
+    values = np.concatenate([values, -values])
+    for flat in sl2_flats:
+        for x in sl2_basis_float + GENERIC_LETTERS:
+            tables = [(flat.exp_factors(x, d), flat.action(x, d)) for d in flat.space.degrees]
+            for table, a in tables + [(flat.exp_ad_factors(x), flat.ad(x))]:
+                got = table.at(values)
+                for t, row in zip(values, got):
+                    want = linalg.expm(a, t)
+                    assert np.all(np.abs(row - want) <= 1e-13 * np.maximum(1.0, np.abs(want)))
+
+
+def test_adjoint_tables_cached_per_letter_and_none_for_points(sl2_chain_float, sl2_basis_float,
+                                                              monkeypatch):
+    """Faces, shuffle factors and prefixes share one adjoint Taylor table per
+    letter; a point value (a prefix, a ``PointEvaluator``) builds no table."""
+    flat = FlatRep(sl2_chain_float)
+    built = []
+    init = evaluators._TaylorExp.__init__
+
+    def counted(self, a):
+        built.append(a.shape)
+        init(self, a)
+
+    monkeypatch.setattr(evaluators._TaylorExp, "__init__", counted)
+    e = sl2_basis_float
+    words = [[e[0], e[2]], [e[2], e[0]], [e[0]], [e[2], e[0], e[2]]]
+    evs = [WordEvaluator(flat, w) for w in words]
+    assert len(built) == 2 and len(flat._ad_cache) == 2 and not flat._exp_cache
+    assert all(a is b for a, b in zip(evs[0]._ad, evs[1]._ad[::-1]))
+    WordEvaluator(flat, [e[1]], prefix=[e[2], GENERIC_LETTERS[0]])
+    assert len(built) == 3
+    point = PointEvaluator(flat, prefix=[e[1], GENERIC_LETTERS[1]])
+    point.value()
+    point.eval(np.zeros((2, 0)), flat.targets(0))
+    assert len(built) == 3 and not flat._exp_cache
 
 
 def test_ad_and_inverse_are_inverse(flat, sl2_basis_float):

@@ -9,7 +9,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from cartankit import cli
+from cartankit import cli, integrate
 from cartankit.evaluators import (FlatRep, MaxCollapseReparam, PermReparam,
                                   WordEvaluator, ez_product)
 from cartankit.graded import (CochainComplex, GradedOperator, GradedVectorSpace,
@@ -147,6 +147,23 @@ def test_series_requires_nilpotent_in_exact_mode():
     rep = chain_rep(g, trivial_lie_rep(g))
     with pytest.raises(ModeError):
         integrate_series(rep, [g.basis_vector(2)])
+
+
+def test_exact_series_reads_caps_from_its_own_products(h3_chain_exact, monkeypatch):
+    """The exact series stops each letter at its first vanishing B A^j and
+    builds no exponential series of its own."""
+    g = h3_chain_exact.algebra
+    basis = [g.basis_vector(i) for i in range(3)]
+    words = [[basis[0]], [basis[0], basis[1]], [basis[1], basis[0], basis[2]],
+             [basis[0] + 2 * basis[1], basis[1] - basis[2]]]
+    polys = [word_integral_polynomial_exact(h3_chain_exact, w) for w in words]
+
+    def no_exp_terms(*args, **kwargs):
+        raise AssertionError("exp_terms called")
+
+    monkeypatch.setattr(integrate, "exp_terms", no_exp_terms)
+    for letters, poly in zip(words, polys):
+        assert (integrate_series(h3_chain_exact, letters) - poly).norm() == 0.0
 
 
 def test_series_cap_reports_nonconvergence(sl2_chain_float):

@@ -2,6 +2,7 @@
 
 import json
 import pathlib
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -294,6 +295,29 @@ def test_check_lie_reports_non_jacobi_residual(tmp_path, capsys):
     record = json.loads(capsys.readouterr().out.splitlines()[0])
     assert code == 1
     assert record["check"] == "jacobi" and record["residual"] > 0 and not record["pass"]
+
+
+@pytest.mark.parametrize("argv, nodes", [
+    (["integrate", "--word", "w7", "--method", "quadrature"], 16 ** 7),
+    (["integrate", "--word", "w7", "--method", "both"], 16 ** 7),
+    (["cubical", "--word", "w7"], 16 ** 7),
+    (["verify-module", "--words", "we,w7"], 16 ** 7),
+    (["integrate", "--word", "we", "--method", "quadrature", "--order", "1000000"], 10 ** 6),
+], ids=["quadrature", "both", "cubical", "verify_module", "order"])
+def test_cli_exit_two_on_quadrature_over_budget(tmp_path, capsys, argv, nodes):
+    """A quadrature over the node budget is refused from order ** k alone,
+    before any node is built."""
+    payload = json.loads(json.dumps(SL2_PAYLOAD))
+    payload["settings"]["order"] = 16
+    payload["words"]["w7"] = [[1, 0, 0], [0, 0, 1], [0, 1, 0]] * 2 + [[1, 0, 0]]
+    path = tmp_path / "long_word.json"
+    path.write_text(json.dumps(payload))
+    start = time.perf_counter()
+    code = cli.main(argv[:1] + [str(path), "--rep", "chain_trivial"] + argv[1:])
+    elapsed = time.perf_counter() - start
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert code == 2 and elapsed < 1.0
+    assert len(lines) == 1 and f"needs {nodes} nodes" in lines[0]
 
 
 def test_cli_integrate_cross_check(problem_file, capsys):
