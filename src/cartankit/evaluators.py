@@ -123,10 +123,11 @@ class FlatRep:
 
 
 class _TaylorExp:
-    """exp(t A) over batches of t, by scaled Taylor polynomial + squaring."""
+    """exp(t A) over batches of t, by scaled Taylor polynomial + squaring;
+    the squarings scale A to infinity-norm (max row sum) at most 1/2."""
 
     def __init__(self, a: np.ndarray):
-        norm = linalg.max_abs(a) * a.shape[0]
+        norm = float(np.abs(a).sum(axis=1).max(initial=0.0))
         self.squarings = max(0, int(np.ceil(np.log2(norm))) + 1) if norm > 1 else 0
         scaled = a / (2.0 ** self.squarings)
         terms = [np.eye(a.shape[0])]
@@ -236,9 +237,10 @@ class PointEvaluator(Evaluator):
         return self._word.eval(np.zeros((p, 0)), degrees)
 
     def value(self) -> GradedOperator:
-        space = self.flat.space
-        return GradedOperator.from_block_entries(space, space, 0, self.eval(np.zeros((1, 0))).rho[0],
-                                                 FLOAT)
+        """The operator value, read straight off the prefix blocks."""
+        space, rho = self.flat.space, self._word._rho0
+        return GradedOperator.from_block_entries(
+            space, space, 0, np.concatenate([rho[d].ravel() for d in space.degrees]), FLOAT)
 
 
 class AffineReparam(Evaluator):

@@ -6,8 +6,9 @@ over the layouts of its source and target: row-major sorted arrays of its
 nonzero entries, float64 in float mode and int64 numerators over one common
 denominator in exact mode, reduced by their gcd after every operation.  An
 exact operation whose numerators could leave int64 raises ``ModeError``:
-a product entry that does not fit once summed exactly, or a tensor product,
-sum or scalar multiple over its bound (max|A| * max|B| and the like).
+an entry of a product or of a label combination that does not fit once
+summed exactly, or a tensor product, sum or scalar multiple over its bound
+(max|A| * max|B| and the like).
 Nothing wraps around or falls back to float.  Only this module knows the
 layout.  Every constructed complex verifies that its differential (of
 degree +1) squares to zero.  A family of n parallel operators is stored as
@@ -262,13 +263,26 @@ def _new(source, target, degree, mode, rows, cols, data, den=1) -> GradedOperato
                                                         rows, cols, data, den)
 
 
+def read_only(op) -> GradedOperator:
+    """Mark the entry arrays of ``op`` read-only, so that it can be cached and
+    shared: no operation writes into an operand."""
+    for a in (op._rows, op._cols, op._data):
+        a.flags.writeable = False
+    return op
+
+
 @lru_cache(maxsize=256)
 def _identity(space, mode):
     diagonal = np.arange(space.total_dim)
-    op = _new(space, space, 0, mode, diagonal, diagonal,
-              np.ones(space.total_dim, dtype=float if mode == FLOAT else np.int64))
-    for a in (op._rows, op._cols, op._data):
-        a.flags.writeable = False
+    return read_only(_new(space, space, 0, mode, diagonal, diagonal,
+                          np.ones(space.total_dim, dtype=float if mode == FLOAT else np.int64)))
+
+
+def _narrow(op, what) -> GradedOperator:
+    """Back to int64 numerators after entries summed as Python ints;
+    ``ModeError`` if a reduced one does not fit."""
+    _check_int64(op._max(), what)
+    op._data = op._data.astype(np.int64)
     return op
 
 
@@ -291,10 +305,7 @@ def compose(f: GradedOperator, g: GradedOperator) -> GradedOperator:
         f._max() * g._max() * int(np.bincount(f._rows).max()) > _MAX
     out = _new(g.source, f.target, f.degree + g.degree, f.mode, f._rows[mine], g._cols[theirs],
                a.astype(object) * b.astype(object) if wide else a * b, f._den * g._den)
-    if wide:
-        _check_int64(out._max(), "compose")
-        out._data = out._data.astype(np.int64)
-    return out
+    return _narrow(out, "compose") if wide else out
 
 
 def combination(coeffs, ops) -> GradedOperator:
@@ -505,17 +516,28 @@ def _unlabel(n, target):
 def label_combination(x, op) -> GradedOperator:
     """sum_i x_i f_i for f_1 .. f_n stacked over n = len(x) labels
     (``stack``), (x^T ox 1_W) stack, in one pass over the entries; an exact
-    coefficient must be an int or a ``Fraction``."""
+    coefficient must be an int or a ``Fraction``.  The exact coefficients
+    are numerators over their common denominator.  As in ``compose``, when
+    sum_i max|f_i| |num_i| or one of those numerators could leave int64,
+    the entries are summed as Python ints and ``ModeError`` is raised only
+    if a reduced one does not fit."""
     if op.mode == EXACT and not all(isinstance(c, (int, Fraction)) for c in x):
         raise ModeError("float coefficient on exact operator")
     w, label, row = _labelled(op, len(x))
-    nums, den = _numerators(list(x), op.mode)
     if op.mode == EXACT:
-        _check_int64(sum(a * abs(b) for a, b in zip(_label_max(op, label, len(x)),
-                                                    nums.tolist())), "sum")
+        fracs = [Fraction(c) for c in x]
+        den = math.lcm(*(f.denominator for f in fracs))
+        ints = [f.numerator * (den // f.denominator) for f in fracs]
+        wide = max(map(abs, ints), default=0) > _MAX or \
+            sum(a * abs(b) for a, b in zip(_label_max(op, label, len(x)), ints)) > _MAX
+        nums = np.array(ints, dtype=object if wide else np.int64)
+    else:
+        wide, nums, den = False, np.asarray(x, dtype=float), 1
     keep = nums[label] != 0                    # the labels x leaves out, before the sort
-    return _new(op.source, w, op.degree, op.mode, row[keep], op._cols[keep],
-                op._data[keep] * nums[label[keep]], op._den * den)
+    data = op._data[keep]
+    out = _new(op.source, w, op.degree, op.mode, row[keep], op._cols[keep],
+               (data.astype(object) if wide else data) * nums[label[keep]], op._den * den)
+    return _narrow(out, "sum") if wide else out
 
 
 def on_labels(n, op) -> GradedOperator:

@@ -21,7 +21,7 @@ from . import linalg
 from .evaluators import (Blocks, ChainCombination, Evaluator, FlatRep,
                          PointEvaluator, WordEvaluator, boundary, ez_product)
 from .graded import (GradedOperator, combination, compose, exp_operator, exp_terms,
-                     graded_commutator)
+                     graded_commutator, label_combination, on_labels)
 from .linalg import EXACT, FLOAT
 
 DEFAULT_ORDER = 16
@@ -160,39 +160,37 @@ def series_coefficient(js, exact: bool):
     return Fraction(1, denom) if exact else 1.0 / denom
 
 
+@lru_cache(maxsize=256)
+def _exact_coefficients(sizes):
+    """The exact series coefficients of every (j_1, ..., j_k) with
+    j_i < sizes[i], listed by the labels (j_k, ..., j_1) in lexicographic
+    order; cached, so a tuple."""
+    return tuple(series_coefficient(js[::-1], True)
+                 for js in iter_product(*map(range, reversed(sizes))))
+
+
 def integrate_series(rep, letters, max_degree: int = DEFAULT_SERIES_CAP) -> GradedOperator:
     """Sum of B_1 A_1^{j_1} ... B_k A_k^{j_k} with the simplex moment
-    coefficients.  Float mode sums layer by layer to a tolerance; exact
-    mode composes each B_i A_i^j until it vanishes, so it terminates
-    exactly on nilpotent inputs."""
+    coefficients.  Float mode sums layer by layer to a tolerance.  Exact
+    mode reads each letter's power stack of B_i A_i^j up to its last
+    nonzero power (``reps.Letter.powers``), so it terminates exactly on
+    nilpotent inputs.  It composes the stacks from the right through
+    ``on_labels``, k - 1 composes whatever the powers, into one operator
+    holding every product under the label (j_k, ..., j_1), and applies the
+    coefficients with one ``label_combination``."""
     k = len(letters)
     space = rep.complex.space
     if k == 0:
         return GradedOperator.identity(space, rep.mode)
-    A = [rep.L_of(x) for x in letters]
-    B = [rep.B_of(x) for x in letters]
     if rep.mode == FLOAT:
-        return _float_series(space, A, B, max_degree)
-    powers = []                  # powers[i][j] = B_i A_i^j, up to the last nonzero one
-    for a, b in zip(A, B):
-        ps = [b]
-        while (nxt := compose(ps[-1], a)).norm():
-            if len(ps) > space.total_dim:
-                raise linalg.ModeError("exponential series does not terminate in exact mode")
-            ps.append(nxt)
-        powers.append(ps)
-    caps = [len(ps) - 1 for ps in powers]
-    acc = zero = GradedOperator.zero(space, space, -k, EXACT)
-    for layer in range(0, sum(caps) + 1):
-        layer_sum = zero
-        for js in compositions(layer, k):
-            if all(j <= cap for j, cap in zip(js, caps)):
-                term = powers[0][js[0]]
-                for i in range(1, k):
-                    term = compose(term, powers[i][js[i]])
-                layer_sum = layer_sum + series_coefficient(js, True) * term
-        acc = acc + layer_sum
-    return acc
+        return _float_series(space, [rep.L_of(x) for x in letters],
+                             [rep.B_of(x) for x in letters], max_degree)
+    stacks = [rep.letter(x).powers for x in letters]
+    out, labels = stacks[-1]
+    for op, size in reversed(stacks[:-1]):
+        out = compose(on_labels(labels, op), out)
+        labels *= size
+    return label_combination(_exact_coefficients(tuple(size for _, size in stacks)), out)
 
 
 def _float_series(space, A, B, max_degree):
@@ -252,16 +250,11 @@ class MatPoly:
                                                for m, c in enumerate(self.coeffs)])
 
 
-def exp_poly(a, scale=Fraction(1)) -> MatPoly:
-    """exp(scale * s * a) as a terminating operator polynomial in s."""
-    return MatPoly(exp_terms(a, scale))
-
-
 def merged_pair_integral_exact(rep, x, y) -> GradedOperator:
     """Exact integral over [0,1] of the pullback along s -> exp(sx) exp(sy)."""
     if rep.mode != EXACT:
         raise linalg.ModeError("exact route requires exact mode")
-    rho = exp_poly(rep.L_of(x)).dot(exp_poly(rep.L_of(y)))
+    rho = MatPoly(rep.letter(x).exp_terms).dot(MatPoly(rep.letter(y).exp_terms))
     algebra = rep.algebra
     ad_neg_y = exp_terms(algebra.ad_operator(algebra.vector(list(y))), Fraction(-1))
     # xi(s) = Ad_{exp(-s y)} x + y, coefficientwise through the B action
@@ -275,10 +268,11 @@ def merged_pair_integral_exact(rep, x, y) -> GradedOperator:
 
 
 def point_value(rep, prefix) -> GradedOperator:
-    """Operator value of the group element exp(x_1) ... exp(x_m)."""
+    """Operator value of the group element exp(x_1) ... exp(x_m); each exact
+    exponential is the letter's cached one."""
     out = GradedOperator.identity(rep.complex.space, rep.mode)
     for x in prefix:
-        out = compose(out, exp_operator(rep.L_of(x)))
+        out = compose(out, rep.letter(x).exp if rep.mode == EXACT else exp_operator(rep.L_of(x)))
     return out
 
 
@@ -295,7 +289,7 @@ def word_integral_polynomial_exact(rep, letters) -> GradedOperator:
         return GradedOperator.identity(rep.complex.space, EXACT)
     inner = None
     for x in reversed(letters):
-        factor = exp_poly(rep.L_of(x)).dot(MatPoly([rep.B_of(x)]))
+        factor = MatPoly(rep.letter(x).exp_terms).dot(MatPoly([rep.B_of(x)]))
         inner = factor if inner is None else factor.dot(inner)
         inner = inner.antiderivative()
     return sum(inner.coeffs[1:], inner.coeffs[0])

@@ -5,15 +5,20 @@ per basis vector of the algebra.  A ``CartanRep`` adds one degree-(-1)
 operator per basis vector.  Each family is stored as one operator: the n
 operators are stacked into V -> K ox V over degree-0 labels K
 (``graded.stack``), the only storage; ``rep.L``, ``rep.B`` and
-``rep.operators`` are lists of block reads, and L(x) is (x^T ox 1) L.  The
-constructions build the stacks directly, in a fixed number of operator
-calls whatever n is.  ``cartan_residuals`` measures how far the family is
-from satisfying the Cartan relations, each relation family as one
-operator: (1_K ox L) B holds every L_i B_j, a swap of the two labels the
-reversed products, and the structure constants act as c: K -> K ox K;
-``LieRep.residuals`` and ``intertwiner_residual`` read the same stacks.  The Cartan DG Lie
-algebra itself is a ``CartanRep``: ``cartan_dgla`` is its adjoint
-representation, verified by the d^2 check and ``cartan_residuals``.
+``rep.operators`` are lists of block reads, and L(x) is (x^T ox 1) L.  A
+``CartanRep`` builds the operators of each letter x once (``Letter``, a
+bounded cache keyed by the coordinates): L(x) and B(x), and on first use
+the exact exponential of L(x) and the power stack of the exact series,
+all shared read-only.  The label maps of the relation checks are built once
+per algebra, space and mode.  The constructions build the stacks directly,
+in a fixed number of operator calls whatever n is.  ``cartan_residuals``
+measures how far the family is from satisfying the Cartan relations, each
+relation family as one operator: (1_K ox L) B holds every L_i B_j, a swap
+of the two labels the reversed products, and the structure constants act
+as c: K -> K ox K; ``LieRep.residuals`` and ``intertwiner_residual`` read
+the same stacks.  The Cartan DG Lie algebra itself is a ``CartanRep``:
+``cartan_dgla`` is its adjoint representation, verified by the d^2 check
+and ``cartan_residuals``.
 ``chain_rep`` and ``cochain_rep`` realize the two standard constructions
 on the Chevalley-Eilenberg chain and cochain complexes.  The first, left
 adjoint to ``restrict``, lives on Lambda(g) ox V with B_i = eps_i ox 1 and
@@ -23,15 +28,19 @@ transpose with the dual coefficients of ``dual_lie_rep``.
 """
 
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from . import ce, linalg
 from .graded import (CochainComplex, GradedOperator, GradedVectorSpace, combination,
-                     compose, dual_complex, dual_operator, dual_space, label_combination,
-                     on_labels, stack, stack_entries, tensor_basis_index, tensor_complex,
-                     tensor_operator, tensor_space, unstack)
+                     compose, dual_complex, dual_operator, dual_space, exp_terms,
+                     label_combination, on_labels, read_only, stack, stack_entries,
+                     tensor_basis_index, tensor_complex, tensor_operator, tensor_space,
+                     unstack)
 from .linalg import EXACT
+
+LETTER_CACHE = 64               # letters a CartanRep keeps (``CartanRep.letter``)
 
 
 def _family(ops, algebra, space, degree, what, count):
@@ -89,6 +98,7 @@ class CartanRep:
         count = "need one L and one B per basis vector"
         self.L_stack = _family(L, algebra, complex_.space, 0, "L operators", count)
         self.B_stack = _family(B, algebra, complex_.space, -1, "B operators", count)
+        self._letters = {}
 
     @property
     def mode(self):
@@ -106,11 +116,51 @@ class CartanRep:
     def B(self):
         return unstack(self.B_stack, self.algebra.n)
 
+    def letter(self, x) -> "Letter":
+        """The operators of the letter x, built once per coordinate tuple and
+        shared read-only; past ``LETTER_CACHE`` letters the oldest is dropped."""
+        key = tuple(x)
+        entry = self._letters.get(key)
+        if entry is None:
+            if len(self._letters) >= LETTER_CACHE:
+                del self._letters[next(iter(self._letters))]
+            entry = self._letters[key] = Letter(label_combination(x, self.L_stack),
+                                                label_combination(x, self.B_stack))
+        return entry
+
     def L_of(self, x) -> GradedOperator:
-        return label_combination(x, self.L_stack)
+        return self.letter(x).L
 
     def B_of(self, x) -> GradedOperator:
-        return label_combination(x, self.B_stack)
+        return self.letter(x).B
+
+
+class Letter:
+    """L(x) and B(x) of one letter x, and, built on first use in exact mode,
+    the exact exponential of A = L(x) with its terms A^m / m!, and the power
+    stack of the exact series: ``stack`` of B, B A, ..., B A^c, c the last
+    power with a stored entry (A is nilpotent)."""
+
+    def __init__(self, L, B):
+        self.L, self.B = read_only(L), read_only(B)
+
+    @cached_property
+    def exp_terms(self):
+        return [read_only(t) for t in exp_terms(self.L)]
+
+    @cached_property
+    def exp(self) -> GradedOperator:
+        return read_only(combination((1,) * len(self.exp_terms), self.exp_terms))
+
+    @cached_property
+    def powers(self):
+        """The power stack and its number of labels c + 1."""
+        ps = [self.B]
+        while (nxt := compose(ps[-1], self.L)).norm():
+            if len(ps) > self.L.source.total_dim:
+                raise linalg.ModeError("exponential series does not terminate in exact mode")
+            ps.append(nxt)
+        return read_only(stack(ps)), len(ps)
 
 
 @dataclass
@@ -130,12 +180,14 @@ class CartanReport:
         return self.worst <= tol
 
 
+@lru_cache(maxsize=64)
 def _label_maps(algebra, space, mode):
     """Maps of the labels K = GradedVectorSpace({0: n}) of ``stack``, tensored
     with 1 on V = ``space``: the swap (j, i) -> (i, j) of K ox K ox V, and
     c ox 1: K ox V -> K ox K ox V with c(e_k) = sum_{i,j} c[i, j, k] e_j ox e_i,
     so the block (j, i) of (c ox 1) stack(h) is sum_k c[i, j, k] h_k.  The
-    block (j, i) of (1_K ox stack(f)) stack(g) is f_i g_j."""
+    block (j, i) of (1_K ox stack(f)) stack(g) is f_i g_j.  Built once per
+    (algebra, space, mode) and shared read-only, as the identity is."""
     n, c = algebra.n, algebra.constants(mode)
     labels = GradedVectorSpace({0: n})
     pairs = tensor_space(labels, labels)
@@ -148,7 +200,7 @@ def _label_maps(algebra, space, mode):
                                                             for i, j, k in zip(*np.nonzero(c))],
                                          mode)
     one = GradedOperator.identity(space, mode)
-    return tensor_operator(swap, one), tensor_operator(consts, one)
+    return read_only(tensor_operator(swap, one)), read_only(tensor_operator(consts, one))
 
 
 def cartan_residuals(rep: CartanRep) -> CartanReport:

@@ -10,6 +10,7 @@ relations one pair of generators at a time with ``graded_commutator``.
 The ``per_generator_*`` helpers build the stacked constructions of ``ce``
 and ``reps`` one generator at a time, and ``loop_exterior`` builds the
 wedge and contraction of ``ce.exterior`` one subset at a time.
+``loop_series`` sums the exact coefficient series one term at a time.
 """
 
 from itertools import combinations
@@ -22,10 +23,10 @@ from cartankit import linalg
 from cartankit.ce import exterior
 from cartankit.evaluators import (AffineReparam, MaxCollapseReparam, PermReparam,
                                   PointEvaluator, ProductEvaluator, WordEvaluator)
-from cartankit.graded import (GradedOperator, GradedVectorSpace, combination, dual_operator,
-                              graded_commutator, tensor_operator)
+from cartankit.graded import (GradedOperator, GradedVectorSpace, combination, compose,
+                              dual_operator, graded_commutator, tensor_operator)
 from cartankit.integrate import compositions, series_coefficient
-from cartankit.linalg import FLOAT
+from cartankit.linalg import EXACT, FLOAT
 from cartankit.reps import CartanReport
 
 
@@ -140,6 +141,31 @@ def dense_series(rep, letters, max_degree=60, tol=1e-14):
         if layer >= 1 and linalg.max_abs(layer_sum) < tol * (1.0 + linalg.max_abs(acc)):
             return acc
     raise RuntimeError("dense series did not converge")
+
+
+def loop_series(rep, letters):
+    """The exact coefficient series one term at a time: each B_i A_i^j up to
+    its last nonzero power, then one ``compose`` and one scalar multiple per
+    (j_1, ..., j_k), summed layer by layer."""
+    k, space = len(letters), rep.complex.space
+    powers = []
+    for x in letters:
+        a, ps = rep.L_of(x), [rep.B_of(x)]
+        while (nxt := compose(ps[-1], a)).norm():
+            ps.append(nxt)
+        powers.append(ps)
+    caps = [len(ps) - 1 for ps in powers]
+    acc = zero = GradedOperator.zero(space, space, -k, EXACT)
+    for layer in range(0, sum(caps) + 1):
+        layer_sum = zero
+        for js in compositions(layer, k):
+            if all(j <= cap for j, cap in zip(js, caps)):
+                term = powers[0][js[0]]
+                for i in range(1, k):
+                    term = compose(term, powers[i][js[i]])
+                layer_sum = layer_sum + series_coefficient(js, True) * term
+        acc = acc + layer_sum
+    return acc
 
 
 def _bracket_defect(x, y, coeffs, ops):

@@ -137,7 +137,7 @@ def test_taylor_exponential_agrees_with_expm(sl2_flats, sl2_basis_float):
     """Every degree block and ad(x), at the Gauss-Legendre values of a slot
     and at their negatives, to 1e-13 relative to max(1, |entry|): on the
     24-dim rep exp(t L(h)) reaches e^4, where the squarings leave up to
-    8e-13 absolute."""
+    3e-13 absolute (8e-13 when their count came from max|a| d)."""
     values, _ = gauss_01(16)
     values = np.concatenate([values, -values])
     for flat in sl2_flats:
@@ -148,6 +148,17 @@ def test_taylor_exponential_agrees_with_expm(sl2_flats, sl2_basis_float):
                 for t, row in zip(values, got):
                     want = linalg.expm(a, t)
                     assert np.all(np.abs(row - want) <= 1e-13 * np.maximum(1.0, np.abs(want)))
+
+
+def test_taylor_squarings_follow_the_infinity_norm():
+    """A diagonal block of 24 entries 0.9 has infinity-norm 0.9 and needs no
+    squaring, where max|a| d = 21.6 would ask for six."""
+    a = 0.9 * np.eye(24)
+    table = evaluators._TaylorExp(a)
+    assert table.squarings == 0
+    values, _ = gauss_01(16)
+    for t, row in zip(values, table.at(values)):
+        assert np.max(np.abs(row - linalg.expm(a, t))) <= 1e-13 * np.exp(0.9)
 
 
 def test_adjoint_tables_cached_per_letter_and_none_for_points(sl2_chain_float, sl2_basis_float,
@@ -328,7 +339,10 @@ def test_chain_combination_dimension_guard(flat, sl2_basis_float):
 def test_point_evaluator_value(flat, sl2_basis_float):
     e = sl2_basis_float
     import scipy.linalg
-    val = flatten_operator(PointEvaluator(flat, prefix=[e[0], e[2]]).value())
+    point = PointEvaluator(flat, prefix=[e[0], e[2]])
+    val = flatten_operator(point.value())
     want = scipy.linalg.expm(operator_of(flat, e[0])).dot(
         scipy.linalg.expm(operator_of(flat, e[2])))
     assert np.max(np.abs(val - want)) < 1e-12
+    # read off the prefix blocks, the value is the batch evaluation's row
+    assert np.array_equal(val, total_of(flat, point.eval(np.zeros((1, 0))).rho[0], 0))

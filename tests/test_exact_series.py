@@ -1,0 +1,144 @@
+"""The exact coefficient series as one stacked product, the per-letter
+operators of a representation, and the wide path of ``label_combination``.
+
+``integrate_series`` composes each letter's power stack B, B A, ..., B A^c
+from the right through ``on_labels`` and applies every coefficient with one
+``label_combination``; the per-term loop of ``dense_reference`` must agree
+entry for entry."""
+
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from cartankit import graded, integrate, reps
+from cartankit.graded import GradedOperator, GradedVectorSpace, label_combination, stack
+from cartankit.lie import heisenberg3
+from cartankit.linalg import EXACT, FLOAT, ModeError
+from cartankit.reps import LETTER_CACHE, adjoint_rep, chain_rep, trivial_lie_rep
+from dense_reference import loop_series
+from test_ce import _nilpotent
+from test_stacked import _assert_same
+
+HEISENBERG_LETTERS = ([1, -2, 1], [2, 1, -1], [-1, 2, 2])
+# the nine words of the exact benchmark workload, as indices into the letters
+NINE_WORDS = ((0,), (1,), (2,), (0, 1), (1, 2), (2, 0), (0, 1, 2), (1, 2, 0), (2, 0, 1))
+N4_LETTERS = ([1, 0, 2, -1, 1, 0], [0, 1, -1, 2, 0, 1], [2, -1, 0, 1, 1, -1])
+
+
+@pytest.fixture(scope="module")
+def h3_reps():
+    g = heisenberg3()
+    return {coeff: chain_rep(g, v)
+            for coeff, v in (("trivial", trivial_lie_rep(g)), ("adjoint", adjoint_rep(g)))}
+
+
+def _letters(rep, rows):
+    return [rep.algebra.vector(x) for x in rows]
+
+
+@pytest.mark.parametrize("coeff", ["trivial", "adjoint"])
+@pytest.mark.parametrize("word", NINE_WORDS)
+def test_stacked_series_equals_the_per_term_loop_on_heisenberg(h3_reps, coeff, word):
+    """The adjoint chain is the 24-dim one, so its three-letter words are
+    the k = 3 case there."""
+    rep = h3_reps[coeff]
+    letters = _letters(rep, [HEISENBERG_LETTERS[i] for i in word])
+    _assert_same(integrate.integrate_series(rep, letters), loop_series(rep, letters))
+
+
+@pytest.mark.parametrize("word", [(0,), (1, 2), (2, 0, 1)])
+def test_stacked_series_equals_the_per_term_loop_on_n4(word):
+    g = _nilpotent(4)
+    rep = chain_rep(g, trivial_lie_rep(g))
+    letters = _letters(rep, [N4_LETTERS[i] for i in word])
+    _assert_same(integrate.integrate_series(rep, letters), loop_series(rep, letters))
+
+
+def test_stacked_series_equals_the_per_term_loop_at_four_letters():
+    """On n4, whose chains reach degree -6: a degree -4 operator on the
+    Heisenberg chains (degrees -3 .. 0) is zero."""
+    g = _nilpotent(4)
+    rep = chain_rep(g, trivial_lie_rep(g))
+    letters = _letters(rep, [N4_LETTERS[i] for i in (0, 1, 2, 0)])
+    out = integrate.integrate_series(rep, letters)
+    assert out.degree == -4 and out.norm() != 0.0
+    _assert_same(out, loop_series(rep, letters))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_warm_series_makes_k_minus_one_composes(h3_reps, monkeypatch, k):
+    """The letters have different numbers of powers (the central z has
+    none past B), and the count does not depend on them."""
+    rep = h3_reps["adjoint"]
+    pool = _letters(rep, HEISENBERG_LETTERS + ([0, 0, 3],))
+    letters = [pool[i % len(pool)] for i in (3, 0, 1, 3)[:k]]
+    assert len({rep.letter(x).powers[1] for x in pool}) > 1
+    want = integrate.integrate_series(rep, letters)
+    calls = []
+
+    def counted(f, g):
+        calls.append(1)
+        return original(f, g)
+
+    original = graded.compose
+    for module in (graded, reps, integrate):
+        monkeypatch.setattr(module, "compose", counted)
+    _assert_same(integrate.integrate_series(rep, letters), want)
+    assert len(calls) == k - 1
+
+
+def _labels(entries):
+    """A stacked operator over len(entries) labels on a 2-dim degree-0
+    space, label i the diagonal entries[i]."""
+    space = GradedVectorSpace({0: 2})
+    return stack([GradedOperator.from_entries(space, space, 0,
+                                              [(0, r, r, v) for r, v in enumerate(row)], EXACT)
+                  for row in entries])
+
+
+@pytest.mark.parametrize("x, entries", [
+    # coprime denominators: the numerators over their lcm leave int64, the
+    # label that would need them holds no entry
+    ((Fraction(1, 2 ** 31 - 1), Fraction(1, 2 ** 31), Fraction(1, 2 ** 61 - 1)),
+     ((3, 0), (0, 5), (0, 0))),
+    # products past int64 that cancel: (2^62 + 1) 4 - 2^62 4 = 4
+    ((2 ** 62 + 1, -(2 ** 62)), ((4, 1), (4, 1))),
+])
+def test_label_combination_wide_path_matches_fractions(x, entries):
+    out = label_combination(x, _labels(entries))
+    want = [sum(Fraction(c) * row[r] for c, row in zip(x, entries)) for r in range(2)]
+    assert [out.block(0)[r, r] for r in range(2)] == want
+    assert out._data.dtype == np.int64
+
+
+def test_label_combination_wide_path_raises_when_an_entry_does_not_fit():
+    with pytest.raises(ModeError) as err:
+        label_combination((1, 1), _labels(((2 ** 62, 1), (2 ** 62, 1))))
+    assert "int64" in str(err.value) and "\n" not in str(err.value)
+
+
+@pytest.mark.parametrize("mode", [EXACT, FLOAT])
+def test_letter_cache_shares_operators_and_stays_bounded(h3_reps, mode):
+    g = heisenberg3()
+    rep = chain_rep(g, adjoint_rep(g, mode=mode)) if mode == FLOAT else h3_reps["adjoint"]
+    stacks = [(op._rows.copy(), op._cols.copy(), op._data.copy(), op._den)
+              for op in (rep.L_stack, rep.B_stack)]
+    x = g.vector([1, -2, 1], mode)
+    first = rep.letter(x)
+    assert rep.letter(list(x)) is first
+    assert rep.L_of(x) is first.L and rep.B_of(g.vector([1, -2, 1], mode)) is first.B
+    assert not first.L._data.flags.writeable and not first.B._data.flags.writeable
+    for i in range(LETTER_CACHE + 10):
+        rep.letter(g.vector([i, 1, 2], mode))
+    assert len(rep._letters) == LETTER_CACHE
+    for op, (rows, cols, data, den) in zip((rep.L_stack, rep.B_stack), stacks):
+        assert np.array_equal(op._rows, rows) and np.array_equal(op._cols, cols)
+        assert np.array_equal(op._data, data) and op._den == den
+
+
+def test_label_maps_are_built_once_and_read_only(h3_reps):
+    rep = h3_reps["trivial"]
+    maps = reps._label_maps(rep.algebra, rep.complex.space, rep.mode)
+    assert reps._label_maps(rep.algebra, rep.complex.space, rep.mode) is maps
+    assert not any(op._data.flags.writeable for op in maps)
