@@ -16,7 +16,7 @@ import numpy as np
 
 from .evaluators import (AffineReparam, Evaluator, FlatRep,
                          MaxCollapseReparam, PermReparam)
-from .integrate import DEFAULT_ORDER, cube_nodes, density_at, integral_entries, simplex_nodes
+from .integrate import DEFAULT_ORDER, cube_nodes, densities, integrals, simplex_nodes
 
 
 def perm_sign(perm) -> int:
@@ -62,42 +62,63 @@ class IntegrationCochain:
         self.entry = entry
         self.order = order
 
-    def __call__(self, ev: Evaluator) -> float:
-        if ev.k != self.k:
+    def values(self, evs) -> list:
+        """The cochain at each evaluator, all in one batched evaluation."""
+        if any(ev.k != self.k for ev in evs):
             raise ValueError("dimension mismatch")
         nodes, weights = (simplex_nodes if self.kind == "simplicial" else cube_nodes)(
             self.k, self.order)
-        dens = density_at(self.flat, ev, nodes).entries
-        return fsum(weights * dens[:, self.entry])
+        return [fsum(weights * dens.entries[:, self.entry])
+                for dens in densities(self.flat, [(ev, nodes) for ev in evs])]
+
+    def __call__(self, ev: Evaluator) -> float:
+        return self.values([ev])[0]
 
 
 class AlternationCochain:
     """tau(c): signed sum of a simplicial cochain over coordinate
-    permutations of a cube chain; alternating by construction."""
+    permutations of a cube chain; alternating by construction.  The value
+    at each evaluator object is computed once and kept."""
 
     def __init__(self, base):
         self.base = base
         self.k = base.k
         self.kind = "cubical"
+        self._known = {}
+
+    def values(self, evs) -> list:
+        """tau(c) at each evaluator; the new ones in one call of the base."""
+        perms = list(permutations(range(self.k)))
+        new = [ev for ev in dict.fromkeys(evs) if ev not in self._known]
+        terms = cochain_values(self.base, [PermReparam(ev, perm) for ev in new for perm in perms])
+        for i, ev in enumerate(new):
+            row = terms[i * len(perms):(i + 1) * len(perms)]
+            self._known[ev] = fsum(perm_sign(perm) * v for perm, v in zip(perms, row))
+        return [self._known[ev] for ev in evs]
 
     def __call__(self, ev: Evaluator) -> float:
-        terms = []
-        for perm in permutations(range(self.k)):
-            terms.append(perm_sign(perm) * self.base(PermReparam(ev, perm)))
-        return fsum(terms)
+        return self.values([ev])[0]
+
+
+def cochain_values(c, evs) -> list:
+    """c at each evaluator: batched through ``c.values`` when c has it."""
+    return c.values(evs) if hasattr(c, "values") else [c(ev) for ev in evs]
 
 
 def subdivision_invariance_residual(c, ev: Evaluator, i: int, s: float) -> float:
     """|c(theta) - c(lower piece) - c(upper piece)| for an axis split."""
-    return abs(c(ev) - c(split_lower(ev, i, s)) - c(split_upper(ev, i, 1.0 - s)))
+    whole, lower, upper = cochain_values(c, [ev, split_lower(ev, i, s),
+                                             split_upper(ev, i, 1.0 - s)])
+    return abs(whole - lower - upper)
 
 
 def alternating_residual(c, ev: Evaluator) -> float:
     """max over permutations of |c(theta o chi) - sgn(chi) c(theta)|."""
-    base = c(ev)
+    perms = list(permutations(range(ev.k)))
+    base, *permuted = cochain_values(c, [ev] + [PermReparam(ev, perm) for perm in perms])
     worst = 0.0
-    for perm in permutations(range(ev.k)):
-        worst = max(worst, abs(c(PermReparam(ev, perm)) - perm_sign(perm) * base))
+    for perm, value in zip(perms, permuted):
+        worst = max(worst, abs(value - perm_sign(perm) * base))
     return worst
 
 
@@ -105,27 +126,23 @@ def cube_vs_simplex_residual(flat: FlatRep, ev: Evaluator,
                              order: int = DEFAULT_ORDER) -> float:
     """Cube integral versus the signed sum of simplex integrals of the
     coordinate-permuted restrictions (the shuffle triangulation)."""
-    cube_val = integral_entries(flat, ev, order, "cube")
+    perms = list(permutations(range(ev.k)))
+    cube_val, *pieces = integrals(flat, [ev] + [PermReparam(ev, perm) for perm in perms], order,
+                                  ["cube"] + ["simplex"] * len(perms))
     total = np.zeros_like(cube_val)
-    for perm in permutations(range(ev.k)):
-        total = total + perm_sign(perm) * integral_entries(flat, PermReparam(ev, perm), order,
-                                                           "simplex")
+    for perm, piece in zip(perms, pieces):
+        total = total + perm_sign(perm) * piece
     return float(np.max(np.abs(cube_val - total), initial=0.0))
 
 
-def collapse_terms(c, ev: Evaluator):
-    """Values c(sigma o P_k o chi) for every permutation chi, keyed by chi."""
-    collapsed = MaxCollapseReparam(ev)
-    return {perm: c(PermReparam(collapsed, perm))
-            for perm in permutations(range(ev.k))}
-
-
 def collapse_reduction_residuals(c, ev: Evaluator):
-    """For a cochain vanishing on thin simplices the signed sum over the
-    cube-to-simplex collapses reduces to the identity term alone."""
-    terms = collapse_terms(c, ev)
+    """For a cochain vanishing on thin simplices the signed sum of
+    c(sigma o P_k o chi) over the cube-to-simplex collapses chi reduces to
+    the identity term alone."""
+    perms = list(permutations(range(ev.k)))
+    collapsed = MaxCollapseReparam(ev)
+    direct, *terms = cochain_values(c, [ev] + [PermReparam(collapsed, perm) for perm in perms])
     identity = tuple(range(ev.k))
-    direct = c(ev)
-    signed = fsum(perm_sign(p) * v for p, v in terms.items())
-    off_identity = max((abs(v) for p, v in terms.items() if p != identity), default=0.0)
+    signed = fsum(perm_sign(p) * v for p, v in zip(perms, terms))
+    off_identity = max((abs(v) for p, v in zip(perms, terms) if p != identity), default=0.0)
     return abs(direct - signed), off_identity

@@ -18,8 +18,12 @@ points of shape (P, k) and returns stacked arrays.  A word evaluator walks
 the prefix tree of its batch: one exponential per distinct coordinate of
 each slot and one product per distinct prefix (t_1, ..., t_j), so nested
 quadrature nodes, faces, shuffles and cube grids pay for their shared
-coordinates once.  Float mode only; exact-mode integration goes through
-the series and polynomial routes instead.
+coordinates once.  Every other evaluator is a reparametrization: ``lift``
+maps its points to points of its bases and ``push`` turns the bases'
+values into its own.  ``eval_many`` evaluates a whole chain that way, with
+one ``WordEvaluator.eval`` per word evaluator on all the points that reach
+it.  Float mode only; exact-mode integration goes through the series and
+polynomial routes instead.
 """
 
 from dataclasses import dataclass, field
@@ -69,6 +73,11 @@ class PointData:
     rho: Blocks           # operator values at the evaluated degrees, (P, d, d) each
     ad_inv: np.ndarray    # (P, n, n) inverse adjoint matrices
     xi: np.ndarray        # (P, k, n) left-translated tangents
+
+    def rows(self, start: int, stop: int) -> "PointData":
+        return PointData(Blocks({d: b[start:stop] for d, b in self.rho.blocks.items()},
+                                stop - start),
+                         self.ad_inv[start:stop], self.xi[start:stop])
 
 
 class FlatRep:
@@ -154,18 +163,63 @@ class _TaylorExp:
 
 
 class Evaluator:
-    """Base class; subclasses fill in ``eval``.  ``eval(points, degrees)``
-    evaluates the operator value at the listed degrees, all of them when
-    ``degrees`` is None."""
+    """Base class.  ``eval(points, degrees)`` evaluates the operator value at
+    the listed degrees, all of them when ``degrees`` is None.  A
+    reparametrization fills in ``lift(points)``, the list of (base, base
+    points) it reads, and ``push(points, datas)``, its own ``PointData`` from
+    the bases' ones; its ``eval`` is the one-request case of ``eval_many``,
+    listed in each class so that a tracer can wrap it class by class."""
 
     k = 0
     domain = "simplex"
 
-    def eval(self, points: np.ndarray, degrees=None) -> PointData:
+    def lift(self, points: np.ndarray):
         raise NotImplementedError
+
+    def push(self, points: np.ndarray, datas) -> PointData:
+        raise NotImplementedError
+
+    def eval(self, points: np.ndarray, degrees=None) -> PointData:
+        return next(eval_many([(self, points)], degrees))
 
     def at(self, point) -> PointData:
         return self.eval(np.asarray([point], dtype=float).reshape(1, self.k))
+
+
+def eval_many(requests, degrees=None):
+    """Yield the ``PointData`` of each (evaluator, points) request.  Every
+    request is lifted down to word evaluators; each word evaluator makes one
+    ``eval`` on the concatenation of all the points that reach it, and its
+    rows are split and pushed back up, one request at a time, as they are
+    asked for.  Word rows are bit-identical to evaluating each point alone,
+    so each result is bit-identical to evaluating its request alone."""
+    chunks = {}                   # word evaluator -> its point arrays, in order
+    trees = [_lift(ev, points, chunks) for ev, points in requests]
+    rows = {}
+    for word, arrays in chunks.items():
+        data = word.eval(np.concatenate(arrays), degrees)
+        stops = np.cumsum([len(a) for a in arrays]).tolist()
+        rows[word] = [data.rows(start, stop) for start, stop in zip([0] + stops, stops)]
+    for tree in trees:
+        yield _push(tree, rows)
+
+
+def _lift(ev, points, chunks):
+    """The request's tree down to its word evaluators: a leaf (word, index
+    of its point array in ``chunks[word]``), else (ev, points, subtrees)."""
+    points = as_points(points, ev.k)
+    if isinstance(ev, WordEvaluator):
+        chunks.setdefault(ev, []).append(points)
+        return ev, len(chunks[ev]) - 1
+    return ev, points, [_lift(base, up, chunks) for base, up in ev.lift(points)]
+
+
+def _push(tree, rows):
+    if len(tree) == 2:
+        word, i = tree
+        return rows[word][i]
+    ev, points, subtrees = tree
+    return ev.push(points, [_push(sub, rows) for sub in subtrees])
 
 
 class WordEvaluator(Evaluator):
@@ -223,22 +277,16 @@ class WordEvaluator(Evaluator):
         return PointData(rho, ad_inv, xi)
 
 
-class PointEvaluator(Evaluator):
-    """A zero-dimensional chain: the group element of a fixed word."""
+class PointEvaluator(WordEvaluator):
+    """A zero-dimensional chain: the group element of a fixed word, the
+    word evaluator with no letters."""
 
     def __init__(self, flat: FlatRep, prefix=()):
-        self._word = WordEvaluator(flat, [], prefix=prefix)
-        self.flat = flat
-        self.k = 0
-
-    def eval(self, points: np.ndarray, degrees=None) -> PointData:
-        arr = np.asarray(points, dtype=float)
-        p = arr.shape[0] if arr.ndim == 2 else 1
-        return self._word.eval(np.zeros((p, 0)), degrees)
+        super().__init__(flat, [], prefix=prefix)
 
     def value(self) -> GradedOperator:
         """The operator value, read straight off the prefix blocks."""
-        space, rho = self.flat.space, self._word._rho0
+        space, rho = self.flat.space, self._rho0
         return GradedOperator.from_block_entries(
             space, space, 0, np.concatenate([rho[d].ravel() for d in space.degrees]), FLOAT)
 
@@ -253,10 +301,13 @@ class AffineReparam(Evaluator):
         self.k = self.matrix.shape[1]
         self.domain = domain or base.domain
 
-    def eval(self, points: np.ndarray, degrees=None) -> PointData:
-        points = as_points(points, self.k)
-        up = points.dot(self.matrix.T) + self.offset
-        data = self.base.eval(up, degrees)
+    eval = Evaluator.eval
+
+    def lift(self, points):
+        return [(self.base, points.dot(self.matrix.T) + self.offset)]
+
+    def push(self, points, datas):
+        data, = datas
         xi = np.einsum("jm,pjd->pmd", self.matrix, data.xi)
         return PointData(data.rho, data.ad_inv, xi)
 
@@ -270,10 +321,13 @@ class PermReparam(Evaluator):
         self.k = base.k
         self.domain = base.domain
 
-    def eval(self, points: np.ndarray, degrees=None) -> PointData:
-        points = as_points(points, self.k)
-        up = points[:, list(self.perm)]
-        data = self.base.eval(up, degrees)
+    eval = Evaluator.eval
+
+    def lift(self, points):
+        return [(self.base, points[:, list(self.perm)])]
+
+    def push(self, points, datas):
+        data, = datas
         xi = np.zeros_like(data.xi)
         for j, pj in enumerate(self.perm):
             xi[:, pj, :] += data.xi[:, j, :]
@@ -288,11 +342,14 @@ class MaxCollapseReparam(Evaluator):
         self.k = base.k
         self.domain = "cube"
 
-    def eval(self, points: np.ndarray, degrees=None) -> PointData:
-        points = as_points(points, self.k)
+    eval = Evaluator.eval
+
+    def lift(self, points):
+        return [(self.base, np.maximum.accumulate(points[:, ::-1], axis=1)[:, ::-1])]
+
+    def push(self, points, datas):
+        data, = datas
         k = self.k
-        up = np.maximum.accumulate(points[:, ::-1], axis=1)[:, ::-1]
-        data = self.base.eval(up, degrees)
         # d y_i / d t_m = 1 exactly when m is the argmax of t_i..t_k
         xi = np.zeros_like(data.xi)
         rev = points[:, ::-1]
@@ -328,10 +385,14 @@ class ProductEvaluator(Evaluator):
             raise ValueError("slot count mismatch")
         self.domain = left.domain
 
-    def eval(self, points: np.ndarray, degrees=None) -> PointData:
-        points = as_points(points, self.k)
-        lp = self.left.eval(points[:, list(self.left_slots)], degrees)
-        rp = self.right.eval(points[:, list(self.right_slots)], degrees)
+    eval = Evaluator.eval
+
+    def lift(self, points):
+        return [(self.left, points[:, list(self.left_slots)]),
+                (self.right, points[:, list(self.right_slots)])]
+
+    def push(self, points, datas):
+        lp, rp = datas
         rho = Blocks({d: np.matmul(b, rp.rho.blocks[d]) for d, b in lp.rho.blocks.items()},
                      points.shape[0])
         ad_inv = np.matmul(rp.ad_inv, lp.ad_inv)

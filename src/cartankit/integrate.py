@@ -19,7 +19,8 @@ import numpy as np
 
 from . import linalg
 from .evaluators import (Blocks, ChainCombination, Evaluator, FlatRep,
-                         PointEvaluator, WordEvaluator, boundary, ez_product)
+                         PointEvaluator, WordEvaluator, as_points, boundary, eval_many,
+                         ez_product)
 from .graded import (GradedOperator, combination, compose, exp_operator, exp_terms,
                      graded_commutator, label_combination, on_labels)
 from .linalg import EXACT, FLOAT
@@ -27,6 +28,10 @@ from .linalg import EXACT, FLOAT
 DEFAULT_ORDER = 16
 DEFAULT_SERIES_TOL = 1e-14
 DEFAULT_SERIES_CAP = 60
+# the most points one batched evaluation takes, and the most Gauss-Legendre
+# nodes one quadrature may take (order ** letters); the committed problems
+# and tests need at most 20 ** 3
+MAX_QUADRATURE_NODES = 100_000
 
 
 class ConvergenceError(RuntimeError):
@@ -89,26 +94,56 @@ def density_batch(flat: FlatRep, data) -> Blocks:
     return Blocks(out, data.xi.shape[0])
 
 
+def densities(flat: FlatRep, requests):
+    """Yield the pullback densities of (evaluator, points) requests of one
+    dimension k, through ``eval_many`` in batches of at most
+    ``MAX_QUADRATURE_NODES`` points; a larger request is a batch of its own."""
+    ks = {ev.k for ev, _ in requests}
+    if len(ks) > 1:
+        raise ValueError("all requests must share one dimension")
+    batches, size = [[]], 0
+    for ev, points in requests:
+        points = as_points(points, ev.k)
+        if batches[-1] and size + len(points) > MAX_QUADRATURE_NODES:
+            batches.append([])
+            size = 0
+        batches[-1].append((ev, points))
+        size += len(points)
+    degrees = flat.targets(ks.pop()) if ks else ()
+    for batch in batches:
+        for data in eval_many(batch, degrees):
+            yield density_batch(flat, data)
+
+
 def density_at(flat: FlatRep, ev: Evaluator, points) -> Blocks:
     """Pullback density of an evaluator at a batch of points."""
-    return density_batch(flat, ev.eval(points, flat.targets(ev.k)))
+    return next(densities(flat, [(ev, points)]))
 
 
 # ---------------------------------------------------------------------------
 # the integrals
 # ---------------------------------------------------------------------------
 
-def integral_entries(flat: FlatRep, ev: Evaluator, order: int = DEFAULT_ORDER,
-                     domain: str = None) -> np.ndarray:
-    """Block entries of the iterated Gauss-Legendre integral of the
-    pullback density, as ``GradedOperator.from_block_entries`` reads them."""
+def integrals(flat: FlatRep, evs, order: int = DEFAULT_ORDER, domains=None) -> list:
+    """Block entries of the iterated Gauss-Legendre integral of each
+    evaluator's pullback density, as ``GradedOperator.from_block_entries``
+    reads them: over the evaluator's own domain, or the one listed for it
+    in ``domains``.  The evaluators share one dimension and are evaluated
+    together (``densities``)."""
     if order < 1:
         raise ValueError("order must be >= 1")
-    if ev.k == 0:
-        return ev.eval(np.zeros((1, 0))).rho[0]
-    nodes, weights = (simplex_nodes if (domain or ev.domain) == "simplex" else cube_nodes)(
-        ev.k, order)
-    return weights @ density_at(flat, ev, nodes).entries
+    rules = [(np.zeros((1, 0)), None) if ev.k == 0 else
+             (simplex_nodes if domain == "simplex" else cube_nodes)(ev.k, order)
+             for ev, domain in zip(evs, domains or [ev.domain for ev in evs])]
+    dens = densities(flat, [(ev, nodes) for ev, (nodes, _) in zip(evs, rules)])
+    return [d[0] if weights is None else weights @ d.entries
+            for d, (_, weights) in zip(dens, rules)]
+
+
+def integral_entries(flat: FlatRep, ev: Evaluator, order: int = DEFAULT_ORDER,
+                     domain: str = None) -> np.ndarray:
+    """``integrals`` of one evaluator."""
+    return integrals(flat, [ev], order, [domain or ev.domain])[0]
 
 
 def integrate_quadrature(flat: FlatRep, ev: Evaluator, order: int = DEFAULT_ORDER,
@@ -119,12 +154,15 @@ def integrate_quadrature(flat: FlatRep, ev: Evaluator, order: int = DEFAULT_ORDE
 
 
 def integrate_chain(flat: FlatRep, chain: ChainCombination, order: int = DEFAULT_ORDER) -> GradedOperator:
-    out = None
-    for coef, ev in chain.terms:
-        piece = float(coef) * integral_entries(flat, ev, order)
-        out = piece if out is None else out + piece
-    if out is None:
+    """The signed sum of the terms' integrals, all terms in one batched
+    evaluation."""
+    if not chain.terms:
         raise ValueError("cannot integrate an empty chain")
+    pieces = integrals(flat, [ev for _, ev in chain.terms], order)
+    out = None
+    for (coef, _), entries in zip(chain.terms, pieces):
+        piece = float(coef) * entries
+        out = piece if out is None else out + piece
     return GradedOperator.from_block_entries(flat.space, flat.space, -chain.k, out, FLOAT)
 
 

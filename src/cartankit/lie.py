@@ -7,6 +7,7 @@ t)``.  The Cartan DG Lie algebra of an algebra is its own adjoint
 representation, ``reps.cartan_dgla``.
 """
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -77,13 +78,21 @@ class LieAlgebra:
                                           linalg.mode_of(x))
 
     def check_jacobi(self):
-        """Max violation of antisymmetry and the Jacobi identity."""
-        c = self.c
+        """Max violation of antisymmetry and the Jacobi identity, as a
+        ``Fraction``.  The constants are brought to one common denominator D
+        and the integer numerators contracted, in int64 when no sum can
+        leave it and as Python ints otherwise; the violations are then the
+        integer sums over D (antisymmetry) and D^2 (Jacobi)."""
+        den = math.lcm(*(v.denominator for v in self.c.flat))
+        nums = [v.numerator * (den // v.denominator) for v in self.c.flat]
+        top = max(map(abs, nums))
+        c = np.array(nums, dtype=np.int64 if 3 * self.n * top * top < 2 ** 63 else object)
+        c = c.reshape(self.c.shape)
         cc = np.tensordot(c, c, axes=([2], [0]))     # sum_m c[i, j, m] c[m, k, l]
         jacobi = cc + cc.transpose(1, 2, 0, 3) + cc.transpose(2, 0, 1, 3)
         antisym = c + c.transpose(1, 0, 2)
-        return max(map(abs, np.concatenate([antisym.ravel(), jacobi.ravel()])),
-                   default=Fraction(0))
+        return max(Fraction(int(np.abs(antisym).max()), den),
+                   Fraction(int(np.abs(jacobi).max()), den * den))
 
     def __repr__(self):
         return f"LieAlgebra({self.name or self.n})"

@@ -18,6 +18,11 @@ from .linalg import EXACT, FLOAT
 
 SCHEMA = "cartankit/1"
 
+# the largest total dimension of a complex a problem may assemble, 2^n dim V
+# for the U and E functors and the CE complexes; twice the largest the tests
+# assemble (n_6 with trivial coefficients, 2^15)
+MAX_COMPLEX_DIM = 2 ** 16
+
 
 @dataclass
 class Settings:
@@ -126,6 +131,20 @@ def load_lie_rep(payload, algebra, mode) -> reps.LieRep:
     return rep
 
 
+def spec_dim(spec, algebra) -> int:
+    """Total dimension of the complex a representation spec builds, read
+    from the dimensions alone; 0 for a spec the builders refuse."""
+    if spec == "trivial":
+        return 1
+    if spec == "adjoint":
+        return algebra.n
+    if isinstance(spec, dict) and "functor" in spec:
+        return 2 ** algebra.n * spec_dim(spec.get("coefficients", "trivial"), algebra)
+    if isinstance(spec, dict):
+        return sum(_integer(d, f"degree {k} dimension") for k, d in spec["degrees"].items())
+    return 0
+
+
 def build_lie_rep(spec, algebra, mode) -> reps.LieRep:
     if spec == "trivial":
         return reps.trivial_lie_rep(algebra, mode=mode)
@@ -168,21 +187,30 @@ class Problem:
             ]
 
     def representation(self, name) -> reps.CartanRep:
-        return self._build(build_cartan_rep, self._rep_specs, "representation", name)
+        return self._build(build_cartan_rep, self._rep_specs, "representation", name, 1)
 
     def lie_representation(self, name) -> reps.LieRep:
-        return self._build(build_lie_rep, self._grep_specs, "Lie representation", name)
+        """Every verb on a Lie representation V assembles a complex of
+        dimension 2^n dim V from it (CE complex or U(V))."""
+        return self._build(build_lie_rep, self._grep_specs, "Lie representation", name,
+                           2 ** self.algebra.n)
 
-    def _build(self, build, specs, kind, name):
-        """Build a named spec; a malformed one, explicit operators that are
+    def _build(self, build, specs, kind, name, scale):
+        """Build a named spec; a malformed one, one whose complexes (``scale``
+        times its own dimension) are over ``MAX_COMPLEX_DIM`` (checked
+        first: the Jacobi check grows as n^5), explicit operators that are
         not a representation (bracket or chain-map residual above the d^2
         check's bound), or structure constants that fail
         antisymmetry/Jacobi raise a one-line ``ProblemError``."""
         if name not in specs:
             raise ProblemError(f"unknown {kind} {name!r}")
-        if self.algebra.check_jacobi() != 0:
-            raise ProblemError("structure constants fail antisymmetry/Jacobi; see check-lie")
         try:
+            size = scale * spec_dim(specs[name], self.algebra)
+            if size > MAX_COMPLEX_DIM:
+                raise ProblemError(f"{kind} {name!r} assembles a complex of total dimension "
+                                   f"{size}, over the budget of {MAX_COMPLEX_DIM}")
+            if self.algebra.check_jacobi() != 0:
+                raise ProblemError("structure constants fail antisymmetry/Jacobi; see check-lie")
             return build(specs[name], self.algebra, self.settings.mode)
         except (ProblemError, linalg.ModeError):
             raise

@@ -8,11 +8,8 @@ from . import ce, cubical, integrate, linalg, reps
 from .evaluators import FlatRep, WordEvaluator, ez_product, thinness_check
 from .linalg import FLOAT
 from .report import Report
+from .integrate import MAX_QUADRATURE_NODES
 from .schemas import ProblemError, dump_operator
-
-# the most Gauss-Legendre nodes one quadrature may take (order ** letters);
-# the committed problems and tests need at most 20 ** 3
-MAX_QUADRATURE_NODES = 100_000
 
 
 def _check_nodes(order, k):

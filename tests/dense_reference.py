@@ -11,8 +11,11 @@ The ``per_generator_*`` helpers build the stacked constructions of ``ce``
 and ``reps`` one generator at a time, and ``loop_exterior`` builds the
 wedge and contraction of ``ce.exterior`` one subset at a time.
 ``loop_series`` sums the exact coefficient series one term at a time.
+``tensordot_jacobi`` contracts the ``Fraction`` structure constants as
+object arrays.
 """
 
+from fractions import Fraction
 from itertools import combinations
 from math import comb
 
@@ -22,7 +25,7 @@ import scipy.linalg
 from cartankit import linalg
 from cartankit.ce import exterior
 from cartankit.evaluators import (AffineReparam, MaxCollapseReparam, PermReparam,
-                                  PointEvaluator, ProductEvaluator, WordEvaluator)
+                                  ProductEvaluator, WordEvaluator)
 from cartankit.graded import (GradedOperator, GradedVectorSpace, combination, compose,
                               dual_operator, graded_commutator, tensor_operator)
 from cartankit.integrate import compositions, series_coefficient
@@ -84,8 +87,6 @@ def total_of(flat, row, degree):
 def dense_rho(flat, ev, t):
     """Total matrix of the operator value of ``ev`` at one point t."""
     t = np.asarray(t, dtype=float)
-    if isinstance(ev, PointEvaluator):
-        return dense_rho(flat, ev._word, t)
     if isinstance(ev, WordEvaluator):
         out = np.eye(flat.total_dim)
         for x in ev.prefix:
@@ -243,3 +244,13 @@ def per_generator_dual(rep, space):
     """L and B of ``reps.dual_rep`` on the dual ``space``, one transpose per generator."""
     return ([dual_operator(op, space, lambda q: -1) for op in rep.L],
             [dual_operator(op, space, _odd) for op in rep.B])
+
+
+def tensordot_jacobi(c):
+    """Max violation of antisymmetry and the Jacobi identity of the
+    ``Fraction`` constants ``c[i, j, k]``, contracted as object arrays."""
+    cc = np.tensordot(c, c, axes=([2], [0]))     # sum_m c[i, j, m] c[m, k, l]
+    jacobi = cc + cc.transpose(1, 2, 0, 3) + cc.transpose(2, 0, 1, 3)
+    antisym = c + c.transpose(1, 0, 2)
+    return max(map(abs, np.concatenate([antisym.ravel(), jacobi.ravel()])),
+               default=Fraction(0))

@@ -1,6 +1,7 @@
 """Cubical cochains: antisymmetrization, subdivision splits, the
 cube-to-simplex collapse and the shuffle triangulation identity."""
 
+import pathlib
 from math import fsum
 
 import numpy as np
@@ -13,7 +14,8 @@ from cartankit.cubical import (AlternationCochain, IntegrationCochain,
                                subdivision_maps)
 from cartankit.evaluators import FlatRep, PermReparam, WordEvaluator, thinness_check
 from cartankit.integrate import cube_nodes, density_at, simplex_nodes
-from cartankit.suites import cubical_entry
+from cartankit.schemas import load_problem
+from cartankit.suites import cubical_entry, cubical_suite
 
 
 def cube_to_simplex(point):
@@ -163,3 +165,24 @@ def test_tau_of_cube_cochain_matches_direct_cube_integral(flat, theta):
     simplicial = IntegrationCochain(flat, 2, "simplicial", entry, 16)
     cube = IntegrationCochain(flat, 2, "cubical", entry, 16)
     assert abs(AlternationCochain(simplicial)(theta) - cube(theta)) < 1e-12
+
+
+def test_cubical_suite_alternates_the_whole_cube_once(monkeypatch):
+    """The alternating check and the ten subdivision checks of a k = 2
+    word all read tau(theta); it is computed once, from k! = 2 permuted
+    copies of the whole cube."""
+    root = pathlib.Path(__file__).resolve().parents[1]
+    problem = load_problem(root / "problems" / "sl2.json")
+    seen = []
+    values = IntegrationCochain.values
+
+    def counted(self, evs):
+        seen.extend(evs)
+        return values(self, evs)
+
+    monkeypatch.setattr(IntegrationCochain, "values", counted)
+    report = cubical_suite(problem, "chain_trivial", "weh")
+    assert report.passed
+    whole = [ev.perm for ev in seen if isinstance(ev, PermReparam)
+             and isinstance(ev.base, WordEvaluator) and ev.base.domain == "cube"]
+    assert sorted(whole) == [(0, 1), (1, 0)]

@@ -6,12 +6,13 @@ from math import comb
 import numpy as np
 import pytest
 
-from cartankit import evaluators, linalg
+from cartankit import evaluators, integrate, linalg
 from cartankit.evaluators import (AffineReparam, ChainCombination, FlatRep,
                                   MaxCollapseReparam, PermReparam, PointEvaluator,
                                   ProductEvaluator, WordEvaluator, boundary, ez_product,
                                   face_map, interior_points, shuffles, thinness_check)
 from cartankit.integrate import cube_nodes, density_at, gauss_01, simplex_nodes
+from cartankit.graded import GradedOperator
 from cartankit.lie import abelian
 from cartankit.linalg import FLOAT
 from cartankit.reps import adjoint_rep, chain_rep, trivial_lie_rep
@@ -123,6 +124,102 @@ def test_word_eval_exponentiates_each_distinct_coordinate_once(flat, monkeypatch
         assert [sizes[i] for i in ids] == [[16], [136], [1189]]
     assert [sizes[id(a)] for a in ev._ad] == [[16], [136], [1189]]
     assert len(sizes) == 9
+
+
+def _same(a, b):
+    return (a.rho.blocks.keys() == b.rho.blocks.keys()
+            and all(np.array_equal(a.rho.blocks[d], b.rho.blocks[d]) for d in a.rho.blocks)
+            and np.array_equal(a.ad_inv, b.ad_inv) and np.array_equal(a.xi, b.xi))
+
+
+@pytest.mark.parametrize("degrees", [None, [-2, -1]], ids=["all", "targets"])
+def test_eval_many_equals_each_request_alone(flat, degrees):
+    """Requests of every evaluator kind, nested and sharing word evaluators,
+    evaluated together are bit-equal to each one evaluated alone."""
+    word = WordEvaluator(flat, GENERIC_LETTERS[:2])
+    other = WordEvaluator(flat, GENERIC_LETTERS[1:], prefix=[GENERIC_LETTERS[0]])
+    faces = [ev for _, ev in boundary(word).terms]
+    mat, off = face_map(2, 1)
+    requests = [
+        (word, simplex_nodes(2, 5)[0]),
+        (word, cube_nodes(2, 3)[0]),
+        (PermReparam(MaxCollapseReparam(word), (1, 0)), cube_nodes(2, 4)[0]),
+        (ProductEvaluator(faces[0], faces[2], (1,)), simplex_nodes(2, 4)[0]),
+        (ProductEvaluator(faces[1], other, (1,)), simplex_nodes(3, 3)[0]),
+        (AffineReparam(other, mat, off), simplex_nodes(1, 6)[0]),
+        (PointEvaluator(flat, prefix=[GENERIC_LETTERS[2]]), np.zeros((2, 0))),
+        (AffineReparam(faces[0], *face_map(1, 1)), np.zeros((1, 0))),
+    ]
+    together = list(evaluators.eval_many(requests, degrees))
+    assert len(together) == len(requests)
+    for (ev, points), data in zip(requests, together):
+        assert data.xi.shape[:2] == (len(points), ev.k)
+        assert _same(data, ev.eval(points, degrees))
+
+
+def test_eval_many_evaluates_each_word_once(flat, monkeypatch):
+    word = WordEvaluator(flat, GENERIC_LETTERS[:2])
+    calls = []
+    word_eval = WordEvaluator.eval
+
+    def counted(self, points, degrees=None):
+        calls.append(len(points))
+        return word_eval(self, points, degrees)
+
+    monkeypatch.setattr(WordEvaluator, "eval", counted)
+    faces = boundary(word)
+    shuffle = ez_product(WordEvaluator(flat, GENERIC_LETTERS[2:]), faces.terms[0][1])
+    requests = ([(ev, simplex_nodes(1, 4)[0]) for _, ev in faces.terms]
+                + [(ev, simplex_nodes(2, 4)[0]) for _, ev in shuffle.terms])
+    list(evaluators.eval_many(requests))
+    # the two shuffle terms read 16 points of each factor; the faces 4 each
+    assert sorted(calls) == [2 * 16, 3 * 4 + 2 * 16]
+
+
+def _sum_of_terms(flat, chain, order):
+    out = None
+    for coef, ev in chain.terms:
+        piece = float(coef) * integrate.integral_entries(flat, ev, order)
+        out = piece if out is None else out + piece
+    return flatten_operator(GradedOperator.from_block_entries(flat.space, flat.space, -chain.k,
+                                                              out, FLOAT))
+
+
+@pytest.mark.parametrize("make", [
+    lambda flat: boundary(WordEvaluator(flat, GENERIC_LETTERS)),
+    lambda flat: boundary(WordEvaluator(flat, GENERIC_LETTERS[:1])),
+    lambda flat: ez_product(WordEvaluator(flat, GENERIC_LETTERS[:1]),
+                            WordEvaluator(flat, GENERIC_LETTERS[1:])),
+    lambda flat: ez_product(boundary(WordEvaluator(flat, GENERIC_LETTERS[:2])),
+                            PermReparam(WordEvaluator(flat, GENERIC_LETTERS[1:], domain="cube"),
+                                        (1, 0))),
+], ids=["stokes_k3", "stokes_k1", "shuffle", "faces_x_cube"])
+def test_integrate_chain_equals_the_per_term_sum(flat, make):
+    chain = make(flat)
+    got = flatten_operator(integrate.integrate_chain(flat, chain, 6))
+    assert np.array_equal(got, _sum_of_terms(flat, chain, 6))
+
+
+def test_batches_stay_within_the_point_budget(flat, monkeypatch):
+    """Three 216-node terms under a budget of 500 points: two batches, and
+    no word evaluation over the budget; a single request over the budget
+    is a batch of its own.  The integral changes no bit."""
+    chain = ez_product(WordEvaluator(flat, GENERIC_LETTERS[:1]),
+                       WordEvaluator(flat, GENERIC_LETTERS[1:]))
+    whole = flatten_operator(integrate.integrate_chain(flat, chain, 6))
+    sizes = []
+    word_eval = WordEvaluator.eval
+
+    def counted(self, points, degrees=None):
+        sizes.append(len(points))
+        return word_eval(self, points, degrees)
+
+    monkeypatch.setattr(WordEvaluator, "eval", counted)
+    for budget, want in ((500, [216, 216, 432, 432]), (100, [216] * 6)):
+        monkeypatch.setattr(integrate, "MAX_QUADRATURE_NODES", budget)
+        sizes.clear()
+        assert np.array_equal(flatten_operator(integrate.integrate_chain(flat, chain, 6)), whole)
+        assert sorted(sizes) == want
 
 
 @pytest.fixture(scope="module")

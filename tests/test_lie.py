@@ -13,7 +13,7 @@ from cartankit.graded import exp_operator
 from cartankit.lie import LieAlgebra, abelian, heisenberg3, sl2, su2
 from cartankit.linalg import EXACT, FLOAT, ModeError, max_abs
 from cartankit.reps import adjoint_rep, cartan_dgla, cartan_residuals, hom_space, restrict
-from dense_reference import flatten_operator
+from dense_reference import flatten_operator, tensordot_jacobi
 
 
 rationals = st.fractions(min_value=-3, max_value=3, max_denominator=6)
@@ -40,6 +40,30 @@ def test_jacobi_violation_reported():
     # antisymmetric but non-Jacobi constants on dimension 3
     g = LieAlgebra(3, {(0, 1): {2: 1}, (0, 2): {0: 1}})
     assert g.check_jacobi() > 0
+
+
+def _symmetric_entry():
+    g = abelian(2)
+    g.c[0, 1, 0] = Fraction(1)
+    g.c[1, 0, 0] = Fraction(1)
+    return g
+
+
+@pytest.mark.parametrize("make", [
+    sl2, heisenberg3, su2, _symmetric_entry,
+    lambda: LieAlgebra(3, {(0, 1): {2: 1}, (0, 2): {0: 1}}),
+    lambda: LieAlgebra(3, {(0, 1): {2: Fraction(3, 4)}, (0, 2): {0: Fraction(-5, 6)},
+                           (1, 2): {1: Fraction(7, 10)}}),
+    lambda: LieAlgebra(2, {(0, 1): {0: Fraction(2, 3), 1: Fraction(-1, 9)}}),
+    lambda: LieAlgebra(3, {(0, 1): {2: 3 * 10 ** 9}, (0, 2): {0: Fraction(1, 7)}}),
+])
+def test_jacobi_on_integer_numerators_matches_fraction_contraction(make):
+    """One common denominator and integer numerators (Python ints past the
+    int64 bound, as in the last case) give the same ``Fraction``."""
+    g = make()
+    got = g.check_jacobi()
+    assert isinstance(got, Fraction)
+    assert got == tensordot_jacobi(g.c)
 
 
 def test_bracket_abelian_vanishes():

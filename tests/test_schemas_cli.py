@@ -320,6 +320,32 @@ def test_cli_exit_two_on_quadrature_over_budget(tmp_path, capsys, argv, nodes):
     assert len(lines) == 1 and f"needs {nodes} nodes" in lines[0]
 
 
+@pytest.mark.parametrize("argv, size", [
+    (["verify-cartan", "--rep", "chain_trivial"], 2 ** 30),
+    (["ce", "--rep", "adjoint", "--flavor", "cochain"], 30 * 2 ** 30),
+    (["adjunction", "--lie-rep", "trivial", "--rep", "trivial"], 2 ** 30),
+], ids=["functor", "ce", "adjunction"])
+def test_cli_exit_two_on_complex_over_budget(tmp_path, capsys, argv, size):
+    """An abelian algebra of dim 30 would assemble complexes of dimension
+    2^30 dim V: refused from the dimensions alone, before any is built."""
+    payload = json.loads(json.dumps(SL2_PAYLOAD))
+    payload["lie_algebra"] = {"dim": 30, "name": "abelian30"}
+    payload["words"] = {}
+    path = tmp_path / "abelian30.json"
+    path.write_text(json.dumps(payload))
+    start = time.perf_counter()
+    code = cli.main(argv[:1] + [str(path)] + argv[1:])
+    elapsed = time.perf_counter() - start
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert code == 2 and elapsed < 1.0
+    assert len(lines) == 1 and f"total dimension {size}," in lines[0]
+
+
+def test_complex_budget_admits_the_largest_tested_case():
+    assert schemas.spec_dim({"functor": "E", "coefficients": "trivial"},
+                            load_algebra({"dim": 15})) <= schemas.MAX_COMPLEX_DIM
+
+
 def test_cli_integrate_cross_check(problem_file, capsys):
     code = cli.main(["integrate", problem_file, "--rep", "chain_trivial",
                      "--word", "we", "--method", "both"])
