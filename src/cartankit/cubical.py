@@ -15,14 +15,8 @@ from math import fsum
 import numpy as np
 
 from .evaluators import (AffineReparam, Evaluator, FlatRep,
-                         MaxCollapseReparam, PermReparam)
+                         MaxCollapseReparam, PermReparam, perm_sign)
 from .integrate import DEFAULT_ORDER, cube_nodes, densities, integrals, simplex_nodes
-
-
-def perm_sign(perm) -> int:
-    inv = sum(1 for a in range(len(perm)) for b in range(a + 1, len(perm))
-              if perm[a] > perm[b])
-    return -1 if inv % 2 else 1
 
 
 def subdivision_maps(k: int, i: int, s: float):
@@ -83,14 +77,13 @@ class AlternationCochain:
     def __init__(self, base):
         self.base = base
         self.k = base.k
-        self.kind = "cubical"
         self._known = {}
 
     def values(self, evs) -> list:
         """tau(c) at each evaluator; the new ones in one call of the base."""
         perms = list(permutations(range(self.k)))
         new = [ev for ev in dict.fromkeys(evs) if ev not in self._known]
-        terms = cochain_values(self.base, [PermReparam(ev, perm) for ev in new for perm in perms])
+        terms = self.base.values([PermReparam(ev, perm) for ev in new for perm in perms])
         for i, ev in enumerate(new):
             row = terms[i * len(perms):(i + 1) * len(perms)]
             self._known[ev] = fsum(perm_sign(perm) * v for perm, v in zip(perms, row))
@@ -100,22 +93,16 @@ class AlternationCochain:
         return self.values([ev])[0]
 
 
-def cochain_values(c, evs) -> list:
-    """c at each evaluator: batched through ``c.values`` when c has it."""
-    return c.values(evs) if hasattr(c, "values") else [c(ev) for ev in evs]
-
-
 def subdivision_invariance_residual(c, ev: Evaluator, i: int, s: float) -> float:
     """|c(theta) - c(lower piece) - c(upper piece)| for an axis split."""
-    whole, lower, upper = cochain_values(c, [ev, split_lower(ev, i, s),
-                                             split_upper(ev, i, 1.0 - s)])
+    whole, lower, upper = c.values([ev, split_lower(ev, i, s), split_upper(ev, i, 1.0 - s)])
     return abs(whole - lower - upper)
 
 
 def alternating_residual(c, ev: Evaluator) -> float:
     """max over permutations of |c(theta o chi) - sgn(chi) c(theta)|."""
     perms = list(permutations(range(ev.k)))
-    base, *permuted = cochain_values(c, [ev] + [PermReparam(ev, perm) for perm in perms])
+    base, *permuted = c.values([ev] + [PermReparam(ev, perm) for perm in perms])
     worst = 0.0
     for perm, value in zip(perms, permuted):
         worst = max(worst, abs(value - perm_sign(perm) * base))
@@ -124,11 +111,11 @@ def alternating_residual(c, ev: Evaluator) -> float:
 
 def cube_vs_simplex_residual(flat: FlatRep, ev: Evaluator,
                              order: int = DEFAULT_ORDER) -> float:
-    """Cube integral versus the signed sum of simplex integrals of the
-    coordinate-permuted restrictions (the shuffle triangulation)."""
+    """Integral of a cube-domain ``ev`` versus the signed sum of simplex
+    integrals of its permuted restrictions (the shuffle triangulation)."""
     perms = list(permutations(range(ev.k)))
-    cube_val, *pieces = integrals(flat, [ev] + [PermReparam(ev, perm) for perm in perms], order,
-                                  ["cube"] + ["simplex"] * len(perms))
+    cube_val, *pieces = integrals(flat, [ev] + [PermReparam(ev, perm, "simplex")
+                                                for perm in perms], order)
     total = np.zeros_like(cube_val)
     for perm, piece in zip(perms, pieces):
         total = total + perm_sign(perm) * piece
@@ -141,7 +128,7 @@ def collapse_reduction_residuals(c, ev: Evaluator):
     the identity term alone."""
     perms = list(permutations(range(ev.k)))
     collapsed = MaxCollapseReparam(ev)
-    direct, *terms = cochain_values(c, [ev] + [PermReparam(collapsed, perm) for perm in perms])
+    direct, *terms = c.values([ev] + [PermReparam(collapsed, perm) for perm in perms])
     identity = tuple(range(ev.k))
     signed = fsum(perm_sign(p) * v for p, v in zip(perms, terms))
     off_identity = max((abs(v) for p, v in zip(perms, terms) if p != identity), default=0.0)

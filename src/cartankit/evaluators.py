@@ -182,9 +182,6 @@ class Evaluator:
     def eval(self, points: np.ndarray, degrees=None) -> PointData:
         return next(eval_many([(self, points)], degrees))
 
-    def at(self, point) -> PointData:
-        return self.eval(np.asarray([point], dtype=float).reshape(1, self.k))
-
 
 def eval_many(requests, degrees=None):
     """Yield the ``PointData`` of each (evaluator, points) request.  Every
@@ -315,11 +312,11 @@ class AffineReparam(Evaluator):
 class PermReparam(Evaluator):
     """base o chi_* with chi_*(t)_j = t_{chi(j)}; pure index shuffling."""
 
-    def __init__(self, base: Evaluator, perm):
+    def __init__(self, base: Evaluator, perm, domain=None):
         self.base = base
         self.perm = tuple(perm)
         self.k = base.k
-        self.domain = base.domain
+        self.domain = domain or base.domain
 
     eval = Evaluator.eval
 
@@ -459,17 +456,19 @@ def boundary(ev: Evaluator) -> ChainCombination:
     return ChainCombination(terms)
 
 
+def perm_sign(perm) -> int:
+    """The sign of a permutation of 0..k-1, by its inversion count."""
+    inv = sum(1 for a in range(len(perm)) for b in range(a + 1, len(perm))
+              if perm[a] > perm[b])
+    return -1 if inv % 2 else 1
+
+
 def shuffles(r: int, s: int):
     """(permutation, sign) pairs for all (r, s)-shuffle splits."""
     from itertools import combinations
-    out = []
-    for left in combinations(range(r + s), r):
-        right = tuple(m for m in range(r + s) if m not in left)
-        perm = left + right
-        inv = sum(1 for a in range(r + s) for b in range(a + 1, r + s)
-                  if perm[a] > perm[b])
-        out.append((perm, (-1) ** inv))
-    return out
+    perms = [left + tuple(m for m in range(r + s) if m not in left)
+             for left in combinations(range(r + s), r)]
+    return [(perm, perm_sign(perm)) for perm in perms]
 
 
 def ez_product(a, b) -> ChainCombination:

@@ -645,18 +645,6 @@ def exp_terms(op: GradedOperator, t=1):
     raise ModeError("exponential series does not terminate in exact mode")
 
 
-def exp_operator(op: GradedOperator, t=1) -> GradedOperator:
-    """Exponential of a degree-0 operator: the sum of ``exp_terms`` in exact
-    mode, blockwise ``linalg.expm`` in float mode."""
-    if op.degree != 0:
-        raise ValueError("exp_operator needs a degree-0 operator")
-    if op.mode == EXACT:
-        terms = exp_terms(op, t)
-        return sum(terms[1:], terms[0])
-    blocks = {k: linalg.expm(op.block(k), t) for k in op.source.degrees}
-    return GradedOperator(op.source, op.source, 0, blocks, mode=op.mode)
-
-
 def dual_space(v: GradedVectorSpace) -> GradedVectorSpace:
     return GradedVectorSpace({-k: d for k, d in v.dims.items()})
 

@@ -20,8 +20,8 @@ import numpy as np
 from . import linalg
 from .evaluators import (Blocks, ChainCombination, Evaluator, FlatRep,
                          PointEvaluator, WordEvaluator, as_points, boundary, eval_many,
-                         ez_product)
-from .graded import (GradedOperator, combination, compose, exp_operator, exp_terms,
+                         ez_product, perm_sign)
+from .graded import (GradedOperator, combination, compose, exp_terms,
                      graded_commutator, label_combination, on_labels)
 from .linalg import EXACT, FLOAT
 
@@ -124,33 +124,25 @@ def density_at(flat: FlatRep, ev: Evaluator, points) -> Blocks:
 # the integrals
 # ---------------------------------------------------------------------------
 
-def integrals(flat: FlatRep, evs, order: int = DEFAULT_ORDER, domains=None) -> list:
+def integrals(flat: FlatRep, evs, order: int = DEFAULT_ORDER) -> list:
     """Block entries of the iterated Gauss-Legendre integral of each
-    evaluator's pullback density, as ``GradedOperator.from_block_entries``
-    reads them: over the evaluator's own domain, or the one listed for it
-    in ``domains``.  The evaluators share one dimension and are evaluated
-    together (``densities``)."""
+    evaluator's pullback density over the evaluator's own domain, as
+    ``GradedOperator.from_block_entries`` reads them.  The evaluators share
+    one dimension and are evaluated together (``densities``)."""
     if order < 1:
         raise ValueError("order must be >= 1")
     rules = [(np.zeros((1, 0)), None) if ev.k == 0 else
-             (simplex_nodes if domain == "simplex" else cube_nodes)(ev.k, order)
-             for ev, domain in zip(evs, domains or [ev.domain for ev in evs])]
+             (simplex_nodes if ev.domain == "simplex" else cube_nodes)(ev.k, order)
+             for ev in evs]
     dens = densities(flat, [(ev, nodes) for ev, (nodes, _) in zip(evs, rules)])
     return [d[0] if weights is None else weights @ d.entries
             for d, (_, weights) in zip(dens, rules)]
 
 
-def integral_entries(flat: FlatRep, ev: Evaluator, order: int = DEFAULT_ORDER,
-                     domain: str = None) -> np.ndarray:
-    """``integrals`` of one evaluator."""
-    return integrals(flat, [ev], order, [domain or ev.domain])[0]
-
-
-def integrate_quadrature(flat: FlatRep, ev: Evaluator, order: int = DEFAULT_ORDER,
-                         domain: str = None) -> GradedOperator:
+def integrate_quadrature(flat: FlatRep, ev: Evaluator, order: int = DEFAULT_ORDER) -> GradedOperator:
     """Iterated Gauss-Legendre integral of the pullback density."""
     return GradedOperator.from_block_entries(flat.space, flat.space, -ev.k,
-                                             integral_entries(flat, ev, order, domain), FLOAT)
+                                             integrals(flat, [ev], order)[0], FLOAT)
 
 
 def integrate_chain(flat: FlatRep, chain: ChainCombination, order: int = DEFAULT_ORDER) -> GradedOperator:
@@ -306,11 +298,13 @@ def merged_pair_integral_exact(rep, x, y) -> GradedOperator:
 
 
 def point_value(rep, prefix) -> GradedOperator:
-    """Operator value of the group element exp(x_1) ... exp(x_m); each exact
-    exponential is the letter's cached one."""
-    out = GradedOperator.identity(rep.complex.space, rep.mode)
+    """Exact operator value of exp(x_1) ... exp(x_m), a product of the
+    letters' cached exponentials; float ones are ``PointEvaluator.value``."""
+    if rep.mode != EXACT:
+        raise linalg.ModeError("exact point values require exact mode")
+    out = GradedOperator.identity(rep.complex.space, EXACT)
     for x in prefix:
-        out = compose(out, rep.letter(x).exp if rep.mode == EXACT else exp_operator(rep.L_of(x)))
+        out = compose(out, rep.letter(x).exp)
     return out
 
 
@@ -422,14 +416,13 @@ def mu_p_residual(flat: FlatRep, factors, tangents) -> float:
     for labels in iter_product(range(p), repeat=k):
         blocks = [[m for m in range(k) if labels[m] == l] for l in range(p)]
         seq = [m for block in blocks for m in block]
-        inv = sum(1 for a in range(k) for b in range(a + 1, k) if seq[a] > seq[b])
         term = None
         for l in range(p):
             piece = rhos[l]
             for m in blocks[l]:
                 piece = compose(piece, contraction(tangents[m, l]))
             term = piece if term is None else compose(term, piece)
-        coeffs.append(-(-1) ** inv)
+        coeffs.append(-perm_sign(seq))
         terms.append(term)
     return combination(coeffs, terms).norm()
 
@@ -442,8 +435,8 @@ class ChainModule:
     """Module over group chains induced by integrating a representation.
 
     Words act by the coefficient series (``integrate_series``) in either
-    mode; points act by the group element's operator value, through the
-    degree blocks of ``FlatRep`` in float mode."""
+    mode; a point acts by its group value, ``PointEvaluator.value`` in
+    float mode and ``point_value`` in exact mode."""
 
     def __init__(self, rep):
         self.rep = rep

@@ -2,9 +2,9 @@
 
 Structure constants are kept as exact rationals; float views are derived
 on demand.  ``ad`` is one contraction with the constants in either mode;
-exponentials of ad go through ``graded.exp_operator(algebra.ad_operator(x),
-t)``.  The Cartan DG Lie algebra of an algebra is its own adjoint
-representation, ``reps.cartan_dgla``.
+exact exponentials of ad are ``graded.exp_terms`` (nilpotent ad only),
+float ones ``linalg.expm``.  The Cartan DG Lie algebra of an algebra is
+its own adjoint representation, ``reps.cartan_dgla``.
 """
 
 import math

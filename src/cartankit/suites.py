@@ -4,6 +4,8 @@ Each suite consumes a loaded problem plus names from it and returns a
 Report; residual-vs-tolerance bookkeeping lives in the report records.
 """
 
+from dataclasses import asdict
+
 from . import ce, cubical, integrate, linalg, reps
 from .evaluators import FlatRep, WordEvaluator, ez_product, thinness_check
 from .linalg import FLOAT
@@ -19,13 +21,8 @@ def _check_nodes(order, k):
                            f"nodes, over the budget of {MAX_QUADRATURE_NODES}")
 
 
-def _settings_dict(settings):
-    return {"mode": settings.mode, "tol": settings.tol, "order": settings.order,
-            "series_cap": settings.series_cap, "fd_step": settings.fd_step}
-
-
 def _new_report(problem) -> Report:
-    return Report(settings=_settings_dict(problem.settings))
+    return Report(settings=asdict(problem.settings))
 
 
 def check_lie(problem) -> Report:

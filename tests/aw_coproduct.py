@@ -9,7 +9,7 @@ the integrated tensor form with an error linear in 1/N.
 """
 
 from cartankit.graded import compose, tensor_operator
-from cartankit.integrate import differentiate_module, integrate_series, point_value
+from cartankit.integrate import ChainModule, differentiate_module, integrate_series
 from cartankit.reps import tensor_rep
 
 
@@ -26,6 +26,8 @@ class AWTensorModule:
     def __init__(self, rep_a, rep_b):
         self.rep_a = rep_a
         self.rep_b = rep_b
+        self.points_a = ChainModule(rep_a).act_point
+        self.points_b = ChainModule(rep_b).act_point
         self.tensor = tensor_rep(rep_a, rep_b)
         self.algebra = rep_a.algebra
 
@@ -39,14 +41,13 @@ class AWTensorModule:
             op_a = integrate_series(self.rep_a, front)
             op_b = integrate_series(self.rep_b, back)
             if prefix:
-                op_b = compose(point_value(self.rep_b, prefix), op_b)
+                op_b = compose(self.points_b(prefix), op_b)
             piece = tensor_operator(op_a, op_b)
             out = piece if out is None else out + piece
         return out
 
     def act_point(self, prefix):
-        return tensor_operator(point_value(self.rep_a, prefix),
-                               point_value(self.rep_b, prefix))
+        return tensor_operator(self.points_a(prefix), self.points_b(prefix))
 
 
 def aw_monoidality_residual(rep_a, rep_b, h: float = 1e-3) -> float:

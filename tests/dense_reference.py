@@ -12,7 +12,8 @@ and ``reps`` one generator at a time, and ``loop_exterior`` builds the
 wedge and contraction of ``ce.exterior`` one subset at a time.
 ``loop_series`` sums the exact coefficient series one term at a time.
 ``tensordot_jacobi`` contracts the ``Fraction`` structure constants as
-object arrays.
+object arrays.  ``exp_operator`` exponentiates any degree-0 operator, in
+either mode.
 """
 
 from fractions import Fraction
@@ -27,7 +28,7 @@ from cartankit.ce import exterior
 from cartankit.evaluators import (AffineReparam, MaxCollapseReparam, PermReparam,
                                   ProductEvaluator, WordEvaluator)
 from cartankit.graded import (GradedOperator, GradedVectorSpace, combination, compose,
-                              dual_operator, graded_commutator, tensor_operator)
+                              dual_operator, exp_terms, graded_commutator, tensor_operator)
 from cartankit.integrate import compositions, series_coefficient
 from cartankit.linalg import EXACT, FLOAT
 from cartankit.reps import CartanReport
@@ -66,6 +67,16 @@ def phi1(a):
         m += 1
         if m > 200:
             return acc
+
+
+def exp_operator(op, t=1):
+    """Exponential of a degree-0 operator: the sum of ``graded.exp_terms`` in
+    exact mode, blockwise ``linalg.expm`` in float mode."""
+    if op.mode == EXACT:
+        terms = exp_terms(op, t)
+        return sum(terms[1:], terms[0])
+    blocks = {k: linalg.expm(op.block(k), t) for k in op.source.degrees}
+    return GradedOperator(op.source, op.source, 0, blocks, mode=op.mode)
 
 
 def operator_of(flat, x):

@@ -175,8 +175,8 @@ def test_criterion_07_thin_simplices_act_by_zero():
         for perm in itertools.permutations(range(k)):
             if perm == tuple(range(k)):
                 continue
-            composite = PermReparam(collapsed, perm)
-            val = integrate_quadrature(sflat, composite, 12, domain="simplex")
+            composite = PermReparam(collapsed, perm, "simplex")
+            val = integrate_quadrature(sflat, composite, 12)
             collapse_worst = max(collapse_worst, val.norm())
     _report(7, "cube-collapse composites of nontrivial permutations act by zero",
             collapse_worst, 1e-9)

@@ -2,6 +2,7 @@
 cube-to-simplex collapse and the shuffle triangulation identity."""
 
 import pathlib
+from itertools import permutations
 from math import fsum
 
 import numpy as np
@@ -12,7 +13,7 @@ from cartankit.cubical import (AlternationCochain, IntegrationCochain,
                                cube_vs_simplex_residual, perm_sign,
                                split_lower, split_upper, subdivision_invariance_residual,
                                subdivision_maps)
-from cartankit.evaluators import FlatRep, PermReparam, WordEvaluator, thinness_check
+from cartankit.evaluators import FlatRep, PermReparam, WordEvaluator, shuffles, thinness_check
 from cartankit.integrate import cube_nodes, density_at, simplex_nodes
 from cartankit.schemas import load_problem
 from cartankit.suites import cubical_entry, cubical_suite
@@ -27,13 +28,12 @@ def cube_to_simplex(point):
 class ConstantCochain:
     """c(anything) = value; not subdivision invariant, not alternating."""
 
-    def __init__(self, k, value=1.0, kind="cubical"):
+    def __init__(self, k, value=1.0):
         self.k = k
-        self.kind = kind
         self.value = value
 
-    def __call__(self, ev):
-        return self.value
+    def values(self, evs):
+        return [self.value for _ in evs]
 
 
 @pytest.fixture(scope="module")
@@ -52,10 +52,32 @@ def base_cochain(flat, theta):
     return IntegrationCochain(flat, 2, "simplicial", cubical_entry(flat, theta), 16)
 
 
+def _sign_by_cycles(perm):
+    """(-1) ** (k - number of cycles of perm)."""
+    seen, cycles = set(), 0
+    for start in range(len(perm)):
+        if start not in seen:
+            cycles += 1
+            j = start
+            while j not in seen:
+                seen.add(j)
+                j = perm[j]
+    return (-1) ** (len(perm) - cycles)
+
+
 def test_perm_signs():
     assert perm_sign((0, 1, 2)) == 1
     assert perm_sign((1, 0, 2)) == -1
     assert perm_sign((2, 0, 1)) == 1
+    for k in range(5):
+        for perm in permutations(range(k)):
+            assert perm_sign(perm) == _sign_by_cycles(perm)
+    # an (r, s)-shuffle moves left slot i past perm[i] - i right slots
+    for r in range(5):
+        for s in range(5 - r):
+            for perm, sign in shuffles(r, s):
+                moves = sum(m - i for i, m in enumerate(perm[:r]))
+                assert sign == perm_sign(perm) == (-1) ** moves
 
 
 def test_cube_to_simplex_projection():
@@ -118,10 +140,9 @@ def test_constant_cochain_fails_subdivision(theta):
 def test_symmetric_cochain_fails_alternation(flat, theta):
     class Symmetric:
         k = 2
-        kind = "cubical"
 
-        def __call__(self, ev):
-            return 1.0
+        def values(self, evs):
+            return [1.0 for _ in evs]
 
     assert alternating_residual(Symmetric(), theta) == 2.0
 

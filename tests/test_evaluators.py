@@ -98,7 +98,7 @@ def test_word_eval_batch_equals_rowwise(flat, prefix, k, points):
     ev = WordEvaluator(flat, GENERIC_LETTERS[:k], prefix=[GENERIC_LETTERS[i] for i in prefix])
     data = ev.eval(points)
     for q, row in enumerate(points):
-        one = ev.at(row)
+        one = ev.eval(row[None])
         assert np.array_equal(data.rho[q], one.rho[0])
         assert np.array_equal(data.ad_inv[q], one.ad_inv[0])
         assert np.array_equal(data.xi[q], one.xi[0])
@@ -179,7 +179,7 @@ def test_eval_many_evaluates_each_word_once(flat, monkeypatch):
 def _sum_of_terms(flat, chain, order):
     out = None
     for coef, ev in chain.terms:
-        piece = float(coef) * integrate.integral_entries(flat, ev, order)
+        piece = float(coef) * integrate.integrals(flat, [ev], order)[0]
         out = piece if out is None else out + piece
     return flatten_operator(GradedOperator.from_block_entries(flat.space, flat.space, -chain.k,
                                                               out, FLOAT))

@@ -11,9 +11,9 @@ import pytest
 
 from cartankit import cli, integrate
 from cartankit.evaluators import (FlatRep, MaxCollapseReparam, PermReparam,
-                                  WordEvaluator, ez_product)
+                                  PointEvaluator, WordEvaluator, ez_product)
 from cartankit.graded import (CochainComplex, GradedOperator, GradedVectorSpace,
-                              compose, exp_operator, graded_commutator)
+                              compose, graded_commutator)
 from cartankit.integrate import (ChainModule, density_at,
                                  dg_module_exact, dg_module_residual,
                                  differentiate_module, equivariance_residual,
@@ -27,7 +27,7 @@ from cartankit.linalg import EXACT, FLOAT, ModeError, format_scalar
 from cartankit.reps import (CartanRep, adjoint_rep, cartan_residuals, chain_rep,
                             trivial_cartan_rep, trivial_lie_rep)
 from aw_coproduct import aw_monoidality_residual, aw_tensor_residual
-from dense_reference import contraction_of, flatten_operator, phi1
+from dense_reference import contraction_of, exp_operator, flatten_operator, phi1
 
 
 def eval_form(flat, ev, point) -> GradedOperator:
@@ -196,14 +196,34 @@ def test_closed_form_pullback_matches_generic_density(flat, sl2_chain_float, sl2
 def test_eval_form_zero_simplices(flat, sl2_chain_float, sl2_basis_float):
     # the empty word acts as the identity; a translated point acts by the
     # group value
-    from cartankit.evaluators import PointEvaluator
     from cartankit.graded import GradedOperator
     out = eval_form(flat, PointEvaluator(flat), [])
     ident = GradedOperator.identity(sl2_chain_float.complex.space, FLOAT)
     assert (out - ident).norm() == 0.0
     e = sl2_basis_float
     moved = eval_form(flat, PointEvaluator(flat, prefix=[e[0]]), [])
-    assert (moved - point_value(sl2_chain_float, [e[0]])).norm() < 1e-13
+    assert (moved - exp_operator(sl2_chain_float.L_of(e[0]))).norm() < 1e-13
+
+
+def test_point_value_is_exact_only(sl2_chain_float, sl2_basis_float):
+    with pytest.raises(ModeError):
+        point_value(sl2_chain_float, [sl2_basis_float[0]])
+
+
+def test_act_point_route_by_mode(sl2_chain_float, sl2_basis_float, h3_chain_exact):
+    """A float point acts by ``PointEvaluator.value``, an exact one by the
+    product of the letters' cached exponentials, bit for bit."""
+    e = sl2_basis_float
+    prefix = [e[0], 0.5 * e[2] - e[1]]
+    got = ChainModule(sl2_chain_float).act_point(prefix)
+    want = PointEvaluator(FlatRep(sl2_chain_float), prefix=prefix).value()
+    assert np.array_equal(flatten_operator(got), flatten_operator(want))
+    rep = h3_chain_exact
+    x, y = rep.algebra.vector([1, 0, 0]), rep.algebra.vector([1, 2, -3])
+    got = ChainModule(rep).act_point([x, y])
+    want = compose(rep.letter(x).exp, rep.letter(y).exp)
+    assert got.mode == EXACT
+    assert np.array_equal(flatten_operator(got), flatten_operator(want))
 
 
 def test_degenerate_one_parameter_word_acts_by_zero(flat, sl2_chain_float, sl2_basis_float):
@@ -281,8 +301,8 @@ def test_thin_words_integrate_to_zero(flat, sl2_basis_float):
     # collapse composites of a non-identity permutation are thin simplices
     e = sl2_basis_float
     word = WordEvaluator(flat, [e[0], e[2]])
-    swapped = PermReparam(MaxCollapseReparam(word), (1, 0))
-    assert integrate_quadrature(flat, swapped, 16, domain="simplex").norm() < 1e-9
+    swapped = PermReparam(MaxCollapseReparam(word), (1, 0), "simplex")
+    assert integrate_quadrature(flat, swapped, 16).norm() < 1e-9
 
 
 def test_equivariance_of_densities(flat, sl2_basis_float):

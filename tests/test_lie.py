@@ -9,11 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cartankit.ce import cohomology_dims
-from cartankit.graded import exp_operator
 from cartankit.lie import LieAlgebra, abelian, heisenberg3, sl2, su2
 from cartankit.linalg import EXACT, FLOAT, ModeError, max_abs
 from cartankit.reps import adjoint_rep, cartan_dgla, cartan_residuals, hom_space, restrict
-from dense_reference import flatten_operator, tensordot_jacobi
+from dense_reference import exp_operator, flatten_operator, tensordot_jacobi
 
 
 rationals = st.fractions(min_value=-3, max_value=3, max_denominator=6)

@@ -341,6 +341,25 @@ def test_cli_exit_two_on_complex_over_budget(tmp_path, capsys, argv, size):
     assert len(lines) == 1 and f"total dimension {size}," in lines[0]
 
 
+@pytest.mark.parametrize("dim", [100, 1000])
+def test_cli_exit_two_on_algebra_over_budget(tmp_path, capsys, dim):
+    """An algebra over the dimension budget is refused before its n^3
+    structure constants are allocated."""
+    payload = json.loads(json.dumps(SL2_PAYLOAD))
+    payload["lie_algebra"] = {"dim": dim, "name": f"abelian{dim}"}
+    payload["words"] = {}
+    path = tmp_path / f"abelian{dim}.json"
+    path.write_text(json.dumps(payload))
+    start = time.perf_counter()
+    code = cli.main(["check-lie", str(path)])
+    elapsed = time.perf_counter() - start
+    err = capsys.readouterr().err
+    lines = err.strip().splitlines()
+    assert code == 2 and elapsed < 1.0
+    assert len(lines) == 1 and "Traceback" not in err
+    assert f"dimension {dim} is over the budget of {schemas.MAX_ALGEBRA_DIM}" in lines[0]
+
+
 def test_complex_budget_admits_the_largest_tested_case():
     assert schemas.spec_dim({"functor": "E", "coefficients": "trivial"},
                             load_algebra({"dim": 15})) <= schemas.MAX_COMPLEX_DIM
