@@ -6,14 +6,15 @@ over the layouts of its source and target: row-major sorted arrays of its
 nonzero entries, float64 in float mode and int64 numerators over one common
 denominator in exact mode, reduced by their gcd after every operation.  An
 exact operation whose numerators could leave int64 raises ``ModeError``:
-an entry of a product or of a label combination that does not fit once
+an entry of a product or of a relabelling that does not fit once
 summed exactly, or a tensor product, sum or scalar multiple over its bound
 (max|A| * max|B| and the like).
 Nothing wraps around or falls back to float.  Only this module knows the
 layout.  Every constructed complex verifies that its differential (of
 degree +1) squares to zero.  A family of n parallel operators is stored as
 one operator V -> K ox W over a degree-0 space K of n labels (``stack``);
-tensor products and duals act on such stacks label by label.
+tensor products and duals act on such stacks label by label, and
+``relabel`` maps the labels by a scalar matrix.
 """
 
 import math
@@ -42,6 +43,7 @@ class GradedVectorSpace:
         self.dims = {int(k): int(d) for k, d in dims.items() if d}
         if any(d < 0 for d in self.dims.values()):
             raise ValueError("dimensions must be nonnegative")
+        self._hash = hash(tuple(sorted(self.dims.items())))
 
     def dim(self, k: int) -> int:
         return self.dims.get(k, 0)
@@ -66,10 +68,6 @@ class GradedVectorSpace:
 
     def __eq__(self, other):
         return isinstance(other, GradedVectorSpace) and self.dims == other.dims
-
-    @cached_property
-    def _hash(self):
-        return hash(tuple(sorted(self.dims.items())))
 
     def __hash__(self):
         return self._hash
@@ -170,14 +168,6 @@ class GradedOperator:
                     pos % source.total_dim, *_numerators(np.asarray(vec)[nz], mode))
 
     @classmethod
-    def from_matrix(cls, space, degree, mat, mode):
-        """Endomorphism with total matrix ``mat``, read inside its blocks only."""
-        rows, cols = np.nonzero(mat)
-        keep = space._index_degrees[rows] == space._index_degrees[cols] + degree
-        return _new(space, space, degree, mode, rows[keep], cols[keep],
-                    *_numerators(np.asarray(mat)[rows[keep], cols[keep]], mode))
-
-    @classmethod
     def zero(cls, source, target, degree, mode):
         return cls(source, target, degree, {}, mode=mode)
 
@@ -236,18 +226,6 @@ class GradedOperator:
 
     def __rmul__(self, c):
         return combination((c,), (self,))
-
-    def apply(self, vec):
-        """Apply to a dict degree -> coefficient vector; a degree that only
-        zero blocks reach is absent from the result."""
-        out = {}
-        for k, v in vec.items():
-            b = self._stored(k)
-            if b is not None:
-                w = b.dot(np.asarray(v))
-                kk = k + self.degree
-                out[kk] = w if kk not in out else out[kk] + w
-        return out
 
     def norm(self) -> float:
         """Entrywise max-norm, as a float in either mode."""
@@ -481,12 +459,11 @@ def _label_max(op, label, n):
 
 def _label_join(fl, gl, n):
     """Index pairs (a, b) with fl[a] == gl[b], by a then b."""
-    order = np.argsort(gl, kind="stable")
-    starts = np.searchsorted(gl[order], np.arange(n + 1))
+    order = gl.argsort(kind="stable")
+    starts = gl[order].searchsorted(np.arange(n + 1))
     counts = starts[fl + 1] - starts[fl]
-    mine = np.repeat(np.arange(len(fl)), counts)
-    theirs = order[np.arange(len(mine)) + np.repeat(starts[fl] - np.cumsum(counts) + counts,
-                                                    counts)]
+    mine = np.arange(len(fl)).repeat(counts)
+    theirs = order[np.arange(len(mine)) + (starts[fl] - counts.cumsum() + counts).repeat(counts)]
     return mine, theirs
 
 
@@ -513,31 +490,44 @@ def _unlabel(n, target):
     return w, label, row
 
 
-def label_combination(x, op) -> GradedOperator:
-    """sum_i x_i f_i for f_1 .. f_n stacked over n = len(x) labels
-    (``stack``), (x^T ox 1_W) stack, in one pass over the entries; an exact
-    coefficient must be an int or a ``Fraction``.  The exact coefficients
-    are numerators over their common denominator.  As in ``compose``, when
-    sum_i max|f_i| |num_i| or one of those numerators could leave int64,
-    the entries are summed as Python ints and ``ModeError`` is raised only
-    if a reduced one does not fit."""
-    if op.mode == EXACT and not all(isinstance(c, (int, Fraction)) for c in x):
+def relabel(h, op) -> GradedOperator:
+    """(h ox 1_W) op for op: V -> K_n ox W stacked over n labels (``stack``)
+    and a scalar map h: K_n -> K_m of the labels, given as its m x n matrix
+    (nested lists or an array): label i of the result is sum_j h[i][j] f_j,
+    in one pass over the entries.  The only code that maps labels.  An exact
+    value must be an int or a ``Fraction``; the exact values are numerators
+    over their common denominator.  As in ``compose``, when max|f| times
+    the largest row sum of |num_ij|, or one of those numerators, could
+    leave int64, the entries are summed as Python ints and ``ModeError`` is
+    raised only if a reduced one does not fit."""
+    h = np.array(h, dtype=object)
+    m, n = h.shape
+    to, of = np.nonzero(h)
+    values = h[to, of].tolist()
+    if op.mode == EXACT and not all(isinstance(c, (int, Fraction)) for c in values):
         raise ModeError("float coefficient on exact operator")
-    w, label, row = _labelled(op, len(x))
+    w, label, row = _labelled(op, n)
     if op.mode == EXACT:
-        fracs = [Fraction(c) for c in x]
-        den = math.lcm(*(f.denominator for f in fracs))
-        ints = [f.numerator * (den // f.denominator) for f in fracs]
-        wide = max(map(abs, ints), default=0) > _MAX or \
-            sum(a * abs(b) for a, b in zip(_label_max(op, label, len(x)), ints)) > _MAX
+        den = math.lcm(*(c.denominator for c in values))
+        ints, sums = [c.numerator * (den // c.denominator) for c in values], [0] * m
+        for i, v in zip(to.tolist(), ints):
+            sums[i] += abs(v)
+        wide = max(map(abs, ints), default=0) > _MAX or max(sums) * op._max() > _MAX
         nums = np.array(ints, dtype=object if wide else np.int64)
     else:
-        wide, nums, den = False, np.asarray(x, dtype=float), 1
-    keep = nums[label] != 0                    # the labels x leaves out, before the sort
-    data = op._data[keep]
-    out = _new(op.source, w, op.degree, op.mode, row[keep], op._cols[keep],
-               (data.astype(object) if wide else data) * nums[label[keep]], op._den * den)
+        wide, nums, den = False, np.asarray(values, dtype=float), 1
+    mine, theirs = _label_join(label, of, n)
+    data = op._data[mine]
+    out = _new(op.source, tensor_space(GradedVectorSpace({0: m}), w), op.degree, op.mode,
+               _stacked_rows(m, w, to[theirs], row[mine]), op._cols[mine],
+               (data.astype(object) if wide else data) * nums[theirs], op._den * den)
     return _narrow(out, "sum") if wide else out
+
+
+def label_combination(x, op) -> GradedOperator:
+    """sum_i x_i f_i for f_1 .. f_n stacked over n = len(x) labels
+    (``stack``): the one-row ``relabel``, whose target K_1 ox W is W."""
+    return relabel([list(x)], op)
 
 
 def on_labels(n, op) -> GradedOperator:
@@ -632,13 +622,13 @@ def tensor_complex(vc: CochainComplex, wc: CochainComplex) -> CochainComplex:
     return CochainComplex(tensor_space(vc.space, wc.space), diff)
 
 
-def exp_terms(op: GradedOperator, t=1):
-    """Terms t^m op^m / m! of the exact exponential series of a degree-0
+def exp_terms(op: GradedOperator):
+    """Terms op^m / m! of the exact exponential series of a degree-0
     operator, up to the last one with a stored entry; ``ModeError`` unless
     the series terminates (nilpotent op)."""
     terms = [GradedOperator.identity(op.source, EXACT)]
     for m in range(1, op.source.total_dim + 2):
-        term = Fraction(Fraction(t), m) * compose(terms[-1], op)
+        term = Fraction(1, m) * compose(terms[-1], op)
         if not len(term._data):
             return terms
         terms.append(term)

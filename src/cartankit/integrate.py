@@ -7,7 +7,8 @@ tangent.  Integrating that density over the parameter domain gives the
 chain-level module structure; this module provides three independent
 routes to those integrals (nested Gauss-Legendre quadrature, the
 explicit coefficient series for words, and terminating polynomial
-integration in exact mode) together with the law checks built on them.
+integration in exact mode, a polynomial in t being one operator stacked
+over its coefficients) together with the law checks built on them.
 """
 
 from fractions import Fraction
@@ -21,8 +22,8 @@ from . import linalg
 from .evaluators import (Blocks, ChainCombination, Evaluator, FlatRep,
                          PointEvaluator, WordEvaluator, as_points, boundary, eval_many,
                          ez_product, perm_sign)
-from .graded import (GradedOperator, combination, compose, exp_terms,
-                     graded_commutator, label_combination, on_labels)
+from .graded import (GradedOperator, combination, compose, graded_commutator,
+                     label_combination, on_labels, relabel)
 from .linalg import EXACT, FLOAT
 
 DEFAULT_ORDER = 16
@@ -256,45 +257,46 @@ def _float_series(space, A, B, max_degree):
 # exact polynomial route (nilpotent case)
 # ---------------------------------------------------------------------------
 
-class MatPoly:
-    """Polynomial in one variable whose coefficients are exact operators."""
+@lru_cache(maxsize=256)
+def _cauchy(p: int, q: int, antiderivative: bool):
+    """The ``relabel`` matrix of a product of polynomials with p and q
+    coefficients: label j p + i of K_q ox K_p (t^i of the left factor times
+    t^j of the right) goes to r = i + j, or with the antiderivative to
+    r = i + j + 1 with weight 1 / r; cached, so a tuple of rows."""
+    shift = int(antiderivative)
+    return tuple(tuple((Fraction(1, r) if antiderivative else 1) if i + j + shift == r else 0
+                       for j in range(q) for i in range(p)) for r in range(p + q - 1 + shift))
 
-    def __init__(self, coeffs):
-        self.coeffs = list(coeffs)
 
-    def dot(self, other):
-        out = [None] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                ab = compose(a, b)
-                out[i + j] = ab if out[i + j] is None else out[i + j] + ab
-        return MatPoly(out)
-
-    def integrate_01(self):
-        return sum((Fraction(1, m + 1) * c for m, c in enumerate(self.coeffs[1:], 1)),
-                   self.coeffs[0])
-
-    def antiderivative(self):
-        """s -> integral from 0 to s, as a polynomial."""
-        return MatPoly([0 * self.coeffs[0]] + [Fraction(1, m + 1) * c
-                                               for m, c in enumerate(self.coeffs)])
+def _poly_product(f, g=None, antiderivative=False):
+    """The product f(t) g(t) of two exact polynomials in t, each an operator
+    stacked over its coefficients (label m holds the coefficient of t^m)
+    with their count, g None for the constant 1; with ``antiderivative``,
+    s -> its integral from 0 to s.  One compose through ``on_labels`` (none
+    for g = 1) and one ``relabel``."""
+    (a, p), (b, q) = f, g or (None, 1)
+    h = _cauchy(p, q, antiderivative)
+    return relabel(h, a if b is None else compose(on_labels(q, a), b)), len(h)
 
 
 def merged_pair_integral_exact(rep, x, y) -> GradedOperator:
-    """Exact integral over [0,1] of the pullback along s -> exp(sx) exp(sy)."""
+    """Exact integral over [0,1] of the pullback along s -> exp(sx) exp(sy):
+    of exp(s L(x)) exp(s L(y)) B(xi(s)), xi(s) = Ad_{exp(-s y)} x + y, whose
+    coordinates are the terms (-s ad y)^m x / m! (``algebra.ad``) and whose
+    B is one ``relabel`` of the stacked B."""
     if rep.mode != EXACT:
         raise linalg.ModeError("exact route requires exact mode")
-    rho = MatPoly(rep.letter(x).exp_terms).dot(MatPoly(rep.letter(y).exp_terms))
+    rho = _poly_product(rep.letter(x).exp_stack, rep.letter(y).exp_stack)
     algebra = rep.algebra
-    ad_neg_y = exp_terms(algebra.ad_operator(algebra.vector(list(y))), Fraction(-1))
-    # xi(s) = Ad_{exp(-s y)} x + y, coefficientwise through the B action
-    bxi_coeffs = []
-    for m, c in enumerate(ad_neg_y):
-        vec = c.apply({0: np.asarray(x)})[0]
-        if m == 0:
-            vec = vec + np.asarray(y)
-        bxi_coeffs.append(rep.B_of(vec))
-    return rho.dot(MatPoly(bxi_coeffs)).integrate_01()
+    ad = algebra.ad(algebra.vector(list(y)))
+    xi = [algebra.vector(list(x))]
+    while (nxt := Fraction(-1, len(xi)) * ad.dot(xi[-1])).any():
+        if len(xi) > algebra.n:
+            raise linalg.ModeError("exponential series does not terminate in exact mode")
+        xi.append(nxt)
+    xi[0] = xi[0] + np.asarray(y)
+    op, count = _poly_product(rho, (relabel(xi, rep.B_stack), len(xi)), antiderivative=True)
+    return label_combination((1,) * count, op)
 
 
 def point_value(rep, prefix) -> GradedOperator:
@@ -309,22 +311,21 @@ def point_value(rep, prefix) -> GradedOperator:
 
 
 def word_integral_polynomial_exact(rep, letters) -> GradedOperator:
-    """Exact word integral by iterated polynomial antiderivatives.
-
-    Independent of the coefficient series: integrates the terminating
-    polynomial density one nested variable at a time.  Exact mode
-    (nilpotent actions) only.
-    """
+    """Exact word integral by iterated polynomial antiderivatives, each
+    polynomial in t one stacked operator (``_poly_product``).  Independent of
+    the coefficient series: from the last letter, the antiderivative of
+    exp(t A) B times the inner polynomial; exact (nilpotent) mode only."""
     if rep.mode != EXACT:
         raise linalg.ModeError("polynomial route requires exact mode")
     if not letters:
         return GradedOperator.identity(rep.complex.space, EXACT)
     inner = None
     for x in reversed(letters):
-        factor = MatPoly(rep.letter(x).exp_terms).dot(MatPoly([rep.B_of(x)]))
-        inner = factor if inner is None else factor.dot(inner)
-        inner = inner.antiderivative()
-    return sum(inner.coeffs[1:], inner.coeffs[0])
+        exp, count = rep.letter(x).exp_stack
+        factor = compose(exp, rep.B_of(x)), count          # exp(t A) B, times a constant
+        inner = _poly_product(factor, inner, antiderivative=True)
+    op, count = inner
+    return label_combination((1,) * count, op)
 
 
 def dg_module_exact(rep, letters):
@@ -459,29 +460,18 @@ class ChainModule:
         return PointEvaluator(self.flat, prefix=prefix).value()
 
 
-def differentiate_module(module, h: float, richardson: bool = False):
+def differentiate_module(module, h: float):
     """Recover the infinitesimal operators from a chain module by central
     differences on one-parameter words and points."""
     from .reps import CartanRep
     algebra = module.algebra
-    n = algebra.n
 
-    def central(act, i, step):
+    def central(act, i):
         e = algebra.basis_vector(i, FLOAT)
-        return (1.0 / (2.0 * step)) * (act([step * e]) - act([-step * e]))
+        return (1.0 / (2.0 * h)) * (act([h * e]) - act([-h * e]))
 
-    def at_step(step):
-        L = [central(module.act_point, i, step) for i in range(n)]
-        B = [central(module.act_word, i, step) for i in range(n)]
-        return L, B
-
-    L, B = at_step(h)
-    if richardson:
-        L2, B2 = at_step(h / 2.0)
-        L = [(1.0 / 3.0) * (4.0 * a2 - a) for a, a2 in zip(L, L2)]
-        B = [(1.0 / 3.0) * (4.0 * b2 - b) for b, b2 in zip(B, B2)]
-    return CartanRep(algebra, module.complex, L, B)
-
+    return CartanRep(algebra, module.complex, *([central(act, i) for i in range(algebra.n)]
+                                                for act in (module.act_point, module.act_word)))
 
 
 def roundtrip_errors(rep, h: float):

@@ -1,10 +1,11 @@
 """Finite dimensional Lie algebras from structure constants.
 
 Structure constants are kept as exact rationals; float views are derived
-on demand.  ``ad`` is one contraction with the constants in either mode;
-exact exponentials of ad are ``graded.exp_terms`` (nilpotent ad only),
-float ones ``linalg.expm``.  The Cartan DG Lie algebra of an algebra is
-its own adjoint representation, ``reps.cartan_dgla``.
+on demand.  ``ad`` is one contraction with the constants in either mode,
+a matrix on coordinate vectors: ``integrate.merged_pair_integral_exact``
+applies its powers to a vector (nilpotent ad only), and float
+exponentials are ``linalg.expm``.  The Cartan DG Lie algebra of an
+algebra is its own adjoint representation, ``reps.cartan_dgla``.
 """
 
 import math
@@ -13,7 +14,6 @@ from fractions import Fraction
 import numpy as np
 
 from . import linalg
-from .graded import GradedOperator, GradedVectorSpace
 from .linalg import EXACT
 
 
@@ -71,11 +71,6 @@ class LieAlgebra:
     def ad(self, x):
         """Matrix of ad_x: ad(x) y = [x, y]."""
         return np.einsum("ijk,i->kj", self.constants(linalg.mode_of(x)), x)
-
-    def ad_operator(self, x) -> GradedOperator:
-        """ad_x as a degree-0 operator on the algebra, placed in degree 0."""
-        return GradedOperator.from_matrix(GradedVectorSpace({0: self.n}), 0, self.ad(x),
-                                          linalg.mode_of(x))
 
     def check_jacobi(self):
         """Max violation of antisymmetry and the Jacobi identity, as a

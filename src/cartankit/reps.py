@@ -8,17 +8,17 @@ operators are stacked into V -> K ox V over degree-0 labels K
 ``rep.operators`` are lists of block reads, and L(x) is (x^T ox 1) L.  A
 ``CartanRep`` builds the operators of each letter x once (``Letter``, a
 bounded cache keyed by the coordinates): L(x) and B(x), and on first use
-the exact exponential of L(x) and the power stack of the exact series,
-all shared read-only.  The label maps of the relation checks are built once
-per algebra, space and mode.  The constructions build the stacks directly,
-in a fixed number of operator calls whatever n is.  ``cartan_residuals``
-measures how far the family is from satisfying the Cartan relations, each
-relation family as one operator: (1_K ox L) B holds every L_i B_j, a swap
-of the two labels the reversed products, and the structure constants act
-as c: K -> K ox K; ``LieRep.residuals`` and ``intertwiner_residual`` read
-the same stacks.  The Cartan DG Lie algebra itself is a ``CartanRep``:
-``cartan_dgla`` is its adjoint representation, verified by the d^2 check
-and ``cartan_residuals``.
+the stacked terms of the exact exponential of L(x) and the power stack of
+the exact series, all shared read-only.  The constructions build the
+stacks directly, in a fixed number of operator calls whatever n is.
+``cartan_residuals`` measures how far the family is from satisfying the
+Cartan relations, each relation family as one operator: (1_K ox L) B
+holds every L_i B_j, a swap of the two labels the reversed products, and
+the structure constants act as c: K -> K ox K, both ``relabel`` matrices
+built once per algebra and mode; ``LieRep.residuals`` and
+``intertwiner_residual`` read the same stacks.  The Cartan DG Lie algebra
+itself is a ``CartanRep``: ``cartan_dgla`` is its adjoint representation,
+verified by the d^2 check and ``cartan_residuals``.
 ``chain_rep`` and ``cochain_rep`` realize the two standard constructions
 on the Chevalley-Eilenberg chain and cochain complexes.  The first, left
 adjoint to ``restrict``, lives on Lambda(g) ox V with B_i = eps_i ox 1 and
@@ -35,9 +35,9 @@ import numpy as np
 from . import ce, linalg
 from .graded import (CochainComplex, GradedOperator, GradedVectorSpace, combination,
                      compose, dual_complex, dual_operator, dual_space, exp_terms,
-                     label_combination, on_labels, read_only, stack, stack_entries,
-                     tensor_basis_index, tensor_complex, tensor_operator, tensor_space,
-                     unstack)
+                     label_combination, on_labels, read_only, relabel, stack,
+                     stack_entries, tensor_basis_index, tensor_complex, tensor_operator,
+                     tensor_space, unstack)
 from .linalg import EXACT
 
 LETTER_CACHE = 64               # letters a CartanRep keeps (``CartanRep.letter``)
@@ -80,10 +80,10 @@ class LieRep:
     def residuals(self):
         """Homomorphism + chain-map defects: max norms, keyed by family."""
         d, rho = self.complex.differential, self.stacked
-        swap, consts = _label_maps(self.algebra, self.complex.space, self.mode)
+        swap, consts = _label_maps(self.algebra, self.mode)
         products = compose(on_labels(self.algebra.n, rho), rho)
-        bracket = combination((1, -1, -1), (products, compose(swap, products),
-                                            compose(consts, rho)))
+        bracket = combination((1, -1, -1), (products, relabel(swap, products),
+                                            relabel(consts, rho)))
         chain_map = compose(on_labels(self.algebra.n, d), rho) - compose(rho, d)
         return {"bracket": bracket.norm(), "chain_map": chain_map.norm()}
 
@@ -137,20 +137,25 @@ class CartanRep:
 
 class Letter:
     """L(x) and B(x) of one letter x, and, built on first use in exact mode,
-    the exact exponential of A = L(x) with its terms A^m / m!, and the power
-    stack of the exact series: ``stack`` of B, B A, ..., B A^c, c the last
-    power with a stored entry (A is nilpotent)."""
+    the exact exponential of A = L(x) as a polynomial in t: the ``stack`` of
+    its terms A^m / m! (``exp_stack``, the coefficient of t^m under label m)
+    whose label sum is ``exp``; and the power stack of the exact series:
+    ``stack`` of B, B A, ..., B A^c, c the last power with a stored entry
+    (A is nilpotent)."""
 
     def __init__(self, L, B):
         self.L, self.B = read_only(L), read_only(B)
 
     @cached_property
-    def exp_terms(self):
-        return [read_only(t) for t in exp_terms(self.L)]
+    def exp_stack(self):
+        """The stack of the terms A^m / m! and their number."""
+        terms = exp_terms(self.L)
+        return read_only(stack(terms)), len(terms)
 
     @cached_property
     def exp(self) -> GradedOperator:
-        return read_only(combination((1,) * len(self.exp_terms), self.exp_terms))
+        op, count = self.exp_stack
+        return read_only(label_combination((1,) * count, op))
 
     @cached_property
     def powers(self):
@@ -176,31 +181,23 @@ class CartanReport:
     def worst(self) -> float:
         return max(self.LL, self.LB, self.BB, self.dB)
 
-    def passes(self, tol: float) -> bool:
-        return self.worst <= tol
-
 
 @lru_cache(maxsize=64)
-def _label_maps(algebra, space, mode):
-    """Maps of the labels K = GradedVectorSpace({0: n}) of ``stack``, tensored
-    with 1 on V = ``space``: the swap (j, i) -> (i, j) of K ox K ox V, and
-    c ox 1: K ox V -> K ox K ox V with c(e_k) = sum_{i,j} c[i, j, k] e_j ox e_i,
-    so the block (j, i) of (c ox 1) stack(h) is sum_k c[i, j, k] h_k.  The
-    block (j, i) of (1_K ox stack(f)) stack(g) is f_i g_j.  Built once per
-    (algebra, space, mode) and shared read-only, as the identity is."""
+def _label_maps(algebra, mode):
+    """The label maps of the relation families, as ``relabel`` matrices on
+    the labels K = GradedVectorSpace({0: n}) of ``stack``, label (j, i) of
+    K ox K at j n + i: the swap (j, i) -> (i, j), and c: K -> K ox K with
+    c(e_k) = sum_{i,j} c[i, j, k] e_j ox e_i, so label (j, i) of
+    relabel(c, stack(h)) is sum_k c[i, j, k] h_k.  Label (j, i) of
+    (1_K ox stack(f)) stack(g) is f_i g_j.  Built once per (algebra, mode)
+    and shared read-only."""
     n, c = algebra.n, algebra.constants(mode)
-    labels = GradedVectorSpace({0: n})
-    pairs = tensor_space(labels, labels)
-    slot = [[tensor_basis_index(labels, labels, 0, j, 0, i)[1] for i in range(n)]
-            for j in range(n)]
-    swap = GradedOperator.from_entries(pairs, pairs, 0, [(0, slot[i][j], slot[j][i], 1)
-                                                         for i in range(n) for j in range(n)],
-                                       mode)
-    consts = GradedOperator.from_entries(labels, pairs, 0, [(0, slot[j][i], k, c[i, j, k])
-                                                            for i, j, k in zip(*np.nonzero(c))],
-                                         mode)
-    one = GradedOperator.identity(space, mode)
-    return read_only(tensor_operator(swap, one)), read_only(tensor_operator(consts, one))
+    swap = np.zeros((n * n, n * n), dtype=int)
+    swap[np.arange(n * n), np.arange(n * n).reshape(n, n).T.ravel()] = 1
+    consts = c.transpose(1, 0, 2).reshape(n * n, n).copy()
+    for h in (swap, consts):
+        h.flags.writeable = False
+    return swap, consts
 
 
 def cartan_residuals(rep: CartanRep) -> CartanReport:
@@ -209,12 +206,12 @@ def cartan_residuals(rep: CartanRep) -> CartanReport:
     (``graded.stack``), the block of label pair (j, i) holding the relation
     for (i, j)."""
     n, L, B, d = rep.algebra.n, rep.L_stack, rep.B_stack, rep.differential
-    swap, consts = _label_maps(rep.algebra, rep.complex.space, rep.mode)
+    swap, consts = _label_maps(rep.algebra, rep.mode)
     one_l, one_b = on_labels(n, L), on_labels(n, B)
     ll, lb, bl, bb = compose(one_l, L), compose(one_l, B), compose(one_b, L), compose(one_b, B)
-    r_ll = combination((1, -1, -1), (ll, compose(swap, ll), compose(consts, L)))
-    r_lb = combination((1, -1, -1), (lb, compose(swap, bl), compose(consts, B)))
-    r_bb = combination((1, 1), (bb, compose(swap, bb)))
+    r_ll = combination((1, -1, -1), (ll, relabel(swap, ll), relabel(consts, L)))
+    r_lb = combination((1, -1, -1), (lb, relabel(swap, bl), relabel(consts, B)))
+    r_bb = combination((1, 1), (bb, relabel(swap, bb)))
     r_db = combination((1, 1, -1), (compose(on_labels(n, d), B), compose(B, d), L))
     return CartanReport(r_ll.norm(), r_lb.norm(), r_bb.norm(), r_db.norm())
 

@@ -11,6 +11,11 @@ The ``per_generator_*`` helpers build the stacked constructions of ``ce``
 and ``reps`` one generator at a time, and ``loop_exterior`` builds the
 wedge and contraction of ``ce.exterior`` one subset at a time.
 ``loop_series`` sums the exact coefficient series one term at a time.
+``MatPoly`` multiplies exact polynomials in t one pair of coefficients at
+a time, the reference for the stacked polynomials of ``integrate``
+(``pairwise_word_integral``, ``pairwise_merged_pair``).  ``ad_operator``
+is ad_x as a graded operator on the algebra, and ``apply`` applies an
+operator to coefficient vectors block by block.
 ``tensordot_jacobi`` contracts the ``Fraction`` structure constants as
 object arrays.  ``exp_operator`` exponentiates any degree-0 operator, in
 either mode.
@@ -52,6 +57,19 @@ def flatten_operator(op):
     return out
 
 
+def apply(op, vec):
+    """op on a dict degree -> coefficient vector, block by block; a degree
+    that only zero blocks reach is absent from the result."""
+    out = {}
+    for k, v in vec.items():
+        b = op.blocks.get(k)
+        if b is not None:
+            w = b.dot(np.asarray(v))
+            kk = k + op.degree
+            out[kk] = w if kk not in out else out[kk] + w
+    return out
+
+
 def phi1(a):
     """Sum a^m/(m+1)!  (the entire function (e^a - 1)/a) of a float matrix."""
     n = a.shape[0]
@@ -73,7 +91,7 @@ def exp_operator(op, t=1):
     """Exponential of a degree-0 operator: the sum of ``graded.exp_terms`` in
     exact mode, blockwise ``linalg.expm`` in float mode."""
     if op.mode == EXACT:
-        terms = exp_terms(op, t)
+        terms = exp_terms(Fraction(t) * op)
         return sum(terms[1:], terms[0])
     blocks = {k: linalg.expm(op.block(k), t) for k in op.source.degrees}
     return GradedOperator(op.source, op.source, 0, blocks, mode=op.mode)
@@ -180,6 +198,56 @@ def loop_series(rep, letters):
     return acc
 
 
+class MatPoly:
+    """Polynomial in one variable whose coefficients are exact operators,
+    one ``compose`` per pair of coefficients in a product."""
+
+    def __init__(self, coeffs):
+        self.coeffs = list(coeffs)
+
+    def dot(self, other):
+        out = [None] * (len(self.coeffs) + len(other.coeffs) - 1)
+        for i, a in enumerate(self.coeffs):
+            for j, b in enumerate(other.coeffs):
+                ab = compose(a, b)
+                out[i + j] = ab if out[i + j] is None else out[i + j] + ab
+        return MatPoly(out)
+
+    def antiderivative(self):
+        """s -> integral from 0 to s, as a polynomial."""
+        return MatPoly([0 * self.coeffs[0]] + [Fraction(1, m + 1) * c
+                                               for m, c in enumerate(self.coeffs)])
+
+    def value_at_1(self):
+        return sum(self.coeffs[1:], self.coeffs[0])
+
+
+def exp_poly(rep, x):
+    """exp(t L(x)) as a ``MatPoly``: the terms of ``graded.exp_terms``."""
+    return MatPoly(exp_terms(rep.L_of(x)))
+
+
+def pairwise_word_integral(rep, letters):
+    """``integrate.word_integral_polynomial_exact`` on ``MatPoly``: from the
+    last letter, the antiderivative of exp(t A) B times the inner polynomial."""
+    inner = None
+    for x in reversed(letters):
+        factor = exp_poly(rep, x).dot(MatPoly([rep.B_of(x)]))
+        inner = (factor if inner is None else factor.dot(inner)).antiderivative()
+    return inner.value_at_1()
+
+
+def pairwise_merged_pair(rep, x, y):
+    """``integrate.merged_pair_integral_exact`` on ``MatPoly``, xi(s) from the
+    exponential of the operator -ad y applied to x."""
+    algebra = rep.algebra
+    rho = exp_poly(rep, x).dot(exp_poly(rep, y))
+    ad_neg_y = exp_terms(Fraction(-1) * ad_operator(algebra, algebra.vector(list(y))))
+    xi = [apply(c, {0: np.asarray(x)})[0] for c in ad_neg_y]
+    xi[0] = xi[0] + np.asarray(y)
+    return rho.dot(MatPoly([rep.B_of(v) for v in xi])).antiderivative().value_at_1()
+
+
 def _bracket_defect(x, y, coeffs, ops):
     """Max norm of [x, y] - sum_k coeffs[k] ops[k]."""
     return (graded_commutator(x, y) - combination(coeffs, ops)).norm()
@@ -238,9 +306,15 @@ def per_generator_cartan_operators(cec):
     return L, B
 
 
+def ad_operator(algebra, x):
+    """ad_x as a degree-0 operator on the algebra, placed in degree 0."""
+    space = GradedVectorSpace({0: algebra.n})
+    return GradedOperator(space, space, 0, {0: algebra.ad(x)}, mode=linalg.mode_of(x))
+
+
 def per_generator_adjoint(algebra, mode):
-    """ad(e_i) for each generator, as ``lie.LieAlgebra.ad_operator``."""
-    return [algebra.ad_operator(algebra.basis_vector(i, mode)) for i in range(algebra.n)]
+    """ad(e_i) for each generator, one ``ad_operator`` each."""
+    return [ad_operator(algebra, algebra.basis_vector(i, mode)) for i in range(algebra.n)]
 
 
 def per_generator_tensor(a, b):

@@ -1,10 +1,13 @@
-"""The exact coefficient series as one stacked product, the per-letter
-operators of a representation, and the wide path of ``label_combination``.
+"""The exact coefficient series as one stacked product, the exact
+polynomials in t as stacked operators, the per-letter operators of a
+representation, and the wide path of ``label_combination``.
 
 ``integrate_series`` composes each letter's power stack B, B A, ..., B A^c
 from the right through ``on_labels`` and applies every coefficient with one
 ``label_combination``; the per-term loop of ``dense_reference`` must agree
-entry for entry."""
+entry for entry.  A product of polynomials is one compose and one
+``relabel``; the per-pair ``MatPoly`` of ``dense_reference`` must agree
+entry for entry and denominator for denominator."""
 
 from fractions import Fraction
 
@@ -12,11 +15,13 @@ import numpy as np
 import pytest
 
 from cartankit import graded, integrate, reps
-from cartankit.graded import GradedOperator, GradedVectorSpace, label_combination, stack
+from cartankit.graded import (GradedOperator, GradedVectorSpace, compose, label_combination,
+                              stack, unstack)
 from cartankit.lie import heisenberg3
 from cartankit.linalg import EXACT, FLOAT, ModeError
 from cartankit.reps import LETTER_CACHE, adjoint_rep, chain_rep, trivial_lie_rep
-from dense_reference import loop_series
+from dense_reference import (MatPoly, exp_poly, loop_series, pairwise_merged_pair,
+                             pairwise_word_integral)
 from test_ce import _nilpotent
 from test_stacked import _assert_same
 
@@ -88,6 +93,68 @@ def test_warm_series_makes_k_minus_one_composes(h3_reps, monkeypatch, k):
     assert len(calls) == k - 1
 
 
+def _assert_poly(stacked, reference):
+    """A stacked polynomial (operator, count) against a ``MatPoly``."""
+    op, count = stacked
+    for got, want in zip(unstack(op, count), reference.coeffs, strict=True):
+        _assert_same(got, want)
+
+
+@pytest.mark.parametrize("coeff", ["trivial", "adjoint"])
+@pytest.mark.parametrize("word", NINE_WORDS)
+def test_stacked_polynomials_equal_the_per_pair_reference(h3_reps, coeff, word):
+    """Each step of the polynomial route, from the last letter: exp(t A) B,
+    its product with the inner polynomial, the antiderivative, and the value
+    at 1; then the route and the merged pair as a whole."""
+    rep = h3_reps[coeff]
+    letters = _letters(rep, [HEISENBERG_LETTERS[i] for i in word])
+    inner = reference = None
+    for x in reversed(letters):
+        exp, count = rep.letter(x).exp_stack
+        _assert_poly((exp, count), exp_poly(rep, x))
+        factor = compose(exp, rep.B_of(x)), count
+        factor_ref = exp_poly(rep, x).dot(MatPoly([rep.B_of(x)]))
+        _assert_poly(factor, factor_ref)
+        product_ref = factor_ref if reference is None else factor_ref.dot(reference)
+        if inner is not None:
+            _assert_poly(integrate._poly_product(factor, inner), product_ref)
+        inner = integrate._poly_product(factor, inner, antiderivative=True)
+        reference = product_ref.antiderivative()
+        _assert_poly(inner, reference)
+    _assert_same(label_combination((1,) * inner[1], inner[0]), reference.value_at_1())
+    _assert_same(integrate.word_integral_polynomial_exact(rep, letters),
+                 pairwise_word_integral(rep, letters))
+    if len(letters) > 1:
+        _assert_same(integrate.merged_pair_integral_exact(rep, *letters[:2]),
+                     pairwise_merged_pair(rep, *letters[:2]))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_polynomial_route_makes_one_compose_per_product(h3_reps, monkeypatch, k):
+    """Warm letters: exp(t A) B for each letter, and one product with the
+    inner polynomial for each letter before the last; the merged pair is
+    the product of two exponentials and one with B(xi)."""
+    rep = h3_reps["adjoint"]
+    letters = _letters(rep, HEISENBERG_LETTERS[:k])
+    want = integrate.word_integral_polynomial_exact(rep, letters)
+    merged = integrate.merged_pair_integral_exact(rep, *letters[:2]) if k == 2 else None
+    calls = []
+
+    def counted(f, g):
+        calls.append(1)
+        return original(f, g)
+
+    original = graded.compose
+    for module in (graded, reps, integrate):
+        monkeypatch.setattr(module, "compose", counted)
+    _assert_same(integrate.word_integral_polynomial_exact(rep, letters), want)
+    assert len(calls) == 2 * k - 1
+    if merged is not None:
+        calls.clear()
+        _assert_same(integrate.merged_pair_integral_exact(rep, *letters), merged)
+        assert len(calls) == 2
+
+
 def _labels(entries):
     """A stacked operator over len(entries) labels on a 2-dim degree-0
     space, label i the diagonal entries[i]."""
@@ -139,6 +206,12 @@ def test_letter_cache_shares_operators_and_stays_bounded(h3_reps, mode):
 
 def test_label_maps_are_built_once_and_read_only(h3_reps):
     rep = h3_reps["trivial"]
-    maps = reps._label_maps(rep.algebra, rep.complex.space, rep.mode)
-    assert reps._label_maps(rep.algebra, rep.complex.space, rep.mode) is maps
-    assert not any(op._data.flags.writeable for op in maps)
+    g, n = rep.algebra, rep.algebra.n
+    maps = reps._label_maps(g, rep.mode)
+    assert reps._label_maps(g, rep.mode) is maps
+    assert not any(h.flags.writeable for h in maps)
+    swap, consts = maps
+    for i in range(n):
+        for j in range(n):
+            assert swap[j * n + i].tolist() == [int(r == i * n + j) for r in range(n * n)]
+            assert consts[j * n + i].tolist() == g.c[i, j].tolist()

@@ -9,7 +9,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from cartankit import cli, integrate
+from cartankit import cli, reps
 from cartankit.evaluators import (FlatRep, MaxCollapseReparam, PermReparam,
                                   PointEvaluator, WordEvaluator, ez_product)
 from cartankit.graded import (CochainComplex, GradedOperator, GradedVectorSpace,
@@ -26,7 +26,7 @@ from cartankit.lie import abelian, heisenberg3, sl2
 from cartankit.linalg import EXACT, FLOAT, ModeError, format_scalar
 from cartankit.reps import (CartanRep, adjoint_rep, cartan_residuals, chain_rep,
                             trivial_cartan_rep, trivial_lie_rep)
-from aw_coproduct import aw_monoidality_residual, aw_tensor_residual
+from aw_coproduct import aw_monoidality_residual, aw_tensor_residual, differentiate_richardson
 from dense_reference import contraction_of, exp_operator, flatten_operator, phi1
 
 
@@ -161,7 +161,7 @@ def test_exact_series_reads_caps_from_its_own_products(h3_chain_exact, monkeypat
     def no_exp_terms(*args, **kwargs):
         raise AssertionError("exp_terms called")
 
-    monkeypatch.setattr(integrate, "exp_terms", no_exp_terms)
+    monkeypatch.setattr(reps, "exp_terms", no_exp_terms)
     for letters, poly in zip(words, polys):
         assert (integrate_series(h3_chain_exact, letters) - poly).norm() == 0.0
 
@@ -347,7 +347,7 @@ def test_roundtrip_recovery_and_order(sl2_chain_float):
 def test_roundtrip_richardson_sharpens(sl2_chain_float):
     module = ChainModule(sl2_chain_float)
     plain = differentiate_module(module, 1e-3)
-    sharp = differentiate_module(module, 1e-3, richardson=True)
+    sharp = differentiate_richardson(module, 1e-3)
     worst_plain = max((a - b).norm() for a, b in zip(plain.B, sl2_chain_float.B))
     worst_sharp = max((a - b).norm() for a, b in zip(sharp.B, sl2_chain_float.B))
     assert worst_sharp < worst_plain / 100
@@ -433,8 +433,8 @@ def test_exact_integrals_match_pinned_entries(h3_chain_reps, coeff, route):
 def test_exact_integration_never_goes_dense(h3_chain_reps, monkeypatch):
     """No dense block or total matrix of an operator on a representation
     space: every dense copy of an operator goes through ``_dense``, which
-    the algebra's own small operators (the adjoint series of the merged
-    pair) may still use."""
+    operators on other spaces may still use (the merged pair now takes
+    its adjoint series on coordinate vectors)."""
     spaces = {rep.complex.space for rep in h3_chain_reps.values()}
     to_dense = GradedOperator._dense
 
@@ -462,6 +462,31 @@ def _big_letters(shape, n):
     if shape == "diagonal":
         return [[n, 1, 1], [1, n, 3], [2, 1, n]]
     return [[n, n, n], [n, -n, n], [-n, n, n]]
+
+
+@pytest.mark.parametrize("coeff, shape, route, last", [
+    ("trivial", "diagonal", "polynomial", 6),
+    ("trivial", "full", "polynomial", 6),
+    ("adjoint", "diagonal", "polynomial", 4),
+    ("adjoint", "full", "polynomial", 4),
+    ("trivial", "diagonal", "merged", 9),
+    ("trivial", "full", "merged", 9),
+    ("adjoint", "diagonal", "merged", 6),
+    ("adjoint", "full", "merged", 6),      # 10^5 with one operator per coefficient
+])
+def test_exact_polynomial_routes_reach_on_large_letters(h3_chain_reps, coeff, shape, route,
+                                                        last):
+    """The polynomial route (three letters) and the merged pair (the first
+    two) succeed up to N = 10^last and exit past it with a one-line
+    ``ModeError`` naming int64; the reach of the routes with one operator
+    per coefficient is kept."""
+    rep = h3_chain_reps[coeff]
+    compute = {"polynomial": lambda w: word_integral_polynomial_exact(rep, w),
+               "merged": lambda w: merged_pair_integral_exact(rep, *w[:2])}[route]
+    assert compute([rep.algebra.vector(x) for x in _big_letters(shape, 10 ** last)]).norm() > 0
+    with pytest.raises(ModeError) as err:
+        compute([rep.algebra.vector(x) for x in _big_letters(shape, 10 ** (last + 1))])
+    assert "int64" in str(err.value) and "\n" not in str(err.value)
 
 
 @pytest.mark.parametrize("rep, shape, n, code, block", [

@@ -202,7 +202,7 @@ def test_compose_count_does_not_grow_with_the_algebra(monkeypatch, mode):
         assert cartan_residuals(rep).worst == 0.0
         counts.append(len(calls))
         monkeypatch.undo()
-    assert counts == [11, 11]
+    assert counts == [6, 6]
 
 
 @pytest.mark.parametrize("entry", [2 ** 62, 3 * 10 ** 9], ids=["compose", "sum"])

@@ -18,6 +18,7 @@ from cartankit.reps import (CartanRep, LieRep, adjoint_rep, adjunction_check, ca
                             evaluation_pairing_residual, hom_space, induced_map,
                             intertwiner_residual, restrict, tensor_rep, trivial_cartan_rep,
                             trivial_lie_rep)
+from dense_reference import apply
 from test_ce import _nilpotent
 
 
@@ -414,9 +415,10 @@ def _reference_induced_map(v_rep, w_rep, phi0):
     entries = []
     for deg, elements in labels.items():
         for c, (subset, q, i) in enumerate(elements):
-            img = phi0.apply({q: linalg.unit_vector(v_rep.complex.space.dim(q), i, w_rep.mode)})
+            img = apply(phi0, {q: linalg.unit_vector(v_rep.complex.space.dim(q), i,
+                                                     w_rep.mode)})
             for idx in reversed(subset):
-                img = w_rep.B[idx].apply(img)
+                img = apply(w_rep.B[idx], img)
             entries += [(deg, r, c, v) for r, v in enumerate(img.get(deg, [])) if v != 0]
     space = GradedVectorSpace({deg: len(elements) for deg, elements in labels.items()})
     return GradedOperator.from_entries(space, w_rep.complex.space, 0, entries, w_rep.mode)

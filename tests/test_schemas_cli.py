@@ -8,10 +8,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from cartankit import cli, linalg, schemas
+from cartankit import cli, linalg, schemas, suites
 from cartankit.linalg import EXACT
 from cartankit.reps import cartan_residuals
 from cartankit.schemas import dump_operator, load_algebra
+from test_ce import _nilpotent
 
 
 SL2_PAYLOAD = {
@@ -358,6 +359,41 @@ def test_cli_exit_two_on_algebra_over_budget(tmp_path, capsys, dim):
     assert code == 2 and elapsed < 1.0
     assert len(lines) == 1 and "Traceback" not in err
     assert f"dimension {dim} is over the budget of {schemas.MAX_ALGEBRA_DIM}" in lines[0]
+
+
+def _n4_file(tmp_path):
+    """n_4 (6-dim) with its 64-dim chain representation of trivial coefficients."""
+    g = _nilpotent(4)
+    brackets = [{"i": i, "j": j, "coeffs": {str(k): str(g.c[i, j, k])
+                                            for k in range(g.n) if g.c[i, j, k]}}
+                for i in range(g.n) for j in range(i + 1, g.n) if any(g.c[i, j])]
+    payload = {"schema": "cartankit/1", "settings": {"mode": "float"},
+               "lie_algebra": {"dim": g.n, "name": "n4", "brackets": brackets},
+               "representations": {"chain_trivial": {"functor": "U", "coefficients": "trivial"}},
+               "lie_representations": {"adjoint": "adjoint"}, "words": {}}
+    path = tmp_path / "n4.json"
+    path.write_text(json.dumps(payload))
+    return str(path)
+
+
+def test_cli_float_adjunction_over_the_system_budget_exits_two(tmp_path, capsys):
+    """Maps out of the 384-dim chain representation of the n_4 adjoint into
+    the 64-dim one: the dense float system (66,528 x 5,544, and the SVD's
+    U) is refused from the dimensions alone, while the sparse exact route
+    finds the maps."""
+    path = _n4_file(tmp_path)
+    argv = ["adjunction", path, "--lie-rep", "adjoint", "--rep", "chain_trivial", "--json"]
+    start = time.perf_counter()
+    code = cli.main(argv)
+    elapsed = time.perf_counter() - start
+    err = capsys.readouterr().err
+    lines = err.strip().splitlines()
+    assert code == 2 and elapsed < 1.0
+    assert len(lines) == 1 and "Traceback" not in err
+    assert "66528 x 5544" in lines[0] and f"budget of {suites.MAX_FLOAT_SYSTEM}" in lines[0]
+    assert cli.main(argv + ["--mode", "exact"]) == 0
+    records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert records[0]["inputs"]["dims"] == [3, 3]
 
 
 def test_complex_budget_admits_the_largest_tested_case():
