@@ -264,8 +264,10 @@ def _cauchy(p: int, q: int, antiderivative: bool):
     t^j of the right) goes to r = i + j, or with the antiderivative to
     r = i + j + 1 with weight 1 / r; cached, so a tuple of rows."""
     shift = int(antiderivative)
-    return tuple(tuple((Fraction(1, r) if antiderivative else 1) if i + j + shift == r else 0
-                       for j in range(q) for i in range(p)) for r in range(p + q - 1 + shift))
+    h = [[0] * (p * q) for _ in range(p + q - 1 + shift)]
+    for j, i in iter_product(range(q), range(p)):
+        h[i + j + shift][j * p + i] = Fraction(1, i + j + 1) if antiderivative else 1
+    return tuple(map(tuple, h))
 
 
 def _poly_product(f, g=None, antiderivative=False):
