@@ -4,17 +4,19 @@ A graded space (dict degree -> dimension) is laid out as the direct sum of
 its degrees in increasing order, and a graded operator is one sparse matrix
 over the layouts of its source and target: row-major sorted arrays of its
 nonzero entries, float64 in float mode and int64 numerators over one common
-denominator in exact mode, reduced by their gcd after every operation.  An
-exact operation whose numerators could leave int64 raises ``ModeError``:
-an entry of a product or of a relabelling that does not fit once
-summed exactly, or a tensor product, sum or scalar multiple over its bound
-(max|A| * max|B| and the like).
+denominator in exact mode, reduced by their gcd after every operation.  It
+is read off a block-entries vector (dense: the blocks by source degree,
+each row-major) or off entry arrays (sparse: label, block, row, column,
+value), both through one int64 check.  An exact operation whose numerators
+could leave int64 raises ``ModeError``: an entry of a product or of a
+relabelling that does not fit once summed exactly, or a tensor product,
+sum or scalar multiple over its bound (max|A| * max|B| and the like).
 Nothing wraps around or falls back to float.  Only this module knows the
 layout.  Every constructed complex verifies that its differential (of
 degree +1) squares to zero.  A family of n parallel operators is stored as
-one operator V -> K ox W over a degree-0 space K of n labels (``stack``);
-tensor products and duals act on such stacks label by label, and
-``relabel`` maps the labels by a scalar matrix.
+one operator V -> K ox W over the degree-0 space K = ``label_space(n)`` of
+n labels (``stack``); tensor products and duals act on such stacks label
+by label, and ``relabel`` maps the labels by a scalar matrix.
 """
 
 import math
@@ -77,6 +79,12 @@ class GradedVectorSpace:
 
 
 @lru_cache(maxsize=64)
+def label_space(n) -> GradedVectorSpace:
+    """The degree-0 space K of the n labels of ``stack``, built once per n."""
+    return GradedVectorSpace({0: n})
+
+
+@lru_cache(maxsize=64)
 def _block_entries(source, target, degree):
     """Flat indices of the block entries of a degree-``degree`` map, in the
     total matrix row-major: blocks by source degree, each row-major.  Cached
@@ -92,19 +100,12 @@ def _block_entries(source, target, degree):
     return out
 
 
-def _entry_arrays(source, target, degree, entries, mode):
-    """Arguments of ``_fill`` for (k, row, col, value) entries of the blocks k."""
-    rows = np.array([target._starts[k + degree] + r for k, r, _, _ in entries], dtype=int)
-    cols = np.array([source._starts[k] + c for k, _, c, _ in entries], dtype=int)
-    return (source, target, degree, mode, rows, cols,
-            *_numerators([e[3] for e in entries], mode))
-
-
 def _numerators(values, mode):
-    """Value array and denominator of a list of scalars."""
+    """Value array and denominator of the scalars of a new operator: the one
+    int64 check of exact input."""
     if mode == FLOAT:
         return np.asarray(values, dtype=float), 1
-    if isinstance(values, np.ndarray) and values.dtype.kind in "iu":
+    if isinstance(values, np.ndarray) and values.dtype.kind == "i":
         return values.astype(np.int64), 1
     fracs = [Fraction(v) for v in values]
     den = math.lcm(*(f.denominator for f in fracs))
@@ -114,28 +115,15 @@ def _numerators(values, mode):
 
 
 class GradedOperator:
-    """Graded linear map V -> W of fixed degree, built from dense blocks.
+    """Graded linear map V -> W of fixed degree, read off a block-entries
+    vector or entry arrays (``from_block_entries``, ``stack_entries``).
 
     ``block(k)`` is a dense copy of V^k -> W^(k+degree) (``Fraction`` entries
-    in exact mode) and ``blocks`` the read-only dict of the nonzero blocks.
-    The mode comes from every block given, so zero exact blocks stay exact."""
+    in exact mode) and ``blocks`` the read-only dict of the nonzero blocks."""
 
-    def __init__(self, source, target, degree, blocks, mode=None):
-        entries = []
-        for k, b in blocks.items():
-            b = np.asarray(b)
-            if b.shape != (target.dim(k + degree), source.dim(k)):
-                raise ValueError(f"block {k}: shape {b.shape}, expected "
-                                 f"{(target.dim(k + degree), source.dim(k))}")
-            if mode is None:
-                mode = linalg.mode_of(b)
-            elif mode != linalg.mode_of(b):
-                raise ModeError("mixed-mode blocks in one operator")
-            entries += [(k, r, c, b[r, c]) for r, c in zip(*np.nonzero(b))]
-        self._fill(*_entry_arrays(source, target, degree, entries, mode or FLOAT))
-
-    def _fill(self, source, target, degree, mode, rows, cols, data, den=1):
-        """Store entries row-major, duplicates summed in input order, no zeros."""
+    def __init__(self, source, target, degree, mode, rows, cols, data, den=1):
+        """Store entries of the layout row-major, duplicates summed in input
+        order, no zeros: ``data`` over ``den``.  Only this module calls it."""
         self.source, self.target, self.degree, self.mode = source, target, int(degree), mode
         keys = rows * source.total_dim + cols
         if not (keys[1:] > keys[:-1]).all():
@@ -152,31 +140,28 @@ class GradedOperator:
             g = math.gcd(den, int(np.gcd.reduce(data)))
             data, den = data // g, den // g
         self._rows, self._cols, self._data, self._den = rows, cols, data, (den if len(data) else 1)
-        return self
-
-    @classmethod
-    def from_entries(cls, source, target, degree, entries, mode):
-        """Operator from (k, row, col, value) entries of the blocks k."""
-        return _new(*_entry_arrays(source, target, degree, entries, mode))
 
     @classmethod
     def from_block_entries(cls, source, target, degree, vec, mode):
         """Operator with blocks (by source degree, row-major) read off ``vec``."""
         nz = np.flatnonzero(vec)
         pos = _block_entries(source, target, degree)[nz]
-        return _new(source, target, degree, mode, pos // source.total_dim,
-                    pos % source.total_dim, *_numerators(np.asarray(vec)[nz], mode))
+        return cls(source, target, degree, mode, pos // source.total_dim,
+                   pos % source.total_dim, *_numerators(np.asarray(vec)[nz], mode))
 
     @classmethod
     def zero(cls, source, target, degree, mode):
-        return cls(source, target, degree, {}, mode=mode)
+        return cls(source, target, degree, mode, _NONE, _NONE, *_numerators([], mode))
 
     @classmethod
+    @lru_cache(maxsize=256)
     def identity(cls, space, mode):
         """The identity of ``space``, built once per (space, mode) and shared:
         its entry arrays are read-only, and no operation writes into an
         operand."""
-        return _identity(space, mode)
+        diagonal = np.arange(space.total_dim)
+        return read_only(cls(space, space, 0, mode, diagonal, diagonal,
+                             *_numerators(np.ones(space.total_dim, dtype=int), mode)))
 
     def _values(self, data):
         return data if self.mode == FLOAT else [Fraction(int(v), self._den) for v in data]
@@ -236,24 +221,12 @@ class GradedOperator:
         return f"GradedOperator(degree={self.degree}, blocks={degrees})"
 
 
-def _new(source, target, degree, mode, rows, cols, data, den=1) -> GradedOperator:
-    return GradedOperator.__new__(GradedOperator)._fill(source, target, degree, mode,
-                                                        rows, cols, data, den)
-
-
 def read_only(op) -> GradedOperator:
     """Mark the entry arrays of ``op`` read-only, so that it can be cached and
     shared: no operation writes into an operand."""
     for a in (op._rows, op._cols, op._data):
         a.flags.writeable = False
     return op
-
-
-@lru_cache(maxsize=256)
-def _identity(space, mode):
-    diagonal = np.arange(space.total_dim)
-    return read_only(_new(space, space, 0, mode, diagonal, diagonal,
-                          np.ones(space.total_dim, dtype=float if mode == FLOAT else np.int64)))
 
 
 def _narrow(op, what) -> GradedOperator:
@@ -281,8 +254,9 @@ def compose(f: GradedOperator, g: GradedOperator) -> GradedOperator:
     a, b = f._data[mine], g._data[theirs]
     wide = f.mode == EXACT and len(mine) and \
         f._max() * g._max() * int(np.bincount(f._rows).max()) > _MAX
-    out = _new(g.source, f.target, f.degree + g.degree, f.mode, f._rows[mine], g._cols[theirs],
-               a.astype(object) * b.astype(object) if wide else a * b, f._den * g._den)
+    out = GradedOperator(g.source, f.target, f.degree + g.degree, f.mode, f._rows[mine],
+                         g._cols[theirs], a.astype(object) * b.astype(object) if wide else a * b,
+                         f._den * g._den)
     return _narrow(out, "compose") if wide else out
 
 
@@ -311,7 +285,8 @@ def combination(coeffs, ops) -> GradedOperator:
     parts = [(op._rows, op._cols, op._data * k) for k, (_, op) in zip(factors, terms)]
     if len(parts) != 1:
         parts = [[np.concatenate(a) for a in zip((_NONE, _NONE, first._data[:0]), *parts)]]
-    return _new(first.source, first.target, first.degree, first.mode, *parts[0], den)
+    return GradedOperator(first.source, first.target, first.degree, first.mode, *parts[0],
+                          den)
 
 
 def graded_commutator(f: GradedOperator, g: GradedOperator) -> GradedOperator:
@@ -425,9 +400,9 @@ def _tensor_sum(pairs, descending=False, signs=None, labels=None):
     target = tensor_space(v, w)
     if any(t is not None for t in tags):
         rows = _stacked_rows(labels, target, np.concatenate(tags), rows)
-        target = tensor_space(GradedVectorSpace({0: labels}), target)
-    return _new(tensor_space(f0.source, g0.source), target, f0.degree + g0.degree, f0.mode,
-                rows, cols, data, den)
+        target = tensor_space(label_space(labels), target)
+    return GradedOperator(tensor_space(f0.source, g0.source), target, f0.degree + g0.degree,
+                          f0.mode, rows, cols, data, den)
 
 
 def _split_labels(op, labels):
@@ -470,18 +445,17 @@ def _label_join(fl, gl, n):
 def _stacked_rows(n, w, label, rows):
     """Layout position in K ox W (K the n labels of ``stack``) of each label
     and row of W."""
-    return _tensor_position(GradedVectorSpace({0: n}), w)[label * w.total_dim + rows]
+    return _tensor_position(label_space(n), w)[label * w.total_dim + rows]
 
 
 @lru_cache(maxsize=64)
 def _unlabel(n, target):
-    """W with target = K ox W, K = GradedVectorSpace({0: n}) the labels of
-    ``stack``, and the label and position in W of each basis vector of
-    target."""
+    """W with target = K ox W, K = label_space(n) the labels of ``stack``,
+    and the label and position in W of each basis vector of target."""
     w = GradedVectorSpace({k: d // n for k, d in target.dims.items()})
-    if target != tensor_space(GradedVectorSpace({0: n}), w):
+    if target != tensor_space(label_space(n), w):
         raise ValueError(f"target is not stacked over {n} labels")
-    pos = _tensor_position(GradedVectorSpace({0: n}), w)
+    pos = _tensor_position(label_space(n), w)
     index = np.empty_like(pos)
     index[pos] = np.arange(len(pos))
     label, row = index // max(w.total_dim, 1), index % max(w.total_dim, 1)
@@ -518,9 +492,9 @@ def relabel(h, op) -> GradedOperator:
         wide, nums, den = False, np.asarray(values, dtype=float), 1
     mine, theirs = _label_join(label, of, n)
     data = op._data[mine]
-    out = _new(op.source, tensor_space(GradedVectorSpace({0: m}), w), op.degree, op.mode,
-               _stacked_rows(m, w, to[theirs], row[mine]), op._cols[mine],
-               (data.astype(object) if wide else data) * nums[theirs], op._den * den)
+    out = GradedOperator(op.source, tensor_space(label_space(m), w), op.degree, op.mode,
+                         _stacked_rows(m, w, to[theirs], row[mine]), op._cols[mine],
+                         (data.astype(object) if wide else data) * nums[theirs], op._den * den)
     return _narrow(out, "sum") if wide else out
 
 
@@ -531,13 +505,13 @@ def label_combination(x, op) -> GradedOperator:
 
 
 def on_labels(n, op) -> GradedOperator:
-    """1_K ox op, K = GradedVectorSpace({0: n}) the labels of ``stack``."""
-    return tensor_operator(GradedOperator.identity(GradedVectorSpace({0: n}), op.mode), op)
+    """1_K ox op, K = label_space(n) the labels of ``stack``."""
+    return tensor_operator(GradedOperator.identity(label_space(n), op.mode), op)
 
 
 def stack(ops) -> GradedOperator:
     """The parallel operators f_1 .. f_n: V -> W as one operator V -> K ox W,
-    K = GradedVectorSpace({0: n}) a degree-0 space of labels, whose block i
+    K = label_space(n) a degree-0 space of labels, whose block i
     is f_i (the sum of unit_i ox f_i).  K sits in degree 0, so no Koszul sign
     enters: (1_K ox g) stack(fs) stacks the g f_i, and (h ox 1_W) stack(fs)
     for h: K -> K' takes combinations of the labels.  The blocks do not
@@ -555,9 +529,9 @@ def stack(ops) -> GradedOperator:
     label = np.repeat(np.arange(n), [len(op._rows) for op in ops])
     rows = _stacked_rows(n, f0.target, label, np.concatenate([op._rows for op in ops]))
     data = [op._data * (den // op._den) for op in ops]
-    return _new(f0.source, tensor_space(GradedVectorSpace({0: n}), f0.target), f0.degree,
-                f0.mode, rows, np.concatenate([op._cols for op in ops]), np.concatenate(data),
-                den)
+    return GradedOperator(f0.source, tensor_space(label_space(n), f0.target), f0.degree,
+                          f0.mode, rows, np.concatenate([op._cols for op in ops]),
+                          np.concatenate(data), den)
 
 
 def unstack(op, n):
@@ -567,8 +541,8 @@ def unstack(op, n):
     order = np.argsort(label, kind="stable")
     bounds = np.searchsorted(label[order], np.arange(n + 1))
     rows, cols, data = row[order], op._cols[order], op._data[order]
-    return [_new(op.source, w, op.degree, op.mode, rows[a:b], cols[a:b], data[a:b], op._den)
-            for a, b in zip(bounds[:-1], bounds[1:])]
+    return [GradedOperator(op.source, w, op.degree, op.mode, rows[a:b], cols[a:b], data[a:b],
+                           op._den) for a, b in zip(bounds[:-1], bounds[1:])]
 
 
 def _labelled(op, n):
@@ -581,13 +555,14 @@ def _labelled(op, n):
 def stack_entries(n, source, target, degree, entries, mode) -> GradedOperator:
     """The operator source -> K ox target stacked over n labels (``stack``)
     from arrays (label, k, row, col, value): ``value`` at (row, col) of the
-    block k of the label's operator, row and col counted within the block."""
+    block k of the label's operator, row and col counted within the block.
+    A plain operator source -> target is the case n = 1 (K_1 ox W is W)."""
     label, k, row, col = (np.asarray(a, dtype=int) for a in entries[:4])
     rows = _stacked_rows(n, target, label,
                          np.searchsorted(target._index_degrees, k + degree) + row)
     cols = np.searchsorted(source._index_degrees, k) + col
-    return _new(source, tensor_space(GradedVectorSpace({0: n}), target), degree, mode, rows,
-                cols, *_numerators(entries[4], mode))
+    return GradedOperator(source, tensor_space(label_space(n), target), degree, mode, rows,
+                          cols, *_numerators(entries[4], mode))
 
 
 def reversed_tensor(v, w, sign=None):
@@ -644,20 +619,22 @@ def dual_operator(op: GradedOperator, space: GradedVectorSpace, sign,
     """Transpose of an endomorphism onto the dual ``space``, (V*)^q = (V^-q)*:
     the block at q is ``sign(q)`` times the transpose of op's block at
     -q - degree.  One signed transpose: the block-reversing permutation of
-    ``dual_space`` and a sign per source degree.  With ``labels`` = n, an op
-    whose target is not its source is a family V -> K ox V stacked over n
-    labels (``stack``), as in ``_tensor_sum``, transposed label by label
-    into space -> K ox space."""
+    ``dual_space`` and one ``sign`` call per degree of ``space``.  With
+    ``labels`` = n, an op whose target is not its source is a family
+    V -> K ox V stacked over n labels (``stack``), as in ``_tensor_sum``,
+    transposed label by label into space -> K ox space."""
     rev = np.concatenate([_NONE] + [space._starts[-k] + np.arange(d)
                                     for k, d in sorted(op.source.dims.items())])
-    signs = np.array([sign(q) for q in space._index_degrees], dtype=int)
+    signs = np.repeat(np.array([sign(q) for q in space.degrees], dtype=int),
+                      [space.dims[q] for q in space.degrees])
     target, rows, cols = space, rev[op._cols], op._rows
     if labels is not None and op.target != op.source:
         _, label, cols = _labelled(op, labels)
-        target = tensor_space(GradedVectorSpace({0: labels}), space)
+        target = tensor_space(label_space(labels), space)
         rows = _stacked_rows(labels, space, label, rows)
     cols = rev[cols]
-    return _new(space, target, op.degree, op.mode, rows, cols, op._data * signs[cols], op._den)
+    return GradedOperator(space, target, op.degree, op.mode, rows, cols, op._data * signs[cols],
+                          op._den)
 
 
 def dual_complex(vc: CochainComplex) -> CochainComplex:

@@ -35,12 +35,13 @@ import numpy as np
 from . import ce, linalg
 from .graded import (CochainComplex, GradedOperator, GradedVectorSpace, combination,
                      compose, dual_complex, dual_operator, dual_space, exp_terms,
-                     label_combination, on_labels, read_only, relabel, stack,
+                     label_combination, label_space, on_labels, read_only, relabel, stack,
                      stack_entries, tensor_basis_index, tensor_complex, tensor_operator,
                      tensor_space, unstack)
 from .linalg import EXACT
 
 LETTER_CACHE = 64               # letters a CartanRep keeps (``CartanRep.letter``)
+_UNIT_ENTRY = ([0], [0], [0], [0], [1])     # ``stack_entries``: 1 at row 0, col 0 of block 0
 
 
 def _family(ops, algebra, space, degree, what, count):
@@ -53,8 +54,7 @@ def _family(ops, algebra, space, degree, what, count):
     if any(op.degree != degree for op in (ops if listed else [ops])):
         raise ValueError(f"{what} must have degree {degree}")
     ops = stack(ops) if listed else ops
-    if ops.source != space or ops.target != tensor_space(GradedVectorSpace({0: algebra.n}),
-                                                        space):
+    if ops.source != space or ops.target != tensor_space(label_space(algebra.n), space):
         raise ValueError(count)
     return ops
 
@@ -185,7 +185,7 @@ class CartanReport:
 @lru_cache(maxsize=64)
 def _label_maps(algebra, mode):
     """The label maps of the relation families, as ``relabel`` matrices on
-    the labels K = GradedVectorSpace({0: n}) of ``stack``, label (j, i) of
+    the labels K = label_space(n) of ``stack``, label (j, i) of
     K ox K at j n + i: the swap (j, i) -> (i, j), and c: K -> K ox K with
     c(e_k) = sum_{i,j} c[i, j, k] e_j ox e_i, so label (j, i) of
     relabel(c, stack(h)) is sum_k c[i, j, k] h_k.  Label (j, i) of
@@ -222,8 +222,7 @@ def cartan_residuals(rep: CartanRep) -> CartanReport:
 
 def _zero_family(algebra, complex_, degree, mode):
     space = complex_.space
-    return GradedOperator.zero(space, tensor_space(GradedVectorSpace({0: algebra.n}), space),
-                               degree, mode)
+    return GradedOperator.zero(space, tensor_space(label_space(algebra.n), space), degree, mode)
 
 
 def trivial_lie_rep(algebra, dim=1, degree=0, mode=EXACT) -> LieRep:
@@ -260,7 +259,7 @@ def cartan_dgla(algebra) -> CartanRep:
         raise ValueError("structure constants fail antisymmetry/Jacobi")
     n = algebra.n
     space = GradedVectorSpace({-1: n, 0: n})
-    d = GradedOperator.from_entries(space, space, 1, [(-1, i, i, 1) for i in range(n)], EXACT)
+    d = stack_entries(1, space, space, 1, ([0] * n, [-1] * n, range(n), range(n), [1] * n), EXACT)
     i, j, k = np.nonzero(algebra.c)
     c = algebra.c[i, j, k]
     both = [np.concatenate([a, a]) for a in (i, k, j, c)]
@@ -342,10 +341,11 @@ def _pairing_functional(rep: CartanRep) -> GradedOperator:
     """ev: (V ox V*)^0 -> R, v ox phi -> phi(v)."""
     vs = rep.complex.space
     ds = dual_space(vs)
-    entries = [(0, 0, tensor_basis_index(vs, ds, p, i, -p, i)[1], 1)
-               for p in vs.degrees for i in range(vs.dim(p))]
-    return GradedOperator.from_entries(tensor_space(vs, ds), GradedVectorSpace({0: 1}), 0,
-                                       entries, rep.mode)
+    cols = [tensor_basis_index(vs, ds, p, i, -p, i)[1] for p in vs.degrees
+            for i in range(vs.dim(p))]
+    zeros = [0] * len(cols)
+    return stack_entries(1, tensor_space(vs, ds), label_space(1), 0,
+                         (zeros, zeros, zeros, cols, [1] * len(cols)), rep.mode)
 
 
 # ---------------------------------------------------------------------------
@@ -406,8 +406,8 @@ def induced_map(v_rep: LieRep, w_rep: CartanRep, phi0: GradedOperator) -> Graded
     n, mode, space = v_rep.algebra.n, w_rep.mode, v_rep.complex.space
     if phi0.mode != mode:
         raise linalg.ModeError(f"induced_map: phi0 is {phi0.mode}, W is {mode}")
-    augmentation = GradedOperator.from_entries(ce.exterior(n, mode).space,
-                                               GradedVectorSpace({0: 1}), 0, [(0, 0, 0, 1)], mode)
+    augmentation = stack_entries(1, ce.exterior(n, mode).space, label_space(1), 0, _UNIT_ENTRY,
+                                 mode)
     phi = ce.CEBasis(n, space, "chain").place(None, (augmentation, phi0))
     for b, lower in reversed(list(zip(w_rep.B, ce.first_contractions(n, mode, space)))):
         phi = phi + compose(b, compose(phi, lower))
@@ -447,8 +447,7 @@ def adjunction_check(v_rep: LieRep, w_rep: CartanRep, tol=linalg.DEFAULT_TOL) ->
     d2 = len(lie_maps)
     # restricting phi to Lambda^0 ox V is composing with iota = unit ox 1, unit: 1 -> Lambda^0
     n, space, mode = v_rep.algebra.n, v_rep.complex.space, w_rep.mode
-    unit = GradedOperator.from_entries(GradedVectorSpace({0: 1}), ce.exterior(n, mode).space, 0,
-                                       [(0, 0, 0, 1)], mode)
+    unit = stack_entries(1, label_space(1), ce.exterior(n, mode).space, 0, _UNIT_ENTRY, mode)
     iota = ce.CEBasis(n, space, "chain").place(None, (unit, GradedOperator.identity(space, mode)))
     worst = 0.0
     for phi0 in lie_maps:

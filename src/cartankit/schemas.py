@@ -93,16 +93,18 @@ def load_algebra(payload) -> LieAlgebra:
 
 
 def load_operator(payload, space, degree, mode) -> GradedOperator:
-    """Each block must be exactly (dim target) rows x (dim source) columns."""
+    """Each block must be (dim target) rows x (dim source) columns; one not given is zero."""
     blocks = {}
     for key, rows in (payload or {}).items():
         k = int(key)
         shape = (space.dim(k + degree), space.dim(k))
         if len(rows) != shape[0] or any(len(row) != shape[1] for row in rows):
             raise ValueError(f"block {k} must be {shape[0]} x {shape[1]}")
-        blocks[k] = np.array([[linalg.parse_scalar(v, mode) for v in row] for row in rows],
-                             dtype=object if mode == EXACT else float).reshape(shape)
-    return GradedOperator(space, space, degree, blocks, mode=mode)
+        blocks[k] = [linalg.parse_scalar(v, mode) for row in rows for v in row]
+    vec = [v for k in space.degrees
+           for v in blocks.get(k, [0] * (space.dim(k + degree) * space.dim(k)))]
+    return GradedOperator.from_block_entries(
+        space, space, degree, np.array(vec, dtype=object if mode == EXACT else float), mode)
 
 
 def dump_operator(op: GradedOperator):

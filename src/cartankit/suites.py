@@ -85,12 +85,12 @@ def integrate_word(problem, rep_name, word_name, method="both") -> Report:
     s = problem.settings
     if method in ("quadrature", "both"):
         _check_nodes(s.order, len(letters))
+        if rep.mode != FLOAT:
+            raise linalg.ModeError("quadrature requires float mode")
     results = {}
     if method in ("series", "both"):
         results["series"] = integrate.integrate_series(rep, letters, max_degree=s.series_cap)
     if method in ("quadrature", "both"):
-        if rep.mode != FLOAT:
-            raise linalg.ModeError("quadrature requires float mode")
         flat = FlatRep(rep)
         results["quadrature"] = integrate.integrate_quadrature(
             flat, WordEvaluator(flat, letters), s.order)

@@ -18,7 +18,9 @@ is ad_x as a graded operator on the algebra, and ``apply`` applies an
 operator to coefficient vectors block by block.
 ``tensordot_jacobi`` contracts the ``Fraction`` structure constants as
 object arrays.  ``exp_operator`` exponentiates any degree-0 operator, in
-either mode.
+either mode.  ``operator_from_blocks`` (a dict of dense blocks) and
+``operator_from_entries`` ((k, row, col, value) tuples) build operators
+from the two input formats the package dropped, on the two it keeps.
 """
 
 from fractions import Fraction
@@ -33,10 +35,37 @@ from cartankit.ce import exterior
 from cartankit.evaluators import (AffineReparam, MaxCollapseReparam, PermReparam,
                                   ProductEvaluator, WordEvaluator)
 from cartankit.graded import (GradedOperator, GradedVectorSpace, combination, compose,
-                              dual_operator, exp_terms, graded_commutator, tensor_operator)
+                              dual_operator, exp_terms, graded_commutator, stack_entries,
+                              tensor_operator)
 from cartankit.integrate import compositions, series_coefficient
-from cartankit.linalg import EXACT, FLOAT
+from cartankit.linalg import EXACT, FLOAT, ModeError
 from cartankit.reps import CartanReport
+
+
+def operator_from_entries(source, target, degree, entries, mode):
+    """Operator from (k, row, col, value) entries of the blocks k, row and
+    col counted within the block: the one-label ``stack_entries``."""
+    columns = [list(c) for c in zip(*entries)] or [[]] * 4
+    return stack_entries(1, source, target, degree, ([0] * len(entries), *columns), mode)
+
+
+def operator_from_blocks(source, target, degree, blocks, mode=None):
+    """Operator from dense blocks {k: V^k -> W^(k+degree)}, one entry tuple
+    per nonzero (``operator_from_entries``).  ``ValueError`` on a block of
+    the wrong shape; the mode comes from every block given (so zero exact
+    blocks stay exact, and mixed modes raise ``ModeError``), float if none."""
+    entries = []
+    for k, b in blocks.items():
+        b = np.asarray(b)
+        if b.shape != (target.dim(k + degree), source.dim(k)):
+            raise ValueError(f"block {k}: shape {b.shape}, expected "
+                             f"{(target.dim(k + degree), source.dim(k))}")
+        if mode is None:
+            mode = linalg.mode_of(b)
+        elif mode != linalg.mode_of(b):
+            raise ModeError("mixed-mode blocks in one operator")
+        entries += [(k, r, c, b[r, c]) for r, c in zip(*np.nonzero(b))]
+    return operator_from_entries(source, target, degree, entries, mode or FLOAT)
 
 
 def _starts(space):
@@ -94,7 +123,7 @@ def exp_operator(op, t=1):
         terms = exp_terms(Fraction(t) * op)
         return sum(terms[1:], terms[0])
     blocks = {k: linalg.expm(op.block(k), t) for k in op.source.degrees}
-    return GradedOperator(op.source, op.source, 0, blocks, mode=op.mode)
+    return operator_from_blocks(op.source, op.source, 0, blocks, mode=op.mode)
 
 
 def operator_of(flat, x):
@@ -284,9 +313,9 @@ def loop_exterior(n, mode):
     space = GradedVectorSpace({-m: comb(n, m) for m in range(n + 1)})
     wedges = [[(-len(s), index[tuple(sorted(s + (i,)))], j, (-1) ** sum(t < i for t in s))
                for s, j in index.items() if i not in s] for i in range(n)]
-    eps = [GradedOperator.from_entries(space, space, -1, w, mode) for w in wedges]
-    iota = [GradedOperator.from_entries(space, space, 1, [(k - 1, c, r, v) for k, r, c, v in w],
-                                        mode) for w in wedges]
+    eps = [operator_from_entries(space, space, -1, w, mode) for w in wedges]
+    iota = [operator_from_entries(space, space, 1, [(k - 1, c, r, v) for k, r, c, v in w], mode)
+            for w in wedges]
     return eps, iota
 
 
@@ -309,7 +338,7 @@ def per_generator_cartan_operators(cec):
 def ad_operator(algebra, x):
     """ad_x as a degree-0 operator on the algebra, placed in degree 0."""
     space = GradedVectorSpace({0: algebra.n})
-    return GradedOperator(space, space, 0, {0: algebra.ad(x)}, mode=linalg.mode_of(x))
+    return operator_from_blocks(space, space, 0, {0: algebra.ad(x)}, mode=linalg.mode_of(x))
 
 
 def per_generator_adjoint(algebra, mode):

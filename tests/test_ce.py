@@ -17,6 +17,7 @@ from cartankit.lie import LieAlgebra, abelian, heisenberg3, sl2, su2
 from cartankit.linalg import EXACT, FLOAT, format_scalar
 from cartankit.reps import (adjoint_rep, chain_rep, cochain_rep, dual_lie_rep, restrict,
                             trivial_lie_rep)
+from dense_reference import operator_from_blocks
 
 
 @pytest.mark.parametrize("mode", [EXACT, FLOAT])
@@ -82,7 +83,7 @@ def test_cohomology_utility_cases():
     zero = GradedOperator.zero(space, space, 1, FLOAT)
     assert cohomology_dims(CochainComplex(space, zero)) == {0: 2, 1: 3}
     two = GradedVectorSpace({0: 1, 1: 1})
-    iso = GradedOperator(two, two, 1, {0: np.array([[1.0]])})
+    iso = operator_from_blocks(two, two, 1, {0: np.array([[1.0]])})
     assert cohomology_dims(CochainComplex(two, iso)) == {0: 0, 1: 0}
 
 

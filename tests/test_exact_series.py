@@ -20,8 +20,8 @@ from cartankit.graded import (GradedOperator, GradedVectorSpace, compose, label_
 from cartankit.lie import heisenberg3
 from cartankit.linalg import EXACT, FLOAT, ModeError
 from cartankit.reps import LETTER_CACHE, adjoint_rep, chain_rep, trivial_lie_rep
-from dense_reference import (MatPoly, exp_poly, loop_series, pairwise_merged_pair,
-                             pairwise_word_integral)
+from dense_reference import (MatPoly, exp_poly, loop_series, operator_from_entries,
+                             pairwise_merged_pair, pairwise_word_integral)
 from test_ce import _nilpotent
 from test_stacked import _assert_same
 
@@ -159,8 +159,8 @@ def _labels(entries):
     """A stacked operator over len(entries) labels on a 2-dim degree-0
     space, label i the diagonal entries[i]."""
     space = GradedVectorSpace({0: 2})
-    return stack([GradedOperator.from_entries(space, space, 0,
-                                              [(0, r, r, v) for r, v in enumerate(row)], EXACT)
+    return stack([operator_from_entries(space, space, 0,
+                                        [(0, r, r, v) for r, v in enumerate(row)], EXACT)
                   for row in entries])
 
 

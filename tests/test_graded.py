@@ -14,12 +14,15 @@ from cartankit import cli, linalg
 from cartankit.ce import ce_chain, ce_cochain
 from cartankit.graded import (CochainComplex, GradedOperator, GradedVectorSpace, combination,
                               compose, dual_complex, dual_operator, dual_space,
-                              graded_commutator, reversed_tensor, tensor_basis_index,
+                              graded_commutator, label_combination, label_space, on_labels,
+                              relabel, reversed_tensor, stack_entries, tensor_basis_index,
                               tensor_complex, tensor_operator, tensor_space)
 from cartankit.lie import sl2
 from cartankit.linalg import EXACT, FLOAT, ModeError
 from cartankit.reps import adjoint_rep, chain_rep, cochain_rep, trivial_lie_rep
-from dense_reference import apply
+from cartankit.schemas import load_operator
+from dense_reference import apply, operator_from_blocks, operator_from_entries
+from test_stacked import _assert_same
 
 
 def _space(dims):
@@ -27,8 +30,8 @@ def _space(dims):
 
 
 def _op(space, degree, blocks):
-    return GradedOperator(space, space, degree,
-                          {k: np.asarray(b, dtype=float) for k, b in blocks.items()})
+    return operator_from_blocks(space, space, degree,
+                                {k: np.asarray(b, dtype=float) for k, b in blocks.items()})
 
 
 @pytest.fixture
@@ -42,7 +45,7 @@ def _random_op(space, degree, rng):
         rows, cols = space.dim(k + degree), space.dim(k)
         if rows and cols:
             blocks[k] = rng.uniform(-1, 1, size=(rows, cols))
-    return GradedOperator(space, space, degree, blocks, mode=FLOAT)
+    return operator_from_blocks(space, space, degree, blocks, mode=FLOAT)
 
 
 def test_identity_compose(two_degree_space):
@@ -66,8 +69,8 @@ def test_differential_squares_to_zero_enforced(two_degree_space):
     sq = compose(complex_.differential, complex_.differential)
     assert sq.norm() == 0.0
     bad_space = _space({-1: 1, 0: 1, 1: 1})
-    bad = GradedOperator(bad_space, bad_space, 1,
-                         {-1: np.array([[1.0]]), 0: np.array([[1.0]])})
+    bad = operator_from_blocks(bad_space, bad_space, 1,
+                               {-1: np.array([[1.0]]), 0: np.array([[1.0]])})
     with pytest.raises(ValueError):
         CochainComplex(bad_space, bad)
 
@@ -225,7 +228,7 @@ def _unit(n, i):
 def test_mixed_mode_rejected(two_degree_space):
     exact_block = np.empty((2, 2), dtype=object)
     exact_block[...] = Fraction(1)
-    f = GradedOperator(two_degree_space, two_degree_space, 0, {0: exact_block}, mode=EXACT)
+    f = operator_from_blocks(two_degree_space, two_degree_space, 0, {0: exact_block}, mode=EXACT)
     g = _op(two_degree_space, 0, {0: [[1.0, 0.0], [0.0, 1.0]]})
     with pytest.raises(ModeError):
         compose(f, g)
@@ -248,11 +251,15 @@ def test_dual_complex_squares_and_dims(two_degree_space):
 # ---------------------------------------------------------------------------
 
 def test_zero_exact_blocks_give_an_empty_exact_operator(two_degree_space):
-    zero = linalg.zeros((2, 2), EXACT)
-    op = GradedOperator(two_degree_space, two_degree_space, 0, {-1: zero, 0: zero.copy()})
-    assert op.mode == EXACT
-    assert op.blocks == {}
-    assert op.norm() == 0
+    """All-zero exact input stays exact: a block-entries vector of zero
+    ``Fraction``s, and problem-file blocks of zeros."""
+    space = two_degree_space
+    read = GradedOperator.from_block_entries(space, space, 0, linalg.zeros(8, EXACT), EXACT)
+    loaded = load_operator({"-1": [[0, 0], [0, 0]], "0": [["0", "0/3"], [0, 0]]}, space, 0, EXACT)
+    for op in (read, loaded):
+        assert op.mode == EXACT
+        assert op.blocks == {}
+        assert op.norm() == 0
 
 
 @pytest.mark.parametrize("build", [ce_chain, ce_cochain])
@@ -306,7 +313,7 @@ def _sparse_random_op(space, degree, rng, mode):
             if rng.random() < 0.3:
                 block[idx] = _random_entry(rng, mode)
         blocks[k] = block
-    return GradedOperator(space, space, degree, blocks, mode=mode)
+    return operator_from_blocks(space, space, degree, blocks, mode=mode)
 
 
 def _dense(op):
@@ -410,17 +417,34 @@ def test_exact_blocks_are_fractions_and_only_nonzero_blocks_are_stored():
             op.blocks[99] = None
 
 
-def test_exact_overflow_raises_mode_error():
+def _one_entry(value):
     space = _space({0: 1})
-    big = GradedOperator(space, space, 0, {0: np.array([[Fraction(2 ** 40)]], dtype=object)})
+    return GradedOperator.from_block_entries(space, space, 0, np.array([value], dtype=object),
+                                             EXACT)
+
+
+def test_exact_overflow_raises_mode_error():
+    big = _one_entry(Fraction(2 ** 40))
     with pytest.raises(ModeError, match="int64"):
         compose(big, big)
-    near = GradedOperator(space, space, 0, {0: np.array([[Fraction(2 ** 62)]], dtype=object)})
+    near = _one_entry(Fraction(2 ** 62))
     with pytest.raises(ModeError, match="int64"):
         near + near
     with pytest.raises(ModeError, match="int64"):
-        GradedOperator(space, space, 0, {0: np.array([[Fraction(2 ** 63)]], dtype=object)})
+        _one_entry(Fraction(2 ** 63))
+    with pytest.raises(ModeError, match="int64"):
+        stack_entries(1, big.source, big.target, 0, ([0], [0], [0], [0], [2 ** 63]), EXACT)
     assert (Fraction(1, 2 ** 40) * big).norm() == 1.0
+
+
+def test_unsigned_input_goes_through_the_int64_check():
+    space = _space({0: 1})
+    small = GradedOperator.from_block_entries(space, space, 0, np.array([7], dtype=np.uint8),
+                                              EXACT)
+    assert small._data.dtype == np.int64 and small.block(0)[0, 0] == 7
+    with pytest.raises(ModeError, match="int64"):
+        GradedOperator.from_block_entries(space, space, 0, np.array([2 ** 63], dtype=np.uint64),
+                                          EXACT)
 
 
 def test_exact_compose_sums_wide_products_exactly():
@@ -428,8 +452,8 @@ def test_exact_compose_sums_wide_products_exactly():
     # composite cancel down to numbers that fit, over a reduced denominator
     space = _space({0: 2})
     big = Fraction(2 ** 40, 3)
-    f = GradedOperator(space, space, 0, {0: np.array([[big, big], [1, 0]], dtype=object)})
-    g = GradedOperator(space, space, 0, {0: np.array(
+    f = operator_from_blocks(space, space, 0, {0: np.array([[big, big], [1, 0]], dtype=object)})
+    g = operator_from_blocks(space, space, 0, {0: np.array(
         [[big, Fraction(1, 5)], [-big, Fraction(-1, 5)]], dtype=object)})
     out = compose(f, g)
     assert out._data.dtype == np.int64
@@ -456,7 +480,7 @@ def test_cli_exit_two_on_exact_overflow(tmp_path, capsys):
 
 
 LAYOUT_NAMES = re.compile(r"\b(_starts|_index_degrees|_rows|_cols|_data|_den|_tensor_position"
-                          r"|_new|_fill)\b")
+                          r"|GradedOperator(?=\())\b")
 
 
 def test_only_graded_reads_the_layout():
@@ -476,8 +500,83 @@ def test_repr_lists_stored_degrees_without_dense_blocks(monkeypatch):
 
     monkeypatch.setattr(GradedOperator, "_stored", refuse)
     space = _space({-2: 1, -1: 2, 0: 3})
-    lower = GradedOperator.from_entries(space, space, -1, [(0, 1, 2, 5), (-1, 0, 1, -1)], EXACT)
+    lower = operator_from_entries(space, space, -1, [(0, 1, 2, 5), (-1, 0, 1, -1)], EXACT)
     assert repr(lower) == "GradedOperator(degree=-1, blocks=[-1, 0])"
-    top = GradedOperator.from_entries(space, space, 0, [(0, 2, 0, 1.5)], FLOAT)
+    top = operator_from_entries(space, space, 0, [(0, 2, 0, 1.5)], FLOAT)
     assert repr(top) == "GradedOperator(degree=0, blocks=[0])"
     assert repr(GradedOperator.zero(space, space, 1, EXACT)) == "GradedOperator(degree=1, blocks=[])"
+
+
+# ---------------------------------------------------------------------------
+# the two input formats, the label space and the dual's signs
+# ---------------------------------------------------------------------------
+
+def _random_blocks(source, target, degree, rng, mode):
+    """A dense block for every source degree, about a third of them zero."""
+    blocks = {}
+    for k in source.degrees:
+        block = linalg.zeros((target.dim(k + degree), source.dim(k)), mode)
+        if rng.random() > 1 / 3:
+            for idx in np.ndindex(block.shape):
+                if rng.random() < 0.5:
+                    block[idx] = _random_entry(rng, mode)
+        blocks[k] = block
+    return blocks
+
+
+_DIMS = st.lists(st.integers(0, 3), min_size=len(_DEGREES), max_size=len(_DEGREES))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_DIMS, _DIMS, st.sampled_from(_DEGREES), st.sampled_from([EXACT, FLOAT]),
+       st.integers(0, 2 ** 31 - 1))
+def test_block_entries_store_what_the_dense_blocks_store(source_dims, target_dims, degree,
+                                                         mode, seed):
+    """``from_block_entries`` of the concatenated blocks (by source degree,
+    each row-major) stores the entries, dtypes and denominator of the
+    dense-block reference, zero blocks included."""
+    source, target = _space(dict(zip(_DEGREES, source_dims))), _space(dict(zip(_DEGREES,
+                                                                                target_dims)))
+    blocks = _random_blocks(source, target, degree, np.random.default_rng(seed), mode)
+    vec = np.concatenate([linalg.zeros(0, mode)] + [b.ravel() for b in blocks.values()])
+    _assert_same(GradedOperator.from_block_entries(source, target, degree, vec, mode),
+                 operator_from_blocks(source, target, degree, blocks, mode=mode))
+
+
+@pytest.mark.parametrize("mode", [EXACT, FLOAT])
+def test_dual_operator_calls_sign_once_per_degree(mode):
+    g = sl2()
+    rep = chain_rep(g, adjoint_rep(g, mode=mode))
+    dual = dual_space(rep.complex.space)
+    calls = []
+
+    def sign(q):
+        calls.append(q)
+        return -1 if q % 2 else 1
+
+    for op, labels in ((rep.differential, None), (rep.B_stack, g.n)):
+        calls.clear()
+        dual_operator(op, dual, sign, labels)
+        assert calls == dual.degrees
+
+
+def test_warm_relabel_builds_no_graded_vector_space(monkeypatch):
+    g = sl2()
+    rep = cochain_rep(g, adjoint_rep(g, mode=EXACT))
+    n, L = g.n, rep.L_stack
+    ll = compose(on_labels(n, L), L)
+    swap = np.eye(n * n, dtype=int)[np.arange(n * n).reshape(n, n).T.ravel()]
+    warm = relabel(swap, ll), label_combination([1, 2, 3], L)
+    built = []
+    original = GradedVectorSpace.__init__
+
+    def counted(self, dims):
+        built.append(dims)
+        original(self, dims)
+
+    monkeypatch.setattr(GradedVectorSpace, "__init__", counted)
+    again = relabel(swap, ll), label_combination([1, 2, 3], L)
+    assert built == []
+    assert label_space(n) is label_space(n)
+    for got, want in zip(again, warm):
+        _assert_same(got, want)

@@ -27,7 +27,8 @@ from cartankit.linalg import EXACT, FLOAT, ModeError, format_scalar
 from cartankit.reps import (CartanRep, adjoint_rep, cartan_residuals, chain_rep,
                             trivial_cartan_rep, trivial_lie_rep)
 from aw_coproduct import aw_monoidality_residual, aw_tensor_residual, differentiate_richardson
-from dense_reference import contraction_of, exp_operator, flatten_operator, phi1
+from dense_reference import (contraction_of, exp_operator, flatten_operator,
+                             operator_from_blocks, phi1)
 
 
 def eval_form(flat, ev, point) -> GradedOperator:
@@ -107,9 +108,9 @@ def test_quadrature_on_prescribed_nilpotent_block():
     g = abelian(1)
     space = GradedVectorSpace({-1: 2, 0: 2})
     a = np.array([[0.0, 1.0], [0.0, 0.0]])
-    delta = GradedOperator(space, space, 1, {-1: a})
-    ell = GradedOperator(space, space, 0, {-1: a, 0: a})
-    bee = GradedOperator(space, space, -1, {0: np.eye(2)})
+    delta = operator_from_blocks(space, space, 1, {-1: a})
+    ell = operator_from_blocks(space, space, 0, {-1: a, 0: a})
+    bee = operator_from_blocks(space, space, -1, {0: np.eye(2)})
     rep = CartanRep(g, CochainComplex(space, delta), [ell], [bee])
     assert cartan_residuals(rep).worst == 0.0
     fl = FlatRep(rep)

@@ -19,7 +19,8 @@ from cartankit.linalg import EXACT, FLOAT, ModeError
 from cartankit.reps import (CartanRep, LieRep, adjoint_rep, cartan_dgla, cartan_residuals,
                             chain_rep, cochain_rep, dual_lie_rep, intertwiner_residual,
                             restrict, trivial_lie_rep)
-from dense_reference import pairwise_cartan_residuals, pairwise_lie_residuals
+from dense_reference import (operator_from_blocks, operator_from_entries,
+                             pairwise_cartan_residuals, pairwise_lie_residuals)
 
 FAMILIES = ("LL", "LB", "BB", "dB")
 
@@ -57,7 +58,7 @@ def _bump(op, k=None):
     """op plus one unit entry in the first nonempty block it can hold."""
     space = op.source
     k = next(q for q in space.degrees if space.dim(q + op.degree)) if k is None else k
-    one = GradedOperator.from_entries(space, op.target, op.degree, [(k, 0, 0, 1)], op.mode)
+    one = operator_from_entries(space, op.target, op.degree, [(k, 0, 0, 1)], op.mode)
     return op + one
 
 
@@ -158,8 +159,8 @@ def test_stack_blocks_are_the_operators():
     stacked = stack(rep.L)
     for i in range(n):
         # e^i ox 1 picks label i: (unit_i^T ox 1) stack = L_i
-        pick = GradedOperator.from_entries(GradedVectorSpace({0: n}), GradedVectorSpace({0: 1}),
-                                           0, [(0, 0, i, 1)], EXACT)
+        pick = operator_from_entries(GradedVectorSpace({0: n}), GradedVectorSpace({0: 1}),
+                                     0, [(0, 0, i, 1)], EXACT)
         one = GradedOperator.identity(space, EXACT)
         assert (compose(graded.tensor_operator(pick, one), stacked) - rep.L[i]).norm() == 0
     with pytest.raises(ValueError, match="not parallel"):
@@ -171,8 +172,8 @@ def test_stack_blocks_are_the_operators():
 def test_stack_bound_is_the_largest_block():
     """Blocks of a stack never overlap: two blocks of 2^62 fit, one past int64 does not."""
     space = GradedVectorSpace({0: 1})
-    big = GradedOperator.from_entries(space, space, 0, [(0, 0, 0, 2 ** 62)], EXACT)
-    half = GradedOperator.from_entries(space, space, 0, [(0, 0, 0, Fraction(1, 2))], EXACT)
+    big = operator_from_entries(space, space, 0, [(0, 0, 0, 2 ** 62)], EXACT)
+    half = operator_from_entries(space, space, 0, [(0, 0, 0, Fraction(1, 2))], EXACT)
     assert stack([big, big]).norm() == 2.0 ** 62
     with pytest.raises(ModeError, match="int64"):
         stack([big, half])
@@ -213,9 +214,9 @@ def test_exact_residuals_near_the_int64_ceiling_raise_mode_error(entry):
     space = GradedVectorSpace({-1: 1, 0: 1})
     big = np.array([[Fraction(entry)]], dtype=object)
     one = np.array([[Fraction(1)]], dtype=object)
-    d = GradedOperator(space, space, 1, {-1: one}, mode=EXACT)
-    L = GradedOperator(space, space, 0, {-1: big, 0: big}, mode=EXACT)
-    B = GradedOperator(space, space, -1, {0: big}, mode=EXACT)
+    d = operator_from_blocks(space, space, 1, {-1: one}, mode=EXACT)
+    L = operator_from_blocks(space, space, 0, {-1: big, 0: big}, mode=EXACT)
+    B = operator_from_blocks(space, space, -1, {0: big}, mode=EXACT)
     rep = CartanRep(g, CochainComplex(space, d), [L], [B])
     for check in (cartan_residuals, pairwise_cartan_residuals):
         with pytest.raises(ModeError) as err:

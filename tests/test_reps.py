@@ -18,7 +18,7 @@ from cartankit.reps import (CartanRep, LieRep, adjoint_rep, adjunction_check, ca
                             evaluation_pairing_residual, hom_space, induced_map,
                             intertwiner_residual, restrict, tensor_rep, trivial_cartan_rep,
                             trivial_lie_rep)
-from dense_reference import apply
+from dense_reference import apply, operator_from_blocks, operator_from_entries
 from test_ce import _nilpotent
 
 
@@ -42,7 +42,7 @@ def test_perturbed_contraction_breaks_relations():
         if i == 0:
             block = {k: b.copy() for k, b in op.blocks.items()}
             block[0][0, 0] += Fraction(1)
-            op = GradedOperator(op.source, op.target, -1, block, mode=EXACT)
+            op = operator_from_blocks(op.source, op.target, -1, block, mode=EXACT)
         bumped.append(op)
     broken = CartanRep(g, rep.complex, rep.L, bumped)
     assert cartan_residuals(broken).worst == 1.0
@@ -53,12 +53,12 @@ def test_perturbed_contraction_breaks_differential_relation():
     g = abelian(1)
     space = GradedVectorSpace({-1: 1, 0: 1})
     one = np.array([[Fraction(1)]], dtype=object)
-    delta = GradedOperator(space, space, 1, {-1: one}, mode=EXACT)
-    ell = GradedOperator(space, space, 0, {-1: one, 0: one}, mode=EXACT)
-    bee = GradedOperator(space, space, -1, {0: one}, mode=EXACT)
+    delta = operator_from_blocks(space, space, 1, {-1: one}, mode=EXACT)
+    ell = operator_from_blocks(space, space, 0, {-1: one, 0: one}, mode=EXACT)
+    bee = operator_from_blocks(space, space, -1, {0: one}, mode=EXACT)
     rep = CartanRep(g, CochainComplex(space, delta), [ell], [bee])
     assert cartan_residuals(rep).worst == 0.0
-    bumped = GradedOperator(space, space, -1, {0: one + one}, mode=EXACT)
+    bumped = operator_from_blocks(space, space, -1, {0: one + one}, mode=EXACT)
     broken = CartanRep(g, rep.complex, rep.L, [bumped])
     assert cartan_residuals(broken).dB == 1.0
 
@@ -96,8 +96,8 @@ def test_functors_with_graded_coefficients():
     # coefficients forming a two-term complex with zero action
     g = heisenberg3()
     space = GradedVectorSpace({0: 1, 1: 1})
-    diff = GradedOperator(space, space, 1, {0: np.array([[Fraction(1)]], dtype=object)},
-                          mode=EXACT)
+    diff = operator_from_blocks(space, space, 1, {0: np.array([[Fraction(1)]], dtype=object)},
+                                mode=EXACT)
     zero = GradedOperator.zero(space, space, 0, EXACT)
     coeff = LieRep(g, CochainComplex(space, diff), [zero] * g.n)
     assert cartan_residuals(chain_rep(g, coeff)).worst == 0.0
@@ -177,7 +177,7 @@ def test_tensor_rep_associative_up_to_regrading():
         for il, ir in table.items():
             m[ir, il] = Fraction(1)
         mats[deg] = m
-    reindex = GradedOperator(left.complex.space, right.complex.space, 0, mats, mode=EXACT)
+    reindex = operator_from_blocks(left.complex.space, right.complex.space, 0, mats, mode=EXACT)
     for ops_l, ops_r in ((left.L, right.L), (left.B, right.B)):
         for ol, orr in zip(ops_l, ops_r):
             assert (compose(reindex, ol) - compose(orr, reindex)).norm() == 0.0
@@ -347,7 +347,7 @@ def test_adjunction_detects_broken_input():
         if i == 1:
             blocks = {k: b.copy() for k, b in op.blocks.items()}
             blocks[0][0, 0] += Fraction(3, 7)
-            op = GradedOperator(op.source, op.target, -1, blocks, mode=EXACT)
+            op = operator_from_blocks(op.source, op.target, -1, blocks, mode=EXACT)
         bumped.append(op)
     broken = CartanRep(g, rep.complex, rep.L, bumped)
     res = adjunction_check(trivial_lie_rep(g), broken)
@@ -382,8 +382,8 @@ def test_induced_map_rejects_a_mistyped_degree_zero_map():
 def test_induced_map_rejects_a_map_of_nonzero_degree():
     g = heisenberg3()
     coeff, rep = trivial_lie_rep(g), cochain_rep(g, trivial_lie_rep(g))
-    phi = GradedOperator.from_entries(coeff.complex.space, rep.complex.space, 1,
-                                      [(0, 0, 0, 1)], EXACT)
+    phi = operator_from_entries(coeff.complex.space, rep.complex.space, 1,
+                                [(0, 0, 0, 1)], EXACT)
     with pytest.raises(ValueError, match="degree 0, got 1"):
         induced_map(coeff, rep, phi)
 
@@ -421,7 +421,7 @@ def _reference_induced_map(v_rep, w_rep, phi0):
                 img = apply(w_rep.B[idx], img)
             entries += [(deg, r, c, v) for r, v in enumerate(img.get(deg, [])) if v != 0]
     space = GradedVectorSpace({deg: len(elements) for deg, elements in labels.items()})
-    return GradedOperator.from_entries(space, w_rep.complex.space, 0, entries, w_rep.mode)
+    return operator_from_entries(space, w_rep.complex.space, 0, entries, w_rep.mode)
 
 
 @pytest.mark.parametrize("mode", [EXACT, FLOAT])

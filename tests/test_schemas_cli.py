@@ -8,11 +8,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from cartankit import cli, linalg, schemas, suites
-from cartankit.linalg import EXACT
-from cartankit.reps import cartan_residuals
+from cartankit import cli, integrate, linalg, schemas, suites
+from cartankit.graded import compose
+from cartankit.lie import heisenberg3
+from cartankit.linalg import EXACT, FLOAT
+from cartankit.reps import adjoint_rep, cartan_residuals, chain_rep, trivial_lie_rep
 from cartankit.schemas import dump_operator, load_algebra
+from dense_reference import operator_from_blocks
 from test_ce import _nilpotent
+from test_stacked import _assert_same
 
 
 SL2_PAYLOAD = {
@@ -608,3 +612,88 @@ def test_cli_exit_two_on_malformed_integers_and_structure(tmp_path, capsys, edit
     lines = capsys.readouterr().err.strip().splitlines()
     assert code == 2
     assert len(lines) == 1 and field in lines[0]
+
+
+def _dump_sparse(op):
+    """``dump_operator`` blocks of ``op`` with its first all-zero block left
+    out (a block not given is zero) and the other zero blocks written out."""
+    blocks = dump_operator(op)["blocks"]
+    zero = [k for k, rows in blocks.items() if not any(Fraction(v) for row in rows for v in row)]
+    return {k: rows for k, rows in blocks.items() if not zero or k != zero[0]}
+
+
+def _reference_load(payload, space, degree, mode):
+    """The problem-file blocks parsed into dense arrays and built by the
+    dense-block reference (a missing key is a zero block)."""
+    blocks = {int(k): np.array([[linalg.parse_scalar(v, mode) for v in row] for row in rows],
+                               dtype=object if mode == EXACT else float).reshape(
+                                   space.dim(int(k) + degree), space.dim(int(k)))
+              for k, rows in payload.items()}
+    return operator_from_blocks(space, space, degree, blocks, mode=mode)
+
+
+@pytest.mark.parametrize("mode", [EXACT, FLOAT])
+def test_problem_file_operators_load_bit_for_bit(tmp_path, monkeypatch, mode):
+    """Explicit Cartan and Lie representations in a problem file, with
+    fractional entries, missing block keys and all-zero blocks, load into
+    the entries, dtype, denominator and mode of the dense-block reference."""
+    g = heisenberg3()
+    cartan = chain_rep(g, trivial_lie_rep(g, mode=mode))
+    space = cartan.complex.space
+    scale = {k: np.diag([Fraction(i + 2, i + 1) for i in range(d)]).astype(
+        object if mode == EXACT else float) for k, d in space.dims.items()}
+    conj = operator_from_blocks(space, space, 0, scale, mode=mode)
+    inverse = operator_from_blocks(space, space, 0, {k: np.diag(1 / np.diag(b)) for k, b in
+                                                     scale.items()}, mode=mode)
+    moved = [compose(compose(conj, op), inverse) for op in
+             [cartan.differential] + cartan.L + cartan.B]
+    lie = adjoint_rep(g, mode=mode)
+    payload = {
+        "schema": "cartankit/1", "settings": {"mode": mode}, "lie_algebra": dump_algebra(g),
+        "representations": {"explicit": {
+            "degrees": {str(k): d for k, d in space.dims.items()},
+            "delta": _dump_sparse(moved[0]),
+            "L": [_dump_sparse(op) for op in moved[1:4]],
+            "B": [_dump_sparse(op) for op in moved[4:]]}},
+        "lie_representations": {"explicit": {
+            "degrees": {"0": g.n}, "R": [_dump_sparse(op) for op in lie.operators]}},
+    }
+    cartan_payload = payload["representations"]["explicit"]
+    assert any(len(p) < len(dump_operator(op)["blocks"]) for p, op in
+               zip([cartan_payload["delta"]] + cartan_payload["L"], moved))
+    assert payload["lie_representations"]["explicit"]["R"][2] == {}       # ad z = 0
+    assert "-3" not in cartan_payload["L"][0]              # L_x: zero on the top wedge
+    zero_blocks = cartan_payload["L"][0]["0"]              # and on the bottom one
+    assert not any(Fraction(v) for row in zero_blocks for v in row)
+    path = tmp_path / "explicit.json"
+    path.write_text(json.dumps(payload))
+    loaded = []
+    original = schemas.load_operator
+
+    def recording(block_payload, space, degree, mode):
+        loaded.append((block_payload, space, degree, original(block_payload, space, degree,
+                                                              mode)))
+        return loaded[-1][3]
+
+    monkeypatch.setattr(schemas, "load_operator", recording)
+    problem = schemas.load_problem(str(path))
+    assert cartan_residuals(problem.representation("explicit")).worst <= linalg.tolerance(mode)
+    problem.lie_representation("explicit")
+    assert len(loaded) == 1 + 2 * g.n + 1 + g.n
+    assert any(op._den > 1 for *_, op in loaded) == (mode == EXACT)
+    for block_payload, op_space, degree, op in loaded:
+        assert op.mode == mode
+        _assert_same(op, _reference_load(block_payload or {}, op_space, degree, mode))
+
+
+def test_exact_integrate_both_refuses_before_integrating(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("integrated before the mode was checked")
+
+    monkeypatch.setattr(integrate, "integrate_series", refuse)
+    problem = pathlib.Path(__file__).resolve().parents[1] / "problems" / "heisenberg_exact.json"
+    code = cli.main(["integrate", str(problem), "--rep", "chain_trivial", "--word", "wxy",
+                     "--method", "both", "--mode", "exact"])
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert code == 2
+    assert lines == ["error: quadrature requires float mode"]

@@ -13,7 +13,7 @@ from cartankit.lie import abelian, heisenberg3, sl2
 from cartankit.linalg import EXACT, FLOAT
 from cartankit.reps import (CartanRep, LieRep, adjoint_rep, cartan_residuals, chain_rep,
                             cochain_rep, dual_rep, tensor_rep, trivial_lie_rep)
-from dense_reference import (loop_exterior, per_generator_adjoint,
+from dense_reference import (loop_exterior, operator_from_entries, per_generator_adjoint,
                              per_generator_cartan_operators, per_generator_dual,
                              per_generator_tensor)
 from test_ce import _nilpotent
@@ -80,13 +80,13 @@ def test_exterior_entries_equal_the_subset_loop(n, mode):
 
 def _count_fills(monkeypatch):
     calls = []
-    original = GradedOperator._fill
+    original = GradedOperator.__init__
 
     def counted(self, *args):
         calls.append(1)
         return original(self, *args)
 
-    monkeypatch.setattr(GradedOperator, "_fill", counted)
+    monkeypatch.setattr(GradedOperator, "__init__", counted)
     return calls
 
 
@@ -103,8 +103,8 @@ CONSTRUCTIONS = {
 @pytest.mark.parametrize("mode", [EXACT, FLOAT])
 @pytest.mark.parametrize("name", list(CONSTRUCTIONS))
 def test_kernel_calls_do_not_grow_with_the_algebra(monkeypatch, name, mode):
-    """Operators built (``_fill`` calls, ``graded._new`` included) by one warm
-    call: the same on abelian(3) and abelian(5)."""
+    """Operators built (``GradedOperator.__init__`` calls) by one warm call:
+    the same on abelian(3) and abelian(5)."""
     run = CONSTRUCTIONS[name]
     counts = []
     for n in (3, 5):
@@ -149,7 +149,7 @@ def test_identity_is_cached_and_read_only(mode):
     for a in (one._rows, one._cols, one._data):
         with pytest.raises(ValueError, match="read-only"):
             a[0] = 7
-    other = GradedOperator.from_entries(space, space, 0, [(0, 1, 2, 5), (-1, 0, 1, -3)], mode)
+    other = operator_from_entries(space, space, 0, [(0, 1, 2, 5), (-1, 0, 1, -3)], mode)
     compose(one, other), compose(other, one), combination((2, -1), (one, other))
     tensor_operator(one, other), tensor_operator(other, one), one + one, 3 * one
     for got, want in zip((one._rows, one._cols, one._data), before):
