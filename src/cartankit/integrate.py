@@ -281,23 +281,36 @@ def _poly_product(f, g=None, antiderivative=False):
     return relabel(h, a if b is None else compose(on_labels(q, a), b)), len(h)
 
 
-def merged_pair_integral_exact(rep, x, y) -> GradedOperator:
-    """Exact integral over [0,1] of the pullback along s -> exp(sx) exp(sy):
-    of exp(s L(x)) exp(s L(y)) B(xi(s)), xi(s) = Ad_{exp(-s y)} x + y, whose
-    coordinates are the terms (-s ad y)^m x / m! (``algebra.ad``) and whose
-    B is one ``relabel`` of the stacked B."""
-    if rep.mode != EXACT:
-        raise linalg.ModeError("exact route requires exact mode")
-    rho = _poly_product(rep.letter(x).exp_stack, rep.letter(y).exp_stack)
-    algebra = rep.algebra
-    ad = algebra.ad(algebra.vector(list(y)))
-    xi = [algebra.vector(list(x))]
+def _slot_density(rep, slot):
+    """A slot of a face as an exact polynomial in t: exp(t A) B(x) for a letter x;
+    for a merged pair (x, y), the inner face t_i = t_(i+1), the pullback along
+    t -> exp(tx) exp(ty), exp(t L(x)) exp(t L(y)) B(xi(t)) with xi(t) = Ad_{exp(-ty)} x + y,
+    whose terms are (-t ad y)^m x / m! (``algebra.ad``) and B(xi) one ``relabel``."""
+    x, *rest = slot
+    exp = rep.letter(x).exp_stack
+    if not rest:
+        return compose(exp[0], rep.B_of(x)), exp[1]
+    (y,) = rest
+    ad, xi = rep.algebra.ad(rep.algebra.vector(list(y))), [rep.algebra.vector(list(x))]
     while (nxt := Fraction(-1, len(xi)) * ad.dot(xi[-1])).any():
-        if len(xi) > algebra.n:
+        if len(xi) > rep.algebra.n:
             raise linalg.ModeError("exponential series does not terminate in exact mode")
         xi.append(nxt)
     xi[0] = xi[0] + np.asarray(y)
-    op, count = _poly_product(rho, (relabel(xi, rep.B_stack), len(xi)), antiderivative=True)
+    rho = _poly_product(exp, rep.letter(y).exp_stack)
+    return _poly_product(rho, (relabel(xi, rep.B_stack), len(xi)))
+
+
+def _slot_integral(rep, slots) -> GradedOperator:
+    """Exact integral over 1 >= t_1 >= ... >= t_m >= 0 of the product of the
+    slots' densities: from the last slot, the antiderivative of its density
+    times the inner polynomial, then the value at 1."""
+    if rep.mode != EXACT:
+        raise linalg.ModeError("polynomial route requires exact mode")
+    inner = None
+    for slot in reversed(slots):
+        inner = _poly_product(_slot_density(rep, slot), inner, antiderivative=True)
+    op, count = inner or (GradedOperator.identity(rep.complex.space, EXACT), 1)
     return label_combination((1,) * count, op)
 
 
@@ -314,38 +327,25 @@ def point_value(rep, prefix) -> GradedOperator:
 
 def word_integral_polynomial_exact(rep, letters) -> GradedOperator:
     """Exact word integral by iterated polynomial antiderivatives, each
-    polynomial in t one stacked operator (``_poly_product``).  Independent of
-    the coefficient series: from the last letter, the antiderivative of
-    exp(t A) B times the inner polynomial; exact (nilpotent) mode only."""
-    if rep.mode != EXACT:
-        raise linalg.ModeError("polynomial route requires exact mode")
-    if not letters:
-        return GradedOperator.identity(rep.complex.space, EXACT)
-    inner = None
-    for x in reversed(letters):
-        exp, count = rep.letter(x).exp_stack
-        factor = compose(exp, rep.B_of(x)), count          # exp(t A) B, times a constant
-        inner = _poly_product(factor, inner, antiderivative=True)
-    op, count = inner
-    return label_combination((1,) * count, op)
+    polynomial in t one stacked operator (``_poly_product``): the slot route,
+    one letter per slot.  Independent of the coefficient series."""
+    return _slot_integral(rep, [(x,) for x in letters])
 
 
 def dg_module_exact(rep, letters):
-    """Exact boundary-vs-commutator residual for words of length 1 or 2."""
-    k = len(letters)
-    if k not in (1, 2):
-        raise ValueError("exact route implemented for words of length 1 and 2")
-    action = integrate_series(rep, letters)
-    rhs = graded_commutator(rep.complex.differential, action)
-    if k == 1:
-        lhs = point_value(rep, [letters[0]]) - point_value(rep, [])
-    else:
-        x, y = letters
-        front = compose(point_value(rep, [x]), integrate_series(rep, [y]))
-        merged = merged_pair_integral_exact(rep, x, y)
-        back = integrate_series(rep, [x])
-        lhs = front - merged + back
-    return (lhs - rhs).norm()
+    """Exact Stokes residual || sum_i (-1)^i (face i) - [d, integral] || for
+    k >= 1 letters: face 0 (t_1 = 1) is exp(x_1) after the integral of the
+    rest, face k (t_k = 0) the integral of the first k - 1, and inner face i
+    (t_i = t_(i+1)) the slot route with x_i and x_(i+1) merged."""
+    if len(letters) == 0:
+        raise ValueError("the Stokes law needs a word of length at least 1")
+    slots = [(x,) for x in letters]
+    faces = [compose(point_value(rep, letters[:1]), integrate_series(rep, letters[1:]))]
+    faces += [_slot_integral(rep, slots[:i] + [letters[i:i + 2]] + slots[i + 2:])
+              for i in range(len(letters) - 1)]
+    faces.append(integrate_series(rep, letters[:-1]))
+    rhs = graded_commutator(rep.complex.differential, integrate_series(rep, letters))
+    return (combination([(-1) ** i for i in range(len(faces))], faces) - rhs).norm()
 
 
 # ---------------------------------------------------------------------------

@@ -328,13 +328,10 @@ def dual_rep(rep: CartanRep) -> CartanRep:
 
 
 def evaluation_pairing_residual(rep: CartanRep) -> float:
-    """How far V ox V* -> trivial is from intertwining all generators."""
-    dual = dual_rep(rep)
-    tensor = tensor_rep(rep, dual)
-    pair = _pairing_functional(rep)
-    pairs = on_labels(rep.algebra.n, pair)
-    return max(compose(pair, tensor.complex.differential).norm(),
-               compose(pairs, tensor.L_stack).norm(), compose(pairs, tensor.B_stack).norm())
+    """How far the evaluation pairing V ox V* -> trivial is from a map of
+    representations (``intertwiner_residual``)."""
+    return intertwiner_residual(_pairing_functional(rep), tensor_rep(rep, dual_rep(rep)),
+                                trivial_cartan_rep(rep.algebra, mode=rep.mode))
 
 
 def _pairing_functional(rep: CartanRep) -> GradedOperator:

@@ -75,6 +75,15 @@ def _integer(value, field) -> int:
     return int(value)
 
 
+def _integer_keys(mapping, field) -> dict:
+    """``mapping`` with its keys read as ints; ``ValueError`` naming ``field``
+    when two keys name one integer, such as "0" and "00"."""
+    out = {int(k): v for k, v in mapping.items()}
+    if len(out) < len(mapping):
+        raise ValueError(f"{field} keys {list(mapping)} name one integer twice")
+    return out
+
+
 def load_algebra(payload) -> LieAlgebra:
     """A pair (i, j) listed twice is an error, not an override; a ``dim``
     over ``MAX_ALGEBRA_DIM`` is refused before any constant is allocated."""
@@ -86,8 +95,8 @@ def load_algebra(payload) -> LieAlgebra:
         pair = (_integer(item["i"], "bracket i"), _integer(item["j"], "bracket j"))
         if pair in brackets:
             raise ValueError(f"bracket pair {pair} listed twice")
-        brackets[pair] = {int(k): linalg.parse_scalar(v, EXACT)
-                          for k, v in item["coeffs"].items()}
+        brackets[pair] = {k: linalg.parse_scalar(v, EXACT)
+                          for k, v in _integer_keys(item["coeffs"], "coefficient index").items()}
     return LieAlgebra(n, brackets, labels=payload.get("labels"),
                       name=payload.get("name", ""))
 
@@ -95,8 +104,7 @@ def load_algebra(payload) -> LieAlgebra:
 def load_operator(payload, space, degree, mode) -> GradedOperator:
     """Each block must be (dim target) rows x (dim source) columns; one not given is zero."""
     blocks = {}
-    for key, rows in (payload or {}).items():
-        k = int(key)
+    for k, rows in _integer_keys(payload or {}, "block degree").items():
         shape = (space.dim(k + degree), space.dim(k))
         if len(rows) != shape[0] or any(len(row) != shape[1] for row in rows):
             raise ValueError(f"block {k} must be {shape[0]} x {shape[1]}")
@@ -115,8 +123,8 @@ def dump_operator(op: GradedOperator):
 
 
 def _load_complex(payload, mode) -> CochainComplex:
-    space = GradedVectorSpace({int(k): _integer(d, f"degree {k} dimension")
-                               for k, d in payload["degrees"].items()})
+    space = GradedVectorSpace({k: _integer(d, f"degree {k} dimension")
+                               for k, d in _integer_keys(payload["degrees"], "degree").items()})
     return CochainComplex(space, load_operator(payload.get("delta"), space, 1, mode))
 
 

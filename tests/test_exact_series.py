@@ -7,9 +7,12 @@ from the right through ``on_labels`` and applies every coefficient with one
 ``label_combination``; the per-term loop of ``dense_reference`` must agree
 entry for entry.  A product of polynomials is one compose and one
 ``relabel``; the per-pair ``MatPoly`` of ``dense_reference`` must agree
-entry for entry and denominator for denominator."""
+entry for entry and denominator for denominator.  Exact Stokes, its inner
+faces integrated by the same polynomials with one merged slot, holds
+exactly on every word with k <= 3."""
 
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
@@ -19,7 +22,8 @@ from cartankit.graded import (GradedOperator, GradedVectorSpace, compose, label_
                               stack, unstack)
 from cartankit.lie import heisenberg3
 from cartankit.linalg import EXACT, FLOAT, ModeError
-from cartankit.reps import LETTER_CACHE, adjoint_rep, chain_rep, trivial_lie_rep
+from cartankit.reps import (LETTER_CACHE, adjoint_rep, chain_rep, cochain_rep,
+                            trivial_lie_rep)
 from dense_reference import (MatPoly, exp_poly, loop_series, operator_from_entries,
                              pairwise_merged_pair, pairwise_word_integral)
 from test_ce import _nilpotent
@@ -105,7 +109,8 @@ def _assert_poly(stacked, reference):
 def test_stacked_polynomials_equal_the_per_pair_reference(h3_reps, coeff, word):
     """Each step of the polynomial route, from the last letter: exp(t A) B,
     its product with the inner polynomial, the antiderivative, and the value
-    at 1; then the route and the merged pair as a whole."""
+    at 1; then the route, and the slot route on the first two letters
+    merged into one slot, as a whole."""
     rep = h3_reps[coeff]
     letters = _letters(rep, [HEISENBERG_LETTERS[i] for i in word])
     inner = reference = None
@@ -125,19 +130,19 @@ def test_stacked_polynomials_equal_the_per_pair_reference(h3_reps, coeff, word):
     _assert_same(integrate.word_integral_polynomial_exact(rep, letters),
                  pairwise_word_integral(rep, letters))
     if len(letters) > 1:
-        _assert_same(integrate.merged_pair_integral_exact(rep, *letters[:2]),
+        _assert_same(integrate._slot_integral(rep, [letters[:2]]),
                      pairwise_merged_pair(rep, *letters[:2]))
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_polynomial_route_makes_one_compose_per_product(h3_reps, monkeypatch, k):
     """Warm letters: exp(t A) B for each letter, and one product with the
-    inner polynomial for each letter before the last; the merged pair is
+    inner polynomial for each letter before the last; one merged slot is
     the product of two exponentials and one with B(xi)."""
     rep = h3_reps["adjoint"]
     letters = _letters(rep, HEISENBERG_LETTERS[:k])
     want = integrate.word_integral_polynomial_exact(rep, letters)
-    merged = integrate.merged_pair_integral_exact(rep, *letters[:2]) if k == 2 else None
+    merged = integrate._slot_integral(rep, [letters]) if k == 2 else None
     calls = []
 
     def counted(f, g):
@@ -151,8 +156,55 @@ def test_polynomial_route_makes_one_compose_per_product(h3_reps, monkeypatch, k)
     assert len(calls) == 2 * k - 1
     if merged is not None:
         calls.clear()
-        _assert_same(integrate.merged_pair_integral_exact(rep, *letters), merged)
+        _assert_same(integrate._slot_integral(rep, [letters]), merged)
         assert len(calls) == 2
+
+
+# the 39 words with k <= 3 over three letters, as indices into the letters
+STOKES_WORDS = [w for k in (1, 2, 3) for w in product(range(3), repeat=k)]
+
+
+@pytest.mark.parametrize("algebra, functor, coeff, words", [
+    ("heisenberg3", "chain", "trivial", STOKES_WORDS),
+    ("heisenberg3", "chain", "adjoint", STOKES_WORDS),
+    ("heisenberg3", "cochain", "trivial", STOKES_WORDS),
+    ("heisenberg3", "cochain", "adjoint", STOKES_WORDS),
+    ("n4", "chain", "trivial", STOKES_WORDS),
+    ("n4", "cochain", "trivial", STOKES_WORDS),
+    ("n4", "chain", "adjoint", NINE_WORDS[6:]),
+], ids=["h3_chain_trivial", "h3_chain_adjoint", "h3_cochain_trivial", "h3_cochain_adjoint",
+        "n4_chain_trivial", "n4_cochain_trivial", "n4_chain_adjoint_k3"])
+def test_exact_stokes_is_zero_on_every_word(algebra, functor, coeff, words):
+    """The alternating sum of the k + 1 faces equals [d, integral] exactly:
+    the 8- and 24-dim Heisenberg complexes, the 64-dim n4 complexes, and
+    the three k = 3 words on the 384-dim n4 adjoint chains."""
+    g, pool = (heisenberg3(), HEISENBERG_LETTERS) if algebra == "heisenberg3" \
+        else (_nilpotent(4), N4_LETTERS)
+    coefficients = {"trivial": trivial_lie_rep, "adjoint": adjoint_rep}[coeff](g)
+    rep = {"chain": chain_rep, "cochain": cochain_rep}[functor](g, coefficients)
+    for word in words:
+        assert integrate.dg_module_exact(rep, _letters(rep, [pool[i] for i in word])) == 0.0, word
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_exact_stokes_is_nonzero_with_the_merged_pair_reversed(h3_reps, monkeypatch, k):
+    """A true negative: each inner face with its merged slot read as
+    exp(ty) exp(tx) instead of exp(tx) exp(ty)."""
+    rep = h3_reps["trivial"]
+    letters = _letters(rep, HEISENBERG_LETTERS[:k])
+    density = integrate._slot_density
+    monkeypatch.setattr(integrate, "_slot_density", lambda rep, slot: density(rep, slot[::-1]))
+    assert integrate.dg_module_exact(rep, letters) > 0
+
+
+def test_exact_stokes_refuses_the_empty_word_and_float_mode(h3_reps):
+    with pytest.raises(ValueError, match="length at least 1"):
+        integrate.dg_module_exact(h3_reps["trivial"], [])
+    g = heisenberg3()
+    rep = chain_rep(g, trivial_lie_rep(g, mode=FLOAT))
+    for k in (1, 2, 3):
+        with pytest.raises(ModeError):
+            integrate.dg_module_exact(rep, [g.vector(x, FLOAT) for x in HEISENBERG_LETTERS[:k]])
 
 
 def _labels(entries):

@@ -9,7 +9,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from cartankit import cli, reps
+from cartankit import cli, integrate, reps
 from cartankit.evaluators import (FlatRep, MaxCollapseReparam, PermReparam,
                                   PointEvaluator, WordEvaluator, ez_product)
 from cartankit.graded import (CochainComplex, GradedOperator, GradedVectorSpace,
@@ -18,7 +18,7 @@ from cartankit.integrate import (ChainModule, density_at,
                                  dg_module_exact, dg_module_residual,
                                  differentiate_module, equivariance_residual,
                                  integrate_chain, integrate_quadrature,
-                                 integrate_series, merged_pair_integral_exact,
+                                 integrate_series,
                                  multiplicativity_residual, mu_p_residual,
                                  point_value, roundtrip_errors, series_coefficient,
                                  simplex_nodes, word_integral_polynomial_exact)
@@ -267,11 +267,17 @@ def test_stokes_one_letter_exact_form(h3_chain_exact):
     assert (lhs - rhs).norm() == 0.0
 
 
+def merged_slot(rep, x, y) -> GradedOperator:
+    """The slot route on one slot, x and y merged: the inner face
+    t_1 = t_2 of the word simplex of (x, y)."""
+    return integrate._slot_integral(rep, [(x, y)])
+
+
 def test_merged_pair_exact_integral_used_by_stokes(h3_chain_exact):
     rep = h3_chain_exact
     g = rep.algebra
     x, y = g.basis_vector(0), g.basis_vector(1)
-    merged = merged_pair_integral_exact(rep, x, y)
+    merged = merged_slot(rep, x, y)
     assert merged.degree == -1
     # cross-check against float quadrature of the diagonal face
     frep = chain_rep(g, trivial_lie_rep(g, mode=FLOAT))
@@ -396,7 +402,7 @@ def test_aw_route_strict_gap_is_real(sl2_chain_float, sl2_cochain_float, sl2_bas
 # Fraction routes computed them, before they moved to the sparse int64
 # kernel, as sparse [row, col, "p/q"] entries per source degree: the series,
 # the polynomial route and the point value of every word of length 1-3 over
-# three letters, and the merged pair integral of every pair, on the
+# three letters, and the merged-slot integral of every pair, on the
 # heisenberg3 chain representations with trivial and adjoint coefficients.
 PINNED_INTEGRALS = json.loads(
     (pathlib.Path(__file__).parent / "data" / "integrate_exact.json").read_text())
@@ -423,7 +429,7 @@ def test_exact_integrals_match_pinned_entries(h3_chain_reps, coeff, route):
     compute = {
         "series": lambda w: integrate_series(rep, w),
         "polynomial": lambda w: word_integral_polynomial_exact(rep, w),
-        "merged": lambda w: merged_pair_integral_exact(rep, *w),
+        "merged": lambda w: merged_slot(rep, *w),
         "point": lambda w: point_value(rep, w),
     }[route]
     words = [w for w in PINNED_WORDS if route != "merged" or len(w) == 2]
@@ -434,7 +440,7 @@ def test_exact_integrals_match_pinned_entries(h3_chain_reps, coeff, route):
 def test_exact_integration_never_goes_dense(h3_chain_reps, monkeypatch):
     """No dense block or total matrix of an operator on a representation
     space: every dense copy of an operator goes through ``_dense``, which
-    operators on other spaces may still use (the merged pair now takes
+    operators on other spaces may still use (a merged slot takes
     its adjoint series on coordinate vectors)."""
     spaces = {rep.complex.space for rep in h3_chain_reps.values()}
     to_dense = GradedOperator._dense
@@ -457,6 +463,7 @@ def test_exact_integration_never_goes_dense(h3_chain_reps, monkeypatch):
             point_value(rep, word)
         assert dg_module_exact(rep, [x]) == 0.0
         assert dg_module_exact(rep, [x, y]) == 0.0
+        assert dg_module_exact(rep, [x, y, z]) == 0.0
 
 
 def _big_letters(shape, n):
@@ -477,13 +484,13 @@ def _big_letters(shape, n):
 ])
 def test_exact_polynomial_routes_reach_on_large_letters(h3_chain_reps, coeff, shape, route,
                                                         last):
-    """The polynomial route (three letters) and the merged pair (the first
+    """The polynomial route (three letters) and one merged slot (the first
     two) succeed up to N = 10^last and exit past it with a one-line
     ``ModeError`` naming int64; the reach of the routes with one operator
     per coefficient is kept."""
     rep = h3_chain_reps[coeff]
     compute = {"polynomial": lambda w: word_integral_polynomial_exact(rep, w),
-               "merged": lambda w: merged_pair_integral_exact(rep, *w[:2])}[route]
+               "merged": lambda w: merged_slot(rep, *w[:2])}[route]
     assert compute([rep.algebra.vector(x) for x in _big_letters(shape, 10 ** last)]).norm() > 0
     with pytest.raises(ModeError) as err:
         compute([rep.algebra.vector(x) for x in _big_letters(shape, 10 ** (last + 1))])

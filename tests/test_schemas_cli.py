@@ -597,9 +597,18 @@ _WXY = ["integrate", "--rep", "chain_trivial", "--word", "wxy", "--mode", "float
      "0 labels for a 3-dimensional algebra"),
     (_empty_algebra(0), ["check-lie"], "dim must be at least 1, got 0"),
     (_empty_algebra(-1), ["check-lie"], "dim must be at least 1, got -1"),
+    (_heisenberg_edit(("lie_algebra", "brackets", 0, "coeffs"), {"2": "1", "02": "5"}),
+     ["check-lie"], "coefficient index keys ['2', '02'] name one integer twice"),
+    (_heisenberg_edit(("lie_representations", "one"),
+                      {"degrees": {"0": 1, "00": 2}, "R": [{"0": [[0]]}] * 3}),
+     ["ce", "--rep", "one"], "degree keys ['0', '00'] name one integer twice"),
+    (_heisenberg_edit(("lie_representations", "one"),
+                      {"degrees": {"0": 1}, "R": [{"0": [[1]], "00": [[2]]}] + [{}] * 2}),
+     ["ce", "--rep", "one"], "block degree keys ['0', '00'] name one integer twice"),
 ], ids=["fractional_index", "boolean_indices", "fractional_degree_dim", "boolean_degree_dim",
         "boolean_order", "boolean_series_cap", "repeated_bracket_pair", "label_count",
-        "empty_labels", "zero_dim", "negative_dim"])
+        "empty_labels", "zero_dim", "negative_dim", "repeated_coefficient_index",
+        "repeated_degree", "repeated_block_degree"])
 def test_cli_exit_two_on_malformed_integers_and_structure(tmp_path, capsys, edit, argv, field):
     """Each edit of a copy of problems/heisenberg_exact.json is an input
     error: exit 2 and one line naming the field."""
