@@ -32,7 +32,7 @@ import numpy as np
 
 from . import linalg
 from .graded import (CochainComplex, GradedOperator, GradedVectorSpace, combination, compose,
-                     dual_operator, dual_space, on_labels, reversed_tensor, stack_entries,
+                     dual_operator, dual_space, product_sum, reversed_tensor, stack_entries,
                      tensor_space, unstack)
 
 
@@ -163,8 +163,9 @@ class CEComplex:
         ext = exterior(n, rep.mode)
         one, one_ext = (GradedOperator.identity(space, rep.mode)
                         for space in (rep.complex.space, ext.space))
-        commutator = compose(on_labels(n, self.boundary), ext.wedge) + \
-            compose(ext.wedge, self.boundary)
+        eye = np.eye(n, dtype=int)
+        commutator = product_sum(((eye[:, :, None], self.boundary, ext.wedge),
+                                  (eye[:, None, :], ext.wedge, self.boundary)))
         L = self.basis.place(lambda q: -1, (commutator, one), (one_ext, rep.stacked), labels=n)
         B = self.basis.place(_odd, (ext.wedge, one), labels=n)
         return L, B

@@ -16,10 +16,15 @@ layout.  Every constructed complex verifies that its differential (of
 degree +1) squares to zero.  A family of n parallel operators is stored as
 one operator V -> K ox W over the degree-0 space K = ``label_space(n)`` of
 n labels (``stack``); tensor products and duals act on such stacks label
-by label, and ``relabel`` maps the labels by a scalar matrix.
+by label, and ``relabel`` maps the labels by a scalar matrix.  Relation
+checks are sums of relabelled stacked products, sum_t h_t (1_K ox f_t) g_t,
+each one ``product_sum``: one entry match per product and one operator for
+the whole sum.  ``hom_system`` reads the equations phi A = A' phi of a
+hom space straight off the entries of A and A'.
 """
 
 import math
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from types import MappingProxyType
@@ -128,18 +133,21 @@ class GradedOperator:
         keys = rows * source.total_dim + cols
         if not (keys[1:] > keys[:-1]).all():
             order = np.argsort(keys, kind="stable")
-            keys, data = keys[order], data[order]
+            keys, rows, cols, data = keys[order], rows[order], cols[order], data[order]
             first = np.concatenate([[True], keys[1:] != keys[:-1]])
-            summed = np.zeros(np.count_nonzero(first), dtype=data.dtype)
-            np.add.at(summed, np.cumsum(first) - 1, data)
-            keys, data = keys[first], summed
-            rows, cols = keys // source.total_dim, keys % source.total_dim
+            if not first.all():
+                rows, cols = rows[first], cols[first]
+                # bincount sums each key's floats in input order, as np.add.at
+                data = np.bincount(np.cumsum(first) - 1, data) if data.dtype.kind == "f" \
+                    else np.add.reduceat(data, np.flatnonzero(first))
         if not data.all():
             rows, cols, data = rows[data != 0], cols[data != 0], data[data != 0]
         if mode == EXACT and len(data):
             g = math.gcd(den, int(np.gcd.reduce(data)))
-            data, den = data // g, den // g
+            if g != 1:
+                data, den = data // g, den // g
         self._rows, self._cols, self._data, self._den = rows, cols, data, (den if len(data) else 1)
+        self._top = None
 
     @classmethod
     def from_block_entries(cls, source, target, degree, vec, mode):
@@ -200,8 +208,12 @@ class GradedOperator:
         stored = {k: self._stored(k) for k in self.source.degrees}
         return MappingProxyType({k: b for k, b in stored.items() if b is not None})
 
+    @property
     def _max(self) -> int:
-        return int(np.abs(self._data).max(initial=0))
+        """max|entry|, read once: no operation changes the entries."""
+        if self._top is None:
+            self._top = int(np.abs(self._data).max(initial=0))
+        return self._top
 
     def __add__(self, other):
         return combination((1, 1), (self, other))
@@ -232,7 +244,7 @@ def read_only(op) -> GradedOperator:
 def _narrow(op, what) -> GradedOperator:
     """Back to int64 numerators after entries summed as Python ints;
     ``ModeError`` if a reduced one does not fit."""
-    _check_int64(op._max(), what)
+    _check_int64(op._max, what)
     op._data = op._data.astype(np.int64)
     return op
 
@@ -251,11 +263,23 @@ def compose(f: GradedOperator, g: GradedOperator) -> GradedOperator:
     counts = starts[f._cols + 1] - starts[f._cols]
     mine = np.repeat(np.arange(len(f._cols)), counts)
     theirs = np.arange(len(mine)) + np.repeat(starts[f._cols] - np.cumsum(counts) + counts, counts)
-    a, b = f._data[mine], g._data[theirs]
-    wide = f.mode == EXACT and len(mine) and \
-        f._max() * g._max() * int(np.bincount(f._rows).max()) > _MAX
-    out = GradedOperator(g.source, f.target, f.degree + g.degree, f.mode, f._rows[mine],
-                         g._cols[theirs], a.astype(object) * b.astype(object) if wide else a * b,
+    return _product_operator(f, g, f.target, f._rows[mine], g._cols[theirs], f._data[mine],
+                             g._data[theirs])
+
+
+def _row_count(op) -> int:
+    """The most entries in one row of ``op``: the terms of an entry of a
+    product with ``op`` on the left."""
+    return int(np.bincount(op._rows).max()) if len(op._rows) else 0
+
+
+def _product_operator(f, g, target, rows, cols, a, b) -> GradedOperator:
+    """The product of f and g from its terms a * b at (row, col), in Python
+    ints when the exact bound max|f| * max|g| * ``_row_count(f)`` could
+    leave int64 (``compose``)."""
+    wide = f.mode == EXACT and f._max * g._max * _row_count(f) > _MAX
+    out = GradedOperator(g.source, target, f.degree + g.degree, f.mode, rows, cols,
+                         a.astype(object) * b.astype(object) if wide else a * b,
                          f._den * g._den)
     return _narrow(out, "compose") if wide else out
 
@@ -280,7 +304,7 @@ def combination(coeffs, ops) -> GradedOperator:
     else:
         den = math.lcm(*(op._den * c.denominator for c, op in terms))
         factors = [c.numerator * (den // (op._den * c.denominator)) for c, op in terms]
-        _check_int64(sum(op._max() * abs(k) for k, (_, op) in zip(factors, terms)),
+        _check_int64(sum(op._max * abs(k) for k, (_, op) in zip(factors, terms)),
                      "sum" if len(terms) > 1 else "scalar multiple")
     parts = [(op._rows, op._cols, op._data * k) for k, (_, op) in zip(factors, terms)]
     if len(parts) != 1:
@@ -421,7 +445,7 @@ def _product_bound(f, g, fl, gl, labels):
     """Largest entry of the product of f and g: the labelwise sum of
     max|f_i| * max|g_i| when both are stacked, max|f| * max|g| otherwise."""
     if fl is None or gl is None:
-        return f._max() * g._max()
+        return f._max * g._max
     return sum(a * b for a, b in zip(_label_max(f, fl, labels), _label_max(g, gl, labels)))
 
 
@@ -464,32 +488,72 @@ def _unlabel(n, target):
     return w, label, row
 
 
+def _label_matrix(h, mode):
+    """Shape, nonzero (row, column) indices, values and their denominator of
+    a scalar matrix h of labels (nested lists or an array; a 3-d one is read
+    as m x (q p)), and the largest row sum of |values|: exact values are int
+    numerators over their common denominator (``ModeError`` unless each is
+    an int or a ``Fraction``), float ones floats over 1."""
+    a = h if isinstance(h, np.ndarray) else np.array(h, dtype=object)
+    flat = a.reshape(len(a), -1)
+    to, of = np.nonzero(flat)
+    nums, den = flat[to, of].tolist(), 1
+    if mode == FLOAT:
+        nums = [float(c) for c in nums]
+    elif not all(isinstance(c, (int, Fraction)) for c in nums):
+        raise ModeError("float coefficient on exact operator")
+    else:
+        den = math.lcm(*(c.denominator for c in nums))
+        nums = [c.numerator * (den // c.denominator) for c in nums]
+    sums = [0] * len(a)
+    for i, v in zip(to.tolist(), nums):
+        sums[i] += abs(v)
+    return a.shape, to, of, nums, den, max(sums, default=0)
+
+
+_LabelMap = namedtuple("_LabelMap", "shape to of nums den row_sum values dest coef")
+_LABEL_MAPS = {}        # (id, mode) of a read-only label array -> (array, its _LabelMap)
+
+
+def _label_map(h, mode) -> _LabelMap:
+    """``_label_matrix`` of h, its values as an array (object past int64)
+    and, when no column has two nonzeros, the row and value of each column
+    (-1 and 0 for an empty one); a read-only array is read once per mode."""
+    key = (id(h), mode)
+    if key in _LABEL_MAPS and _LABEL_MAPS[key][0] is h:
+        return _LABEL_MAPS[key][1]
+    shape, to, of, nums, den, row_sum = _label_matrix(h, mode)
+    values = np.array(nums, dtype=float if mode == FLOAT else
+                      np.int64 if row_sum <= _MAX else object)
+    dest = coef = None
+    if len(np.unique(of)) == len(of):
+        width = math.prod(shape[1:])
+        dest, coef = np.full(width, -1), np.zeros(width, dtype=values.dtype)
+        dest[of], coef[of] = to, values
+    out = _LabelMap(shape, to, of, nums, den, row_sum, values, dest, coef)
+    if isinstance(h, np.ndarray) and not h.flags.writeable:
+        if len(_LABEL_MAPS) >= 256:
+            del _LABEL_MAPS[next(iter(_LABEL_MAPS))]
+        _LABEL_MAPS[key] = h, out
+    return out
+
+
 def relabel(h, op) -> GradedOperator:
     """(h ox 1_W) op for op: V -> K_n ox W stacked over n labels (``stack``)
     and a scalar map h: K_n -> K_m of the labels, given as its m x n matrix
     (nested lists or an array): label i of the result is sum_j h[i][j] f_j,
-    in one pass over the entries.  The only code that maps labels.  An exact
-    value must be an int or a ``Fraction``; the exact values are numerators
-    over their common denominator.  As in ``compose``, when max|f| times
-    the largest row sum of |num_ij|, or one of those numerators, could
-    leave int64, the entries are summed as Python ints and ``ModeError`` is
-    raised only if a reduced one does not fit."""
-    h = np.array(h, dtype=object)
-    m, n = h.shape
-    to, of = np.nonzero(h)
-    values = h[to, of].tolist()
-    if op.mode == EXACT and not all(isinstance(c, (int, Fraction)) for c in values):
-        raise ModeError("float coefficient on exact operator")
+    in one pass over the entries.  An exact value must be an int or a
+    ``Fraction``; the exact values are numerators over their common
+    denominator.  As in ``compose``, when max|f| times the largest row sum
+    of |num_ij|, or one of those numerators, could leave int64, the entries
+    are summed as Python ints and ``ModeError`` is raised only if a reduced
+    one does not fit."""
+    shape, to, of, nums, den, row_sum = _label_matrix(h, op.mode)
+    m, n = shape[0], math.prod(shape[1:])
     w, label, row = _labelled(op, n)
-    if op.mode == EXACT:
-        den = math.lcm(*(c.denominator for c in values))
-        ints, sums = [c.numerator * (den // c.denominator) for c in values], [0] * m
-        for i, v in zip(to.tolist(), ints):
-            sums[i] += abs(v)
-        wide = max(map(abs, ints), default=0) > _MAX or max(sums) * op._max() > _MAX
-        nums = np.array(ints, dtype=object if wide else np.int64)
-    else:
-        wide, nums, den = False, np.asarray(values, dtype=float), 1
+    wide = op.mode == EXACT and (max(map(abs, nums), default=0) > _MAX
+                                 or row_sum * op._max > _MAX)
+    nums = np.array(nums, dtype=object if wide else float if op.mode == FLOAT else np.int64)
     mine, theirs = _label_join(label, of, n)
     data = op._data[mine]
     out = GradedOperator(op.source, tensor_space(label_space(m), w), op.degree, op.mode,
@@ -504,9 +568,183 @@ def label_combination(x, op) -> GradedOperator:
     return relabel([list(x)], op)
 
 
-def on_labels(n, op) -> GradedOperator:
-    """1_K ox op, K = label_space(n) the labels of ``stack``."""
-    return tensor_operator(GradedOperator.identity(label_space(n), op.mode), op)
+def product_sum(terms) -> GradedOperator:
+    """sum_t h_t (1_K ox f_t) g_t over terms (h, f, g): f: U -> K_p ox W and
+    g: V -> K_q ox U stacked over p and q labels (``stack``; one label for a
+    plain operator), K = K_q, and h an m x q x p scalar array: label i of the
+    sum is sum_{j,k} h[i, j, k] f_k g_j, label (j, k) of the product being
+    f_k g_j.  A term (h, f) has an m x p array and adds ``relabel(h, f)``.
+    The terms share source, W, degree and m.  One entry match per distinct
+    (f, g) and one operator for the whole sum, in int64 when the exact bound
+    of the sum fits: the sum over terms of max|f| max|g| (terms per entry)
+    times the largest row sum of |h|, at the common denominator.  Past it
+    the sum is the ``combination`` of each term's ``relabel`` of its
+    product, built as by ``compose``, so an exact ``ModeError`` is raised
+    exactly where those steps raise it."""
+    mode, parsed, products = terms[0][1].mode, [], {}
+    for h, f, *g in terms:
+        g = g[0] if g else None
+        lab = _label_map(h, mode)
+        if len(lab.shape) != (2 if g is None else 3):
+            raise ValueError("product_sum: h must be m x p alone, m x q x p with g")
+        if g is None:
+            if f.mode != mode:
+                raise ModeError("product_sum: mixed modes")
+            found = (*_labelled(f, lab.shape[1]), f._cols, f._data, None)
+        elif (found := products.get((id(f), id(g)))) is None:
+            found = products[id(f), id(g)] = _product_terms(f, g, *lab.shape[1:], mode)
+        parsed.append((h, f, g, lab, found))
+    shared = {((g or f).source, found[0], f.degree + (g.degree if g else 0), lab.shape[0])
+              for _, f, g, lab, found in parsed}
+    if len(shared) != 1:
+        raise ValueError("product_sum: terms not parallel")
+    (source, w, degree, m), den = shared.pop(), 1
+    if mode == EXACT:
+        dens = [lab.den * f._den * (g._den if g else 1) for _, f, g, lab, _ in parsed]
+        den = math.lcm(*dens)
+        bound = sum(den // d * max(lab.row_sum, 1) * f._max *
+                    (g._max * _row_count(f) if g else 1)
+                    for d, (_, f, g, lab, _) in zip(dens, parsed))
+        if bound > _MAX or max(lab.row_sum for _, _, _, lab, _ in parsed) > _MAX:
+            return _stepwise(parsed)
+    rows, cols, data = [_NONE], [_NONE], [np.zeros(0, dtype=np.int64 if mode == EXACT else float)]
+    for _, f, g, lab, (_, label, r, c, a, b) in parsed:
+        scale = den // (lab.den * f._den * (g._den if g else 1)) if mode == EXACT else 1
+        values = a if b is None else a * b
+        if lab.dest is not None:
+            to, coef = lab.dest[label], lab.coef[label]
+            if not (to >= 0).all():
+                to, r, c, values, coef = (x[to >= 0] for x in (to, r, c, values, coef))
+        else:
+            mine, theirs = _label_join(label, lab.of, math.prod(lab.shape[1:]))
+            to, r, c, values, coef = lab.to[theirs], r[mine], c[mine], values[mine], \
+                lab.values[theirs]
+        rows.append(_stacked_rows(m, w, to, r))
+        cols.append(c)
+        data.append(values * (coef * scale if scale != 1 else coef))
+    return GradedOperator(source, tensor_space(label_space(m), w), degree, mode,
+                          *map(np.concatenate, (rows, cols, data)), den)
+
+
+def _product_terms(f, g, q, p, mode):
+    """W and the terms of (1_K ox f) g for f: U -> K_p ox W and g: V -> K_q ox U
+    stacked over p and q labels: the product label j p + k, the row in W and
+    the column of each term, and its two factors; by f entry, then g entry,
+    so that an entry sums its terms by increasing inner index (``compose``)."""
+    if f.mode != mode or g.mode != mode:
+        raise ModeError("product_sum: mixed modes")
+    w, fl, fr = _labelled(f, p)
+    u, gl, gr = _labelled(g, q)
+    if u != f.source:
+        raise ValueError("product_sum: target of g is not K ox the source of f")
+    mine, theirs = _label_join(f._cols, gr, u.total_dim)
+    return w, gl[theirs] * p + fl[mine], fr[mine], g._cols[theirs], f._data[mine], g._data[theirs]
+
+
+def _stepwise(parsed) -> GradedOperator:
+    """``product_sum`` one step at a time: each product an operator, as by
+    ``compose``, then each term's ``relabel`` and one ``combination``."""
+    built, ops = {}, []
+    for h, f, g, lab, (w, label, r, c, a, b) in parsed:
+        op = f
+        if g is not None:
+            if (id(f), id(g)) not in built:
+                width = math.prod(lab.shape[1:])
+                built[id(f), id(g)] = _product_operator(
+                    f, g, tensor_space(label_space(width), w), _stacked_rows(width, w, label, r),
+                    c, a, b)
+            op = built[id(f), id(g)]
+        ops.append(relabel(h, op))
+    return combination((1,) * len(ops), ops)
+
+
+@lru_cache(maxsize=64)
+def _entry_places(source, target, degree):
+    """Place of the entry (r, c) of a degree-``degree`` map source -> target
+    among its block entries (``_block_entries``: blocks by source degree,
+    each row-major): start[c] + width[c] * local[r], r and c basis vectors of
+    target and source; and the number of block entries."""
+    start, width = (np.zeros(source.total_dim, dtype=int) for _ in range(2))
+    count = 0
+    for k in source.degrees:
+        c = source._starts[k] + np.arange(source.dim(k))
+        start[c], width[c] = count + np.arange(len(c)), len(c)
+        count += target.dim(k + degree) * len(c)
+    local = np.arange(target.total_dim) - np.searchsorted(target._index_degrees,
+                                                          target._index_degrees)
+    for a in (start, width, local):
+        a.flags.writeable = False
+    return start, width, local, count
+
+
+@lru_cache(maxsize=64)
+def _same_degree(v, w):
+    """Start and dimension in W of the degree of each basis vector of V."""
+    start = np.searchsorted(w._index_degrees, v._index_degrees)
+    out = start, np.searchsorted(w._index_degrees, v._index_degrees, "right") - start
+    for a in out:
+        a.flags.writeable = False
+    return out
+
+
+def _spread(index, v, w):
+    """Each of the basis vectors ``index`` of V against every basis vector of
+    W of its degree: the position in ``index`` and the basis vector of W of
+    each pair."""
+    start, dim = (a[index] for a in _same_degree(v, w))
+    at = np.repeat(np.arange(len(index)), dim)
+    return at, start[at] + np.arange(len(at)) - np.repeat(dim.cumsum() - dim, dim)
+
+
+def hom_system(source, target, pairs, n):
+    """The equations phi A = A' phi over pairs (A, A') of endomorphism
+    families of source and target (a family whose target is not its source
+    is stacked over n labels, ``stack``) in the entries of the generic
+    degree-0 map phi: source -> target, unknown e its e-th block entry
+    (blocks by degree, each row-major): one row (label l, entry (w, v) of a
+    map of degree |A|) per nonzero sum_v' phi[w, v'] A_l[v', v] -
+    sum_w' A'_l[w, w'] phi[w', v], read straight off the entries of A and
+    A', pairs and labels in order, rows in block-entry order.  Exact: sparse
+    integer rows {unknown: numerator} and the number of unknowns;
+    ``ModeError`` when max|A| + max|A'| at their common denominator could
+    leave int64.  Float: one dense array, and None."""
+    mode = pairs[0][0].mode
+    start0, width0, local, n_cols = _entry_places(source, target, 0)
+    keys, data = [_NONE], [np.zeros(0, dtype=np.int64 if mode == EXACT else float)]
+    offset = 0
+    for a, b in pairs:
+        start, width, _, count = _entry_places(source, target, a.degree)
+        la, ra = _labelled(a, 1 if a.target == a.source else n)[1:]
+        lb, rb = _labelled(b, 1 if b.target == b.source else n)[1:]
+        den = math.lcm(a._den, b._den)
+        if mode == EXACT and len(a._data) and len(b._data):
+            _check_int64(a._max * (den // a._den) + b._max * (den // b._den), "sum")
+        at, w = _spread(ra, source, target)             # phi[w, v'] A_l[v', v]
+        v = a._cols[at]
+        keys.append((offset + la[at] * count + start[v] + width[v] * local[w]) * n_cols +
+                    start0[ra[at]] + width0[ra[at]] * local[w])
+        data.append(a._data[at] * (den // a._den))
+        at, v = _spread(b._cols, target, source)        # A'_l[w, w'] phi[w', v]
+        w = rb[at]
+        keys.append((offset + lb[at] * count + start[v] + width[v] * local[w]) * n_cols +
+                    start0[v] + width0[v] * local[b._cols[at]])
+        data.append(b._data[at] * -(den // b._den))
+        offset += count * (n if a.target != a.source else 1)
+    keys, data = np.concatenate(keys), np.concatenate(data)
+    order = np.argsort(keys, kind="stable")
+    keys, data = keys[order], data[order]
+    first = np.concatenate([[True], keys[1:] != keys[:-1]])[:len(keys)]
+    keys, data = keys[first], np.add.reduceat(data, np.flatnonzero(first)) if len(keys) else data
+    rows, cols = np.divmod(keys[data != 0], n_cols or 1)
+    data = data[data != 0]
+    new = np.concatenate([[True], rows[1:] != rows[:-1]])[:len(rows)]
+    if mode == FLOAT:
+        out = np.zeros((np.count_nonzero(new), n_cols))
+        out[np.cumsum(new) - 1, cols] = data
+        return out, None
+    bounds = np.append(np.flatnonzero(new), len(rows)).tolist()
+    cols, data = cols.tolist(), data.tolist()
+    return [dict(zip(cols[i:j], data[i:j])) for i, j in zip(bounds[:-1], bounds[1:])], n_cols
 
 
 def stack(ops) -> GradedOperator:
@@ -524,7 +762,7 @@ def stack(ops) -> GradedOperator:
             raise ModeError("stack: mixed modes")
     den = math.lcm(*(op._den for op in ops))
     if f0.mode == EXACT:
-        _check_int64(max(op._max() * (den // op._den) for op in ops), "stack")
+        _check_int64(max(op._max * (den // op._den) for op in ops), "stack")
     n = len(ops)
     label = np.repeat(np.arange(n), [len(op._rows) for op in ops])
     rows = _stacked_rows(n, f0.target, label, np.concatenate([op._rows for op in ops]))
@@ -548,6 +786,8 @@ def unstack(op, n):
 def _labelled(op, n):
     """W, and the label and the row in W of each entry, of an operator
     V -> K ox W stacked over n labels (``stack``)."""
+    if n == 1:
+        return op.target, np.zeros(len(op._rows), dtype=int), op._rows
     w, label, row = _unlabel(n, op.target)
     return w, label[op._rows], row[op._rows]
 

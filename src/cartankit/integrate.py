@@ -23,7 +23,7 @@ from .evaluators import (Blocks, ChainCombination, Evaluator, FlatRep,
                          PointEvaluator, WordEvaluator, as_points, boundary, eval_many,
                          ez_product, perm_sign)
 from .graded import (GradedOperator, combination, compose, graded_commutator,
-                     label_combination, on_labels, relabel)
+                     label_combination, product_sum, relabel)
 from .linalg import EXACT, FLOAT
 
 DEFAULT_ORDER = 16
@@ -194,10 +194,22 @@ def series_coefficient(js, exact: bool):
 @lru_cache(maxsize=256)
 def _exact_coefficients(sizes):
     """The exact series coefficients of every (j_1, ..., j_k) with
-    j_i < sizes[i], listed by the labels (j_k, ..., j_1) in lexicographic
-    order; cached, so a tuple."""
-    return tuple(series_coefficient(js[::-1], True)
-                 for js in iter_product(*map(range, reversed(sizes))))
+    j_i < sizes[i], as the 1 x q x sizes[0] ``product_sum`` array of the
+    last product, label (j_k, ..., j_2) of the q = sizes[1] ... sizes[k-1]
+    in lexicographic order and then j_1; cached and read-only."""
+    out = np.array([series_coefficient(js[::-1], True)
+                    for js in iter_product(*map(range, reversed(sizes)))],
+                   dtype=object).reshape(1, -1, sizes[0])
+    out.flags.writeable = False
+    return out
+
+
+@lru_cache(maxsize=256)
+def _keep(q, p):
+    """The ``product_sum`` array that keeps each of the q p product labels."""
+    out = np.eye(q * p, dtype=int).reshape(q * p, q, p)
+    out.flags.writeable = False
+    return out
 
 
 def integrate_series(rep, letters, max_degree: int = DEFAULT_SERIES_CAP) -> GradedOperator:
@@ -205,10 +217,10 @@ def integrate_series(rep, letters, max_degree: int = DEFAULT_SERIES_CAP) -> Grad
     coefficients.  Float mode sums layer by layer to a tolerance.  Exact
     mode reads each letter's power stack of B_i A_i^j up to its last
     nonzero power (``reps.Letter.powers``), so it terminates exactly on
-    nilpotent inputs.  It composes the stacks from the right through
-    ``on_labels``, k - 1 composes whatever the powers, into one operator
-    holding every product under the label (j_k, ..., j_1), and applies the
-    coefficients with one ``label_combination``."""
+    nilpotent inputs.  It composes the stacks from the right, each product
+    one ``product_sum`` holding every product under the label
+    (j_k, ..., j_i), k - 1 of them whatever the powers, the last one
+    applying the coefficients (``label_combination`` for k = 1)."""
     k = len(letters)
     space = rep.complex.space
     if k == 0:
@@ -217,11 +229,14 @@ def integrate_series(rep, letters, max_degree: int = DEFAULT_SERIES_CAP) -> Grad
         return _float_series(space, [rep.L_of(x) for x in letters],
                              [rep.B_of(x) for x in letters], max_degree)
     stacks = [rep.letter(x).powers for x in letters]
+    coefficients = _exact_coefficients(tuple(size for _, size in stacks))
     out, labels = stacks[-1]
-    for op, size in reversed(stacks[:-1]):
-        out = compose(on_labels(labels, op), out)
+    if k == 1:
+        return label_combination(coefficients.ravel(), out)
+    for op, size in reversed(stacks[1:-1]):
+        out = product_sum([(_keep(labels, size), op, out)])
         labels *= size
-    return label_combination(_exact_coefficients(tuple(size for _, size in stacks)), out)
+    return product_sum([(coefficients, stacks[0][0], out)])
 
 
 def _float_series(space, A, B, max_degree):
@@ -259,26 +274,27 @@ def _float_series(space, A, B, max_degree):
 
 @lru_cache(maxsize=256)
 def _cauchy(p: int, q: int, antiderivative: bool):
-    """The ``relabel`` matrix of a product of polynomials with p and q
-    coefficients: label j p + i of K_q ox K_p (t^i of the left factor times
-    t^j of the right) goes to r = i + j, or with the antiderivative to
-    r = i + j + 1 with weight 1 / r; cached, so a tuple of rows."""
+    """The ``product_sum`` array of a product of polynomials with p and q
+    coefficients: product label (j, i) (t^i of the left factor times t^j of
+    the right) goes to r = i + j, or with the antiderivative to r = i + j + 1
+    with weight 1 / r; cached and read-only."""
     shift = int(antiderivative)
-    h = [[0] * (p * q) for _ in range(p + q - 1 + shift)]
+    h = np.zeros((p + q - 1 + shift, q, p), dtype=object)
     for j, i in iter_product(range(q), range(p)):
-        h[i + j + shift][j * p + i] = Fraction(1, i + j + 1) if antiderivative else 1
-    return tuple(map(tuple, h))
+        h[i + j + shift, j, i] = Fraction(1, i + j + 1) if antiderivative else 1
+    h.flags.writeable = False
+    return h
 
 
 def _poly_product(f, g=None, antiderivative=False):
     """The product f(t) g(t) of two exact polynomials in t, each an operator
     stacked over its coefficients (label m holds the coefficient of t^m)
     with their count, g None for the constant 1; with ``antiderivative``,
-    s -> its integral from 0 to s.  One compose through ``on_labels`` (none
-    for g = 1) and one ``relabel``."""
+    s -> its integral from 0 to s.  One ``product_sum`` by the Cauchy
+    array, a ``relabel`` for g = 1."""
     (a, p), (b, q) = f, g or (None, 1)
     h = _cauchy(p, q, antiderivative)
-    return relabel(h, a if b is None else compose(on_labels(q, a), b)), len(h)
+    return (relabel(h, a) if b is None else product_sum([(h, a, b)])), len(h)
 
 
 def _slot_density(rep, slot):
@@ -319,8 +335,10 @@ def point_value(rep, prefix) -> GradedOperator:
     letters' cached exponentials; float ones are ``PointEvaluator.value``."""
     if rep.mode != EXACT:
         raise linalg.ModeError("exact point values require exact mode")
-    out = GradedOperator.identity(rep.complex.space, EXACT)
-    for x in prefix:
+    if not prefix:
+        return GradedOperator.identity(rep.complex.space, EXACT)
+    out = rep.letter(prefix[0]).exp
+    for x in prefix[1:]:
         out = compose(out, rep.letter(x).exp)
     return out
 

@@ -12,11 +12,12 @@ the stacked terms of the exact exponential of L(x) and the power stack of
 the exact series, all shared read-only.  The constructions build the
 stacks directly, in a fixed number of operator calls whatever n is.
 ``cartan_residuals`` measures how far the family is from satisfying the
-Cartan relations, each relation family as one operator: (1_K ox L) B
-holds every L_i B_j, a swap of the two labels the reversed products, and
-the structure constants act as c: K -> K ox K, both ``relabel`` matrices
-built once per algebra and mode; ``LieRep.residuals`` and
-``intertwiner_residual`` read the same stacks.  The Cartan DG Lie algebra
+Cartan relations, each relation family as one ``graded.product_sum``:
+(1_K ox L) B holds every L_i B_j, a swap of the two labels the reversed
+products, and the structure constants act as c: K -> K ox K, the label
+arrays built once per algebra and mode; ``LieRep.residuals`` and
+``intertwiner_residual`` read the same stacks, and ``hom_space`` solves
+the equations ``graded.hom_system`` reads off them.  The Cartan DG Lie algebra
 itself is a ``CartanRep``: ``cartan_dgla`` is its adjoint representation,
 verified by the d^2 check and ``cartan_residuals``.
 ``chain_rep`` and ``cochain_rep`` realize the two standard constructions
@@ -33,9 +34,9 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from . import ce, linalg
-from .graded import (CochainComplex, GradedOperator, GradedVectorSpace, combination,
-                     compose, dual_complex, dual_operator, dual_space, exp_terms,
-                     label_combination, label_space, on_labels, read_only, relabel, stack,
+from .graded import (CochainComplex, GradedOperator, GradedVectorSpace, compose,
+                     dual_complex, dual_operator, dual_space, exp_terms, hom_system,
+                     label_combination, label_space, product_sum, read_only, stack,
                      stack_entries, tensor_basis_index, tensor_complex, tensor_operator,
                      tensor_space, unstack)
 from .linalg import EXACT
@@ -80,11 +81,10 @@ class LieRep:
     def residuals(self):
         """Homomorphism + chain-map defects: max norms, keyed by family."""
         d, rho = self.complex.differential, self.stacked
-        swap, consts = _label_maps(self.algebra, self.mode)
-        products = compose(on_labels(self.algebra.n, rho), rho)
-        bracket = combination((1, -1, -1), (products, relabel(swap, products),
-                                            relabel(consts, rho)))
-        chain_map = compose(on_labels(self.algebra.n, d), rho) - compose(rho, d)
+        h = _label_maps(self.algebra, self.mode)
+        bracket = product_sum(((h["one"], rho, rho), (h["minus_swap"], rho, rho),
+                               (h["minus_c"], rho)))
+        chain_map = product_sum(((h["after"], d, rho), (h["minus_before"], rho, d)))
         return {"bracket": bracket.norm(), "chain_map": chain_map.norm()}
 
 
@@ -184,36 +184,40 @@ class CartanReport:
 
 @lru_cache(maxsize=64)
 def _label_maps(algebra, mode):
-    """The label maps of the relation families, as ``relabel`` matrices on
-    the labels K = label_space(n) of ``stack``, label (j, i) of
-    K ox K at j n + i: the swap (j, i) -> (i, j), and c: K -> K ox K with
-    c(e_k) = sum_{i,j} c[i, j, k] e_j ox e_i, so label (j, i) of
-    relabel(c, stack(h)) is sum_k c[i, j, k] h_k.  Label (j, i) of
-    (1_K ox stack(f)) stack(g) is f_i g_j.  Built once per (algebra, mode)
-    and shared read-only."""
+    """The ``graded.product_sum`` arrays of the relation families on the
+    labels K = label_space(n) of ``stack``, label (j, i) of K ox K at j n + i
+    holding f_i g_j in (1_K ox stack(f)) stack(g): ``one`` keeps every
+    product, ``swap`` takes label (j, i) from (i, j), the reversed products,
+    and ``c``: K -> K ox K, c(e_k) = sum_{i,j} c[i, j, k] e_j ox e_i, puts
+    sum_k c[i, j, k] h_k at label (j, i); ``after`` and ``before`` keep the
+    n products of a plain operator after and before a stack, ``eye`` keeps
+    a stack and ``unit`` the product of two plain operators.  Each also
+    negated (``minus``); built once per (algebra, mode) and shared
+    read-only."""
     n, c = algebra.n, algebra.constants(mode)
-    swap = np.zeros((n * n, n * n), dtype=int)
-    swap[np.arange(n * n), np.arange(n * n).reshape(n, n).T.ravel()] = 1
-    consts = c.transpose(1, 0, 2).reshape(n * n, n).copy()
-    for h in (swap, consts):
+    eye = np.eye(n, dtype=int)
+    one = np.eye(n * n, dtype=int).reshape(n * n, n, n)
+    maps = {"one": one, "swap": one.transpose(0, 2, 1).reshape(n * n, n, n),
+            "c": c.transpose(1, 0, 2).reshape(n * n, n), "after": eye[:, :, None],
+            "before": eye[:, None, :], "eye": eye, "unit": np.ones((1, 1, 1), dtype=int)}
+    maps.update({f"minus_{k}": -h for k, h in list(maps.items())})
+    for h in maps.values():
         h.flags.writeable = False
-    return swap, consts
+    return maps
 
 
 def cartan_residuals(rep: CartanRep) -> CartanReport:
     """Residuals of [L,L]=L, [L,B]=B, [B,B]=0 and [d,B]=L, as max norms over
-    all generators: each family is one operator on the stacked L and B
-    (``graded.stack``), the block of label pair (j, i) holding the relation
-    for (i, j)."""
-    n, L, B, d = rep.algebra.n, rep.L_stack, rep.B_stack, rep.differential
-    swap, consts = _label_maps(rep.algebra, rep.mode)
-    one_l, one_b = on_labels(n, L), on_labels(n, B)
-    ll, lb, bl, bb = compose(one_l, L), compose(one_l, B), compose(one_b, L), compose(one_b, B)
-    r_ll = combination((1, -1, -1), (ll, relabel(swap, ll), relabel(consts, L)))
-    r_lb = combination((1, -1, -1), (lb, relabel(swap, bl), relabel(consts, B)))
-    r_bb = combination((1, 1), (bb, relabel(swap, bb)))
-    r_db = combination((1, 1, -1), (compose(on_labels(n, d), B), compose(B, d), L))
-    return CartanReport(r_ll.norm(), r_lb.norm(), r_bb.norm(), r_db.norm())
+    all generators: each family is one ``product_sum`` on the stacked L and
+    B (``graded.stack``), the block of label pair (j, i) holding the
+    relation for (i, j)."""
+    L, B, d = rep.L_stack, rep.B_stack, rep.differential
+    h = _label_maps(rep.algebra, rep.mode)
+    families = (((h["one"], L, L), (h["minus_swap"], L, L), (h["minus_c"], L)),
+                ((h["one"], L, B), (h["minus_swap"], B, L), (h["minus_c"], B)),
+                ((h["one"], B, B), (h["swap"], B, B)),
+                ((h["after"], d, B), (h["before"], B, d), (h["minus_eye"], L)))
+    return CartanReport(*(product_sum(terms).norm() for terms in families))
 
 
 # ---------------------------------------------------------------------------
@@ -364,30 +368,9 @@ def hom_space(a, b, tol=linalg.DEFAULT_TOL):
     else:
         pairs += [(a.stacked, b.stacked)]
     source, target = a.complex.space, b.complex.space
-    system, n_cols = _intertwiner_system(source, target, pairs, mode, a.algebra.n)
+    system, n_cols = hom_system(source, target, pairs, a.algebra.n)
     return [GradedOperator.from_block_entries(source, target, 0, v, mode)
             for v in linalg.nullspace(system, tol, n_cols)]
-
-
-def _intertwiner_system(source, target, pairs, mode, n):
-    """Matrix of phi A = A' phi, one pair (A, A') after another, in the entries
-    of phi: sparse rows and their count of unknowns (exact), or a dense array
-    and None (float).  A degree-0 phi: V -> W is a degree-0 element of W ox V*,
-    where phi A - A' phi is (1 ox A* - A' ox 1) phi, A* the transpose of A with
-    its Koszul sign undone; each pair gives the degree-0 block of that operator.
-    A family stacked over the n labels (``stack``) is one equation, its rows
-    label by label.  The unknowns are the blocks of phi by degree, each
-    row-major."""
-    dual = dual_space(source)
-    id_s, id_t = GradedOperator.identity(dual, mode), GradedOperator.identity(target, mode)
-    eqs = []
-    for op_s, op_t in pairs:
-        odd = op_s.degree % 2
-        transpose = dual_operator(op_s, dual, lambda q: -1 if odd and q % 2 else 1, n)
-        eqs.append(tensor_operator(id_t, transpose, n) - tensor_operator(op_t, id_s, n))
-    if mode == EXACT:
-        return [row for eq in eqs for row in eq.rows(0)], eqs[0].source.dim(0)
-    return np.concatenate([eq.block(0) for eq in eqs]), None
 
 
 def induced_map(v_rep: LieRep, w_rep: CartanRep, phi0: GradedOperator) -> GradedOperator:
@@ -413,12 +396,13 @@ def induced_map(v_rep: LieRep, w_rep: CartanRep, phi0: GradedOperator) -> Graded
 
 def intertwiner_residual(op: GradedOperator, a: CartanRep, b: CartanRep) -> float:
     """Max norm of op x - x' op over the differentials and the L and B
-    families, each family stacked (``graded.stack``): (1_K ox op) stack(a)
-    - stack(b) op."""
-    labelled = on_labels(a.algebra.n, op)
-    worst = (compose(op, a.complex.differential) - compose(b.complex.differential, op)).norm()
+    families, each family stacked (``graded.stack``) and one
+    ``product_sum``: (1_K ox op) stack(a) - stack(b) op."""
+    h = _label_maps(a.algebra, a.mode)
+    worst = product_sum(((h["unit"], op, a.complex.differential),
+                         (h["minus_unit"], b.complex.differential, op))).norm()
     for fa, fb in ((a.L_stack, b.L_stack), (a.B_stack, b.B_stack)):
-        worst = max(worst, (compose(labelled, fa) - compose(fb, op)).norm())
+        worst = max(worst, product_sum(((h["after"], op, fa), (h["minus_before"], fb, op))).norm())
     return worst
 
 

@@ -16,6 +16,11 @@ a time, the reference for the stacked polynomials of ``integrate``
 (``pairwise_word_integral``, ``pairwise_merged_pair``).  ``ad_operator``
 is ad_x as a graded operator on the algebra, and ``apply`` applies an
 operator to coefficient vectors block by block.
+``on_labels`` is 1_K ox f as a tensor product with the identity of the
+labels, and ``composed_product_sum`` computes ``graded.product_sum`` from
+it one operator at a time (``compose``, ``relabel``, ``combination``);
+``tensor_intertwiner_system`` builds the hom-space equations of
+``graded.hom_system`` through dual and tensor operators.
 ``tensordot_jacobi`` contracts the ``Fraction`` structure constants as
 object arrays.  ``exp_operator`` exponentiates any degree-0 operator, in
 either mode.  ``operator_from_blocks`` (a dict of dense blocks) and
@@ -35,8 +40,8 @@ from cartankit.ce import exterior
 from cartankit.evaluators import (AffineReparam, MaxCollapseReparam, PermReparam,
                                   ProductEvaluator, WordEvaluator)
 from cartankit.graded import (GradedOperator, GradedVectorSpace, combination, compose,
-                              dual_operator, exp_terms, graded_commutator, stack_entries,
-                              tensor_operator)
+                              dual_operator, dual_space, exp_terms, graded_commutator,
+                              label_space, relabel, stack_entries, tensor_operator)
 from cartankit.integrate import compositions, series_coefficient
 from cartankit.linalg import EXACT, FLOAT, ModeError
 from cartankit.reps import CartanReport
@@ -275,6 +280,43 @@ def pairwise_merged_pair(rep, x, y):
     xi = [apply(c, {0: np.asarray(x)})[0] for c in ad_neg_y]
     xi[0] = xi[0] + np.asarray(y)
     return rho.dot(MatPoly([rep.B_of(v) for v in xi])).antiderivative().value_at_1()
+
+
+def on_labels(n, op):
+    """1_K ox op, K = label_space(n) the labels of ``stack``."""
+    return tensor_operator(GradedOperator.identity(label_space(n), op.mode), op)
+
+
+def composed_product_sum(terms):
+    """``graded.product_sum`` one operator at a time: each product
+    (1_K ox f) g a ``compose`` with ``on_labels``, each term a ``relabel``,
+    and one ``combination`` of the terms."""
+    ops = []
+    for h, f, *g in terms:
+        h = np.asarray(h)
+        op = compose(on_labels(h.shape[1], f), g[0]) if g else f
+        ops.append(relabel(h.reshape(len(h), -1), op))
+    return combination((1,) * len(ops), ops)
+
+
+def tensor_intertwiner_system(source, target, pairs, mode, n):
+    """Matrix of phi A = A' phi, one pair (A, A') after another, in the entries
+    of phi: sparse rows and their count of unknowns (exact), or a dense array
+    and None (float).  A degree-0 phi: V -> W is a degree-0 element of W ox V*,
+    where phi A - A' phi is (1 ox A* - A' ox 1) phi, A* the transpose of A with
+    its Koszul sign undone; each pair gives the degree-0 block of that operator,
+    empty rows included.  A family stacked over the n labels (``stack``) is
+    one equation, its rows label by label."""
+    dual = dual_space(source)
+    id_s, id_t = GradedOperator.identity(dual, mode), GradedOperator.identity(target, mode)
+    eqs = []
+    for op_s, op_t in pairs:
+        odd = op_s.degree % 2
+        transpose = dual_operator(op_s, dual, lambda q: -1 if odd and q % 2 else 1, n)
+        eqs.append(tensor_operator(id_t, transpose, n) - tensor_operator(op_t, id_s, n))
+    if mode == EXACT:
+        return [row for eq in eqs for row in eq.rows(0)], eqs[0].source.dim(0)
+    return np.concatenate([eq.block(0) for eq in eqs]), None
 
 
 def _bracket_defect(x, y, coeffs, ops):

@@ -3,10 +3,10 @@ polynomials in t as stacked operators, the per-letter operators of a
 representation, and the wide path of ``label_combination``.
 
 ``integrate_series`` composes each letter's power stack B, B A, ..., B A^c
-from the right through ``on_labels`` and applies every coefficient with one
-``label_combination``; the per-term loop of ``dense_reference`` must agree
-entry for entry.  A product of polynomials is one compose and one
-``relabel``; the per-pair ``MatPoly`` of ``dense_reference`` must agree
+from the right, one ``graded.product_sum`` per product, the last applying
+every coefficient; the per-term loop of ``dense_reference`` must agree
+entry for entry.  A product of polynomials is one ``product_sum`` by the
+Cauchy array; the per-pair ``MatPoly`` of ``dense_reference`` must agree
 entry for entry and denominator for denominator.  Exact Stokes, its inner
 faces integrated by the same polynomials with one merged slot, holds
 exactly on every word with k <= 3."""
@@ -75,6 +75,23 @@ def test_stacked_series_equals_the_per_term_loop_at_four_letters():
     _assert_same(out, loop_series(rep, letters))
 
 
+def _count_products(monkeypatch):
+    """Calls of ``compose`` and of ``product_sum``, each one product."""
+    calls = []
+
+    def counting(original):
+        def counted(*args):
+            calls.append(1)
+            return original(*args)
+        return counted
+
+    for name in ("compose", "product_sum"):
+        wrapped = counting(getattr(graded, name))
+        for module in (graded, reps, integrate):
+            monkeypatch.setattr(module, name, wrapped)
+    return calls
+
+
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_warm_series_makes_k_minus_one_composes(h3_reps, monkeypatch, k):
     """The letters have different numbers of powers (the central z has
@@ -84,15 +101,7 @@ def test_warm_series_makes_k_minus_one_composes(h3_reps, monkeypatch, k):
     letters = [pool[i % len(pool)] for i in (3, 0, 1, 3)[:k]]
     assert len({rep.letter(x).powers[1] for x in pool}) > 1
     want = integrate.integrate_series(rep, letters)
-    calls = []
-
-    def counted(f, g):
-        calls.append(1)
-        return original(f, g)
-
-    original = graded.compose
-    for module in (graded, reps, integrate):
-        monkeypatch.setattr(module, "compose", counted)
+    calls = _count_products(monkeypatch)
     _assert_same(integrate.integrate_series(rep, letters), want)
     assert len(calls) == k - 1
 
@@ -143,15 +152,7 @@ def test_polynomial_route_makes_one_compose_per_product(h3_reps, monkeypatch, k)
     letters = _letters(rep, HEISENBERG_LETTERS[:k])
     want = integrate.word_integral_polynomial_exact(rep, letters)
     merged = integrate._slot_integral(rep, [letters]) if k == 2 else None
-    calls = []
-
-    def counted(f, g):
-        calls.append(1)
-        return original(f, g)
-
-    original = graded.compose
-    for module in (graded, reps, integrate):
-        monkeypatch.setattr(module, "compose", counted)
+    calls = _count_products(monkeypatch)
     _assert_same(integrate.word_integral_polynomial_exact(rep, letters), want)
     assert len(calls) == 2 * k - 1
     if merged is not None:
@@ -261,9 +262,11 @@ def test_label_maps_are_built_once_and_read_only(h3_reps):
     g, n = rep.algebra, rep.algebra.n
     maps = reps._label_maps(g, rep.mode)
     assert reps._label_maps(g, rep.mode) is maps
-    assert not any(h.flags.writeable for h in maps)
-    swap, consts = maps
+    assert not any(h.flags.writeable for h in maps.values())
+    swap, consts = maps["swap"].reshape(n * n, n * n), maps["c"]
     for i in range(n):
         for j in range(n):
             assert swap[j * n + i].tolist() == [int(r == i * n + j) for r in range(n * n)]
             assert consts[j * n + i].tolist() == g.c[i, j].tolist()
+    for name in ("one", "swap", "c", "after", "before", "eye", "unit"):
+        assert np.array_equal(maps[f"minus_{name}"], -maps[name])

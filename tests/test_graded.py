@@ -1,6 +1,7 @@
 """Graded operators, Koszul signs, tensor complexes."""
 
 import json
+import math
 import pathlib
 import re
 from fractions import Fraction
@@ -14,14 +15,14 @@ from cartankit import cli, linalg
 from cartankit.ce import ce_chain, ce_cochain
 from cartankit.graded import (CochainComplex, GradedOperator, GradedVectorSpace, combination,
                               compose, dual_complex, dual_operator, dual_space,
-                              graded_commutator, label_combination, label_space, on_labels,
-                              relabel, reversed_tensor, stack_entries, tensor_basis_index,
+                              graded_commutator, label_combination, label_space, relabel,
+                              reversed_tensor, stack_entries, tensor_basis_index,
                               tensor_complex, tensor_operator, tensor_space)
 from cartankit.lie import sl2
 from cartankit.linalg import EXACT, FLOAT, ModeError
 from cartankit.reps import adjoint_rep, chain_rep, cochain_rep, trivial_lie_rep
 from cartankit.schemas import load_operator
-from dense_reference import apply, operator_from_blocks, operator_from_entries
+from dense_reference import apply, on_labels, operator_from_blocks, operator_from_entries
 from test_stacked import _assert_same
 
 
@@ -580,3 +581,49 @@ def test_warm_relabel_builds_no_graded_vector_space(monkeypatch):
     assert label_space(n) is label_space(n)
     for got, want in zip(again, warm):
         _assert_same(got, want)
+
+
+def _summed_reference(total, mode, rows, cols, data, den):
+    """The constructor's entries as every unsorted input was read before:
+    a stable sort, np.add.at over every key, zeros dropped, then the gcd."""
+    keys = rows * total + cols
+    if not (keys[1:] > keys[:-1]).all():
+        order = np.argsort(keys, kind="stable")
+        keys, data = keys[order], data[order]
+        first = np.concatenate([[True], keys[1:] != keys[:-1]])
+        summed = np.zeros(np.count_nonzero(first), dtype=data.dtype)
+        np.add.at(summed, np.cumsum(first) - 1, data)
+        keys, data = keys[first], summed
+        rows, cols = keys // total, keys % total
+    rows, cols, data = rows[data != 0], cols[data != 0], data[data != 0]
+    if mode == EXACT and len(data):
+        g = math.gcd(den, int(np.gcd.reduce(data)))
+        data, den = data // g, den // g
+    return rows, cols, data, den if len(data) else 1
+
+
+@pytest.mark.parametrize("mode", [EXACT, FLOAT])
+def test_constructor_fast_paths_keep_every_entry_bit_for_bit(mode):
+    """Unsorted input with and without repeated keys, and gcd 1 or not: the
+    entries equal the sort-and-add.at reading bit for bit (float sums in
+    input order)."""
+    rng = np.random.default_rng(7)
+    space = GradedVectorSpace({-1: 3, 0: 4, 1: 2})
+    for case in range(400):
+        size = int(rng.integers(0, 30))
+        rows, cols = rng.integers(0, space.total_dim, (2, size))
+        if case % 2:
+            keys = np.unique(rows * space.total_dim + cols)
+            rows, cols = keys // space.total_dim, keys % space.total_dim
+            perm = rng.permutation(len(rows))
+            rows, cols = rows[perm], cols[perm]
+        if mode == FLOAT:
+            data, den = rng.standard_normal(len(rows)) * 10.0 ** rng.integers(-8, 8), 1
+        else:
+            data = rng.integers(-4, 5, len(rows)) * int(rng.choice([1, 2, 6]))
+            den = int(rng.choice([1, 3, 4, 12]))
+        op = GradedOperator(space, space, 0, mode, rows, cols, data, den)
+        want = _summed_reference(space.total_dim, mode, rows, cols, data, den)
+        for got, ref in zip((op._rows, op._cols, op._data), want[:3]):
+            assert got.dtype == ref.dtype and np.array_equal(got, ref)
+        assert op._den == want[3]

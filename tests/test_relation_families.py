@@ -179,31 +179,39 @@ def test_stack_bound_is_the_largest_block():
         stack([big, half])
 
 
-def _count_composes(monkeypatch):
-    calls = []
+def _count_products(monkeypatch):
+    """Calls of ``compose`` and of ``product_sum``, and operators built."""
+    calls = {"compose": [], "product_sum": [], "built": []}
 
-    def counted(f, g):
-        calls.append(1)
-        return original(f, g)
+    def counting(name, original):
+        def counted(*args):
+            calls[name].append(1)
+            return original(*args)
+        return counted
 
-    original = graded.compose
-    for module in (graded, reps):
-        monkeypatch.setattr(module, "compose", counted)
+    for name in ("compose", "product_sum"):
+        wrapped = counting(name, getattr(graded, name))
+        for module in (graded, reps):
+            monkeypatch.setattr(module, name, wrapped)
+    monkeypatch.setattr(GradedOperator, "__init__",
+                        counting("built", GradedOperator.__init__))
     return calls
 
 
 @pytest.mark.parametrize("mode", [EXACT, FLOAT])
 def test_compose_count_does_not_grow_with_the_algebra(monkeypatch, mode):
-    """One compose per product family, however many generators."""
+    """One ``product_sum`` per relation family and one operator built by
+    each, however many generators; no other ``compose``."""
     counts = []
     for n in (3, 5):
         g = abelian(n)
         rep = chain_rep(g, trivial_lie_rep(g, mode=mode))
-        calls = _count_composes(monkeypatch)
+        cartan_residuals(rep)                   # the label maps of (g, mode)
+        calls = _count_products(monkeypatch)
         assert cartan_residuals(rep).worst == 0.0
-        counts.append(len(calls))
+        counts.append(tuple(len(calls[k]) for k in ("compose", "product_sum", "built")))
         monkeypatch.undo()
-    assert counts == [6, 6]
+    assert counts == [(0, 4, 4), (0, 4, 4)]
 
 
 @pytest.mark.parametrize("entry", [2 ** 62, 3 * 10 ** 9], ids=["compose", "sum"])
