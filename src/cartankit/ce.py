@@ -20,6 +20,10 @@ and B come out as the stacks V -> K ox V of ``reps.CartanRep``.
 The cochain side is their signed transpose with dual coefficients.  Within
 each total degree the layout (``CEBasis``) lists the pieces Lambda^m ox V^q
 by increasing m, subsets in lexicographic order inside Lambda^m.
+
+What depends only on the structure constants, del and [del, E], is built
+once per (algebra, mode), and the layout with its signs once per (n, V,
+flavor); bounded caches share them read-only, as ``exterior`` is shared.
 """
 
 from collections import namedtuple
@@ -32,8 +36,8 @@ import numpy as np
 
 from . import linalg
 from .graded import (CochainComplex, GradedOperator, GradedVectorSpace, combination, compose,
-                     dual_operator, dual_space, product_sum, reversed_tensor, stack_entries,
-                     tensor_space, unstack)
+                     dual_operator, dual_space, product_sum, read_only, reversed_tensor,
+                     stack_entries, tensor_space, unstack)
 
 
 Exterior = namedtuple("Exterior", "space wedge contraction eps iota")
@@ -67,20 +71,33 @@ def exterior(n, mode) -> Exterior:
                     tuple(unstack(contraction, n)))
 
 
+@lru_cache(maxsize=16)
 def boundary(algebra, mode) -> GradedOperator:
     """del = sum_{s<t, r} c[s,t,r] eps_r iota_t iota_s on Lambda(g), the chain
     differential with trivial coefficients: one ``combination`` of cached
-    monomials."""
+    monomials, built once per (algebra, mode) and shared read-only.  Each
+    entry keeps its algebra alive, hence the small bound."""
     c, space = algebra.constants(mode), exterior(algebra.n, mode).space
     terms = [(c[s, t, r], _monomial(algebra.n, mode, r, s, t))
              for s, t in combinations(range(algebra.n), 2) for r in np.flatnonzero(c[s, t])]
-    return combination(*zip(*terms)) if terms else GradedOperator.zero(space, space, 1, mode)
+    return read_only(combination(*zip(*terms)) if terms
+                     else GradedOperator.zero(space, space, 1, mode))
+
+
+@lru_cache(maxsize=16)
+def _commutator(algebra, mode) -> GradedOperator:
+    """[del, E] = (1_K ox del) E + E del for the stacked wedge E, one
+    ``product_sum``, built once per (algebra, mode) and shared read-only."""
+    eye, ext = np.eye(algebra.n, dtype=int), exterior(algebra.n, mode)
+    bd = boundary(algebra, mode)
+    return read_only(product_sum(((eye[:, :, None], bd, ext.wedge),
+                                  (eye[:, None, :], ext.wedge, bd))))
 
 
 @lru_cache(maxsize=256)
 def _monomial(n, mode, r, s, t):
     ext = exterior(n, mode)
-    return compose(ext.eps[r], compose(ext.iota[t], ext.iota[s]))
+    return read_only(compose(ext.eps[r], compose(ext.iota[t], ext.iota[s])))
 
 
 def _sign_of_transpose(p, q):
@@ -94,7 +111,8 @@ def _odd(q):
 
 class CEBasis:
     """The layout of Lambda(g) ox V (chains) or of its dual with V* in place
-    of V (cochains), and the placing of tensor products on it."""
+    of V (cochains), and the placing of tensor products on it; built by
+    ``basis``."""
 
     def __init__(self, n, coeff_space, flavor):
         if flavor not in ("cochain", "chain"):
@@ -121,6 +139,13 @@ class CEBasis:
         return dual_operator(op, self.space, sign, labels) if self.cochain else op
 
 
+@lru_cache(maxsize=64)
+def basis(n, coeff_space, flavor) -> CEBasis:
+    """The ``CEBasis`` of Lambda(g) ox V for dim g = n and V = ``coeff_space``,
+    built once per (n, coefficient space, flavor) and shared."""
+    return CEBasis(n, coeff_space, flavor)
+
+
 @lru_cache(maxsize=16)
 def first_contractions(n, mode, coeff_space):
     """R_i ox 1 on the chain layout of Lambda(g) ox V, where
@@ -128,7 +153,7 @@ def first_contractions(n, mode, coeff_space):
     and to 0 otherwise (each iota_j eps_j keeps the subsets without j), so
     that sum_i eps_i R_i is 1 on Lambda^m for m > 0."""
     ext = exterior(n, mode)
-    place = CEBasis(n, coeff_space, "chain").place
+    place = basis(n, coeff_space, "chain").place
     one = GradedOperator.identity(coeff_space, mode)
     out, without = [], GradedOperator.identity(ext.space, mode)
     for eps, iota in zip(ext.eps, ext.iota):
@@ -139,14 +164,13 @@ def first_contractions(n, mode, coeff_space):
 
 @dataclass
 class CEComplex:
-    """Assembled complex plus its layout, the Lie representation
-    its chain side was made from (the coefficients, or their dual for
-    cochains) and the boundary of Lambda(g)."""
+    """Assembled complex plus its layout and the Lie representation its
+    chain side was made from (the coefficients, or their dual for
+    cochains)."""
 
     complex: CochainComplex
     basis: CEBasis
     chain_coefficients: object
-    boundary: GradedOperator
 
     @property
     def differential(self):
@@ -155,36 +179,34 @@ class CEComplex:
     def cartan_operators(self):
         """L and B of the chain or cochain representation, each stacked over
         the generators (``graded.stack``): with E the stacked wedge,
-        [del, E] = (1_K ox del) E + E del, L = [del, E] ox 1 + 1 ox rho and
-        B = E ox 1; the cochain transposes take the signs of ``dual_rep``:
-        -1 for L, (-1)^q for B."""
+        L = [del, E] ox 1 + 1 ox rho (``_commutator``) and B = E ox 1; the
+        cochain transposes take the signs of ``dual_rep``: -1 for L, (-1)^q
+        for B."""
         rep = self.chain_coefficients
         n = rep.algebra.n
         ext = exterior(n, rep.mode)
         one, one_ext = (GradedOperator.identity(space, rep.mode)
                         for space in (rep.complex.space, ext.space))
-        eye = np.eye(n, dtype=int)
-        commutator = product_sum(((eye[:, :, None], self.boundary, ext.wedge),
-                                  (eye[:, None, :], ext.wedge, self.boundary)))
-        L = self.basis.place(lambda q: -1, (commutator, one), (one_ext, rep.stacked), labels=n)
+        L = self.basis.place(lambda q: -1, (_commutator(rep.algebra, rep.mode), one),
+                             (one_ext, rep.stacked), labels=n)
         B = self.basis.place(_odd, (ext.wedge, one), labels=n)
         return L, B
 
 
-def _build(algebra, basis, rep):
-    """The complex on ``basis`` whose chain side is Lambda(g) ox ``rep``."""
+def _build(algebra, layout, rep):
+    """The complex on ``layout`` whose chain side is Lambda(g) ox ``rep``."""
     ext = exterior(algebra.n, rep.mode)
-    bd = boundary(algebra, rep.mode)
     one, one_ext = (GradedOperator.identity(space, rep.mode)
                     for space in (rep.complex.space, ext.space))
-    d = basis.place(_odd, (bd, one), (one_ext, rep.complex.differential),
-                    (ext.contraction, rep.stacked), labels=algebra.n)
-    return CEComplex(CochainComplex(basis.space, d), basis, rep, bd)
+    d = layout.place(_odd, (boundary(algebra, rep.mode), one),
+                     (one_ext, rep.complex.differential), (ext.contraction, rep.stacked),
+                     labels=algebra.n)
+    return CEComplex(CochainComplex(layout.space, d), layout, rep)
 
 
 def ce_chain(algebra, rep) -> CEComplex:
     """Homological complex on the exterior algebra tensor the coefficients."""
-    return _build(algebra, CEBasis(algebra.n, rep.complex.space, "chain"), rep)
+    return _build(algebra, basis(algebra.n, rep.complex.space, "chain"), rep)
 
 
 def ce_cochain(algebra, rep) -> CEComplex:
@@ -196,7 +218,7 @@ def ce_cochain(algebra, rep) -> CEComplex:
     ``CEBasis.place`` with -1 at odd source degree, as ``dual_complex``.
     """
     from .reps import dual_lie_rep
-    return _build(algebra, CEBasis(algebra.n, rep.complex.space, "cochain"), dual_lie_rep(rep))
+    return _build(algebra, basis(algebra.n, rep.complex.space, "cochain"), dual_lie_rep(rep))
 
 
 def cohomology_dims(complex_: CochainComplex, tol=linalg.DEFAULT_TOL):

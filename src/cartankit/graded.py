@@ -320,7 +320,8 @@ def graded_commutator(f: GradedOperator, g: GradedOperator) -> GradedOperator:
 
 
 class CochainComplex:
-    """Graded space with a degree +1 differential squaring to zero."""
+    """Graded space with a degree +1 differential squaring to zero, checked
+    by one ``compose`` unless the differential has no stored entry."""
 
     def __init__(self, space: GradedVectorSpace, differential: GradedOperator):
         if differential.degree != 1:
@@ -330,9 +331,10 @@ class CochainComplex:
         self.space = space
         self.differential = differential
         self.mode = differential.mode
-        sq = compose(differential, differential)
-        if sq.norm() > linalg.tolerance(self.mode):
-            raise ValueError(f"differential does not square to zero (norm {sq.norm()})")
+        if len(differential._data):
+            sq = compose(differential, differential)
+            if sq.norm() > linalg.tolerance(self.mode):
+                raise ValueError(f"differential does not square to zero (norm {sq.norm()})")
 
     @classmethod
     def concentrated(cls, dim: int, degree: int, mode: str):
@@ -818,6 +820,7 @@ def reversed_tensor(v, w, sign=None):
     signs = np.empty_like(pos)
     signs[pos] = sign(np.repeat(v._index_degrees, w.total_dim),
                       np.tile(w._index_degrees, v.total_dim))
+    signs.flags.writeable = False
     return lambda *pairs, labels=None: _tensor_sum(pairs, True, signs, labels)
 
 

@@ -388,7 +388,7 @@ def induced_map(v_rep: LieRep, w_rep: CartanRep, phi0: GradedOperator) -> Graded
         raise linalg.ModeError(f"induced_map: phi0 is {phi0.mode}, W is {mode}")
     augmentation = stack_entries(1, ce.exterior(n, mode).space, label_space(1), 0, _UNIT_ENTRY,
                                  mode)
-    phi = ce.CEBasis(n, space, "chain").place(None, (augmentation, phi0))
+    phi = ce.basis(n, space, "chain").place(None, (augmentation, phi0))
     for b, lower in reversed(list(zip(w_rep.B, ce.first_contractions(n, mode, space)))):
         phi = phi + compose(b, compose(phi, lower))
     return phi
@@ -429,7 +429,7 @@ def adjunction_check(v_rep: LieRep, w_rep: CartanRep, tol=linalg.DEFAULT_TOL) ->
     # restricting phi to Lambda^0 ox V is composing with iota = unit ox 1, unit: 1 -> Lambda^0
     n, space, mode = v_rep.algebra.n, v_rep.complex.space, w_rep.mode
     unit = stack_entries(1, label_space(1), ce.exterior(n, mode).space, 0, _UNIT_ENTRY, mode)
-    iota = ce.CEBasis(n, space, "chain").place(None, (unit, GradedOperator.identity(space, mode)))
+    iota = ce.basis(n, space, "chain").place(None, (unit, GradedOperator.identity(space, mode)))
     worst = 0.0
     for phi0 in lie_maps:
         phi = induced_map(v_rep, w_rep, phi0)

@@ -36,7 +36,7 @@ import numpy as np
 import scipy.linalg
 
 from cartankit import linalg
-from cartankit.ce import exterior
+from cartankit.ce import boundary, exterior
 from cartankit.evaluators import (AffineReparam, MaxCollapseReparam, PermReparam,
                                   ProductEvaluator, WordEvaluator)
 from cartankit.graded import (GradedOperator, GradedVectorSpace, combination, compose,
@@ -371,7 +371,8 @@ def per_generator_cartan_operators(cec):
     ext = exterior(rep.algebra.n, rep.mode)
     one, one_ext = (GradedOperator.identity(space, rep.mode)
                     for space in (rep.complex.space, ext.space))
-    L = [cec.basis.place(lambda q: -1, (graded_commutator(cec.boundary, eps), one),
+    bd = boundary(rep.algebra, rep.mode)
+    L = [cec.basis.place(lambda q: -1, (graded_commutator(bd, eps), one),
                          (one_ext, rho)) for eps, rho in zip(ext.eps, rep.operators)]
     B = [cec.basis.place(_odd, (eps, one)) for eps in ext.eps]
     return L, B

@@ -76,6 +76,25 @@ def test_differential_squares_to_zero_enforced(two_degree_space):
         CochainComplex(bad_space, bad)
 
 
+@pytest.mark.parametrize("mode", [EXACT, FLOAT])
+def test_d_squared_check_composes_only_a_stored_differential(monkeypatch, mode):
+    """An empty differential squares to zero without a ``compose``; one with
+    d^2 != 0 is still refused."""
+    from cartankit import graded
+    calls = []
+    real = graded.compose
+    monkeypatch.setattr(graded, "compose", lambda f, g: calls.append(1) or real(f, g))
+    space = _space({-1: 2, 0: 1})
+    CochainComplex.concentrated(3, 0, mode)
+    CochainComplex(space, GradedOperator.zero(space, space, 1, mode))
+    assert calls == []
+    line = _space({0: 1, 1: 1, 2: 1})
+    bad = stack_entries(1, line, line, 1, ([0, 0], [0, 1], [0, 0], [0, 0], [1, 1]), mode)
+    with pytest.raises(ValueError, match="does not square to zero"):
+        CochainComplex(line, bad)
+    assert calls == [1]
+
+
 def test_commutator_even_and_odd_signs(two_degree_space):
     rng = np.random.default_rng(2)
     a = _random_op(two_degree_space, 0, rng)
