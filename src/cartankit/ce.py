@@ -184,13 +184,19 @@ class CEComplex:
         for B."""
         rep = self.chain_coefficients
         n = rep.algebra.n
-        ext = exterior(n, rep.mode)
         one, one_ext = (GradedOperator.identity(space, rep.mode)
-                        for space in (rep.complex.space, ext.space))
+                        for space in (rep.complex.space, exterior(n, rep.mode).space))
         L = self.basis.place(lambda q: -1, (_commutator(rep.algebra, rep.mode), one),
                              (one_ext, rep.stacked), labels=n)
-        B = self.basis.place(_odd, (ext.wedge, one), labels=n)
-        return L, B
+        return L, _placed_wedge(self.basis, n, rep.mode, rep.complex.space)
+
+
+@lru_cache(maxsize=64)
+def _placed_wedge(layout, n, mode, coeff_space) -> GradedOperator:
+    """B = E ox 1 on ``layout`` (n generators, V = ``coeff_space``) for the
+    stacked wedge E, built once per (layout, mode) and shared read-only."""
+    one = GradedOperator.identity(coeff_space, mode)
+    return read_only(layout.place(_odd, (exterior(n, mode).wedge, one), labels=n))
 
 
 def _build(algebra, layout, rep):

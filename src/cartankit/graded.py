@@ -3,17 +3,18 @@
 A graded space (dict degree -> dimension) is laid out as the direct sum of
 its degrees in increasing order, and a graded operator is one sparse matrix
 over the layouts of its source and target: row-major sorted arrays of its
-nonzero entries, float64 in float mode and int64 numerators over one common
-denominator in exact mode, reduced by their gcd after every operation.  It
-is read off a block-entries vector (dense: the blocks by source degree,
-each row-major) or off entry arrays (sparse: label, block, row, column,
-value), both through one int64 check.  An exact operation whose numerators
-could leave int64 raises ``ModeError``: an entry of a product or of a
-relabelling that does not fit once summed exactly, or a tensor product,
-sum or scalar multiple over its bound (max|A| * max|B| and the like).
-Nothing wraps around or falls back to float.  Only this module knows the
-layout.  Every constructed complex verifies that its differential (of
-degree +1) squares to zero.  A family of n parallel operators is stored as
+nonzero entries, float64 in float mode and integer numerators over one
+common denominator in exact mode, reduced by their gcd after every
+operation.  It is read off a block-entries vector (dense: the blocks by
+source degree, each row-major) or off entry arrays (sparse: label, block,
+row, column, value).  Exact numerators are one arithmetic in two dtypes:
+each operation bounds the numerators it makes (max|A| * max|B| times the
+terms per entry and the like) and computes in int64 when the bound fits,
+in Python ints (object arrays) past it (``_fit``); an operator whose
+reduced numerators fit stores them in int64.  Nothing wraps around or
+falls back to float.  Only this module knows the layout.  Every
+constructed complex verifies that its differential (of degree +1)
+squares to zero.  A family of n parallel operators is stored as
 one operator V -> K ox W over the degree-0 space K = ``label_space(n)`` of
 n labels (``stack``); tensor products and duals act on such stacks label
 by label, and ``relabel`` maps the labels by a scalar matrix.  Relation
@@ -36,11 +37,18 @@ from .linalg import EXACT, FLOAT, ModeError
 
 _NONE = np.zeros(0, dtype=int)
 _MAX = 2 ** 63 - 1
+_FLOAT_MAX = int(np.finfo(float).max)      # compared with a Fraction in integers
 
 
-def _check_int64(bound, what):
-    if bound > _MAX:
-        raise ModeError(f"exact {what} could overflow int64 numerators (bound {bound:.3e})")
+def _fit(bound, *arrays):
+    """The operand arrays of an exact operation whose numerators stay within
+    +-``bound``: unchanged (int64) when the bound fits int64, as Python-int
+    object arrays past it; None stays None.  A bound counts an empty
+    operand's max as 1, so it also covers the common-denominator scale that
+    operand is multiplied by.  Float operations pass bound 0."""
+    if bound <= _MAX:
+        return arrays
+    return tuple(None if a is None else a.astype(object) for a in arrays)
 
 
 class GradedVectorSpace:
@@ -106,17 +114,19 @@ def _block_entries(source, target, degree):
 
 
 def _numerators(values, mode):
-    """Value array and denominator of the scalars of a new operator: the one
-    int64 check of exact input."""
+    """Value array and denominator of the scalars of a new operator: exact
+    ones are numerators over their common denominator, int64 when they fit
+    within +-(2^63 - 1), Python ints past it."""
     if mode == FLOAT:
         return np.asarray(values, dtype=float), 1
-    if isinstance(values, np.ndarray) and values.dtype.kind == "i":
+    if isinstance(values, np.ndarray) and values.dtype.kind == "i" and \
+            values.min(initial=0) >= -_MAX:
         return values.astype(np.int64), 1
     fracs = [Fraction(v) for v in values]
     den = math.lcm(*(f.denominator for f in fracs))
-    nums = [f.numerator * (den // f.denominator) for f in fracs]
-    _check_int64(max(map(abs, nums), default=0), "entry")
-    return np.array(nums, dtype=np.int64), den
+    nums = [int(f.numerator) * (den // f.denominator) for f in fracs]
+    return np.array(nums, dtype=np.int64 if max(map(abs, nums), default=0) <= _MAX
+                    else object), den
 
 
 class GradedOperator:
@@ -128,7 +138,8 @@ class GradedOperator:
 
     def __init__(self, source, target, degree, mode, rows, cols, data, den=1):
         """Store entries of the layout row-major, duplicates summed in input
-        order, no zeros: ``data`` over ``den``.  Only this module calls it."""
+        order, no zeros: ``data`` over ``den``, reduced, and Python ints back
+        in int64 when they fit.  Only this module calls it."""
         self.source, self.target, self.degree, self.mode = source, target, int(degree), mode
         keys = rows * source.total_dim + cols
         if not (keys[1:] > keys[:-1]).all():
@@ -146,6 +157,8 @@ class GradedOperator:
             g = math.gcd(den, int(np.gcd.reduce(data)))
             if g != 1:
                 data, den = data // g, den // g
+        if data.dtype == object and np.abs(data).max(initial=0) <= _MAX:
+            data = data.astype(np.int64)
         self._rows, self._cols, self._data, self._den = rows, cols, data, (den if len(data) else 1)
         self._top = None
 
@@ -225,8 +238,10 @@ class GradedOperator:
         return combination((c,), (self,))
 
     def norm(self) -> float:
-        """Entrywise max-norm, as a float in either mode."""
-        return float(self._values([np.abs(self._data).max(initial=0)])[0])
+        """Entrywise max-norm, as a float in either mode: inf past the float
+        range."""
+        top = self._values([np.abs(self._data).max(initial=0)])[0]
+        return math.inf if top > _FLOAT_MAX else float(top)
 
     def __repr__(self):
         degrees = np.unique(self.source._index_degrees[self._cols]).tolist()
@@ -241,20 +256,11 @@ def read_only(op) -> GradedOperator:
     return op
 
 
-def _narrow(op, what) -> GradedOperator:
-    """Back to int64 numerators after entries summed as Python ints;
-    ``ModeError`` if a reduced one does not fit."""
-    _check_int64(op._max, what)
-    op._data = op._data.astype(np.int64)
-    return op
-
-
 def compose(f: GradedOperator, g: GradedOperator) -> GradedOperator:
     """f after g; degree adds.  One sparse product: each entry of f meets the
     row of g its column selects, and each output entry sums its terms by
-    increasing inner index.  When max|f| * max|g| * terms per entry could
-    leave int64, the exact entries are summed as Python ints and ``ModeError``
-    is raised only if a reduced one does not fit."""
+    increasing inner index: exact numerators in Python ints when
+    max|f| * max|g| * terms per entry could leave int64."""
     if g.target != f.source:
         raise ValueError("compose: target of g differs from source of f")
     if f.mode != g.mode:
@@ -263,25 +269,16 @@ def compose(f: GradedOperator, g: GradedOperator) -> GradedOperator:
     counts = starts[f._cols + 1] - starts[f._cols]
     mine = np.repeat(np.arange(len(f._cols)), counts)
     theirs = np.arange(len(mine)) + np.repeat(starts[f._cols] - np.cumsum(counts) + counts, counts)
-    return _product_operator(f, g, f.target, f._rows[mine], g._cols[theirs], f._data[mine],
-                             g._data[theirs])
+    bound = f._max * g._max * _row_count(f) if f.mode == EXACT else 0
+    a, b = _fit(bound, f._data[mine], g._data[theirs])
+    return GradedOperator(g.source, f.target, f.degree + g.degree, f.mode, f._rows[mine],
+                          g._cols[theirs], a * b, f._den * g._den)
 
 
 def _row_count(op) -> int:
     """The most entries in one row of ``op``: the terms of an entry of a
     product with ``op`` on the left."""
     return int(np.bincount(op._rows).max()) if len(op._rows) else 0
-
-
-def _product_operator(f, g, target, rows, cols, a, b) -> GradedOperator:
-    """The product of f and g from its terms a * b at (row, col), in Python
-    ints when the exact bound max|f| * max|g| * ``_row_count(f)`` could
-    leave int64 (``compose``)."""
-    wide = f.mode == EXACT and f._max * g._max * _row_count(f) > _MAX
-    out = GradedOperator(g.source, target, f.degree + g.degree, f.mode, rows, cols,
-                         a.astype(object) * b.astype(object) if wide else a * b,
-                         f._den * g._den)
-    return _narrow(out, "compose") if wide else out
 
 
 def combination(coeffs, ops) -> GradedOperator:
@@ -300,13 +297,13 @@ def combination(coeffs, ops) -> GradedOperator:
     if len(terms) == 1 and terms[0][0] == 1:
         return terms[0][1]
     if first.mode == FLOAT:
-        den, factors = 1, [float(c) for c, _ in terms]
+        den, factors, bound = 1, [float(c) for c, _ in terms], 0
     else:
         den = math.lcm(*(op._den * c.denominator for c, op in terms))
         factors = [c.numerator * (den // (op._den * c.denominator)) for c, op in terms]
-        _check_int64(sum(op._max * abs(k) for k, (_, op) in zip(factors, terms)),
-                     "sum" if len(terms) > 1 else "scalar multiple")
-    parts = [(op._rows, op._cols, op._data * k) for k, (_, op) in zip(factors, terms)]
+        bound = sum(op._max * abs(k) for k, (_, op) in zip(factors, terms))
+    data = _fit(bound, *(op._data for _, op in terms))
+    parts = [(op._rows, op._cols, d * k) for k, d, (_, op) in zip(factors, data, terms)]
     if len(parts) != 1:
         parts = [[np.concatenate(a) for a in zip((_NONE, _NONE, first._data[:0]), *parts)]]
     return GradedOperator(first.source, first.target, first.degree, first.mode, *parts[0],
@@ -396,16 +393,16 @@ def _tensor_sum(pairs, descending=False, signs=None, labels=None):
         raise ModeError("tensor_operator: mixed modes")
     den = math.lcm(*(f._den * g._den for f, g in pairs))
     split = [[_split_labels(op, labels) for op in pair] for pair in pairs]
-    if f0.mode == EXACT:
-        _check_int64(sum(_product_bound(f, g, fl, gl, labels) * (den // (f._den * g._den))
-                         for (f, g), ((_, fl, _), (_, gl, _)) in zip(pairs, split)),
-                     "tensor product")
+    bound = 0 if f0.mode == FLOAT else sum(
+        max(_product_bound(f, g, fl, gl, labels), 1) * (den // (f._den * g._den))
+        for (f, g), ((_, fl, _), (_, gl, _)) in zip(pairs, split))
     (_, _, v), (_, _, w) = split[0]
     rpos = _tensor_position(v, w, descending)
     cpos = _tensor_position(f0.source, g0.source, descending)
     rows, cols, data, tags = [], [], [], []
     for (f, g), ((fr, fl, _), (gr, gl, _)) in zip(pairs, split):
-        fd = f._data * (den // (f._den * g._den))
+        fd, gd = _fit(bound, f._data, g._data)
+        fd = fd * (den // (f._den * g._den))
         if g.degree % 2:
             fd = fd * (1 - 2 * (f.source._index_degrees[f._cols] % 2))
         if fl is not None and gl is not None:
@@ -413,13 +410,13 @@ def _tensor_sum(pairs, descending=False, signs=None, labels=None):
             tags.append(None)
             rows.append(rpos[fr[mine] * w.total_dim + gr[theirs]])
             cols.append(cpos[f._cols[mine] * g.source.total_dim + g._cols[theirs]])
-            data.append(fd[mine] * g._data[theirs])
+            data.append(fd[mine] * gd[theirs])
             continue
         tags.append(np.repeat(fl, len(gr)) if fl is not None else
                     None if gl is None else np.tile(gl, len(fr)))
         rows.append(rpos[(fr[:, None] * w.total_dim + gr).ravel()])
         cols.append(cpos[(f._cols[:, None] * g.source.total_dim + g._cols).ravel()])
-        data.append((fd[:, None] * g._data).ravel())
+        data.append((fd[:, None] * gd).ravel())
     rows, cols, data = map(np.concatenate, (rows, cols, data))
     if signs is not None:
         data = data * (signs[rows] * signs[cols])
@@ -453,7 +450,7 @@ def _product_bound(f, g, fl, gl, labels):
 
 def _label_max(op, label, n):
     """max|f_i| for each label i of a stacked operator, as Python ints."""
-    top = np.zeros(n, dtype=np.int64)
+    top = np.zeros(n, dtype=op._data.dtype)
     np.maximum.at(top, label, np.abs(op._data))
     return top.tolist()
 
@@ -490,12 +487,21 @@ def _unlabel(n, target):
     return w, label, row
 
 
-def _label_matrix(h, mode):
-    """Shape, nonzero (row, column) indices, values and their denominator of
-    a scalar matrix h of labels (nested lists or an array; a 3-d one is read
-    as m x (q p)), and the largest row sum of |values|: exact values are int
-    numerators over their common denominator (``ModeError`` unless each is
-    an int or a ``Fraction``), float ones floats over 1."""
+_LabelMap = namedtuple("_LabelMap", "shape to of den row_sum values dest coef")
+_LABEL_MAPS = {}        # (id, mode) of a read-only label array -> (array, its _LabelMap)
+
+
+def _label_map(h, mode) -> _LabelMap:
+    """Shape, nonzero (row, column) indices, denominator, largest row sum of
+    |values| and values of a scalar matrix h of labels (nested lists or an
+    array; a 3-d one is read as m x (q p)): exact values are int numerators
+    over their common denominator (``ModeError`` unless each is an int or a
+    ``Fraction``), an object array past int64, float ones floats over 1.
+    When no column has two nonzeros, also the row and value of each column
+    (-1 and 0 for an empty one).  A read-only array is read once per mode."""
+    key = (id(h), mode)
+    if key in _LABEL_MAPS and _LABEL_MAPS[key][0] is h:
+        return _LABEL_MAPS[key][1]
     a = h if isinstance(h, np.ndarray) else np.array(h, dtype=object)
     flat = a.reshape(len(a), -1)
     to, of = np.nonzero(flat)
@@ -510,29 +516,14 @@ def _label_matrix(h, mode):
     sums = [0] * len(a)
     for i, v in zip(to.tolist(), nums):
         sums[i] += abs(v)
-    return a.shape, to, of, nums, den, max(sums, default=0)
-
-
-_LabelMap = namedtuple("_LabelMap", "shape to of nums den row_sum values dest coef")
-_LABEL_MAPS = {}        # (id, mode) of a read-only label array -> (array, its _LabelMap)
-
-
-def _label_map(h, mode) -> _LabelMap:
-    """``_label_matrix`` of h, its values as an array (object past int64)
-    and, when no column has two nonzeros, the row and value of each column
-    (-1 and 0 for an empty one); a read-only array is read once per mode."""
-    key = (id(h), mode)
-    if key in _LABEL_MAPS and _LABEL_MAPS[key][0] is h:
-        return _LABEL_MAPS[key][1]
-    shape, to, of, nums, den, row_sum = _label_matrix(h, mode)
+    row_sum = max(sums, default=0)
     values = np.array(nums, dtype=float if mode == FLOAT else
                       np.int64 if row_sum <= _MAX else object)
     dest = coef = None
-    if len(np.unique(of)) == len(of):
-        width = math.prod(shape[1:])
-        dest, coef = np.full(width, -1), np.zeros(width, dtype=values.dtype)
+    if len(a) == 1 or len(np.unique(of)) == len(of):
+        dest, coef = np.full(flat.shape[1], -1), np.zeros(flat.shape[1], dtype=values.dtype)
         dest[of], coef[of] = to, values
-    out = _LabelMap(shape, to, of, nums, den, row_sum, values, dest, coef)
+    out = _LabelMap(a.shape, to, of, den, row_sum, values, dest, coef)
     if isinstance(h, np.ndarray) and not h.flags.writeable:
         if len(_LABEL_MAPS) >= 256:
             del _LABEL_MAPS[next(iter(_LABEL_MAPS))]
@@ -543,25 +534,9 @@ def _label_map(h, mode) -> _LabelMap:
 def relabel(h, op) -> GradedOperator:
     """(h ox 1_W) op for op: V -> K_n ox W stacked over n labels (``stack``)
     and a scalar map h: K_n -> K_m of the labels, given as its m x n matrix
-    (nested lists or an array): label i of the result is sum_j h[i][j] f_j,
-    in one pass over the entries.  An exact value must be an int or a
-    ``Fraction``; the exact values are numerators over their common
-    denominator.  As in ``compose``, when max|f| times the largest row sum
-    of |num_ij|, or one of those numerators, could leave int64, the entries
-    are summed as Python ints and ``ModeError`` is raised only if a reduced
-    one does not fit."""
-    shape, to, of, nums, den, row_sum = _label_matrix(h, op.mode)
-    m, n = shape[0], math.prod(shape[1:])
-    w, label, row = _labelled(op, n)
-    wide = op.mode == EXACT and (max(map(abs, nums), default=0) > _MAX
-                                 or row_sum * op._max > _MAX)
-    nums = np.array(nums, dtype=object if wide else float if op.mode == FLOAT else np.int64)
-    mine, theirs = _label_join(label, of, n)
-    data = op._data[mine]
-    out = GradedOperator(op.source, tensor_space(label_space(m), w), op.degree, op.mode,
-                         _stacked_rows(m, w, to[theirs], row[mine]), op._cols[mine],
-                         (data.astype(object) if wide else data) * nums[theirs], op._den * den)
-    return _narrow(out, "sum") if wide else out
+    (nested lists or an array; a 3-d one is read as m x (q p)): label i of
+    the result is sum_j h[i][j] f_j, the one-term ``product_sum``."""
+    return product_sum([(h, op)])
 
 
 def label_combination(x, op) -> GradedOperator:
@@ -575,43 +550,40 @@ def product_sum(terms) -> GradedOperator:
     g: V -> K_q ox U stacked over p and q labels (``stack``; one label for a
     plain operator), K = K_q, and h an m x q x p scalar array: label i of the
     sum is sum_{j,k} h[i, j, k] f_k g_j, label (j, k) of the product being
-    f_k g_j.  A term (h, f) has an m x p array and adds ``relabel(h, f)``.
-    The terms share source, W, degree and m.  One entry match per distinct
-    (f, g) and one operator for the whole sum, in int64 when the exact bound
-    of the sum fits: the sum over terms of max|f| max|g| (terms per entry)
-    times the largest row sum of |h|, at the common denominator.  Past it
-    the sum is the ``combination`` of each term's ``relabel`` of its
-    product, built as by ``compose``, so an exact ``ModeError`` is raised
-    exactly where those steps raise it."""
+    f_k g_j.  A term (h, f) adds (h ox 1_W) f for an m x p array h, or an
+    m x q x p one read as m x (q p) (``relabel``).  The terms share source,
+    W, degree and m.  One entry match per distinct (f, g) and one operator
+    for the whole sum, its exact numerators in Python ints when their bound
+    could leave int64: the sum over terms of max|f| max|g| (terms per entry)
+    times the largest row sum of |h|, at the common denominator."""
     mode, parsed, products = terms[0][1].mode, [], {}
     for h, f, *g in terms:
         g = g[0] if g else None
         lab = _label_map(h, mode)
-        if len(lab.shape) != (2 if g is None else 3):
-            raise ValueError("product_sum: h must be m x p alone, m x q x p with g")
+        if len(lab.shape) not in ((2, 3) if g is None else (3,)):
+            raise ValueError("product_sum: h must be m x p or m x q x p, m x q x p with g")
         if g is None:
             if f.mode != mode:
                 raise ModeError("product_sum: mixed modes")
-            found = (*_labelled(f, lab.shape[1]), f._cols, f._data, None)
+            found = (*_labelled(f, math.prod(lab.shape[1:])), f._cols, f._data, None)
         elif (found := products.get((id(f), id(g)))) is None:
             found = products[id(f), id(g)] = _product_terms(f, g, *lab.shape[1:], mode)
-        parsed.append((h, f, g, lab, found))
+        parsed.append((f, g, lab, found))
     shared = {((g or f).source, found[0], f.degree + (g.degree if g else 0), lab.shape[0])
-              for _, f, g, lab, found in parsed}
+              for f, g, lab, found in parsed}
     if len(shared) != 1:
         raise ValueError("product_sum: terms not parallel")
-    (source, w, degree, m), den = shared.pop(), 1
+    (source, w, degree, m), den, bound = shared.pop(), 1, 0
     if mode == EXACT:
-        dens = [lab.den * f._den * (g._den if g else 1) for _, f, g, lab, _ in parsed]
+        dens = [lab.den * f._den * (g._den if g else 1) for f, g, lab, _ in parsed]
         den = math.lcm(*dens)
-        bound = sum(den // d * max(lab.row_sum, 1) * f._max *
-                    (g._max * _row_count(f) if g else 1)
-                    for d, (_, f, g, lab, _) in zip(dens, parsed))
-        if bound > _MAX or max(lab.row_sum for _, _, _, lab, _ in parsed) > _MAX:
-            return _stepwise(parsed)
+        bound = sum(den // d * max(lab.row_sum, 1) * max(f._max, 1) *
+                    max(g._max * _row_count(f) if g else 1, 1)
+                    for d, (f, g, lab, _) in zip(dens, parsed))
     rows, cols, data = [_NONE], [_NONE], [np.zeros(0, dtype=np.int64 if mode == EXACT else float)]
-    for _, f, g, lab, (_, label, r, c, a, b) in parsed:
+    for f, g, lab, (_, label, r, c, a, b) in parsed:
         scale = den // (lab.den * f._den * (g._den if g else 1)) if mode == EXACT else 1
+        a, b = _fit(bound, a, b)
         values = a if b is None else a * b
         if lab.dest is not None:
             to, coef = lab.dest[label], lab.coef[label]
@@ -623,7 +595,7 @@ def product_sum(terms) -> GradedOperator:
                 lab.values[theirs]
         rows.append(_stacked_rows(m, w, to, r))
         cols.append(c)
-        data.append(values * (coef * scale if scale != 1 else coef))
+        data.append(values * coef * scale if scale != 1 else values * coef)
     return GradedOperator(source, tensor_space(label_space(m), w), degree, mode,
                           *map(np.concatenate, (rows, cols, data)), den)
 
@@ -641,23 +613,6 @@ def _product_terms(f, g, q, p, mode):
         raise ValueError("product_sum: target of g is not K ox the source of f")
     mine, theirs = _label_join(f._cols, gr, u.total_dim)
     return w, gl[theirs] * p + fl[mine], fr[mine], g._cols[theirs], f._data[mine], g._data[theirs]
-
-
-def _stepwise(parsed) -> GradedOperator:
-    """``product_sum`` one step at a time: each product an operator, as by
-    ``compose``, then each term's ``relabel`` and one ``combination``."""
-    built, ops = {}, []
-    for h, f, g, lab, (w, label, r, c, a, b) in parsed:
-        op = f
-        if g is not None:
-            if (id(f), id(g)) not in built:
-                width = math.prod(lab.shape[1:])
-                built[id(f), id(g)] = _product_operator(
-                    f, g, tensor_space(label_space(width), w), _stacked_rows(width, w, label, r),
-                    c, a, b)
-            op = built[id(f), id(g)]
-        ops.append(relabel(h, op))
-    return combination((1,) * len(ops), ops)
 
 
 @lru_cache(maxsize=64)
@@ -707,8 +662,8 @@ def hom_system(source, target, pairs, n):
     map of degree |A|) per nonzero sum_v' phi[w, v'] A_l[v', v] -
     sum_w' A'_l[w, w'] phi[w', v], read straight off the entries of A and
     A', pairs and labels in order, rows in block-entry order.  Exact: sparse
-    integer rows {unknown: numerator} and the number of unknowns;
-    ``ModeError`` when max|A| + max|A'| at their common denominator could
+    integer rows {unknown: numerator} and the number of unknowns, summed in
+    Python ints when max|A| + max|A'| at their common denominator could
     leave int64.  Float: one dense array, and None."""
     mode = pairs[0][0].mode
     start0, width0, local, n_cols = _entry_places(source, target, 0)
@@ -719,18 +674,18 @@ def hom_system(source, target, pairs, n):
         la, ra = _labelled(a, 1 if a.target == a.source else n)[1:]
         lb, rb = _labelled(b, 1 if b.target == b.source else n)[1:]
         den = math.lcm(a._den, b._den)
-        if mode == EXACT and len(a._data) and len(b._data):
-            _check_int64(a._max * (den // a._den) + b._max * (den // b._den), "sum")
+        ad, bd = _fit(max(a._max, 1) * (den // a._den) + max(b._max, 1) * (den // b._den)
+                      if mode == EXACT else 0, a._data, b._data)
         at, w = _spread(ra, source, target)             # phi[w, v'] A_l[v', v]
         v = a._cols[at]
         keys.append((offset + la[at] * count + start[v] + width[v] * local[w]) * n_cols +
                     start0[ra[at]] + width0[ra[at]] * local[w])
-        data.append(a._data[at] * (den // a._den))
+        data.append(ad[at] * (den // a._den))
         at, v = _spread(b._cols, target, source)        # A'_l[w, w'] phi[w', v]
         w = rb[at]
         keys.append((offset + lb[at] * count + start[v] + width[v] * local[w]) * n_cols +
                     start0[v] + width0[v] * local[b._cols[at]])
-        data.append(b._data[at] * -(den // b._den))
+        data.append(bd[at] * -(den // b._den))
         offset += count * (n if a.target != a.source else 1)
     keys, data = np.concatenate(keys), np.concatenate(data)
     order = np.argsort(keys, kind="stable")
@@ -763,12 +718,11 @@ def stack(ops) -> GradedOperator:
         if op.mode != f0.mode:
             raise ModeError("stack: mixed modes")
     den = math.lcm(*(op._den for op in ops))
-    if f0.mode == EXACT:
-        _check_int64(max(op._max * (den // op._den) for op in ops), "stack")
+    bound = max(max(op._max, 1) * (den // op._den) for op in ops) if f0.mode == EXACT else 0
     n = len(ops)
     label = np.repeat(np.arange(n), [len(op._rows) for op in ops])
     rows = _stacked_rows(n, f0.target, label, np.concatenate([op._rows for op in ops]))
-    data = [op._data * (den // op._den) for op in ops]
+    data = [d * (den // op._den) for d, op in zip(_fit(bound, *(op._data for op in ops)), ops)]
     return GradedOperator(f0.source, tensor_space(label_space(n), f0.target), f0.degree,
                           f0.mode, rows, np.concatenate([op._cols for op in ops]),
                           np.concatenate(data), den)

@@ -18,7 +18,8 @@ is ad_x as a graded operator on the algebra, and ``apply`` applies an
 operator to coefficient vectors block by block.
 ``on_labels`` is 1_K ox f as a tensor product with the identity of the
 labels, and ``composed_product_sum`` computes ``graded.product_sum`` from
-it one operator at a time (``compose``, ``relabel``, ``combination``);
+it one operator at a time (``compose``, then ``unstack``, ``combination``
+and ``stack`` for each relabelling, and one ``combination`` of the terms);
 ``tensor_intertwiner_system`` builds the hom-space equations of
 ``graded.hom_system`` through dual and tensor operators.
 ``tensordot_jacobi`` contracts the ``Fraction`` structure constants as
@@ -41,7 +42,7 @@ from cartankit.evaluators import (AffineReparam, MaxCollapseReparam, PermReparam
                                   ProductEvaluator, WordEvaluator)
 from cartankit.graded import (GradedOperator, GradedVectorSpace, combination, compose,
                               dual_operator, dual_space, exp_terms, graded_commutator,
-                              label_space, relabel, stack_entries, tensor_operator)
+                              label_space, stack, stack_entries, tensor_operator, unstack)
 from cartankit.integrate import compositions, series_coefficient
 from cartankit.linalg import EXACT, FLOAT, ModeError
 from cartankit.reps import CartanReport
@@ -287,15 +288,25 @@ def on_labels(n, op):
     return tensor_operator(GradedOperator.identity(label_space(n), op.mode), op)
 
 
+def stacked_relabel(h, op):
+    """(h ox 1_W) op for op stacked over n labels and an m x n scalar matrix
+    h (a 3-d one read as m x (q p)), one label at a time: ``unstack`` op,
+    one ``combination`` of its blocks per row of h, and ``stack`` them."""
+    h = np.asarray(h)
+    rows = h.reshape(len(h), -1).tolist()
+    blocks = unstack(op, len(rows[0]))
+    return stack([combination(row, blocks) for row in rows])
+
+
 def composed_product_sum(terms):
     """``graded.product_sum`` one operator at a time: each product
-    (1_K ox f) g a ``compose`` with ``on_labels``, each term a ``relabel``,
-    and one ``combination`` of the terms."""
+    (1_K ox f) g a ``compose`` with ``on_labels``, each term a
+    ``stacked_relabel``, and one ``combination`` of the terms."""
     ops = []
     for h, f, *g in terms:
         h = np.asarray(h)
         op = compose(on_labels(h.shape[1], f), g[0]) if g else f
-        ops.append(relabel(h.reshape(len(h), -1), op))
+        ops.append(stacked_relabel(h, op))
     return combination((1,) * len(ops), ops)
 
 

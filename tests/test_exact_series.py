@@ -1,6 +1,6 @@
 """The exact coefficient series as one stacked product, the exact
 polynomials in t as stacked operators, the per-letter operators of a
-representation, and the wide path of ``label_combination``.
+representation, and ``label_combination`` past int64.
 
 ``integrate_series`` composes each letter's power stack B, B A, ..., B A^c
 from the right, one ``graded.product_sum`` per product, the last applying
@@ -27,7 +27,7 @@ from cartankit.reps import (LETTER_CACHE, adjoint_rep, chain_rep, cochain_rep,
 from dense_reference import (MatPoly, exp_poly, loop_series, operator_from_entries,
                              pairwise_merged_pair, pairwise_word_integral)
 from test_ce import _nilpotent
-from test_stacked import _assert_same
+from test_stacked import _assert_int64_iff_fits, _assert_same
 
 HEISENBERG_LETTERS = ([1, -2, 1], [2, 1, -1], [-1, 2, 2])
 # the nine words of the exact benchmark workload, as indices into the letters
@@ -76,19 +76,23 @@ def test_stacked_series_equals_the_per_term_loop_at_four_letters():
 
 
 def _count_products(monkeypatch):
-    """Calls of ``compose`` and of ``product_sum``, each one product."""
+    """Products made: one per call of ``compose`` and one per term of
+    ``product_sum`` that has a g, so that a relabelling (``relabel``,
+    ``label_combination``: terms without g) counts none."""
     calls = []
+    compose, product_sum = graded.compose, graded.product_sum
 
-    def counting(original):
-        def counted(*args):
-            calls.append(1)
-            return original(*args)
-        return counted
+    def composed(f, g):
+        calls.append(1)
+        return compose(f, g)
 
-    for name in ("compose", "product_sum"):
-        wrapped = counting(getattr(graded, name))
-        for module in (graded, reps, integrate):
-            monkeypatch.setattr(module, name, wrapped)
+    def summed(terms):
+        calls.extend(1 for term in terms if len(term) == 3)
+        return product_sum(terms)
+
+    for module in (graded, reps, integrate):
+        monkeypatch.setattr(module, "compose", composed)
+        monkeypatch.setattr(module, "product_sum", summed)
     return calls
 
 
@@ -232,10 +236,14 @@ def test_label_combination_wide_path_matches_fractions(x, entries):
     assert out._data.dtype == np.int64
 
 
-def test_label_combination_wide_path_raises_when_an_entry_does_not_fit():
-    with pytest.raises(ModeError) as err:
-        label_combination((1, 1), _labels(((2 ** 62, 1), (2 ** 62, 1))))
-    assert "int64" in str(err.value) and "\n" not in str(err.value)
+@pytest.mark.parametrize("x, top", [((1, 1), 2 ** 63),
+                                    ((Fraction(1, 2), Fraction(1, 2)), 2 ** 62)],
+                         ids=["sum", "halves"])
+def test_label_combination_past_int64_is_exact(x, top):
+    """2^62 + 2^62 is held as a Python int; halved, the sum fits int64."""
+    out = label_combination(x, _labels(((2 ** 62, 1), (2 ** 62, 1))))
+    assert [out.block(0)[r, r] for r in range(2)] == [top, sum(map(Fraction, x))]
+    _assert_int64_iff_fits(out)
 
 
 @pytest.mark.parametrize("mode", [EXACT, FLOAT])

@@ -1,5 +1,6 @@
 """Graded operators, Koszul signs, tensor complexes."""
 
+import itertools
 import json
 import math
 import pathlib
@@ -15,15 +16,16 @@ from cartankit import cli, linalg
 from cartankit.ce import ce_chain, ce_cochain
 from cartankit.graded import (CochainComplex, GradedOperator, GradedVectorSpace, combination,
                               compose, dual_complex, dual_operator, dual_space,
-                              graded_commutator, label_combination, label_space, relabel,
-                              reversed_tensor, stack_entries, tensor_basis_index,
-                              tensor_complex, tensor_operator, tensor_space)
+                              graded_commutator, hom_system, label_combination, label_space,
+                              product_sum, relabel, reversed_tensor, stack, stack_entries,
+                              tensor_basis_index, tensor_complex, tensor_operator,
+                              tensor_space)
 from cartankit.lie import sl2
 from cartankit.linalg import EXACT, FLOAT, ModeError
 from cartankit.reps import adjoint_rep, chain_rep, cochain_rep, trivial_lie_rep
 from cartankit.schemas import load_operator
 from dense_reference import apply, on_labels, operator_from_blocks, operator_from_entries
-from test_stacked import _assert_same
+from test_stacked import _assert_int64_iff_fits, _assert_same
 
 
 def _space(dims):
@@ -443,33 +445,41 @@ def _one_entry(value):
                                              EXACT)
 
 
-def test_exact_overflow_raises_mode_error():
+def test_exact_numerators_past_int64_are_python_ints():
+    """Past int64 an exact operator stores Python ints, exactly; once its
+    reduced numerators fit again they are int64."""
     big = _one_entry(Fraction(2 ** 40))
-    with pytest.raises(ModeError, match="int64"):
-        compose(big, big)
-    near = _one_entry(Fraction(2 ** 62))
-    with pytest.raises(ModeError, match="int64"):
-        near + near
-    with pytest.raises(ModeError, match="int64"):
-        _one_entry(Fraction(2 ** 63))
-    with pytest.raises(ModeError, match="int64"):
-        stack_entries(1, big.source, big.target, 0, ([0], [0], [0], [0], [2 ** 63]), EXACT)
-    assert (Fraction(1, 2 ** 40) * big).norm() == 1.0
+    square, near = compose(big, big), _one_entry(Fraction(2 ** 62))
+    for op, want in ((big, 2 ** 40), (square, 2 ** 80), (near + near, 2 ** 63),
+                     (_one_entry(Fraction(2 ** 63)), 2 ** 63),
+                     (stack_entries(1, big.source, big.target, 0,
+                                    ([0], [0], [0], [0], [2 ** 63]), EXACT), 2 ** 63),
+                     (Fraction(1, 2 ** 40) * square, 2 ** 40), (square - square, 0),
+                     (Fraction(3, 2 ** 80) * square, 3), (Fraction(1, 2 ** 40) * big, 1)):
+        assert op.block(0)[0, 0] == want
+        _assert_int64_iff_fits(op)
+    assert (Fraction(1, 2 ** 40) * big).norm() == 1.0 and square.norm() == 2.0 ** 80
 
 
-def test_unsigned_input_goes_through_the_int64_check():
+def test_integer_array_input_is_read_exactly():
+    """Unsigned input past int64 and an int64 -2^63 (whose absolute value
+    does not fit) are held as Python ints, so products of them are exact."""
     space = _space({0: 1})
-    small = GradedOperator.from_block_entries(space, space, 0, np.array([7], dtype=np.uint8),
-                                              EXACT)
-    assert small._data.dtype == np.int64 and small.block(0)[0, 0] == 7
-    with pytest.raises(ModeError, match="int64"):
-        GradedOperator.from_block_entries(space, space, 0, np.array([2 ** 63], dtype=np.uint64),
-                                          EXACT)
+    for value, dtype in ((7, np.uint8), (2 ** 63 - 1, np.uint64), (2 ** 63, np.uint64),
+                         (2 ** 64 - 1, np.uint64), (-(2 ** 63), np.int64),
+                         (1 - 2 ** 63, np.int64)):
+        op = GradedOperator.from_block_entries(space, space, 0, np.array([value], dtype=dtype),
+                                               EXACT)
+        square = compose(op, op)
+        assert op.block(0)[0, 0] == value and square.block(0)[0, 0] == value * value
+        assert op.norm() == float(abs(value))
+        _assert_int64_iff_fits(op)
 
 
 def test_exact_compose_sums_wide_products_exactly():
     # each numerator product (5 * 2^80) leaves int64, but the entries of the
-    # composite cancel down to numbers that fit, over a reduced denominator
+    # composite cancel down to numbers that fit, over a reduced denominator;
+    # g g keeps numerators past int64 (2^80 / 9 at denominator 225)
     space = _space({0: 2})
     big = Fraction(2 ** 40, 3)
     f = operator_from_blocks(space, space, 0, {0: np.array([[big, big], [1, 0]], dtype=object)})
@@ -478,25 +488,125 @@ def test_exact_compose_sums_wide_products_exactly():
     out = compose(f, g)
     assert out._data.dtype == np.int64
     assert np.array_equal(out.block(0), np.array([[0, 0], [big, Fraction(1, 5)]], dtype=object))
-    with pytest.raises(ModeError, match="int64"):
-        compose(g, g)
+    wide = compose(g, g)
+    assert wide._data.dtype == object and wide._den == 225
+    assert np.array_equal(wide.block(0), g.block(0).dot(g.block(0)))
 
 
-def test_cli_exit_two_on_exact_overflow(tmp_path, capsys):
+@pytest.mark.parametrize("entry, residual", [("4000000000", "8e+09"), ("4" + "0" * 400, "inf")],
+                         ids=["4e9", "4e400"])
+def test_cli_exit_two_on_a_big_non_representation(tmp_path, capsys, entry, residual):
+    """An entry of 4e9 makes the bracket residual 8e9, past int64 squared
+    on the way; the check reads it exactly and the CLI exits 2 with one
+    line.  A residual past the float range reads inf."""
     payload = {
         "schema": "cartankit/1",
         "lie_algebra": {"dim": 3, "brackets": [
             {"i": 0, "j": 1, "coeffs": {"2": "1"}}, {"i": 0, "j": 2, "coeffs": {"0": "-2"}},
             {"i": 1, "j": 2, "coeffs": {"1": "2"}}]},
         "lie_representations": {"big": {
-            "degrees": {"0": 1}, "R": [{"0": [["4000000000"]]}, {"0": [[0]]}, {"0": [[0]]}]}},
+            "degrees": {"0": 1}, "R": [{"0": [[entry]]}, {"0": [[0]]}, {"0": [[0]]}]}},
     }
     path = tmp_path / "big.json"
     path.write_text(json.dumps(payload))
     code = cli.main(["ce", str(path), "--rep", "big", "--mode", "exact"])
     lines = capsys.readouterr().err.strip().splitlines()
     assert code == 2
-    assert len(lines) == 1 and "int64" in lines[0]
+    assert lines == ["error: malformed Lie representation 'big': not a representation: "
+                     f"bracket residual {residual}"]
+
+
+def _wide_entry(rng, top):
+    """+-2^k + small over a small denominator, k in 28..top; zero a quarter
+    of the time."""
+    if rng.random() < 0.25:
+        return Fraction(0)
+    k = int(rng.integers(28, top + 1))
+    return Fraction(int(rng.choice([-1, 1])) * 2 ** k + int(rng.integers(-3, 4)),
+                    int(rng.choice([1, 2, 3, 5, 7])))
+
+
+def _wide_op(space, rng, top):
+    """A degree-0 endomorphism of ``space`` with ``_wide_entry`` entries."""
+    blocks = {k: np.array([[_wide_entry(rng, top) for _ in range(d)] for _ in range(d)],
+                          dtype=object) for k, d in space.dims.items()}
+    return operator_from_blocks(space, space, 0, blocks, mode=EXACT)
+
+
+def _stacked_blocks(labels, space):
+    """Dense blocks of the stack over len(labels) labels of degree-0 maps
+    given by their dense blocks: label i, row r of degree p at row
+    ``_tensor_index(K, space, 0, i, p, r)``."""
+    k = label_space(len(labels))
+    out = {p: linalg.zeros((len(labels) * d, d), EXACT) for p, d in space.dims.items()}
+    for i, blocks in enumerate(labels):
+        for p, d in space.dims.items():
+            for r in range(d):
+                out[p][_tensor_index(k, space, 0, i, p, r)] = blocks[p][r]
+    return out
+
+
+def _hom_rows(space, a, b):
+    """The nonzero rows of phi A - A' phi for degree-0 A, A' of ``space``
+    from their dense blocks, unknowns and equations the block entries of a
+    degree-0 phi (blocks by degree, each row-major), times the common
+    denominator of A and A'."""
+    den = math.lcm(*(v.denominator for blocks in (a, b) for m in blocks.values()
+                     for v in m.flat))
+    rows, start = [], 0
+    for p, d in sorted(space.dims.items()):
+        for w in range(d):
+            for v in range(d):
+                row = {start + w * d + u: a[p][u, v] * den for u in range(d)}
+                for u in range(d):
+                    row[start + u * d + v] = row.get(start + u * d + v, 0) - b[p][w, u] * den
+                rows.append({c: int(x) for c, x in row.items() if x})
+        start += d * d
+    return [row for row in rows if row]
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2 ** 31 - 1), st.integers(28, 70), st.integers(1, 2), st.integers(1, 2))
+def test_exact_operations_across_the_int64_ceiling(seed, top, low, high):
+    """Entries +-2^k + small over mixed denominators: every exact operation
+    equals dense ``Fraction`` arithmetic, and stores int64 exactly when its
+    reduced numerators fit."""
+    rng = np.random.default_rng(seed)
+    space = _space({-1: low, 0: high})
+    f, g, h, e = (_wide_op(space, rng, top) for _ in range(4))
+    bf, bg, bh = _dense(f), _dense(g), _dense(h)
+    small = operator_from_entries(space, space, 0, [(0, 0, 0, Fraction(1, 3))], EXACT)
+    c = (_wide_entry(rng, top) or 1, _wide_entry(rng, top))
+    results = [
+        (compose(f, g), {k: bf[k].dot(bg[k]) for k in bf}),
+        (combination(c, (f, h)), {k: c[0] * bf[k] + c[1] * bh[k] for k in bf}),
+        ((f + small) - f, _dense(small)),
+        (stack([f, g, h]), _stacked_blocks([bf, bg, bh], space)),
+    ]
+    ts = tensor_space(space, space)
+    want = {n: linalg.zeros((ts.dim(n), ts.dim(n)), EXACT) for n in ts.degrees}
+    for p, q in itertools.product(space.degrees, repeat=2):
+        for i, j, r, t in itertools.product(*map(range, (space.dim(p), space.dim(q)) * 2)):
+            want[p + q][_tensor_index(space, space, p, r, q, t),
+                        _tensor_index(space, space, p, i, q, j)] += bf[p][r, i] * bg[q][t, j]
+    results.append((tensor_operator(f, g), want))
+    # label a of fs is f_a, label b of gs is g_b; three is m x q x p, two m x p
+    fs, gs, df, dg = stack([f, h]), stack([g, e]), (bf, bh), (bg, _dense(e))
+    three = np.array([[[_wide_entry(rng, top) for _ in range(2)] for _ in range(2)]
+                      for _ in range(2)], dtype=object)
+    two = np.array([[_wide_entry(rng, top) for _ in range(2)] for _ in range(2)], dtype=object)
+    with_g = [{k: sum(three[i, b, a] * df[a][k].dot(dg[b][k]) for a in range(2) for b in range(2))
+               for k in bf} for i in range(2)]
+    alone = [{k: sum(two[i, a] * df[a][k] for a in range(2)) for k in bf} for i in range(2)]
+    both = [{k: x[k] + y[k] for k in bf} for x, y in zip(with_g, alone)]
+    results += [(product_sum([(three, fs, gs)]), _stacked_blocks(with_g, space)),
+                (product_sum([(two, fs)]), _stacked_blocks(alone, space)),
+                (product_sum([(three, fs, gs), (two, fs)]), _stacked_blocks(both, space))]
+    for op, blocks in results:
+        _assert_blocks(op, blocks, EXACT)
+        _assert_int64_iff_fits(op)
+    rows, n_cols = hom_system(space, space, [(f, g)], 1)
+    assert rows == _hom_rows(space, bf, bg) and n_cols == low * low + high * high
 
 
 LAYOUT_NAMES = re.compile(r"\b(_starts|_index_degrees|_rows|_cols|_data|_den|_tensor_position"

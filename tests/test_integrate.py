@@ -26,9 +26,12 @@ from cartankit.lie import abelian, heisenberg3, sl2
 from cartankit.linalg import EXACT, FLOAT, ModeError, format_scalar
 from cartankit.reps import (CartanRep, adjoint_rep, cartan_residuals, chain_rep,
                             trivial_cartan_rep, trivial_lie_rep)
+from cartankit.schemas import dump_operator
 from aw_coproduct import aw_monoidality_residual, aw_tensor_residual, differentiate_richardson
 from dense_reference import (contraction_of, exp_operator, flatten_operator,
-                             operator_from_blocks, phi1)
+                             operator_from_blocks, pairwise_merged_pair,
+                             pairwise_word_integral, phi1)
+from test_stacked import _assert_int64_iff_fits, _assert_same
 
 
 def eval_form(flat, ev, point) -> GradedOperator:
@@ -480,36 +483,47 @@ def _big_letters(shape, n):
     ("trivial", "diagonal", "merged", 9),
     ("trivial", "full", "merged", 9),
     ("adjoint", "diagonal", "merged", 6),
-    ("adjoint", "full", "merged", 6),      # 10^5 with one operator per coefficient
+    ("adjoint", "full", "merged", 6),
 ])
 def test_exact_polynomial_routes_reach_on_large_letters(h3_chain_reps, coeff, shape, route,
                                                         last):
     """The polynomial route (three letters) and one merged slot (the first
-    two) succeed up to N = 10^last and exit past it with a one-line
-    ``ModeError`` naming int64; the reach of the routes with one operator
-    per coefficient is kept."""
+    two) equal their per-pair ``MatPoly`` references at N = 10^last (the
+    largest power of ten they reached while every operator had to fit
+    int64) and past it, at 10^(last + 1) and 10^30; the polynomial route
+    equals the series too.  A result whose reduced numerators fit is
+    int64."""
     rep = h3_chain_reps[coeff]
-    compute = {"polynomial": lambda w: word_integral_polynomial_exact(rep, w),
-               "merged": lambda w: merged_slot(rep, *w[:2])}[route]
-    assert compute([rep.algebra.vector(x) for x in _big_letters(shape, 10 ** last)]).norm() > 0
-    with pytest.raises(ModeError) as err:
-        compute([rep.algebra.vector(x) for x in _big_letters(shape, 10 ** (last + 1))])
-    assert "int64" in str(err.value) and "\n" not in str(err.value)
+    for n in (10 ** last, 10 ** (last + 1), 10 ** 30):
+        word = [rep.algebra.vector(x) for x in _big_letters(shape, n)]
+        if route == "polynomial":
+            got = word_integral_polynomial_exact(rep, word)
+            _assert_same(got, pairwise_word_integral(rep, word))
+            _assert_same(got, integrate_series(rep, word))
+        else:
+            got = merged_slot(rep, *word[:2])
+            _assert_same(got, pairwise_merged_pair(rep, *word[:2]))
+        assert got.norm() > 0
+        _assert_int64_iff_fits(got)
+    assert got._data.dtype == object            # N = 10^30
 
 
-@pytest.mark.parametrize("rep, shape, n, code, block", [
-    ("chain_trivial", "full", 10 ** 4, 0, [["-2000000000000/3"]]),
-    ("chain_trivial", "full", 10 ** 6, 0, [["-2000000000000000000/3"]]),
-    ("chain_trivial", "full", 2 * 10 ** 6, 2, None),
-    ("chain_adjoint", "diagonal", 10 ** 3, 0, None),
-    ("chain_adjoint", "full", 10 ** 4, 0, None),
-    ("chain_adjoint", "full", 10 ** 5, 2, None),
+@pytest.mark.parametrize("rep, shape, n, block", [
+    ("chain_trivial", "full", 10 ** 4, [["-2000000000000/3"]]),
+    ("chain_trivial", "full", 10 ** 6, [["-2000000000000000000/3"]]),
+    ("chain_trivial", "full", 2 * 10 ** 6, [["-16000000000000000000/3"]]),
+    ("chain_trivial", "full", 10 ** 9, [["-2000000000000000000000000000/3"]]),
+    ("chain_adjoint", "diagonal", 10 ** 3, None),
+    ("chain_adjoint", "full", 10 ** 4, None),
+    ("chain_adjoint", "full", 10 ** 5, None),
+    ("chain_adjoint", "full", 2 * 10 ** 6, None),
+    ("chain_adjoint", "full", 10 ** 9, None),
 ])
-def test_cli_exact_series_reach_on_large_letters(tmp_path, capsys, rep, shape, n, code, block):
-    """The exact series keeps the reach of exact rationals: a word passes
-    whenever its integral fits int64 numerators, even where intermediate
-    products only fit after their terms cancel (the full letters at 10^6),
-    and exits 2 with one line when the integral itself does not fit."""
+def test_cli_exact_series_reach_on_large_letters(tmp_path, capsys, h3_chain_reps, rep, shape,
+                                                 n, block):
+    """The exact series keeps the reach of exact rationals: past int64 its
+    numerators are Python ints, so the CLI prints the integral the
+    polynomial route gives (on the trivial chains -2 N^3 / 3) and exits 0."""
     root = pathlib.Path(__file__).resolve().parents[1]
     payload = json.loads((root / "problems" / "heisenberg_exact.json").read_text())
     payload["words"]["big"] = _big_letters(shape, n)
@@ -518,9 +532,11 @@ def test_cli_exact_series_reach_on_large_letters(tmp_path, capsys, rep, shape, n
     got = cli.main(["integrate", str(path), "--rep", rep, "--word", "big",
                     "--method", "series", "--json", "--test-mode"])
     out, err = capsys.readouterr()
-    assert got == code
-    if code == 2:
-        lines = err.strip().splitlines()
-        assert len(lines) == 1 and "int64" in lines[0] and "Traceback" not in err
-    elif block is not None:
-        assert json.loads(out.splitlines()[0])["inputs"]["operator"]["blocks"] == {"0": block}
+    assert got == 0 and err == ""
+    chain = h3_chain_reps[rep.removeprefix("chain_")]
+    want = word_integral_polynomial_exact(chain, [chain.algebra.vector(x)
+                                                  for x in _big_letters(shape, n)])
+    blocks = json.loads(out.splitlines()[0])["inputs"]["operator"]["blocks"]
+    assert blocks == dump_operator(want)["blocks"]
+    if block is not None:
+        assert blocks == {"0": block}

@@ -2,10 +2,11 @@
 ``graded.hom_system`` against their step-by-step references.
 
 ``dense_reference.composed_product_sum`` builds each product through
-``on_labels`` (1_K ox f as a tensor product), then ``compose``, ``relabel``
-and ``combination``; the kernel must equal it entry for entry in exact mode
-(denominator and dtypes included), within 1e-13 in float mode, and raise
-``ModeError`` on exactly the inputs where it raises.
+``on_labels`` (1_K ox f as a tensor product), then ``compose``, relabels it
+label by label (``unstack``, ``combination``, ``stack``) and takes one
+``combination``; the kernel must equal it entry for entry in exact mode
+(denominator and dtypes included, past int64 too) and within 1e-13 in float
+mode.
 ``dense_reference.tensor_intertwiner_system`` builds the equations
 phi A = A' phi through dual and tensor operators; the exact hom-space bases
 read off both must be bit-equal, and float adjunction reports must agree
@@ -29,7 +30,7 @@ from dense_reference import (composed_product_sum, operator_from_blocks,
                              tensor_intertwiner_system)
 from test_ce import _nilpotent
 from test_relation_families import REPS, _broken, _rebased_sl2
-from test_stacked import _assert_same
+from test_stacked import _assert_int64_iff_fits, _assert_same
 
 BROKEN = {f"{name}-bumped-{family}": _broken(rep, family)
           for name, rep in REPS.items() for family in ("L", "B", "d")}
@@ -87,23 +88,19 @@ CEILING = [2 ** 62, 3 * 10 ** 9, 3037000499, 3037000500, 2 ** 31 + 1,
 
 
 @pytest.mark.parametrize("entry", CEILING, ids=str)
-def test_kernel_raises_mode_error_exactly_where_the_steps_do(entry):
-    """Near the int64 ceiling the kernel either equals the step-by-step
-    composition or raises ``ModeError`` where it does."""
+def test_kernel_equals_the_steps_near_the_int64_ceiling(entry):
+    """Near the int64 ceiling the kernel equals the step-by-step
+    composition, in int64 exactly where its reduced entries fit."""
     for terms in _families(_ceiling_rep(entry)):
-        try:
-            want = composed_product_sum(terms)
-        except ModeError:
-            with pytest.raises(ModeError, match="int64"):
-                product_sum(terms)
-            continue
-        _assert_same(product_sum(terms), want)
+        got = product_sum(terms)
+        _assert_same(got, composed_product_sum(terms))
+        _assert_int64_iff_fits(got)
 
 
 def test_kernel_past_the_bound_is_exact_where_each_step_fits():
     """f has two entries in its row but g meets only one of them: the bound
     max|f| max|g| * 2 leaves int64 while the one product fits, so the sum is
-    built step by step, exactly."""
+    made in Python ints and stored in int64, exactly."""
     space = GradedVectorSpace({0: 2})
     x = 3 * 10 ** 9
     f = operator_from_blocks(space, space, 0, {0: np.array([[x, x], [0, 0]], dtype=object)},
@@ -113,7 +110,7 @@ def test_kernel_past_the_bound_is_exact_where_each_step_fits():
     terms = [(np.ones((1, 1, 1), dtype=int), f, g)]
     got = product_sum(terms)
     _assert_same(got, composed_product_sum(terms))
-    assert got.norm() == float(x * x)
+    assert got.norm() == float(x * x) and got._data.dtype == np.int64
 
 
 @pytest.mark.parametrize("mode", [EXACT, FLOAT])
@@ -246,21 +243,22 @@ def test_hom_system_builds_no_identity_dual_or_tensor(monkeypatch):
     assert n_cols and system and all(system)
 
 
-def test_hom_system_keeps_the_int64_check_of_the_tensor_system():
-    """phi A - A' phi at a common denominator past int64 raises as the
-    difference of the two tensor operators did."""
+def test_hom_system_past_int64_equals_the_tensor_system():
+    """phi A - A' phi with numerators past int64 at their common denominator
+    is the exact difference, as the two tensor operators give it."""
     space = GradedVectorSpace({0: 1})
     big = operator_from_blocks(space, space, 0, {0: np.array([[2 ** 62]], dtype=object)},
                                mode=EXACT)
     third = operator_from_blocks(space, space, 0, {0: np.array([[Fraction(1, 3)]],
                                                                dtype=object)}, mode=EXACT)
-    for pairs in ([(big, big)], [(big, third)]):
-        with pytest.raises(ModeError, match="int64"):
-            tensor_intertwiner_system(space, space, pairs, EXACT, 1)
-        with pytest.raises(ModeError, match="int64"):
-            hom_system(space, space, pairs, 1)
-    rows, _ = hom_system(space, space, [(big, GradedOperator.zero(space, space, 0, EXACT))], 1)
-    assert rows == [{0: 2 ** 62}]
+    zero = GradedOperator.zero(space, space, 0, EXACT)
+    # 2^62 phi - phi / 3 at denominator 3; 2^62 phi - 2^62 phi = 0
+    for pairs, want in (([(big, big)], []), ([(big, third)], [{0: 3 * 2 ** 62 - 1}]),
+                        ([(big, zero)], [{0: 2 ** 62}])):
+        got, n_cols = hom_system(space, space, pairs, 1)
+        rows, cols = tensor_intertwiner_system(space, space, pairs, EXACT, 1)
+        assert got == want == [row for row in rows if row] and n_cols == cols == 1
+        assert all(type(v) is int for row in got for v in row.values())
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ import pytest
 
 from cartankit import graded, reps
 from cartankit.graded import (CochainComplex, GradedOperator, GradedVectorSpace, combination,
-                              compose, stack)
+                              compose, stack, unstack)
 from cartankit.lie import LieAlgebra, abelian, heisenberg3, sl2
 from cartankit.linalg import EXACT, FLOAT, ModeError
 from cartankit.reps import (CartanRep, LieRep, adjoint_rep, cartan_dgla, cartan_residuals,
@@ -169,14 +169,18 @@ def test_stack_blocks_are_the_operators():
         stack([rep.L[0], chain_rep(g, adjoint_rep(g, mode=FLOAT)).L[0]])
 
 
-def test_stack_bound_is_the_largest_block():
-    """Blocks of a stack never overlap: two blocks of 2^62 fit, one past int64 does not."""
+def test_stack_is_int64_while_its_largest_block_fits():
+    """Blocks of a stack never overlap: two blocks of 2^62 fit in int64; at
+    the common denominator 2 a block of 2^62 is 2^63, held exactly as a
+    Python int, and each block unstacks back to int64."""
     space = GradedVectorSpace({0: 1})
     big = operator_from_entries(space, space, 0, [(0, 0, 0, 2 ** 62)], EXACT)
     half = operator_from_entries(space, space, 0, [(0, 0, 0, Fraction(1, 2))], EXACT)
-    assert stack([big, big]).norm() == 2.0 ** 62
-    with pytest.raises(ModeError, match="int64"):
-        stack([big, half])
+    fits, wide = stack([big, big]), stack([big, half])
+    assert fits.block(0).tolist() == [[2 ** 62], [2 ** 62]] and fits._data.dtype == np.int64
+    assert wide.block(0).tolist() == [[2 ** 62], [Fraction(1, 2)]]
+    assert wide._data.dtype == object and wide._den == 2
+    assert all(b._data.dtype == np.int64 for b in unstack(wide, 2))
 
 
 def _count_products(monkeypatch):
@@ -215,18 +219,27 @@ def test_compose_count_does_not_grow_with_the_algebra(monkeypatch, mode):
 
 
 @pytest.mark.parametrize("entry", [2 ** 62, 3 * 10 ** 9], ids=["compose", "sum"])
-def test_exact_residuals_near_the_int64_ceiling_raise_mode_error(entry):
+def test_exact_residuals_near_the_int64_ceiling_are_exact(entry):
     """Products past int64 (2^62 squared) or sums past it (two products of
-    9e18) raise a one-line ModeError; nothing wraps or turns float."""
+    9e18) cancel exactly.  With d the identity from degree -1 to 0, L = x
+    on both degrees and B = y from 0 to -1, [L, B] = 0 and [d, B] - L is
+    y - x on both degrees: a Cartan representation for y = x, a residual of
+    exactly 1 for y = x + 1, as the per-pair reference finds; the residual
+    operator fits and is int64."""
     g = abelian(1)
     space = GradedVectorSpace({-1: 1, 0: 1})
-    big = np.array([[Fraction(entry)]], dtype=object)
     one = np.array([[Fraction(1)]], dtype=object)
     d = operator_from_blocks(space, space, 1, {-1: one}, mode=EXACT)
-    L = operator_from_blocks(space, space, 0, {-1: big, 0: big}, mode=EXACT)
-    B = operator_from_blocks(space, space, -1, {0: big}, mode=EXACT)
-    rep = CartanRep(g, CochainComplex(space, d), [L], [B])
-    for check in (cartan_residuals, pairwise_cartan_residuals):
-        with pytest.raises(ModeError) as err:
-            check(rep)
-        assert "\n" not in str(err.value) and "int64" in str(err.value)
+    L = operator_from_blocks(space, space, 0, {-1: entry * one, 0: entry * one}, mode=EXACT)
+    for bump in (0, 1):
+        B = operator_from_blocks(space, space, -1, {0: (entry + bump) * one}, mode=EXACT)
+        rep = CartanRep(g, CochainComplex(space, d), [L], [B])
+        for check in (cartan_residuals, pairwise_cartan_residuals):
+            report = check(rep)
+            assert [getattr(report, name) for name in FAMILIES] == [0.0, 0.0, 0.0, bump]
+        h = reps._label_maps(g, EXACT)
+        residual = graded.product_sum([(h["after"], d, rep.B_stack),
+                                       (h["before"], rep.B_stack, d),
+                                       (h["minus_eye"], rep.L_stack)])
+        assert [residual.block(k).tolist() for k in (-1, 0)] == [[[bump]], [[bump]]]
+        assert residual._data.dtype == np.int64

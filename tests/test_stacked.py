@@ -31,6 +31,13 @@ def _assert_same(a, b):
     assert a._den == b._den
 
 
+def _assert_int64_iff_fits(op):
+    """Exact numerators are stored in int64 exactly when each reduced one
+    fits, as Python ints otherwise."""
+    fits = all(abs(int(v)) <= 2 ** 63 - 1 for v in op._data)
+    assert op._data.dtype == (np.int64 if fits else object)
+
+
 def _assert_family(stacked, blocks, reference):
     _assert_same(stacked, stack(reference))
     for got, want in zip(blocks, reference, strict=True):
