@@ -18,12 +18,14 @@ points of shape (P, k) and returns stacked arrays.  A word evaluator walks
 the prefix tree of its batch: one exponential per distinct coordinate of
 each slot and one product per distinct prefix (t_1, ..., t_j), so nested
 quadrature nodes, faces, shuffles and cube grids pay for their shared
-coordinates once.  Every other evaluator is a reparametrization: ``lift``
-maps its points to points of its bases and ``push`` turns the bases'
-values into its own.  ``eval_many`` evaluates a whole chain that way, with
-one ``WordEvaluator.eval`` per word evaluator on all the points that reach
-it.  Float mode only; exact-mode integration goes through the series and
-polynomial routes instead.
+coordinates once.  Every exponential is the one float exponential
+``linalg.TaylorExp``: a table cached per letter for the slots, its
+one-point case ``linalg.expm`` for a prefix.  Every other evaluator is a
+reparametrization: ``lift`` maps its points to points of its bases and
+``push`` turns the bases' values into its own.  ``eval_many`` evaluates a
+whole chain that way, with one ``WordEvaluator.eval`` per word evaluator
+on all the points that reach it.  Float mode only; exact-mode integration
+goes through the series and polynomial routes instead.
 """
 
 from dataclasses import dataclass, field
@@ -120,46 +122,15 @@ class FlatRep:
         letter and degree."""
         key = (tuple(np.asarray(x, dtype=float)), d)
         if key not in self._exp_cache:
-            self._exp_cache[key] = _TaylorExp(self.action(x, d))
+            self._exp_cache[key] = linalg.TaylorExp(self.action(x, d))
         return self._exp_cache[key]
 
     def exp_ad_factors(self, x):
         """Taylor data for t -> exp(t * ad(x)), cached per letter."""
         key = tuple(np.asarray(x, dtype=float))
         if key not in self._ad_cache:
-            self._ad_cache[key] = _TaylorExp(self.ad(x))
+            self._ad_cache[key] = linalg.TaylorExp(self.ad(x))
         return self._ad_cache[key]
-
-
-class _TaylorExp:
-    """exp(t A) over batches of t, by scaled Taylor polynomial + squaring;
-    the squarings scale A to infinity-norm (max row sum) at most 1/2."""
-
-    def __init__(self, a: np.ndarray):
-        norm = float(np.abs(a).sum(axis=1).max(initial=0.0))
-        self.squarings = max(0, int(np.ceil(np.log2(norm))) + 1) if norm > 1 else 0
-        scaled = a / (2.0 ** self.squarings)
-        terms = [np.eye(a.shape[0])]
-        m = 1
-        while True:
-            terms.append(terms[-1].dot(scaled) / m)
-            if linalg.max_abs(terms[-1]) < 1e-20 or m > 60:
-                break
-            m += 1
-        self.coeffs = np.stack(terms)          # (M, d, d)
-
-    def at(self, t: np.ndarray) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        m, d = self.coeffs.shape[:2]
-        powers = np.ones((len(t), m))
-        powers[:, 1:] = t[:, None]
-        np.cumprod(powers, axis=1, out=powers)
-        # one (1, M) @ (M, d*d) product per point, not one GEMM, whose BLAS
-        # path for a one-point batch differs: rows must not depend on the batch
-        out = np.matmul(powers[:, None, :], self.coeffs.reshape(m, d * d)).reshape(-1, d, d)
-        for _ in range(self.squarings):
-            out = np.matmul(out, out)
-        return out
 
 
 class Evaluator:
@@ -236,7 +207,7 @@ class WordEvaluator(Evaluator):
         self.k = len(self.letters)
         self.domain = domain
         self._ad = [flat.exp_ad_factors(x) for x in self.letters]
-        # the prefix is one point, t = 1: single exponentials, no Taylor tables
+        # the prefix is one point, t = 1: one-point exponentials, no cached tables
         rho0 = {d: np.eye(flat.space.dim(d)) for d in flat.space.degrees}
         ad0i = np.eye(flat.algebra.n)
         for x in self.prefix:

@@ -4,7 +4,8 @@ Structure constants are kept as exact rationals; float views are derived
 on demand.  ``ad`` is one contraction with the constants in either mode,
 a matrix on coordinate vectors: an exact merged Stokes slot
 (``integrate._slot_density``) applies its powers to a vector (nilpotent
-ad only), and float exponentials are ``linalg.expm``.  The Cartan DG Lie
+ad only), and float exponentials go through the one float exponential,
+``linalg.TaylorExp`` (``linalg.expm`` at one point).  The Cartan DG Lie
 algebra of an algebra is its own adjoint representation, ``reps.cartan_dgla``.
 """
 

@@ -1,5 +1,5 @@
-"""Matrix helpers: scalar parsing, exact rank and nullspace, and the float
-matrix exponentials.
+"""Matrix helpers: scalar parsing, exact rank and nullspace, and the one
+float matrix exponential, ``TaylorExp``.
 
 Dense matrices are numpy arrays: float64 in float mode, object arrays of
 ``fractions.Fraction`` in exact mode; exact rank and nullspace eliminate on
@@ -11,7 +11,6 @@ import math
 from fractions import Fraction
 
 import numpy as np
-import scipy.linalg
 
 EXACT = "exact"
 FLOAT = "float"
@@ -190,18 +189,45 @@ def unit_vector(n: int, i: int, mode: str):
 
 
 # ---------------------------------------------------------------------------
-# float matrix exponentials (exact ones are ``graded.exp_terms``)
+# the float matrix exponential (exact ones are ``graded.exp_terms``)
 # ---------------------------------------------------------------------------
 
-def _float_only(a, what):
-    a = np.asarray(a)
-    if mode_of(a) == EXACT:
-        raise ModeError(f"{what} is float-only; exact exponentials sum graded.exp_terms")
-    return a
+class TaylorExp:
+    """exp(t A) over batches of t, by scaled Taylor polynomial + squaring
+    (Moler and Van Loan, 2003): the squarings scale A to infinity-norm (max
+    row sum) at most 1/2.  The kit's one float exponential: word batches
+    reuse a table per letter, ``expm`` is its one-point case."""
+
+    def __init__(self, a: np.ndarray):
+        norm = float(np.abs(a).sum(axis=1).max(initial=0.0))
+        self.squarings = max(0, int(np.ceil(np.log2(norm))) + 1) if norm > 1 else 0
+        scaled = a / (2.0 ** self.squarings)
+        terms = [np.eye(a.shape[0])]
+        m = 1
+        while True:
+            terms.append(terms[-1].dot(scaled) / m)
+            if max_abs(terms[-1]) < 1e-20 or m > 60:
+                break
+            m += 1
+        self.coeffs = np.stack(terms)          # (M, d, d)
+
+    def at(self, t: np.ndarray) -> np.ndarray:
+        t = np.asarray(t, dtype=float)
+        m, d = self.coeffs.shape[:2]
+        powers = np.ones((len(t), m))
+        powers[:, 1:] = t[:, None]
+        np.cumprod(powers, axis=1, out=powers)
+        # one (1, M) @ (M, d*d) product per point, not one GEMM, whose BLAS
+        # path for a one-point batch differs: rows must not depend on the batch
+        out = np.matmul(powers[:, None, :], self.coeffs.reshape(m, d * d)).reshape(-1, d, d)
+        for _ in range(self.squarings):
+            out = np.matmul(out, out)
+        return out
 
 
 def expm(a, t=1):
-    """exp(t*a) for a float matrix: scipy's scaling-and-squaring Pade-13
-    routine."""
-    return scipy.linalg.expm(float(t) * _float_only(a, "expm"))
-
+    """exp(t*a) for a float matrix: the one-point ``TaylorExp``."""
+    a = np.asarray(a)
+    if mode_of(a) == EXACT:
+        raise ModeError("expm is float-only; exact exponentials sum graded.exp_terms")
+    return TaylorExp(a).at([t])[0]

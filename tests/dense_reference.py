@@ -24,7 +24,8 @@ and ``stack`` for each relabelling, and one ``combination`` of the terms);
 ``graded.hom_system`` through dual and tensor operators.
 ``tensordot_jacobi`` contracts the ``Fraction`` structure constants as
 object arrays.  ``exp_operator`` exponentiates any degree-0 operator, in
-either mode.  ``operator_from_blocks`` (a dict of dense blocks) and
+either mode, with scipy's Pade routine in float mode.
+``operator_from_blocks`` (a dict of dense blocks) and
 ``operator_from_entries`` ((k, row, col, value) tuples) build operators
 from the two input formats the package dropped, on the two it keeps.
 """
@@ -124,11 +125,11 @@ def phi1(a):
 
 def exp_operator(op, t=1):
     """Exponential of a degree-0 operator: the sum of ``graded.exp_terms`` in
-    exact mode, blockwise ``linalg.expm`` in float mode."""
+    exact mode, blockwise ``scipy.linalg.expm`` in float mode."""
     if op.mode == EXACT:
         terms = exp_terms(Fraction(t) * op)
         return sum(terms[1:], terms[0])
-    blocks = {k: linalg.expm(op.block(k), t) for k in op.source.degrees}
+    blocks = {k: scipy.linalg.expm(float(t) * op.block(k)) for k in op.source.degrees}
     return operator_from_blocks(op.source, op.source, 0, blocks, mode=op.mode)
 
 

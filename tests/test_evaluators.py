@@ -5,6 +5,7 @@ from math import comb
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from cartankit import evaluators, integrate, linalg
 from cartankit.evaluators import (AffineReparam, ChainCombination, FlatRep,
@@ -46,7 +47,6 @@ def _fd_tangent_residual(flat, ev, point, h=1e-6):
 def test_word_point_values(flat, sl2_basis_float):
     e = sl2_basis_float
     ev = WordEvaluator(flat, [e[0]])
-    import scipy.linalg
     got = total_of(flat, ev.eval(np.array([[0.63]])).rho[0], 0)
     want = scipy.linalg.expm(0.63 * operator_of(flat, e[0]))
     assert np.max(np.abs(got - want)) < 1e-12
@@ -68,7 +68,6 @@ def test_prefixed_word_frame_and_value(flat, sl2_basis_float):
     plain = WordEvaluator(flat, [e[0], e[1]])
     moved = WordEvaluator(flat, [e[0], e[1]], prefix=[e[2]])
     pts = np.array([[0.6, 0.2]])
-    import scipy.linalg
     g = scipy.linalg.expm(operator_of(flat, e[2]))
     assert np.allclose(total_of(flat, moved.eval(pts).rho[0], 0),
                        g.dot(total_of(flat, plain.eval(pts).rho[0], 0)))
@@ -111,13 +110,13 @@ def test_word_eval_exponentiates_each_distinct_coordinate_once(flat, monkeypatch
     every degree asked for, and for the inverse adjoint."""
     ev = WordEvaluator(flat, GENERIC_LETTERS)
     sizes = {}
-    taylor_at = evaluators._TaylorExp.at
+    taylor_at = linalg.TaylorExp.at
 
     def counted(self, t):
         sizes.setdefault(id(self), []).append(len(t))
         return taylor_at(self, t)
 
-    monkeypatch.setattr(evaluators._TaylorExp, "at", counted)
+    monkeypatch.setattr(linalg.TaylorExp, "at", counted)
     ev.eval(simplex_nodes(3, 16)[0], [-3, -1])
     blocks = {q: [id(flat.exp_factors(x, q)) for x in GENERIC_LETTERS] for q in (-3, -1)}
     for q, ids in blocks.items():
@@ -232,9 +231,10 @@ def sl2_flats(sl2_chain_float):
 
 def test_taylor_exponential_agrees_with_expm(sl2_flats, sl2_basis_float):
     """Every degree block and ad(x), at the Gauss-Legendre values of a slot
-    and at their negatives, to 1e-13 relative to max(1, |entry|): on the
-    24-dim rep exp(t L(h)) reaches e^4, where the squarings leave up to
-    3e-13 absolute (8e-13 when their count came from max|a| d)."""
+    and at their negatives, against scipy's Pade expm to 1e-13 relative to
+    max(1, |entry|): on the 24-dim rep exp(t L(h)) reaches e^4, where the
+    squarings leave up to 3e-13 absolute (8e-13 when their count came from
+    max|a| d)."""
     values, _ = gauss_01(16)
     values = np.concatenate([values, -values])
     for flat in sl2_flats:
@@ -243,7 +243,7 @@ def test_taylor_exponential_agrees_with_expm(sl2_flats, sl2_basis_float):
             for table, a in tables + [(flat.exp_ad_factors(x), flat.ad(x))]:
                 got = table.at(values)
                 for t, row in zip(values, got):
-                    want = linalg.expm(a, t)
+                    want = scipy.linalg.expm(t * a)
                     assert np.all(np.abs(row - want) <= 1e-13 * np.maximum(1.0, np.abs(want)))
 
 
@@ -251,37 +251,30 @@ def test_taylor_squarings_follow_the_infinity_norm():
     """A diagonal block of 24 entries 0.9 has infinity-norm 0.9 and needs no
     squaring, where max|a| d = 21.6 would ask for six."""
     a = 0.9 * np.eye(24)
-    table = evaluators._TaylorExp(a)
+    table = linalg.TaylorExp(a)
     assert table.squarings == 0
     values, _ = gauss_01(16)
     for t, row in zip(values, table.at(values)):
-        assert np.max(np.abs(row - linalg.expm(a, t))) <= 1e-13 * np.exp(0.9)
+        assert np.max(np.abs(row - scipy.linalg.expm(t * a))) <= 1e-13 * np.exp(0.9)
 
 
-def test_adjoint_tables_cached_per_letter_and_none_for_points(sl2_chain_float, sl2_basis_float,
-                                                              monkeypatch):
+def test_adjoint_tables_cached_per_letter_and_none_for_points(sl2_chain_float, sl2_basis_float):
     """Faces, shuffle factors and prefixes share one adjoint Taylor table per
-    letter; a point value (a prefix, a ``PointEvaluator``) builds no table."""
+    letter; a point value (a prefix, a ``PointEvaluator``) caches no table:
+    its one-point exponentials are dropped once multiplied out."""
     flat = FlatRep(sl2_chain_float)
-    built = []
-    init = evaluators._TaylorExp.__init__
-
-    def counted(self, a):
-        built.append(a.shape)
-        init(self, a)
-
-    monkeypatch.setattr(evaluators._TaylorExp, "__init__", counted)
     e = sl2_basis_float
     words = [[e[0], e[2]], [e[2], e[0]], [e[0]], [e[2], e[0], e[2]]]
     evs = [WordEvaluator(flat, w) for w in words]
-    assert len(built) == 2 and len(flat._ad_cache) == 2 and not flat._exp_cache
+    assert len(flat._ad_cache) == 2 and not flat._exp_cache
     assert all(a is b for a, b in zip(evs[0]._ad, evs[1]._ad[::-1]))
-    WordEvaluator(flat, [e[1]], prefix=[e[2], GENERIC_LETTERS[0]])
-    assert len(built) == 3
+    tables = dict(flat._ad_cache)
+    with_prefix = WordEvaluator(flat, [e[1]], prefix=[e[2], GENERIC_LETTERS[0]])
     point = PointEvaluator(flat, prefix=[e[1], GENERIC_LETTERS[1]])
     point.value()
     point.eval(np.zeros((2, 0)), flat.targets(0))
-    assert len(built) == 3 and not flat._exp_cache
+    assert flat._ad_cache == {**tables, tuple(e[1]): with_prefix._ad[0]}
+    assert not flat._exp_cache
 
 
 def test_ad_and_inverse_are_inverse(flat, sl2_basis_float):
@@ -289,7 +282,6 @@ def test_ad_and_inverse_are_inverse(flat, sl2_basis_float):
     ev = WordEvaluator(flat, [e[0], e[2], e[1]])
     pts = np.array([[0.9, 0.5, 0.1], [0.4, 0.3, 0.2]])
     data = ev.eval(pts)
-    import scipy.linalg
     g = flat.algebra
     for t, ad_inv in zip(pts, data.ad_inv):
         ad = np.eye(3)
@@ -435,7 +427,6 @@ def test_chain_combination_dimension_guard(flat, sl2_basis_float):
 
 def test_point_evaluator_value(flat, sl2_basis_float):
     e = sl2_basis_float
-    import scipy.linalg
     point = PointEvaluator(flat, prefix=[e[0], e[2]])
     val = flatten_operator(point.value())
     want = scipy.linalg.expm(operator_of(flat, e[0])).dot(

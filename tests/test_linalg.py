@@ -1,14 +1,17 @@
-"""Exact ranks and nullspaces, against sympy as an independent oracle."""
+"""Exact ranks and nullspaces, against sympy as an independent oracle, and
+the float exponential against scipy's."""
 
 from fractions import Fraction
 
 import numpy as np
+import pytest
+import scipy.linalg
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cartankit import linalg
-from cartankit.linalg import EXACT
+from cartankit.linalg import EXACT, ModeError
 
 
 @st.composite
@@ -85,3 +88,19 @@ def test_sparse_rows_match_the_dense_matrix_and_sympy(case):
     expected = [[Fraction(int(x.p), int(x.q)) for x in v] for v in m.nullspace()]
     assert [list(v) for v in linalg.nullspace(rows, n_cols=n_cols)] == expected
     assert [list(v) for v in linalg.nullspace(dense)] == expected
+
+
+@pytest.mark.parametrize("dim", [3, 8, 24])
+def test_expm_matches_scipy(dim):
+    """``expm(a, t)``, the one-point Taylor table, against scipy's Pade-13
+    ``expm(t a)`` on seeded random matrices of infinity-norm 1e-4 to 10, to
+    1e-11 relative to max(1, |entry|); an exact array raises."""
+    rng = np.random.default_rng(dim)
+    for norm in (1e-4, 1e-2, 0.5, 1.0, 3.0, 10.0):
+        a = rng.standard_normal((dim, dim))
+        a *= norm / np.abs(a).sum(axis=1).max()
+        for t in (1, -1, 0.37):
+            want = scipy.linalg.expm(t * a)
+            assert np.all(np.abs(linalg.expm(a, t) - want) <= 1e-11 * np.maximum(1.0, np.abs(want)))
+    with pytest.raises(ModeError):
+        linalg.expm(linalg.zeros((2, 2), EXACT))

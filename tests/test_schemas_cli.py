@@ -1,7 +1,10 @@
 """Problem-file parsing, operator serialization, command-line behavior."""
 
 import json
+import os
 import pathlib
+import subprocess
+import sys
 import time
 from fractions import Fraction
 
@@ -706,3 +709,14 @@ def test_exact_integrate_both_refuses_before_integrating(capsys, monkeypatch):
     lines = capsys.readouterr().err.strip().splitlines()
     assert code == 2
     assert lines == ["error: quadrature requires float mode"]
+
+
+def test_cli_imports_no_scipy():
+    """numpy is the one run-time dependency: a fresh interpreter that imports
+    the command line loads no scipy module."""
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    code = ("import sys, cartankit.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src}).stdout
+    assert out.strip() == "[]"
