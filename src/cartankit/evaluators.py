@@ -18,17 +18,21 @@ points of shape (P, k) and returns stacked arrays.  A word evaluator walks
 the prefix tree of its batch: one exponential per distinct coordinate of
 each slot and one product per distinct prefix (t_1, ..., t_j), so nested
 quadrature nodes, faces, shuffles and cube grids pay for their shared
-coordinates once.  Every exponential is the one float exponential
-``linalg.TaylorExp``: a table cached per letter for the slots, its
-one-point case ``linalg.expm`` for a prefix.  Every other evaluator is a
-reparametrization: ``lift`` maps its points to points of its bases and
-``push`` turns the bases' values into its own.  ``eval_many`` evaluates a
-whole chain that way, with one ``WordEvaluator.eval`` per word evaluator
-on all the points that reach it.  Float mode only; exact-mode integration
-goes through the series and polynomial routes instead.
+coordinates once.  The inverse-adjoint tail is per point and starts at the
+last letter's factor, not at the identity, and a point value
+(``PointEvaluator.value``) builds no adjoint at all.  Every exponential is
+the one float exponential ``linalg.TaylorExp``: a table cached per letter
+for the slots, its one-point case ``linalg.expm`` for a prefix.  Every
+other evaluator is a reparametrization: ``lift`` maps its points to points
+of its bases and ``push`` turns the bases' values into its own.
+``eval_many`` evaluates a whole chain that way, with one
+``WordEvaluator.eval`` per word evaluator on all the points that reach it.
+Float mode only; exact-mode integration goes through the series and
+polynomial routes instead.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -70,7 +74,10 @@ class Blocks:
 @dataclass
 class PointData:
     """Batched evaluator output.  Only the inverse adjoint is carried: it
-    conjugates tangents in pointwise products and p-fold multiplication."""
+    conjugates tangents in pointwise products and p-fold multiplication.  A
+    word evaluator forms it per point from the last letter's factor on; a
+    point value (``PointEvaluator.value``) reads ``rho`` alone and builds no
+    adjoint."""
 
     rho: Blocks           # operator values at the evaluated degrees, (P, d, d) each
     ad_inv: np.ndarray    # (P, n, n) inverse adjoint matrices
@@ -196,8 +203,12 @@ class WordEvaluator(Evaluator):
     ``eval`` exponentiates each distinct value of a slot once and forms the
     running product once per distinct prefix (t_1, ..., t_j), at each
     degree asked for, then gathers per point; the inverse-adjoint tail and
-    the tangents stay per point.  Every output row is bit-identical to
-    evaluating its point alone.
+    the tangents stay per point.  The tail starts at the last letter's
+    factor exp(-t_k ad x_k), so xi_k = x_k, and is multiplied by the
+    prefix's inverse adjoint only when there is a prefix; that adjoint is
+    formed on first read, so a point value builds none.  Every output row
+    is bit-identical to evaluating its point alone, and to the same
+    products started at the identity.
     """
 
     def __init__(self, flat: FlatRep, letters, prefix=(), domain="simplex"):
@@ -207,13 +218,21 @@ class WordEvaluator(Evaluator):
         self.k = len(self.letters)
         self.domain = domain
         self._ad = [flat.exp_ad_factors(x) for x in self.letters]
-        # the prefix is one point, t = 1: one-point exponentials, no cached tables
-        rho0 = {d: np.eye(flat.space.dim(d)) for d in flat.space.degrees}
-        ad0i = np.eye(flat.algebra.n)
+        # the prefix is one point, t = 1: one-point exponentials, no cached
+        # tables, the product started at the first letter's
+        self._rho0 = {}
+        for d in flat.space.degrees:
+            factors = [linalg.expm(flat.action(x, d)) for x in self.prefix]
+            self._rho0[d] = reduce(np.dot, factors) if factors else np.eye(flat.space.dim(d))
+
+    @cached_property
+    def _ad0i(self) -> np.ndarray:
+        """The prefix's inverse adjoint, formed on first read: a point value
+        never reads it."""
+        ad0i = np.eye(self.flat.algebra.n)
         for x in self.prefix:
-            rho0 = {d: r.dot(linalg.expm(flat.action(x, d))) for d, r in rho0.items()}
-            ad0i = linalg.expm(flat.ad(x), -1).dot(ad0i)
-        self._rho0, self._ad0i = rho0, ad0i
+            ad0i = linalg.expm(self.flat.ad(x), -1).dot(ad0i)
+        return ad0i
 
     def eval(self, points: np.ndarray, degrees=None) -> PointData:
         points = as_points(points, self.k)
@@ -234,14 +253,19 @@ class WordEvaluator(Evaluator):
                 rho[d] = np.matmul(rho[d][ids // m], factors[ids % m])
             neg_ads.append(self._ad[j].at(-values)[which])
         rho = Blocks({d: r[node] for d, r in rho.items()}, p)
-        # tail: product of the negative factors after slot j, in reverse order;
-        # the full product followed by the prefix is the inverse adjoint
-        xi = np.zeros((p, self.k, n))
-        tail = np.broadcast_to(np.eye(n), (p, n, n)).copy()
-        for j in range(self.k - 1, -1, -1):
-            xi[:, j, :] = np.einsum("pab,b->pa", tail, self.letters[j])
+        # tail: product of the negative factors after slot j, in reverse order,
+        # started at the last slot's (so xi_k = x_k); the full product followed
+        # by the prefix's is the inverse adjoint
+        xi = np.empty((p, self.k, n))
+        if self.k:
+            xi[:, -1] = self.letters[-1]
+            tail = neg_ads[-1]
+        else:
+            tail = np.broadcast_to(np.eye(n), (p, n, n)).copy()
+        for j in range(self.k - 2, -1, -1):
+            xi[:, j] = np.einsum("pab,b->pa", tail, self.letters[j])
             tail = np.matmul(tail, neg_ads[j])
-        ad_inv = np.matmul(tail, np.broadcast_to(self._ad0i, (p, n, n)))
+        ad_inv = np.matmul(tail, np.broadcast_to(self._ad0i, (p, n, n))) if self.prefix else tail
         return PointData(rho, ad_inv, xi)
 
 

@@ -206,10 +206,10 @@ class TaylorExp:
         m = 1
         while True:
             terms.append(terms[-1].dot(scaled) / m)
-            if max_abs(terms[-1]) < 1e-20 or m > 60:
+            if np.abs(terms[-1]).max(initial=0.0) < 1e-20 or m > 60:
                 break
             m += 1
-        self.coeffs = np.stack(terms)          # (M, d, d)
+        self.coeffs = np.array(terms)          # (M, d, d)
 
     def at(self, t: np.ndarray) -> np.ndarray:
         t = np.asarray(t, dtype=float)

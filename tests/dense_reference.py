@@ -28,6 +28,9 @@ either mode, with scipy's Pade routine in float mode.
 ``operator_from_blocks`` (a dict of dense blocks) and
 ``operator_from_entries`` ((k, row, col, value) tuples) build operators
 from the two input formats the package dropped, on the two it keeps.
+``identity_started_eval`` is ``Evaluator.eval`` with every product of a
+word evaluator started at the identity and no prefix tree, the reference
+that the evaluator's outputs must equal bit for bit.
 """
 
 from fractions import Fraction
@@ -39,8 +42,8 @@ import scipy.linalg
 
 from cartankit import linalg
 from cartankit.ce import boundary, exterior
-from cartankit.evaluators import (AffineReparam, MaxCollapseReparam, PermReparam,
-                                  ProductEvaluator, WordEvaluator)
+from cartankit.evaluators import (AffineReparam, Blocks, MaxCollapseReparam, PermReparam,
+                                  PointData, ProductEvaluator, WordEvaluator, as_points)
 from cartankit.graded import (GradedOperator, GradedVectorSpace, combination, compose,
                               dual_operator, dual_space, exp_terms, graded_commutator,
                               label_space, stack, stack_entries, tensor_operator, unstack)
@@ -169,6 +172,40 @@ def dense_rho(flat, ev, t):
         return dense_rho(flat, ev.left, t[list(ev.left_slots)]).dot(
             dense_rho(flat, ev.right, t[list(ev.right_slots)]))
     raise TypeError(f"no dense reference for {type(ev).__name__}")
+
+
+def identity_started_eval(ev, points, degrees=None):
+    """``ev.eval(points, degrees)`` with every product of a word evaluator
+    started at the identity: the prefix value I exp(x_1) ..., the
+    inverse-adjoint tail I exp(-t_k ad x_k) ... exp(-t_1 ad x_1) followed
+    by the prefix's I exp(-ad x_1) ..., and each tangent xi_j as I times the
+    tail after slot j applied to x_j.  Each slot's factors come from the
+    letter's table at every point (no prefix tree).  Other evaluators push
+    their bases' reference values."""
+    points = as_points(points, ev.k)
+    if not isinstance(ev, WordEvaluator):
+        return ev.push(points, [identity_started_eval(base, up, degrees)
+                                for base, up in ev.lift(points)])
+    flat, p, n = ev.flat, len(points), ev.flat.algebra.n
+    rho = {}
+    for d in flat.space.degrees if degrees is None else degrees:
+        r = np.eye(flat.space.dim(d))
+        for x in ev.prefix:
+            r = r.dot(linalg.expm(flat.action(x, d)))
+        r = np.broadcast_to(r, (p,) + r.shape).copy()
+        for x, t in zip(ev.letters, points.T):
+            r = np.matmul(r, flat.exp_factors(x, d).at(t))
+        rho[d] = r
+    ad0i = np.eye(n)
+    for x in ev.prefix:
+        ad0i = linalg.expm(flat.ad(x), -1).dot(ad0i)
+    xi = np.zeros((p, ev.k, n))
+    tail = np.broadcast_to(np.eye(n), (p, n, n)).copy()
+    for j in range(ev.k - 1, -1, -1):
+        xi[:, j, :] = np.einsum("pab,b->pa", tail, ev.letters[j])
+        tail = np.matmul(tail, flat.exp_ad_factors(ev.letters[j]).at(-points[:, j]))
+    ad_inv = np.matmul(tail, np.broadcast_to(ad0i, (p, n, n)))
+    return PointData(Blocks(rho, p), ad_inv, xi)
 
 
 def dense_density(flat, ev, points):

@@ -18,7 +18,7 @@ from cartankit.lie import abelian
 from cartankit.linalg import FLOAT
 from cartankit.reps import adjoint_rep, chain_rep, trivial_lie_rep
 from aw_coproduct import aw_coproduct_word
-from dense_reference import flatten_operator, operator_of, total_of
+from dense_reference import flatten_operator, identity_started_eval, operator_of, total_of
 
 
 @pytest.fixture(scope="module")
@@ -125,10 +125,15 @@ def test_word_eval_exponentiates_each_distinct_coordinate_once(flat, monkeypatch
     assert len(sizes) == 9
 
 
+def _bitwise(a, b):
+    """Equal arrays, down to the sign of every zero."""
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
 def _same(a, b):
     return (a.rho.blocks.keys() == b.rho.blocks.keys()
-            and all(np.array_equal(a.rho.blocks[d], b.rho.blocks[d]) for d in a.rho.blocks)
-            and np.array_equal(a.ad_inv, b.ad_inv) and np.array_equal(a.xi, b.xi))
+            and all(_bitwise(a.rho.blocks[d], b.rho.blocks[d]) for d in a.rho.blocks)
+            and _bitwise(a.ad_inv, b.ad_inv) and _bitwise(a.xi, b.xi))
 
 
 @pytest.mark.parametrize("degrees", [None, [-2, -1]], ids=["all", "targets"])
@@ -275,6 +280,77 @@ def test_adjoint_tables_cached_per_letter_and_none_for_points(sl2_chain_float, s
     point.eval(np.zeros((2, 0)), flat.targets(0))
     assert flat._ad_cache == {**tables, tuple(e[1]): with_prefix._ad[0]}
     assert not flat._exp_cache
+
+
+def _nodes_and_random(k):
+    """The order-4 simplex nodes and six seeded random points of the simplex."""
+    if k == 0:
+        return np.zeros((3, 0))
+    random = -np.sort(-np.random.default_rng(k).uniform(0.0, 1.0, (6, k)), axis=1)
+    return np.concatenate([simplex_nodes(k, 4)[0], random])
+
+
+@pytest.mark.parametrize("n_prefix", [0, 1, 2])
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_word_eval_equals_the_identity_started_reference(sl2_flats, sl2_basis_float, k,
+                                                         n_prefix):
+    """The tail starts at the last slot's factor (xi_k = x_k), a bare word
+    multiplies by no prefix adjoint, and the prefix value starts at its
+    first letter's exponential: rho, ad_inv and xi equal the products
+    started at the identity bit for bit, signs of zeros included, for
+    generic letters and for basis letters (zero coordinates)."""
+    e = sl2_basis_float
+    prefix = [GENERIC_LETTERS[2], e[1]][:n_prefix]
+    points = _nodes_and_random(k)
+    for flat in sl2_flats:
+        for letters in (GENERIC_LETTERS[:k], [e[2], e[0], e[1]][:k]):
+            ev = WordEvaluator(flat, letters, prefix=prefix)
+            for degrees in (None, flat.targets(k)):
+                assert _same(ev.eval(points, degrees),
+                                  identity_started_eval(ev, points, degrees))
+
+
+@pytest.mark.parametrize("r, s", [(1, 1), (1, 2), (2, 1)])
+def test_shuffle_terms_equal_the_identity_started_reference(sl2_flats, sl2_basis_float, r, s):
+    """``ProductEvaluator.push`` conjugates the left tangents by the right
+    factor's ``ad_inv``: every shuffle term of a bare word times a prefixed
+    word equals the reference pushed through the same product, bit for bit."""
+    points = _nodes_and_random(r + s)
+    for flat in sl2_flats:
+        chain = ez_product(WordEvaluator(flat, GENERIC_LETTERS[:r]),
+                           WordEvaluator(flat, GENERIC_LETTERS[3 - s:], prefix=[sl2_basis_float[2]]))
+        requests = [(ev, points) for _, ev in chain.terms]
+        degrees = flat.targets(r + s)
+        for (ev, _), data in zip(requests, evaluators.eval_many(requests, degrees)):
+            assert _same(data, identity_started_eval(ev, points, degrees))
+
+
+def test_point_values_build_no_adjoint(flat, sl2_basis_float, monkeypatch):
+    """A point value makes one exponential per (prefix letter, degree) and
+    never reads ad; a prefixed word forms its prefix's inverse adjoint once,
+    on its first evaluation, whatever the number of evaluations."""
+    e = sl2_basis_float
+    prefix = [e[0], GENERIC_LETTERS[1]]
+    counts = {"expm": 0, "ad": 0}
+    expm, ad = linalg.expm, FlatRep.ad
+
+    def counted_expm(a, t=1):
+        counts["expm"] += 1
+        return expm(a, t)
+
+    def counted_ad(self, x):
+        counts["ad"] += 1
+        return ad(self, x)
+
+    monkeypatch.setattr(linalg, "expm", counted_expm)
+    monkeypatch.setattr(FlatRep, "ad", counted_ad)
+    PointEvaluator(flat, prefix).value()
+    assert counts == {"expm": len(prefix) * len(flat.space.degrees), "ad": 0}
+    word = WordEvaluator(flat, [e[2]], prefix=prefix)
+    counts.update(expm=0, ad=0)
+    for points in (simplex_nodes(1, 4)[0], np.array([[0.3]])):
+        word.eval(points)
+    assert counts == {"expm": len(prefix), "ad": len(prefix)}
 
 
 def test_ad_and_inverse_are_inverse(flat, sl2_basis_float):

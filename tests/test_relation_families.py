@@ -3,38 +3,49 @@
 ``cartan_residuals``, ``LieRep.residuals`` and ``intertwiner_residual``
 check each relation family as one operator on the stacked generators
 (``graded.stack``); ``dense_reference`` keeps the per-pair loop.  Exact
-results must be equal, float ones within 1e-13.
+results must be equal, float ones within 1e-13.  Under a unimodular change
+of basis of the structure constants, Betti numbers, hom-space dimensions
+and exact Cartan residuals stay the same (a Hypothesis property).
 """
 
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cartankit import graded, reps
+from cartankit.ce import ce_chain, ce_cochain, cohomology_dims
 from cartankit.graded import (CochainComplex, GradedOperator, GradedVectorSpace, combination,
                               compose, stack, unstack)
 from cartankit.lie import LieAlgebra, abelian, heisenberg3, sl2
 from cartankit.linalg import EXACT, FLOAT, ModeError
-from cartankit.reps import (CartanRep, LieRep, adjoint_rep, cartan_dgla, cartan_residuals,
-                            chain_rep, cochain_rep, dual_lie_rep, intertwiner_residual,
-                            restrict, trivial_lie_rep)
+from cartankit.reps import (CartanRep, LieRep, adjoint_rep, adjunction_check, cartan_dgla,
+                            cartan_residuals, chain_rep, cochain_rep, dual_lie_rep, hom_space,
+                            intertwiner_residual, restrict, trivial_lie_rep)
 from dense_reference import (operator_from_blocks, operator_from_entries,
                              pairwise_cartan_residuals, pairwise_lie_residuals)
 
 FAMILIES = ("LL", "LB", "BB", "dB")
 
 
-def _rebased_sl2():
-    """sl2 in the basis given by the columns of a unimodular P: dense constants."""
-    g = sl2()
-    p = np.array([[1, 1, 0], [0, 1, 1], [0, 0, 1]], dtype=object)
-    pinv = np.array([[1, -1, 1], [0, 1, -1], [0, 0, 1]], dtype=object)
+def _rebase(g, p, pinv, name):
+    """``g`` in the basis given by the columns of the integer matrix p, whose
+    inverse is pinv: new vector a is sum_i p[i, a] e_i."""
+    p, pinv = np.asarray(p, dtype=object), np.asarray(pinv, dtype=object)
     c = np.einsum("ia,jb,ijk,mk->abm", p, p, g.c, pinv)
-    out = LieAlgebra(3, {(a, b): {m: c[a, b, m] for m in range(3) if c[a, b, m]}
-                         for a, b in ((0, 1), (0, 2), (1, 2))}, name="sl2_rebased")
+    n = g.n
+    out = LieAlgebra(n, {(a, b): {m: c[a, b, m] for m in range(n) if c[a, b, m]}
+                         for a in range(n) for b in range(a + 1, n)}, name=name)
     assert out.check_jacobi() == 0
     return out
+
+
+def _rebased_sl2():
+    """sl2 in the basis given by the columns of a unimodular P: dense constants."""
+    return _rebase(sl2(), [[1, 1, 0], [0, 1, 1], [0, 0, 1]], [[1, -1, 1], [0, 1, -1], [0, 0, 1]],
+                   "sl2_rebased")
 
 
 def _fixture_reps():
@@ -243,3 +254,45 @@ def test_exact_residuals_near_the_int64_ceiling_are_exact(entry):
                                        (h["minus_eye"], rep.L_stack)])
         assert [residual.block(k).tolist() for k in (-1, 0)] == [[[bump]], [[bump]]]
         assert residual._data.dtype == np.int64
+
+
+@st.composite
+def _unimodular(draw, n=3):
+    """An integer matrix P of determinant +-1 and its inverse: a product of
+    up to five column operations col_j += s col_i, then an optional swap."""
+    p, pinv = np.eye(n, dtype=int), np.eye(n, dtype=int)
+    ops = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.sampled_from([-1, 1]))
+    for i, j, s in draw(st.lists(ops.filter(lambda op: op[0] != op[1]), max_size=5)):
+        p[:, j] += s * p[:, i]             # P <- P (1 + s e_i e_j^T)
+        pinv[i] -= s * pinv[j]             # P^-1 <- (1 - s e_i e_j^T) P^-1
+    i, j = draw(st.sampled_from([(0, 0), (0, 1), (0, 2), (1, 2)]))
+    p[:, [i, j]], pinv[[i, j]] = p[:, [j, i]], pinv[[j, i]]
+    return p, pinv
+
+
+def _invariants(g):
+    """Betti numbers (trivial cochains, adjoint chains) and hom-space
+    dimensions (TTg to itself, adjoint to itself, both sides of the
+    adjunction of the adjoint into the trivial chains)."""
+    adjunction = adjunction_check(adjoint_rep(g), chain_rep(g, trivial_lie_rep(g)))
+    return (cohomology_dims(ce_cochain(g, trivial_lie_rep(g)).complex),
+            cohomology_dims(ce_chain(g, adjoint_rep(g)).complex),
+            len(hom_space(cartan_dgla(g), cartan_dgla(g))),
+            len(hom_space(adjoint_rep(g), adjoint_rep(g))),
+            adjunction.dim_cartan_side, adjunction.dim_lie_side)
+
+
+BASIS_CHANGE_ALGEBRAS = {g.name: (g, _invariants(g)) for g in (heisenberg3(), sl2())}
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(sorted(BASIS_CHANGE_ALGEBRAS)), _unimodular())
+def test_change_of_basis_keeps_betti_hom_dims_and_exact_residuals(name, basis):
+    g, invariants = BASIS_CHANGE_ALGEBRAS[name]
+    p, pinv = basis
+    assert np.array_equal(p.dot(pinv), np.eye(3, dtype=int))
+    h = _rebase(g, p, pinv, f"{name}_rebased")
+    assert _invariants(h) == invariants
+    for build in (chain_rep, cochain_rep):
+        for coefficients in (trivial_lie_rep, adjoint_rep):
+            assert cartan_residuals(build(h, coefficients(h))).worst == 0
