@@ -105,7 +105,7 @@ def main(argv=None) -> int:
     try:
         return run(args)
     except (schemas.ProblemError, linalg.ModeError, integrate.ConvergenceError,
-            FileNotFoundError) as err:
+            OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

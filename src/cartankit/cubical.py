@@ -9,14 +9,13 @@ inherits subdivision invariance, which together with vanishing on thin
 degeneracies characterizes integrals of forms.
 """
 
-from itertools import permutations
 from math import fsum
 
 import numpy as np
 
-from .evaluators import (AffineReparam, Evaluator, FlatRep,
-                         MaxCollapseReparam, PermReparam, perm_sign)
-from .integrate import DEFAULT_ORDER, cube_nodes, densities, integrals, simplex_nodes
+from .evaluators import (AffineReparam, ChainCombination, Evaluator, FlatRep,
+                         MaxCollapseReparam, alternation)
+from .integrate import DEFAULT_ORDER, cube_nodes, densities, integrate_chain, simplex_nodes
 
 
 def subdivision_maps(k: int, i: int, s: float):
@@ -81,12 +80,11 @@ class AlternationCochain:
 
     def values(self, evs) -> list:
         """tau(c) at each evaluator; the new ones in one call of the base."""
-        perms = list(permutations(range(self.k)))
         new = [ev for ev in dict.fromkeys(evs) if ev not in self._known]
-        terms = self.base.values([PermReparam(ev, perm) for ev in new for perm in perms])
-        for i, ev in enumerate(new):
-            row = terms[i * len(perms):(i + 1) * len(perms)]
-            self._known[ev] = fsum(perm_sign(perm) * v for perm, v in zip(perms, row))
+        chains = [alternation(ev) for ev in new]
+        terms = iter(self.base.values([term for chain in chains for _, term in chain.terms]))
+        for ev, chain in zip(new, chains):
+            self._known[ev] = fsum(sign * v for (sign, _), v in zip(chain.terms, terms))
         return [self._known[ev] for ev in evs]
 
     def __call__(self, ev: Evaluator) -> float:
@@ -101,35 +99,26 @@ def subdivision_invariance_residual(c, ev: Evaluator, i: int, s: float) -> float
 
 def alternating_residual(c, ev: Evaluator) -> float:
     """max over permutations of |c(theta o chi) - sgn(chi) c(theta)|."""
-    perms = list(permutations(range(ev.k)))
-    base, *permuted = c.values([ev] + [PermReparam(ev, perm) for perm in perms])
-    worst = 0.0
-    for perm, value in zip(perms, permuted):
-        worst = max(worst, abs(value - perm_sign(perm) * base))
-    return worst
+    chain = alternation(ev)
+    base, *permuted = c.values([ev] + [term for _, term in chain.terms])
+    return max((abs(v - sign * base) for (sign, _), v in zip(chain.terms, permuted)),
+               default=0.0)
 
 
 def cube_vs_simplex_residual(flat: FlatRep, ev: Evaluator,
                              order: int = DEFAULT_ORDER) -> float:
     """Integral of a cube-domain ``ev`` versus the signed sum of simplex
-    integrals of its permuted restrictions (the shuffle triangulation)."""
-    perms = list(permutations(range(ev.k)))
-    cube_val, *pieces = integrals(flat, [ev] + [PermReparam(ev, perm, "simplex")
-                                                for perm in perms], order)
-    total = np.zeros_like(cube_val)
-    for perm, piece in zip(perms, pieces):
-        total = total + perm_sign(perm) * piece
-    return float(np.max(np.abs(cube_val - total), initial=0.0))
+    integrals of its permuted restrictions (the shuffle triangulation): the
+    max entry of the integral of that chain minus ``ev``."""
+    chain = alternation(ev, "simplex") + ChainCombination([(-1, ev)])
+    return integrate_chain(flat, chain, order).norm()
 
 
 def collapse_reduction_residuals(c, ev: Evaluator):
     """For a cochain vanishing on thin simplices the signed sum of
     c(sigma o P_k o chi) over the cube-to-simplex collapses chi reduces to
     the identity term alone."""
-    perms = list(permutations(range(ev.k)))
-    collapsed = MaxCollapseReparam(ev)
-    direct, *terms = c.values([ev] + [PermReparam(collapsed, perm) for perm in perms])
-    identity = tuple(range(ev.k))
-    signed = fsum(perm_sign(p) * v for p, v in zip(perms, terms))
-    off_identity = max((abs(v) for p, v in zip(perms, terms) if p != identity), default=0.0)
-    return abs(direct - signed), off_identity
+    chain = alternation(MaxCollapseReparam(ev))
+    direct, *terms = c.values([ev] + [term for _, term in chain.terms])
+    signed = fsum(sign * v for (sign, _), v in zip(chain.terms, terms))
+    return abs(direct - signed), max(map(abs, terms[1:]), default=0.0)

@@ -24,7 +24,10 @@ last letter's factor, not at the identity, and a point value
 the one float exponential ``linalg.TaylorExp``: a table cached per letter
 for the slots, its one-point case ``linalg.expm`` for a prefix.  Every
 other evaluator is a reparametrization: ``lift`` maps its points to points
-of its bases and ``push`` turns the bases' values into its own.
+of its bases and ``push`` turns the bases' values into its own.  Faces,
+coordinate permutations and axis splits are one affine reparametrization
+(``AffineReparam``, a permutation by its 0/1 matrix), and a signed sum over
+the coordinate permutations is a chain (``alternation``).
 ``eval_many`` evaluates a whole chain that way, with one
 ``WordEvaluator.eval`` per word evaluator on all the points that reach it.
 Float mode only; exact-mode integration goes through the series and
@@ -33,6 +36,7 @@ polynomial routes instead.
 
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
+from itertools import combinations, permutations
 
 import numpy as np
 
@@ -304,26 +308,15 @@ class AffineReparam(Evaluator):
         return PointData(data.rho, data.ad_inv, xi)
 
 
-class PermReparam(Evaluator):
-    """base o chi_* with chi_*(t)_j = t_{chi(j)}; pure index shuffling."""
+class PermReparam(AffineReparam):
+    """base o chi_* with chi_*(t)_j = t_{chi(j)}: the affine map of the
+    permutation matrix, rows e_{chi(j)}."""
 
     def __init__(self, base: Evaluator, perm, domain=None):
-        self.base = base
+        super().__init__(base, np.eye(base.k)[list(perm)], np.zeros(base.k), domain)
         self.perm = tuple(perm)
-        self.k = base.k
-        self.domain = domain or base.domain
 
     eval = Evaluator.eval
-
-    def lift(self, points):
-        return [(self.base, points[:, list(self.perm)])]
-
-    def push(self, points, datas):
-        data, = datas
-        xi = np.zeros_like(data.xi)
-        for j, pj in enumerate(self.perm):
-            xi[:, pj, :] += data.xi[:, j, :]
-        return PointData(data.rho, data.ad_inv, xi)
 
 
 class MaxCollapseReparam(Evaluator):
@@ -337,26 +330,21 @@ class MaxCollapseReparam(Evaluator):
     eval = Evaluator.eval
 
     def lift(self, points):
-        return [(self.base, np.maximum.accumulate(points[:, ::-1], axis=1)[:, ::-1])]
+        return [(self.base, _from_right(np.maximum, points))]
 
     def push(self, points, datas):
         data, = datas
-        k = self.k
-        # d y_i / d t_m = 1 exactly when m is the argmax of t_i..t_k
+        # d y_i / d t_m = 1 exactly when m is the first argmax of t_i..t_k,
+        # which is the first m >= i with t_m = y_m
+        hits = np.where(points == _from_right(np.maximum, points), np.arange(self.k), self.k)
         xi = np.zeros_like(data.xi)
-        rev = points[:, ::-1]
-        argmax_rev = np.zeros((points.shape[0], k), dtype=int)
-        best = np.full(points.shape[0], -np.inf)
-        best_idx = np.zeros(points.shape[0], dtype=int)
-        for pos in range(k):
-            better = rev[:, pos] >= best
-            best = np.where(better, rev[:, pos], best)
-            best_idx = np.where(better, pos, best_idx)
-            argmax_rev[:, pos] = best_idx
-        argmax = (k - 1) - argmax_rev[:, ::-1]     # (P, k): argmax of t_i..t_k
-        rows = np.arange(points.shape[0])[:, None]
-        np.add.at(xi, (rows, argmax), data.xi)
+        np.add.at(xi, (np.arange(len(points))[:, None], _from_right(np.minimum, hits)), data.xi)
         return PointData(data.rho, data.ad_inv, xi)
+
+
+def _from_right(ufunc, a):
+    """Row i of each point accumulated from the right: ufunc of a_i, ..., a_k."""
+    return ufunc.accumulate(a[:, ::-1], axis=1)[:, ::-1]
 
 
 class ProductEvaluator(Evaluator):
@@ -388,13 +376,9 @@ class ProductEvaluator(Evaluator):
         rho = Blocks({d: np.matmul(b, rp.rho.blocks[d]) for d, b in lp.rho.blocks.items()},
                      points.shape[0])
         ad_inv = np.matmul(rp.ad_inv, lp.ad_inv)
-        xi = np.zeros((points.shape[0], self.k, lp.xi.shape[2] if lp.xi.size else rp.xi.shape[2]))
-        if self.left.k:
-            conj = np.einsum("pab,pjb->pja", rp.ad_inv, lp.xi)
-            for a, m in enumerate(self.left_slots):
-                xi[:, m, :] = conj[:, a, :]
-        for b, m in enumerate(self.right_slots):
-            xi[:, m, :] = rp.xi[:, b, :]
+        xi = np.zeros((points.shape[0], self.k, ad_inv.shape[1]))
+        xi[:, list(self.left_slots)] = np.einsum("pab,pjb->pja", rp.ad_inv, lp.xi)
+        xi[:, list(self.right_slots)] = rp.xi
         return PointData(rho, ad_inv, xi)
 
 
@@ -424,20 +408,10 @@ class ChainCombination:
 def face_map(k: int, i: int):
     """Affine data (matrix, offset) of the i-th face inclusion into the
     simplex with coordinates 1 >= t_1 >= ... >= t_k >= 0."""
-    mat = np.zeros((k, k - 1))
-    off = np.zeros(k)
-    if i == 0:
-        off[0] = 1.0
-        for j in range(k - 1):
-            mat[j + 1, j] = 1.0
-    elif i == k:
-        for j in range(k - 1):
-            mat[j, j] = 1.0
-    else:
-        for j in range(k - 1):
-            mat[j if j < i else j + 1, j] = 1.0
-        mat[i, i - 1] = 1.0
-    return mat, off
+    # t_r reads s_r before the face and s_(r-1) from it on; the identity's
+    # zero last row is t_k = 0 on face k, and t_1 = 1 on face 0 by the offset
+    mat = np.eye(k, k - 1)[[r if r < i else r - 1 for r in range(k)]]
+    return mat, np.eye(k)[0] if i == 0 else np.zeros(k)
 
 
 def boundary(ev: Evaluator) -> ChainCombination:
@@ -460,10 +434,16 @@ def perm_sign(perm) -> int:
 
 def shuffles(r: int, s: int):
     """(permutation, sign) pairs for all (r, s)-shuffle splits."""
-    from itertools import combinations
     perms = [left + tuple(m for m in range(r + s) if m not in left)
              for left in combinations(range(r + s), r)]
     return [(perm, perm_sign(perm)) for perm in perms]
+
+
+def alternation(ev: Evaluator, domain=None) -> ChainCombination:
+    """The signed sum of sgn(chi) ev o chi_* over the permutations chi of the
+    coordinates, in ``itertools.permutations`` order (the identity first)."""
+    return ChainCombination([(perm_sign(perm), PermReparam(ev, perm, domain))
+                             for perm in permutations(range(ev.k))])
 
 
 def ez_product(a, b) -> ChainCombination:

@@ -21,10 +21,11 @@ import numpy as np
 from . import linalg
 from .evaluators import (Blocks, ChainCombination, Evaluator, FlatRep,
                          PointEvaluator, WordEvaluator, as_points, boundary, eval_many,
-                         ez_product, perm_sign)
+                         ez_product, interior_points, perm_sign)
 from .graded import (GradedOperator, combination, compose, graded_commutator,
                      label_combination, product_sum, relabel)
 from .linalg import EXACT, FLOAT
+from .reps import CartanRep
 
 DEFAULT_ORDER = 16
 DEFAULT_SERIES_TOL = 1e-14
@@ -393,7 +394,6 @@ def multiplicativity_residual(flat: FlatRep, left_letters, right_letters,
 
 def equivariance_residual(flat: FlatRep, letters, prefix) -> float:
     """Density after left translation minus the translated density."""
-    from .evaluators import interior_points
     k = len(letters)
     pts = interior_points(k)
     d0 = density_at(flat, WordEvaluator(flat, letters), pts).blocks
@@ -483,7 +483,6 @@ class ChainModule:
 def differentiate_module(module, h: float):
     """Recover the infinitesimal operators from a chain module by central
     differences on one-parameter words and points."""
-    from .reps import CartanRep
     algebra = module.algebra
 
     def central(act, i):

@@ -25,6 +25,10 @@ MAX_COMPLEX_DIM = 2 ** 16
 # the largest Lie algebra dimension a problem may declare: its n^3 constants and
 # the n^5 Jacobi check take 0.06 s at n = 32, 1.8 s at n = 64 (one x86_64 core)
 MAX_ALGEBRA_DIM = 32
+# the largest series cap: the float coefficient of a k-letter word at total
+# degree m can be 1 / (m + k)!, which no float holds once m + k > 170, so no
+# float series runs past that degree; 160 admits words of up to 10 letters
+MAX_SERIES_CAP = 160
 
 
 @dataclass
@@ -47,7 +51,8 @@ class Settings:
         for name, ok, rule in (
                 ("mode", self.mode in (EXACT, FLOAT), f"{EXACT!r} or {FLOAT!r}"),
                 ("order", count(self.order), "an integer >= 1"),
-                ("series_cap", count(self.series_cap), "an integer >= 1"),
+                ("series_cap", count(self.series_cap) and self.series_cap <= MAX_SERIES_CAP,
+                 f"an integer from 1 to {MAX_SERIES_CAP}"),
                 ("fd_step", self.fd_step > 0, "> 0"),
                 ("tol", self.tol >= 0, ">= 0")):
             if not ok:
@@ -242,13 +247,12 @@ class Problem:
 def load_problem(path, defaults: Settings = None, **overrides) -> Problem:
     """File settings override the defaults; keyword overrides win over both.
 
-    A file that is not valid JSON, lacks or misshapes a required field, or
-    whose merged settings fail ``Settings.check`` raises ``ProblemError``
-    with a one-line message."""
-    with open(path) as handle:
-        text = handle.read()
+    A file that is not UTF-8 or not valid JSON, lacks or misshapes a
+    required field, or whose merged settings fail ``Settings.check`` raises
+    ``ProblemError`` with a one-line message."""
     try:
-        payload = json.loads(text)
+        with open(path, encoding="utf-8") as handle:
+            payload = json.loads(handle.read())
         base = defaults or Settings()
         merged = base.override(**payload.get("settings", {})).override(**overrides)
         return Problem(payload, merged.check())

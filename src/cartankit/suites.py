@@ -7,9 +7,11 @@ Report; residual-vs-tolerance bookkeeping lives in the report records.
 from dataclasses import asdict
 from math import comb
 
+import numpy as np
+
 from . import ce, cubical, integrate, linalg, reps
-from .evaluators import FlatRep, WordEvaluator, ez_product, thinness_check
-from .graded import GradedVectorSpace, dual_space, tensor_space
+from .evaluators import FlatRep, WordEvaluator, ez_product, interior_points, thinness_check
+from .graded import GradedVectorSpace, compose, dual_space, tensor_space
 from .linalg import FLOAT
 from .report import Report
 from .integrate import MAX_QUADRATURE_NODES
@@ -68,7 +70,6 @@ def ce_suite(problem, rep_name, flavor) -> Report:
     coeff = problem.lie_representation(rep_name)
     built = (ce.ce_cochain if flavor == "cochain" else ce.ce_chain)(problem.algebra, coeff)
     square = built.complex.differential
-    from .graded import compose
     tol = linalg.tolerance(coeff.mode, problem.settings.tol)
     report.timed(f"ce.{flavor}.d_squared", tol,
                  lambda: compose(square, square).norm(), {"rep": rep_name})
@@ -159,7 +160,6 @@ def verify_module(problem, rep_name, word_names) -> Report:
 
 
 def _default_tangents(n):
-    import numpy as np
     vals = np.array([[[0.7, -0.3, 0.2], [0.1, 0.9, -0.5], [0.4, 0.2, 0.8]],
                      [[-0.2, 0.5, 0.6], [0.8, -0.1, 0.3], [0.2, 0.7, -0.4]],
                      [[0.3, 0.3, -0.7], [-0.6, 0.4, 0.1], [0.5, -0.2, 0.9]]])
@@ -240,7 +240,5 @@ def cubical_entry(flat, ev):
     """Deterministic entry where the pullback density is largest: its index
     among the block entries, which list the entries of the total matrix
     inside its blocks in row-major order."""
-    import numpy as np
-    from .evaluators import interior_points
     pts = interior_points(ev.k, "cube")
     return int(np.argmax(np.abs(integrate.density_at(flat, ev, pts)[0])))

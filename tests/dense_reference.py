@@ -30,7 +30,11 @@ either mode, with scipy's Pade routine in float mode.
 from the two input formats the package dropped, on the two it keeps.
 ``identity_started_eval`` is ``Evaluator.eval`` with every product of a
 word evaluator started at the identity and no prefix tree, the reference
-that the evaluator's outputs must equal bit for bit.
+that the evaluator's outputs must equal bit for bit.  ``loop_face_map``,
+``perm_lift``/``perm_push`` and ``collapse_push`` (through the running
+maximum of ``running_max_argmax``) are the face matrices, the coordinate
+permutation and the cube-to-simplex collapse built index by index, the
+references for their affine and vectorized forms in ``evaluators``.
 """
 
 from fractions import Fraction
@@ -162,10 +166,10 @@ def dense_rho(flat, ev, t):
         for x, tj in zip(ev.letters, t):
             out = out.dot(scipy.linalg.expm(tj * operator_of(flat, x)))
         return out
-    if isinstance(ev, AffineReparam):
-        return dense_rho(flat, ev.base, ev.matrix.dot(t) + ev.offset)
     if isinstance(ev, PermReparam):
         return dense_rho(flat, ev.base, t[list(ev.perm)])
+    if isinstance(ev, AffineReparam):
+        return dense_rho(flat, ev.base, ev.matrix.dot(t) + ev.offset)
     if isinstance(ev, MaxCollapseReparam):
         return dense_rho(flat, ev.base, np.maximum.accumulate(t[::-1])[::-1])
     if isinstance(ev, ProductEvaluator):
@@ -206,6 +210,60 @@ def identity_started_eval(ev, points, degrees=None):
         tail = np.matmul(tail, flat.exp_ad_factors(ev.letters[j]).at(-points[:, j]))
     ad_inv = np.matmul(tail, np.broadcast_to(ad0i, (p, n, n)))
     return PointData(Blocks(rho, p), ad_inv, xi)
+
+
+def loop_face_map(k, i):
+    """(matrix, offset) of the i-th face inclusion, built entry by entry."""
+    mat = np.zeros((k, k - 1))
+    off = np.zeros(k)
+    if i == 0:
+        off[0] = 1.0
+        for j in range(k - 1):
+            mat[j + 1, j] = 1.0
+    elif i == k:
+        for j in range(k - 1):
+            mat[j, j] = 1.0
+    else:
+        for j in range(k - 1):
+            mat[j if j < i else j + 1, j] = 1.0
+        mat[i, i - 1] = 1.0
+    return mat, off
+
+
+def perm_lift(perm, points):
+    """The base points of ``PermReparam(base, perm)``: columns picked by index."""
+    return points[:, list(perm)]
+
+
+def perm_push(perm, data):
+    """``PermReparam.push`` by index: tangent j of the base goes to slot perm[j]."""
+    xi = np.zeros_like(data.xi)
+    for j, pj in enumerate(perm):
+        xi[:, pj, :] += data.xi[:, j, :]
+    return PointData(data.rho, data.ad_inv, xi)
+
+
+def running_max_argmax(points):
+    """(P, k): the argmax of t_i, ..., t_k for each i by a running maximum
+    from the right, ties going to the smallest index."""
+    p, k = points.shape
+    rev = points[:, ::-1]
+    argmax_rev = np.zeros((p, k), dtype=int)
+    best = np.full(p, -np.inf)
+    best_idx = np.zeros(p, dtype=int)
+    for pos in range(k):
+        better = rev[:, pos] >= best
+        best = np.where(better, rev[:, pos], best)
+        best_idx = np.where(better, pos, best_idx)
+        argmax_rev[:, pos] = best_idx
+    return (k - 1) - argmax_rev[:, ::-1]
+
+
+def collapse_push(points, data):
+    """``MaxCollapseReparam.push`` through ``running_max_argmax``."""
+    xi = np.zeros_like(data.xi)
+    np.add.at(xi, (np.arange(points.shape[0])[:, None], running_max_argmax(points)), data.xi)
+    return PointData(data.rho, data.ad_inv, xi)
 
 
 def dense_density(flat, ev, points):

@@ -10,10 +10,10 @@ import pytest
 
 from cartankit.cubical import (AlternationCochain, IntegrationCochain,
                                alternating_residual, collapse_reduction_residuals,
-                               cube_vs_simplex_residual, perm_sign,
-                               split_lower, split_upper, subdivision_invariance_residual,
-                               subdivision_maps)
-from cartankit.evaluators import FlatRep, PermReparam, WordEvaluator, shuffles, thinness_check
+                               cube_vs_simplex_residual, split_lower, split_upper,
+                               subdivision_invariance_residual, subdivision_maps)
+from cartankit.evaluators import (FlatRep, PermReparam, WordEvaluator, perm_sign, shuffles,
+                                  thinness_check)
 from cartankit.integrate import cube_nodes, density_at, simplex_nodes
 from cartankit.schemas import load_problem
 from cartankit.suites import cubical_entry, cubical_suite

@@ -1,7 +1,8 @@
 """Evaluator geometry: tangent frames against finite differences, faces,
 shuffles, permutation and collapse reparameterizations."""
 
-from math import comb
+from itertools import permutations
+from math import comb, factorial
 
 import numpy as np
 import pytest
@@ -10,15 +11,17 @@ import scipy.linalg
 from cartankit import evaluators, integrate, linalg
 from cartankit.evaluators import (AffineReparam, ChainCombination, FlatRep,
                                   MaxCollapseReparam, PermReparam, PointEvaluator,
-                                  ProductEvaluator, WordEvaluator, boundary, ez_product,
-                                  face_map, interior_points, shuffles, thinness_check)
+                                  ProductEvaluator, WordEvaluator, alternation, boundary,
+                                  ez_product, face_map, interior_points, shuffles,
+                                  thinness_check)
 from cartankit.integrate import cube_nodes, density_at, gauss_01, simplex_nodes
 from cartankit.graded import GradedOperator
 from cartankit.lie import abelian
 from cartankit.linalg import FLOAT
 from cartankit.reps import adjoint_rep, chain_rep, trivial_lie_rep
 from aw_coproduct import aw_coproduct_word
-from dense_reference import flatten_operator, identity_started_eval, operator_of, total_of
+from dense_reference import (collapse_push, flatten_operator, identity_started_eval,
+                             loop_face_map, operator_of, perm_lift, perm_push, total_of)
 
 
 @pytest.fixture(scope="module")
@@ -351,6 +354,81 @@ def test_point_values_build_no_adjoint(flat, sl2_basis_float, monkeypatch):
     for points in (simplex_nodes(1, 4)[0], np.array([[0.3]])):
         word.eval(points)
     assert counts == {"expm": len(prefix), "ad": len(prefix)}
+
+
+FOUR_LETTERS = GENERIC_LETTERS + [np.array([0.25, -0.35, 0.9])]
+
+
+def _reparam_bases(flat, e, k):
+    """A bare word, a prefixed word and every shuffle term of a product of a
+    bare word and a prefixed one, each of dimension k."""
+    split = ez_product(WordEvaluator(flat, FOUR_LETTERS[:k // 2]),
+                       WordEvaluator(flat, FOUR_LETTERS[k // 2:k], prefix=[e[1]]))
+    return [WordEvaluator(flat, FOUR_LETTERS[:k]),
+            WordEvaluator(flat, FOUR_LETTERS[:k], prefix=[e[2], e[0]])] + \
+        [ev for _, ev in split.terms]
+
+
+def _cube_points(k):
+    """The order-3 Gauss grid of the cube, whose rows tie coordinates, then
+    six seeded random points of the cube and six of the simplex."""
+    if k == 0:
+        return np.zeros((3, 0))
+    random = np.random.default_rng(20 + k).uniform(0.0, 1.0, (12, k))
+    random[6:] = -np.sort(-random[6:], axis=1)
+    return np.concatenate([cube_nodes(k, 3)[0], random])
+
+
+def _equal(a, b):
+    return (a.rho is b.rho and a.ad_inv is b.ad_inv and _bitwise(a.xi, b.xi))
+
+
+@pytest.mark.parametrize("k", range(5))
+def test_perm_reparam_equals_the_index_reference(flat, sl2_basis_float, k):
+    """A permutation as the affine map of its 0/1 matrix lifts and pushes
+    exactly as picking and scattering the coordinates by index."""
+    points = _cube_points(k)
+    for base in _reparam_bases(flat, sl2_basis_float, k):
+        for perm in permutations(range(k)):
+            ev = PermReparam(base, perm)
+            (lifted_base, lifted), = ev.lift(points)
+            assert lifted_base is base and np.array_equal(lifted, perm_lift(perm, points))
+            data = base.eval(lifted)
+            assert _equal(ev.push(points, [data]), perm_push(perm, data))
+
+
+@pytest.mark.parametrize("k", range(5))
+def test_max_collapse_equals_the_running_max_reference(flat, sl2_basis_float, k):
+    """The collapse's tangents go to the first maximum of each suffix, as
+    the running maximum breaks ties, on grids with tied coordinates."""
+    points = _cube_points(k)
+    assert k < 2 or any(len(set(row)) < k for row in points.tolist())
+    for base in _reparam_bases(flat, sl2_basis_float, k):
+        ev = MaxCollapseReparam(base)
+        (_, lifted), = ev.lift(points)
+        data = base.eval(lifted)
+        assert _equal(ev.push(points, [data]), collapse_push(points, data))
+
+
+@pytest.mark.parametrize("k", range(1, 5))
+def test_face_map_equals_the_loop_reference(k):
+    for i in range(k + 1):
+        mat, off = face_map(k, i)
+        ref_mat, ref_off = loop_face_map(k, i)
+        assert np.array_equal(mat, ref_mat) and np.array_equal(off, ref_off)
+
+
+@pytest.mark.parametrize("k", range(5))
+def test_alternation_lists_the_signed_permutations_in_order(flat, k):
+    base = WordEvaluator(flat, FOUR_LETTERS[:k], domain="cube")
+    chain = alternation(base, "simplex")
+    perms = list(permutations(range(k)))
+    assert len(chain.terms) == factorial(k) and chain.k == k
+    assert [ev.perm for _, ev in chain.terms] == perms
+    assert [sign for sign, _ in chain.terms] == \
+        [round(np.linalg.det(np.eye(k)[list(p)])) for p in perms]
+    assert all(ev.base is base and ev.domain == "simplex" for _, ev in chain.terms)
+    assert all(ev.domain == "cube" for _, ev in alternation(base).terms)
 
 
 def test_ad_and_inverse_are_inverse(flat, sl2_basis_float):

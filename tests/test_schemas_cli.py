@@ -162,9 +162,11 @@ def test_cli_exit_two_on_bad_input(problem_file, capsys):
 @pytest.mark.parametrize("argv, field", [
     (["integrate", "--rep", "chain_trivial", "--word", "weh", "--order", "0"], "order"),
     (["integrate", "--rep", "chain_trivial", "--word", "weh", "--cap", "0"], "series_cap"),
+    (["integrate", "--rep", "chain_trivial", "--word", "weh", "--method", "series",
+      "--cap", "1000000000000"], "series_cap"),
     (["roundtrip", "--rep", "chain_trivial", "--h", "0"], "fd_step"),
     (["verify-cartan", "--rep", "chain_trivial", "--tol", "-0.1"], "tol"),
-], ids=["order", "series_cap", "fd_step", "tol"])
+], ids=["order", "series_cap", "series_cap_over_budget", "fd_step", "tol"])
 def test_cli_exit_two_on_invalid_setting(problem_file, capsys, argv, field):
     code = cli.main(argv[:1] + [problem_file] + argv[1:])
     lines = capsys.readouterr().err.strip().splitlines()
@@ -194,6 +196,28 @@ def test_cli_exit_two_on_series_nonconvergence(problem_file, capsys):
     lines = capsys.readouterr().err.strip().splitlines()
     assert code == 2
     assert lines == ["error: series did not converge within total degree 2"]
+
+
+def test_series_cap_budget_admits_its_largest_cap(problem_file):
+    """The largest cap runs, and every float coefficient of a 10-letter word
+    up to it is a nonzero float (the smallest, 1 / (cap + 10)!, included)."""
+    assert cli.main(["integrate", problem_file, "--rep", "chain_trivial", "--word", "weh",
+                     "--method", "series", "--cap", str(schemas.MAX_SERIES_CAP)]) == 0
+    assert integrate.series_coefficient((0,) * 9 + (schemas.MAX_SERIES_CAP,), False) > 0
+
+
+@pytest.mark.parametrize("content", [None, b"\xff\xfe"], ids=["directory", "not_utf8"])
+def test_cli_exit_two_on_unreadable_problem_file(tmp_path, capsys, content):
+    path = tmp_path / "problem.json"
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_bytes(content)
+    code = cli.main(["check-lie", str(path)])
+    err = capsys.readouterr().err
+    assert code == 2 and "Traceback" not in err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
 def _malformed_exit(tmp_path, capsys, text):
