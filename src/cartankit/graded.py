@@ -17,10 +17,12 @@ constructed complex verifies that its differential (of degree +1)
 squares to zero.  A family of n parallel operators is stored as
 one operator V -> K ox W over the degree-0 space K = ``label_space(n)`` of
 n labels (``stack``); tensor products and duals act on such stacks label
-by label, and ``relabel`` maps the labels by a scalar matrix.  Relation
-checks are sums of relabelled stacked products, sum_t h_t (1_K ox f_t) g_t,
-each one ``product_sum``: one entry match per product and one operator for
-the whole sum.  ``hom_system`` reads the equations phi A = A' phi of a
+by label, and ``relabel`` maps the labels by a scalar matrix.  Every
+product and every stack is a ``product_sum``, sum_t h_t (1_K ox f_t) g_t
+with one entry match per product and one operator for the whole sum:
+``compose`` is its one-product case, ``stack`` the sum of the relabel
+terms (e_i, f_i), and each relation check one such sum of relabelled
+stacked products.  ``hom_system`` reads the equations phi A = A' phi of a
 hom space straight off the entries of A and A'.
 """
 
@@ -38,6 +40,10 @@ from .linalg import EXACT, FLOAT, ModeError
 _NONE = np.zeros(0, dtype=int)
 _MAX = 2 ** 63 - 1
 _FLOAT_MAX = int(np.finfo(float).max)      # compared with a Fraction in integers
+# the ``product_sum`` arrays of one product, or in a relabel term of one plain
+# operator, and of its negative; read-only, so parsed once
+UNIT, MINUS_UNIT = np.ones((1, 1, 1), dtype=int), -np.ones((1, 1, 1), dtype=int)
+UNIT.flags.writeable = MINUS_UNIT.flags.writeable = False
 
 
 def _fit(bound, *arrays):
@@ -257,28 +263,10 @@ def read_only(op) -> GradedOperator:
 
 
 def compose(f: GradedOperator, g: GradedOperator) -> GradedOperator:
-    """f after g; degree adds.  One sparse product: each entry of f meets the
-    row of g its column selects, and each output entry sums its terms by
-    increasing inner index: exact numerators in Python ints when
-    max|f| * max|g| * terms per entry could leave int64."""
+    """f after g; degree adds: the one-product ``product_sum``."""
     if g.target != f.source:
         raise ValueError("compose: target of g differs from source of f")
-    if f.mode != g.mode:
-        raise ModeError("compose: mixed modes")
-    starts = np.searchsorted(g._rows, np.arange(g.target.total_dim + 1))
-    counts = starts[f._cols + 1] - starts[f._cols]
-    mine = np.repeat(np.arange(len(f._cols)), counts)
-    theirs = np.arange(len(mine)) + np.repeat(starts[f._cols] - np.cumsum(counts) + counts, counts)
-    bound = f._max * g._max * _row_count(f) if f.mode == EXACT else 0
-    a, b = _fit(bound, f._data[mine], g._data[theirs])
-    return GradedOperator(g.source, f.target, f.degree + g.degree, f.mode, f._rows[mine],
-                          g._cols[theirs], a * b, f._den * g._den)
-
-
-def _row_count(op) -> int:
-    """The most entries in one row of ``op``: the terms of an entry of a
-    product with ``op`` on the left."""
-    return int(np.bincount(op._rows).max()) if len(op._rows) else 0
+    return product_sum([(UNIT, f, g)])
 
 
 def combination(coeffs, ops) -> GradedOperator:
@@ -468,7 +456,7 @@ def _label_join(fl, gl, n):
 def _stacked_rows(n, w, label, rows):
     """Layout position in K ox W (K the n labels of ``stack``) of each label
     and row of W."""
-    return _tensor_position(label_space(n), w)[label * w.total_dim + rows]
+    return rows if n == 1 else _tensor_position(label_space(n), w)[label * w.total_dim + rows]
 
 
 @lru_cache(maxsize=64)
@@ -578,16 +566,16 @@ def product_sum(terms) -> GradedOperator:
         dens = [lab.den * f._den * (g._den if g else 1) for f, g, lab, _ in parsed]
         den = math.lcm(*dens)
         bound = sum(den // d * max(lab.row_sum, 1) * max(f._max, 1) *
-                    max(g._max * _row_count(f) if g else 1, 1)
+                    max(g._max * int(np.bincount(f._rows, minlength=1).max()) if g else 1, 1)
                     for d, (f, g, lab, _) in zip(dens, parsed))
-    rows, cols, data = [_NONE], [_NONE], [np.zeros(0, dtype=np.int64 if mode == EXACT else float)]
+    rows, cols, data = [], [], []
     for f, g, lab, (_, label, r, c, a, b) in parsed:
         scale = den // (lab.den * f._den * (g._den if g else 1)) if mode == EXACT else 1
         a, b = _fit(bound, a, b)
         values = a if b is None else a * b
         if lab.dest is not None:
             to, coef = lab.dest[label], lab.coef[label]
-            if not (to >= 0).all():
+            if len(lab.of) < len(lab.dest) and not (to >= 0).all():    # an empty column
                 to, r, c, values, coef = (x[to >= 0] for x in (to, r, c, values, coef))
         else:
             mine, theirs = _label_join(label, lab.of, math.prod(lab.shape[1:]))
@@ -596,15 +584,15 @@ def product_sum(terms) -> GradedOperator:
         rows.append(_stacked_rows(m, w, to, r))
         cols.append(c)
         data.append(values * coef * scale if scale != 1 else values * coef)
-    return GradedOperator(source, tensor_space(label_space(m), w), degree, mode,
-                          *map(np.concatenate, (rows, cols, data)), den)
+    parts = [x[0] if len(x) == 1 else np.concatenate(x) for x in (rows, cols, data)]
+    return GradedOperator(source, tensor_space(label_space(m), w), degree, mode, *parts, den)
 
 
 def _product_terms(f, g, q, p, mode):
     """W and the terms of (1_K ox f) g for f: U -> K_p ox W and g: V -> K_q ox U
     stacked over p and q labels: the product label j p + k, the row in W and
     the column of each term, and its two factors; by f entry, then g entry,
-    so that an entry sums its terms by increasing inner index (``compose``)."""
+    so that an entry sums its terms by increasing inner index."""
     if f.mode != mode or g.mode != mode:
         raise ModeError("product_sum: mixed modes")
     w, fl, fr = _labelled(f, p)
@@ -707,25 +695,19 @@ def hom_system(source, target, pairs, n):
 def stack(ops) -> GradedOperator:
     """The parallel operators f_1 .. f_n: V -> W as one operator V -> K ox W,
     K = label_space(n) a degree-0 space of labels, whose block i
-    is f_i (the sum of unit_i ox f_i).  K sits in degree 0, so no Koszul sign
-    enters: (1_K ox g) stack(fs) stacks the g f_i, and (h ox 1_W) stack(fs)
-    for h: K -> K' takes combinations of the labels.  The blocks do not
-    overlap, so the exact bound is the largest entry, not a sum."""
-    f0 = ops[0]
-    for op in ops[1:]:
-        if op.source != f0.source or op.target != f0.target or op.degree != f0.degree:
-            raise ValueError("stack: operators not parallel")
-        if op.mode != f0.mode:
-            raise ModeError("stack: mixed modes")
-    den = math.lcm(*(op._den for op in ops))
-    bound = max(max(op._max, 1) * (den // op._den) for op in ops) if f0.mode == EXACT else 0
-    n = len(ops)
-    label = np.repeat(np.arange(n), [len(op._rows) for op in ops])
-    rows = _stacked_rows(n, f0.target, label, np.concatenate([op._rows for op in ops]))
-    data = [d * (den // op._den) for d, op in zip(_fit(bound, *(op._data for op in ops)), ops)]
-    return GradedOperator(f0.source, tensor_space(label_space(n), f0.target), f0.degree,
-                          f0.mode, rows, np.concatenate([op._cols for op in ops]),
-                          np.concatenate(data), den)
+    is f_i: the ``product_sum`` of the relabel terms (e_i, f_i), e_i the
+    unit column of label i.  K sits in degree 0, so no Koszul sign enters:
+    (1_K ox g) stack(fs) stacks the g f_i, and (h ox 1_W) stack(fs) for
+    h: K -> K' takes combinations of the labels."""
+    return product_sum(list(zip(_unit_columns(len(ops)), ops)))
+
+
+@lru_cache(maxsize=64)
+def _unit_columns(n):
+    """The n x 1 unit columns e_i of ``stack``, built once per n, read-only."""
+    eye = np.eye(n, dtype=int)
+    eye.flags.writeable = False
+    return tuple(eye[:, i:i + 1] for i in range(n))
 
 
 def unstack(op, n):

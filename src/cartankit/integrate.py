@@ -14,7 +14,7 @@ over its coefficients) together with the law checks built on them.
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product as iter_product
-from math import factorial
+from math import factorial, isfinite
 
 import numpy as np
 
@@ -22,8 +22,8 @@ from . import linalg
 from .evaluators import (Blocks, ChainCombination, Evaluator, FlatRep,
                          PointEvaluator, WordEvaluator, as_points, boundary, eval_many,
                          ez_product, interior_points, perm_sign)
-from .graded import (GradedOperator, combination, compose, graded_commutator,
-                     label_combination, product_sum, relabel)
+from .graded import (MINUS_UNIT, UNIT, GradedOperator, combination, compose,
+                     graded_commutator, label_combination, product_sum, relabel)
 from .linalg import EXACT, FLOAT
 from .reps import CartanRep
 
@@ -37,7 +37,7 @@ MAX_QUADRATURE_NODES = 100_000
 
 
 class ConvergenceError(RuntimeError):
-    """A float series still above tolerance at its degree cap."""
+    """A float series unconverged at its degree cap, or a non-finite float integral."""
 
 
 # ---------------------------------------------------------------------------
@@ -137,8 +137,12 @@ def integrals(flat: FlatRep, evs, order: int = DEFAULT_ORDER) -> list:
              (simplex_nodes if ev.domain == "simplex" else cube_nodes)(ev.k, order)
              for ev in evs]
     dens = densities(flat, [(ev, nodes) for ev, (nodes, _) in zip(evs, rules)])
-    return [d[0] if weights is None else weights @ d.entries
-            for d, (_, weights) in zip(dens, rules)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = [d[0] if weights is None else weights @ d.entries
+               for d, (_, weights) in zip(dens, rules)]
+    if not all(np.isfinite(entries).all() for entries in out):
+        raise ConvergenceError("quadrature integral is not finite")
+    return out
 
 
 def integrate_quadrature(flat: FlatRep, ev: Evaluator, order: int = DEFAULT_ORDER) -> GradedOperator:
@@ -243,7 +247,8 @@ def integrate_series(rep, letters, max_degree: int = DEFAULT_SERIES_CAP) -> Grad
 def _float_series(space, A, B, max_degree):
     """The float series on degree blocks.  The block from source degree q
     walks the chain q -> q - 1 -> ... -> q - k, letter i acting from degree
-    q - k + 1 + i, and each layer sums all its terms in one batched product."""
+    q - k + 1 + i, and each layer sums all its terms in one batched product;
+    a sum past the float range stops it as unconverged."""
     k = len(A)
     chains = {q: [(A[i].block(s), B[i].block(s)) for i, s in enumerate(range(q - k + 1, q + 1))]
               for q in space.degrees if space.dim(q - k)}
@@ -251,21 +256,23 @@ def _float_series(space, A, B, max_degree):
     powers = {q: [np.zeros((max_degree + 1,) + b.shape) for _, b in chain]
               for q, chain in chains.items()}
     acc = 0.0                   # block entries, blocks by source degree
-    for layer in range(0, max_degree + 1):
-        js, coefs = _layer_terms(layer, k)
-        parts = [np.zeros(0)]
-        for q, chain in chains.items():
-            for (a, b), ps in zip(chain, powers[q]):
-                ps[layer] = ps[layer - 1].dot(a) if layer else b
-            term = powers[q][0][js[:, 0]]
-            for i in range(1, k):
-                term = np.matmul(term, powers[q][i][js[:, i]])
-            parts.append(np.einsum("c,cab->ab", coefs, term).ravel())
-        layer_sum = np.concatenate(parts)
-        acc = acc + layer_sum
-        if layer >= 1 and \
-                linalg.max_abs(layer_sum) < DEFAULT_SERIES_TOL * (1.0 + linalg.max_abs(acc)):
-            return GradedOperator.from_block_entries(space, space, -k, acc, FLOAT)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for layer in range(0, max_degree + 1):
+            js, coefs = _layer_terms(layer, k)
+            parts = [np.zeros(0)]
+            for q, chain in chains.items():
+                for (a, b), ps in zip(chain, powers[q]):
+                    ps[layer] = ps[layer - 1].dot(a) if layer else b
+                term = powers[q][0][js[:, 0]]
+                for i in range(1, k):
+                    term = np.matmul(term, powers[q][i][js[:, i]])
+                parts.append(np.einsum("c,cab->ab", coefs, term).ravel())
+            layer_sum = np.concatenate(parts)
+            acc = acc + layer_sum
+            if not isfinite(total := linalg.max_abs(acc)):
+                break
+            if layer >= 1 and linalg.max_abs(layer_sum) < DEFAULT_SERIES_TOL * (1.0 + total):
+                return GradedOperator.from_block_entries(space, space, -k, acc, FLOAT)
     raise ConvergenceError(f"series did not converge within total degree {max_degree}")
 
 
@@ -353,18 +360,19 @@ def word_integral_polynomial_exact(rep, letters) -> GradedOperator:
 
 def dg_module_exact(rep, letters):
     """Exact Stokes residual || sum_i (-1)^i (face i) - [d, integral] || for
-    k >= 1 letters: face 0 (t_1 = 1) is exp(x_1) after the integral of the
-    rest, face k (t_k = 0) the integral of the first k - 1, and inner face i
-    (t_i = t_(i+1)) the slot route with x_i and x_(i+1) merged."""
+    k >= 1 letters, one ``product_sum``: face 0 (t_1 = 1) is exp(x_1) after
+    the integral of the rest, face k (t_k = 0) the integral of the first
+    k - 1, inner face i (t_i = t_(i+1)) the slot route with x_i, x_(i+1) merged."""
     if len(letters) == 0:
         raise ValueError("the Stokes law needs a word of length at least 1")
-    slots = [(x,) for x in letters]
-    faces = [compose(point_value(rep, letters[:1]), integrate_series(rep, letters[1:]))]
-    faces += [_slot_integral(rep, slots[:i] + [letters[i:i + 2]] + slots[i + 2:])
-              for i in range(len(letters) - 1)]
-    faces.append(integrate_series(rep, letters[:-1]))
-    rhs = graded_commutator(rep.complex.differential, integrate_series(rep, letters))
-    return (combination([(-1) ** i for i in range(len(faces))], faces) - rhs).norm()
+    k, slots, d = len(letters), [(x,) for x in letters], rep.complex.differential
+    sign, whole = (UNIT, MINUS_UNIT), integrate_series(rep, letters)
+    terms = [(UNIT, point_value(rep, letters[:1]), integrate_series(rep, letters[1:]))]
+    terms += [(sign[i % 2], _slot_integral(rep, slots[:i - 1] + [letters[i - 1:i + 1]] +
+                                           slots[i + 1:])) for i in range(1, k)]
+    terms += [(sign[k % 2], integrate_series(rep, letters[:-1])), (MINUS_UNIT, d, whole),
+              (sign[k % 2], whole, d)]
+    return product_sum(terms).norm()
 
 
 # ---------------------------------------------------------------------------

@@ -34,8 +34,8 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from . import ce, linalg
-from .graded import (CochainComplex, GradedOperator, GradedVectorSpace, compose,
-                     dual_complex, dual_operator, dual_space, exp_terms, hom_system,
+from .graded import (MINUS_UNIT, UNIT, CochainComplex, GradedOperator, GradedVectorSpace,
+                     compose, dual_complex, dual_operator, dual_space, exp_terms, hom_system,
                      label_combination, label_space, product_sum, read_only, stack,
                      stack_entries, tensor_basis_index, tensor_complex, tensor_operator,
                      tensor_space, unstack)
@@ -199,7 +199,7 @@ def _label_maps(algebra, mode):
     one = np.eye(n * n, dtype=int).reshape(n * n, n, n)
     maps = {"one": one, "swap": one.transpose(0, 2, 1).reshape(n * n, n, n),
             "c": c.transpose(1, 0, 2).reshape(n * n, n), "after": eye[:, :, None],
-            "before": eye[:, None, :], "eye": eye, "unit": np.ones((1, 1, 1), dtype=int)}
+            "before": eye[:, None, :], "eye": eye, "unit": UNIT}
     maps.update({f"minus_{k}": -h for k, h in list(maps.items())})
     for h in maps.values():
         h.flags.writeable = False
@@ -390,7 +390,7 @@ def induced_map(v_rep: LieRep, w_rep: CartanRep, phi0: GradedOperator) -> Graded
                                  mode)
     phi = ce.basis(n, space, "chain").place(None, (augmentation, phi0))
     for b, lower in reversed(list(zip(w_rep.B, ce.first_contractions(n, mode, space)))):
-        phi = phi + compose(b, compose(phi, lower))
+        phi = product_sum([(UNIT, b, compose(phi, lower)), (UNIT, phi)])
     return phi
 
 
@@ -433,6 +433,7 @@ def adjunction_check(v_rep: LieRep, w_rep: CartanRep, tol=linalg.DEFAULT_TOL) ->
     worst = 0.0
     for phi0 in lie_maps:
         phi = induced_map(v_rep, w_rep, phi0)
-        worst = max(worst, intertwiner_residual(phi, uv, w_rep), (compose(phi, iota) - phi0).norm())
+        worst = max(worst, intertwiner_residual(phi, uv, w_rep),
+                    product_sum([(UNIT, phi, iota), (MINUS_UNIT, phi0)]).norm())
     ok = (d1 == d2) and worst <= bound
     return AdjunctionReport(d1, d2, float(worst), float(pre), ok)

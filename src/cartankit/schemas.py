@@ -53,8 +53,8 @@ class Settings:
                 ("order", count(self.order), "an integer >= 1"),
                 ("series_cap", count(self.series_cap) and self.series_cap <= MAX_SERIES_CAP,
                  f"an integer from 1 to {MAX_SERIES_CAP}"),
-                ("fd_step", self.fd_step > 0, "> 0"),
-                ("tol", self.tol >= 0, ">= 0")):
+                ("fd_step", 0 < self.fd_step < np.inf, "finite and > 0"),
+                ("tol", 0 <= self.tol < np.inf, "finite and >= 0")):
             if not ok:
                 raise ProblemError(f"setting {name} must be {rule}, got {getattr(self, name)!r}")
         return self

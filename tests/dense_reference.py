@@ -28,6 +28,14 @@ either mode, with scipy's Pade routine in float mode.
 ``operator_from_blocks`` (a dict of dense blocks) and
 ``operator_from_entries`` ((k, row, col, value) tuples) build operators
 from the two input formats the package dropped, on the two it keeps.
+``matched_compose`` and ``layout_stack`` are composition and stacking by
+their own entry match, bound and label layout, the references that
+``graded.compose`` and ``graded.stack``, both ``product_sum`` terms, must
+equal bit for bit; ``stepwise_induced_map`` and ``unfused_stokes`` build
+``reps.induced_map`` and the residual of ``integrate.dg_module_exact``
+from those products and sums one operator at a time, the references for
+their one-``product_sum`` forms.  The other references compose and stack
+through them too.
 ``identity_started_eval`` is ``Evaluator.eval`` with every product of a
 word evaluator started at the identity and no prefix tree, the reference
 that the evaluator's outputs must equal bit for bit.  ``loop_face_map``,
@@ -39,21 +47,91 @@ references for their affine and vectorized forms in ``evaluators``.
 
 from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import comb, lcm
 
 import numpy as np
 import scipy.linalg
 
-from cartankit import linalg
+from cartankit import ce, linalg
 from cartankit.ce import boundary, exterior
 from cartankit.evaluators import (AffineReparam, Blocks, MaxCollapseReparam, PermReparam,
                                   PointData, ProductEvaluator, WordEvaluator, as_points)
-from cartankit.graded import (GradedOperator, GradedVectorSpace, combination, compose,
-                              dual_operator, dual_space, exp_terms, graded_commutator,
-                              label_space, stack, stack_entries, tensor_operator, unstack)
-from cartankit.integrate import compositions, series_coefficient
+from cartankit.graded import (GradedOperator, GradedVectorSpace, _fit, _stacked_rows,
+                              combination, dual_operator, dual_space, exp_terms,
+                              graded_commutator, label_space, stack_entries, tensor_operator,
+                              tensor_space, unstack)
+from cartankit.integrate import (_slot_integral, compositions, integrate_series, point_value,
+                                 series_coefficient)
 from cartankit.linalg import EXACT, FLOAT, ModeError
-from cartankit.reps import CartanReport
+from cartankit.reps import _UNIT_ENTRY, CartanReport
+
+
+def matched_compose(f, g):
+    """f after g by its own entry match: each entry of f meets the row of g
+    its column selects, each output entry sums its terms by increasing inner
+    index, exact numerators in Python ints when max|f| * max|g| * terms per
+    entry could leave int64.  The reference that ``graded.compose``, the
+    one-product ``product_sum``, must equal bit for bit."""
+    if g.target != f.source:
+        raise ValueError("compose: target of g differs from source of f")
+    if f.mode != g.mode:
+        raise ModeError("compose: mixed modes")
+    starts = np.searchsorted(g._rows, np.arange(g.target.total_dim + 1))
+    counts = starts[f._cols + 1] - starts[f._cols]
+    mine = np.repeat(np.arange(len(f._cols)), counts)
+    theirs = np.arange(len(mine)) + np.repeat(starts[f._cols] - np.cumsum(counts) + counts, counts)
+    rows = int(np.bincount(f._rows).max()) if len(f._rows) else 0     # terms per entry
+    bound = f._max * g._max * rows if f.mode == EXACT else 0
+    a, b = _fit(bound, f._data[mine], g._data[theirs])
+    return GradedOperator(g.source, f.target, f.degree + g.degree, f.mode, f._rows[mine],
+                          g._cols[theirs], a * b, f._den * g._den)
+
+
+def layout_stack(ops):
+    """The parallel ops as one operator V -> K ox W laid out label by label,
+    exact numerators at their common denominator in Python ints when the
+    largest could leave int64.  The reference that ``graded.stack``, the
+    ``product_sum`` of its relabel terms, must equal bit for bit."""
+    f0 = ops[0]
+    for op in ops[1:]:
+        if op.source != f0.source or op.target != f0.target or op.degree != f0.degree:
+            raise ValueError("stack: operators not parallel")
+        if op.mode != f0.mode:
+            raise ModeError("stack: mixed modes")
+    den = lcm(*(op._den for op in ops))
+    bound = max(max(op._max, 1) * (den // op._den) for op in ops) if f0.mode == EXACT else 0
+    n = len(ops)
+    label = np.repeat(np.arange(n), [len(op._rows) for op in ops])
+    rows = _stacked_rows(n, f0.target, label, np.concatenate([op._rows for op in ops]))
+    data = [d * (den // op._den) for d, op in zip(_fit(bound, *(op._data for op in ops)), ops)]
+    return GradedOperator(f0.source, tensor_space(label_space(n), f0.target), f0.degree,
+                          f0.mode, rows, np.concatenate([op._cols for op in ops]),
+                          np.concatenate(data), den)
+
+
+def stepwise_induced_map(v_rep, w_rep, phi0):
+    """``reps.induced_map`` with each step phi + B_i (phi (R_i ox 1)) made of
+    two ``matched_compose`` and one sum."""
+    n, mode, space = v_rep.algebra.n, w_rep.mode, v_rep.complex.space
+    augmentation = stack_entries(1, ce.exterior(n, mode).space, label_space(1), 0, _UNIT_ENTRY,
+                                 mode)
+    phi = ce.basis(n, space, "chain").place(None, (augmentation, phi0))
+    for b, lower in reversed(list(zip(w_rep.B, ce.first_contractions(n, mode, space)))):
+        phi = phi + matched_compose(b, matched_compose(phi, lower))
+    return phi
+
+
+def unfused_stokes(rep, letters):
+    """The operator whose norm ``integrate.dg_module_exact`` reports, face by
+    face: the faces, their alternating ``combination``, and the
+    ``graded_commutator`` [d, integral] subtracted."""
+    slots = [(x,) for x in letters]
+    faces = [matched_compose(point_value(rep, letters[:1]), integrate_series(rep, letters[1:]))]
+    faces += [_slot_integral(rep, slots[:i] + [letters[i:i + 2]] + slots[i + 2:])
+              for i in range(len(letters) - 1)]
+    faces.append(integrate_series(rep, letters[:-1]))
+    rhs = graded_commutator(rep.complex.differential, integrate_series(rep, letters))
+    return combination([(-1) ** i for i in range(len(faces))], faces) - rhs
 
 
 def operator_from_entries(source, target, degree, entries, mode):
@@ -312,7 +390,7 @@ def loop_series(rep, letters):
     powers = []
     for x in letters:
         a, ps = rep.L_of(x), [rep.B_of(x)]
-        while (nxt := compose(ps[-1], a)).norm():
+        while (nxt := matched_compose(ps[-1], a)).norm():
             ps.append(nxt)
         powers.append(ps)
     caps = [len(ps) - 1 for ps in powers]
@@ -323,7 +401,7 @@ def loop_series(rep, letters):
             if all(j <= cap for j, cap in zip(js, caps)):
                 term = powers[0][js[0]]
                 for i in range(1, k):
-                    term = compose(term, powers[i][js[i]])
+                    term = matched_compose(term, powers[i][js[i]])
                 layer_sum = layer_sum + series_coefficient(js, True) * term
         acc = acc + layer_sum
     return acc
@@ -340,7 +418,7 @@ class MatPoly:
         out = [None] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             for j, b in enumerate(other.coeffs):
-                ab = compose(a, b)
+                ab = matched_compose(a, b)
                 out[i + j] = ab if out[i + j] is None else out[i + j] + ab
         return MatPoly(out)
 
@@ -391,7 +469,7 @@ def stacked_relabel(h, op):
     h = np.asarray(h)
     rows = h.reshape(len(h), -1).tolist()
     blocks = unstack(op, len(rows[0]))
-    return stack([combination(row, blocks) for row in rows])
+    return layout_stack([combination(row, blocks) for row in rows])
 
 
 def composed_product_sum(terms):
@@ -401,7 +479,7 @@ def composed_product_sum(terms):
     ops = []
     for h, f, *g in terms:
         h = np.asarray(h)
-        op = compose(on_labels(h.shape[1], f), g[0]) if g else f
+        op = matched_compose(on_labels(h.shape[1], f), g[0]) if g else f
         ops.append(stacked_relabel(h, op))
     return combination((1,) * len(ops), ops)
 

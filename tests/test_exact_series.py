@@ -25,7 +25,7 @@ from cartankit.linalg import EXACT, FLOAT, ModeError
 from cartankit.reps import (LETTER_CACHE, adjoint_rep, chain_rep, cochain_rep,
                             trivial_lie_rep)
 from dense_reference import (MatPoly, exp_poly, loop_series, operator_from_entries,
-                             pairwise_merged_pair, pairwise_word_integral)
+                             pairwise_merged_pair, pairwise_word_integral, unfused_stokes)
 from test_ce import _nilpotent
 from test_stacked import _assert_int64_iff_fits, _assert_same
 
@@ -76,24 +76,33 @@ def test_stacked_series_equals_the_per_term_loop_at_four_letters():
 
 
 def _count_products(monkeypatch):
-    """Products made: one per call of ``compose`` and one per term of
-    ``product_sum`` that has a g, so that a relabelling (``relabel``,
-    ``label_combination``: terms without g) counts none."""
+    """Products made: one per term of ``product_sum`` that has a g, so that a
+    relabelling (``relabel``, ``label_combination``, ``stack``: terms
+    without g) counts none.  ``compose`` is the one-product ``product_sum``
+    and counts through it, once."""
     calls = []
-    compose, product_sum = graded.compose, graded.product_sum
-
-    def composed(f, g):
-        calls.append(1)
-        return compose(f, g)
+    product_sum = graded.product_sum
 
     def summed(terms):
         calls.extend(1 for term in terms if len(term) == 3)
         return product_sum(terms)
 
     for module in (graded, reps, integrate):
-        monkeypatch.setattr(module, "compose", composed)
         monkeypatch.setattr(module, "product_sum", summed)
     return calls
+
+
+def _recorded(monkeypatch, module):
+    """Every (terms, result) of the ``product_sum`` calls that ``module``
+    makes, in order."""
+    made, product_sum = [], module.product_sum
+
+    def recording(terms):
+        made.append((terms, product_sum(terms)))
+        return made[-1][1]
+
+    monkeypatch.setattr(module, "product_sum", recording)
+    return made
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
@@ -179,16 +188,20 @@ STOKES_WORDS = [w for k in (1, 2, 3) for w in product(range(3), repeat=k)]
     ("n4", "chain", "adjoint", NINE_WORDS[6:]),
 ], ids=["h3_chain_trivial", "h3_chain_adjoint", "h3_cochain_trivial", "h3_cochain_adjoint",
         "n4_chain_trivial", "n4_cochain_trivial", "n4_chain_adjoint_k3"])
-def test_exact_stokes_is_zero_on_every_word(algebra, functor, coeff, words):
+def test_exact_stokes_is_zero_on_every_word(monkeypatch, algebra, functor, coeff, words):
     """The alternating sum of the k + 1 faces equals [d, integral] exactly:
     the 8- and 24-dim Heisenberg complexes, the 64-dim n4 complexes, and
-    the three k = 3 words on the 384-dim n4 adjoint chains."""
+    the three k = 3 words on the 384-dim n4 adjoint chains.  The residual,
+    one ``product_sum``, equals the face-by-face ``unfused_stokes``."""
     g, pool = (heisenberg3(), HEISENBERG_LETTERS) if algebra == "heisenberg3" \
         else (_nilpotent(4), N4_LETTERS)
     coefficients = {"trivial": trivial_lie_rep, "adjoint": adjoint_rep}[coeff](g)
     rep = {"chain": chain_rep, "cochain": cochain_rep}[functor](g, coefficients)
+    made = _recorded(monkeypatch, integrate)
     for word in words:
-        assert integrate.dg_module_exact(rep, _letters(rep, [pool[i] for i in word])) == 0.0, word
+        letters = _letters(rep, [pool[i] for i in word])
+        assert integrate.dg_module_exact(rep, letters) == 0.0, word
+        _assert_same(made[-1][1], unfused_stokes(rep, letters))
 
 
 @pytest.mark.parametrize("k", [2, 3])
@@ -199,7 +212,9 @@ def test_exact_stokes_is_nonzero_with_the_merged_pair_reversed(h3_reps, monkeypa
     letters = _letters(rep, HEISENBERG_LETTERS[:k])
     density = integrate._slot_density
     monkeypatch.setattr(integrate, "_slot_density", lambda rep, slot: density(rep, slot[::-1]))
+    made = _recorded(monkeypatch, integrate)
     assert integrate.dg_module_exact(rep, letters) > 0
+    _assert_same(made[-1][1], unfused_stokes(rep, letters))
 
 
 def test_exact_stokes_refuses_the_empty_word_and_float_mode(h3_reps):

@@ -26,9 +26,11 @@ from cartankit.linalg import EXACT, FLOAT, ModeError
 from cartankit.reps import (CartanRep, adjoint_rep, adjunction_check, cartan_dgla, chain_rep,
                             cochain_rep, evaluation_pairing_residual, hom_space, restrict,
                             trivial_lie_rep)
-from dense_reference import (composed_product_sum, operator_from_blocks,
+from dense_reference import (composed_product_sum, layout_stack, matched_compose,
+                             operator_from_blocks, stepwise_induced_map,
                              tensor_intertwiner_system)
 from test_ce import _nilpotent
+from test_exact_series import _count_products, _recorded
 from test_relation_families import REPS, _broken, _rebased_sl2
 from test_stacked import _assert_int64_iff_fits, _assert_same
 
@@ -292,20 +294,119 @@ def test_warm_pairing_check_builds_fewer_operators(monkeypatch, mode):
 
 def test_exact_point_value_starts_from_the_first_letter(monkeypatch):
     """k = 1 exact Stokes: the face exp(x) after the empty integral and the
-    two products of [d, integral], 3 composes."""
+    two products of [d, integral], 3 products."""
     g = heisenberg3()
     rep = chain_rep(g, adjoint_rep(g))
     x = g.vector([1, -2, 1])
     want = integrate.dg_module_exact(rep, [x])
-    calls = []
-    original = graded.compose
-
-    def counted(f, h):
-        calls.append(1)
-        return original(f, h)
-
-    for module in (graded, reps, integrate):
-        monkeypatch.setattr(module, "compose", counted)
+    calls = _count_products(monkeypatch)
     assert integrate.dg_module_exact(rep, [x]) == want == 0.0
     assert len(calls) == 3
     _assert_same(integrate.point_value(rep, [x]), rep.letter(x).exp)
+
+
+# ---------------------------------------------------------------------------
+# compose and stack as product_sum terms
+# ---------------------------------------------------------------------------
+
+SPACES = [GradedVectorSpace(dims) for dims in
+          ({}, {0: 1}, {-1: 2, 0: 3}, {-1: 1, 0: 2, 1: 2}, {0: 2, 1: 1})]
+
+
+def _random_operator(rng, source, target, degree, mode):
+    """About half the block entries nonzero: floats of every sign and scale,
+    some whose products underflow to signed zeros or overflow; exact ones
+    small integers, fractions and numerators past int64."""
+    size = len(graded._block_entries(source, target, degree))
+    keep = rng.random(size) < 0.5
+    if mode == FLOAT:
+        scale = rng.choice([1.0, 1e-170, 1e170, -1e-170], size, p=[0.7, 0.1, 0.1, 0.1])
+        return GradedOperator.from_block_entries(source, target, degree,
+                                                 keep * scale * rng.standard_normal(size), mode)
+    pool = [1, -1, 2, -3, 5, Fraction(1, 2), Fraction(-2, 3), Fraction(5, 6), 2 ** 62,
+            -(2 ** 62) + 1, 3 * 10 ** 18, 10 ** 25, Fraction(10 ** 21, 7), 3 * 10 ** 9,
+            -(3 * 10 ** 9)]
+    vec = np.array([pool[i] if k else 0 for i, k in zip(rng.integers(len(pool), size=size),
+                                                          keep)], dtype=object)
+    return GradedOperator.from_block_entries(source, target, degree, vec, mode)
+
+
+def _stacked(rng, space):
+    """``space`` itself, or K_p ox ``space`` for a random p of 2 or 3."""
+    p = int(rng.integers(1, 4))
+    return space if p == 1 else graded.tensor_space(graded.label_space(p), space)
+
+
+@pytest.mark.parametrize("mode", [EXACT, FLOAT])
+def test_compose_and_stack_equal_their_own_kernels_bit_for_bit(mode):
+    """150 seeded cases per mode: ``compose`` against ``matched_compose`` and
+    ``stack`` against ``layout_stack`` on random operators between graded
+    spaces, empty spaces and empty operators included, with stacked spaces
+    K_p ox W as operands and targets."""
+    rng = np.random.default_rng(2024)
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        for _ in range(150):
+            v, u, w = (_stacked(rng, SPACES[i]) for i in rng.integers(len(SPACES), size=3))
+            a, b = (int(x) for x in rng.integers(-1, 2, size=2))
+            f, g = _random_operator(rng, u, w, a, mode), _random_operator(rng, v, u, b, mode)
+            _assert_same(graded.compose(f, g), matched_compose(f, g))
+            ops = [_random_operator(rng, v, w, a, mode) for _ in range(rng.integers(1, 5))]
+            _assert_same(graded.stack(ops), layout_stack(ops))
+            _assert_same(graded.stack([GradedOperator.zero(v, w, a, mode)] * 2),
+                         layout_stack([GradedOperator.zero(v, w, a, mode)] * 2))
+
+
+def test_compose_and_stack_past_int64_equal_their_own_kernels():
+    """Numerators whose products, sums of products (3e9 squared fits, twice
+    it does not) and common-denominator scalings leave int64: stored as
+    Python ints, or narrowed back to int64 where the reduced result fits,
+    the same way by both kernels."""
+    space = GradedVectorSpace({0: 2})
+    x = 3 * 10 ** 9
+    wide = operator_from_blocks(space, space, 0, {0: np.array([[x, x], [x, -x]], dtype=object)},
+                                mode=EXACT)
+    got = graded.compose(wide, wide)
+    _assert_same(got, matched_compose(wide, wide))
+    assert got.block(0).tolist() == [[2 * x * x, 0], [0, 2 * x * x]] and got._data.dtype == object
+    big = operator_from_blocks(space, space, 0, {0: np.array(
+        [[2 ** 62, 3 * 10 ** 18], [Fraction(1, 3), -(2 ** 62)]], dtype=object)}, mode=EXACT)
+    half = operator_from_blocks(space, space, 0, {0: np.array(
+        [[Fraction(1, 2), 0], [0, 2 ** 62]], dtype=object)}, mode=EXACT)
+    for f, g in ((big, big), (big, half), (half, big)):
+        got = graded.compose(f, g)
+        _assert_same(got, matched_compose(f, g))
+        _assert_int64_iff_fits(got)
+    for ops in ([big, half], [half, half, big]):
+        got = graded.stack(ops)
+        _assert_same(got, layout_stack(ops))
+        _assert_int64_iff_fits(got)
+    assert graded.stack([big, half])._data.dtype == object
+
+
+def test_compose_keeps_its_space_check():
+    """The space check that ``compose`` makes before its ``product_sum``."""
+    one, wide = (GradedOperator.identity(GradedVectorSpace({0: d}), EXACT) for d in (2, 3))
+    with pytest.raises(ValueError, match="compose: target of g differs"):
+        graded.compose(one, wide)
+
+
+@pytest.mark.parametrize("mode", [EXACT, FLOAT])
+@pytest.mark.parametrize("case", range(len(CRITERION_10)))
+def test_fused_adjunction_sites_equal_their_unfused_forms(monkeypatch, case, mode):
+    """On the criterion-10 pairs: ``induced_map``, each step one
+    ``product_sum``, equals the step-by-step ``stepwise_induced_map``, and
+    the reconstruction phi iota - phi0 of ``adjunction_check``, one
+    ``product_sum``, equals ``compose`` then ``-``; bit for bit in both
+    modes, the products of each step summed before phi."""
+    g, v_name, build, w_name = CRITERION_10[case]
+    v, w = _coefficients(g, v_name, mode), build(g, _coefficients(g, w_name, mode))
+    lie_maps = hom_space(v, restrict(w))
+    for phi0 in lie_maps:
+        _assert_same(reps.induced_map(v, w, phi0), stepwise_induced_map(v, w, phi0))
+    made = _recorded(monkeypatch, reps)
+    assert adjunction_check(v, w).ok
+    rebuilt = [(terms, out) for terms, out in made
+               if len(terms) == 2 and terms[1][0] is graded.MINUS_UNIT and len(terms[1]) == 2]
+    assert len(rebuilt) == len(lie_maps)
+    for ((_, phi, iota), (_, phi0)), out in rebuilt:
+        _assert_same(out, matched_compose(phi, iota) - phi0)

@@ -165,8 +165,11 @@ def test_cli_exit_two_on_bad_input(problem_file, capsys):
     (["integrate", "--rep", "chain_trivial", "--word", "weh", "--method", "series",
       "--cap", "1000000000000"], "series_cap"),
     (["roundtrip", "--rep", "chain_trivial", "--h", "0"], "fd_step"),
+    (["roundtrip", "--rep", "chain_trivial", "--h", "inf"], "fd_step"),
     (["verify-cartan", "--rep", "chain_trivial", "--tol", "-0.1"], "tol"),
-], ids=["order", "series_cap", "series_cap_over_budget", "fd_step", "tol"])
+    (["verify-cartan", "--rep", "chain_trivial", "--tol", "inf"], "tol"),
+], ids=["order", "series_cap", "series_cap_over_budget", "fd_step", "fd_step_inf", "tol",
+        "tol_inf"])
 def test_cli_exit_two_on_invalid_setting(problem_file, capsys, argv, field):
     code = cli.main(argv[:1] + [problem_file] + argv[1:])
     lines = capsys.readouterr().err.strip().splitlines()
@@ -196,6 +199,27 @@ def test_cli_exit_two_on_series_nonconvergence(problem_file, capsys):
     lines = capsys.readouterr().err.strip().splitlines()
     assert code == 2
     assert lines == ["error: series did not converge within total degree 2"]
+
+
+@pytest.mark.parametrize("letter, argv, message", [
+    ([300, 300, 0], ["--method", "series", "--cap", "160"],
+     "series did not converge within total degree 160"),
+    ([1e6, 1e6, 0], ["--method", "series"], "series did not converge within total degree 60"),
+    ([1e6, 1e6, 0], ["--method", "quadrature"], "quadrature integral is not finite"),
+], ids=["series_at_the_largest_cap", "series", "quadrature"])
+def test_cli_exit_two_on_float_overflow(tmp_path, capsys, letter, argv, message):
+    """A letter whose float integral leaves the float range exits 2 with one
+    line: the series stops at its first non-finite partial sum, the quadrature
+    refuses a non-finite integral, and no numpy warning escapes (the test
+    configuration turns a ``RuntimeWarning`` into an error)."""
+    payload = json.loads(json.dumps(SL2_PAYLOAD))
+    payload["words"]["big"] = [letter]
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(payload))
+    code = cli.main(["integrate", str(path), "--rep", "chain_trivial", "--word", "big"] + argv)
+    captured = capsys.readouterr()
+    assert code == 2 and "passed" not in captured.out
+    assert captured.err.strip().splitlines() == [f"error: {message}"]
 
 
 def test_series_cap_budget_admits_its_largest_cap(problem_file):

@@ -24,11 +24,14 @@ ALGEBRAS = {g.name: g for g in (abelian(3), heisenberg3(), sl2(), _nilpotent(4),
 
 
 def _assert_same(a, b):
-    """Same spaces, degree, mode and stored entries, dtypes included."""
-    assert (a.source, a.target, a.degree, a.mode) == (b.source, b.target, b.degree, b.mode)
+    """Same spaces, degree, mode, denominator and stored entries, dtypes
+    included and floats bit for bit (sign bits and NaNs too)."""
+    assert (a.source, a.target, a.degree, a.mode, a._den) == \
+        (b.source, b.target, b.degree, b.mode, b._den)
     for x, y in ((a._rows, b._rows), (a._cols, b._cols), (a._data, b._data)):
-        assert x.dtype == y.dtype and np.array_equal(x, y)
-    assert a._den == b._den
+        assert x.dtype == y.dtype
+        assert np.array_equal(x.view(np.uint64), y.view(np.uint64)) if x.dtype == float \
+            else np.array_equal(x, y)
 
 
 def _assert_int64_iff_fits(op):
