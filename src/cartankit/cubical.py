@@ -1,7 +1,8 @@
 """Cubical cochains from simplicial ones and their invariance checks.
 
 A scalar cochain here is the integral of one matrix entry of the
-representation-form pullback, over the simplex or over the cube.  The
+representation-form pullback, over the simplex or over the cube; it
+evaluates only the density block that holds its entry.  The
 antisymmetrization of a simplicial cochain over all coordinate
 permutations is a cubical cochain; it is alternating by construction
 (an exact sign identity once sums are accumulated with ``fsum``) and
@@ -15,7 +16,8 @@ import numpy as np
 
 from .evaluators import (AffineReparam, ChainCombination, Evaluator, FlatRep,
                          MaxCollapseReparam, alternation)
-from .integrate import DEFAULT_ORDER, cube_nodes, densities, integrate_chain, simplex_nodes
+from .integrate import (DEFAULT_ORDER, cube_nodes, densities, finite, integrate_chain,
+                        simplex_nodes)
 
 
 def subdivision_maps(k: int, i: int, s: float):
@@ -43,7 +45,9 @@ def split_upper(ev: Evaluator, i: int, s: float) -> Evaluator:
 
 class IntegrationCochain:
     """Scalar cochain: one entry of the integrated pullback density, given by
-    its index among the block entries (``evaluators.Blocks``)."""
+    its (nonnegative) index among the block entries (``evaluators.Blocks``).
+    The entry lies in one block, from source degree q to q - k, so a value
+    evaluates rho at q - k and the density of that block only."""
 
     def __init__(self, flat: FlatRep, k: int, kind: str = "simplicial",
                  entry: int = 0, order: int = DEFAULT_ORDER):
@@ -54,6 +58,11 @@ class IntegrationCochain:
         self.kind = kind
         self.entry = entry
         self.order = order
+        # the entry's block, by its target degree, and its index there
+        targets = flat.targets(k)
+        stops = np.cumsum([flat.space.dim(t) * flat.space.dim(t + k) for t in targets])
+        block = int(np.searchsorted(stops, entry, side="right"))
+        self._block = targets[block], entry - (stops[block - 1] if block else 0)
 
     def values(self, evs) -> list:
         """The cochain at each evaluator, all in one batched evaluation."""
@@ -61,8 +70,10 @@ class IntegrationCochain:
             raise ValueError("dimension mismatch")
         nodes, weights = (simplex_nodes if self.kind == "simplicial" else cube_nodes)(
             self.k, self.order)
-        return [fsum(weights * dens.entries[:, self.entry])
-                for dens in densities(self.flat, [(ev, nodes) for ev in evs])]
+        t, offset = self._block
+        dens = densities(self.flat, [(ev, nodes) for ev in evs], [t])
+        return [fsum(column) for column in finite(
+            weights * d.blocks[t + self.k].reshape(len(nodes), -1)[:, offset] for d in dens)]
 
     def __call__(self, ev: Evaluator) -> float:
         return self.values([ev])[0]

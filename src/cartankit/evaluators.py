@@ -19,8 +19,10 @@ the prefix tree of its batch: one exponential per distinct coordinate of
 each slot and one product per distinct prefix (t_1, ..., t_j), so nested
 quadrature nodes, faces, shuffles and cube grids pay for their shared
 coordinates once.  The inverse-adjoint tail is per point and starts at the
-last letter's factor, not at the identity, and a point value
-(``PointEvaluator.value``) builds no adjoint at all.  Every exponential is
+last letter's factor, not at the identity.  The inverse adjoint is formed
+only where it is read: by a direct ``WordEvaluator.eval``, and in
+``eval_many`` for the requests that hold a ``ProductEvaluator``, its one
+reader.  Every exponential is
 the one float exponential ``linalg.TaylorExp``: a table cached per letter
 for the slots, its one-point case ``linalg.expm`` for a prefix.  Every
 other evaluator is a reparametrization: ``lift`` maps its points to points
@@ -79,18 +81,19 @@ class Blocks:
 class PointData:
     """Batched evaluator output.  Only the inverse adjoint is carried: it
     conjugates tangents in pointwise products and p-fold multiplication.  A
-    word evaluator forms it per point from the last letter's factor on; a
-    point value (``PointEvaluator.value``) reads ``rho`` alone and builds no
-    adjoint."""
+    direct ``WordEvaluator.eval`` and the ``eval_many`` requests that hold a
+    ``ProductEvaluator`` form it; every other request carries None, and a
+    point value (``PointEvaluator.value``) builds none."""
 
     rho: Blocks           # operator values at the evaluated degrees, (P, d, d) each
-    ad_inv: np.ndarray    # (P, n, n) inverse adjoint matrices
+    ad_inv: np.ndarray    # (P, n, n) inverse adjoint matrices, or None
     xi: np.ndarray        # (P, k, n) left-translated tangents
 
     def rows(self, start: int, stop: int) -> "PointData":
         return PointData(Blocks({d: b[start:stop] for d, b in self.rho.blocks.items()},
                                 stop - start),
-                         self.ad_inv[start:stop], self.xi[start:stop])
+                         None if self.ad_inv is None else self.ad_inv[start:stop],
+                         self.xi[start:stop])
 
 
 class FlatRep:
@@ -170,35 +173,47 @@ def eval_many(requests, degrees=None):
     request is lifted down to word evaluators; each word evaluator makes one
     ``eval`` on the concatenation of all the points that reach it, and its
     rows are split and pushed back up, one request at a time, as they are
-    asked for.  Word rows are bit-identical to evaluating each point alone,
+    asked for.  A word forms its inverse adjoint only when a request whose
+    tree holds a ``ProductEvaluator`` reaches it, and only such requests
+    carry one.  Word rows are bit-identical to evaluating each point alone,
     so each result is bit-identical to evaluating its request alone."""
     chunks = {}                   # word evaluator -> its point arrays, in order
-    trees = [_lift(ev, points, chunks) for ev, points in requests]
+    adjoint = set()               # the word evaluators a product reads
+    trees = []
+    for ev, points in requests:
+        nodes = []
+        tree = _lift(ev, points, chunks, nodes)
+        reads = any(isinstance(node, ProductEvaluator) for node in nodes)
+        adjoint.update(node for node in nodes if reads and isinstance(node, WordEvaluator))
+        trees.append((tree, reads))
     rows = {}
     for word, arrays in chunks.items():
-        data = word.eval(np.concatenate(arrays), degrees)
+        data = word.eval(np.concatenate(arrays), degrees, adjoint=word in adjoint)
         stops = np.cumsum([len(a) for a in arrays]).tolist()
         rows[word] = [data.rows(start, stop) for start, stop in zip([0] + stops, stops)]
-    for tree in trees:
-        yield _push(tree, rows)
+    for tree, reads in trees:
+        yield _push(tree, rows, reads)
 
 
-def _lift(ev, points, chunks):
+def _lift(ev, points, chunks, nodes):
     """The request's tree down to its word evaluators: a leaf (word, index
-    of its point array in ``chunks[word]``), else (ev, points, subtrees)."""
+    of its point array in ``chunks[word]``), else (ev, points, subtrees);
+    ``nodes`` collects its evaluators."""
     points = as_points(points, ev.k)
+    nodes.append(ev)
     if isinstance(ev, WordEvaluator):
         chunks.setdefault(ev, []).append(points)
         return ev, len(chunks[ev]) - 1
-    return ev, points, [_lift(base, up, chunks) for base, up in ev.lift(points)]
+    return ev, points, [_lift(base, up, chunks, nodes) for base, up in ev.lift(points)]
 
 
-def _push(tree, rows):
+def _push(tree, rows, reads):
     if len(tree) == 2:
         word, i = tree
-        return rows[word][i]
+        data = rows[word][i]
+        return data if reads else PointData(data.rho, None, data.xi)
     ev, points, subtrees = tree
-    return ev.push(points, [_push(sub, rows) for sub in subtrees])
+    return ev.push(points, [_push(sub, rows, reads) for sub in subtrees])
 
 
 class WordEvaluator(Evaluator):
@@ -206,13 +221,15 @@ class WordEvaluator(Evaluator):
 
     ``eval`` exponentiates each distinct value of a slot once and forms the
     running product once per distinct prefix (t_1, ..., t_j), at each
-    degree asked for, then gathers per point; the inverse-adjoint tail and
-    the tangents stay per point.  The tail starts at the last letter's
-    factor exp(-t_k ad x_k), so xi_k = x_k, and is multiplied by the
-    prefix's inverse adjoint only when there is a prefix; that adjoint is
-    formed on first read, so a point value builds none.  Every output row
-    is bit-identical to evaluating its point alone, and to the same
-    products started at the identity.
+    degree asked for (a bare word's first slot takes its factors as they
+    are, and no sort: its prefixes are the slot's values, and the last
+    slot's products are per point).  The inverse-adjoint tail and the
+    tangents stay per point; the tail starts at the last letter's factor
+    exp(-t_k ad x_k), so xi_k = x_k.  Slot 1's factor, the tail's last
+    product and the prefix's inverse adjoint (formed on first read) serve
+    only the inverse adjoint, and are taken only with ``adjoint``.  Every
+    output row is bit-identical to evaluating its point alone, and to the
+    same products started at the identity.
     """
 
     def __init__(self, flat: FlatRep, letters, prefix=(), domain="simplex"):
@@ -238,25 +255,34 @@ class WordEvaluator(Evaluator):
             ad0i = linalg.expm(self.flat.ad(x), -1).dot(ad0i)
         return ad0i
 
-    def eval(self, points: np.ndarray, degrees=None) -> PointData:
+    def eval(self, points: np.ndarray, degrees=None, adjoint=True) -> PointData:
         points = as_points(points, self.k)
         p = points.shape[0]
         n = self.flat.algebra.n
         degrees = self.flat.space.degrees if degrees is None else degrees
         # prefix tree of the batch: node[r] is the id of the prefix
-        # (t_1, ..., t_j) of point r, and rho[d][i] the product at node i
+        # (t_1, ..., t_j) of point r (None: r), and rho[d][i] the product at
+        # node i, the product at parent[i] times the slot's factor child[i]
         node = np.zeros(p, dtype=int)
         rho = {d: self._rho0[d][None] for d in degrees}
-        neg_ads = []
+        neg_ads = [None] * self.k
         for j, x in enumerate(self.letters):
             values, which = np.unique(points[:, j], return_inverse=True)
             m = len(values)
-            ids, node = np.unique(node * m + which, return_inverse=True)
+            if j == 0:
+                parent, child, node = np.zeros(m, dtype=int), slice(None), which
+            elif j == self.k - 1:
+                parent, child, node = node, which, None
+            else:
+                ids, node = np.unique(node * m + which, return_inverse=True)
+                parent, child = ids // m, ids % m
             for d in degrees:
                 factors = self.flat.exp_factors(x, d).at(values)
-                rho[d] = np.matmul(rho[d][ids // m], factors[ids % m])
-            neg_ads.append(self._ad[j].at(-values)[which])
-        rho = Blocks({d: r[node] for d, r in rho.items()}, p)
+                rho[d] = (factors if j == 0 and not self.prefix else
+                          np.matmul(rho[d][parent], factors[child]))
+            if j or adjoint:
+                neg_ads[j] = self._ad[j].at(-values)[which]
+        rho = Blocks({d: r if node is None else r[node] for d, r in rho.items()}, p)
         # tail: product of the negative factors after slot j, in reverse order,
         # started at the last slot's (so xi_k = x_k); the full product followed
         # by the prefix's is the inverse adjoint
@@ -268,7 +294,10 @@ class WordEvaluator(Evaluator):
             tail = np.broadcast_to(np.eye(n), (p, n, n)).copy()
         for j in range(self.k - 2, -1, -1):
             xi[:, j] = np.einsum("pab,b->pa", tail, self.letters[j])
-            tail = np.matmul(tail, neg_ads[j])
+            if j or adjoint:
+                tail = np.matmul(tail, neg_ads[j])
+        if not adjoint:
+            return PointData(rho, None, xi)
         ad_inv = np.matmul(tail, np.broadcast_to(self._ad0i, (p, n, n))) if self.prefix else tail
         return PointData(rho, ad_inv, xi)
 
@@ -304,8 +333,7 @@ class AffineReparam(Evaluator):
 
     def push(self, points, datas):
         data, = datas
-        xi = np.einsum("jm,pjd->pmd", self.matrix, data.xi)
-        return PointData(data.rho, data.ad_inv, xi)
+        return PointData(data.rho, data.ad_inv, np.matmul(self.matrix.T, data.xi))
 
 
 class PermReparam(AffineReparam):

@@ -37,7 +37,7 @@ MAX_QUADRATURE_NODES = 100_000
 
 
 class ConvergenceError(RuntimeError):
-    """A float series unconverged at its degree cap, or a non-finite float integral."""
+    """A float series unconverged at its degree cap, or a non-finite float integral or density."""
 
 
 # ---------------------------------------------------------------------------
@@ -80,26 +80,26 @@ def cube_nodes(k: int, order: int):
 
 def density_batch(flat: FlatRep, data) -> Blocks:
     """rho(t) o B(xi_1) o ... o B(xi_k) at every point of a batch, one block
-    per source degree q: rho at q - k, then the B blocks (q-j <- q-j+1) from
-    j = k down to 1.  ``data`` holds rho at every target q - k
-    (``FlatRep.targets``)."""
+    per source degree q whose target q - k holds rho in ``data``: rho at
+    q - k, then the B blocks (q-j <- q-j+1) from j = k down to 1."""
     k = data.xi.shape[1]
     out = {}
-    for q in flat.space.degrees:
-        if flat.space.dim(q - k):
-            block = data.rho.blocks[q - k]
+    for t, block in data.rho.blocks.items():
+        if flat.space.dim(t + k):
             for j in range(k):
-                bs = flat.B[q - k + j + 1]
+                bs = flat.B[t + j + 1]
                 b = (data.xi[:, j, :] @ bs.reshape(len(bs), -1)).reshape(-1, *bs.shape[1:])
                 block = np.matmul(block, b)
-            out[q] = block
+            out[t + k] = block
     return Blocks(out, data.xi.shape[0])
 
 
-def densities(flat: FlatRep, requests):
+def densities(flat: FlatRep, requests, targets=None):
     """Yield the pullback densities of (evaluator, points) requests of one
     dimension k, through ``eval_many`` in batches of at most
-    ``MAX_QUADRATURE_NODES`` points; a larger request is a batch of its own."""
+    ``MAX_QUADRATURE_NODES`` points; a larger request is a batch of its own.
+    Only the blocks whose target degree is in ``targets`` are formed, every
+    block (``FlatRep.targets``) by default."""
     ks = {ev.k for ev, _ in requests}
     if len(ks) > 1:
         raise ValueError("all requests must share one dimension")
@@ -111,15 +111,26 @@ def densities(flat: FlatRep, requests):
             size = 0
         batches[-1].append((ev, points))
         size += len(points)
-    degrees = flat.targets(ks.pop()) if ks else ()
+    if targets is None:
+        targets = flat.targets(ks.pop()) if ks else ()
     for batch in batches:
-        for data in eval_many(batch, degrees):
+        for data in eval_many(batch, targets):
             yield density_batch(flat, data)
 
 
 def density_at(flat: FlatRep, ev: Evaluator, points) -> Blocks:
     """Pullback density of an evaluator at a batch of points."""
     return next(densities(flat, [(ev, points)]))
+
+
+def finite(values, what: str = "quadrature integral") -> list:
+    """The arrays of the iterable ``values``, drawn with float overflow
+    silenced; ``ConvergenceError`` when one of them is not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = list(values)
+    if not all(np.isfinite(v).all() for v in out):
+        raise ConvergenceError(f"{what} is not finite")
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -137,12 +148,8 @@ def integrals(flat: FlatRep, evs, order: int = DEFAULT_ORDER) -> list:
              (simplex_nodes if ev.domain == "simplex" else cube_nodes)(ev.k, order)
              for ev in evs]
     dens = densities(flat, [(ev, nodes) for ev, (nodes, _) in zip(evs, rules)])
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = [d[0] if weights is None else weights @ d.entries
-               for d, (_, weights) in zip(dens, rules)]
-    if not all(np.isfinite(entries).all() for entries in out):
-        raise ConvergenceError("quadrature integral is not finite")
-    return out
+    return finite(d[0] if weights is None else weights @ d.entries
+                  for d, (_, weights) in zip(dens, rules))
 
 
 def integrate_quadrature(flat: FlatRep, ev: Evaluator, order: int = DEFAULT_ORDER) -> GradedOperator:
@@ -255,20 +262,23 @@ def _float_series(space, A, B, max_degree):
     # powers[q][i][j] = B_i A_i^j on the chain of q, filled one power per layer
     powers = {q: [np.zeros((max_degree + 1,) + b.shape) for _, b in chain]
               for q, chain in chains.items()}
-    acc = 0.0                   # block entries, blocks by source degree
+    # block entries, blocks by source degree: the running sum, and a layer's
+    # sum, which each block's product writes in place through its view
+    shapes = [(space.dim(q - k), space.dim(q)) for q in chains]
+    stops = np.cumsum([0] + [r * c for r, c in shapes])
+    acc, layer_sum = np.zeros((2, stops[-1]))
+    views = [layer_sum[a:b].reshape(shape) for a, b, shape in zip(stops, stops[1:], shapes)]
     with np.errstate(over="ignore", invalid="ignore"):
         for layer in range(0, max_degree + 1):
             js, coefs = _layer_terms(layer, k)
-            parts = [np.zeros(0)]
-            for q, chain in chains.items():
+            for (q, chain), view in zip(chains.items(), views):
                 for (a, b), ps in zip(chain, powers[q]):
                     ps[layer] = ps[layer - 1].dot(a) if layer else b
                 term = powers[q][0][js[:, 0]]
                 for i in range(1, k):
                     term = np.matmul(term, powers[q][i][js[:, i]])
-                parts.append(np.einsum("c,cab->ab", coefs, term).ravel())
-            layer_sum = np.concatenate(parts)
-            acc = acc + layer_sum
+                np.einsum("c,cab->ab", coefs, term, out=view)
+            acc += layer_sum
             if not isfinite(total := linalg.max_abs(acc)):
                 break
             if layer >= 1 and linalg.max_abs(layer_sum) < DEFAULT_SERIES_TOL * (1.0 + total):

@@ -214,9 +214,11 @@ class TaylorExp:
     def at(self, t: np.ndarray) -> np.ndarray:
         t = np.asarray(t, dtype=float)
         m, d = self.coeffs.shape[:2]
-        powers = np.ones((len(t), m))
-        powers[:, 1:] = t[:, None]
-        np.cumprod(powers, axis=1, out=powers)
+        # t^i as t^(i - 1) t, one column at a time (cumprod along rows loops per row)
+        powers = np.empty((len(t), m))
+        powers[:, 0] = 1.0
+        for i in range(1, m):
+            np.multiply(powers[:, i - 1], t, out=powers[:, i])
         # one (1, M) @ (M, d*d) product per point, not one GEMM, whose BLAS
         # path for a one-point batch differs: rows must not depend on the batch
         out = np.matmul(powers[:, None, :], self.coeffs.reshape(m, d * d)).reshape(-1, d, d)

@@ -115,6 +115,9 @@ def verify_module(problem, rep_name, word_names) -> Report:
     s = problem.settings
     flat = FlatRep(rep)
     words = {name: problem.word(name) for name in word_names}
+    for name, letters in words.items():
+        if not letters:
+            raise ProblemError(f"word {name!r} has no letters; the module checks need one")
     lengths = [len(w) for w in words.values()]   # Stokes per word, shuffles to 3 letters
     _check_nodes(s.order, max((a + b if a + b <= 3 else max(a, b) for a in lengths for b in lengths),
                               default=0))
@@ -127,11 +130,10 @@ def verify_module(problem, rep_name, word_names) -> Report:
             report.timed("module.thin_vanishing", s.tol,
                          lambda ev=ev: integrate.integrate_quadrature(flat, ev, s.order).norm(),
                          {"rep": rep_name, "word": name})
-        if letters:
-            report.timed("module.equivariance", s.tol,
-                         lambda letters=letters: integrate.equivariance_residual(
-                             flat, letters, [letters[0]]),
-                         {"rep": rep_name, "word": name})
+        report.timed("module.equivariance", s.tol,
+                     lambda letters=letters: integrate.equivariance_residual(
+                         flat, letters, [letters[0]]),
+                     {"rep": rep_name, "word": name})
     names = sorted(words)
     for a in names:
         for b in names:
@@ -211,6 +213,11 @@ def cubical_suite(problem, rep_name, word_name) -> Report:
     letters = problem.word(word_name)
     k = len(letters)
     _check_nodes(s.order, k)
+    if not k:
+        raise ProblemError(f"word {word_name!r} has no letters; the cubical checks need one")
+    if not flat.targets(k):
+        raise ProblemError(f"word {word_name!r} has {k} letters, and rep {rep_name!r} has no "
+                           f"degree -{k} density to check")
     theta = WordEvaluator(flat, letters, domain="cube")
     entry = cubical_entry(flat, theta)
     base = cubical.IntegrationCochain(flat, k, "simplicial", entry, s.order)
@@ -241,4 +248,6 @@ def cubical_entry(flat, ev):
     among the block entries, which list the entries of the total matrix
     inside its blocks in row-major order."""
     pts = interior_points(ev.k, "cube")
-    return int(np.argmax(np.abs(integrate.density_at(flat, ev, pts)[0])))
+    first, = integrate.finite((d[0] for d in integrate.densities(flat, [(ev, pts)])),
+                              "pullback density")
+    return int(np.argmax(np.abs(first)))

@@ -38,7 +38,14 @@ their one-``product_sum`` forms.  The other references compose and stack
 through them too.
 ``identity_started_eval`` is ``Evaluator.eval`` with every product of a
 word evaluator started at the identity and no prefix tree, the reference
-that the evaluator's outputs must equal bit for bit.  ``loop_face_map``,
+that the evaluator's outputs must equal bit for bit.  ``sorted_tree_eval``
+is the word evaluation that sorted every slot's prefixes, multiplied a
+bare word's first slot by the identity and formed every inverse adjoint;
+``cumprod_at`` is ``linalg.TaylorExp.at`` with its powers from ``cumprod``;
+``concatenating_series`` is the float series that concatenated each
+layer's blocks; ``all_blocks_cochain_values`` is an integration cochain
+read off the density of every block: the references for the kernels that
+skip that work.  ``loop_face_map``,
 ``perm_lift``/``perm_push`` and ``collapse_push`` (through the running
 maximum of ``running_max_argmax``) are the face matrices, the coordinate
 permutation and the cube-to-simplex collapse built index by index, the
@@ -47,7 +54,7 @@ references for their affine and vectorized forms in ``evaluators``.
 
 from fractions import Fraction
 from itertools import combinations
-from math import comb, lcm
+from math import comb, fsum, lcm
 
 import numpy as np
 import scipy.linalg
@@ -60,8 +67,10 @@ from cartankit.graded import (GradedOperator, GradedVectorSpace, _fit, _stacked_
                               combination, dual_operator, dual_space, exp_terms,
                               graded_commutator, label_space, stack_entries, tensor_operator,
                               tensor_space, unstack)
-from cartankit.integrate import (_slot_integral, compositions, integrate_series, point_value,
-                                 series_coefficient)
+from cartankit.integrate import (DEFAULT_SERIES_TOL, ConvergenceError, _layer_terms,
+                                 _slot_integral, compositions, cube_nodes, densities,
+                                 integrate_series, point_value, series_coefficient,
+                                 simplex_nodes)
 from cartankit.linalg import EXACT, FLOAT, ModeError
 from cartankit.reps import _UNIT_ENTRY, CartanReport
 
@@ -288,6 +297,96 @@ def identity_started_eval(ev, points, degrees=None):
         tail = np.matmul(tail, flat.exp_ad_factors(ev.letters[j]).at(-points[:, j]))
     ad_inv = np.matmul(tail, np.broadcast_to(ad0i, (p, n, n)))
     return PointData(Blocks(rho, p), ad_inv, xi)
+
+
+def sorted_tree_eval(ev, points, degrees=None):
+    """``ev.eval(points, degrees)`` by the word kernel that sorted the
+    prefixes of every slot, the first and the last included, started each
+    product at the prefix value (the identity for a bare word), and formed
+    the inverse adjoint of every word; other evaluators push their bases'
+    values."""
+    points = as_points(points, ev.k)
+    if not isinstance(ev, WordEvaluator):
+        return ev.push(points, [sorted_tree_eval(base, up, degrees)
+                                for base, up in ev.lift(points)])
+    p, n = points.shape[0], ev.flat.algebra.n
+    degrees = ev.flat.space.degrees if degrees is None else degrees
+    node = np.zeros(p, dtype=int)
+    rho = {d: ev._rho0[d][None] for d in degrees}
+    neg_ads = []
+    for j, x in enumerate(ev.letters):
+        values, which = np.unique(points[:, j], return_inverse=True)
+        m = len(values)
+        ids, node = np.unique(node * m + which, return_inverse=True)
+        for d in degrees:
+            factors = cumprod_at(ev.flat.exp_factors(x, d), values)
+            rho[d] = np.matmul(rho[d][ids // m], factors[ids % m])
+        neg_ads.append(cumprod_at(ev._ad[j], -values)[which])
+    rho = Blocks({d: r[node] for d, r in rho.items()}, p)
+    xi = np.empty((p, ev.k, n))
+    if ev.k:
+        xi[:, -1] = ev.letters[-1]
+        tail = neg_ads[-1]
+    else:
+        tail = np.broadcast_to(np.eye(n), (p, n, n)).copy()
+    for j in range(ev.k - 2, -1, -1):
+        xi[:, j] = np.einsum("pab,b->pa", tail, ev.letters[j])
+        tail = np.matmul(tail, neg_ads[j])
+    ad_inv = np.matmul(tail, np.broadcast_to(ev._ad0i, (p, n, n))) if ev.prefix else tail
+    return PointData(rho, ad_inv, xi)
+
+
+def cumprod_at(table, t):
+    """``table.at(t)`` (a ``linalg.TaylorExp``) with the powers of t from
+    one ``cumprod`` along each row."""
+    t = np.asarray(t, dtype=float)
+    m, d = table.coeffs.shape[:2]
+    powers = np.ones((len(t), m))
+    powers[:, 1:] = t[:, None]
+    np.cumprod(powers, axis=1, out=powers)
+    out = np.matmul(powers[:, None, :], table.coeffs.reshape(m, d * d)).reshape(-1, d, d)
+    for _ in range(table.squarings):
+        out = np.matmul(out, out)
+    return out
+
+
+def concatenating_series(rep, letters, max_degree=60):
+    """The float series of ``integrate.integrate_series`` with each layer's
+    blocks concatenated into a new array and added to a new running sum."""
+    space, k = rep.complex.space, len(letters)
+    A, B = [rep.L_of(x) for x in letters], [rep.B_of(x) for x in letters]
+    chains = {q: [(A[i].block(s), B[i].block(s)) for i, s in enumerate(range(q - k + 1, q + 1))]
+              for q in space.degrees if space.dim(q - k)}
+    powers = {q: [np.zeros((max_degree + 1,) + b.shape) for _, b in chain]
+              for q, chain in chains.items()}
+    acc = 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for layer in range(0, max_degree + 1):
+            js, coefs = _layer_terms(layer, k)
+            parts = [np.zeros(0)]
+            for q, chain in chains.items():
+                for (a, b), ps in zip(chain, powers[q]):
+                    ps[layer] = ps[layer - 1].dot(a) if layer else b
+                term = powers[q][0][js[:, 0]]
+                for i in range(1, k):
+                    term = np.matmul(term, powers[q][i][js[:, i]])
+                parts.append(np.einsum("c,cab->ab", coefs, term).ravel())
+            layer_sum = np.concatenate(parts)
+            acc = acc + layer_sum
+            if not np.isfinite(total := linalg.max_abs(acc)):
+                break
+            if layer >= 1 and linalg.max_abs(layer_sum) < DEFAULT_SERIES_TOL * (1.0 + total):
+                return GradedOperator.from_block_entries(space, space, -k, acc, FLOAT)
+    raise ConvergenceError(f"series did not converge within total degree {max_degree}")
+
+
+def all_blocks_cochain_values(cochain, evs):
+    """``cochain.values(evs)`` (an ``IntegrationCochain``) read off the
+    density of every block, the entry picked from the block entries."""
+    nodes, weights = (simplex_nodes if cochain.kind == "simplicial" else cube_nodes)(
+        cochain.k, cochain.order)
+    return [fsum(weights * dens.entries[:, cochain.entry])
+            for dens in densities(cochain.flat, [(ev, nodes) for ev in evs])]
 
 
 def loop_face_map(k, i):

@@ -12,11 +12,16 @@ from cartankit.cubical import (AlternationCochain, IntegrationCochain,
                                alternating_residual, collapse_reduction_residuals,
                                cube_vs_simplex_residual, split_lower, split_upper,
                                subdivision_invariance_residual, subdivision_maps)
+from cartankit import integrate
 from cartankit.evaluators import (FlatRep, PermReparam, WordEvaluator, perm_sign, shuffles,
                                   thinness_check)
 from cartankit.integrate import cube_nodes, density_at, simplex_nodes
+from cartankit.lie import sl2
+from cartankit.linalg import FLOAT
+from cartankit.reps import adjoint_rep, chain_rep
 from cartankit.schemas import load_problem
 from cartankit.suites import cubical_entry, cubical_suite
+from dense_reference import all_blocks_cochain_values
 
 
 def cube_to_simplex(point):
@@ -207,3 +212,39 @@ def test_cubical_suite_alternates_the_whole_cube_once(monkeypatch):
     whole = [ev.perm for ev in seen if isinstance(ev, PermReparam)
              and isinstance(ev.base, WordEvaluator) and ev.base.domain == "cube"]
     assert sorted(whole) == [(0, 1), (1, 0)]
+
+
+GENERIC = [[0.3, 0.7, -0.5], [0.8, -0.2, 0.4], [-0.6, 0.5, 0.45]]
+
+
+@pytest.mark.parametrize("kind", ["simplicial", "cubical"])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_cochain_reads_one_block_bit_for_bit(sl2_chain_float, monkeypatch, kind, k):
+    """Every entry of every block, on both sl2 chain representations: the
+    cochain evaluates rho and the density at the entry's block only, and
+    its values equal the ones read off every block, bit for bit, at a word,
+    a permutation of it and a split piece; an entry past the blocks is
+    refused."""
+    g = sl2_chain_float.algebra
+    seen = []
+    density_batch = integrate.density_batch
+
+    def spy(flat_, data):
+        seen.append(list(data.rho.blocks))
+        return density_batch(flat_, data)
+
+    for flat in (FlatRep(sl2_chain_float), FlatRep(chain_rep(g, adjoint_rep(g, mode=FLOAT)))):
+        theta = WordEvaluator(flat, GENERIC[:k], domain="cube")
+        evs = [theta, PermReparam(theta, tuple(range(k))[::-1]), split_upper(theta, k - 1, 0.35)]
+        sizes = [flat.space.dim(t) * flat.space.dim(t + k) for t in flat.targets(k)]
+        for entry in range(sum(sizes)):
+            c = IntegrationCochain(flat, k, kind, entry, 4)
+            want = all_blocks_cochain_values(c, evs)
+            monkeypatch.setattr(integrate, "density_batch", spy)
+            seen.clear()
+            assert [v.hex() for v in c.values(evs)] == [v.hex() for v in want]
+            monkeypatch.undo()
+            block = int(np.searchsorted(np.cumsum(sizes), entry, side="right"))
+            assert seen == [[flat.targets(k)[block]]] * len(evs)
+        with pytest.raises(IndexError):
+            IntegrationCochain(flat, k, kind, sum(sizes), 4)

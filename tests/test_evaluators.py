@@ -10,7 +10,7 @@ import scipy.linalg
 
 from cartankit import evaluators, integrate, linalg
 from cartankit.evaluators import (AffineReparam, ChainCombination, FlatRep,
-                                  MaxCollapseReparam, PermReparam, PointEvaluator,
+                                  MaxCollapseReparam, PermReparam, PointData, PointEvaluator,
                                   ProductEvaluator, WordEvaluator, alternation, boundary,
                                   ez_product, face_map, interior_points, shuffles,
                                   thinness_check)
@@ -20,8 +20,9 @@ from cartankit.lie import abelian
 from cartankit.linalg import FLOAT
 from cartankit.reps import adjoint_rep, chain_rep, trivial_lie_rep
 from aw_coproduct import aw_coproduct_word
-from dense_reference import (collapse_push, flatten_operator, identity_started_eval,
-                             loop_face_map, operator_of, perm_lift, perm_push, total_of)
+from dense_reference import (collapse_push, cumprod_at, flatten_operator, identity_started_eval,
+                             loop_face_map, operator_of, perm_lift, perm_push, sorted_tree_eval,
+                             total_of)
 
 
 @pytest.fixture(scope="module")
@@ -134,15 +135,23 @@ def _bitwise(a, b):
 
 
 def _same(a, b):
+    """Bit-equal outputs; an inverse adjoint that is not formed (None) only
+    equals one that is not formed."""
     return (a.rho.blocks.keys() == b.rho.blocks.keys()
             and all(_bitwise(a.rho.blocks[d], b.rho.blocks[d]) for d in a.rho.blocks)
-            and _bitwise(a.ad_inv, b.ad_inv) and _bitwise(a.xi, b.xi))
+            and (a.ad_inv is None and b.ad_inv is None
+                 or a.ad_inv is not None and b.ad_inv is not None
+                 and _bitwise(a.ad_inv, b.ad_inv))
+            and _bitwise(a.xi, b.xi))
 
 
 @pytest.mark.parametrize("degrees", [None, [-2, -1]], ids=["all", "targets"])
 def test_eval_many_equals_each_request_alone(flat, degrees):
     """Requests of every evaluator kind, nested and sharing word evaluators,
-    evaluated together are bit-equal to each one evaluated alone."""
+    evaluated together are bit-equal to each one evaluated alone.  Only the
+    product requests carry an inverse adjoint, although their words are
+    shared with requests that carry none; a direct word evaluation forms
+    it, and its other outputs are the same bits."""
     word = WordEvaluator(flat, GENERIC_LETTERS[:2])
     other = WordEvaluator(flat, GENERIC_LETTERS[1:], prefix=[GENERIC_LETTERS[0]])
     faces = [ev for _, ev in boundary(word).terms]
@@ -161,7 +170,12 @@ def test_eval_many_equals_each_request_alone(flat, degrees):
     assert len(together) == len(requests)
     for (ev, points), data in zip(requests, together):
         assert data.xi.shape[:2] == (len(points), ev.k)
-        assert _same(data, ev.eval(points, degrees))
+        assert (data.ad_inv is None) != isinstance(ev, ProductEvaluator)
+        alone = ev.eval(points, degrees)
+        if isinstance(ev, WordEvaluator):
+            assert alone.ad_inv is not None
+            alone = PointData(alone.rho, None, alone.xi)
+        assert _same(data, alone)
 
 
 def test_eval_many_evaluates_each_word_once(flat, monkeypatch):
@@ -169,9 +183,9 @@ def test_eval_many_evaluates_each_word_once(flat, monkeypatch):
     calls = []
     word_eval = WordEvaluator.eval
 
-    def counted(self, points, degrees=None):
+    def counted(self, points, degrees=None, adjoint=True):
         calls.append(len(points))
-        return word_eval(self, points, degrees)
+        return word_eval(self, points, degrees, adjoint)
 
     monkeypatch.setattr(WordEvaluator, "eval", counted)
     faces = boundary(word)
@@ -217,9 +231,9 @@ def test_batches_stay_within_the_point_budget(flat, monkeypatch):
     sizes = []
     word_eval = WordEvaluator.eval
 
-    def counted(self, points, degrees=None):
+    def counted(self, points, degrees=None, adjoint=True):
         sizes.append(len(points))
-        return word_eval(self, points, degrees)
+        return word_eval(self, points, degrees, adjoint)
 
     monkeypatch.setattr(WordEvaluator, "eval", counted)
     for budget, want in ((500, [216, 216, 432, 432]), (100, [216] * 6)):
@@ -588,3 +602,108 @@ def test_point_evaluator_value(flat, sl2_basis_float):
     assert np.max(np.abs(val - want)) < 1e-12
     # read off the prefix blocks, the value is the batch evaluation's row
     assert np.array_equal(val, total_of(flat, point.eval(np.zeros((1, 0))).rho[0], 0))
+
+
+def _kernel_points(k, domain):
+    """The order-4 nodes of the simplex or the cube, each row twice, in a
+    seeded order."""
+    if k == 0:
+        return np.zeros((3, 0))
+    nodes = (simplex_nodes if domain == "simplex" else cube_nodes)(k, 4)[0]
+    return np.concatenate([nodes] * 2)[np.random.default_rng(k).permutation(2 * len(nodes))]
+
+
+@pytest.mark.parametrize("domain", ["simplex", "cube"])
+@pytest.mark.parametrize("n_prefix", [0, 1, 2])
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_word_eval_equals_the_sorted_tree_reference(sl2_flats, sl2_basis_float, k, n_prefix,
+                                                    domain):
+    """The first slot's prefixes taken as its values (a bare word's factors
+    as they are), the last slot's products per point, the powers built a
+    column at a time: rho, ad_inv and xi equal the kernel that sorted every
+    slot, started at the identity and took its powers by ``cumprod``, bit
+    for bit, on repeated rows, for generic and basis letters.  Without
+    ``adjoint`` only the inverse adjoint is left out."""
+    e = sl2_basis_float
+    prefix = [GENERIC_LETTERS[2], e[1]][:n_prefix]
+    points = _kernel_points(k, domain)
+    for flat in sl2_flats:
+        for letters in (GENERIC_LETTERS[:k], [e[2], e[0], e[1]][:k]):
+            ev = WordEvaluator(flat, letters, prefix=prefix)
+            for degrees in (None, flat.targets(k)):
+                want = sorted_tree_eval(ev, points, degrees)
+                assert _same(ev.eval(points, degrees), want)
+                assert _same(ev.eval(points, degrees, adjoint=False),
+                             PointData(want.rho, None, want.xi))
+
+
+@pytest.mark.parametrize("r, s", [(0, 2), (1, 1), (1, 2), (2, 1)])
+def test_shuffle_terms_equal_the_sorted_tree_reference(sl2_flats, sl2_basis_float, r, s):
+    """Every shuffle term of a bare word times a prefixed word, evaluated
+    together with its factors alone, equals the sorted-tree kernel pushed
+    through the same product bit for bit; the factors alone carry no
+    inverse adjoint."""
+    for flat in sl2_flats:
+        left = WordEvaluator(flat, GENERIC_LETTERS[:r])
+        right = WordEvaluator(flat, GENERIC_LETTERS[3 - s:], prefix=[sl2_basis_float[2]])
+        for domain in ("simplex", "cube"):
+            points = _kernel_points(r + s, domain)
+            terms = [(ev, points) for _, ev in ez_product(left, right).terms]
+            alone = [(left, _kernel_points(r, domain)), (right, _kernel_points(s, domain))]
+            degrees = flat.targets(r + s)
+            datas = list(evaluators.eval_many(terms + alone, degrees))
+            for (ev, pts), data in zip(terms + alone, datas):
+                want = sorted_tree_eval(ev, pts, degrees)
+                if isinstance(ev, WordEvaluator):
+                    want = PointData(want.rho, None, want.xi)
+                assert _same(data, want)
+
+
+def test_taylor_powers_equal_cumprod(sl2_flats, sl2_basis_float):
+    """Powers of t built one column at a time equal ``cumprod`` along each
+    row, bit for bit, for every table, at Gauss values, their negatives,
+    signed zeros, repeated values and one point."""
+    values, _ = gauss_01(16)
+    t = np.concatenate([values, -values, [0.0, -0.0, 1.0, 1.0, -1.0]])
+    for flat in sl2_flats:
+        for x in sl2_basis_float + GENERIC_LETTERS:
+            for table in [flat.exp_factors(x, d) for d in flat.space.degrees] + \
+                    [flat.exp_ad_factors(x)]:
+                for points in (t, t[:1]):
+                    assert _bitwise(table.at(points), cumprod_at(table, points))
+
+
+def test_slot_one_adjoint_only_where_a_product_reads_it(flat, monkeypatch):
+    """Slot 1's adjoint table is read (``TaylorExp.at``) by no request
+    without a product (the word, a permutation, a collapse, its faces, its
+    quadrature), once by the one evaluation that serves product requests,
+    and once by a direct evaluation; the inverse adjoints formed equal the
+    sorted-tree reference bit for bit."""
+    reads = []
+    taylor_at = linalg.TaylorExp.at
+
+    def counted(self, t):
+        reads.append(self)
+        return taylor_at(self, t)
+
+    monkeypatch.setattr(linalg.TaylorExp, "at", counted)
+    word = WordEvaluator(flat, GENERIC_LETTERS)
+    nodes, cube = simplex_nodes(3, 4)[0], cube_nodes(3, 3)[0]
+    requests = [(word, nodes), (PermReparam(word, (2, 0, 1)), cube),
+                (MaxCollapseReparam(word), cube)]
+    for data in evaluators.eval_many(requests, flat.targets(3)):
+        assert data.ad_inv is None
+    list(evaluators.eval_many([(ev, simplex_nodes(2, 4)[0]) for _, ev in boundary(word).terms]))
+    integrate.integrate_quadrature(flat, word, 4)
+    assert word._ad[0] not in reads and reads.count(word._ad[1]) == 3
+    left, right = WordEvaluator(flat, GENERIC_LETTERS[:2]), WordEvaluator(flat, GENERIC_LETTERS[2:])
+    terms = [(ev, nodes) for _, ev in ez_product(left, right).terms]
+    reads.clear()
+    datas = list(evaluators.eval_many(terms + [(left, simplex_nodes(2, 4)[0])]))
+    assert reads.count(left._ad[0]) == 1
+    for (ev, points), data in zip(terms, datas):
+        assert _bitwise(data.ad_inv, sorted_tree_eval(ev, points).ad_inv)
+    assert datas[-1].ad_inv is None
+    reads.clear()
+    assert _bitwise(word.eval(nodes).ad_inv, sorted_tree_eval(word, nodes).ad_inv)
+    assert reads.count(word._ad[0]) == 1

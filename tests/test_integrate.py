@@ -28,8 +28,8 @@ from cartankit.reps import (CartanRep, adjoint_rep, cartan_residuals, chain_rep,
                             trivial_cartan_rep, trivial_lie_rep)
 from cartankit.schemas import dump_operator
 from aw_coproduct import aw_monoidality_residual, aw_tensor_residual, differentiate_richardson
-from dense_reference import (contraction_of, exp_operator, flatten_operator,
-                             operator_from_blocks, pairwise_merged_pair,
+from dense_reference import (concatenating_series, contraction_of, exp_operator,
+                             flatten_operator, operator_from_blocks, pairwise_merged_pair,
                              pairwise_word_integral, phi1)
 from test_stacked import _assert_int64_iff_fits, _assert_same
 
@@ -175,6 +175,32 @@ def test_series_cap_reports_nonconvergence(sl2_chain_float):
     x = g.vector([0.0, 0.0, 9.0], FLOAT)      # semisimple direction: no early termination
     with pytest.raises(RuntimeError):
         integrate_series(sl2_chain_float, [x], max_degree=3)
+
+
+SERIES_LETTERS = [[0.3, 0.7, -0.5], [0.8, -0.2, 0.4], [-0.6, 0.5, 0.45]]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_float_series_equals_the_concatenating_loop(sl2_chain_float, k):
+    """Each layer written in place into one preallocated array and added to
+    the running sum in place: the float series equals the loop that
+    concatenated every layer bit for bit, on both sl2 chain representations,
+    for generic and basis letters (their zeros and signs included), and
+    stops with the same error when it does not converge or overflows."""
+    g = sl2_chain_float.algebra
+    basis = [list(g.basis_vector(i, FLOAT)) for i in range(3)]
+    for rep in (sl2_chain_float, chain_rep(g, adjoint_rep(g, mode=FLOAT))):
+        for letters in (SERIES_LETTERS[:k], [basis[2], basis[0], basis[1]][:k]):
+            letters = [g.vector(x, FLOAT) for x in letters]
+            _assert_same(integrate_series(rep, letters), concatenating_series(rep, letters))
+        for letters, cap in (([[0, 0, 9.0], [0, 9.0, 9.0], [9.0, 0, 9.0]], 3),
+                             ([[1e6, 1e6, 0], [1e6, -1e6, 0], [0, 1e6, 1e6]], 60)):
+            letters = [g.vector(x, FLOAT) for x in letters[:k]]
+            with pytest.raises(integrate.ConvergenceError) as got:
+                integrate_series(rep, letters, max_degree=cap)
+            with pytest.raises(integrate.ConvergenceError) as want:
+                concatenating_series(rep, letters, max_degree=cap)
+            assert str(got.value) == str(want.value)
 
 
 def test_empty_word_acts_as_identity(h3_chain_exact):

@@ -222,6 +222,43 @@ def test_cli_exit_two_on_float_overflow(tmp_path, capsys, letter, argv, message)
     assert captured.err.strip().splitlines() == [f"error: {message}"]
 
 
+@pytest.mark.parametrize("word", [[[1e6, 1e6, 0]], [[1e6, 1e6, 0], [0, 0, 1]]],
+                         ids=["one_letter", "two_letters"])
+def test_cli_cubical_exit_two_on_float_overflow(tmp_path, capsys, word):
+    """A cube word whose density leaves the float range exits 2 with one
+    line: the entry's density and the cochain values are read with float
+    overflow silenced, and no numpy warning escapes (the test configuration
+    turns a ``RuntimeWarning`` into an error)."""
+    payload = json.loads(json.dumps(SL2_PAYLOAD))
+    payload["words"]["big"] = word
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(payload))
+    code = cli.main(["cubical", str(path), "--rep", "chain_trivial", "--word", "big"])
+    captured = capsys.readouterr()
+    assert code == 2 and "passed" not in captured.out
+    assert captured.err.strip().splitlines() == ["error: pullback density is not finite"]
+
+
+@pytest.mark.parametrize("argv, word, message", [
+    (["cubical", "--word"], [], "word 'w' has no letters; the cubical checks need one"),
+    (["verify-module", "--words"], [], "word 'w' has no letters; the module checks need one"),
+    (["cubical", "--word"], [[1, 0, 0], [0, 0, 1], [0, 1, 0], [1, 0, 1]],
+     "word 'w' has 4 letters, and rep 'chain_trivial' has no degree -4 density to check"),
+], ids=["cubical_empty", "verify_module_empty", "cubical_four_letters"])
+def test_cli_exit_two_on_a_word_the_suites_cannot_check(tmp_path, capsys, argv, word, message):
+    """A word with no letters, or with more letters than the complex has
+    degrees to span, is refused with one line and exit 2, not a traceback
+    and exit 1 (which means a check failed)."""
+    payload = json.loads(json.dumps(SL2_PAYLOAD))
+    payload["words"]["w"] = word
+    path = tmp_path / "words.json"
+    path.write_text(json.dumps(payload))
+    code = cli.main([argv[0], str(path), "--rep", "chain_trivial", argv[1], "w"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.strip().splitlines() == [f"error: {message}"]
+
+
 def test_series_cap_budget_admits_its_largest_cap(problem_file):
     """The largest cap runs, and every float coefficient of a 10-letter word
     up to it is a nonzero float (the smallest, 1 / (cap + 10)!, included)."""
