@@ -97,11 +97,11 @@ class PointData:
 
 
 class FlatRep:
-    """A float representation of the Cartan DG Lie algebra held as dense
-    degree blocks for batch work: the L operators stacked per degree, the
-    B operators stacked per source degree, and per letter x one Taylor
-    exponential of each degree block of L(x) and one of ad(x), built on
-    first use."""
+    """The float view ``rep.flat`` of a representation of the Cartan DG Lie
+    algebra, read by the float series, the evaluators and the densities:
+    the L operators stacked per degree and the B operators per source degree
+    as dense blocks, and per letter x one Taylor exponential of each degree
+    block of L(x) and one of ad(x), built on first use."""
 
     def __init__(self, rep):
         if rep.mode != FLOAT:
@@ -112,10 +112,10 @@ class FlatRep:
         self.total_dim = self.space.total_dim
         degrees, n, dim = self.space.degrees, rep.algebra.n, self.space.dim
         # L[d]: (n, dim d, dim d); B[s]: (n, dim(s - 1), dim s), leaving degree s:
-        # the degree blocks of the stacks, label by label
-        self.L = {d: rep.L_stack.block(d).reshape(n, dim(d), dim(d)) for d in degrees}
-        self.B = {s: rep.B_stack.block(s).reshape(n, dim(s - 1), dim(s))
-                  for s in range(degrees[0] + 1, degrees[-1] + 1)}
+        # the degree blocks of the stacks, label by label, empty ones included
+        span = range(degrees[0], degrees[-1] + 1)
+        self.L = {d: rep.L_stack.block(d).reshape(n, dim(d), dim(d)) for d in span}
+        self.B = {s: rep.B_stack.block(s).reshape(n, dim(s - 1), dim(s)) for s in span[1:]}
         self._exp_cache = {}
         self._ad_cache = {}
 
@@ -126,6 +126,10 @@ class FlatRep:
     def action(self, x, d: int) -> np.ndarray:
         """The degree-d block of L(x)."""
         return np.einsum("i,iab->ab", np.asarray(x, dtype=float), self.L[d])
+
+    def contraction(self, x, s: int) -> np.ndarray:
+        """The block of B(x) leaving degree s."""
+        return np.einsum("i,iab->ab", np.asarray(x, dtype=float), self.B[s])
 
     def ad(self, x) -> np.ndarray:
         """ad(x) as a float matrix."""

@@ -382,8 +382,8 @@ def _tensor_sum(pairs, descending=False, signs=None, labels=None):
     den = math.lcm(*(f._den * g._den for f, g in pairs))
     split = [[_split_labels(op, labels) for op in pair] for pair in pairs]
     bound = 0 if f0.mode == FLOAT else sum(
-        max(_product_bound(f, g, fl, gl, labels), 1) * (den // (f._den * g._den))
-        for (f, g), ((_, fl, _), (_, gl, _)) in zip(pairs, split))
+        max(f._max * g._max * (labels if fl is not None and gl is not None else 1), 1)
+        * (den // (f._den * g._den)) for (f, g), ((_, fl, _), (_, gl, _)) in zip(pairs, split))
     (_, _, v), (_, _, w) = split[0]
     rpos = _tensor_position(v, w, descending)
     cpos = _tensor_position(f0.source, g0.source, descending)
@@ -426,21 +426,6 @@ def _split_labels(op, labels):
     if w != op.source:
         raise ValueError("tensor_operator: a stacked factor must be a family of endomorphisms")
     return row, label, w
-
-
-def _product_bound(f, g, fl, gl, labels):
-    """Largest entry of the product of f and g: the labelwise sum of
-    max|f_i| * max|g_i| when both are stacked, max|f| * max|g| otherwise."""
-    if fl is None or gl is None:
-        return f._max * g._max
-    return sum(a * b for a, b in zip(_label_max(f, fl, labels), _label_max(g, gl, labels)))
-
-
-def _label_max(op, label, n):
-    """max|f_i| for each label i of a stacked operator, as Python ints."""
-    top = np.zeros(n, dtype=op._data.dtype)
-    np.maximum.at(top, label, np.abs(op._data))
-    return top.tolist()
 
 
 def _label_join(fl, gl, n):

@@ -88,7 +88,7 @@ def density_batch(flat: FlatRep, data) -> Blocks:
         if flat.space.dim(t + k):
             for j in range(k):
                 bs = flat.B[t + j + 1]
-                b = (data.xi[:, j, :] @ bs.reshape(len(bs), -1)).reshape(-1, *bs.shape[1:])
+                b = (data.xi[:, j, :] @ bs.reshape(len(bs), -1)).reshape(len(data.xi), *bs.shape[1:])
                 block = np.matmul(block, b)
             out[t + k] = block
     return Blocks(out, data.xi.shape[0])
@@ -226,20 +226,19 @@ def _keep(q, p):
 
 def integrate_series(rep, letters, max_degree: int = DEFAULT_SERIES_CAP) -> GradedOperator:
     """Sum of B_1 A_1^{j_1} ... B_k A_k^{j_k} with the simplex moment
-    coefficients.  Float mode sums layer by layer to a tolerance.  Exact
-    mode reads each letter's power stack of B_i A_i^j up to its last
-    nonzero power (``reps.Letter.powers``), so it terminates exactly on
-    nilpotent inputs.  It composes the stacks from the right, each product
-    one ``product_sum`` holding every product under the label
+    coefficients.  Float mode reads the letters' blocks off ``rep.flat``
+    (``FlatRep.action``, ``contraction``) and sums layer by layer to a
+    tolerance.  Exact mode reads each letter's power stack of B_i A_i^j up
+    to its last nonzero power (``reps.Letter.powers``), so it terminates
+    exactly on nilpotent inputs.  It composes the stacks from the right,
+    each product one ``product_sum`` holding every product under the label
     (j_k, ..., j_i), k - 1 of them whatever the powers, the last one
     applying the coefficients (``label_combination`` for k = 1)."""
     k = len(letters)
-    space = rep.complex.space
     if k == 0:
-        return GradedOperator.identity(space, rep.mode)
+        return GradedOperator.identity(rep.complex.space, rep.mode)
     if rep.mode == FLOAT:
-        return _float_series(space, [rep.L_of(x) for x in letters],
-                             [rep.B_of(x) for x in letters], max_degree)
+        return _float_series(rep.flat, letters, max_degree)
     stacks = [rep.letter(x).powers for x in letters]
     coefficients = _exact_coefficients(tuple(size for _, size in stacks))
     out, labels = stacks[-1]
@@ -251,24 +250,26 @@ def integrate_series(rep, letters, max_degree: int = DEFAULT_SERIES_CAP) -> Grad
     return product_sum([(coefficients, stacks[0][0], out)])
 
 
-def _float_series(space, A, B, max_degree):
-    """The float series on degree blocks.  The block from source degree q
-    walks the chain q -> q - 1 -> ... -> q - k, letter i acting from degree
-    q - k + 1 + i, and each layer sums all its terms in one batched product;
-    a sum past the float range stops it as unconverged."""
-    k = len(A)
-    chains = {q: [(A[i].block(s), B[i].block(s)) for i, s in enumerate(range(q - k + 1, q + 1))]
-              for q in space.degrees if space.dim(q - k)}
-    # powers[q][i][j] = B_i A_i^j on the chain of q, filled one power per layer
-    powers = {q: [np.zeros((max_degree + 1,) + b.shape) for _, b in chain]
-              for q, chain in chains.items()}
-    # block entries, blocks by source degree: the running sum, and a layer's
-    # sum, which each block's product writes in place through its view
-    shapes = [(space.dim(q - k), space.dim(q)) for q in chains]
-    stops = np.cumsum([0] + [r * c for r, c in shapes])
-    acc, layer_sum = np.zeros((2, stops[-1]))
-    views = [layer_sum[a:b].reshape(shape) for a, b, shape in zip(stops, stops[1:], shapes)]
+def _float_series(flat, letters, max_degree):
+    """The float series on the degree blocks of ``flat``.  The block from
+    source degree q walks the chain q -> q - 1 -> ... -> q - k, letter i
+    acting from degree q - k + 1 + i, and each layer sums all its terms in
+    one batched product; a letter or a sum past the float range stops it as
+    unconverged."""
+    space, k = flat.space, len(letters)
     with np.errstate(over="ignore", invalid="ignore"):
+        chains = {q: [(flat.action(x, s), flat.contraction(x, s))
+                      for x, s in zip(letters, range(q - k + 1, q + 1))]
+                  for q in space.degrees if space.dim(q - k)}
+        # powers[q][i][j] = B_i A_i^j on the chain of q, filled one power per layer
+        powers = {q: [np.zeros((max_degree + 1,) + b.shape) for _, b in chain]
+                  for q, chain in chains.items()}
+        # block entries, blocks by source degree: the running sum, and a layer's
+        # sum, which each block's product writes in place through its view
+        shapes = [(space.dim(q - k), space.dim(q)) for q in chains]
+        stops = np.cumsum([0] + [r * c for r, c in shapes])
+        acc, layer_sum = np.zeros((2, stops[-1]))
+        views = [layer_sum[a:b].reshape(shape) for a, b, shape in zip(stops, stops[1:], shapes)]
         for layer in range(0, max_degree + 1):
             js, coefs = _layer_terms(layer, k)
             for (q, chain), view in zip(chains.items(), views):
@@ -323,7 +324,7 @@ def _slot_density(rep, slot):
     x, *rest = slot
     exp = rep.letter(x).exp_stack
     if not rest:
-        return compose(exp[0], rep.B_of(x)), exp[1]
+        return compose(exp[0], rep.letter(x).B), exp[1]
     (y,) = rest
     ad, xi = rep.algebra.ad(rep.algebra.vector(list(y))), [rep.algebra.vector(list(x))]
     while (nxt := Fraction(-1, len(xi)) * ad.dot(xi[-1])).any():
@@ -436,7 +437,8 @@ def mu_p_residual(flat: FlatRep, factors, tangents) -> float:
     rhos = [GradedOperator.from_block_entries(flat.space, flat.space, 0, d.rho[0], FLOAT)
             for d in datas]
     ad_invs = [d.ad_inv[0] for d in datas]
-    contraction = flat.rep.B_of           # degree -1 action, as an operator
+    B = flat.rep.B_stack            # B(x) = label_combination(x, B), the degree -1 action
+    beta = [[label_combination(t, B) for t in row] for row in tangents]     # B(tangents[m, l])
     # suffix conjugators: Ad of the inverse of the product of later factors
     conj = [None] * p
     suffix = np.eye(n)
@@ -449,7 +451,7 @@ def mu_p_residual(flat: FlatRep, factors, tangents) -> float:
     for l in range(1, p):
         lhs = compose(lhs, rhos[l])
     for m in range(k):
-        lhs = compose(lhs, contraction(eta[m]))
+        lhs = compose(lhs, label_combination(eta[m], B))
     # right side: sum over assignments of tangent slots to factors
     coeffs, terms = [1], [lhs]
     for labels in iter_product(range(p), repeat=k):
@@ -459,7 +461,7 @@ def mu_p_residual(flat: FlatRep, factors, tangents) -> float:
         for l in range(p):
             piece = rhos[l]
             for m in blocks[l]:
-                piece = compose(piece, contraction(tangents[m, l]))
+                piece = compose(piece, beta[m][l])
             term = piece if term is None else compose(term, piece)
         coeffs.append(-perm_sign(seq))
         terms.append(term)
@@ -474,12 +476,11 @@ class ChainModule:
     """Module over group chains induced by integrating a representation.
 
     Words act by the coefficient series (``integrate_series``) in either
-    mode; a point acts by its group value, ``PointEvaluator.value`` in
-    float mode and ``point_value`` in exact mode."""
+    mode; a point acts by its group value, ``PointEvaluator.value`` on
+    ``rep.flat`` in float mode and ``point_value`` in exact mode."""
 
     def __init__(self, rep):
         self.rep = rep
-        self.flat = FlatRep(rep) if rep.mode == FLOAT else None
 
     @property
     def complex(self):
@@ -493,9 +494,9 @@ class ChainModule:
         return integrate_series(self.rep, letters)
 
     def act_point(self, prefix) -> GradedOperator:
-        if self.flat is None:
+        if self.rep.mode != FLOAT:
             return point_value(self.rep, prefix)
-        return PointEvaluator(self.flat, prefix=prefix).value()
+        return PointEvaluator(self.rep.flat, prefix=prefix).value()
 
 
 def differentiate_module(module, h: float):

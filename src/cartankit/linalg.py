@@ -196,10 +196,16 @@ class TaylorExp:
     """exp(t A) over batches of t, by scaled Taylor polynomial + squaring
     (Moler and Van Loan, 2003): the squarings scale A to infinity-norm (max
     row sum) at most 1/2.  The kit's one float exponential: word batches
-    reuse a table per letter, ``expm`` is its one-point case."""
+    reuse a table per letter, ``expm`` is its one-point case.  Past the
+    float range it gives inf or NaN (a NaN table when the norm of A is past
+    it) without a warning, for the callers' finite checks to report."""
 
     def __init__(self, a: np.ndarray):
-        norm = float(np.abs(a).sum(axis=1).max(initial=0.0))
+        with np.errstate(over="ignore"):
+            norm = float(np.abs(a).sum(axis=1).max(initial=0.0))
+        if not math.isfinite(norm):
+            self.squarings, self.coeffs = 0, np.full((1,) + a.shape, np.nan)
+            return
         self.squarings = max(0, int(np.ceil(np.log2(norm))) + 1) if norm > 1 else 0
         scaled = a / (2.0 ** self.squarings)
         terms = [np.eye(a.shape[0])]
@@ -222,8 +228,9 @@ class TaylorExp:
         # one (1, M) @ (M, d*d) product per point, not one GEMM, whose BLAS
         # path for a one-point batch differs: rows must not depend on the batch
         out = np.matmul(powers[:, None, :], self.coeffs.reshape(m, d * d)).reshape(-1, d, d)
-        for _ in range(self.squarings):
-            out = np.matmul(out, out)
+        with np.errstate(over="ignore", invalid="ignore"):      # past the float range: inf, NaN
+            for _ in range(self.squarings):
+                out = np.matmul(out, out)
         return out
 
 

@@ -9,8 +9,10 @@ operators are stacked into V -> K ox V over degree-0 labels K
 ``CartanRep`` builds the operators of each letter x once (``Letter``, a
 bounded cache keyed by the coordinates): L(x) and B(x), and on first use
 the stacked terms of the exact exponential of L(x) and the power stack of
-the exact series, all shared read-only.  The constructions build the
-stacks directly, in a fixed number of operator calls whatever n is.
+the exact series, all shared read-only.  The float series, quadrature and
+point values read the generators through ``rep.flat`` (``FlatRep``, built
+on first use), not the letter cache.  The constructions build the stacks
+directly, in a fixed number of operator calls whatever n is.
 ``cartan_residuals`` measures how far the family is from satisfying the
 Cartan relations, each relation family as one ``graded.product_sum``:
 (1_K ox L) B holds every L_i B_j, a swap of the two labels the reversed
@@ -34,6 +36,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from . import ce, linalg
+from .evaluators import FlatRep
 from .graded import (MINUS_UNIT, UNIT, CochainComplex, GradedOperator, GradedVectorSpace,
                      compose, dual_complex, dual_operator, dual_space, exp_terms, hom_system,
                      label_combination, label_space, product_sum, read_only, stack,
@@ -128,11 +131,11 @@ class CartanRep:
                                                 label_combination(x, self.B_stack))
         return entry
 
-    def L_of(self, x) -> GradedOperator:
-        return self.letter(x).L
-
-    def B_of(self, x) -> GradedOperator:
-        return self.letter(x).B
+    @cached_property
+    def flat(self) -> FlatRep:
+        """The float view: the dense degree blocks of the stacks, built once;
+        ``ModeError`` in exact mode."""
+        return FlatRep(self)
 
 
 class Letter:

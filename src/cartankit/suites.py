@@ -10,7 +10,7 @@ from math import comb
 import numpy as np
 
 from . import ce, cubical, integrate, linalg, reps
-from .evaluators import FlatRep, WordEvaluator, ez_product, interior_points, thinness_check
+from .evaluators import WordEvaluator, ez_product, interior_points, thinness_check
 from .graded import GradedVectorSpace, compose, dual_space, tensor_space
 from .linalg import FLOAT
 from .report import Report
@@ -92,9 +92,8 @@ def integrate_word(problem, rep_name, word_name, method="both") -> Report:
     if method in ("series", "both"):
         results["series"] = integrate.integrate_series(rep, letters, max_degree=s.series_cap)
     if method in ("quadrature", "both"):
-        flat = FlatRep(rep)
         results["quadrature"] = integrate.integrate_quadrature(
-            flat, WordEvaluator(flat, letters), s.order)
+            rep.flat, WordEvaluator(rep.flat, letters), s.order)
     payload = dump_operator(next(iter(results.values())))
     if len(results) == 2:
         cross = (results["series"] - results["quadrature"]).norm()
@@ -113,7 +112,7 @@ def verify_module(problem, rep_name, word_names) -> Report:
     if rep.mode != FLOAT:
         raise linalg.ModeError("module law checks run in float mode")
     s = problem.settings
-    flat = FlatRep(rep)
+    flat = rep.flat
     words = {name: problem.word(name) for name in word_names}
     for name, letters in words.items():
         if not letters:
@@ -209,7 +208,7 @@ def cubical_suite(problem, rep_name, word_name) -> Report:
     if rep.mode != FLOAT:
         raise linalg.ModeError("cubical checks run in float mode")
     s = problem.settings
-    flat = FlatRep(rep)
+    flat = rep.flat
     letters = problem.word(word_name)
     k = len(letters)
     _check_nodes(s.order, k)

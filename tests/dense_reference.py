@@ -229,12 +229,12 @@ def exp_operator(op, t=1):
 
 def operator_of(flat, x):
     """Total matrix of the degree-0 action of x."""
-    return flatten_operator(flat.rep.L_of(np.asarray(x, dtype=float)))
+    return flatten_operator(flat.rep.letter(np.asarray(x, dtype=float)).L)
 
 
 def contraction_of(flat, x):
     """Total matrix of the degree-(-1) action of x."""
-    return flatten_operator(flat.rep.B_of(np.asarray(x, dtype=float)))
+    return flatten_operator(flat.rep.letter(np.asarray(x, dtype=float)).B)
 
 
 def total_of(flat, row, degree):
@@ -354,7 +354,7 @@ def concatenating_series(rep, letters, max_degree=60):
     """The float series of ``integrate.integrate_series`` with each layer's
     blocks concatenated into a new array and added to a new running sum."""
     space, k = rep.complex.space, len(letters)
-    A, B = [rep.L_of(x) for x in letters], [rep.B_of(x) for x in letters]
+    A, B = [rep.letter(x).L for x in letters], [rep.letter(x).B for x in letters]
     chains = {q: [(A[i].block(s), B[i].block(s)) for i, s in enumerate(range(q - k + 1, q + 1))]
               for q in space.degrees if space.dim(q - k)}
     powers = {q: [np.zeros((max_degree + 1,) + b.shape) for _, b in chain]
@@ -459,8 +459,8 @@ def dense_density(flat, ev, points):
 def dense_series(rep, letters, max_degree=60, tol=1e-14):
     """The float coefficient series summed on total matrices, layer by layer."""
     k = len(letters)
-    a = [flatten_operator(rep.L_of(x)) for x in letters]
-    b = [flatten_operator(rep.B_of(x)) for x in letters]
+    a = [flatten_operator(rep.letter(x).L) for x in letters]
+    b = [flatten_operator(rep.letter(x).B) for x in letters]
     powers = []
     for i in range(k):
         ps = [b[i]]
@@ -488,7 +488,7 @@ def loop_series(rep, letters):
     k, space = len(letters), rep.complex.space
     powers = []
     for x in letters:
-        a, ps = rep.L_of(x), [rep.B_of(x)]
+        a, ps = rep.letter(x).L, [rep.letter(x).B]
         while (nxt := matched_compose(ps[-1], a)).norm():
             ps.append(nxt)
         powers.append(ps)
@@ -532,7 +532,7 @@ class MatPoly:
 
 def exp_poly(rep, x):
     """exp(t L(x)) as a ``MatPoly``: the terms of ``graded.exp_terms``."""
-    return MatPoly(exp_terms(rep.L_of(x)))
+    return MatPoly(exp_terms(rep.letter(x).L))
 
 
 def pairwise_word_integral(rep, letters):
@@ -540,7 +540,7 @@ def pairwise_word_integral(rep, letters):
     last letter, the antiderivative of exp(t A) B times the inner polynomial."""
     inner = None
     for x in reversed(letters):
-        factor = exp_poly(rep, x).dot(MatPoly([rep.B_of(x)]))
+        factor = exp_poly(rep, x).dot(MatPoly([rep.letter(x).B]))
         inner = (factor if inner is None else factor.dot(inner)).antiderivative()
     return inner.value_at_1()
 
@@ -553,7 +553,7 @@ def pairwise_merged_pair(rep, x, y):
     ad_neg_y = exp_terms(Fraction(-1) * ad_operator(algebra, algebra.vector(list(y))))
     xi = [apply(c, {0: np.asarray(x)})[0] for c in ad_neg_y]
     xi[0] = xi[0] + np.asarray(y)
-    return rho.dot(MatPoly([rep.B_of(v) for v in xi])).antiderivative().value_at_1()
+    return rho.dot(MatPoly([rep.letter(v).B for v in xi])).antiderivative().value_at_1()
 
 
 def on_labels(n, op):

@@ -80,8 +80,8 @@ def test_criterion_02_one_letter_series_vs_closed_form():
         coords = rng.normal(size=3)
         coords /= np.linalg.norm(coords)
         x = g.vector(list(coords), FLOAT)
-        a = flatten_operator(rep.L_of(x))
-        b = flatten_operator(rep.B_of(x))
+        a = flatten_operator(rep.letter(x).L)
+        b = flatten_operator(rep.letter(x).B)
         series = flatten_operator(integrate_series(rep, [x]))
         worst = max(worst, float(np.max(np.abs(series - b.dot(phi1(a))))))
     _report(2, "one-letter series equals contraction times phi1 (10 seeds)", worst, 1e-12)

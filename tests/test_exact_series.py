@@ -139,8 +139,8 @@ def test_stacked_polynomials_equal_the_per_pair_reference(h3_reps, coeff, word):
     for x in reversed(letters):
         exp, count = rep.letter(x).exp_stack
         _assert_poly((exp, count), exp_poly(rep, x))
-        factor = compose(exp, rep.B_of(x)), count
-        factor_ref = exp_poly(rep, x).dot(MatPoly([rep.B_of(x)]))
+        factor = compose(exp, rep.letter(x).B), count
+        factor_ref = exp_poly(rep, x).dot(MatPoly([rep.letter(x).B]))
         _assert_poly(factor, factor_ref)
         product_ref = factor_ref if reference is None else factor_ref.dot(reference)
         if inner is not None:
@@ -270,7 +270,7 @@ def test_letter_cache_shares_operators_and_stays_bounded(h3_reps, mode):
     x = g.vector([1, -2, 1], mode)
     first = rep.letter(x)
     assert rep.letter(list(x)) is first
-    assert rep.L_of(x) is first.L and rep.B_of(g.vector([1, -2, 1], mode)) is first.B
+    assert rep.letter(x).L is first.L and rep.letter(g.vector([1, -2, 1], mode)).B is first.B
     assert not first.L._data.flags.writeable and not first.B._data.flags.writeable
     for i in range(LETTER_CACHE + 10):
         rep.letter(g.vector([i, 1, 2], mode))

@@ -9,7 +9,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from cartankit import cli, integrate, reps
+from cartankit import cli, graded, integrate, reps
 from cartankit.evaluators import (FlatRep, MaxCollapseReparam, PermReparam,
                                   PointEvaluator, WordEvaluator, ez_product)
 from cartankit.graded import (CochainComplex, GradedOperator, GradedVectorSpace,
@@ -44,7 +44,7 @@ def pullback_word_closed(rep, letters, point) -> GradedOperator:
     """Closed form of the word pullback: B_1 e^{t_1 A_1} ... B_k e^{t_k A_k}."""
     out = None
     for x, t in zip(letters, point):
-        factor = compose(rep.B_of(x), exp_operator(rep.L_of(x), t))
+        factor = compose(rep.letter(x).B, exp_operator(rep.letter(x).L, t))
         out = factor if out is None else compose(out, factor)
     if out is None:
         return GradedOperator.identity(rep.complex.space, rep.mode)
@@ -80,7 +80,7 @@ def test_series_one_letter_zero_action_gives_contraction(h3_chain_exact):
     g = rep.algebra
     z = g.basis_vector(2)                                     # central: L_z = 0 on scalars
     out = integrate_series(rep, [z])
-    assert (out - rep.B_of(z)).norm() == 0.0
+    assert (out - rep.letter(z).B).norm() == 0.0
 
 
 def test_series_two_letters_zero_action_gives_half_product():
@@ -88,7 +88,7 @@ def test_series_two_letters_zero_action_gives_half_product():
     rep = chain_rep(g, trivial_lie_rep(g))                    # all L vanish
     x, y = g.basis_vector(0), g.basis_vector(1)
     out = integrate_series(rep, [x, y])
-    want = Fraction(1, 2) * compose(rep.B_of(x), rep.B_of(y))
+    want = Fraction(1, 2) * compose(rep.letter(x).B, rep.letter(y).B)
     assert (out - want).norm() == 0.0
 
 
@@ -100,8 +100,8 @@ def test_series_matches_phi1_closed_form(sl2_chain_float):
         coords = rng.normal(size=3)
         coords /= np.linalg.norm(coords)
         x = g.vector(list(coords), FLOAT)
-        a = flatten_operator(rep.L_of(x))
-        b = flatten_operator(rep.B_of(x))
+        a = flatten_operator(rep.letter(x).L)
+        b = flatten_operator(rep.letter(x).B)
         series = flatten_operator(integrate_series(rep, [x]))
         assert np.max(np.abs(series - b.dot(phi1(a)))) < 1e-12
 
@@ -178,21 +178,42 @@ def test_series_cap_reports_nonconvergence(sl2_chain_float):
 
 
 SERIES_LETTERS = [[0.3, 0.7, -0.5], [0.8, -0.2, 0.4], [-0.6, 0.5, 0.45]]
+ZERO_LETTERS = [[0.0, 0.7, -0.5], [-0.8, -0.0, 0.0], [0.0, 0.0, 0.45]]
 
 
-@pytest.mark.parametrize("k", [1, 2, 3])
+def _assert_same_bits(a, b):
+    assert a.shape == b.shape and np.array_equal(a, b)
+    assert np.array_equal(np.signbit(a), np.signbit(b))
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
 def test_float_series_equals_the_concatenating_loop(sl2_chain_float, k):
-    """Each layer written in place into one preallocated array and added to
-    the running sum in place: the float series equals the loop that
-    concatenated every layer bit for bit, on both sl2 chain representations,
-    for generic and basis letters (their zeros and signs included), and
-    stops with the same error when it does not converge or overflows."""
-    g = sl2_chain_float.algebra
-    basis = [list(g.basis_vector(i, FLOAT)) for i in range(3)]
-    for rep in (sl2_chain_float, chain_rep(g, adjoint_rep(g, mode=FLOAT))):
-        for letters in (SERIES_LETTERS[:k], [basis[2], basis[0], basis[1]][:k]):
-            letters = [g.vector(x, FLOAT) for x in letters]
-            _assert_same(integrate_series(rep, letters), concatenating_series(rep, letters))
+    """The float series reads its letter blocks off ``rep.flat`` and writes
+    each layer in place into one preallocated array; the loop reads them off
+    the letter operators (``rep.letter(x).L.block(s)``) and concatenates
+    every layer.  Both agree bit for bit (``np.array_equal`` and sign bits),
+    letter blocks and series alike, on both sl2 chain representations (8-
+    and 24-dim) and the heisenberg3 float chain, for generic letters, basis
+    letters and letters with zero coordinates (signed zeros included), and
+    stop with the same error when they do not converge or overflow."""
+    g, h = sl2_chain_float.algebra, heisenberg3()
+    sl2_reps = [sl2_chain_float, chain_rep(g, adjoint_rep(g, mode=FLOAT))]
+    for rep in sl2_reps + [chain_rep(h, trivial_lie_rep(h, mode=FLOAT))]:
+        alg, space = rep.algebra, rep.complex.space
+        basis = [list(alg.basis_vector(i, FLOAT)) for i in range(3)]
+        for letters in (SERIES_LETTERS[:k], [basis[2], basis[0], basis[1]][:k], ZERO_LETTERS[:k]):
+            letters = [alg.vector(x, FLOAT) for x in letters]
+            for x in letters:
+                for d in rep.flat.L:
+                    _assert_same_bits(rep.flat.action(x, d), rep.letter(x).L.block(d))
+                for s in rep.flat.B:
+                    _assert_same_bits(rep.flat.contraction(x, s), rep.letter(x).B.block(s))
+            got = integrate_series(rep, letters)
+            want = concatenating_series(rep, letters) if k else \
+                GradedOperator.identity(space, FLOAT)
+            _assert_same(got, want)
+            _assert_same_bits(flatten_operator(got), flatten_operator(want))
+    for rep in sl2_reps if k else ():
         for letters, cap in (([[0, 0, 9.0], [0, 9.0, 9.0], [9.0, 0, 9.0]], 3),
                              ([[1e6, 1e6, 0], [1e6, -1e6, 0], [0, 1e6, 1e6]], 60)):
             letters = [g.vector(x, FLOAT) for x in letters[:k]]
@@ -201,6 +222,23 @@ def test_float_series_equals_the_concatenating_loop(sl2_chain_float, k):
             with pytest.raises(integrate.ConvergenceError) as want:
                 concatenating_series(rep, letters, max_degree=cap)
             assert str(got.value) == str(want.value)
+
+
+def test_float_routes_cross_an_empty_degree():
+    """On a space with an empty degree between two others, a word whose
+    chain crosses it reads empty blocks off ``rep.flat``: series and
+    quadrature both give the zero operator."""
+    g = sl2()
+    space = GradedVectorSpace({0: 1, 2: 1})
+    family = {k: GradedOperator.zero(space, graded.tensor_space(graded.label_space(3), space),
+                                     k, FLOAT) for k in (0, -1)}
+    rep = CartanRep(g, CochainComplex(space, GradedOperator.zero(space, space, 1, FLOAT)),
+                    family[0], family[-1])
+    letters = [g.vector(x, FLOAT) for x in SERIES_LETTERS[:2]]
+    series = integrate_series(rep, letters)
+    quadrature = integrate_quadrature(rep.flat, WordEvaluator(rep.flat, letters))
+    assert series.degree == quadrature.degree == -2
+    assert series.norm() == quadrature.norm() == 0.0
 
 
 def test_empty_word_acts_as_identity(h3_chain_exact):
@@ -232,7 +270,7 @@ def test_eval_form_zero_simplices(flat, sl2_chain_float, sl2_basis_float):
     assert (out - ident).norm() == 0.0
     e = sl2_basis_float
     moved = eval_form(flat, PointEvaluator(flat, prefix=[e[0]]), [])
-    assert (moved - exp_operator(sl2_chain_float.L_of(e[0]))).norm() < 1e-13
+    assert (moved - exp_operator(sl2_chain_float.letter(e[0]).L)).norm() < 1e-13
 
 
 def test_point_value_is_exact_only(sl2_chain_float, sl2_basis_float):
@@ -378,6 +416,26 @@ def test_roundtrip_recovery_and_order(sl2_chain_float):
     e1, e2, ratio = roundtrip_errors(sl2_chain_float, 1e-4)
     assert e1 < 1e-6
     assert ratio >= 3.5
+
+
+def test_float_routes_read_the_one_float_view(monkeypatch, sl2_basis_float):
+    """On a fresh float rep, the series, the round trip and the product
+    pullback read the generators through ``rep.flat``, built once: no float
+    letter enters the letter cache, and the series reads no operator block."""
+    g = sl2()
+    rep = chain_rep(g, trivial_lie_rep(g, mode=FLOAT))
+    e = sl2_basis_float
+    flat = rep.flat
+    reads = []
+    block = GradedOperator.block
+    monkeypatch.setattr(GradedOperator, "block", lambda op, k: reads.append(k) or block(op, k))
+    integrate_series(rep, [e[0], 0.5 * e[2] - e[1]])
+    assert reads == []
+    monkeypatch.undo()
+    roundtrip_errors(rep, 1e-4)
+    mu_p_residual(flat, [[e[0]], [e[1]]], np.array([[[0.7, -0.3, 0.2], [0.1, 0.9, -0.5]]]))
+    assert rep._letters == {}
+    assert rep.flat is rep.flat is flat
 
 
 def test_roundtrip_richardson_sharpens(sl2_chain_float):

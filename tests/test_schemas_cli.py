@@ -239,6 +239,54 @@ def test_cli_cubical_exit_two_on_float_overflow(tmp_path, capsys, word):
     assert captured.err.strip().splitlines() == ["error: pullback density is not finite"]
 
 
+def _sl2_copy(tmp_path, **words):
+    """A copy of problems/sl2.json with the given words added."""
+    payload = json.loads((pathlib.Path(__file__).resolve().parents[1] / "problems" / "sl2.json")
+                         .read_text())
+    payload["words"].update(words)
+    path = tmp_path / "sl2.json"
+    path.write_text(json.dumps(payload))
+    return str(path)
+
+
+@pytest.mark.parametrize("word", [[[1e308, 0, 0]], [[1, 0, 0], [1e308, 1e308, 0]],
+                                  [[1e200, 1e200, 0]]],
+                         ids=["overflowing_letter", "overflowing_second_letter", "big_letter"])
+@pytest.mark.parametrize("argv, message", [
+    (["integrate", "--method", "quadrature", "--word"], "quadrature integral is not finite"),
+    (["verify-module", "--words"], "quadrature integral is not finite"),
+    (["cubical", "--word"], "pullback density is not finite"),
+], ids=["integrate", "verify_module", "cubical"])
+def test_cli_exit_two_on_a_letter_past_the_float_range(tmp_path, capsys, word, argv, message):
+    """A letter whose ad(x) or L(x) overflows gets a NaN exponential table
+    (``linalg.TaylorExp``), which the finite checks refuse: exit 2 with one
+    line, not a traceback and exit 1, and no numpy warning escapes (the
+    test configuration turns a ``RuntimeWarning`` into an error)."""
+    path = _sl2_copy(tmp_path, w=word)
+    code = cli.main([argv[0], path, "--rep", "chain_trivial"] + argv[1:] + ["w"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.strip().splitlines() == [f"error: {message}"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["roundtrip", "--h", "1e300"],
+    ["integrate", "--word", "w", "--method", "series"],
+    ["integrate", "--word", "w", "--method", "both"],
+], ids=["roundtrip_huge_step", "series", "both"])
+def test_cli_one_stderr_line_when_a_float_value_overflows(tmp_path, capsys, argv):
+    """Point values past the float range (``TaylorExp.at`` squarings) and
+    letter blocks past it (built inside the float series' own errstate)
+    print no numpy warning before the one error line; the configuration
+    would turn one into an error."""
+    path = _sl2_copy(tmp_path, w=[[1e308, 1e308, 0]])
+    code = cli.main([argv[0], path, "--rep", "chain_trivial"] + argv[1:])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.strip().splitlines() == [
+        "error: series did not converge within total degree 60"]
+
+
 @pytest.mark.parametrize("argv, word, message", [
     (["cubical", "--word"], [], "word 'w' has no letters; the cubical checks need one"),
     (["verify-module", "--words"], [], "word 'w' has no letters; the module checks need one"),

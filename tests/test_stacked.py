@@ -75,8 +75,8 @@ def test_labelled_combination_is_the_combination_of_the_blocks(mode):
     g = sl2()
     rep = chain_rep(g, adjoint_rep(g, mode=mode))
     x = g.vector([2, -1, 3], mode)
-    _assert_same(rep.L_of(x), combination(list(x), rep.L))
-    _assert_same(rep.B_of(x), combination(list(x), rep.B))
+    _assert_same(rep.letter(x).L, combination(list(x), rep.L))
+    _assert_same(rep.letter(x).B, combination(list(x), rep.B))
 
 
 @pytest.mark.parametrize("mode", [EXACT, FLOAT])
