@@ -40,7 +40,7 @@ from .graded import (CochainComplex, GradedOperator, GradedVectorSpace, combinat
                      stack_entries, tensor_space, unstack)
 
 
-Exterior = namedtuple("Exterior", "space wedge contraction eps iota")
+Exterior = namedtuple("Exterior", "space wedge contraction eps iota first")
 
 
 @lru_cache(maxsize=None)
@@ -49,10 +49,14 @@ def exterior(n, mode) -> Exterior:
     wedge eps_i = e_i ^ (degree -1) and its transpose iota_i, the
     contraction by e^i (degree +1), signed (-1)^(number of elements below i);
     ``wedge`` and ``contraction`` are the families stacked over the n
-    generators (``graded.stack``), ``eps`` and ``iota`` their blocks.  Built
-    from subset bitmasks: a subset's rank is its place among those of its
-    size in lexicographic order, which is decreasing order of the mask read
-    with element 0 as the highest bit."""
+    generators (``graded.stack``), ``eps`` and ``iota`` their blocks, and
+    ``first`` the first contractions R_i = iota_i prod_{j<i} iota_j eps_j:
+    the entries of iota_i whose subset has no element below i (each
+    iota_j eps_j keeps the subsets without j), so R_i sends e_s to e_(s - i)
+    when i = min s and to 0 otherwise.  Built from subset bitmasks: a
+    subset's rank is its place among those of its size in lexicographic
+    order, which is decreasing order of the mask read with element 0 as the
+    highest bit."""
     masks = np.arange(2 ** n)
     bits = (masks[:, None] >> np.arange(n)) & 1
     size = bits.sum(axis=1)
@@ -67,8 +71,11 @@ def exterior(n, mode) -> Exterior:
     wedge = stack_entries(n, space, space, -1, (i, -size[subset], high, low, sign), mode)
     contraction = stack_entries(n, space, space, 1, (i, -size[subset] - 1, low, high, sign),
                                 mode)
+    least = (subset & ((1 << i) - 1)) == 0
+    first = stack_entries(n, space, space, 1, (i[least], -size[subset[least]] - 1, low[least],
+                                               high[least], sign[least]), mode)
     return Exterior(space, wedge, contraction, tuple(unstack(wedge, n)),
-                    tuple(unstack(contraction, n)))
+                    tuple(unstack(contraction, n)), tuple(unstack(first, n)))
 
 
 @lru_cache(maxsize=16)
@@ -148,18 +155,12 @@ def basis(n, coeff_space, flavor) -> CEBasis:
 
 @lru_cache(maxsize=16)
 def first_contractions(n, mode, coeff_space):
-    """R_i ox 1 on the chain layout of Lambda(g) ox V, where
-    R_i = iota_i prod_{j<i} iota_j eps_j sends e_s to e_(s - i) when i = min s
-    and to 0 otherwise (each iota_j eps_j keeps the subsets without j), so
-    that sum_i eps_i R_i is 1 on Lambda^m for m > 0."""
-    ext = exterior(n, mode)
+    """R_i ox 1 on the chain layout of Lambda(g) ox V, R_i the first
+    contractions of ``exterior``, so that sum_i eps_i R_i is 1 on Lambda^m
+    for m > 0."""
     place = basis(n, coeff_space, "chain").place
     one = GradedOperator.identity(coeff_space, mode)
-    out, without = [], GradedOperator.identity(ext.space, mode)
-    for eps, iota in zip(ext.eps, ext.iota):
-        out.append(place(None, (compose(iota, without), one)))
-        without = compose(compose(iota, eps), without)
-    return tuple(out)
+    return tuple(place(None, (r, one)) for r in exterior(n, mode).first)
 
 
 @dataclass

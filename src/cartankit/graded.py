@@ -18,12 +18,13 @@ squares to zero.  A family of n parallel operators is stored as
 one operator V -> K ox W over the degree-0 space K = ``label_space(n)`` of
 n labels (``stack``); tensor products and duals act on such stacks label
 by label, and ``relabel`` maps the labels by a scalar matrix.  Every
-product and every stack is a ``product_sum``, sum_t h_t (1_K ox f_t) g_t
-with one entry match per product and one operator for the whole sum:
-``compose`` is its one-product case, ``stack`` the sum of the relabel
-terms (e_i, f_i), and each relation check one such sum of relabelled
-stacked products.  ``hom_system`` reads the equations phi A = A' phi of a
-hom space straight off the entries of A and A'.
+sum, product, stack and relabel is a ``product_sum``, sum_t h_t (1_K ox
+f_t) g_t with one entry match per product and one operator for the whole
+sum: ``compose`` is its one-product case, ``combination`` (and ``+``,
+``-``, scalar ``*``) the sum of the relabel terms (c_k, f_k), ``stack``
+the sum of the relabel terms (e_i, f_i), and each relation check one such
+sum of relabelled stacked products.  ``hom_system`` reads the equations
+phi A = A' phi of a hom space straight off the entries of A and A'.
 """
 
 import math
@@ -44,6 +45,7 @@ _FLOAT_MAX = int(np.finfo(float).max)      # compared with a Fraction in integer
 # operator, and of its negative; read-only, so parsed once
 UNIT, MINUS_UNIT = np.ones((1, 1, 1), dtype=int), -np.ones((1, 1, 1), dtype=int)
 UNIT.flags.writeable = MINUS_UNIT.flags.writeable = False
+_UNITS = {1: UNIT, -1: MINUS_UNIT}      # an int coefficient's +-1, never the float 1.0
 
 
 def _fit(bound, *arrays):
@@ -270,32 +272,13 @@ def compose(f: GradedOperator, g: GradedOperator) -> GradedOperator:
 
 
 def combination(coeffs, ops) -> GradedOperator:
-    """sum_k coeffs[k] ops[k] over parallel operators (at least one), one
-    pass over their entries; ``+``, ``-`` and scalar ``*`` are its cases.
-    An exact coefficient must be an int or a ``Fraction``."""
-    first = ops[0]
-    for op in ops[1:]:
-        if op.source != first.source or op.target != first.target or op.degree != first.degree:
-            raise ValueError("operators not parallel")
-        if op.mode != first.mode:
-            raise ModeError("mixed-mode operator arithmetic")
-    if first.mode == EXACT and not all(isinstance(c, (int, Fraction)) for c in coeffs):
-        raise ModeError("float coefficient on exact operator")
-    terms = [(c, op) for c, op in zip(coeffs, ops) if c != 0 and len(op._data)]
-    if len(terms) == 1 and terms[0][0] == 1:
-        return terms[0][1]
-    if first.mode == FLOAT:
-        den, factors, bound = 1, [float(c) for c, _ in terms], 0
-    else:
-        den = math.lcm(*(op._den * c.denominator for c, op in terms))
-        factors = [c.numerator * (den // (op._den * c.denominator)) for c, op in terms]
-        bound = sum(op._max * abs(k) for k, (_, op) in zip(factors, terms))
-    data = _fit(bound, *(op._data for _, op in terms))
-    parts = [(op._rows, op._cols, d * k) for k, d, (_, op) in zip(factors, data, terms)]
-    if len(parts) != 1:
-        parts = [[np.concatenate(a) for a in zip((_NONE, _NONE, first._data[:0]), *parts)]]
-    return GradedOperator(first.source, first.target, first.degree, first.mode, *parts[0],
-                          den)
+    """sum_k coeffs[k] ops[k] over parallel operators (at least one): the
+    ``product_sum`` of the relabel terms (c_k, op_k), an int +-1 passed as
+    ``UNIT``/``MINUS_UNIT`` and any other c_k as [[c_k]]; ``+``, ``-`` and
+    scalar ``*`` are its cases.  An exact coefficient must be an int or a
+    ``Fraction``."""
+    return product_sum([(_UNITS.get(c, [[c]]) if isinstance(c, int) else [[c]], op)
+                        for c, op in zip(coeffs, ops)])
 
 
 def graded_commutator(f: GradedOperator, g: GradedOperator) -> GradedOperator:

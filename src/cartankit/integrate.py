@@ -37,7 +37,8 @@ MAX_QUADRATURE_NODES = 100_000
 
 
 class ConvergenceError(RuntimeError):
-    """A float series unconverged at its degree cap, or a non-finite float integral or density."""
+    """A float series unconverged at its degree cap, or a non-finite float
+    series, integral or density."""
 
 
 # ---------------------------------------------------------------------------
@@ -254,8 +255,8 @@ def _float_series(flat, letters, max_degree):
     """The float series on the degree blocks of ``flat``.  The block from
     source degree q walks the chain q -> q - 1 -> ... -> q - k, letter i
     acting from degree q - k + 1 + i, and each layer sums all its terms in
-    one batched product; a letter or a sum past the float range stops it as
-    unconverged."""
+    one batched product; a letter or a sum past the float range stops it
+    with its own ``ConvergenceError``, apart from an unconverged one."""
     space, k = flat.space, len(letters)
     with np.errstate(over="ignore", invalid="ignore"):
         chains = {q: [(flat.action(x, s), flat.contraction(x, s))
@@ -281,7 +282,7 @@ def _float_series(flat, letters, max_degree):
                 np.einsum("c,cab->ab", coefs, term, out=view)
             acc += layer_sum
             if not isfinite(total := linalg.max_abs(acc)):
-                break
+                raise ConvergenceError("float series is not finite")
             if layer >= 1 and linalg.max_abs(layer_sum) < DEFAULT_SERIES_TOL * (1.0 + total):
                 return GradedOperator.from_block_entries(space, space, -k, acc, FLOAT)
     raise ConvergenceError(f"series did not converge within total degree {max_degree}")

@@ -18,8 +18,9 @@ is ad_x as a graded operator on the algebra, and ``apply`` applies an
 operator to coefficient vectors block by block.
 ``on_labels`` is 1_K ox f as a tensor product with the identity of the
 labels, and ``composed_product_sum`` computes ``graded.product_sum`` from
-it one operator at a time (``compose``, then ``unstack``, ``combination``
-and ``stack`` for each relabelling, and one ``combination`` of the terms);
+it one operator at a time (``compose``, then ``unstack``,
+``concatenated_combination`` and ``stack`` for each relabelling, and one
+``concatenated_combination`` of the terms);
 ``tensor_intertwiner_system`` builds the hom-space equations of
 ``graded.hom_system`` through dual and tensor operators.
 ``tensordot_jacobi`` contracts the ``Fraction`` structure constants as
@@ -28,14 +29,15 @@ either mode, with scipy's Pade routine in float mode.
 ``operator_from_blocks`` (a dict of dense blocks) and
 ``operator_from_entries`` ((k, row, col, value) tuples) build operators
 from the two input formats the package dropped, on the two it keeps.
-``matched_compose`` and ``layout_stack`` are composition and stacking by
-their own entry match, bound and label layout, the references that
-``graded.compose`` and ``graded.stack``, both ``product_sum`` terms, must
-equal bit for bit; ``stepwise_induced_map`` and ``unfused_stokes`` build
-``reps.induced_map`` and the residual of ``integrate.dg_module_exact``
-from those products and sums one operator at a time, the references for
-their one-``product_sum`` forms.  The other references compose and stack
-through them too.
+``matched_compose``, ``layout_stack`` and ``concatenated_combination`` are
+composition, stacking and linear combination by their own entry match,
+bound, label layout and concatenation, the references that
+``graded.compose``, ``graded.stack`` and ``graded.combination``, all
+``product_sum`` terms, must equal bit for bit; ``stepwise_induced_map``
+and ``unfused_stokes`` build ``reps.induced_map`` and the residual of
+``integrate.dg_module_exact`` from those products and sums one operator at
+a time, the references for their one-``product_sum`` forms.  The other
+references compose, stack and combine through them too.
 ``identity_started_eval`` is ``Evaluator.eval`` with every product of a
 word evaluator started at the identity and no prefix tree, the reference
 that the evaluator's outputs must equal bit for bit.  ``sorted_tree_eval``
@@ -64,7 +66,7 @@ from cartankit.ce import boundary, exterior
 from cartankit.evaluators import (AffineReparam, Blocks, MaxCollapseReparam, PermReparam,
                                   PointData, ProductEvaluator, WordEvaluator, as_points)
 from cartankit.graded import (GradedOperator, GradedVectorSpace, _fit, _stacked_rows,
-                              combination, dual_operator, dual_space, exp_terms,
+                              dual_operator, dual_space, exp_terms,
                               graded_commutator, label_space, stack_entries, tensor_operator,
                               tensor_space, unstack)
 from cartankit.integrate import (DEFAULT_SERIES_TOL, ConvergenceError, _layer_terms,
@@ -118,6 +120,40 @@ def layout_stack(ops):
                           np.concatenate(data), den)
 
 
+def concatenated_combination(coeffs, ops):
+    """sum_k coeffs[k] ops[k] over parallel operators by its own common
+    denominator, bound and concatenation: zero terms and empty operators
+    dropped, one term with coefficient 1 returned as it is, exact
+    numerators in Python ints when sum |c_k| max|op_k| at the common
+    denominator could leave int64.  The reference that
+    ``graded.combination``, the ``product_sum`` of its relabel terms, must
+    equal bit for bit."""
+    first = ops[0]
+    for op in ops[1:]:
+        if op.source != first.source or op.target != first.target or op.degree != first.degree:
+            raise ValueError("operators not parallel")
+        if op.mode != first.mode:
+            raise ModeError("mixed-mode operator arithmetic")
+    if first.mode == EXACT and not all(isinstance(c, (int, Fraction)) for c in coeffs):
+        raise ModeError("float coefficient on exact operator")
+    terms = [(c, op) for c, op in zip(coeffs, ops) if c != 0 and len(op._data)]
+    if len(terms) == 1 and terms[0][0] == 1:
+        return terms[0][1]
+    if first.mode == FLOAT:
+        den, factors, bound = 1, [float(c) for c, _ in terms], 0
+    else:
+        den = lcm(*(op._den * c.denominator for c, op in terms))
+        factors = [c.numerator * (den // (op._den * c.denominator)) for c, op in terms]
+        bound = sum(op._max * abs(k) for k, (_, op) in zip(factors, terms))
+    data = _fit(bound, *(op._data for _, op in terms))
+    parts = [(op._rows, op._cols, d * k) for k, d, (_, op) in zip(factors, data, terms)]
+    if len(parts) != 1:
+        empty = np.zeros(0, dtype=int)
+        parts = [[np.concatenate(a) for a in zip((empty, empty, first._data[:0]), *parts)]]
+    return GradedOperator(first.source, first.target, first.degree, first.mode, *parts[0],
+                          den)
+
+
 def stepwise_induced_map(v_rep, w_rep, phi0):
     """``reps.induced_map`` with each step phi + B_i (phi (R_i ox 1)) made of
     two ``matched_compose`` and one sum."""
@@ -132,7 +168,7 @@ def stepwise_induced_map(v_rep, w_rep, phi0):
 
 def unfused_stokes(rep, letters):
     """The operator whose norm ``integrate.dg_module_exact`` reports, face by
-    face: the faces, their alternating ``combination``, and the
+    face: the faces, their alternating ``concatenated_combination``, and the
     ``graded_commutator`` [d, integral] subtracted."""
     slots = [(x,) for x in letters]
     faces = [matched_compose(point_value(rep, letters[:1]), integrate_series(rep, letters[1:]))]
@@ -140,7 +176,7 @@ def unfused_stokes(rep, letters):
               for i in range(len(letters) - 1)]
     faces.append(integrate_series(rep, letters[:-1]))
     rhs = graded_commutator(rep.complex.differential, integrate_series(rep, letters))
-    return combination([(-1) ** i for i in range(len(faces))], faces) - rhs
+    return concatenated_combination([(-1) ** i for i in range(len(faces))], faces) - rhs
 
 
 def operator_from_entries(source, target, degree, entries, mode):
@@ -374,7 +410,7 @@ def concatenating_series(rep, letters, max_degree=60):
             layer_sum = np.concatenate(parts)
             acc = acc + layer_sum
             if not np.isfinite(total := linalg.max_abs(acc)):
-                break
+                raise ConvergenceError("float series is not finite")
             if layer >= 1 and linalg.max_abs(layer_sum) < DEFAULT_SERIES_TOL * (1.0 + total):
                 return GradedOperator.from_block_entries(space, space, -k, acc, FLOAT)
     raise ConvergenceError(f"series did not converge within total degree {max_degree}")
@@ -564,23 +600,24 @@ def on_labels(n, op):
 def stacked_relabel(h, op):
     """(h ox 1_W) op for op stacked over n labels and an m x n scalar matrix
     h (a 3-d one read as m x (q p)), one label at a time: ``unstack`` op,
-    one ``combination`` of its blocks per row of h, and ``stack`` them."""
+    one ``concatenated_combination`` of its blocks per row of h, and
+    ``layout_stack`` them."""
     h = np.asarray(h)
     rows = h.reshape(len(h), -1).tolist()
     blocks = unstack(op, len(rows[0]))
-    return layout_stack([combination(row, blocks) for row in rows])
+    return layout_stack([concatenated_combination(row, blocks) for row in rows])
 
 
 def composed_product_sum(terms):
     """``graded.product_sum`` one operator at a time: each product
     (1_K ox f) g a ``compose`` with ``on_labels``, each term a
-    ``stacked_relabel``, and one ``combination`` of the terms."""
+    ``stacked_relabel``, and one ``concatenated_combination`` of the terms."""
     ops = []
     for h, f, *g in terms:
         h = np.asarray(h)
         op = matched_compose(on_labels(h.shape[1], f), g[0]) if g else f
         ops.append(stacked_relabel(h, op))
-    return combination((1,) * len(ops), ops)
+    return concatenated_combination((1,) * len(ops), ops)
 
 
 def tensor_intertwiner_system(source, target, pairs, mode, n):
@@ -605,7 +642,7 @@ def tensor_intertwiner_system(source, target, pairs, mode, n):
 
 def _bracket_defect(x, y, coeffs, ops):
     """Max norm of [x, y] - sum_k coeffs[k] ops[k]."""
-    return (graded_commutator(x, y) - combination(coeffs, ops)).norm()
+    return (graded_commutator(x, y) - concatenated_combination(coeffs, ops)).norm()
 
 
 def pairwise_cartan_residuals(rep):

@@ -9,7 +9,7 @@ from math import comb
 import numpy as np
 import pytest
 
-from cartankit import graded
+from cartankit import ce, graded
 from cartankit.ce import ce_chain, ce_cochain, cohomology_dims, exterior, first_contractions
 from cartankit.graded import (CochainComplex, GradedOperator, GradedVectorSpace, combination,
                              compose, dual_space, graded_commutator)
@@ -36,6 +36,24 @@ def test_exterior_wedge_and_contraction_relations(n, mode):
     lowers = first_contractions(n, mode, GradedVectorSpace({0: 1}))
     rest = one - combination([1] * n, [compose(e, r) for e, r in zip(eps, lowers)])
     assert rest.blocks.keys() == {0} and rest.norm() == 1
+
+
+@pytest.mark.parametrize("mode", [EXACT, FLOAT])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_first_contractions_equal_their_compose_form(n, mode):
+    """R_i, read off the subset bitmasks of ``exterior``, equals the composed
+    iota_i prod_{j<i} iota_j eps_j bit for bit, on Lambda and placed on
+    Lambda ox V."""
+    from test_stacked import _assert_same      # test_stacked imports this module
+    ext, space = exterior(n, mode), GradedVectorSpace({-1: 1, 0: 2})
+    place, one = ce.basis(n, space, "chain").place, GradedOperator.identity(space, mode)
+    without = GradedOperator.identity(ext.space, mode)
+    for eps, iota, r, placed in zip(ext.eps, ext.iota, ext.first,
+                                    first_contractions(n, mode, space)):
+        want = compose(iota, without)
+        _assert_same(r, want)
+        _assert_same(placed, place(None, (want, one)))
+        without = compose(compose(iota, eps), without)
 
 
 def test_abelian_trivial_differential_vanishes():

@@ -3,10 +3,12 @@
 
 ``dense_reference.composed_product_sum`` builds each product through
 ``on_labels`` (1_K ox f as a tensor product), then ``compose``, relabels it
-label by label (``unstack``, ``combination``, ``stack``) and takes one
-``combination``; the kernel must equal it entry for entry in exact mode
-(denominator and dtypes included, past int64 too) and within 1e-13 in float
-mode.
+label by label (``unstack``, ``concatenated_combination``, ``stack``) and
+takes one ``concatenated_combination``; the kernel must equal it entry for
+entry in exact mode (denominator and dtypes included, past int64 too) and
+within 1e-13 in float mode.  ``compose``, ``stack`` and ``combination``,
+all ``product_sum`` terms, must equal ``matched_compose``, ``layout_stack``
+and ``concatenated_combination`` bit for bit.
 ``dense_reference.tensor_intertwiner_system`` builds the equations
 phi A = A' phi through dual and tensor operators; the exact hom-space bases
 read off both must be bit-equal, and float adjunction reports must agree
@@ -26,8 +28,8 @@ from cartankit.linalg import EXACT, FLOAT, ModeError
 from cartankit.reps import (CartanRep, adjoint_rep, adjunction_check, cartan_dgla, chain_rep,
                             cochain_rep, evaluation_pairing_residual, hom_space, restrict,
                             trivial_lie_rep)
-from dense_reference import (composed_product_sum, layout_stack, matched_compose,
-                             operator_from_blocks, stepwise_induced_map,
+from dense_reference import (composed_product_sum, concatenated_combination, layout_stack,
+                             matched_compose, operator_from_blocks, stepwise_induced_map,
                              tensor_intertwiner_system)
 from test_ce import _nilpotent
 from test_exact_series import _count_products, _recorded
@@ -381,6 +383,77 @@ def test_compose_and_stack_past_int64_equal_their_own_kernels():
         _assert_same(got, layout_stack(ops))
         _assert_int64_iff_fits(got)
     assert graded.stack([big, half])._data.dtype == object
+
+
+EXACT_COEFFS = [1, -1, 0, 2, -3, Fraction(1, 2), Fraction(-2, 3), 2 ** 62, -(10 ** 20)]
+FLOAT_COEFFS = EXACT_COEFFS + [1.0, -1.0, 0.0, -0.0, 2.5, 1e170, -1e-170]
+
+
+@pytest.mark.parametrize("mode", [EXACT, FLOAT])
+def test_combination_equals_its_own_kernel_bit_for_bit(mode):
+    """150 seeded cases per mode: ``combination`` (and ``+``, ``-``, scalar
+    ``*``) against ``concatenated_combination`` on random parallel
+    operators, empty spaces and empty operators included: +-1, ``Fraction``,
+    zero and (float mode) float coefficients, exact numerators and sums of
+    them past int64 (stored as Python ints, or narrowed back where the
+    reduced result fits), floats whose products overflow or underflow."""
+    rng = np.random.default_rng(2025)
+    pool = EXACT_COEFFS if mode == EXACT else FLOAT_COEFFS
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        for _ in range(150):
+            v, w = (_stacked(rng, SPACES[i]) for i in rng.integers(len(SPACES), size=2))
+            a = int(rng.integers(-1, 2))
+            ops = [_random_operator(rng, v, w, a, mode) if rng.random() < 0.8 else
+                   GradedOperator.zero(v, w, a, mode) for _ in range(rng.integers(1, 5))]
+            coeffs = [pool[i] for i in rng.integers(len(pool), size=len(ops))]
+            _assert_same(graded.combination(coeffs, ops), concatenated_combination(coeffs, ops))
+            f, g = ops[0], ops[-1]
+            _assert_same(f + g, concatenated_combination((1, 1), (f, g)))
+            _assert_same(f - g, concatenated_combination((1, -1), (f, g)))
+            _assert_same(coeffs[0] * f, concatenated_combination(coeffs[:1], (f,)))
+
+
+def test_combination_past_int64_equals_its_own_kernel():
+    """Sums whose numerators pass int64 only at the common denominator or
+    only summed: kept as Python ints, or narrowed to int64 where the reduced
+    sum fits."""
+    space = GradedVectorSpace({0: 2})
+    big = operator_from_blocks(space, space, 0, {0: np.array(
+        [[2 ** 62, 3 * 10 ** 18], [Fraction(1, 3), -(2 ** 62)]], dtype=object)}, mode=EXACT)
+    half = operator_from_blocks(space, space, 0, {0: np.array(
+        [[Fraction(1, 2), 0], [0, 2 ** 62]], dtype=object)}, mode=EXACT)
+    for coeffs, ops in (((1, 1), (big, big)), ((1, -1), (big, big)), ((3, 1), (big, half)),
+                        ((Fraction(1, 7), 2), (half, big)), ((2 ** 62, -1, 1), (half, big, big))):
+        got = graded.combination(coeffs, ops)
+        _assert_same(got, concatenated_combination(coeffs, ops))
+        _assert_int64_iff_fits(got)
+    assert (big + big)._data.dtype == object and (big - big).norm() == 0
+
+
+@pytest.mark.parametrize("mode", [EXACT, FLOAT])
+def test_combination_raises_the_kinds_it_raised(mode):
+    """``product_sum`` raises what ``combination`` raised before it became its
+    relabel terms: ``ValueError`` for operators that are not parallel,
+    ``ModeError`` for mixed modes and for a float coefficient on an exact
+    operator, the float 1.0 included (only an int +-1 is ``UNIT``)."""
+    one, wide = (GradedOperator.identity(GradedVectorSpace({0: d}), mode) for d in (2, 3))
+    shifted = GradedOperator.zero(one.source, one.target, 1, mode)
+    for f, g in ((one, wide), (one, shifted)):
+        with pytest.raises(ValueError, match="not parallel"):
+            f + g
+        with pytest.raises(ValueError, match="not parallel"):
+            graded.combination((1, 1), (f, g))
+    other = GradedOperator.identity(one.source, FLOAT if mode == EXACT else EXACT)
+    with pytest.raises(ModeError):
+        one - other
+    if mode == EXACT:
+        for c in (1.0, -1.0, 0.5, np.float64(2)):
+            with pytest.raises(ModeError, match="float coefficient"):
+                c * one
+            with pytest.raises(ModeError, match="float coefficient"):
+                graded.combination((c,), (one,))
+    else:
+        _assert_same(1.0 * one, 1 * one)
 
 
 def test_compose_keeps_its_space_check():

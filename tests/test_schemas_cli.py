@@ -202,9 +202,8 @@ def test_cli_exit_two_on_series_nonconvergence(problem_file, capsys):
 
 
 @pytest.mark.parametrize("letter, argv, message", [
-    ([300, 300, 0], ["--method", "series", "--cap", "160"],
-     "series did not converge within total degree 160"),
-    ([1e6, 1e6, 0], ["--method", "series"], "series did not converge within total degree 60"),
+    ([300, 300, 0], ["--method", "series", "--cap", "160"], "float series is not finite"),
+    ([1e6, 1e6, 0], ["--method", "series"], "float series is not finite"),
     ([1e6, 1e6, 0], ["--method", "quadrature"], "quadrature integral is not finite"),
 ], ids=["series_at_the_largest_cap", "series", "quadrature"])
 def test_cli_exit_two_on_float_overflow(tmp_path, capsys, letter, argv, message):
@@ -283,8 +282,7 @@ def test_cli_one_stderr_line_when_a_float_value_overflows(tmp_path, capsys, argv
     code = cli.main([argv[0], path, "--rep", "chain_trivial"] + argv[1:])
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
-    assert captured.err.strip().splitlines() == [
-        "error: series did not converge within total degree 60"]
+    assert captured.err.strip().splitlines() == ["error: float series is not finite"]
 
 
 @pytest.mark.parametrize("argv, word, message", [
