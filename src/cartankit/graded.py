@@ -14,10 +14,15 @@ in Python ints (object arrays) past it (``_fit``); an operator whose
 reduced numerators fit stores them in int64.  Nothing wraps around or
 falls back to float.  Only this module knows the layout.  Every
 constructed complex verifies that its differential (of degree +1)
-squares to zero.  A family of n parallel operators is stored as
-one operator V -> K ox W over the degree-0 space K = ``label_space(n)`` of
-n labels (``stack``); tensor products and duals act on such stacks label
-by label, and ``relabel`` maps the labels by a scalar matrix.  Every
+squares to zero.  Spaces are interned by their dimensions, so equal spaces
+are one object and equality is identity.  No operation writes into an
+operand, so an operator keeps what its entries decide, each computed on
+first use: max|entry|, the most entries in one row, and per label count
+its labels, rows and their match data (``_Labelled``).  A family of n
+parallel operators is stored as one operator V -> K ox W over the
+degree-0 space K = ``label_space(n)`` of n labels (``stack``); tensor
+products and duals act on such stacks label by label, and ``relabel``
+maps the labels by a scalar matrix.  Every
 sum, product, stack and relabel is a ``product_sum``, sum_t h_t (1_K ox
 f_t) g_t with one entry match per product and one operator for the whole
 sum: ``compose`` is its one-product case, ``combination`` (and ``+``,
@@ -28,6 +33,7 @@ phi A = A' phi of a hom space straight off the entries of A and A'.
 """
 
 import math
+import weakref
 from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -45,7 +51,6 @@ _FLOAT_MAX = int(np.finfo(float).max)      # compared with a Fraction in integer
 # operator, and of its negative; read-only, so parsed once
 UNIT, MINUS_UNIT = np.ones((1, 1, 1), dtype=int), -np.ones((1, 1, 1), dtype=int)
 UNIT.flags.writeable = MINUS_UNIT.flags.writeable = False
-_UNITS = {1: UNIT, -1: MINUS_UNIT}      # an int coefficient's +-1, never the float 1.0
 
 
 def _fit(bound, *arrays):
@@ -60,13 +65,21 @@ def _fit(bound, *arrays):
 
 
 class GradedVectorSpace:
-    """Finite dict of degree -> dimension; degrees may be negative."""
+    """Finite dict of degree -> dimension; degrees may be negative.  Interned:
+    one live object per dimensions (zero ones dropped, degrees in increasing
+    order), held weakly so that no second equal space can appear."""
 
-    def __init__(self, dims):
-        self.dims = {int(k): int(d) for k, d in dims.items() if d}
-        if any(d < 0 for d in self.dims.values()):
+    _interned = weakref.WeakValueDictionary()
+
+    def __new__(cls, dims):
+        key = tuple(sorted({int(k): int(d) for k, d in dims.items() if d}.items()))
+        if any(d < 0 for _, d in key):
             raise ValueError("dimensions must be nonnegative")
-        self._hash = hash(tuple(sorted(self.dims.items())))
+        space = cls._interned.get(key)
+        if space is None:
+            space = cls._interned[key] = super().__new__(cls)
+            space.dims = dict(key)
+        return space
 
     def dim(self, k: int) -> int:
         return self.dims.get(k, 0)
@@ -86,14 +99,10 @@ class GradedVectorSpace:
 
     @cached_property
     def _index_degrees(self):
-        """Degree of each basis vector of the layout."""
-        return np.repeat(self.degrees, [self.dims[k] for k in self.degrees]).astype(int)
-
-    def __eq__(self, other):
-        return isinstance(other, GradedVectorSpace) and self.dims == other.dims
-
-    def __hash__(self):
-        return self._hash
+        """Degree of each basis vector of the layout, read-only."""
+        out = np.repeat(self.degrees, [self.dims[k] for k in self.degrees]).astype(int)
+        out.setflags(write=False)
+        return out
 
     def __repr__(self):
         return f"GradedVectorSpace({self.dims})"
@@ -150,25 +159,26 @@ class GradedOperator:
         in int64 when they fit.  Only this module calls it."""
         self.source, self.target, self.degree, self.mode = source, target, int(degree), mode
         keys = rows * source.total_dim + cols
-        if not (keys[1:] > keys[:-1]).all():
-            order = np.argsort(keys, kind="stable")
+        if np.count_nonzero(keys[1:] <= keys[:-1]):
+            order = keys.argsort(kind="stable")
             keys, rows, cols, data = keys[order], rows[order], cols[order], data[order]
             first = np.concatenate([[True], keys[1:] != keys[:-1]])
-            if not first.all():
+            if np.count_nonzero(first) < len(first):
                 rows, cols = rows[first], cols[first]
                 # bincount sums each key's floats in input order, as np.add.at
-                data = np.bincount(np.cumsum(first) - 1, data) if data.dtype.kind == "f" \
-                    else np.add.reduceat(data, np.flatnonzero(first))
-        if not data.all():
-            rows, cols, data = rows[data != 0], cols[data != 0], data[data != 0]
-        if mode == EXACT and len(data):
+                data = np.bincount(first.cumsum() - 1, data) if data.dtype.kind == "f" \
+                    else np.add.reduceat(data, first.nonzero()[0])
+        if np.count_nonzero(data) < len(data):
+            keep = data != 0
+            rows, cols, data = rows[keep], cols[keep], data[keep]
+        if mode == EXACT and den != 1 and len(data):
             g = math.gcd(den, int(np.gcd.reduce(data)))
             if g != 1:
                 data, den = data // g, den // g
         if data.dtype == object and np.abs(data).max(initial=0) <= _MAX:
             data = data.astype(np.int64)
         self._rows, self._cols, self._data, self._den = rows, cols, data, (den if len(data) else 1)
-        self._top = None
+        self._by_labels = {}
 
     @classmethod
     def from_block_entries(cls, source, target, degree, vec, mode):
@@ -229,12 +239,24 @@ class GradedOperator:
         stored = {k: self._stored(k) for k in self.source.degrees}
         return MappingProxyType({k: b for k, b in stored.items() if b is not None})
 
-    @property
+    @cached_property
     def _max(self) -> int:
-        """max|entry|, read once: no operation changes the entries."""
-        if self._top is None:
-            self._top = int(np.abs(self._data).max(initial=0))
-        return self._top
+        """max|entry|."""
+        return int(np.abs(self._data).max(initial=0))
+
+    @cached_property
+    def _row_terms(self) -> int:
+        """The most entries in one row: the terms per entry of a product with
+        this operator on the left."""
+        return int(np.bincount(self._rows, minlength=1).max())
+
+    def _labelled(self, n) -> "_Labelled":
+        """This operator read as V -> K ox W stacked over n labels
+        (``stack``), once per n."""
+        out = self._by_labels.get(n)
+        if out is None:
+            out = self._by_labels[n] = _Labelled(self, n)
+        return out
 
     def __add__(self, other):
         return combination((1, 1), (self, other))
@@ -264,21 +286,62 @@ def read_only(op) -> GradedOperator:
     return op
 
 
+class _Labelled:
+    """An operator V -> K ox W stacked over n labels (``stack``) read entry by
+    entry: W, and the label and the row in W of each entry, the label None
+    for a plain operator (n = 1: every label 0, rows already sorted); and,
+    on first use, the ``_matched`` data of its rows (``by_row``) and of its
+    labels (``by_label``).  Every array it makes is read-only."""
+
+    def __init__(self, op, n):
+        self.n = n
+        if n == 1:
+            self.w, self.label, self.row = op.target, None, op._rows
+        else:
+            self.w, label, row = _unlabel(n, op.target)
+            self.label, self.row = label[op._rows], row[op._rows]
+            self.label.setflags(write=False)
+            self.row.setflags(write=False)
+
+    def label_at(self, index):
+        """The labels of the entries ``index``: 0 for a plain operator."""
+        return 0 if self.label is None else self.label[index]
+
+    @cached_property
+    def by_row(self):
+        return _matched(self.row, self.w.total_dim, self.label is not None)
+
+    @cached_property
+    def by_label(self):
+        if self.label is None:
+            return _matched(np.zeros(len(self.row), dtype=int), 1, False)
+        return _matched(self.label, self.n, True)
+
+
 def compose(f: GradedOperator, g: GradedOperator) -> GradedOperator:
     """f after g; degree adds: the one-product ``product_sum``."""
-    if g.target != f.source:
+    if g.target is not f.source:
         raise ValueError("compose: target of g differs from source of f")
     return product_sum([(UNIT, f, g)])
 
 
 def combination(coeffs, ops) -> GradedOperator:
     """sum_k coeffs[k] ops[k] over parallel operators (at least one): the
-    ``product_sum`` of the relabel terms (c_k, op_k), an int +-1 passed as
-    ``UNIT``/``MINUS_UNIT`` and any other c_k as [[c_k]]; ``+``, ``-`` and
+    ``product_sum`` of the relabel terms ([[c_k]], op_k); ``+``, ``-`` and
     scalar ``*`` are its cases.  An exact coefficient must be an int or a
     ``Fraction``."""
-    return product_sum([(_UNITS.get(c, [[c]]) if isinstance(c, int) else [[c]], op)
-                        for c, op in zip(coeffs, ops)])
+    return product_sum([(_scalar(c), op) for c, op in zip(coeffs, ops)])
+
+
+@lru_cache(maxsize=256, typed=True)
+def _scalar(c):
+    """The read-only label array [[c]] of a coefficient, built once per type
+    and value, so that ``_label_map`` reads it once per mode.  The type is
+    part of the key: Fraction(1) == 1.0 and both hash alike, but a float
+    coefficient on an exact operator raises ``ModeError``."""
+    out = np.array([[c]], dtype=object)
+    out.flags.writeable = False
+    return out
 
 
 def graded_commutator(f: GradedOperator, g: GradedOperator) -> GradedOperator:
@@ -294,7 +357,7 @@ class CochainComplex:
     def __init__(self, space: GradedVectorSpace, differential: GradedOperator):
         if differential.degree != 1:
             raise ValueError("differential must have degree +1")
-        if differential.source != space or differential.target != space:
+        if differential.source is not space or differential.target is not space:
             raise ValueError("differential must act on the given space")
         self.space = space
         self.differential = differential
@@ -377,14 +440,14 @@ def _tensor_sum(pairs, descending=False, signs=None, labels=None):
         if g.degree % 2:
             fd = fd * (1 - 2 * (f.source._index_degrees[f._cols] % 2))
         if fl is not None and gl is not None:
-            mine, theirs = _label_join(fl, gl, labels)
+            mine, theirs = _label_join(fl.label, gl.by_label)
             tags.append(None)
             rows.append(rpos[fr[mine] * w.total_dim + gr[theirs]])
             cols.append(cpos[f._cols[mine] * g.source.total_dim + g._cols[theirs]])
             data.append(fd[mine] * gd[theirs])
             continue
-        tags.append(np.repeat(fl, len(gr)) if fl is not None else
-                    None if gl is None else np.tile(gl, len(fr)))
+        tags.append(np.repeat(fl.label, len(gr)) if fl is not None else
+                    None if gl is None else np.tile(gl.label, len(fr)))
         rows.append(rpos[(fr[:, None] * w.total_dim + gr).ravel()])
         cols.append(cpos[(f._cols[:, None] * g.source.total_dim + g._cols).ravel()])
         data.append((fd[:, None] * gd).ravel())
@@ -400,25 +463,37 @@ def _tensor_sum(pairs, descending=False, signs=None, labels=None):
 
 
 def _split_labels(op, labels):
-    """Rows, labels and target of the factor ``op`` of ``_tensor_sum``: its
-    own for a plain factor (labels None), read off K ox V for a stacked
-    endomorphism family of V."""
-    if labels is None or op.target == op.source:
+    """Rows, ``_Labelled`` and target of the factor ``op`` of ``_tensor_sum``:
+    its own for a plain factor (``_Labelled`` None), read off K ox V for a
+    stacked endomorphism family of V."""
+    if labels is None or op.target is op.source:
         return op._rows, None, op.target
-    w, label, row = _labelled(op, labels)
-    if w != op.source:
+    lab = op._labelled(labels)
+    if lab.w is not op.source:
         raise ValueError("tensor_operator: a stacked factor must be a family of endomorphisms")
-    return row, label, w
+    return lab.row, lab, lab.w
 
 
-def _label_join(fl, gl, n):
-    """Index pairs (a, b) with fl[a] == gl[b], by a then b."""
-    order = gl.argsort(kind="stable")
-    starts = gl[order].searchsorted(np.arange(n + 1))
+def _matched(keys, n, unsorted=True):
+    """The match data of ``keys`` in range(n) for ``_label_join``: their
+    stable argsort (None for keys already sorted) and the start of each key
+    in sorted order, read-only."""
+    order = keys.argsort(kind="stable") if unsorted else None
+    starts = (keys if order is None else keys[order]).searchsorted(np.arange(n + 1))
+    for a in (order, starts):
+        if a is not None:
+            a.setflags(write=False)
+    return order, starts
+
+
+def _label_join(fl, matched):
+    """Index pairs (a, b) with fl[a] == gl[b], by a then b, for gl given by
+    its ``_matched`` data."""
+    order, starts = matched
     counts = starts[fl + 1] - starts[fl]
     mine = np.arange(len(fl)).repeat(counts)
-    theirs = order[np.arange(len(mine)) + (starts[fl] - counts.cumsum() + counts).repeat(counts)]
-    return mine, theirs
+    theirs = np.arange(len(mine)) + (starts[fl] - counts.cumsum() + counts).repeat(counts)
+    return mine, theirs if order is None else order[theirs]
 
 
 def _stacked_rows(n, w, label, rows):
@@ -432,7 +507,7 @@ def _unlabel(n, target):
     """W with target = K ox W, K = label_space(n) the labels of ``stack``,
     and the label and position in W of each basis vector of target."""
     w = GradedVectorSpace({k: d // n for k, d in target.dims.items()})
-    if target != tensor_space(label_space(n), w):
+    if target is not tensor_space(label_space(n), w):
         raise ValueError(f"target is not stacked over {n} labels")
     pos = _tensor_position(label_space(n), w)
     index = np.empty_like(pos)
@@ -456,8 +531,8 @@ def _label_map(h, mode) -> _LabelMap:
     When no column has two nonzeros, also the row and value of each column
     (-1 and 0 for an empty one).  A read-only array is read once per mode."""
     key = (id(h), mode)
-    if key in _LABEL_MAPS and _LABEL_MAPS[key][0] is h:
-        return _LABEL_MAPS[key][1]
+    if (hit := _LABEL_MAPS.get(key)) is not None and hit[0] is h:
+        return hit[1]
     a = h if isinstance(h, np.ndarray) else np.array(h, dtype=object)
     flat = a.reshape(len(a), -1)
     to, of = np.nonzero(flat)
@@ -481,6 +556,9 @@ def _label_map(h, mode) -> _LabelMap:
         dest[of], coef[of] = to, values
     out = _LabelMap(a.shape, to, of, den, row_sum, values, dest, coef)
     if isinstance(h, np.ndarray) and not h.flags.writeable:
+        for x in (to, of, values, dest, coef):
+            if x is not None:
+                x.setflags(write=False)
         if len(_LABEL_MAPS) >= 256:
             del _LABEL_MAPS[next(iter(_LABEL_MAPS))]
         _LABEL_MAPS[key] = h, out
@@ -521,7 +599,8 @@ def product_sum(terms) -> GradedOperator:
         if g is None:
             if f.mode != mode:
                 raise ModeError("product_sum: mixed modes")
-            found = (*_labelled(f, math.prod(lab.shape[1:])), f._cols, f._data, None)
+            fl = f._labelled(math.prod(lab.shape[1:]))
+            found = (fl.w, fl.label, fl.row, f._cols, f._data, None)
         elif (found := products.get((id(f), id(g)))) is None:
             found = products[id(f), id(g)] = _product_terms(f, g, *lab.shape[1:], mode)
         parsed.append((f, g, lab, found))
@@ -534,19 +613,25 @@ def product_sum(terms) -> GradedOperator:
         dens = [lab.den * f._den * (g._den if g else 1) for f, g, lab, _ in parsed]
         den = math.lcm(*dens)
         bound = sum(den // d * max(lab.row_sum, 1) * max(f._max, 1) *
-                    max(g._max * int(np.bincount(f._rows, minlength=1).max()) if g else 1, 1)
+                    max(g._max * f._row_terms if g else 1, 1)
                     for d, (f, g, lab, _) in zip(dens, parsed))
     rows, cols, data = [], [], []
     for f, g, lab, (_, label, r, c, a, b) in parsed:
         scale = den // (lab.den * f._den * (g._den if g else 1)) if mode == EXACT else 1
         a, b = _fit(bound, a, b)
         values = a if b is None else a * b
-        if lab.dest is not None:
+        if lab.dest is not None and label is None:      # every label 0: one coefficient
+            to, coef = lab.dest[:1], lab.coef[:1]
+            if to[0] < 0:
+                r, c, values = r[:0], c[:0], values[:0]
+        elif lab.dest is not None:
             to, coef = lab.dest[label], lab.coef[label]
-            if len(lab.of) < len(lab.dest) and not (to >= 0).all():    # an empty column
-                to, r, c, values, coef = (x[to >= 0] for x in (to, r, c, values, coef))
+            if len(lab.of) < len(lab.dest) and np.count_nonzero(to < 0):    # an empty column
+                keep = to >= 0
+                to, r, c, values, coef = (x[keep] for x in (to, r, c, values, coef))
         else:
-            mine, theirs = _label_join(label, lab.of, math.prod(lab.shape[1:]))
+            label = np.zeros(len(r), dtype=int) if label is None else label
+            mine, theirs = _label_join(label, _matched(lab.of, math.prod(lab.shape[1:])))
             to, r, c, values, coef = lab.to[theirs], r[mine], c[mine], values[mine], \
                 lab.values[theirs]
         rows.append(_stacked_rows(m, w, to, r))
@@ -563,12 +648,13 @@ def _product_terms(f, g, q, p, mode):
     so that an entry sums its terms by increasing inner index."""
     if f.mode != mode or g.mode != mode:
         raise ModeError("product_sum: mixed modes")
-    w, fl, fr = _labelled(f, p)
-    u, gl, gr = _labelled(g, q)
-    if u != f.source:
+    fl, gl = f._labelled(p), g._labelled(q)
+    if gl.w is not f.source:
         raise ValueError("product_sum: target of g is not K ox the source of f")
-    mine, theirs = _label_join(f._cols, gr, u.total_dim)
-    return w, gl[theirs] * p + fl[mine], fr[mine], g._cols[theirs], f._data[mine], g._data[theirs]
+    mine, theirs = _label_join(f._cols, gl.by_row)
+    label = None if fl.label is None and gl.label is None else \
+        gl.label_at(theirs) * p + fl.label_at(mine)
+    return fl.w, label, fl.row[mine], g._cols[theirs], f._data[mine], g._data[theirs]
 
 
 @lru_cache(maxsize=64)
@@ -627,22 +713,22 @@ def hom_system(source, target, pairs, n):
     offset = 0
     for a, b in pairs:
         start, width, _, count = _entry_places(source, target, a.degree)
-        la, ra = _labelled(a, 1 if a.target == a.source else n)[1:]
-        lb, rb = _labelled(b, 1 if b.target == b.source else n)[1:]
+        la, lb = (op._labelled(1 if op.target is op.source else n) for op in (a, b))
+        ra, rb = la.row, lb.row
         den = math.lcm(a._den, b._den)
         ad, bd = _fit(max(a._max, 1) * (den // a._den) + max(b._max, 1) * (den // b._den)
                       if mode == EXACT else 0, a._data, b._data)
         at, w = _spread(ra, source, target)             # phi[w, v'] A_l[v', v]
         v = a._cols[at]
-        keys.append((offset + la[at] * count + start[v] + width[v] * local[w]) * n_cols +
-                    start0[ra[at]] + width0[ra[at]] * local[w])
+        keys.append((offset + la.label_at(at) * count + start[v] + width[v] * local[w]) * n_cols
+                    + start0[ra[at]] + width0[ra[at]] * local[w])
         data.append(ad[at] * (den // a._den))
         at, v = _spread(b._cols, target, source)        # A'_l[w, w'] phi[w', v]
         w = rb[at]
-        keys.append((offset + lb[at] * count + start[v] + width[v] * local[w]) * n_cols +
+        keys.append((offset + lb.label_at(at) * count + start[v] + width[v] * local[w]) * n_cols +
                     start0[v] + width0[v] * local[b._cols[at]])
         data.append(bd[at] * -(den // b._den))
-        offset += count * (n if a.target != a.source else 1)
+        offset += count * (n if a.target is not a.source else 1)
     keys, data = np.concatenate(keys), np.concatenate(data)
     order = np.argsort(keys, kind="stable")
     keys, data = keys[order], data[order]
@@ -681,21 +767,11 @@ def _unit_columns(n):
 def unstack(op, n):
     """The n blocks f_1 .. f_n of an operator V -> K ox W stacked over n
     labels (``stack``), as operators V -> W: one read per label."""
-    w, label, row = _labelled(op, n)
-    order = np.argsort(label, kind="stable")
-    bounds = np.searchsorted(label[order], np.arange(n + 1))
-    rows, cols, data = row[order], op._cols[order], op._data[order]
-    return [GradedOperator(op.source, w, op.degree, op.mode, rows[a:b], cols[a:b], data[a:b],
-                           op._den) for a, b in zip(bounds[:-1], bounds[1:])]
-
-
-def _labelled(op, n):
-    """W, and the label and the row in W of each entry, of an operator
-    V -> K ox W stacked over n labels (``stack``)."""
-    if n == 1:
-        return op.target, np.zeros(len(op._rows), dtype=int), op._rows
-    w, label, row = _unlabel(n, op.target)
-    return w, label[op._rows], row[op._rows]
+    lab = op._labelled(n)
+    order, bounds = lab.by_label
+    rows, cols, data = (a if order is None else a[order] for a in (lab.row, op._cols, op._data))
+    return [GradedOperator(op.source, lab.w, op.degree, op.mode, rows[a:b], cols[a:b],
+                           data[a:b], op._den) for a, b in zip(bounds[:-1], bounds[1:])]
 
 
 def stack_entries(n, source, target, degree, entries, mode) -> GradedOperator:
@@ -775,8 +851,9 @@ def dual_operator(op: GradedOperator, space: GradedVectorSpace, sign,
     signs = np.repeat(np.array([sign(q) for q in space.degrees], dtype=int),
                       [space.dims[q] for q in space.degrees])
     target, rows, cols = space, rev[op._cols], op._rows
-    if labels is not None and op.target != op.source:
-        _, label, cols = _labelled(op, labels)
+    if labels is not None and op.target is not op.source:
+        lab = op._labelled(labels)
+        label, cols = lab.label, lab.row
         target = tensor_space(label_space(labels), space)
         rows = _stacked_rows(labels, space, label, rows)
     cols = rev[cols]

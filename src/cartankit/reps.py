@@ -121,8 +121,10 @@ class CartanRep:
 
     def letter(self, x) -> "Letter":
         """The operators of the letter x, built once per coordinate tuple and
-        shared read-only; past ``LETTER_CACHE`` letters the oldest is dropped."""
-        key = tuple(x)
+        shared read-only; past ``LETTER_CACHE`` letters the oldest is dropped.
+        Keyed by each coordinate's type and value: (1, 0) == (1.0, 0.0), but a
+        float letter of an exact representation raises ``ModeError``."""
+        key = tuple((type(v), v) for v in x)
         entry = self._letters.get(key)
         if entry is None:
             if len(self._letters) >= LETTER_CACHE:

@@ -1,10 +1,12 @@
 """Graded operators, Koszul signs, tensor complexes."""
 
+import gc
 import itertools
 import json
 import math
 import pathlib
 import re
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -12,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cartankit import cli, linalg
+from cartankit import cli, graded, linalg
 from cartankit.ce import ce_chain, ce_cochain
 from cartankit.graded import (CochainComplex, GradedOperator, GradedVectorSpace, combination,
                               compose, dual_complex, dual_operator, dual_space,
@@ -23,7 +25,7 @@ from cartankit.graded import (CochainComplex, GradedOperator, GradedVectorSpace,
 from cartankit.lie import sl2
 from cartankit.linalg import EXACT, FLOAT, ModeError
 from cartankit.reps import adjoint_rep, chain_rep, cochain_rep, trivial_lie_rep
-from cartankit.schemas import load_operator
+from cartankit.schemas import load_operator, load_problem
 from dense_reference import apply, on_labels, operator_from_blocks, operator_from_entries
 from test_stacked import _assert_int64_iff_fits, _assert_same
 
@@ -698,13 +700,12 @@ def test_warm_relabel_builds_no_graded_vector_space(monkeypatch):
     swap = np.eye(n * n, dtype=int)[np.arange(n * n).reshape(n, n).T.ravel()]
     warm = relabel(swap, ll), label_combination([1, 2, 3], L)
     built = []
-    original = GradedVectorSpace.__init__
 
-    def counted(self, dims):
+    def counted(dims):
         built.append(dims)
-        original(self, dims)
+        return GradedVectorSpace(dims)
 
-    monkeypatch.setattr(GradedVectorSpace, "__init__", counted)
+    monkeypatch.setattr(graded, "GradedVectorSpace", counted)
     again = relabel(swap, ll), label_combination([1, 2, 3], L)
     assert built == []
     assert label_space(n) is label_space(n)
@@ -756,3 +757,37 @@ def test_constructor_fast_paths_keep_every_entry_bit_for_bit(mode):
         for got, ref in zip((op._rows, op._cols, op._data), want[:3]):
             assert got.dtype == ref.dtype and np.array_equal(got, ref)
         assert op._den == want[3]
+
+
+def test_spaces_are_interned_by_their_dimensions(tmp_path):
+    """Equal dimensions give one object from every route that builds a
+    space, so equality is identity: the constructor (zero dimensions
+    dropped, any key order), ``tensor_space``, ``dual_space``,
+    ``label_space``, the W of a stacked target and a loaded problem file.
+    A negative dimension still raises, and a space rebuilt after every
+    reference to it was dropped is still the one live object."""
+    space = GradedVectorSpace({-1: 2, 0: 3})
+    assert GradedVectorSpace({0: 3, -1: 2, 4: 0}) is space and space.dims == {-1: 2, 0: 3}
+    assert GradedVectorSpace({0: 3}) is not space
+    assert tensor_space(GradedVectorSpace({-1: 2, 0: 1}), GradedVectorSpace({0: 1})) is \
+        GradedVectorSpace({-1: 2, 0: 1})
+    assert tensor_space(GradedVectorSpace({0: 1}), space) is space
+    assert dual_space(GradedVectorSpace({1: 2, 0: 3})) is space
+    assert label_space(3) is GradedVectorSpace({0: 3}) and label_space(0) is GradedVectorSpace({})
+    stacked = tensor_space(label_space(2), space)
+    assert stacked is GradedVectorSpace({-1: 4, 0: 6})
+    assert graded._unlabel(2, stacked)[0] is space
+    root = pathlib.Path(__file__).resolve().parents[1]
+    payload = json.loads((root / "problems" / "sl2.json").read_text())
+    payload["representations"]["explicit"] = {"degrees": {"0": 3, "-1": 2},
+                                              "L": [{}] * 3, "B": [{}] * 3}
+    path = tmp_path / "explicit.json"
+    path.write_text(json.dumps(payload))
+    assert load_problem(str(path)).representation("explicit").complex.space is space
+    with pytest.raises(ValueError, match="nonnegative"):
+        GradedVectorSpace({0: 2, 1: -1})
+    probe = weakref.ref(GradedVectorSpace({-7: 5, 3: 1}))
+    gc.collect()
+    assert probe() is None
+    again = GradedVectorSpace({-7: 5, 3: 1})
+    assert GradedVectorSpace({3: 1, -7: 5}) is again and again.dims == {-7: 5, 3: 1}

@@ -339,23 +339,43 @@ def _stacked(rng, space):
     return space if p == 1 else graded.tensor_space(graded.label_space(p), space)
 
 
+def _assert_memos_read_only(op):
+    """Every array an operator memoises (its ``_Labelled`` reads and their
+    match data) or shares through its interned spaces is read-only; a plain
+    operator's rows are its own."""
+    for n, lab in op._by_labels.items():
+        arrays = [lab.label, lab.row, op.source._index_degrees, op.target._index_degrees]
+        arrays = arrays if n > 1 else arrays[2:]
+        assert n > 1 or (lab.label is None and lab.row is op._rows)
+        arrays += [a for key in ("by_row", "by_label") if key in vars(lab)
+                   for a in vars(lab)[key] if a is not None]
+        for a in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                a[...] = 0
+
+
 @pytest.mark.parametrize("mode", [EXACT, FLOAT])
 def test_compose_and_stack_equal_their_own_kernels_bit_for_bit(mode):
     """150 seeded cases per mode: ``compose`` against ``matched_compose`` and
     ``stack`` against ``layout_stack`` on random operators between graded
     spaces, empty spaces and empty operators included, with stacked spaces
-    K_p ox W as operands and targets."""
+    K_p ox W as operands and targets.  Each case runs twice, with the
+    operands' memos cold and then warm; every memoised array is read-only."""
     rng = np.random.default_rng(2024)
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         for _ in range(150):
             v, u, w = (_stacked(rng, SPACES[i]) for i in rng.integers(len(SPACES), size=3))
             a, b = (int(x) for x in rng.integers(-1, 2, size=2))
             f, g = _random_operator(rng, u, w, a, mode), _random_operator(rng, v, u, b, mode)
-            _assert_same(graded.compose(f, g), matched_compose(f, g))
             ops = [_random_operator(rng, v, w, a, mode) for _ in range(rng.integers(1, 5))]
-            _assert_same(graded.stack(ops), layout_stack(ops))
-            _assert_same(graded.stack([GradedOperator.zero(v, w, a, mode)] * 2),
-                         layout_stack([GradedOperator.zero(v, w, a, mode)] * 2))
+            zeros = [GradedOperator.zero(v, w, a, mode)] * 2
+            assert not any(op._by_labels for op in [f, g] + ops + zeros)
+            for _ in range(2):
+                _assert_same(graded.compose(f, g), matched_compose(f, g))
+                _assert_same(graded.stack(ops), layout_stack(ops))
+                _assert_same(graded.stack(zeros), layout_stack(zeros))
+            for op in [f, g] + ops + zeros:
+                _assert_memos_read_only(op)
 
 
 def test_compose_and_stack_past_int64_equal_their_own_kernels():
@@ -411,6 +431,9 @@ def test_combination_equals_its_own_kernel_bit_for_bit(mode):
             _assert_same(f + g, concatenated_combination((1, 1), (f, g)))
             _assert_same(f - g, concatenated_combination((1, -1), (f, g)))
             _assert_same(coeffs[0] * f, concatenated_combination(coeffs[:1], (f,)))
+            if mode == FLOAT:
+                for c in (Fraction(1, 2), 0.5, Fraction(-3), -3.0):
+                    _assert_same(c * f, concatenated_combination((c,), (f,)))
 
 
 def test_combination_past_int64_equals_its_own_kernel():
@@ -434,8 +457,10 @@ def test_combination_past_int64_equals_its_own_kernel():
 def test_combination_raises_the_kinds_it_raised(mode):
     """``product_sum`` raises what ``combination`` raised before it became its
     relabel terms: ``ValueError`` for operators that are not parallel,
-    ``ModeError`` for mixed modes and for a float coefficient on an exact
-    operator, the float 1.0 included (only an int +-1 is ``UNIT``)."""
+    ``ModeError`` for mixed modes and for a nonzero float coefficient on an
+    exact operator, the float 1.0 included, also after the ``Fraction`` of
+    equal value and hash has been cached as a label array; a zero float
+    coefficient adds nothing.  Each cached [[c]] is read-only."""
     one, wide = (GradedOperator.identity(GradedVectorSpace({0: d}), mode) for d in (2, 3))
     shifted = GradedOperator.zero(one.source, one.target, 1, mode)
     for f, g in ((one, wide), (one, shifted)):
@@ -452,6 +477,17 @@ def test_combination_raises_the_kinds_it_raised(mode):
                 c * one
             with pytest.raises(ModeError, match="float coefficient"):
                 graded.combination((c,), (one,))
+        for c in (Fraction(1), Fraction(2), 1, 2):
+            assert ((c * one).block(0) == c * np.eye(2, dtype=int)).all()
+            for a in (graded._scalar(c), *graded._label_map(graded._scalar(c), mode)[1:]):
+                if isinstance(a, np.ndarray):
+                    with pytest.raises(ValueError, match="read-only"):
+                        a[...] = 0
+        for c in (1.0, 2.0, np.float64(2)):
+            with pytest.raises(ModeError, match="float coefficient"):
+                c * one
+        assert not len((0.0 * one)._data)
+        _assert_same(graded.combination((1, 0.0), (one, 2 * one)), 1 * one)
     else:
         _assert_same(1.0 * one, 1 * one)
 

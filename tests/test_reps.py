@@ -500,3 +500,23 @@ def test_adjunction_builds_the_chain_complex_once(monkeypatch):
     res = adjunction_check(v_rep, w_rep)
     assert res.ok and res.dim_lie_side == 2
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("functor", [chain_rep, cochain_rep])
+def test_letter_cache_keeps_float_letters_of_an_exact_rep_raising(functor):
+    """The letter cache is keyed by each coordinate's type and value:
+    (1, 0, 0) == (1.0, 0.0, 0.0), but a float letter of an exact
+    representation raises ``ModeError`` before and after the int letter of
+    the same value is cached, and a ``Fraction`` letter is its own entry."""
+    g = heisenberg3()
+    rep = functor(g, trivial_lie_rep(g))
+    for x in ((1.0, 0.0, 0.0), (1.0, 0, 0), (np.float64(1), 0, 0)):
+        with pytest.raises(ModeError, match="float coefficient"):
+            rep.letter(x)
+    exact = rep.letter((1, 0, 0))
+    assert rep.letter([1, 0, 0]) is exact
+    for x in ((1.0, 0.0, 0.0), (1.0, 0, 0), (np.float64(1), 0, 0)):
+        with pytest.raises(ModeError, match="float coefficient"):
+            rep.letter(x)
+    fraction = rep.letter((Fraction(1), Fraction(0), Fraction(0)))
+    assert fraction is not exact and (fraction.L - exact.L).norm() == 0
