@@ -18,9 +18,9 @@ squares to zero.  Spaces are interned by their dimensions, so equal spaces
 are one object and equality is identity.  No operation writes into an
 operand, so an operator keeps what its entries decide, each computed on
 first use: max|entry|, the most entries in one row, and per label count
-its labels, rows and their match data (``_Labelled``).  A family of n
-parallel operators is stored as one operator V -> K ox W over the
-degree-0 space K = ``label_space(n)`` of n labels (``stack``); tensor
+its labels and rows and the match data of its rows (``_Labelled``).  A
+family of n parallel operators is stored as one operator V -> K ox W over
+the degree-0 space K = ``label_space(n)`` of n labels (``stack``); tensor
 products and duals act on such stacks label by label, and ``relabel``
 maps the labels by a scalar matrix.  Every
 sum, product, stack and relabel is a ``product_sum``, sum_t h_t (1_K ox
@@ -288,34 +288,24 @@ def read_only(op) -> GradedOperator:
 
 class _Labelled:
     """An operator V -> K ox W stacked over n labels (``stack``) read entry by
-    entry: W, and the label and the row in W of each entry, the label None
-    for a plain operator (n = 1: every label 0, rows already sorted); and,
-    on first use, the ``_matched`` data of its rows (``by_row``) and of its
-    labels (``by_label``).  Every array it makes is read-only."""
+    entry: W, and the label and the row in W of each entry (n = 1, a plain
+    operator: every label 0, rows already sorted); and, on first use, the
+    ``_matched`` data of its rows (``by_row``).  Every array it makes is
+    read-only."""
 
     def __init__(self, op, n):
         self.n = n
         if n == 1:
-            self.w, self.label, self.row = op.target, None, op._rows
+            self.w, self.label, self.row = op.target, _zeros(len(op._rows)), op._rows
         else:
             self.w, label, row = _unlabel(n, op.target)
             self.label, self.row = label[op._rows], row[op._rows]
             self.label.setflags(write=False)
             self.row.setflags(write=False)
 
-    def label_at(self, index):
-        """The labels of the entries ``index``: 0 for a plain operator."""
-        return 0 if self.label is None else self.label[index]
-
     @cached_property
     def by_row(self):
-        return _matched(self.row, self.w.total_dim, self.label is not None)
-
-    @cached_property
-    def by_label(self):
-        if self.label is None:
-            return _matched(np.zeros(len(self.row), dtype=int), 1, False)
-        return _matched(self.label, self.n, True)
+        return _matched(self.row, self.w.total_dim, self.n != 1)
 
 
 def compose(f: GradedOperator, g: GradedOperator) -> GradedOperator:
@@ -440,7 +430,7 @@ def _tensor_sum(pairs, descending=False, signs=None, labels=None):
         if g.degree % 2:
             fd = fd * (1 - 2 * (f.source._index_degrees[f._cols] % 2))
         if fl is not None and gl is not None:
-            mine, theirs = _label_join(fl.label, gl.by_label)
+            mine, theirs = _label_join(fl.label, _matched(gl.label, labels))
             tags.append(None)
             rows.append(rpos[fr[mine] * w.total_dim + gr[theirs]])
             cols.append(cpos[f._cols[mine] * g.source.total_dim + g._cols[theirs]])
@@ -500,6 +490,15 @@ def _stacked_rows(n, w, label, rows):
     """Layout position in K ox W (K the n labels of ``stack``) of each label
     and row of W."""
     return rows if n == 1 else _tensor_position(label_space(n), w)[label * w.total_dim + rows]
+
+
+@lru_cache(maxsize=256)
+def _zeros(n):
+    """The labels of n entries of a plain operator, all 0: built once per
+    n, read-only."""
+    out = np.zeros(n, dtype=int)
+    out.flags.writeable = False
+    return out
 
 
 @lru_cache(maxsize=64)
@@ -620,17 +619,12 @@ def product_sum(terms) -> GradedOperator:
         scale = den // (lab.den * f._den * (g._den if g else 1)) if mode == EXACT else 1
         a, b = _fit(bound, a, b)
         values = a if b is None else a * b
-        if lab.dest is not None and label is None:      # every label 0: one coefficient
-            to, coef = lab.dest[:1], lab.coef[:1]
-            if to[0] < 0:
-                r, c, values = r[:0], c[:0], values[:0]
-        elif lab.dest is not None:
+        if lab.dest is not None:
             to, coef = lab.dest[label], lab.coef[label]
             if len(lab.of) < len(lab.dest) and np.count_nonzero(to < 0):    # an empty column
                 keep = to >= 0
                 to, r, c, values, coef = (x[keep] for x in (to, r, c, values, coef))
         else:
-            label = np.zeros(len(r), dtype=int) if label is None else label
             mine, theirs = _label_join(label, _matched(lab.of, math.prod(lab.shape[1:])))
             to, r, c, values, coef = lab.to[theirs], r[mine], c[mine], values[mine], \
                 lab.values[theirs]
@@ -652,8 +646,7 @@ def _product_terms(f, g, q, p, mode):
     if gl.w is not f.source:
         raise ValueError("product_sum: target of g is not K ox the source of f")
     mine, theirs = _label_join(f._cols, gl.by_row)
-    label = None if fl.label is None and gl.label is None else \
-        gl.label_at(theirs) * p + fl.label_at(mine)
+    label = _zeros(len(mine)) if p == q == 1 else gl.label[theirs] * p + fl.label[mine]
     return fl.w, label, fl.row[mine], g._cols[theirs], f._data[mine], g._data[theirs]
 
 
@@ -720,12 +713,12 @@ def hom_system(source, target, pairs, n):
                       if mode == EXACT else 0, a._data, b._data)
         at, w = _spread(ra, source, target)             # phi[w, v'] A_l[v', v]
         v = a._cols[at]
-        keys.append((offset + la.label_at(at) * count + start[v] + width[v] * local[w]) * n_cols
+        keys.append((offset + la.label[at] * count + start[v] + width[v] * local[w]) * n_cols
                     + start0[ra[at]] + width0[ra[at]] * local[w])
         data.append(ad[at] * (den // a._den))
         at, v = _spread(b._cols, target, source)        # A'_l[w, w'] phi[w', v]
         w = rb[at]
-        keys.append((offset + lb.label_at(at) * count + start[v] + width[v] * local[w]) * n_cols +
+        keys.append((offset + lb.label[at] * count + start[v] + width[v] * local[w]) * n_cols +
                     start0[v] + width0[v] * local[b._cols[at]])
         data.append(bd[at] * -(den // b._den))
         offset += count * (n if a.target is not a.source else 1)
@@ -768,7 +761,7 @@ def unstack(op, n):
     """The n blocks f_1 .. f_n of an operator V -> K ox W stacked over n
     labels (``stack``), as operators V -> W: one read per label."""
     lab = op._labelled(n)
-    order, bounds = lab.by_label
+    order, bounds = _matched(lab.label, n, n != 1)
     rows, cols, data = (a if order is None else a[order] for a in (lab.row, op._cols, op._data))
     return [GradedOperator(op.source, lab.w, op.degree, op.mode, rows[a:b], cols[a:b],
                            data[a:b], op._den) for a, b in zip(bounds[:-1], bounds[1:])]

@@ -345,10 +345,9 @@ def _assert_memos_read_only(op):
     operator's rows are its own."""
     for n, lab in op._by_labels.items():
         arrays = [lab.label, lab.row, op.source._index_degrees, op.target._index_degrees]
-        arrays = arrays if n > 1 else arrays[2:]
-        assert n > 1 or (lab.label is None and lab.row is op._rows)
-        arrays += [a for key in ("by_row", "by_label") if key in vars(lab)
-                   for a in vars(lab)[key] if a is not None]
+        arrays = arrays if n > 1 else [arrays[0]] + arrays[2:]
+        assert n > 1 or (lab.row is op._rows and not lab.label.any())
+        arrays += [a for a in vars(lab).get("by_row", ()) if a is not None]
         for a in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 a[...] = 0
