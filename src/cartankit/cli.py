@@ -104,8 +104,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return run(args)
-    except (schemas.ProblemError, linalg.ModeError, integrate.ConvergenceError,
-            OSError) as err:
+    except (schemas.ProblemError, linalg.ModeError, linalg.BudgetError,
+            integrate.ConvergenceError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

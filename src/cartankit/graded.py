@@ -51,6 +51,9 @@ _FLOAT_MAX = int(np.finfo(float).max)      # compared with a Fraction in integer
 # operator, and of its negative; read-only, so parsed once
 UNIT, MINUS_UNIT = np.ones((1, 1, 1), dtype=int), -np.ones((1, 1, 1), dtype=int)
 UNIT.flags.writeable = MINUS_UNIT.flags.writeable = False
+# the most float64 entries of the dense rest of a float ``hom_system`` and the
+# U of its SVD, rows x (rows + unknowns), counted after the peel
+MAX_FLOAT_SYSTEM = 10 ** 7
 
 
 def _fit(bound, *arrays):
@@ -688,7 +691,7 @@ def _spread(index, v, w):
     return at, start[at] + np.arange(len(at)) - np.repeat(dim.cumsum() - dim, dim)
 
 
-def hom_system(source, target, pairs, n):
+def hom_system(source, target, pairs, n, tol=linalg.DEFAULT_TOL):
     """The equations phi A = A' phi over pairs (A, A') of endomorphism
     families of source and target (a family whose target is not its source
     is stacked over n labels, ``stack``) in the entries of the generic
@@ -696,13 +699,25 @@ def hom_system(source, target, pairs, n):
     (blocks by degree, each row-major): one row (label l, entry (w, v) of a
     map of degree |A|) per nonzero sum_v' phi[w, v'] A_l[v', v] -
     sum_w' A'_l[w, w'] phi[w', v], read straight off the entries of A and
-    A', pairs and labels in order, rows in block-entry order.  Exact: sparse
-    integer rows {unknown: numerator} and the number of unknowns, summed in
-    Python ints when max|A| + max|A'| at their common denominator could
-    leave int64.  Float: one dense array, and None."""
+    A' and summed pair by pair, pairs and labels in order, rows in
+    block-entry order; exact sums in Python ints when max|A| + max|A'| at
+    their common denominator could leave int64.  A float entry counts only
+    above ``tol`` times the largest entry of every A and A' (the relative
+    tolerance of the float rank), so a roundoff row forces no zero.  The
+    forced zeros are peeled off these entry arrays (``linalg.peel``), each
+    pair's as it is read and then all together, before any row is built.
+    Returns the rest, the unknowns it is in (the live ones, in increasing
+    order; every other unknown is 0) and the number of unknowns.  Exact:
+    the rest as sparse integer rows {column: numerator}, column i for live
+    unknown i, each row once up to a factor (``linalg.primitive_rows``: an
+    equation that several labels or pairs give is eliminated once).  Float:
+    one dense array, or ``linalg.BudgetError`` before it is built when it
+    and the U of its SVD would take more than ``MAX_FLOAT_SYSTEM`` entries."""
     mode = pairs[0][0].mode
     start0, width0, local, n_cols = _entry_places(source, target, 0)
-    keys, data = [_NONE], [np.zeros(0, dtype=np.int64 if mode == EXACT else float)]
+    floor = 0 if mode == EXACT else tol * max(op.norm() for pair in pairs for op in pair)
+    dead = np.zeros(n_cols, dtype=bool)
+    parts = []
     offset = 0
     for a, b in pairs:
         start, width, _, count = _entry_places(source, target, a.degree)
@@ -713,30 +728,42 @@ def hom_system(source, target, pairs, n):
                       if mode == EXACT else 0, a._data, b._data)
         at, w = _spread(ra, source, target)             # phi[w, v'] A_l[v', v]
         v = a._cols[at]
-        keys.append((offset + la.label[at] * count + start[v] + width[v] * local[w]) * n_cols
-                    + start0[ra[at]] + width0[ra[at]] * local[w])
-        data.append(ad[at] * (den // a._den))
+        keys = [(offset + la.label[at] * count + start[v] + width[v] * local[w]) * n_cols
+                + start0[ra[at]] + width0[ra[at]] * local[w]]
+        data = [ad[at] * (den // a._den)]
         at, v = _spread(b._cols, target, source)        # A'_l[w, w'] phi[w', v]
         w = rb[at]
         keys.append((offset + lb.label[at] * count + start[v] + width[v] * local[w]) * n_cols +
                     start0[v] + width0[v] * local[b._cols[at]])
         data.append(bd[at] * -(den // b._den))
+        keys, data = _summed(np.concatenate(keys), np.concatenate(data), floor)
+        parts.append(linalg.peel(*np.divmod(keys, n_cols or 1), data, dead))
         offset += count * (n if a.target is not a.source else 1)
-    keys, data = np.concatenate(keys), np.concatenate(data)
+    row, col, data = linalg.peel(*(np.concatenate(part) for part in zip(*parts)), dead)
+    live = np.flatnonzero(~dead)
+    col = (np.cumsum(~dead) - 1)[col]
+    if mode == EXACT:
+        return linalg.primitive_rows(row, col, data), live, n_cols
+    first = linalg.run_bounds(row)[:-1]
+    rows = np.count_nonzero(first)
+    if rows * (rows + len(live)) > MAX_FLOAT_SYSTEM:
+        raise linalg.BudgetError(f"the peeled float hom-space system is {rows} x {len(live)}, "
+                                 f"with its SVD over the budget of {MAX_FLOAT_SYSTEM} entries; "
+                                 f"use --mode exact")
+    out = np.zeros((rows, len(live)))
+    out[np.cumsum(first) - 1, col] = data
+    return out, live, n_cols
+
+
+def _summed(keys, data, floor):
+    """The sums of ``data`` over equal ``keys`` that are above ``floor`` in
+    absolute value (nonzero for floor 0), by increasing key."""
     order = np.argsort(keys, kind="stable")
     keys, data = keys[order], data[order]
-    first = np.concatenate([[True], keys[1:] != keys[:-1]])[:len(keys)]
-    keys, data = keys[first], np.add.reduceat(data, np.flatnonzero(first)) if len(keys) else data
-    rows, cols = np.divmod(keys[data != 0], n_cols or 1)
-    data = data[data != 0]
-    new = np.concatenate([[True], rows[1:] != rows[:-1]])[:len(rows)]
-    if mode == FLOAT:
-        out = np.zeros((np.count_nonzero(new), n_cols))
-        out[np.cumsum(new) - 1, cols] = data
-        return out, None
-    bounds = np.append(np.flatnonzero(new), len(rows)).tolist()
-    cols, data = cols.tolist(), data.tolist()
-    return [dict(zip(cols[i:j], data[i:j])) for i, j in zip(bounds[:-1], bounds[1:])], n_cols
+    first = np.flatnonzero(linalg.run_bounds(keys)[:-1])
+    data = np.add.reduceat(data, first) if len(keys) else data
+    keep = np.abs(data) > floor if floor else data != 0
+    return keys[first][keep], data[keep]
 
 
 def stack(ops) -> GradedOperator:

@@ -1,10 +1,12 @@
-"""Matrix helpers: scalar parsing, exact rank and nullspace, and the one
-float matrix exponential, ``TaylorExp``.
+"""Matrix helpers: scalar parsing, exact rank and nullspace, the peel of
+forced zeros, and the one float matrix exponential, ``TaylorExp``.
 
 Dense matrices are numpy arrays: float64 in float mode, object arrays of
 ``fractions.Fraction`` in exact mode; exact rank and nullspace eliminate on
 sparse integer rows, read off a dense array or straight off an operator
-(``GradedOperator.rows``).  ``common_mode`` raises when modes mix.
+(``GradedOperator.rows``).  ``peel`` takes the unknowns that a one-entry
+row forces to 0 off the entry arrays of a sparse system.  ``common_mode``
+raises when modes mix.
 """
 
 import math
@@ -25,6 +27,10 @@ def tolerance(mode: str, tol: float = DEFAULT_TOL) -> float:
 
 class ModeError(TypeError):
     """Raised when exact and float values meet in one operation."""
+
+
+class BudgetError(ValueError):
+    """Raised before a computation whose memory would be over its stated budget."""
 
 
 def mode_of(a) -> str:
@@ -115,6 +121,48 @@ def _exact_rows(a, n_cols):
     return [{j: int(v * m) for j, v in enumerate(row) if v} for row, m in zip(a, lcms)], a.shape[1]
 
 
+def run_bounds(a):
+    """Mask over the positions 0 .. len(a) of a sorted array: True where a
+    run of equal values starts, and at len(a), where the last one ends."""
+    out = np.ones(len(a) + 1, dtype=bool)
+    np.not_equal(a[1:], a[:-1], out=out[1:-1])
+    return out
+
+
+def peel(row, col, data, dead):
+    """Singleton removal (LaMacchia and Odlyzko, 1990) on the nonzero entries
+    (row, col, data) of a sparse system, rows in increasing order, given the
+    mask ``dead`` of the unknowns already known to be 0: an unknown that is
+    the only entry of some row is 0 in every solution, so it is marked in
+    ``dead`` and dropped from every row, and this repeats until no row has
+    one entry.  Returns the entries left, rows and columns as given; each
+    row left has two or more.  The nullspace is unchanged on the other
+    unknowns: an unknown forced to 0 is a pivot column of the reduced row
+    echelon form whose row is a unit row."""
+    while True:
+        keep = ~dead[col]
+        row, col, data = row[keep], col[keep], data[keep]
+        bounds = run_bounds(row)
+        single = bounds[:-1] & bounds[1:]                   # a row of one entry
+        if not single.any():
+            return row, col, data
+        dead[col[single]] = True
+
+
+def primitive_rows(row, col, data):
+    """The rows of a sparse integer system from its nonzero entries (row,
+    col, data), rows in increasing order, as {column: int}: each over the
+    gcd of its entries with its first entry positive, and each such row
+    once, in order of first appearance.  They span the same row space."""
+    bounds = np.flatnonzero(run_bounds(row)).tolist()
+    col, data = col.tolist(), data.tolist()
+    rows = {}
+    for i, j in zip(bounds[:-1], bounds[1:]):
+        g = math.gcd(*data[i:j]) if data[i] > 0 else -math.gcd(*data[i:j])
+        rows[tuple(col[i:j]), tuple([v // g for v in data[i:j]])] = None
+    return [dict(zip(c, v)) for c, v in rows]
+
+
 def _echelon(rows, n_cols):
     """Fraction-free forward elimination (Bareiss, 1968) of sparse integer
     rows, one column at a time in increasing order.  Rows wait under their
@@ -161,8 +209,11 @@ def nullspace(a, tol: float = DEFAULT_TOL, n_cols=None):
     Exact mode back-substitutes from the rows of ``_echelon``: one vector
     per free (non-pivot) column, with 1 there, 0 at the other free
     columns and ``Fraction`` entries throughout (the basis of the reduced
-    row echelon form, as in sympy's ``Matrix.nullspace``).  Float mode
-    takes the right singular vectors past the numerical rank.
+    row echelon form, as in sympy's ``Matrix.nullspace``).  So the rows
+    that ``peel`` leaves, on their live unknowns, give the whole system's
+    basis with the forced unknowns left out (``reps.hom_space`` writes the
+    0s back).  Float mode takes the right singular vectors past the
+    numerical rank.
     """
     exact = _exact_rows(a, n_cols)
     if exact:

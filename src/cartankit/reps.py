@@ -362,7 +362,12 @@ def hom_space(a, b, tol=linalg.DEFAULT_TOL):
     """Basis of degree-0 chain maps commuting with every generator.
 
     Works for two CartanReps (conditions d, L, B) or two LieReps
-    (conditions d, action).
+    (conditions d, action).  The equations are ``hom_system``'s: what is
+    left of them once the forced zeros are peeled off is eliminated on its
+    live unknowns (``linalg.nullspace``), and each basis vector is written
+    back at full length, 0 at every forced unknown.  The exact basis is the
+    one of the whole system.  A float rest over ``graded.MAX_FLOAT_SYSTEM``
+    raises ``linalg.BudgetError`` before it is built.
     """
     mode = a.mode
     if mode != b.mode:
@@ -373,9 +378,13 @@ def hom_space(a, b, tol=linalg.DEFAULT_TOL):
     else:
         pairs += [(a.stacked, b.stacked)]
     source, target = a.complex.space, b.complex.space
-    system, n_cols = hom_system(source, target, pairs, a.algebra.n)
-    return [GradedOperator.from_block_entries(source, target, 0, v, mode)
-            for v in linalg.nullspace(system, tol, n_cols)]
+    rest, live, n_cols = hom_system(source, target, pairs, a.algebra.n, tol)
+    basis = []
+    for v in linalg.nullspace(rest, tol, len(live) if mode == EXACT else None):
+        full = linalg.zeros(n_cols, mode)
+        full[live] = v
+        basis.append(GradedOperator.from_block_entries(source, target, 0, full, mode))
+    return basis
 
 
 def induced_map(v_rep: LieRep, w_rep: CartanRep, phi0: GradedOperator) -> GradedOperator:

@@ -11,29 +11,28 @@ import numpy as np
 
 from . import ce, cubical, integrate, linalg, reps
 from .evaluators import WordEvaluator, ez_product, interior_points, thinness_check
-from .graded import GradedVectorSpace, compose, dual_space, tensor_space
+from .graded import GradedVectorSpace, compose, tensor_space
 from .linalg import FLOAT
 from .report import Report
 from .integrate import MAX_QUADRATURE_NODES
 from .schemas import ProblemError, dump_operator
 
 
-# the most float64 entries of the dense hom-space system of ``adjunction``
-# and the U of its SVD, rows x (rows + unknowns); tests need 120 x (120 + 20)
-MAX_FLOAT_SYSTEM = 10 ** 7
+# the most unknowns of the hom-space system of ``adjunction``, in either mode;
+# the n_5 trivial case (184,756 unknowns) is the largest it admits
+MAX_HOM_UNKNOWNS = 200_000
 
 
-def _check_float_system(n, v_space, w_space):
-    """``ProblemError`` before any operator is built when the float system of
-    ``reps.hom_space`` from the chain representation U of V to W is over
-    budget: on W ox U*, rows for d, L and B (degrees 1, 0, -1), unknowns in
-    degree 0."""
+def _check_hom_unknowns(n, v_space, w_space):
+    """``ProblemError`` before any operator is built when the hom-space system
+    of ``reps.hom_space`` from the chain representation U of V to W has more
+    than ``MAX_HOM_UNKNOWNS`` unknowns: sum_k dim U^k dim W^k, the degree-0
+    entries of a map U -> W."""
     chains = tensor_space(GradedVectorSpace({-m: comb(n, m) for m in range(n + 1)}), v_space)
-    maps = tensor_space(w_space, dual_space(chains))
-    rows, cols = maps.dim(1) + n * (maps.dim(0) + maps.dim(-1)), maps.dim(0)
-    if rows * (rows + cols) > MAX_FLOAT_SYSTEM:
-        raise ProblemError(f"the float hom-space system is {rows} x {cols}, with its SVD over "
-                           f"the budget of {MAX_FLOAT_SYSTEM} entries; use --mode exact")
+    unknowns = sum(chains.dim(k) * w_space.dim(k) for k in chains.degrees)
+    if unknowns > MAX_HOM_UNKNOWNS:
+        raise ProblemError(f"the hom-space system has {unknowns} unknowns, over the budget of "
+                           f"{MAX_HOM_UNKNOWNS}")
 
 
 def _check_nodes(order, k):
@@ -185,8 +184,7 @@ def adjunction(problem, grep_name, rep_name) -> Report:
     report = _new_report(problem)
     v_rep = problem.lie_representation(grep_name)
     w_rep = problem.representation(rep_name)
-    if w_rep.mode == FLOAT:
-        _check_float_system(problem.algebra.n, v_rep.complex.space, w_rep.complex.space)
+    _check_hom_unknowns(problem.algebra.n, v_rep.complex.space, w_rep.complex.space)
     res = reps.adjunction_check(v_rep, w_rep, problem.settings.tol)
     tol = linalg.tolerance(v_rep.mode, problem.settings.tol)
     if res.precondition_residual > tol:

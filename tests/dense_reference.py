@@ -22,7 +22,9 @@ it one operator at a time (``compose``, then ``unstack``,
 ``concatenated_combination`` and ``stack`` for each relabelling, and one
 ``concatenated_combination`` of the terms);
 ``tensor_intertwiner_system`` builds the hom-space equations of
-``graded.hom_system`` through dual and tensor operators.
+``graded.hom_system`` through dual and tensor operators, and
+``peeled_system`` takes their forced zeros off one row list at a time, the
+reference for the rest that ``hom_system`` peels on its entry arrays.
 ``tensordot_jacobi`` contracts the ``Fraction`` structure constants as
 object arrays.  ``exp_operator`` exponentiates any degree-0 operator, in
 either mode, with scipy's Pade routine in float mode.
@@ -56,7 +58,7 @@ references for their affine and vectorized forms in ``evaluators``.
 
 from fractions import Fraction
 from itertools import combinations
-from math import comb, fsum, lcm
+from math import comb, fsum, gcd, lcm
 
 import numpy as np
 import scipy.linalg
@@ -638,6 +640,56 @@ def tensor_intertwiner_system(source, target, pairs, mode, n):
     if mode == EXACT:
         return [row for eq in eqs for row in eq.rows(0)], eqs[0].source.dim(0)
     return np.concatenate([eq.block(0) for eq in eqs]), None
+
+
+def peeled_system(system, n_cols, floor=0.0):
+    """What ``graded.hom_system`` keeps of a system of equations, found on
+    row dicts: while some row has exactly one entry, the unknowns of all
+    such rows are 0 and are deleted from every row.  A float system (one
+    dense array, ``n_cols`` None) keeps only its entries above ``floor`` in
+    absolute value.  Returns the nonempty rows left, on the unknowns left
+    renumbered in increasing order (exact: each row primitive and once,
+    ``_distinct_primitive``; float: as one dense array), those unknowns, and
+    the number of unknowns."""
+    float_mode = n_cols is None
+    if float_mode:
+        dense = np.asarray(system)
+        n_cols = dense.shape[1]
+        rows = [{j: x for j, x in enumerate(row) if abs(x) > floor} for row in dense]
+    else:
+        rows = [dict(row) for row in system]
+    zero = set()
+    while True:
+        forced = {j for row in rows if len(row) == 1 for j in row}
+        if not forced:
+            break
+        zero |= forced
+        rows = [{j: x for j, x in row.items() if j not in zero} for row in rows]
+    live = [j for j in range(n_cols) if j not in zero]
+    column = {j: i for i, j in enumerate(live)}
+    rest = [{column[j]: x for j, x in sorted(row.items())} for row in rows if row]
+    if not float_mode:
+        rest = _distinct_primitive(rest)
+    if float_mode:
+        dense = np.zeros((len(rest), len(live)))
+        for i, row in enumerate(rest):
+            dense[i, list(row)] = list(row.values())
+        rest = dense
+    return rest, np.array(live, dtype=int), n_cols
+
+
+def _distinct_primitive(rows):
+    """Each integer row over the gcd of its entries, its first entry (by
+    column) made positive, and each such row once, in order of first
+    appearance."""
+    out, seen = [], set()
+    for row in rows:
+        scale = Fraction(1 if row[min(row)] > 0 else -1, gcd(*row.values()))
+        primitive = {j: int(x * scale) for j, x in row.items()}
+        if frozenset(primitive.items()) not in seen:
+            seen.add(frozenset(primitive.items()))
+            out.append(primitive)
+    return out
 
 
 def _bracket_defect(x, y, coeffs, ops):

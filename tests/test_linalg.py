@@ -1,4 +1,5 @@
-"""Exact ranks and nullspaces, against sympy as an independent oracle, and
+"""Exact ranks and nullspaces, against sympy as an independent oracle, the
+peel of forced zeros against the whole system and a reference peel, and
 the float exponential against scipy's."""
 
 from fractions import Fraction
@@ -7,11 +8,12 @@ import numpy as np
 import pytest
 import scipy.linalg
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cartankit import linalg
 from cartankit.linalg import EXACT, ModeError
+from dense_reference import peeled_system
 
 
 @st.composite
@@ -88,6 +90,74 @@ def test_sparse_rows_match_the_dense_matrix_and_sympy(case):
     expected = [[Fraction(int(x.p), int(x.q)) for x in v] for v in m.nullspace()]
     assert [list(v) for v in linalg.nullspace(rows, n_cols=n_cols)] == expected
     assert [list(v) for v in linalg.nullspace(dense)] == expected
+
+
+@st.composite
+def sparse_systems(draw):
+    """Up to 30 equations in up to 30 unknowns, each with one to four
+    nonzero integer coefficients, as row dicts."""
+    n_rows, n_cols = draw(st.integers(0, 30)), draw(st.integers(1, 30))
+    rows = []
+    for _ in range(n_rows):
+        cols = draw(st.sets(st.integers(0, n_cols - 1), min_size=1, max_size=4))
+        rows.append({j: draw(st.integers(-9, 9).filter(bool)) for j in sorted(cols)})
+    return rows, n_cols
+
+
+# x0 = 0 forces x1, then x2, then x3: four rounds, and x4 + x5 is left
+CHAIN = ([{0: 2}, {0: 1, 1: -3}, {1: 1, 2: 4}, {2: -1, 3: 1}, {3: 5, 4: 1, 5: 1}], 6)
+# x0 = 0, then x1 = 0 and x2 = 0 from the next two rows: nothing is live
+ALL_FORCED = ([{0: 3}, {0: 1, 1: 2}, {0: -1, 2: 7}, {1: 1, 2: 1}], 3)
+# no row has one entry: nothing is peeled
+NO_SINGLE = ([{0: 1, 1: 1}, {1: 2, 2: -1}, {0: 1, 2: 1}], 4)
+# two equations, each given up to three times with other factors
+REPEATED = ([{0: 2, 1: 4}, {0: -1, 1: -2}, {1: 3, 2: -6}, {0: 3, 1: 6}, {1: -1, 2: 2}], 3)
+EMPTY = ([], 3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(sparse_systems())
+@example(CHAIN)
+@example(ALL_FORCED)
+@example(NO_SINGLE)
+@example(REPEATED)
+@example(EMPTY)
+def test_peeled_nullspace_is_the_whole_nullspace(case):
+    """``peel`` and ``primitive_rows`` on the entry arrays keep what the
+    reference peel on row dicts keeps, and the nullspace of what is left,
+    written back at full length with 0 at every forced unknown, is bit for
+    bit the nullspace of the whole system, and sympy's."""
+    rows, n_cols = case
+    row = np.array([i for i, r in enumerate(rows) for _ in r], dtype=int)
+    col = np.array([j for r in rows for j in r], dtype=int)
+    data = np.array([v for r in rows for v in r.values()], dtype=np.int64)
+    dead = np.zeros(n_cols, dtype=bool)
+    row, col, data = linalg.peel(row, col, data, dead)
+    live = np.flatnonzero(~dead)
+    rest = linalg.primitive_rows(row, (np.cumsum(~dead) - 1)[col], data)
+    want_rest, want_live, _ = peeled_system(rows, n_cols)
+    assert rest == want_rest and np.array_equal(live, want_live)
+    assert all(len(r) >= 2 for r in rest)
+    peeled = []
+    for v in linalg.nullspace(rest, n_cols=len(live)):
+        full = linalg.zeros(n_cols, EXACT)
+        full[live] = v
+        peeled.append(list(full))
+    whole = [list(v) for v in linalg.nullspace(rows, n_cols=n_cols)]
+    assert peeled == whole
+    assert all(type(x) is Fraction for v in peeled for x in v)
+    m = sympy.Matrix(len(rows), n_cols, lambda i, j: rows[i].get(j, 0))
+    assert whole == [[Fraction(int(x.p), int(x.q)) for x in v] for v in m.nullspace()]
+    if case is CHAIN:
+        assert rest == [{0: 1, 1: 1}] and live.tolist() == [4, 5]
+    if case is ALL_FORCED:
+        assert rest == [] and live.tolist() == [] and whole == []
+    if case is NO_SINGLE:
+        assert rest == rows and live.tolist() == [0, 1, 2, 3]
+    if case is REPEATED:
+        assert rest == [{0: 1, 1: 2}, {1: 1, 2: -2}] and live.tolist() == [0, 1, 2]
+    if case is EMPTY:
+        assert rest == [] and live.tolist() == [0, 1, 2]
 
 
 @pytest.mark.parametrize("dim", [3, 8, 24])

@@ -10,9 +10,11 @@ within 1e-13 in float mode.  ``compose``, ``stack`` and ``combination``,
 all ``product_sum`` terms, must equal ``matched_compose``, ``layout_stack``
 and ``concatenated_combination`` bit for bit.
 ``dense_reference.tensor_intertwiner_system`` builds the equations
-phi A = A' phi through dual and tensor operators; the exact hom-space bases
-read off both must be bit-equal, and float adjunction reports must agree
-within 1e-13.
+phi A = A' phi through dual and tensor operators: what ``hom_system`` keeps
+of them once the forced zeros are peeled must be what
+``dense_reference.peeled_system`` keeps, the exact hom-space bases must be
+bit-equal to those of the whole unpeeled system, and float adjunction
+reports must agree with its SVD within 1e-13.
 """
 
 from fractions import Fraction
@@ -20,17 +22,17 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from cartankit import graded, integrate, reps
+from cartankit import graded, integrate, linalg, reps
 from cartankit.graded import (CochainComplex, GradedOperator, GradedVectorSpace, hom_system,
                               product_sum)
 from cartankit.lie import abelian, heisenberg3, sl2, su2
-from cartankit.linalg import EXACT, FLOAT, ModeError
+from cartankit.linalg import DEFAULT_TOL, EXACT, FLOAT, ModeError
 from cartankit.reps import (CartanRep, adjoint_rep, adjunction_check, cartan_dgla, chain_rep,
                             cochain_rep, evaluation_pairing_residual, hom_space, restrict,
                             trivial_lie_rep)
 from dense_reference import (composed_product_sum, concatenated_combination, layout_stack,
-                             matched_compose, operator_from_blocks, stepwise_induced_map,
-                             tensor_intertwiner_system)
+                             matched_compose, operator_from_blocks, peeled_system,
+                             stepwise_induced_map, tensor_intertwiner_system)
 from test_ce import _nilpotent
 from test_exact_series import _count_products, _recorded
 from test_relation_families import REPS, _broken, _rebased_sl2
@@ -138,19 +140,45 @@ def test_kernel_validates_its_terms(mode):
 # hom spaces
 # ---------------------------------------------------------------------------
 
-def _through_tensors(monkeypatch, mode):
-    monkeypatch.setattr(reps, "hom_system", lambda source, target, pairs, n:
-                        tensor_intertwiner_system(source, target, pairs, mode, n))
+def _tensor_route(monkeypatch, mode, peel=True):
+    """``reps.hom_system`` replaced by the tensor system, peeled by the
+    reference ``peeled_system`` or not peeled at all (every unknown live);
+    the systems it is asked for are recorded."""
+    asked = []
+
+    def system(source, target, pairs, n, tol):
+        raw, n_cols = tensor_intertwiner_system(source, target, pairs, mode, n)
+        asked.append((source, target, raw, n_cols))
+        if peel:
+            return peeled_system(raw, n_cols, _floor(pairs, mode, tol))
+        n_cols = raw.shape[1] if n_cols is None else n_cols
+        return raw, np.arange(n_cols), n_cols
+
+    monkeypatch.setattr(reps, "hom_system", system)
+    return asked
+
+
+def _floor(pairs, mode, tol=DEFAULT_TOL):
+    """The float entries at most this large count as 0: ``tol`` times the
+    largest entry of the operators the equations are read from."""
+    return 0.0 if mode == EXACT else tol * max(op.norm() for pair in pairs for op in pair)
 
 
 def _assert_same_bases(monkeypatch, a, b):
+    """The exact basis of ``hom_space`` equals, bit for bit, the one read
+    off the tensor system through the reference peel, and the one of
+    ``linalg.nullspace`` on the whole tensor system, unpeeled."""
     got = hom_space(a, b)
-    _through_tensors(monkeypatch, a.mode)
+    asked = _tensor_route(monkeypatch, a.mode)
     want = hom_space(a, b)
     monkeypatch.undo()
-    assert len(got) == len(want)
-    for x, y in zip(got, want):
+    (source, target, raw, n_cols), = asked
+    unpeeled = [GradedOperator.from_block_entries(source, target, 0, v, a.mode)
+                for v in linalg.nullspace(raw, n_cols=n_cols)]
+    assert len(got) == len(want) == len(unpeeled)
+    for x, y, z in zip(got, want, unpeeled):
         _assert_same(x, y)
+        _assert_same(x, z)
     return len(got)
 
 
@@ -195,13 +223,15 @@ def test_exact_hom_bases_are_bit_equal_on_n4(monkeypatch):
 @pytest.mark.parametrize("g", [sl2(), heisenberg3(), abelian(3)], ids=lambda g: g.name)
 def test_float_adjunction_reports_agree_with_the_tensor_system(monkeypatch, g):
     """Twelve float pairs: trivial and adjoint V against the chain and
-    cochain representations of the trivial coefficients."""
+    cochain representations of the trivial coefficients.  The peeled system
+    (a float entry counts only above the rank's relative tolerance) gives
+    the report of the SVD of the whole tensor system, unpeeled."""
     for v_name in ("trivial", "adjoint"):
         for build in (chain_rep, cochain_rep):
             v = _coefficients(g, v_name, FLOAT)
             w = build(g, trivial_lie_rep(g, mode=FLOAT))
             got = adjunction_check(v, w)
-            _through_tensors(monkeypatch, FLOAT)
+            _tensor_route(monkeypatch, FLOAT, peel=False)
             want = adjunction_check(v, w)
             monkeypatch.undo()
             assert (got.dim_cartan_side, got.dim_lie_side, got.ok) == \
@@ -211,23 +241,39 @@ def test_float_adjunction_reports_agree_with_the_tensor_system(monkeypatch, g):
 
 @pytest.mark.parametrize("mode", [EXACT, FLOAT])
 def test_hom_system_has_the_tensor_rows_without_the_empty_ones(mode):
+    """``hom_system`` keeps what the reference peel keeps of the tensor
+    system: the same live unknowns, and the same rows in order (exact: the
+    same primitive rows; float: bit for bit)."""
     g = heisenberg3()
     v = adjoint_rep(g, mode=mode)
     a, b = chain_rep(g, v), chain_rep(g, trivial_lie_rep(g, mode=mode))
     pairs = [(a.differential, b.differential), (a.L_stack, b.L_stack), (a.B_stack, b.B_stack)]
     source, target = a.complex.space, b.complex.space
-    got, n_cols = hom_system(source, target, pairs, g.n)
-    want, want_cols = tensor_intertwiner_system(source, target, pairs, mode, g.n)
-    assert n_cols == want_cols
+    got, live, n_cols = hom_system(source, target, pairs, g.n)
+    raw, raw_cols = tensor_intertwiner_system(source, target, pairs, mode, g.n)
+    want, want_live, want_cols = peeled_system(raw, raw_cols, _floor(pairs, mode))
+    assert n_cols == want_cols and np.array_equal(live, want_live)
+    assert 0 < len(live) < n_cols
     if mode == EXACT:
-        want = [row for row in want if row]
-        assert all(got) and len(got) == len(want)
-        for x, y in zip(got, want):
-            # the same equation up to the row's common factor
-            assert x.keys() == y.keys()
-            assert {Fraction(x[k], y[k]) for k in x} == {Fraction(x[min(x)], y[min(x)])}
+        assert got == want and all(len(row) >= 2 for row in got) and got
     else:
-        assert np.array_equal(got, want[np.abs(want).sum(axis=1) > 0])
+        assert got.shape[0] > 0 and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("eps, nullity", [(1e-5, 1), (1e-17, 2)])
+def test_float_peel_forces_a_zero_where_the_svd_rank_counts_the_row(eps, nullity):
+    """A = diag(eps, 0), A' = diag(0, 1) on phi = [[p, q], [r, s]]: r and s
+    are forced by rows of size 1, and p by eps p = 0 alone.  At 1e-5 the
+    SVD of the whole system counts that row and p is 0; at 1e-17 it is
+    roundoff, the SVD ignores it, and so must the peel."""
+    plane = GradedVectorSpace({0: 2})
+    a, b = (operator_from_blocks(plane, plane, 0, {0: np.diag(d)}, mode=FLOAT)
+            for d in ([eps, 0.0], [0.0, 1.0]))
+    rest, live, n_cols = hom_system(plane, plane, [(a, b)], 1)
+    raw, _ = tensor_intertwiner_system(plane, plane, [(a, b)], FLOAT, 1)
+    assert len(linalg.nullspace(raw)) == nullity
+    assert len(linalg.nullspace(rest)) == nullity and rest.shape[0] == 0
+    assert live.tolist() == [0, 1][2 - nullity:] and n_cols == 4
 
 
 def test_hom_system_builds_no_identity_dual_or_tensor(monkeypatch):
@@ -241,15 +287,17 @@ def test_hom_system_builds_no_identity_dual_or_tensor(monkeypatch):
         monkeypatch.setattr(graded, name, refuse)
     monkeypatch.setattr(GradedOperator, "identity", classmethod(refuse))
     monkeypatch.setattr(GradedOperator, "__init__", refuse)
-    system, n_cols = hom_system(a.complex.space, b.complex.space,
-                                [(a.differential, b.differential), (a.L_stack, b.L_stack),
-                                 (a.B_stack, b.B_stack)], g.n)
-    assert n_cols and system and all(system)
+    rest, live, n_cols = hom_system(a.complex.space, b.complex.space,
+                                    [(a.differential, b.differential), (a.L_stack, b.L_stack),
+                                     (a.B_stack, b.B_stack)], g.n)
+    assert n_cols and len(live) and rest and all(len(row) >= 2 for row in rest)
 
 
 def test_hom_system_past_int64_equals_the_tensor_system():
     """phi A - A' phi with numerators past int64 at their common denominator
-    is the exact difference, as the two tensor operators give it."""
+    is the exact difference, as the two tensor operators give it, peeled as
+    the reference peels it.  On a 1-dim space each nonzero equation forces
+    phi to 0; on a 2-dim one a wide sum survives the peel."""
     space = GradedVectorSpace({0: 1})
     big = operator_from_blocks(space, space, 0, {0: np.array([[2 ** 62]], dtype=object)},
                                mode=EXACT)
@@ -257,12 +305,31 @@ def test_hom_system_past_int64_equals_the_tensor_system():
                                                                dtype=object)}, mode=EXACT)
     zero = GradedOperator.zero(space, space, 0, EXACT)
     # 2^62 phi - phi / 3 at denominator 3; 2^62 phi - 2^62 phi = 0
-    for pairs, want in (([(big, big)], []), ([(big, third)], [{0: 3 * 2 ** 62 - 1}]),
-                        ([(big, zero)], [{0: 2 ** 62}])):
-        got, n_cols = hom_system(space, space, pairs, 1)
+    for pairs, want, live in (([(big, big)], [], [0]), ([(big, third)], [{0: 3 * 2 ** 62 - 1}], []),
+                              ([(big, zero)], [{0: 2 ** 62}], [])):
         rows, cols = tensor_intertwiner_system(space, space, pairs, EXACT, 1)
-        assert got == want == [row for row in rows if row] and n_cols == cols == 1
-        assert all(type(v) is int for row in got for v in row.values())
+        assert [row for row in rows if row] == want and cols == 1
+        assert _same_system(hom_system(space, space, pairs, 1), peeled_system(rows, cols)) == \
+            ([], live, 1)
+    # A = [[2^62, 0], [1, 1/3]], A' = [[2^62, 0], [0, 1/3]] on phi = [[p, q], [r, s]]:
+    # the rows 3q and (1 - 3 2^62) q force q = 0, p is in no row, and
+    # (3 2^62 - 1) r + 3 s is left, on the live unknowns p, r, s
+    plane = GradedVectorSpace({0: 2})
+    a, b = (operator_from_blocks(plane, plane, 0,
+                                 {0: np.array([[2 ** 62, 0], [low, Fraction(1, 3)]], dtype=object)},
+                                 mode=EXACT) for low in (1, 0))
+    rows, cols = tensor_intertwiner_system(plane, plane, [(a, b)], EXACT, 1)
+    assert _same_system(hom_system(plane, plane, [(a, b)], 1), peeled_system(rows, cols)) == \
+        ([{1: 3 * 2 ** 62 - 1, 2: 3}], [0, 2, 3], 4)
+
+
+def _same_system(got, want):
+    """The rest, live unknowns and unknown count of ``hom_system``, which
+    must equal the reference's, rows in Python ints."""
+    (rest, live, n_cols), (want_rest, want_live, want_cols) = got, want
+    assert rest == want_rest and np.array_equal(live, want_live) and n_cols == want_cols
+    assert all(type(v) is int for row in rest for v in row.values())
+    return rest, live.tolist(), n_cols
 
 
 # ---------------------------------------------------------------------------

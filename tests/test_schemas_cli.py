@@ -11,7 +11,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from cartankit import cli, integrate, linalg, schemas, suites
+from cartankit import cli, graded, integrate, linalg, schemas, suites
 from cartankit.graded import compose
 from cartankit.lie import heisenberg3
 from cartankit.linalg import EXACT, FLOAT
@@ -499,28 +499,26 @@ def test_cli_exit_two_on_algebra_over_budget(tmp_path, capsys, dim):
     assert f"dimension {dim} is over the budget of {schemas.MAX_ALGEBRA_DIM}" in lines[0]
 
 
-def _n4_file(tmp_path):
-    """n_4 (6-dim) with its 64-dim chain representation of trivial coefficients."""
-    g = _nilpotent(4)
-    brackets = [{"i": i, "j": j, "coeffs": {str(k): str(g.c[i, j, k])
-                                            for k in range(g.n) if g.c[i, j, k]}}
+def _nilpotent_file(tmp_path, k, mode="float"):
+    """n_k (strictly upper triangular k x k matrices) with the chain
+    representation of trivial coefficients and the adjoint Lie
+    representation."""
+    g = _nilpotent(k)
+    brackets = [{"i": i, "j": j, "coeffs": {str(m): str(g.c[i, j, m])
+                                            for m in range(g.n) if g.c[i, j, m]}}
                 for i in range(g.n) for j in range(i + 1, g.n) if any(g.c[i, j])]
-    payload = {"schema": "cartankit/1", "settings": {"mode": "float"},
-               "lie_algebra": {"dim": g.n, "name": "n4", "brackets": brackets},
+    payload = {"schema": "cartankit/1", "settings": {"mode": mode},
+               "lie_algebra": {"dim": g.n, "name": f"n{k}", "brackets": brackets},
                "representations": {"chain_trivial": {"functor": "U", "coefficients": "trivial"}},
                "lie_representations": {"adjoint": "adjoint"}, "words": {}}
-    path = tmp_path / "n4.json"
+    path = tmp_path / f"n{k}.json"
     path.write_text(json.dumps(payload))
     return str(path)
 
 
-def test_cli_float_adjunction_over_the_system_budget_exits_two(tmp_path, capsys):
-    """Maps out of the 384-dim chain representation of the n_4 adjoint into
-    the 64-dim one: the dense float system (66,528 x 5,544, and the SVD's
-    U) is refused from the dimensions alone, while the sparse exact route
-    finds the maps."""
-    path = _n4_file(tmp_path)
-    argv = ["adjunction", path, "--lie-rep", "adjoint", "--rep", "chain_trivial", "--json"]
+def _refused(capsys, argv, *phrases):
+    """``cli.main(argv)`` exits 2 within a second with one stderr line that
+    names every phrase, and no traceback."""
     start = time.perf_counter()
     code = cli.main(argv)
     elapsed = time.perf_counter() - start
@@ -528,10 +526,45 @@ def test_cli_float_adjunction_over_the_system_budget_exits_two(tmp_path, capsys)
     lines = err.strip().splitlines()
     assert code == 2 and elapsed < 1.0
     assert len(lines) == 1 and "Traceback" not in err
-    assert "66528 x 5544" in lines[0] and f"budget of {suites.MAX_FLOAT_SYSTEM}" in lines[0]
+    assert all(phrase in lines[0] for phrase in phrases), lines[0]
+
+
+def test_cli_float_adjunction_on_n4_peels_to_within_the_budget(tmp_path, capsys):
+    """Maps out of the 384-dim chain representation of the n_4 adjoint into
+    the 64-dim one: the 47,981 equations on 5,544 unknowns peel to 1,056 on
+    192, whose dense SVD is within the float budget; both modes find the
+    three maps."""
+    path = _nilpotent_file(tmp_path, 4)
+    argv = ["adjunction", path, "--lie-rep", "adjoint", "--rep", "chain_trivial", "--json"]
+    for mode in ("float", "exact"):
+        assert cli.main(argv + ["--mode", mode]) == 0
+        records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert records[0]["inputs"]["dims"] == [3, 3]
+
+
+def test_cli_float_adjunction_over_the_system_budget_exits_two(tmp_path, capsys, monkeypatch):
+    """The float budget applies to the peeled system: with the budget below
+    the n_4 rest's 1,056 x (1,056 + 192) entries, the float adjunction is
+    refused in one line before the rest is built, while the exact one
+    runs."""
+    path = _nilpotent_file(tmp_path, 4)
+    argv = ["adjunction", path, "--lie-rep", "adjoint", "--rep", "chain_trivial", "--json"]
+    monkeypatch.setattr(graded, "MAX_FLOAT_SYSTEM", 1056 * (1056 + 192) - 1)
+    _refused(capsys, argv, "1056 x 192", f"budget of {graded.MAX_FLOAT_SYSTEM}", "--mode exact")
     assert cli.main(argv + ["--mode", "exact"]) == 0
-    records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
-    assert records[0]["inputs"]["dims"] == [3, 3]
+    assert json.loads(capsys.readouterr().out.splitlines()[0])["inputs"]["dims"] == [3, 3]
+
+
+def test_cli_adjunction_over_the_unknown_budget_exits_two(tmp_path, capsys):
+    """Maps out of the chain representation of the n_5 adjoint (10,240-dim)
+    into the 1,024-dim one: 10 x 184,756 unknowns are refused in one line,
+    in either mode, before any operator of the hom space is built."""
+    path = _nilpotent_file(tmp_path, 5, mode="exact")
+    argv = ["adjunction", path, "--lie-rep", "adjoint", "--rep", "chain_trivial", "--json"]
+    for mode in ("exact", "float"):
+        _refused(capsys, argv + ["--mode", mode], "1847560 unknowns",
+                 f"budget of {suites.MAX_HOM_UNKNOWNS}")
+    assert 184_756 <= suites.MAX_HOM_UNKNOWNS < 1_847_560
 
 
 def test_complex_budget_admits_the_largest_tested_case():
