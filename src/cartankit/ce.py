@@ -24,11 +24,16 @@ by increasing m, subsets in lexicographic order inside Lambda^m.
 What depends only on the structure constants, del and [del, E], is built
 once per (algebra, mode), and the layout with its signs once per (n, V,
 flavor); bounded caches share them read-only, as ``exterior`` is shared.
+Their placements del ox 1, with its complex and d^2 check, and [del, E] ox 1
+are built once per (algebra, layout, mode) (``_own_parts``), and are d and
+L whole when the coefficient action and differential store no entry
+(trivial coefficients of any dimension or degree, the adjoint of an abelian
+algebra); other coefficients place all pairs in one tensor sum.
 """
 
 from collections import namedtuple
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
 from math import comb
 
@@ -119,20 +124,19 @@ def _odd(q):
 class CEBasis:
     """The layout of Lambda(g) ox V (chains) or of its dual with V* in place
     of V (cochains), and the placing of tensor products on it; built by
-    ``basis``."""
+    ``basis``.  ``coefficients`` is the coefficient space of the chain side,
+    V or V*."""
 
     def __init__(self, n, coeff_space, flavor):
         if flavor not in ("cochain", "chain"):
             raise ValueError("flavor must be 'cochain' or 'chain'")
         self.cochain = flavor == "cochain"
+        self.coefficients = dual_space(coeff_space) if self.cochain else coeff_space
         ext = GradedVectorSpace({-m: comb(n, m) for m in range(n + 1)})
-        if self.cochain:
-            dual = dual_space(coeff_space)
-            self.space = dual_space(tensor_space(ext, dual))
-            self._tensor = reversed_tensor(ext, dual, _sign_of_transpose)
-        else:
-            self.space = tensor_space(ext, coeff_space)
-            self._tensor = reversed_tensor(ext, coeff_space)
+        chains = tensor_space(ext, self.coefficients)
+        self.space = dual_space(chains) if self.cochain else chains
+        self._tensor = reversed_tensor(ext, self.coefficients,
+                                       _sign_of_transpose if self.cochain else None)
 
     def place(self, sign, *pairs, labels=None):
         """The sum of f ox g over ``pairs`` (f on Lambda(g), g on V for chains,
@@ -182,26 +186,65 @@ class CEComplex:
         the generators (``graded.stack``): with E the stacked wedge,
         L = [del, E] ox 1 + 1 ox rho (``_commutator``) and B = E ox 1; the
         cochain transposes take the signs of ``dual_rep``: -1 for L, (-1)^q
-        for B."""
+        for B.  B is shared (``_placed_wedge``), and so is L when the
+        coefficients act by zero (``_own_parts``)."""
         rep = self.chain_coefficients
         n = rep.algebra.n
-        one, one_ext = (GradedOperator.identity(space, rep.mode)
-                        for space in (rep.complex.space, exterior(n, rep.mode).space))
-        L = self.basis.place(lambda q: -1, (_commutator(rep.algebra, rep.mode), one),
-                             (one_ext, rep.stacked), labels=n)
-        return L, _placed_wedge(self.basis, n, rep.mode, rep.complex.space)
+        if _acts_by_zero(rep):
+            L = _own_parts(rep.algebra, self.basis, rep.mode).commutator
+        else:
+            one, one_ext = (GradedOperator.identity(space, rep.mode)
+                            for space in (rep.complex.space, exterior(n, rep.mode).space))
+            L = self.basis.place(lambda q: -1, (_commutator(rep.algebra, rep.mode), one),
+                                 (one_ext, rep.stacked), labels=n)
+        return L, _placed_wedge(self.basis, n, rep.mode)
+
+
+def _acts_by_zero(rep):
+    """Whether the Lie representation ``rep`` stores no action and no
+    differential entry."""
+    return rep.stacked.norm() == 0 and rep.complex.differential.norm() == 0
+
+
+class _OwnParts:
+    """The complex on del ox 1 (d^2 checked when built) and, on first use,
+    [del, E] ox 1, placed on one layout and read-only.  They are bit for
+    bit the d and L placed with coefficient pairs that store no entry."""
+
+    def __init__(self, algebra, layout, mode):
+        self._algebra, self._layout, self._mode = algebra, layout, mode
+        self.complex = CochainComplex(layout.space, self._place(_odd, boundary(algebra, mode)))
+
+    def _place(self, sign, op):
+        one = GradedOperator.identity(self._layout.coefficients, self._mode)
+        return read_only(self._layout.place(sign, (op, one), labels=self._algebra.n))
+
+    @cached_property
+    def commutator(self) -> GradedOperator:
+        return self._place(lambda q: -1, _commutator(self._algebra, self._mode))
+
+
+@lru_cache(maxsize=16)
+def _own_parts(algebra, layout, mode) -> _OwnParts:
+    """The ``_OwnParts`` of ``algebra`` on ``layout``, shared; bounded like
+    ``boundary``.  Constants failing d^2 raise and leave no entry."""
+    return _OwnParts(algebra, layout, mode)
 
 
 @lru_cache(maxsize=64)
-def _placed_wedge(layout, n, mode, coeff_space) -> GradedOperator:
-    """B = E ox 1 on ``layout`` (n generators, V = ``coeff_space``) for the
-    stacked wedge E, built once per (layout, mode) and shared read-only."""
-    one = GradedOperator.identity(coeff_space, mode)
+def _placed_wedge(layout, n, mode) -> GradedOperator:
+    """B = E ox 1 on ``layout`` (n generators) for the stacked wedge E,
+    built once per (layout, mode) and shared read-only."""
+    one = GradedOperator.identity(layout.coefficients, mode)
     return read_only(layout.place(_odd, (exterior(n, mode).wedge, one), labels=n))
 
 
 def _build(algebra, layout, rep):
-    """The complex on ``layout`` whose chain side is Lambda(g) ox ``rep``."""
+    """The complex on ``layout`` whose chain side is Lambda(g) ox ``rep``:
+    the shared one of ``_own_parts`` when ``rep`` acts by zero, otherwise
+    all pairs placed in one tensor sum and checked."""
+    if _acts_by_zero(rep):
+        return CEComplex(_own_parts(algebra, layout, rep.mode).complex, layout, rep)
     ext = exterior(algebra.n, rep.mode)
     one, one_ext = (GradedOperator.identity(space, rep.mode)
                     for space in (rep.complex.space, ext.space))

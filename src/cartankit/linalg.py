@@ -213,7 +213,8 @@ def nullspace(a, tol: float = DEFAULT_TOL, n_cols=None):
     that ``peel`` leaves, on their live unknowns, give the whole system's
     basis with the forced unknowns left out (``reps.hom_space`` writes the
     0s back).  Float mode takes the right singular vectors past the
-    numerical rank.
+    numerical rank, from an SVD whose U keeps min(rows, columns) columns
+    (V^T is complete either way).
     """
     exact = _exact_rows(a, n_cols)
     if exact:
@@ -229,7 +230,7 @@ def nullspace(a, tol: float = DEFAULT_TOL, n_cols=None):
     n_cols = a.shape[1]
     if a.shape[0] == 0 or n_cols == 0:
         return [unit_vector(n_cols, i, FLOAT) for i in range(n_cols)]
-    u, s, vt = np.linalg.svd(a)
+    _, s, vt = np.linalg.svd(a, full_matrices=a.shape[0] < n_cols)
     return [vt[i] for i in range(int(np.sum(s > tol * s[0])), n_cols)]
 
 

@@ -15,8 +15,8 @@ from cartankit.graded import (CochainComplex, GradedOperator, GradedVectorSpace,
                              compose, dual_space, graded_commutator)
 from cartankit.lie import LieAlgebra, abelian, heisenberg3, sl2, su2
 from cartankit.linalg import EXACT, FLOAT, format_scalar
-from cartankit.reps import (adjoint_rep, chain_rep, cochain_rep, dual_lie_rep, restrict,
-                            trivial_lie_rep)
+from cartankit.reps import (LieRep, adjoint_rep, chain_rep, cochain_rep, dual_lie_rep,
+                            restrict, trivial_lie_rep)
 from dense_reference import operator_from_blocks
 
 
@@ -291,3 +291,133 @@ def test_cochain_side_checks_d_squared_once(monkeypatch, build):
     assert chain_calls == []
     assert spaces.count(built.complex.space) == 1
     assert sum(space.total_dim > coeff.complex.space.total_dim for space in spaces) == 1
+
+
+# ---------------------------------------------------------------------------
+# the algebra's own parts, placed once per (algebra, layout, mode)
+# ---------------------------------------------------------------------------
+
+def _graded_coefficients(g, mode):
+    """rho = 0 on a complex with d_V != 0: k^1 in degree 0 -> k^1 in degree 1."""
+    space = GradedVectorSpace({0: 1, 1: 1})
+    d = graded.stack_entries(1, space, space, 1, ([0], [0], [0], [0], [1]), mode)
+    return LieRep(g, CochainComplex(space, d), [GradedOperator.zero(space, space, 0, mode)] * g.n)
+
+
+OWN = {
+    "trivial": lambda g, mode: trivial_lie_rep(g, mode=mode),
+    "trivial2_deg1": lambda g, mode: trivial_lie_rep(g, dim=2, degree=1, mode=mode),
+    "trivial1_deg-2": lambda g, mode: trivial_lie_rep(g, degree=-2, mode=mode),
+}
+PLACED = {**OWN, "adjoint": lambda g, mode: adjoint_rep(g, mode=mode),
+          "graded": _graded_coefficients}
+FLAVORS = {"chain": (chain_rep, ce_chain), "cochain": (cochain_rep, ce_cochain)}
+
+
+def _one_sum(g, coeff, flavor, mode):
+    """d, L and B of Lambda(g) ox V, each placed in one tensor sum over all
+    its pairs, coefficient pairs included, by ``graded`` alone: the sum in
+    the order of decreasing exterior degree, and on cochains its transpose
+    onto the dual layout, conjugated by S(m, q) = (-1)^(m(m+1)/2 + mq + q)."""
+    n, ext = g.n, exterior(g.n, mode)
+    chain = dual_lie_rep(coeff) if flavor == "cochain" else coeff
+    v = chain.complex.space
+    one, one_ext = (GradedOperator.identity(space, mode) for space in (v, ext.space))
+    if flavor == "cochain":
+        tensor = graded.reversed_tensor(
+            ext.space, v, lambda p, q: 1 - 2 * ((p * (p - 1) // 2 + (1 - p) * q) % 2))
+        space = dual_space(graded.tensor_space(ext.space, v))
+
+        def place(sign, *pairs):
+            return graded.dual_operator(tensor(*pairs, labels=n), space, sign, n)
+    else:
+        tensor = graded.reversed_tensor(ext.space, v)
+
+        def place(sign, *pairs):
+            return tensor(*pairs, labels=n)
+
+    def odd(q):
+        return -1 if q % 2 else 1
+
+    d = place(odd, (ce.boundary(g, mode), one), (one_ext, chain.complex.differential),
+              (ext.contraction, chain.stacked))
+    L = place(lambda q: -1, (ce._commutator(g, mode), one), (one_ext, chain.stacked))
+    return d, L, place(odd, (ext.wedge, one))
+
+
+def _refuse_own_parts(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the own-parts cache was read")
+    monkeypatch.setattr(ce, "_own_parts", refuse)
+
+
+@pytest.mark.parametrize("mode", [EXACT, FLOAT])
+@pytest.mark.parametrize("flavor", ["chain", "cochain"])
+@pytest.mark.parametrize("coeff", sorted(PLACED))
+@pytest.mark.parametrize("g", [abelian(3), heisenberg3(), sl2(), su2()], ids=lambda g: g.name)
+def test_operators_equal_one_tensor_sum_over_all_pairs(monkeypatch, g, coeff, flavor, mode):
+    """d, L and B, from the own-parts cache when the coefficients act by
+    zero (trivial ones of any dimension and degree, the abelian adjoint)
+    and from one tensor sum otherwise, are the sum over all pairs bit for
+    bit; coefficients with a stored action (the adjoint of a nonabelian
+    algebra) or differential ("graded") never read the cache."""
+    from test_stacked import _assert_same    # test_stacked imports this module
+    v = PLACED[coeff](g, mode)
+    cached = coeff in OWN or (coeff == "adjoint" and g.name == "abelian3")
+    if not cached:
+        _refuse_own_parts(monkeypatch)
+    build, complex_of = FLAVORS[flavor]
+    rep, cec = build(g, v), complex_of(g, v)
+    want = _one_sum(g, v, flavor, mode)
+    for got, ref in zip((rep.differential, rep.L_stack, rep.B_stack), want):
+        _assert_same(got, ref)
+    _assert_same(cec.differential, want[0])
+    if cached:
+        own = ce._own_parts(g, cec.basis, mode)
+        assert rep.complex is cec.complex is own.complex
+        assert rep.L_stack is own.commutator
+
+
+@pytest.mark.parametrize("mode", [EXACT, FLOAT])
+@pytest.mark.parametrize("flavor", ["chain", "cochain"])
+def test_own_parts_are_read_only_and_one_object_per_key(flavor, mode):
+    g = heisenberg3()
+    build, complex_of = FLAVORS[flavor]
+    first, second = (build(g, trivial_lie_rep(g, mode=mode)) for _ in range(2))
+    for a, b in ((first.complex, second.complex), (first.L_stack, second.L_stack),
+                 (first.B_stack, second.B_stack)):
+        assert a is b
+    for op in (first.differential, first.L_stack, first.B_stack):
+        for entries in (op._rows, op._cols, op._data):
+            with pytest.raises(ValueError, match="read-only"):
+                entries[0] = entries[0]
+    layout = complex_of(g, trivial_lie_rep(g, mode=mode)).basis
+    assert ce._own_parts(g, layout, mode) is ce._own_parts(g, layout, mode)
+    assert ce._own_parts.cache_info().maxsize == 16
+
+
+def test_warm_trivial_chain_rep_builds_no_tensor_sum_and_no_complex(monkeypatch):
+    g = sl2()
+    v = trivial_lie_rep(g)
+    chain_rep(g, v)
+    calls = []
+    tensor_sum, init = graded._tensor_sum, CochainComplex.__init__
+    monkeypatch.setattr(graded, "_tensor_sum", lambda *a, **k: calls.append("sum") or
+                        tensor_sum(*a, **k))
+    monkeypatch.setattr(CochainComplex, "__init__", lambda self, *a: calls.append("complex") or
+                        init(self, *a))
+    chain_rep(g, v)
+    assert calls == []
+
+
+def test_constants_failing_jacobi_raise_on_every_build():
+    """del^2 != 0 raises when the own parts are built, and no entry is
+    kept: the second build raises too."""
+    g = LieAlgebra(3, {(0, 1): {2: 1}, (1, 2): {1: 1}}, name="not_jacobi")
+    assert g.check_jacobi() > 0
+    hits = ce._own_parts.cache_info().hits
+    for _ in range(2):
+        for build in (chain_rep, ce_cochain):
+            with pytest.raises(ValueError, match="does not square to zero"):
+                build(g, trivial_lie_rep(g))
+    assert ce._own_parts.cache_info().hits == hits

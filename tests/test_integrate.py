@@ -597,6 +597,7 @@ def test_exact_polynomial_routes_reach_on_large_letters(h3_chain_reps, coeff, sh
     ("chain_trivial", "full", 10 ** 6, [["-2000000000000000000/3"]]),
     ("chain_trivial", "full", 2 * 10 ** 6, [["-16000000000000000000/3"]]),
     ("chain_trivial", "full", 10 ** 9, [["-2000000000000000000000000000/3"]]),
+    ("chain_trivial", "diagonal", 2 * 10 ** 6, [["1333326666671/4"]]),
     ("chain_adjoint", "diagonal", 10 ** 3, None),
     ("chain_adjoint", "full", 10 ** 4, None),
     ("chain_adjoint", "full", 10 ** 5, None),
@@ -607,7 +608,9 @@ def test_cli_exact_series_reach_on_large_letters(tmp_path, capsys, h3_chain_reps
                                                  n, block):
     """The exact series keeps the reach of exact rationals: past int64 its
     numerators are Python ints, so the CLI prints the integral the
-    polynomial route gives (on the trivial chains -2 N^3 / 3) and exits 0."""
+    polynomial route gives (on the trivial chains -2 N^3 / 3 for the full
+    letters; the diagonal ones, whose series terms cancel, as well) and
+    exits 0."""
     root = pathlib.Path(__file__).resolve().parents[1]
     payload = json.loads((root / "problems" / "heisenberg_exact.json").read_text())
     payload["words"]["big"] = _big_letters(shape, n)

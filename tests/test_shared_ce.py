@@ -13,7 +13,7 @@ from test_relation_families import REPS, _rebased_sl2
 from test_stacked import _assert_same
 
 CACHES = (ce.exterior, ce._monomial, ce.boundary, ce._commutator, ce.basis,
-          ce.first_contractions)
+          ce.first_contractions, ce._placed_wedge, ce._own_parts)
 BUILDS = {"chain_rep": chain_rep, "cochain_rep": cochain_rep}
 
 
